@@ -79,7 +79,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
 		maxTime   = flag.Duration("max-timeout", 30*time.Second, "upper bound on client-requested deadlines")
 		maxRows   = flag.Int("max-rows", 10000, "max result rows returned per query; doubles as the default page size for paged and NDJSON responses (0: unlimited)")
-		streamBuf = flag.Int("stream-buffer", 256, "NDJSON rows written between explicit flushes on streamed responses")
 		cacheB    = flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0: disable caching)")
 		compactN  = flag.Int("compact-after", 0, "fold a dataset's delta log into a fresh snapshot once this many mutations are pending (0: never auto-compact)")
 		plan      = flag.String("plan", "on", "cost-based pruning order + multiway kernels: on or off (off restores the paper's fixed post-order)")
@@ -163,7 +162,6 @@ func main() {
 		DefaultTimeout:   *timeout,
 		MaxTimeout:       *maxTime,
 		MaxRows:          *maxRows,
-		StreamBuffer:     *streamBuf,
 		CacheBytes:       *cacheB,
 		CompactAfter:     *compactN,
 		CostQuota:        *costQuota,

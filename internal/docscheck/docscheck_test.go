@@ -1,7 +1,8 @@
 // Package docscheck keeps docs/OPERATIONS.md honest: it extracts
 // every flag the operational binaries define and every gtpq_* metric
 // family the code registers, and fails if any is missing from the
-// documentation. It contains only tests — running them (the CI lint
+// documentation — or if a flag table documents a flag its binary no
+// longer defines. It contains only tests — running them (the CI lint
 // job does) is the whole point.
 package docscheck
 
@@ -26,6 +27,7 @@ var opsBinaries = []string{"gtpq-serve", "gtpq-route", "gtpq-compact", "gtpq-sha
 
 var (
 	flagRe   = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Float64|Duration)\(\s*"([^"]+)"`)
+	flagRow  = regexp.MustCompile("^\\| `-([^`]+)` \\|")
 	metricRe = regexp.MustCompile(`"(gtpq_[a-z_]+)"`)
 )
 
@@ -40,9 +42,13 @@ func readOperations(t *testing.T) string {
 
 // TestOperationsCoversFlags extracts every flag definition from the
 // operational binaries' main.go and requires the flag to appear in
-// docs/OPERATIONS.md as `-name`.
+// docs/OPERATIONS.md as `-name` — and, the other way round, requires
+// every `-name` row of the flag tables under a binary's "## <binary>"
+// heading to be a flag that binary defines, so a deleted flag cannot
+// leave a stale row behind.
 func TestOperationsCoversFlags(t *testing.T) {
 	doc := readOperations(t)
+	defined := map[string]map[string]bool{}
 	for _, bin := range opsBinaries {
 		src, err := os.ReadFile(filepath.Join(repoRoot, "cmd", bin, "main.go"))
 		if err != nil {
@@ -52,11 +58,30 @@ func TestOperationsCoversFlags(t *testing.T) {
 		if len(matches) == 0 {
 			t.Fatalf("cmd/%s/main.go: no flag definitions found — extractor regex out of date?", bin)
 		}
+		defined[bin] = map[string]bool{}
 		for _, m := range matches {
+			defined[bin][m[1]] = true
 			if want := "`-" + m[1] + "`"; !strings.Contains(doc, want) {
 				t.Errorf("docs/OPERATIONS.md: flag %s of %s is undocumented", want, bin)
 			}
 		}
+	}
+	rows, section := 0, ""
+	for _, line := range strings.Split(doc, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			section = h
+		}
+		m := flagRow.FindStringSubmatch(line)
+		if m == nil || defined[section] == nil {
+			continue
+		}
+		rows++
+		if !defined[section][m[1]] {
+			t.Errorf("docs/OPERATIONS.md: %s documents flag `-%s`, which cmd/%s/main.go does not define", section, m[1], section)
+		}
+	}
+	if rows < 10 {
+		t.Fatalf("found only %d flag-table rows in docs/OPERATIONS.md — row regex out of date?", rows)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestEvalCtxAlreadyCancelled(t *testing.T) {
 	e := New(g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ans, err := e.EvalCtx(ctx, pairQuery())
+	ans, _, err := e.EvalStatsCtx(ctx, pairQuery())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got err %v, want context.Canceled", err)
 	}

@@ -3,11 +3,9 @@ package gtea
 import (
 	"context"
 	"sort"
-	"time"
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
-	"gtpq/internal/obs"
 )
 
 // Cursor is a pull-based iterator over one query's result tuples in
@@ -243,64 +241,32 @@ func (c *productCursor) Close()         { c.done = true }
 // is released before EvalCursor returns: the cursor owns freshly
 // allocated partials only, so abandoning it early leaks nothing.
 //
-// Stats mirror EvalStatsCtx except Results, which stays 0 — the result
-// count is unknown until the cursor drains (use Cursor.Rows). ctx
+// Stats mirror EvalStatsCtx except Results, which stays 0 on a lazy
+// cursor — the result count is unknown until it drains (use
+// Cursor.Rows). ctx
 // cancellation aborts both the evaluation and, later, the drain. Safe
 // for concurrent use.
 func (e *Engine) EvalCursor(ctx context.Context, q *core.Query) (Cursor, Stats, error) {
-	start := time.Now()
-	ec := e.newContext()
-	defer e.release(ec)
-	if ctx != nil && ctx.Done() != nil {
-		ec.ctx = ctx
-	}
-	parent := obs.SpanFrom(ctx)
-
-	outs := q.Outputs()
-	if len(outs) == 0 {
-		panic("gtea: query has no output nodes")
-	}
-
-	pt := partials{empty: true}
-	prime, alive := ec.pruneAll(q, outs, parent)
-	if alive && ec.err == nil {
-		sp := parent.Start("enumerate")
-		comps, singles := ec.shrink(q, prime, outs)
-		mg := ec.buildMatchingGraph(q, comps)
-		if ec.err == nil {
-			pt = ec.collectPartials(q, comps, singles, mg)
+	var cur Cursor
+	var results int64 // known before the drain only on the buffered fallback
+	st, err := e.evaluate(ctx, q, false, nil, func(outs []int, pt partials, tick func() bool) {
+		ans := core.NewAnswer(outs)
+		if !pt.empty {
+			if pc := newProductCursor(ctx, ans.Out, pt); pc != nil {
+				cur = pc
+				return
+			}
+			// Interleaved component positions: no odometer order is
+			// canonical. Materialize through the eager path and stream
+			// from the answer.
+			CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, tick)
+			results = int64(ans.Len())
 		}
-		sp.AttrInt("intermediate", ec.stat.Intermediate)
-		sp.End()
+		cur = NewAnswerCursor(ans)
+	})
+	if err != nil {
+		return nil, st, err
 	}
-
-	ec.finishPlan(q)
-	ec.stat.Input = ec.stat.PruneInput + ec.stat.EnumInput
-	ec.stat.Index = ec.rst.Lookups
-	ec.stat.TotalTime = time.Since(start)
-	if ec.plan != nil {
-		parent.Attr("plan", ec.plan.String())
-	}
-	parent.AttrInt("index_lookups", ec.stat.Index)
-	if ec.err != nil {
-		return nil, ec.stat, ec.err
-	}
-	if pt.empty {
-		return NewAnswerCursor(core.NewAnswer(outs)), ec.stat, nil
-	}
-	sorted := append([]int(nil), outs...)
-	sort.Ints(sorted)
-	if cur := newProductCursor(ctx, sorted, pt); cur != nil {
-		return cur, ec.stat, nil
-	}
-	// Interleaved component positions: no odometer order is canonical.
-	// Materialize through the eager path and stream from the answer.
-	ans := core.NewAnswer(outs)
-	CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, ec.tick)
-	if ec.err != nil {
-		return nil, ec.stat, ec.err
-	}
-	ec.stat.Results = int64(ans.Len())
-	ec.stat.TotalTime = time.Since(start)
-	return NewAnswerCursor(ans), ec.stat, nil
+	st.Results = results
+	return cur, st, nil
 }

@@ -287,14 +287,6 @@ func (e *Engine) EvalStats(q *core.Query) (*core.Answer, Stats) {
 	return ans, st
 }
 
-// EvalCtx evaluates q under ctx: deadlines and cancellation are
-// honored at pruning-round and enumeration boundaries, aborting the
-// evaluation with ctx's error. Safe for concurrent use.
-func (e *Engine) EvalCtx(ctx context.Context, q *core.Query) (*core.Answer, error) {
-	ans, _, err := e.EvalStatsCtx(ctx, q)
-	return ans, err
-}
-
 // EvalStatsCtx evaluates q under ctx and returns the answer and the
 // per-call cost counters. When ctx is cancelled (or its deadline
 // passes) mid-evaluation, the partial answer is discarded and ctx's
@@ -304,10 +296,33 @@ func (e *Engine) EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer,
 	return e.evalStats(ctx, q, false, nil)
 }
 
-// evalStats is the shared body of EvalStatsCtx and EvalSeededStatsCtx
-// (seed.go): with seeded set, the root's candidates are restricted to
-// the seed before pruning starts.
+// evalStats is the materializing tail shared by EvalStatsCtx and
+// EvalSeededStatsCtx (seed.go): the cross-component product is taken
+// eagerly and canonicalized.
 func (e *Engine) evalStats(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID) (*core.Answer, Stats, error) {
+	var ans *core.Answer
+	st, err := e.evaluate(ctx, q, seeded, seed, func(outs []int, pt partials, tick func() bool) {
+		ans = core.NewAnswer(outs)
+		if !pt.empty {
+			CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, tick)
+		}
+	})
+	if err != nil {
+		return nil, st, err
+	}
+	st.Results = int64(ans.Len())
+	return ans, st, nil
+}
+
+// evaluate is the one evaluation body behind every entry point: context
+// set-up, the two pruning rounds, the shrunk prime subtree, the maximal
+// matching graph and per-component result collection (§4.3), then the
+// stats and span epilogue. tail turns the collected partials into the
+// caller's result shape — a materialized answer or a cursor — while the
+// evaluation context, and with it the cancellation tick, is still live;
+// it does not run when the evaluation was cancelled. With seeded set,
+// the root's candidates are restricted to seed before pruning starts.
+func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID, tail func(outs []int, pt partials, tick func() bool)) (Stats, error) {
 	start := time.Now()
 	ec := e.newContext()
 	defer e.release(ec)
@@ -326,23 +341,26 @@ func (e *Engine) evalStats(ctx context.Context, q *core.Query, seeded bool, seed
 	parent := obs.SpanFrom(ctx)
 
 	outs := q.Outputs()
-	ans := core.NewAnswer(outs)
 	if len(outs) == 0 {
 		panic("gtea: query has no output nodes")
 	}
 
+	pt := partials{empty: true}
+	var sp *obs.Span
 	prime, alive := ec.pruneAll(q, outs, parent)
 	if alive && ec.err == nil {
-		// Shrink and enumerate.
-		sp := parent.Start("enumerate")
+		sp = parent.Start("enumerate")
 		comps, singles := ec.shrink(q, prime, outs)
 		mg := ec.buildMatchingGraph(q, comps)
 		if ec.err == nil {
-			ec.collectAll(q, ans, comps, singles, mg)
+			pt = ec.collectPartials(q, comps, singles, mg)
 		}
-		sp.AttrInt("intermediate", ec.stat.Intermediate)
-		sp.End()
 	}
+	if ec.err == nil {
+		tail(outs, pt, ec.tick)
+	}
+	sp.AttrInt("intermediate", ec.stat.Intermediate)
+	sp.End()
 
 	ec.finishPlan(q)
 	ec.stat.Input = ec.stat.PruneInput + ec.stat.EnumInput
@@ -354,16 +372,10 @@ func (e *Engine) evalStats(ctx context.Context, q *core.Query, seeded bool, seed
 		parent.Attr("plan", ec.plan.String())
 	}
 	parent.AttrInt("index_lookups", ec.stat.Index)
-	if ec.err != nil {
-		return nil, ec.stat, ec.err
-	}
-	ans.Canonicalize()
-	ec.stat.Results = int64(ans.Len())
-	return ans, ec.stat, nil
+	return ec.stat, ec.err
 }
 
-// pruneAll runs the evaluation front half shared by EvalStatsCtx and
-// EvalCursor: planning, candidate initialization, and the two pruning
+// pruneAll runs planning, candidate initialization, and the two pruning
 // rounds, with their trace spans and PruneTime accounting. It returns
 // the prime subtree and whether the root kept at least one candidate
 // (alive == false means the answer is empty — or ec.err is set).
@@ -398,13 +410,7 @@ func (ec *evalContext) pruneAll(q *core.Query, outs []int, parent *obs.Span) (ma
 func (e *Engine) FilterOnly(q *core.Query) [][]graph.NodeID {
 	ec := e.newContext()
 	defer e.release(ec)
-	ec.planQuery(q)
-	ec.initCandidates(q)
-	ec.pruneDownward(q)
-	if len(ec.mat[q.Root]) > 0 {
-		prime := ec.primeSubtree(q, q.Outputs())
-		ec.pruneUpward(q, prime)
-	}
+	ec.pruneAll(q, q.Outputs(), nil)
 	// Copy out of the pooled arena: the caller keeps these slices past
 	// the context's reuse.
 	out := make([][]graph.NodeID, len(ec.mat))

@@ -183,23 +183,10 @@ type partials struct {
 	empty bool
 }
 
-// collectAll enumerates the final answer: per-component results from
-// CollectResults, combined across components through the exported
-// CombineComponents Cartesian-product path, with the fixed singleton
-// outputs appended.
-func (ec *evalContext) collectAll(q *core.Query, ans *core.Answer, comps []component, singles map[int]graph.NodeID, mg *matchingGraph) {
-	pt := ec.collectPartials(q, comps, singles, mg)
-	if pt.empty || ec.err != nil {
-		ans.Canonicalize()
-		return
-	}
-	CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, ec.tick)
-}
-
 // collectPartials runs per-component result collection (Procedure 5
 // with advance merging) and returns the partials; the cross-component
-// product is left to the caller — materialized by collectAll, streamed
-// by EvalCursor.
+// product is left to the caller — materialized by EvalStatsCtx,
+// streamed by EvalCursor.
 func (ec *evalContext) collectPartials(q *core.Query, comps []component, singles map[int]graph.NodeID, mg *matchingGraph) partials {
 	pt := partials{singles: singles}
 	for _, v := range singles {

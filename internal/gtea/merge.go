@@ -7,10 +7,7 @@ import (
 
 // CombineComponents assembles a final answer from per-component partial
 // result sets by cross-component Cartesian product — the §4.3 step that
-// combines the independent components of the shrunk prime subtree. It
-// is exported so partition-parallel execution (internal/shard) merges
-// per-shard partials through the same path single-graph evaluation
-// uses.
+// combines the independent components of the shrunk prime subtree.
 //
 // perComp[i] holds the distinct partial tuples of component i, parallel
 // to compOuts[i] (the output query nodes that component covers).
@@ -53,21 +50,4 @@ func CombineComponents(ans *core.Answer, fixed map[int]graph.NodeID, perComp [][
 	}
 	emit(0)
 	ans.Canonicalize()
-}
-
-// MergeAnswers merges the answers of independent partitions of one
-// data graph (shards) into the answer over the whole graph. A match
-// never spans partitions — every image is reachable from the root's
-// image — so the merge is the degenerate instance of the
-// cross-component combination in which all partial tuples form a
-// single component: a deduplicating union. Tuples must already be in
-// the caller's global id space; out is the query's output node set.
-func MergeAnswers(out []int, parts ...*core.Answer) *core.Answer {
-	ans := core.NewAnswer(out)
-	union := make([][]graph.NodeID, 0)
-	for _, p := range parts {
-		union = append(union, p.Tuples...)
-	}
-	CombineComponents(ans, nil, [][][]graph.NodeID{union}, [][]int{ans.Out}, nil)
-	return ans
 }

@@ -60,6 +60,20 @@ func TestServeCostAdmission(t *testing.T) {
 		}
 	}
 
+	// The NDJSON sink rejects the same way — header included — and the
+	// cheap query carries the header on its streamed 200 too.
+	nresp, lines := postNDJSON(t, ts.URL, map[string]interface{}{"dataset": "chain", "query": hot})
+	if nresp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("hot NDJSON query status %d: %q", nresp.StatusCode, lines)
+	}
+	if got := nresp.Header.Get("X-GTPQ-Cost"); got != "3000" {
+		t.Fatalf("hot NDJSON query cost header = %q, want 3000", got)
+	}
+	nresp, _ = postNDJSON(t, ts.URL, map[string]interface{}{"dataset": "small", "query": abQuery})
+	if got := nresp.Header.Get("X-GTPQ-Cost"); nresp.StatusCode != http.StatusOK || got != "4" {
+		t.Fatalf("cheap NDJSON query: status %d, cost header %q, want 200 and 4", nresp.StatusCode, got)
+	}
+
 	// The rejections are counted globally and per dataset.
 	sresp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -70,8 +84,8 @@ func TestServeCostAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if got := stats["cost_rejected"].(float64); got != 2 {
-		t.Fatalf("stats cost_rejected = %v, want 2", got)
+	if got := stats["cost_rejected"].(float64); got != 3 {
+		t.Fatalf("stats cost_rejected = %v, want 3", got)
 	}
 	if got := stats["config"].(map[string]interface{})["cost_quota"].(float64); got != 100 {
 		t.Fatalf("stats config cost_quota = %v, want 100", got)
@@ -93,7 +107,7 @@ func TestServeCostAdmission(t *testing.T) {
 	for _, d := range dl.Datasets {
 		want := int64(0)
 		if d.Name == "chain" {
-			want = 2
+			want = 3
 		}
 		if d.CostRejected != want {
 			t.Fatalf("dataset %s cost_rejected = %d, want %d", d.Name, d.CostRejected, want)

@@ -35,18 +35,16 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gtpq/internal/catalog"
-	"gtpq/internal/core"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
 	"gtpq/internal/obs"
 	"gtpq/internal/qcache"
-	"gtpq/internal/qlang"
 	"gtpq/internal/repl"
 	"gtpq/internal/sub"
 )
@@ -69,11 +67,6 @@ type Config struct {
 	// maximum) page size instead, handing back a continuation cursor. 0
 	// means unlimited.
 	MaxRows int
-	// StreamBuffer sets how many NDJSON rows are written between
-	// explicit flushes on streamed responses (default 256). Smaller
-	// values lower time-to-first-byte jitter; larger ones amortize
-	// syscalls.
-	StreamBuffer int
 	// CacheBytes bounds the result cache by the total bytes of cached
 	// answers; 0 disables caching. Full answers are cached (MaxRows
 	// truncation happens per response), keyed by (dataset, generation,
@@ -136,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 4 << 20
-	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 256
 	}
 	if c.SlowLogThreshold > 0 && c.SlowLogSize <= 0 {
 		c.SlowLogSize = 128
@@ -261,23 +251,6 @@ func (s *Server) Handler() http.Handler {
 // errOverloaded is the admission-control rejection.
 var errOverloaded = errors.New("server overloaded: worker pool and queue full")
 
-// costPrefix opens every cost-rejection message; errorStatus keys the
-// 429 mapping off it (the estimate and quota vary per rejection).
-const costPrefix = "estimated cost "
-
-// errCostExceeded is the estimate-driven admission rejection.
-type errCostExceeded struct{ est, quota int64 }
-
-func (e errCostExceeded) Error() string {
-	return fmt.Sprintf("%s%d exceeds dataset quota %d", costPrefix, e.est, e.quota)
-}
-
-// costRejectFor returns (creating on first use) the named dataset's
-// cost-rejection counter.
-func (s *Server) costRejectFor(name string) *obs.Counter {
-	return s.costRejectedBy.With(name)
-}
-
 // admit claims a worker slot, waiting at most until ctx's deadline and
 // only if the wait queue has room.
 func (s *Server) admit(ctx context.Context) error {
@@ -386,6 +359,10 @@ type queryResult struct {
 	// per-stage span tree of this evaluation; both only under ?debug=1.
 	RequestID string    `json:"request_id,omitempty"`
 	Trace     *obs.Span `json:"trace,omitempty"`
+
+	// status is the HTTP status a single-query response answers with
+	// (batch responses are always 200); never encoded.
+	status int
 }
 
 type resultStats struct {
@@ -456,68 +433,73 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	debug := r.URL.Query().Get("debug") == "1"
-
-	if wantsNDJSON(r) {
-		if !single {
-			httpError(w, http.StatusBadRequest, "NDJSON streaming supports single-query requests only")
-			return
-		}
-		s.streamNDJSON(w, r, ds, req, entries[0], debug)
+	ndjson := wantsNDJSON(r)
+	if ndjson && !single {
+		httpError(w, http.StatusBadRequest, "NDJSON streaming supports single-query requests only")
 		return
 	}
+	debug := r.URL.Query().Get("debug") == "1"
 
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	results := make([]queryResult, len(entries))
-
-	// Parse and canonicalize up front, deduplicating canonically-equal
+	// Prepare every entry up front, deduplicating canonically-equal
 	// batch entries: N identical entries cost one evaluation (the rest
 	// copy the leader's result). Entries only dedupe when their whole
 	// result window matches — the same canonical text under different
 	// limit or cursor values names a different page, never the leader's
 	// rows. Misses on distinct entries still fan out concurrently
 	// through the pool.
-	type job struct {
-		idx   int
-		q     *core.Query
-		canon string
-		ent   queryEntry
-	}
 	type dedupKey struct {
 		canon  string
 		limit  int
 		cursor string
 	}
-	var jobs []job
-	leaders := map[dedupKey]int{} // result window -> leader index
-	dups := map[int]int{}         // follower index -> leader index
+	results := make([]queryResult, len(entries))
+	states := make([]*queryState, len(entries)) // nil: failed to parse, or a follower
+	leaders := map[dedupKey]int{}               // result window -> leader index
+	dups := map[int]int{}                       // follower index -> leader index
 	for i, ent := range entries {
 		s.queries.Add(1)
-		q, err := qlang.Parse(ent.Query)
+		qs, err := s.prepare(ctx, ds, ent, ndjson, debug)
 		if err != nil {
 			s.failures.Add(1)
-			results[i] = queryResult{Error: err.Error()}
+			results[i] = queryResult{Error: err.Error(), status: http.StatusBadRequest}
 			continue
 		}
-		canon := qlang.Format(q)
-		key := dedupKey{canon: canon, limit: ent.Limit, cursor: ent.Cursor}
+		key := dedupKey{canon: qs.canon, limit: ent.Limit, cursor: ent.Cursor}
 		if li, ok := leaders[key]; ok {
 			dups[i] = li
 			continue
 		}
 		leaders[key] = i
-		jobs = append(jobs, job{idx: i, q: q, canon: canon, ent: ent})
+		states[i] = qs
+		if single && qs.est > 0 {
+			// Set before any sink writes, so every delivery mode and every
+			// rejection carries it.
+			w.Header().Set("X-GTPQ-Cost", strconv.FormatInt(qs.est, 10))
+		}
+	}
+
+	if ndjson {
+		if states[0] == nil {
+			httpError(w, results[0].status, results[0].Error)
+			return
+		}
+		s.streamNDJSON(w, states[0])
+		return
 	}
 
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for i, qs := range states {
+		if qs == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(j job) {
+		go func(i int, qs *queryState) {
 			defer wg.Done()
-			results[j.idx] = s.evalOne(ctx, ds, j.q, j.canon, j.ent, debug)
-		}(j)
+			results[i] = s.answerJSON(qs)
+		}(i, qs)
 	}
 	wg.Wait()
 	for follower, leader := range dups {
@@ -529,14 +511,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if single {
-		status := http.StatusOK
-		if results[0].Error != "" {
-			status = errorStatus(results[0].Error)
-		}
-		if results[0].CostEstimate > 0 {
-			w.Header().Set("X-GTPQ-Cost", fmt.Sprintf("%d", results[0].CostEstimate))
-		}
-		writeJSON(w, status, struct {
+		writeJSON(w, results[0].status, struct {
 			Dataset string `json:"dataset"`
 			queryResult
 		}{req.Dataset, results[0]})
@@ -546,194 +521,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Dataset string        `json:"dataset"`
 		Results []queryResult `json:"results"`
 	}{req.Dataset, results})
-}
-
-// evalOne answers one parsed query, consulting the result cache before
-// the worker pool: hits (and misses coalesced onto an in-flight
-// evaluation) bypass admission entirely and never consume a slot. The
-// dataset's engine is either single-graph or sharded scatter-gather —
-// for sharded datasets the cached value is the merged answer, so a hit
-// skips the whole fan-out. Every failure maps to the result's Error
-// field; a failed (e.g. deadline-cancelled) evaluation is never
-// cached. Entries carrying a limit or cursor take the paged streaming
-// path instead (evalPaged).
-func (s *Server) evalOne(ctx context.Context, ds *catalog.Dataset, q *core.Query, canon string, ent queryEntry, debug bool) queryResult {
-	start := time.Now()
-	// Tracing is opt-in per query: ?debug=1 attaches the span tree to
-	// the response, and an enabled slowlog records stage timings for
-	// queries that cross the threshold. Untraced queries pay nothing —
-	// every span call downstream no-ops on the nil trace.
-	var tr *obs.Trace
-	if debug || s.slow != nil {
-		tr = obs.NewTrace("query")
-		tr.Root().Attr("dataset", ds.Name)
-		tr.Root().Attr("index", ds.Engine.IndexKind())
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
-	// Price the query against the dataset's cardinality summary. The
-	// quota check lives inside compute, i.e. on the miss path AFTER the
-	// cache consult but BEFORE admission: an over-quota query never
-	// takes (or waits for) a worker slot, while an already-cached answer
-	// is still served.
-	var est int64 = -1
-	if ds.Card != nil {
-		est = ds.Card.EstimateQuery(q)
-	}
-	if est > 0 {
-		if ri := reqInfoFrom(ctx); ri != nil {
-			ri.cost.Store(est)
-		}
-	}
-	if ent.Limit > 0 || ent.Cursor != "" {
-		return s.evalPaged(ctx, ds, q, canon, ent, est, tr, start, debug)
-	}
-	// One admission+evaluation path whether or not the cache is on; the
-	// cache merely decides how often it runs.
-	var st gtea.Stats
-	compute := func() (*core.Answer, error) {
-		if s.cfg.CostQuota > 0 && est > s.cfg.CostQuota {
-			s.costRejected.Add(1)
-			s.costRejectFor(ds.Name).Add(1)
-			return nil, errCostExceeded{est: est, quota: s.cfg.CostQuota}
-		}
-		asp := tr.Start("admit")
-		if err := s.admit(ctx); err != nil {
-			asp.End()
-			return nil, err
-		}
-		asp.End()
-		defer s.done()
-		a, stats, err := ds.Engine.EvalStatsCtx(ctx, q)
-		st = stats
-		return a, err
-	}
-
-	var ans *core.Answer
-	var err error
-	cached := false
-	if s.cache == nil {
-		ans, err = compute()
-	} else {
-		key := qcache.Key{
-			Dataset:    ds.Name,
-			Generation: ds.Generation,
-			Query:      canon,
-			Index:      ds.Engine.IndexKind(),
-		}
-		var src qcache.Source
-		ans, src, err = s.cache.Do(ctx, key, compute)
-		cached = src != qcache.Computed
-	}
-	tr.Root().Attr("cached", fmt.Sprintf("%t", cached))
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.timeouts.Add(1)
-		}
-		res := queryResult{Error: err.Error()}
-		if est > 0 {
-			res.CostEstimate = est
-		}
-		s.observeQuery(ctx, ds, canon, tr, st, est, cached, time.Since(start), 0, err.Error(), debug, &res)
-		return res
-	}
-	if cached {
-		// Hit or coalesced: no evaluation ran for this caller; report
-		// the result size and how long the cache path took.
-		st = gtea.Stats{Results: int64(len(ans.Tuples))}
-	}
-	s.indexLookups.Add(st.Index)
-	res := s.buildResult(q, ans, st, start, cached)
-	if est > 0 {
-		res.CostEstimate = est
-	}
-	if debug && !cached {
-		res.Plan = st.Plan
-	}
-	s.observeQuery(ctx, ds, canon, tr, st, est, cached, time.Since(start), st.Results, "", debug, &res)
-	return res
-}
-
-// observeQuery finishes a query's observability: the latency
-// histogram sample, the slowlog entry when the query crossed the
-// threshold, and the ?debug=1 trace attachment.
-func (s *Server) observeQuery(ctx context.Context, ds *catalog.Dataset, canon string, tr *obs.Trace, st gtea.Stats, est int64, cached bool, elapsed time.Duration, rows int64, errMsg string, debug bool, res *queryResult) {
-	s.queryLatency.With(ds.Name, ds.Engine.IndexKind()).Observe(elapsed.Seconds())
-	tr.Finish()
-	var planSummary string
-	if st.Plan != nil {
-		planSummary = st.Plan.String()
-	}
-	if s.slow != nil && elapsed >= s.cfg.SlowLogThreshold {
-		e := obs.SlowEntry{
-			Time:       time.Now(),
-			RequestID:  requestIDFrom(ctx),
-			Dataset:    ds.Name,
-			Query:      canon,
-			Index:      ds.Engine.IndexKind(),
-			Generation: ds.Generation,
-			Cached:     cached,
-			Millis:     float64(elapsed.Microseconds()) / 1000,
-			Rows:       rows,
-			Error:      errMsg,
-			Plan:       planSummary,
-			Stages:     tr.Stages(),
-		}
-		if est > 0 {
-			e.CostEstimate = est
-		}
-		s.slow.Add(e)
-	}
-	if debug {
-		res.RequestID = requestIDFrom(ctx)
-		res.Trace = tr.Snapshot()
-	}
-}
-
-// buildResult renders an answer into the response shape, applying the
-// row cap per response — cached answers stay whole and are never
-// mutated, only sliced.
-func (s *Server) buildResult(q *core.Query, ans *core.Answer, st gtea.Stats, start time.Time, cached bool) queryResult {
-	res := queryResult{
-		Rows:   ans.Tuples,
-		Cached: cached,
-		Stats: &resultStats{
-			Input:        st.Input,
-			PruneInput:   st.PruneInput,
-			EnumInput:    st.EnumInput,
-			IndexLookups: st.Index,
-			Intermediate: st.Intermediate,
-			Results:      st.Results,
-			EvalMillis:   float64(time.Since(start).Microseconds()) / 1000,
-		},
-	}
-	for _, u := range ans.Out {
-		res.Columns = append(res.Columns, q.Nodes[u].Name)
-	}
-	if s.cfg.MaxRows > 0 && len(res.Rows) > s.cfg.MaxRows {
-		res.Rows = res.Rows[:s.cfg.MaxRows:s.cfg.MaxRows]
-		res.Truncated = true
-	}
-	if res.Rows == nil {
-		res.Rows = [][]graph.NodeID{} // encode as [] rather than null
-	}
-	s.rows.Add(int64(len(res.Rows)))
-	return res
-}
-
-// errorStatus maps a single-query error string to an HTTP status.
-func errorStatus(msg string) int {
-	switch {
-	case msg == errOverloaded.Error():
-		return http.StatusTooManyRequests
-	case strings.HasPrefix(msg, costPrefix):
-		return http.StatusTooManyRequests
-	case msg == context.DeadlineExceeded.Error(), msg == context.Canceled.Error():
-		return http.StatusGatewayTimeout
-	case strings.HasPrefix(msg, cursorExpiredPrefix):
-		return http.StatusGone
-	default:
-		return http.StatusBadRequest // parse/validation errors
-	}
 }
 
 // datasetInfo decorates a catalog listing entry with the dataset's

@@ -59,7 +59,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 
 	// The gtpq-serve shutdown sequence: stop accepting, drain, flush.
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	// (Under -race on two cores the ~1.1M-row answer alone takes ~15s.)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -1,17 +1,9 @@
-// Streaming result delivery: cursor pagination on the JSON path and
-// chunked NDJSON responses, both fed by the engines' pull-based
-// gtea.Cursor instead of materialized answers.
-//
-// Policy: a paged or NDJSON request consults the result cache for hits
-// (a cached answer pages for free) but a miss deliberately bypasses it
-// — the whole point of streaming is never holding the full answer, so
-// nothing is materialized for Put. The cache stays the fast path for
-// repeated unpaged queries; streaming is the bounded-memory path for
-// answers too large to want resident.
+// Streaming result delivery: the page tokens of cursor pagination and
+// the chunked NDJSON sink, both fed by the pipeline's drain over the
+// engines' pull-based gtea.Cursor instead of materialized answers.
 package server
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -20,21 +12,10 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"gtpq/internal/catalog"
-	"gtpq/internal/core"
 	"gtpq/internal/graph"
-	"gtpq/internal/gtea"
-	"gtpq/internal/obs"
-	"gtpq/internal/qcache"
-	"gtpq/internal/qlang"
 )
-
-// cursorExpiredPrefix opens every stale-cursor error; errorStatus maps
-// it to 410 Gone (the dataset mutated under the token, and result
-// positions are only stable within one generation).
-const cursorExpiredPrefix = "cursor expired: "
 
 // pageToken is the decoded form of the opaque continuation cursor. It
 // pins everything that must not drift between pages: the dataset, its
@@ -94,7 +75,7 @@ func decodePageToken(tok string, ds *catalog.Dataset, canon string) (int64, erro
 	// an overlay (different kind), and that must read as 410-stale, not
 	// as a malformed token.
 	case pt.Generation != ds.Generation:
-		return 0, errors.New(cursorExpiredPrefix + "dataset generation changed")
+		return 0, fmt.Errorf("%w: dataset generation changed", errCursorExpired)
 	case pt.Index != ds.Engine.IndexKind():
 		return 0, fmt.Errorf("invalid cursor: issued for index %q", pt.Index)
 	}
@@ -112,145 +93,6 @@ func (s *Server) pageLimit(limit int) int {
 		return 0
 	}
 	return limit
-}
-
-// openCursor yields the result stream for one query: a zero-cost
-// replay cursor over a cached answer when the cache holds one, else a
-// fresh engine cursor behind cost-quota and admission control. The
-// returned release func must be called exactly once when the drain
-// ends — it closes the cursor and frees the worker slot, which streaming
-// holds for the whole drain (a slow client occupies a worker; admission
-// control is the backpressure).
-func (s *Server) openCursor(ctx context.Context, ds *catalog.Dataset, q *core.Query, canon string, est int64, tr *obs.Trace) (cur gtea.Cursor, st gtea.Stats, cached bool, release func(), err error) {
-	if s.cache != nil {
-		key := qcache.Key{
-			Dataset:    ds.Name,
-			Generation: ds.Generation,
-			Query:      canon,
-			Index:      ds.Engine.IndexKind(),
-		}
-		if ans, ok := s.cache.Get(key); ok {
-			return gtea.NewAnswerCursor(ans), gtea.Stats{Results: int64(len(ans.Tuples))}, true, func() {}, nil
-		}
-		s.streamBypass.Add(1)
-	}
-	if s.cfg.CostQuota > 0 && est > s.cfg.CostQuota {
-		s.costRejected.Add(1)
-		s.costRejectFor(ds.Name).Add(1)
-		return nil, st, false, nil, errCostExceeded{est: est, quota: s.cfg.CostQuota}
-	}
-	asp := tr.Start("admit")
-	if aerr := s.admit(ctx); aerr != nil {
-		asp.End()
-		return nil, st, false, nil, aerr
-	}
-	asp.End()
-	cur, st, err = ds.Engine.EvalCursor(ctx, q)
-	if err != nil {
-		s.done()
-		return nil, st, false, nil, err
-	}
-	return cur, st, false, func() { cur.Close(); s.done() }, nil
-}
-
-// pageRows drains one page window from cur: skip offset rows, collect
-// up to limit (0 = all remaining), then peek one row to learn whether a
-// continuation exists. Rows from a lazy cursor are copied out of its
-// reused buffer; a buffered cursor's tuples are stable and referenced
-// directly.
-func pageRows(cur gtea.Cursor, offset int64, limit int) (rows [][]graph.NodeID, more bool, err error) {
-	for skipped := int64(0); skipped < offset; skipped++ {
-		if _, ok := cur.Next(); !ok {
-			return [][]graph.NodeID{}, false, cur.Err()
-		}
-	}
-	rows = [][]graph.NodeID{} // encode as [] rather than null
-	stable := cur.Buffered()
-	for limit <= 0 || len(rows) < limit {
-		row, ok := cur.Next()
-		if !ok {
-			return rows, false, cur.Err()
-		}
-		if !stable {
-			row = append([]graph.NodeID(nil), row...)
-		}
-		rows = append(rows, row)
-	}
-	if _, ok := cur.Next(); ok {
-		return rows, true, nil
-	}
-	return rows, false, cur.Err()
-}
-
-// evalPaged answers one query's page window through a cursor: O(page)
-// response memory regardless of result size, with a generation-pinned
-// continuation token when rows remain. Fresh evaluations bypass the
-// result cache by design (see the package policy note above).
-func (s *Server) evalPaged(ctx context.Context, ds *catalog.Dataset, q *core.Query, canon string, ent queryEntry, est int64, tr *obs.Trace, start time.Time, debug bool) queryResult {
-	fail := func(err error) queryResult {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.timeouts.Add(1)
-		}
-		res := queryResult{Error: err.Error()}
-		if est > 0 {
-			res.CostEstimate = est
-		}
-		s.observeQuery(ctx, ds, canon, tr, gtea.Stats{}, est, false, time.Since(start), 0, err.Error(), debug, &res)
-		return res
-	}
-	var offset int64
-	if ent.Cursor != "" {
-		off, err := decodePageToken(ent.Cursor, ds, canon)
-		if err != nil {
-			s.failures.Add(1)
-			return fail(err)
-		}
-		offset = off
-	}
-	cur, st, cached, release, err := s.openCursor(ctx, ds, q, canon, est, tr)
-	if err != nil {
-		return fail(err)
-	}
-	defer release()
-
-	sp := tr.Start("stream")
-	rows, more, err := pageRows(cur, offset, s.pageLimit(ent.Limit))
-	sp.AttrInt("rows", int64(len(rows)))
-	sp.End()
-	if err != nil {
-		return fail(err)
-	}
-
-	res := queryResult{
-		Rows:   rows,
-		Cached: cached,
-		Stats: &resultStats{
-			Input:        st.Input,
-			PruneInput:   st.PruneInput,
-			EnumInput:    st.EnumInput,
-			IndexLookups: st.Index,
-			Intermediate: st.Intermediate,
-			Results:      int64(len(rows)),
-			EvalMillis:   float64(time.Since(start).Microseconds()) / 1000,
-		},
-	}
-	for _, u := range cur.Out() {
-		res.Columns = append(res.Columns, q.Nodes[u].Name)
-	}
-	if more {
-		res.NextCursor = encodePageToken(ds, canon, offset+int64(len(rows)))
-	}
-	if est > 0 {
-		res.CostEstimate = est
-	}
-	if debug && !cached {
-		res.Plan = st.Plan
-	}
-	s.indexLookups.Add(st.Index)
-	s.rows.Add(int64(len(rows)))
-	s.rowsStreamed.Add(int64(len(rows)))
-	s.observeQuery(ctx, ds, canon, tr, st, est, cached, time.Since(start), int64(len(rows)), "", debug, &res)
-	return res
 }
 
 // wantsNDJSON reports whether the request negotiated a streaming
@@ -284,152 +126,52 @@ type ndjsonTrailer struct {
 	Error      string       `json:"error,omitempty"`
 }
 
-// streamNDJSON answers one query as chunked NDJSON: a head record, one
-// object per result row, and a trailer with stats — flushed every
-// Config.StreamBuffer rows so time-to-first-row is independent of
-// result size. Honors the same limit/cursor window as the JSON path.
-func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, ds *catalog.Dataset, req queryRequest, ent queryEntry, debug bool) {
-	start := time.Now()
-	s.queries.Add(1)
-	q, err := qlang.Parse(ent.Query)
+// ndjsonFlushRows is how many NDJSON rows are written between explicit
+// flushes: enough to amortize syscalls, few enough that rows keep
+// arriving while a large result is still being enumerated.
+const ndjsonFlushRows = 256
+
+// streamNDJSON is the NDJSON sink: a head record, one object per result
+// row, and a trailer with stats — flushed every ndjsonFlushRows rows so
+// time-to-first-row is independent of result size. Everything that can
+// fail before the first row fails as a plain JSON error with a real
+// status code.
+func (s *Server) streamNDJSON(w http.ResponseWriter, qs *queryState) {
+	cur, _, release, err := s.open(qs)
 	if err != nil {
-		s.failures.Add(1)
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	canon := qlang.Format(q)
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	var tr *obs.Trace
-	if debug || s.slow != nil {
-		tr = obs.NewTrace("query")
-		tr.Root().Attr("dataset", ds.Name)
-		tr.Root().Attr("index", ds.Engine.IndexKind())
-		ctx = obs.ContextWithTrace(ctx, tr)
-	}
-	var est int64 = -1
-	if ds.Card != nil {
-		est = ds.Card.EstimateQuery(q)
-	}
-	if est > 0 {
-		if ri := reqInfoFrom(ctx); ri != nil {
-			ri.cost.Store(est)
-		}
-	}
-
-	// Everything that can fail before the first row fails as a plain
-	// JSON error with a real status code.
-	preFail := func(err error) {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.timeouts.Add(1)
-		}
-		res := queryResult{Error: err.Error()}
-		s.observeQuery(ctx, ds, canon, tr, gtea.Stats{}, est, false, time.Since(start), 0, err.Error(), debug, &res)
-		httpError(w, errorStatus(err.Error()), err.Error())
-	}
-	var offset int64
-	if ent.Cursor != "" {
-		off, derr := decodePageToken(ent.Cursor, ds, canon)
-		if derr != nil {
-			s.failures.Add(1)
-			preFail(derr)
-			return
-		}
-		offset = off
-	}
-	cur, st, cached, release, err := s.openCursor(ctx, ds, q, canon, est, tr)
-	if err != nil {
-		preFail(err)
+		qs.err = err
+		httpError(w, s.observe(qs), err.Error())
 		return
 	}
 	defer release()
+	defer s.observe(qs)
 
-	head := ndjsonHead{Dataset: ds.Name, Cached: cached}
-	for _, u := range cur.Out() {
-		head.Columns = append(head.Columns, q.Nodes[u].Name)
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if est > 0 {
-		w.Header().Set("X-GTPQ-Cost", fmt.Sprintf("%d", est))
-	}
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	rc := http.NewResponseController(w)
-	if err := enc.Encode(head); err != nil {
-		s.observeQuery(ctx, ds, canon, tr, st, est, cached, time.Since(start), 0, err.Error(), debug, &queryResult{})
+	head := ndjsonHead{Dataset: qs.ds.Name, Columns: qs.columns(cur.Out()), Cached: qs.cached}
+	if qs.err = enc.Encode(head); qs.err != nil {
 		return
 	}
 	rc.Flush() // first byte out before any row is computed
 
-	limit := s.pageLimit(ent.Limit)
-	sp := tr.Start("stream")
-	var n int64
-	var more bool
-	var streamErr error
-	for skipped := int64(0); skipped < offset && streamErr == nil; skipped++ {
-		if _, ok := cur.Next(); !ok {
-			streamErr = cur.Err()
-			break
+	more, err := s.drain(qs, cur, func(row []graph.NodeID) error {
+		if err := enc.Encode(ndjsonRow{Row: row}); err != nil {
+			return fmt.Errorf("write: %w", err) // client went away
 		}
-	}
-	if streamErr == nil {
-		for limit <= 0 || n < int64(limit) {
-			row, ok := cur.Next()
-			if !ok {
-				streamErr = cur.Err()
-				break
-			}
-			if err := enc.Encode(ndjsonRow{Row: row}); err != nil {
-				streamErr = fmt.Errorf("write: %w", err) // client went away
-				break
-			}
-			n++
-			if n%int64(s.cfg.StreamBuffer) == 0 {
-				rc.Flush()
-			}
+		if (qs.rows+1)%ndjsonFlushRows == 0 { // qs.rows counts the rows before this one
+			rc.Flush()
 		}
-		if streamErr == nil && limit > 0 && n == int64(limit) {
-			if _, ok := cur.Next(); ok {
-				more = true
-			} else {
-				streamErr = cur.Err()
-			}
-		}
-	}
-	sp.AttrInt("rows", n)
-	sp.End()
-
-	trailer := ndjsonTrailer{
-		Done: true,
-		Rows: n,
-		Stats: &resultStats{
-			Input:        st.Input,
-			PruneInput:   st.PruneInput,
-			EnumInput:    st.EnumInput,
-			IndexLookups: st.Index,
-			Intermediate: st.Intermediate,
-			Results:      n,
-			EvalMillis:   float64(time.Since(start).Microseconds()) / 1000,
-		},
-	}
+		return nil
+	})
+	trailer := ndjsonTrailer{Done: true, Rows: qs.rows, Stats: qs.stats()}
 	if more {
-		trailer.NextCursor = encodePageToken(ds, canon, offset+n)
+		trailer.NextCursor = encodePageToken(qs.ds, qs.canon, qs.offset+qs.rows)
 	}
-	errMsg := ""
-	if streamErr != nil {
-		if errors.Is(streamErr, context.DeadlineExceeded) || errors.Is(streamErr, context.Canceled) {
-			s.timeouts.Add(1)
-		}
-		errMsg = streamErr.Error()
-		trailer.Error = errMsg
+	if qs.err = err; err != nil {
+		trailer.Error = err.Error()
 	}
 	enc.Encode(trailer)
 	rc.Flush()
-
-	s.indexLookups.Add(st.Index)
-	s.rows.Add(n)
-	s.rowsStreamed.Add(n)
-	s.observeQuery(ctx, ds, canon, tr, st, est, cached, time.Since(start), n, errMsg, debug, &queryResult{})
 }

@@ -132,7 +132,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
 	if err := s.admit(ctx); err != nil {
-		httpError(w, errorStatus(err.Error()), err.Error())
+		httpError(w, s.errorStatus(err), err.Error())
 		return
 	}
 	defer s.done()

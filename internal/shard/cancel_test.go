@@ -88,7 +88,7 @@ func TestShardedCancellationPropagatesAndLeaksNothing(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 			defer cancel()
-			ans, err := se.EvalCtx(ctx, q)
+			ans, _, err := se.EvalStatsCtx(ctx, q)
 			if ans != nil {
 				errs[i] = errors.New("cancelled evaluation returned a partial answer")
 				return
@@ -119,7 +119,7 @@ func TestShardedCancellationPropagatesAndLeaksNothing(t *testing.T) {
 	// An already-cancelled context must not leave workers behind either.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := se.EvalCtx(ctx, q); !errors.Is(err, context.Canceled) {
+	if _, _, err := se.EvalStatsCtx(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled ctx: err = %v", err)
 	}
 	waitForGoroutines(t, baseline, 5*time.Second)
@@ -128,7 +128,7 @@ func TestShardedCancellationPropagatesAndLeaksNothing(t *testing.T) {
 	// (single-output: cheap even on the big chains).
 	small := core.NewQuery()
 	small.SetOutput(small.AddRoot("x", core.Label("a")))
-	ans, err := se.EvalCtx(context.Background(), small)
+	ans, _, err := se.EvalStatsCtx(context.Background(), small)
 	if err != nil || ans.Len() != g.N() {
 		t.Fatalf("post-cancel evaluation: %d rows err=%v, want %d", ans.Len(), err, g.N())
 	}

@@ -17,8 +17,8 @@ import (
 // remapped head row per child. Adjacent equal rows are skipped —
 // vertices replicated onto several shards (hash partitioning cut
 // copies) produce the same tuple from each residence, and in a sorted
-// merge all copies are adjacent — which is the streaming counterpart of
-// gtea.MergeAnswers' dedup-by-Canonicalize.
+// merge all copies are adjacent — the streaming form of Canonicalize's
+// dedup.
 type mergeCursor struct {
 	out      []int
 	children []gtea.Cursor
@@ -159,29 +159,32 @@ func (m *mergeCursor) finish() {
 	}
 }
 
-// EvalCursor scatter-opens a per-shard cursor on the worker pool and
-// returns their streaming k-way merge. Pruning and per-component
-// collection run eagerly per shard during this call (as in the flat
-// engine); only the cross-component products and the global merge
-// stream. Closing the returned cursor — at any point of the drain —
-// closes every shard cursor and cancels the scatter context; callers
-// must Close it even after a clean drain. Stats sum the per-shard
-// counters; Results stays 0 (use Cursor.Rows after the drain). Safe for
-// concurrent use.
+// EvalCursor scatter-opens a per-shard cursor on the worker pool (at
+// most Workers shard evaluations run at once) and returns their
+// streaming k-way merge. Pruning and per-component collection run
+// eagerly per shard during this call (as in the flat engine); only the
+// cross-component products and the global merge stream. Each shard's
+// evaluation gets its own trace span shard_<i>, nested under the
+// caller's current span, with the engine stages nested under it. A
+// failed shard cancels the rest — every shard is still dispatched and
+// every worker drained before returning — and the first error in shard
+// order is returned. Closing the returned cursor — at any point of the
+// drain — closes every shard cursor and cancels the scatter context;
+// callers must Close it even after a clean drain. Stats sum the
+// per-shard counters; Results stays 0 (use Cursor.Rows after the
+// drain). Safe for concurrent use.
 func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cursor, gtea.Stats, error) {
 	start := time.Now()
 	if ctx == nil {
-		ctx = context.Background()
+		ctx = context.Background() // same tolerance as gtea.EvalCursor
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	scatter := obs.SpanFrom(cctx)
 
-	type result struct {
-		cur gtea.Cursor
-		st  gtea.Stats
-		err error
-	}
-	results := make([]result, len(se.shards))
+	children := make([]gtea.Cursor, len(se.shards))
+	remaps := make([][]graph.NodeID, len(se.shards))
+	stats := make([]gtea.Stats, len(se.shards))
+	errs := make([]error, len(se.shards))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < se.workers; w++ {
@@ -193,18 +196,19 @@ func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cu
 				sctx := cctx
 				var sp *obs.Span
 				if scatter != nil {
+					// Guarded so the untraced hot path allocates nothing.
 					sp = scatter.Start("shard_" + strconv.Itoa(si))
 					sctx = obs.ContextWithSpan(cctx, sp)
 				}
 				t0 := time.Now()
-				cur, st, err := u.eng.EvalCursor(sctx, q)
+				children[si], stats[si], errs[si] = u.eng.EvalCursor(sctx, q)
 				u.evals.Add(1)
 				u.evalNs.Add(time.Since(t0).Nanoseconds())
 				sp.End()
-				if err != nil {
+				remaps[si] = u.globals
+				if errs[si] != nil {
 					cancel() // a failed shard makes the merge impossible
 				}
-				results[si] = result{cur, st, err}
 			}
 		}()
 	}
@@ -216,32 +220,27 @@ func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cu
 
 	var agg gtea.Stats
 	var firstErr error
-	for _, r := range results {
-		agg.Input += r.st.Input
-		agg.PruneInput += r.st.PruneInput
-		agg.EnumInput += r.st.EnumInput
-		agg.Index += r.st.Index
-		agg.Intermediate += r.st.Intermediate
-		agg.PruneTime += r.st.PruneTime
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+	for si, st := range stats {
+		agg.Input += st.Input
+		agg.PruneInput += st.PruneInput
+		agg.EnumInput += st.EnumInput
+		agg.Index += st.Index
+		agg.Intermediate += st.Intermediate
+		agg.PruneTime += st.PruneTime
+		// agg.Plan stays nil: per-shard plans differ and don't aggregate.
+		if firstErr == nil {
+			firstErr = errs[si]
 		}
 	}
 	agg.TotalTime = time.Since(start)
 	if firstErr != nil {
-		for _, r := range results {
-			if r.cur != nil {
-				r.cur.Close()
+		for _, c := range children {
+			if c != nil {
+				c.Close()
 			}
 		}
 		cancel()
 		return nil, agg, firstErr
-	}
-	children := make([]gtea.Cursor, len(results))
-	remaps := make([][]graph.NodeID, len(results))
-	for i, r := range results {
-		children[i] = r.cur
-		remaps[i] = se.shards[i].globals
 	}
 	out := append([]int(nil), children[0].Out()...)
 	// The merge cursor owns the scatter context now: Close (or a full

@@ -1,10 +1,10 @@
 // Package shard partitions one logical dataset into K per-shard
 // subgraphs, each with its own reachability index and snapshot, and
 // evaluates queries over all of them with scatter-gather: every shard
-// runs the paper's GTEA algorithm on its subgraph, per-shard answers
-// are remapped into the global id space and merged through the same
-// cross-component combination single-graph evaluation uses
-// (gtea.MergeAnswers).
+// runs the paper's GTEA algorithm on its subgraph, and the per-shard
+// result streams are remapped into the global id space and merged by
+// one k-way ordered, deduplicating cursor (a materialized answer is
+// that stream collected).
 //
 // Soundness rests on a closure invariant: every shard's vertex set is
 // closed under reachability (if v is in the shard, so is everything v

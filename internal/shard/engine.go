@@ -4,7 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
-	"gtpq/internal/obs"
 )
 
 // Options tune sharded engine construction and execution.
@@ -43,7 +41,7 @@ type shardUnit struct {
 
 // ShardedEngine evaluates queries over a partitioned dataset by
 // fanning each evaluation out across per-shard engines on a bounded
-// worker pool and merging the remapped answers. Like gtea.Engine it is
+// worker pool and k-way-merging the remapped result streams. Like gtea.Engine it is
 // immutable after construction and safe for concurrent use.
 type ShardedEngine struct {
 	mode       Mode
@@ -195,109 +193,26 @@ func (se *ShardedEngine) Eval(q *core.Query) *core.Answer {
 	return ans
 }
 
-// EvalCtx evaluates q under ctx; cancellation propagates to every
-// shard evaluation. Safe for concurrent use.
-func (se *ShardedEngine) EvalCtx(ctx context.Context, q *core.Query) (*core.Answer, error) {
-	ans, _, err := se.EvalStatsCtx(ctx, q)
-	return ans, err
-}
-
-// EvalStatsCtx scatter-gathers q: every shard engine evaluates it
-// (bounded by Workers concurrent evaluations), per-shard tuples are
-// remapped to global ids, and the answers merge through
-// gtea.MergeAnswers. The returned stats sum the per-shard work
-// counters; TotalTime is the scatter-gather wall time. On cancellation
-// (or a shard failure) the remaining shard evaluations are cancelled,
-// every worker is drained before returning — no shard worker outlives
-// the call — and the first error in shard order is returned. Safe for
-// concurrent use.
+// EvalStatsCtx scatter-gathers q and materializes the merged stream:
+// it is gtea.Collect over EvalCursor, so the answer is the canonical
+// deduplicating union of the per-shard results in global ids. The
+// returned stats sum the per-shard work counters; TotalTime is the
+// scatter-gather wall time. On cancellation (or a shard failure) the
+// remaining shard evaluations are cancelled, every worker is drained
+// before returning — no shard worker outlives the call — and the first
+// error in shard order is returned. Safe for concurrent use.
 func (se *ShardedEngine) EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer, gtea.Stats, error) {
 	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background() // same tolerance as gtea.EvalStatsCtx
+	cur, st, err := se.EvalCursor(ctx, q)
+	if err != nil {
+		return nil, st, err
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Each shard's evaluation gets its own trace span (nested under the
-	// caller's current span), so a scatter-gather trace shows which
-	// shard the wall time went to; engine stages nest under the shard
-	// span. All no-ops when the context carries no trace.
-	scatter := obs.SpanFrom(cctx)
-
-	type result struct {
-		ans *core.Answer
-		st  gtea.Stats
-		err error
+	defer cur.Close()
+	ans, err := gtea.Collect(cur)
+	st.TotalTime = time.Since(start)
+	if err != nil {
+		return nil, st, err
 	}
-	results := make([]result, len(se.shards))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < se.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for si := range jobs {
-				u := se.shards[si]
-				sctx := cctx
-				var sp *obs.Span
-				if scatter != nil {
-					// Guarded so the untraced hot path allocates nothing.
-					sp = scatter.Start("shard_" + strconv.Itoa(si))
-					sctx = obs.ContextWithSpan(cctx, sp)
-				}
-				t0 := time.Now()
-				ans, st, err := u.eng.EvalStatsCtx(sctx, q)
-				u.evals.Add(1)
-				u.evalNs.Add(time.Since(t0).Nanoseconds())
-				sp.End()
-				if err == nil {
-					remap(ans, u.globals)
-				} else {
-					cancel() // a failed shard makes the merge impossible
-				}
-				results[si] = result{ans, st, err}
-			}
-		}()
-	}
-	for si := range se.shards {
-		jobs <- si
-	}
-	close(jobs)
-	wg.Wait()
-
-	var agg gtea.Stats
-	parts := make([]*core.Answer, 0, len(results))
-	var firstErr error
-	for _, r := range results {
-		agg.Input += r.st.Input
-		agg.PruneInput += r.st.PruneInput
-		agg.EnumInput += r.st.EnumInput
-		agg.Index += r.st.Index
-		agg.Intermediate += r.st.Intermediate
-		agg.PruneTime += r.st.PruneTime
-		// agg.Plan stays nil: per-shard plans differ and don't aggregate.
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		if r.err == nil {
-			parts = append(parts, r.ans)
-		}
-	}
-	agg.TotalTime = time.Since(start)
-	if firstErr != nil {
-		return nil, agg, firstErr
-	}
-	ans := gtea.MergeAnswers(q.Outputs(), parts...)
-	agg.Results = int64(ans.Len())
-	return ans, agg, nil
-}
-
-// remap rewrites a shard answer's tuples from shard-local ids into the
-// global id space, in place.
-func remap(ans *core.Answer, globals []graph.NodeID) {
-	for _, t := range ans.Tuples {
-		for i, v := range t {
-			t[i] = globals[v]
-		}
-	}
+	st.Results = int64(ans.Len())
+	return ans, st, nil
 }

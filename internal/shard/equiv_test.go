@@ -126,30 +126,6 @@ func TestShardedEquivalenceOnDisk(t *testing.T) {
 	}
 }
 
-// TestMergeAnswers pins the exported merge path's union-dedup
-// semantics directly.
-func TestMergeAnswers(t *testing.T) {
-	mk := func(tuples ...[]graph.NodeID) *core.Answer {
-		a := core.NewAnswer([]int{0, 1})
-		for _, tp := range tuples {
-			a.Add(tp)
-		}
-		a.Canonicalize()
-		return a
-	}
-	a := mk([]graph.NodeID{1, 2}, []graph.NodeID{3, 4})
-	b := mk([]graph.NodeID{3, 4}, []graph.NodeID{5, 6}) // overlaps a
-	empty := mk()
-	got := gtea.MergeAnswers([]int{0, 1}, a, b, empty)
-	want := mk([]graph.NodeID{1, 2}, []graph.NodeID{3, 4}, []graph.NodeID{5, 6})
-	if !want.Equal(got) {
-		t.Fatalf("merge = %v, want %v", got, want)
-	}
-	if got := gtea.MergeAnswers([]int{0, 1}); got.Len() != 0 {
-		t.Fatalf("empty merge has %d tuples", got.Len())
-	}
-}
-
 // TestShardedStats checks the aggregate counters: per-shard eval
 // counters advance and the merged Results matches the answer size.
 func TestShardedStats(t *testing.T) {
