@@ -6,11 +6,25 @@
 // tuples to nodes. Nodes here carry a primary string label (the common
 // case in the evaluation: XMark tags / group labels, arXiv labels) and an
 // optional attribute map for richer predicates.
+//
+// Layout. A graph is built through New/AddNode/AddEdge/AddCrossEdge,
+// which only append to a label-id array and one flat edge list, and
+// becomes readable at Freeze. Freeze counting-sorts the edge list twice
+// (by target, then by source) into two offset + payload arrays (csr) —
+// out- and in-adjacency, each row sorted by node id, duplicates kept —
+// marks cross edges in a bitset parallel to the out payload, groups the
+// node ids by label into a third csr, and drops the edge list. Labels
+// are interned: a node stores an int32 into the table of distinct
+// labels. Attribute maps are kept only for the nodes that have any. A
+// frozen graph therefore costs about 8 B per node and 8 B per edge plus
+// 4 B per node for each of the label ids and the label index, none of
+// it pointers the collector has to follow; Condense stores the SCC
+// quotient the same way.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense, starting at 0.
@@ -80,28 +94,37 @@ const (
 )
 
 // Graph is a directed graph with attributed nodes. Construction is
-// append-only: add nodes, then edges, then Freeze (or let an index
-// freeze it). Freeze sorts adjacency and builds the label index.
+// append-only: add nodes and edges, then Freeze (or let an index freeze
+// it). Adjacency, the label index and edge kinds exist only once the
+// graph is frozen.
 type Graph struct {
-	labels []string
-	attrs  []Attrs // nil entries for label-only nodes
-	out    [][]NodeID
-	in     [][]NodeID
-	kinds  []map[NodeID]EdgeKind // sparse cross-edge marking per source
+	labelOf  []int32          // per node: index into labelTab
+	labelTab []string         // distinct labels in first-use order
+	labelID  map[string]int32 // inverse of labelTab
 
-	frozen     bool
-	labelIndex map[string][]NodeID
-	numEdges   int
+	hasAttrs bitset   // per node
+	attrNode []NodeID // nodes with explicit attributes, ascending
+	attrVal  []Attrs  // parallel to attrNode
+
+	edges  []edge // builder state: every added edge, in call order; nil once frozen
+	frozen bool
+
+	out, in csr[NodeID] // rows sorted by node id, duplicate edges kept
+	cross   bitset      // parallel to out.val: the edge is a cross edge
+	byLabel csr[NodeID] // label id -> nodes in id order
+}
+
+type edge struct {
+	u, v NodeID
+	kind EdgeKind
 }
 
 // New returns an empty graph with capacity hints.
 func New(nodeHint, edgeHint int) *Graph {
 	return &Graph{
-		labels: make([]string, 0, nodeHint),
-		attrs:  make([]Attrs, 0, nodeHint),
-		out:    make([][]NodeID, 0, nodeHint),
-		in:     make([][]NodeID, 0, nodeHint),
-		kinds:  make([]map[NodeID]EdgeKind, 0, nodeHint),
+		labelOf: make([]int32, 0, nodeHint),
+		labelID: make(map[string]int32),
+		edges:   make([]edge, 0, edgeHint),
 	}
 }
 
@@ -111,12 +134,22 @@ func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
 	if g.frozen {
 		panic("graph: AddNode after Freeze")
 	}
-	id := NodeID(len(g.labels))
-	g.labels = append(g.labels, label)
-	g.attrs = append(g.attrs, attrs)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.kinds = append(g.kinds, nil)
+	id := NodeID(len(g.labelOf))
+	l, ok := g.labelID[label]
+	if !ok {
+		l = int32(len(g.labelTab))
+		g.labelTab = append(g.labelTab, label)
+		g.labelID[label] = l
+	}
+	g.labelOf = append(g.labelOf, l)
+	if id&63 == 0 {
+		g.hasAttrs = append(g.hasAttrs, 0)
+	}
+	if len(attrs) > 0 {
+		g.hasAttrs.set(int32(id))
+		g.attrNode = append(g.attrNode, id)
+		g.attrVal = append(g.attrVal, attrs)
+	}
 	return id
 }
 
@@ -130,65 +163,88 @@ func (g *Graph) addEdge(u, v NodeID, k EdgeKind) {
 	if g.frozen {
 		panic("graph: AddEdge after Freeze")
 	}
-	g.out[u] = append(g.out[u], v)
-	g.in[v] = append(g.in[v], u)
-	if k == CrossEdge {
-		if g.kinds[u] == nil {
-			g.kinds[u] = make(map[NodeID]EdgeKind)
-		}
-		g.kinds[u][v] = CrossEdge
+	if n := uint32(len(g.labelOf)); uint32(u) >= n || uint32(v) >= n {
+		panic(fmt.Sprintf("graph: edge %d -> %d names a node outside [0, %d)", u, v, n))
 	}
-	g.numEdges++
+	g.edges = append(g.edges, edge{u: u, v: v, kind: k})
 }
 
-// Freeze finalizes the graph: adjacency lists are sorted and the label
-// index built. Freeze is idempotent.
+// Freeze finalizes the graph: the edge list is sorted into the out- and
+// in-adjacency arrays, the label index is built and the builder state
+// is dropped. Freeze is idempotent.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
 	}
 	g.frozen = true
-	for i := range g.out {
-		sortNodeIDs(g.out[i])
-		sortNodeIDs(g.in[i])
+	n := len(g.labelOf)
+	// Two stable counting sorts, by target and then by source, leave the
+	// edges ordered by (source, target): sorted rows, no comparison sort.
+	self := func(e edge) edge { return e }
+	src := func(e edge) int32 { return int32(e.u) }
+	dst := func(e edge) int32 { return int32(e.v) }
+	es := bucket(n, bucket(n, g.edges, dst, self).val, src, self)
+	g.edges = nil
+	g.out = csr[NodeID]{off: es.off, val: make([]NodeID, len(es.val))}
+	g.cross = newBitset(len(es.val))
+	for i := 0; i < len(es.val); {
+		// One run of parallel edges u -> v. A pair joined by both a tree
+		// and a cross edge counts as cross throughout.
+		j, anyCross := i, false
+		for ; j < len(es.val) && es.val[j].u == es.val[i].u && es.val[j].v == es.val[i].v; j++ {
+			g.out.val[j] = es.val[j].v
+			anyCross = anyCross || es.val[j].kind == CrossEdge
+		}
+		for ; i < j; i++ {
+			if anyCross {
+				g.cross.set(int32(i))
+			}
+		}
 	}
-	g.labelIndex = make(map[string][]NodeID)
-	for i, l := range g.labels {
-		g.labelIndex[l] = append(g.labelIndex[l], NodeID(i))
-	}
-}
+	g.in = bucket(n, es.val, dst, func(e edge) NodeID { return e.u })
 
-func sortNodeIDs(xs []NodeID) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	nodes := make([]NodeID, n)
+	for i := range nodes {
+		nodes[i] = NodeID(i)
+	}
+	g.byLabel = bucket(len(g.labelTab), nodes,
+		func(v NodeID) int32 { return g.labelOf[v] }, func(v NodeID) NodeID { return v })
 }
 
 // N returns the number of nodes.
-func (g *Graph) N() int { return len(g.labels) }
+func (g *Graph) N() int { return len(g.labelOf) }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return g.numEdges }
+func (g *Graph) M() int { return len(g.edges) + len(g.out.val) }
 
 // Label returns the primary label of v.
-func (g *Graph) Label(v NodeID) string { return g.labels[v] }
+func (g *Graph) Label(v NodeID) string { return g.labelTab[g.labelOf[v]] }
+
+// attrs returns the explicit attributes of v, nil when it has none.
+func (g *Graph) attrs(v NodeID) Attrs {
+	if !g.hasAttrs.get(int32(v)) {
+		return nil
+	}
+	i, _ := slices.BinarySearch(g.attrNode, v)
+	return g.attrVal[i]
+}
 
 // Attr returns the named attribute of v. Explicit attributes take
 // precedence; the primary label is exposed as attribute "label" (and as
 // "tag" when no explicit tag attribute exists).
 func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
-	if a := g.attrs[v]; a != nil {
-		if val, ok := a[name]; ok {
-			return val, ok
-		}
+	if val, ok := g.attrs(v)[name]; ok {
+		return val, ok
 	}
 	if name == "label" || name == "tag" {
-		return StrV(g.labels[v]), true
+		return StrV(g.Label(v)), true
 	}
 	return Value{}, false
 }
 
 // AttrKeys returns the names of v's explicit attributes (unsorted).
 func (g *Graph) AttrKeys(v NodeID) []string {
-	a := g.attrs[v]
+	a := g.attrs(v)
 	if len(a) == 0 {
 		return nil
 	}
@@ -199,19 +255,27 @@ func (g *Graph) AttrKeys(v NodeID) []string {
 	return keys
 }
 
-// Out returns the out-neighbors of v; callers must not modify it.
-func (g *Graph) Out(v NodeID) []NodeID { return g.out[v] }
+// Out returns the out-neighbors of v in id order; the graph must be
+// frozen and callers must not modify the slice.
+func (g *Graph) Out(v NodeID) []NodeID { return g.out.row(int32(v)) }
 
-// In returns the in-neighbors of v; callers must not modify it.
-func (g *Graph) In(v NodeID) []NodeID { return g.in[v] }
+// In returns the in-neighbors of v in id order; the graph must be
+// frozen and callers must not modify the slice.
+func (g *Graph) In(v NodeID) []NodeID { return g.in.row(int32(v)) }
+
+// edgeAt returns the position in the out payload of the first edge
+// u -> v and whether there is one.
+func (g *Graph) edgeAt(u, v NodeID) (int32, bool) {
+	g.mustBeFrozen()
+	i, ok := slices.BinarySearch(g.out.row(int32(u)), v)
+	return g.out.off[u] + int32(i), ok
+}
 
 // EdgeKindOf reports whether u -> v is a tree or cross edge. It reports
 // TreeEdge for non-existent edges; use HasEdge to test existence.
 func (g *Graph) EdgeKindOf(u, v NodeID) EdgeKind {
-	if m := g.kinds[u]; m != nil {
-		if k, ok := m[v]; ok {
-			return k
-		}
+	if i, ok := g.edgeAt(u, v); ok && g.cross.get(i) {
+		return CrossEdge
 	}
 	return TreeEdge
 }
@@ -219,27 +283,26 @@ func (g *Graph) EdgeKindOf(u, v NodeID) EdgeKind {
 // HasEdge reports whether the edge u -> v exists. The graph must be
 // frozen (adjacency sorted).
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	g.mustBeFrozen()
-	xs := g.out[u]
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= v })
-	return i < len(xs) && xs[i] == v
+	_, ok := g.edgeAt(u, v)
+	return ok
 }
 
 // ByLabel returns the ids of all nodes carrying label, in id order. The
 // graph must be frozen. Callers must not modify the slice.
 func (g *Graph) ByLabel(label string) []NodeID {
 	g.mustBeFrozen()
-	return g.labelIndex[label]
+	l, ok := g.labelID[label]
+	if !ok {
+		return nil
+	}
+	return g.byLabel.row(l)
 }
 
 // Labels returns the distinct labels in the graph, sorted.
 func (g *Graph) Labels() []string {
 	g.mustBeFrozen()
-	out := make([]string, 0, len(g.labelIndex))
-	for l := range g.labelIndex {
-		out = append(out, l)
-	}
-	sort.Strings(out)
+	out := slices.Clone(g.labelTab)
+	slices.Sort(out)
 	return out
 }
 
@@ -253,7 +316,7 @@ func (g *Graph) mustBeFrozen() {
 // meaningful for document forests where each node has at most one
 // incoming tree edge.
 func (g *Graph) TreeParent(v NodeID) NodeID {
-	for _, u := range g.in[v] {
+	for _, u := range g.In(v) {
 		if g.EdgeKindOf(u, v) == TreeEdge {
 			return u
 		}
@@ -263,18 +326,18 @@ func (g *Graph) TreeParent(v NodeID) NodeID {
 
 // TreeChildren appends to dst the tree-edge children of v.
 func (g *Graph) TreeChildren(v NodeID, dst []NodeID) []NodeID {
-	for _, w := range g.out[v] {
-		if g.EdgeKindOf(v, w) == TreeEdge {
-			dst = append(dst, w)
-		}
-	}
-	return dst
+	return g.outOfKind(v, TreeEdge, dst)
 }
 
 // CrossTargets appends to dst the cross-edge targets of v.
 func (g *Graph) CrossTargets(v NodeID, dst []NodeID) []NodeID {
-	for _, w := range g.out[v] {
-		if g.EdgeKindOf(v, w) == CrossEdge {
+	return g.outOfKind(v, CrossEdge, dst)
+}
+
+func (g *Graph) outOfKind(v NodeID, k EdgeKind, dst []NodeID) []NodeID {
+	lo := g.out.off[v]
+	for i, w := range g.Out(v) {
+		if g.cross.get(lo+int32(i)) == (k == CrossEdge) {
 			dst = append(dst, w)
 		}
 	}

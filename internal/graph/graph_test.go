@@ -121,12 +121,8 @@ func TestCondenseDAG(t *testing.T) {
 			t.Errorf("SCC %d should be trivial", s)
 		}
 	}
-	// Topo order: a before b,c before d.
-	pos := make(map[int32]int)
-	for i, s := range c.Topo {
-		pos[s] = i
-	}
-	if pos[c.Comp[ids[0]]] > pos[c.Comp[ids[3]]] {
+	// Descending SCC id is a topological order: a before b,c before d.
+	if c.Comp[ids[0]] < c.Comp[ids[3]] {
 		t.Error("topological order violated")
 	}
 }
@@ -182,13 +178,9 @@ func TestCondenseTopoIsValid(t *testing.T) {
 		}
 		g.Freeze()
 		c := Condense(g)
-		pos := make([]int, c.NumSCC())
-		for i, s := range c.Topo {
-			pos[s] = i
-		}
-		for s := range c.Out {
-			for _, w := range c.Out[s] {
-				if pos[s] >= pos[w] {
+		for s := int32(0); s < int32(c.NumSCC()); s++ {
+			for _, w := range c.Out(s) {
+				if s <= w {
 					t.Fatalf("topo order violated: %d -> %d", s, w)
 				}
 			}

@@ -1,41 +1,54 @@
 package graph
 
+import "slices"
+
 // Tarjan strongly-connected-component condensation, iterative so deep
 // graphs do not overflow the goroutine stack. Every reachability index
 // operates on the condensation DAG; strict-path semantics for cyclic
 // graphs come from the NontrivialSCC test.
 
-// Condensation is the SCC quotient of a Graph.
+// Condensation is the SCC quotient of a Graph, stored like the graph
+// itself: members and DAG adjacency are offset + payload arrays.
 type Condensation struct {
-	// Comp maps each original node to its SCC id; SCC ids are a reverse
-	// topological order artifact of Tarjan, so Topo holds a correct
-	// topological order of SCC ids.
+	// Comp maps each original node to its SCC id. Tarjan numbers SCCs in
+	// reverse topological order — every DAG edge leads from a larger id
+	// to a smaller one — so NumSCC()-1, ..., 0 is a topological order
+	// (sources first) and nothing else needs storing for it.
 	Comp []int32
-	// Members lists original nodes per SCC.
-	Members [][]NodeID
-	// Out/In are the condensation DAG adjacency lists (deduplicated).
-	Out [][]int32
-	In  [][]int32
-	// SelfLoop marks SCCs whose (single) member has a self edge.
-	SelfLoop []bool
-	// Topo is a topological order of SCC ids (sources first).
-	Topo []int32
+
+	members  csr[NodeID]
+	out, in  csr[int32]
+	selfLoop bitset // SCCs whose (single) member has a self edge
 }
 
 // NumSCC returns the number of strongly connected components.
-func (c *Condensation) NumSCC() int { return len(c.Members) }
+func (c *Condensation) NumSCC() int { return c.members.rows() }
+
+// Members returns the original nodes of SCC s; callers must not modify
+// the slice.
+func (c *Condensation) Members(s int32) []NodeID { return c.members.row(s) }
+
+// Out returns the DAG successors of SCC s, each once, in order of first
+// occurrence over s's members' edges; callers must not modify the slice.
+func (c *Condensation) Out(s int32) []int32 { return c.out.row(s) }
+
+// In returns the DAG predecessors of SCC s, each once; callers must not
+// modify the slice.
+func (c *Condensation) In(s int32) []int32 { return c.in.row(s) }
 
 // Nontrivial reports whether SCC s contains a cycle: more than one
 // member, or a single member with a self-loop. A node strictly reaches
 // itself exactly when its SCC is nontrivial.
 func (c *Condensation) Nontrivial(s int32) bool {
-	return len(c.Members[s]) > 1 || c.SelfLoop[s]
+	return c.members.off[s+1]-c.members.off[s] > 1 || c.selfLoop.get(s)
 }
 
 // Condense computes the SCC condensation of g.
 func Condense(g *Graph) *Condensation {
+	g.Freeze()
 	n := g.N()
 	c := &Condensation{Comp: make([]int32, n)}
+	c.members = csr[NodeID]{off: []int32{0}, val: make([]NodeID, 0, n)}
 	for i := range c.Comp {
 		c.Comp[i] = -1
 	}
@@ -70,8 +83,8 @@ func Condense(g *Graph) *Condensation {
 			f := &frames[len(frames)-1]
 			v := f.v
 			advanced := false
-			for f.ei < len(g.out[v]) {
-				w := g.out[v][f.ei]
+			for out := g.Out(v); f.ei < len(out); {
+				w := out[f.ei]
 				f.ei++
 				if index[w] == -1 {
 					index[w] = next
@@ -92,19 +105,18 @@ func Condense(g *Graph) *Condensation {
 			}
 			// v finished.
 			if lowlink[v] == index[v] {
-				id := int32(len(c.Members))
-				var members []NodeID
+				id := int32(c.members.rows())
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					c.Comp[w] = id
-					members = append(members, w)
+					c.members.val = append(c.members.val, w)
 					if w == v {
 						break
 					}
 				}
-				c.Members = append(c.Members, members)
+				c.members.off = append(c.members.off, int32(len(c.members.val)))
 			}
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
@@ -116,40 +128,51 @@ func Condense(g *Graph) *Condensation {
 		}
 	}
 
-	// Condensation edges (dedup with a last-seen stamp) and self loops.
-	k := len(c.Members)
-	c.Out = make([][]int32, k)
-	c.In = make([][]int32, k)
-	c.SelfLoop = make([]bool, k)
-	seen := make([]int32, k)
-	for i := range seen {
-		seen[i] = -1
-	}
+	// Condensation edges and self loops. The edges are listed in node-id
+	// order, bucketed per source and per target SCC, and each row keeps
+	// the first occurrence of every neighbor: the chain cover's matching
+	// depends on this order.
+	k := c.members.rows()
+	c.members.off = slices.Clone(c.members.off) // drop the append slack
+	c.selfLoop = newBitset(k)
+	type dagEdge struct{ from, to int32 }
+	es := make([]dagEdge, 0, g.M())
 	for v := 0; v < n; v++ {
 		sv := c.Comp[v]
-		for _, w := range g.out[v] {
-			sw := c.Comp[w]
-			if sv == sw {
-				if NodeID(v) == w {
-					c.SelfLoop[sv] = true
-				}
-				continue
+		for _, w := range g.Out(NodeID(v)) {
+			if sw := c.Comp[w]; sv != sw {
+				es = append(es, dagEdge{sv, sw})
+			} else if NodeID(v) == w {
+				c.selfLoop.set(sv)
 			}
-			if seen[sw] == sv {
-				continue
-			}
-			seen[sw] = sv
-			c.Out[sv] = append(c.Out[sv], sw)
-			c.In[sw] = append(c.In[sw], sv)
 		}
 	}
+	from := func(e dagEdge) int32 { return e.from }
+	to := func(e dagEdge) int32 { return e.to }
+	c.out = dedupRows(bucket(k, es, from, to))
+	c.in = dedupRows(bucket(k, es, to, from))
+	return c
+}
 
-	// Tarjan assigns SCC ids in reverse topological order: if there is an
-	// edge sv -> sw in the condensation, sw was completed first, so
-	// sw < sv. Hence descending id order is a topological order.
-	c.Topo = make([]int32, k)
-	for i := range c.Topo {
-		c.Topo[i] = int32(k - 1 - i)
+// dedupRows drops, in place, every repeated value within a row of c,
+// keeping first occurrences in order.
+func dedupRows(c csr[int32]) csr[int32] {
+	seenIn := make([]int32, c.rows()) // row that last held the value, plus one
+	n := int32(0)
+	for r := int32(0); r < int32(c.rows()); r++ {
+		lo, hi := c.off[r], c.off[r+1]
+		c.off[r] = n
+		for _, x := range c.val[lo:hi] {
+			if seenIn[x] != r+1 {
+				seenIn[x] = r + 1
+				c.val[n] = x
+				n++
+			}
+		}
+	}
+	c.off[c.rows()] = n
+	if int(n) < len(c.val) {
+		c.val = slices.Clone(c.val[:n])
 	}
 	return c
 }

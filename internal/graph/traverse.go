@@ -15,7 +15,7 @@ func BFS(g *Graph, start NodeID, visit func(NodeID) bool) {
 		if !visit(v) {
 			return
 		}
-		for _, w := range g.out[v] {
+		for _, w := range g.Out(v) {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
@@ -36,13 +36,13 @@ func ReachableFrom(g *Graph, v NodeID) map[NodeID]bool {
 			stack = append(stack, w)
 		}
 	}
-	for _, w := range g.out[v] {
+	for _, w := range g.Out(v) {
 		push(w)
 	}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.out[x] {
+		for _, w := range g.Out(x) {
 			push(w)
 		}
 	}

@@ -1,5 +1,7 @@
 package reach
 
+import "gtpq/internal/graph"
+
 // Minimum path cover of the condensation DAG via Hopcroft-Karp bipartite
 // matching. The resulting vertex-disjoint paths are the chain cover the
 // 3-hop index builds on: consecutive chain positions are real DAG edges,
@@ -8,10 +10,11 @@ package reach
 
 const hkInf = int32(1) << 30
 
-// minPathCover computes a minimum path cover of the DAG given by out
-// (n nodes). It returns next[s] = the successor of s on its path, or -1
-// when s ends a path.
-func minPathCover(out [][]int32, n int) []int32 {
+// minPathCover computes a minimum path cover of the condensation DAG.
+// It returns next[s] = the successor of s on its path, or -1 when s
+// ends a path.
+func minPathCover(c *graph.Condensation) []int32 {
+	n := c.NumSCC()
 	matchL := make([]int32, n) // left u matched to right matchL[u]
 	matchR := make([]int32, n)
 	for i := range matchL {
@@ -34,7 +37,7 @@ func minPathCover(out [][]int32, n int) []int32 {
 		found := false
 		for i := 0; i < len(queue); i++ {
 			u := queue[i]
-			for _, w := range out[u] {
+			for _, w := range c.Out(u) {
 				mu := matchR[w]
 				if mu == -1 {
 					found = true
@@ -49,7 +52,7 @@ func minPathCover(out [][]int32, n int) []int32 {
 
 	var dfs func(u int32) bool
 	dfs = func(u int32) bool {
-		for _, w := range out[u] {
+		for _, w := range c.Out(u) {
 			mu := matchR[w]
 			if mu == -1 || (dist[mu] == dist[u]+1 && dfs(mu)) {
 				matchL[u] = w
@@ -71,31 +74,34 @@ func minPathCover(out [][]int32, n int) []int32 {
 	return matchL
 }
 
-// chainDecompose partitions the n DAG nodes into chains following a
-// minimum path cover. It returns the chains (node ids in path order) and
-// per-node chain id / sequence id.
-func chainDecompose(out [][]int32, n int) (chains [][]int32, chainOf, sidOf []int32) {
-	next := minPathCover(out, n)
+// chainDecompose partitions the DAG nodes into chains following a
+// minimum path cover. It returns the chains (node ids in path order,
+// one row per chain) and per-node chain id / sequence id.
+func chainDecompose(c *graph.Condensation) (chains csr[int32], chainOf, sidOf []int32) {
+	n := c.NumSCC()
+	next := minPathCover(c)
 	isSucc := make([]bool, n)
+	heads := n
 	for u := 0; u < n; u++ {
 		if next[u] != -1 {
 			isSucc[next[u]] = true
+			heads--
 		}
 	}
+	chains = csr[int32]{off: make([]int32, 1, heads+1), val: make([]int32, 0, n)}
 	chainOf = make([]int32, n)
 	sidOf = make([]int32, n)
 	for u := 0; u < n; u++ {
 		if isSucc[u] {
 			continue // not a path head
 		}
-		cid := int32(len(chains))
-		var chain []int32
+		cid, start := int32(chains.rows()), len(chains.val)
 		for v := int32(u); v != -1; v = next[v] {
 			chainOf[v] = cid
-			sidOf[v] = int32(len(chain))
-			chain = append(chain, v)
+			sidOf[v] = int32(len(chains.val) - start)
+			chains.val = append(chains.val, v)
 		}
-		chains = append(chains, chain)
+		chains.off = append(chains.off, int32(len(chains.val)))
 	}
 	return chains, chainOf, sidOf
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"gtpq/internal/graph"
 )
@@ -106,15 +107,17 @@ func (h *ThreeHop) MarshalBinary() ([]byte, error) {
 	n := h.cond.NumSCC()
 	buf := make([]byte, 0, 16+8*n+4*h.IndexSize())
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(len(h.chains)))
-	for _, chain := range h.chains {
+	buf = binary.AppendUvarint(buf, uint64(h.chains.rows()))
+	for c := int32(0); c < int32(h.chains.rows()); c++ {
+		chain := h.chains.row(c)
 		buf = binary.AppendUvarint(buf, uint64(len(chain)))
 		for _, s := range chain {
 			buf = binary.AppendUvarint(buf, uint64(s))
 		}
 	}
-	appendLists := func(lists [][]entry) {
-		for _, l := range lists {
+	appendLists := func(lists csr[entry]) {
+		for s := int32(0); s < int32(n); s++ {
+			l := lists.row(s)
 			buf = binary.AppendUvarint(buf, uint64(len(l)))
 			for _, e := range l {
 				buf = binary.AppendUvarint(buf, uint64(e.cid))
@@ -128,10 +131,10 @@ func (h *ThreeHop) MarshalBinary() ([]byte, error) {
 }
 
 // unmarshalThreeHop revives a 3-hop index over g. The chain cover and
-// entry lists come from the payload; only the condensation (cheap and
-// deterministic) and the skip pointers are recomputed.
+// entry lists are decoded straight into their flat arrays; only the
+// condensation (cheap and deterministic) and the skip pointers are
+// recomputed.
 func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
-	g.Freeze()
 	cond := graph.Condense(g)
 	d := varintReader{buf: data}
 	n := int(d.next())
@@ -143,57 +146,52 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if numChains < 0 || numChains > n {
 		return nil, fmt.Errorf("reach: snapshot has %d chains for %d SCCs", numChains, n)
 	}
-	h.chains = make([][]int32, numChains)
+	h.chains = csr[int32]{off: make([]int32, 1, numChains+1), val: make([]int32, 0, n)}
 	h.chainOf = make([]int32, n)
 	h.sidOf = make([]int32, n)
-	covered := 0
-	for c := range h.chains {
-		ln, err := d.length(n)
+	for c := 0; c < numChains; c++ {
+		// Chains are disjoint, so no chain is longer than what is left.
+		ln, err := d.length(n - len(h.chains.val))
 		if err != nil {
 			return nil, err
 		}
-		chain := make([]int32, ln)
-		for i := range chain {
+		for i := 0; i < ln; i++ {
 			s := d.next()
 			if s >= uint64(n) {
 				return nil, fmt.Errorf("reach: snapshot chain references SCC %d of %d", s, n)
 			}
-			chain[i] = int32(s)
+			h.chains.val = append(h.chains.val, int32(s))
 			h.chainOf[s] = int32(c)
 			h.sidOf[s] = int32(i)
 		}
-		h.chains[c] = chain
-		covered += ln
+		h.chains.off = append(h.chains.off, int32(len(h.chains.val)))
 	}
-	if covered != n {
+	if covered := len(h.chains.val); covered != n {
 		return nil, fmt.Errorf("reach: snapshot chains cover %d of %d SCCs", covered, n)
 	}
-	readLists := func() ([][]entry, error) {
-		lists := make([][]entry, n)
-		for s := range lists {
+	readLists := func() (csr[entry], error) {
+		lists := csr[entry]{off: make([]int32, n+1)}
+		for s := 0; s < n; s++ {
 			// Every entry takes at least two varint bytes, bounding any
 			// declared length by the remaining payload.
 			ln, err := d.length((len(d.buf) - d.off) / 2)
 			if err != nil {
-				return nil, err
+				return lists, err
 			}
-			if ln == 0 {
-				continue
-			}
-			l := make([]entry, ln)
-			for i := range l {
+			for i := 0; i < ln; i++ {
 				cid, sid := d.next(), d.next()
 				if cid >= uint64(numChains) {
-					return nil, fmt.Errorf("reach: snapshot list entry references chain %d of %d", cid, numChains)
+					return lists, fmt.Errorf("reach: snapshot list entry references chain %d of %d", cid, numChains)
 				}
-				if sid >= uint64(len(h.chains[cid])) {
-					return nil, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
-						sid, cid, len(h.chains[cid]))
+				if chainLen := len(h.chains.row(int32(cid))); sid >= uint64(chainLen) {
+					return lists, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
+						sid, cid, chainLen)
 				}
-				l[i] = entry{cid: int32(cid), sid: int32(sid)}
+				lists.val = append(lists.val, entry{cid: int32(cid), sid: int32(sid)})
 			}
-			lists[s] = l
+			lists.off[s+1] = int32(len(lists.val))
 		}
+		lists.val = slices.Clone(lists.val) // drop the append slack
 		return lists, nil
 	}
 	var err error
@@ -228,7 +226,6 @@ func (t *TC) MarshalBinary() ([]byte, error) {
 
 // unmarshalTC revives a transitive-closure index over g.
 func unmarshalTC(g *graph.Graph, data []byte) (ContourIndex, error) {
-	g.Freeze()
 	cond := graph.Condense(g)
 	d := varintReader{buf: data}
 	n := int(d.next())

@@ -43,7 +43,7 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 			if seen && h.sidOf[t] <= limit {
 				break
 			}
-			for _, e := range h.lin[t] {
+			for _, e := range h.lin.row(t) {
 				st.Lookups++
 				if cur, ok := c.vals[e.cid]; !ok || e.sid > cur {
 					c.vals[e.cid] = e.sid
@@ -77,7 +77,7 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 			if seen && h.sidOf[t] >= limit {
 				break
 			}
-			for _, e := range h.lout[t] {
+			for _, e := range h.lout.row(t) {
 				st.Lookups++
 				if cur, ok := c.vals[e.cid]; !ok || e.sid < cur {
 					c.vals[e.cid] = e.sid
@@ -148,7 +148,7 @@ func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 		}
 	}
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		for _, e := range h.lout[t] {
+		for _, e := range h.lout.row(t) {
 			st.Lookups++
 			if m, ok := cp.vals[e.cid]; ok && m >= e.sid {
 				return true
@@ -156,7 +156,7 @@ func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 		}
 	}
 	if ambiguous {
-		for _, w := range h.cond.Out[s] {
+		for _, w := range h.cond.Out(s) {
 			if h.inclusiveReachesPred(w, cp, st) {
 				return true
 			}
@@ -187,7 +187,7 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 		}
 	}
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		for _, e := range h.lin[t] {
+		for _, e := range h.lin.row(t) {
 			st.Lookups++
 			if m, ok := cs.vals[e.cid]; ok && m <= e.sid {
 				return true
@@ -195,7 +195,7 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 		}
 	}
 	if ambiguous {
-		for _, w := range h.cond.In[s] {
+		for _, w := range h.cond.In(s) {
 			if h.inclusiveSuccReaches(cs, w, st) {
 				return true
 			}
@@ -211,7 +211,7 @@ func (h *ThreeHop) inclusiveReachesPred(s int32, cp *Contour, st *Stats) bool {
 		return true
 	}
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		for _, e := range h.lout[t] {
+		for _, e := range h.lout.row(t) {
 			st.Lookups++
 			if m, ok := cp.vals[e.cid]; ok && m >= e.sid {
 				return true
@@ -226,7 +226,7 @@ func (h *ThreeHop) inclusiveSuccReaches(cs *Contour, s int32, st *Stats) bool {
 		return true
 	}
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		for _, e := range h.lin[t] {
+		for _, e := range h.lin.row(t) {
 			st.Lookups++
 			if m, ok := cs.vals[e.cid]; ok && m <= e.sid {
 				return true
@@ -266,7 +266,7 @@ func (w *OutWalker) Walk(v graph.NodeID, f func(cid, sid int32)) {
 		if seen && h.sidOf[t] >= limit {
 			break
 		}
-		for _, e := range h.lout[t] {
+		for _, e := range h.lout.row(t) {
 			w.st.Lookups++
 			f(e.cid, e.sid)
 		}
@@ -301,7 +301,7 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, sid int32)) {
 		if seen && h.sidOf[t] <= limit {
 			break
 		}
-		for _, e := range h.lin[t] {
+		for _, e := range h.lin.row(t) {
 			w.st.Lookups++
 			f(e.cid, e.sid)
 		}
@@ -344,7 +344,7 @@ func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
 // v's DAG out-neighbors inclusively against the predecessor contour.
 func (h *ThreeHop) ResolveAmbiguous(v graph.NodeID, cp *Contour, st *Stats) bool {
 	s := h.cond.Comp[v]
-	for _, w := range h.cond.Out[s] {
+	for _, w := range h.cond.Out(s) {
 		if h.inclusiveReachesPred(w, cp, st) {
 			return true
 		}
@@ -377,7 +377,7 @@ func (h *ThreeHop) CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous boo
 // in-neighbors.
 func (h *ThreeHop) ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) bool {
 	s := h.cond.Comp[v]
-	for _, w := range h.cond.In[s] {
+	for _, w := range h.cond.In(s) {
 		if h.inclusiveSuccReaches(cs, w, st) {
 			return true
 		}

@@ -3,6 +3,8 @@ package reach
 import (
 	"runtime"
 	"sync"
+
+	"gtpq/internal/graph"
 )
 
 // Helpers for level-parallel index construction. Both topological
@@ -12,18 +14,35 @@ import (
 // level internally independent, so levels run serially and the nodes of
 // a level run sharded across goroutines.
 
-// levelize buckets the n DAG nodes by longest-path distance measured
-// along dep: level(s) = 1 + max over dep[s] (0 when dep[s] is empty).
-// order must be a topological order in which every node appears after
-// all its dep targets (for dep = Out that is reverse-topological
-// order). Buckets are returned in dependency order: every node's deps
-// live in strictly earlier buckets.
-func levelize(dep [][]int32, order []int32, n int) [][]int32 {
-	level := make([]int32, n)
+// eachSCC calls f for every SCC of c in dependency order. SCC ids are
+// reverse topological (DAG edges lead to smaller ids), so a sweep whose
+// nodes need their successors (down) runs in ascending id order and one
+// whose nodes need their predecessors in descending order.
+func eachSCC(c *graph.Condensation, down bool, f func(s int32)) {
+	n := int32(c.NumSCC())
+	for i := int32(0); i < n; i++ {
+		if down {
+			f(i)
+		} else {
+			f(n - 1 - i)
+		}
+	}
+}
+
+// levelize buckets the SCCs of c by longest-path distance measured
+// along their dependencies (successors when down, else predecessors):
+// level(s) = 1 + max over deps (0 without any). Buckets are returned in
+// dependency order: every node's deps live in strictly earlier buckets.
+func levelize(c *graph.Condensation, down bool) [][]int32 {
+	dep := c.Out
+	if !down {
+		dep = c.In
+	}
+	level := make([]int32, c.NumSCC())
 	max := int32(0)
-	for _, s := range order {
+	eachSCC(c, down, func(s int32) {
 		l := int32(0)
-		for _, w := range dep[s] {
+		for _, w := range dep(s) {
 			if level[w]+1 > l {
 				l = level[w] + 1
 			}
@@ -32,37 +51,25 @@ func levelize(dep [][]int32, order []int32, n int) [][]int32 {
 		if l > max {
 			max = l
 		}
-	}
+	})
 	buckets := make([][]int32, max+1)
-	for _, s := range order {
+	eachSCC(c, down, func(s int32) {
 		buckets[level[s]] = append(buckets[level[s]], s)
-	}
+	})
 	return buckets
 }
 
-// reverseOf returns order reversed (reverse-topological from
-// topological and vice versa).
-func reverseOf(order []int32) []int32 {
-	out := make([]int32, len(order))
-	for i, s := range order {
-		out[len(order)-1-i] = s
-	}
-	return out
-}
-
-// parallelFor runs f(i) for i in [0, n), sharded across GOMAXPROCS
-// goroutines. Small batches run inline — goroutine startup dominates
-// otherwise.
-func parallelFor(n int, f func(i int)) {
+// parallelFor covers [0, n) with calls f(lo, hi), sharded across
+// GOMAXPROCS goroutines. Small batches run inline — goroutine startup
+// dominates otherwise.
+func parallelFor(n int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	const minPerWorker = 16
 	if workers > n/minPerWorker {
 		workers = n / minPerWorker
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -79,9 +86,7 @@ func parallelFor(n int, f func(i int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
+			f(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -101,9 +101,10 @@ func TestChainDecomposition(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randDAG(r, 2+r.Intn(40), 2+r.Intn(120))
 		cond := graph.Condense(g)
-		chains, chainOf, sidOf := chainDecompose(cond.Out, cond.NumSCC())
+		chains, chainOf, sidOf := chainDecompose(cond)
 		covered := 0
-		for cid, chain := range chains {
+		for cid := 0; cid < chains.rows(); cid++ {
+			chain := chains.row(int32(cid))
 			for i, s := range chain {
 				covered++
 				if chainOf[s] != int32(cid) || sidOf[s] != int32(i) {
@@ -113,7 +114,7 @@ func TestChainDecomposition(t *testing.T) {
 					// Consecutive chain members must be DAG edges.
 					prev := chain[i-1]
 					found := false
-					for _, w := range cond.Out[prev] {
+					for _, w := range cond.Out(prev) {
 						if w == s {
 							found = true
 							break

@@ -1,11 +1,14 @@
 package reach
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"gtpq/internal/arxiv"
 	"gtpq/internal/graph"
+	"gtpq/internal/xmark"
 )
 
 func TestKindsListsBuiltins(t *testing.T) {
@@ -80,6 +83,40 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 							trial, kind, u, v, a, b)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestThreeHopBytesAreDeterministic checks that the marshaled index is a
+// function of the graph alone: a serial build, a level-parallel build
+// (on graphs large enough for parallelFor to really shard), a second
+// build and a decode of the first all marshal to the same bytes.
+func TestThreeHopBytesAreDeterministic(t *testing.T) {
+	r := rand.New(rand.NewSource(503))
+	for name, g := range map[string]*graph.Graph{
+		"dag":    randDAG(r, 3000, 9000),
+		"cyclic": randDigraph(r, 3000, 4000),
+	} {
+		marshal := func(h ContourIndex) []byte {
+			data, err := MarshalIndex(h)
+			if err != nil {
+				t.Fatalf("%s: marshal: %v", name, err)
+			}
+			return data
+		}
+		want := marshal(NewThreeHop(g))
+		decoded, err := UnmarshalIndex("threehop", g, want)
+		if err != nil {
+			t.Fatalf("%s: unmarshal: %v", name, err)
+		}
+		for how, h := range map[string]ContourIndex{
+			"parallel build": NewThreeHopWith(g, BuildOptions{Parallel: true}),
+			"second build":   NewThreeHop(g),
+			"round trip":     decoded,
+		} {
+			if !bytes.Equal(marshal(h), want) {
+				t.Errorf("%s: %s marshals differently from the first serial build", name, how)
 			}
 		}
 	}
@@ -187,5 +224,21 @@ func TestTCRefusesOversizedGraphs(t *testing.T) {
 	g.Freeze()
 	if _, err := Build("tc", g, BuildOptions{}); err == nil {
 		t.Fatal("expected an error building TC past its SCC limit")
+	}
+}
+
+// BenchmarkBuildThreeHop measures index construction (condensation,
+// chain cover, both list sweeps) on the two dataset families: a
+// tree-like XMark site and the dense arXiv citation DAG.
+func BenchmarkBuildThreeHop(b *testing.B) {
+	xm, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 2000, Seed: 7})
+	ax, _ := arxiv.Generate(arxiv.DefaultConfig())
+	for name, g := range map[string]*graph.Graph{"xmark": xm, "arxiv": ax} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewThreeHop(g)
+			}
+		})
 	}
 }

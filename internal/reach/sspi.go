@@ -24,7 +24,6 @@ type SSPI struct {
 
 // NewSSPI builds the index for g.
 func NewSSPI(g *graph.Graph) *SSPI {
-	g.Freeze()
 	cond := graph.Condense(g)
 	n := cond.NumSCC()
 	x := &SSPI{
@@ -41,15 +40,15 @@ func NewSSPI(g *graph.Graph) *SSPI {
 	}
 	// Spanning forest: first DAG in-edge encountered in topological order
 	// becomes the tree edge; the rest are surplus.
-	for _, s := range cond.Topo {
-		for _, w := range cond.Out[s] {
+	eachSCC(cond, false, func(s int32) {
+		for _, w := range cond.Out(s) {
 			if x.parent[w] == -1 {
 				x.parent[w] = s
 			}
 		}
-	}
+	})
 	for s := int32(0); s < int32(n); s++ {
-		for _, p := range cond.In[s] {
+		for _, p := range cond.In(s) {
 			if p != x.parent[s] {
 				x.surplus[s] = append(x.surplus[s], p)
 			}

@@ -46,7 +46,6 @@ func NewTC(g *graph.Graph) *TC {
 // the rows of strictly deeper levels).
 func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
 	buildCount.Add(1)
-	g.Freeze()
 	cond := graph.Condense(g)
 	n := cond.NumSCC()
 	if n > tcLimit {
@@ -56,7 +55,7 @@ func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
 	t := &TC{g: g, cond: cond, words: words, rows: make([]uint64, n*words)}
 	step := func(s int32) {
 		row := t.row(s)
-		for _, w := range cond.Out[s] {
+		for _, w := range cond.Out(s) {
 			row[w/64] |= 1 << uint(w%64)
 			wr := t.row(w)
 			for k := range row {
@@ -64,16 +63,16 @@ func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
 			}
 		}
 	}
-	revTopo := reverseOf(cond.Topo) // successors first
 	if !opt.Parallel {
-		for _, s := range revTopo {
-			step(s)
-		}
+		eachSCC(cond, true, step) // successors first
 		return t, nil
 	}
-	for _, bucket := range levelize(cond.Out, revTopo, n) {
-		b := bucket
-		parallelFor(len(b), func(i int) { step(b[i]) })
+	for _, bucket := range levelize(cond, true) {
+		parallelFor(len(bucket), func(lo, hi int) {
+			for _, s := range bucket[lo:hi] {
+				step(s)
+			}
+		})
 	}
 	return t, nil
 }

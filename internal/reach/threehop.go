@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,6 +13,33 @@ import (
 type entry struct {
 	cid int32
 	sid int32
+}
+
+// csr is package graph's layout for lists of lists, here for the chains
+// and the Lin/Lout lists: row i is val[off[i]:off[i+1]].
+type csr[T any] struct {
+	off []int32 // len = rows + 1
+	val []T
+}
+
+func (c csr[T]) rows() int { return len(c.off) - 1 }
+
+func (c csr[T]) row(i int32) []T {
+	lo, hi := c.off[i], c.off[i+1]
+	return c.val[lo:hi:hi]
+}
+
+// flatten lays lists out as one csr.
+func flatten[T any](lists [][]T) csr[T] {
+	c := csr[T]{off: make([]int32, len(lists)+1)}
+	for i, l := range lists {
+		c.off[i+1] = c.off[i] + int32(len(l))
+	}
+	c.val = make([]T, 0, c.off[len(lists)])
+	for _, l := range lists {
+		c.val = append(c.val, l...)
+	}
+	return c
 }
 
 // ThreeHop is the 3-hop reachability index of Jin et al. used by GTEA.
@@ -29,6 +57,13 @@ type entry struct {
 // complete predecessor list Y_v is the union of Lin over the prefix
 // ending at v. Skip pointers jump over positions with empty lists.
 //
+// Layout. The chains and the two list families are each one offsets
+// array plus one payload array (csr): 4 B per SCC and 8 B per entry,
+// no per-SCC slice header and nothing for the collector to trace.
+// Every list is sorted by chain id, so the bytes of an index depend
+// only on the graph, not on whether it was built serially, in parallel
+// or decoded from a snapshot.
+//
 // A built index is immutable: the query methods taking a *Stats sink
 // (ReachesSt and the ChainIndex operations) are safe for concurrent
 // use. The legacy Reaches, charging the index's own Stats, is not.
@@ -36,12 +71,12 @@ type ThreeHop struct {
 	g    *graph.Graph
 	cond *graph.Condensation
 
-	chains  [][]int32 // chain -> scc ids in order
-	chainOf []int32   // per scc
-	sidOf   []int32   // per scc
+	chains  csr[int32] // chain -> scc ids in order
+	chainOf []int32    // per scc
+	sidOf   []int32    // per scc
 
-	lout [][]entry // per scc
-	lin  [][]entry // per scc
+	lout csr[entry] // per scc, sorted by cid
+	lin  csr[entry] // per scc, sorted by cid
 
 	// skipOut[s]: the scc at the smallest position > sid(s) on s's chain
 	// with a non-empty Lout, or -1. skipIn is symmetric (largest position
@@ -49,208 +84,221 @@ type ThreeHop struct {
 	skipOut []int32
 	skipIn  []int32
 
-	stats Stats
+	scratch sync.Pool // *chainScratch for point queries
+	stats   Stats
+}
+
+// chainScratch is a dense chain id -> sequence id table for folding
+// lists into a per-chain extreme. sid[c] is -1 while chain c is absent;
+// touched names the chains present, so emptying the table costs its
+// content, not the chain count.
+type chainScratch struct {
+	sid     []int32
+	touched []int32
+	out     []entry // sweep's list under construction
+}
+
+func (h *ThreeHop) newScratch() *chainScratch {
+	sc := &chainScratch{sid: make([]int32, h.chains.rows())}
+	for i := range sc.sid {
+		sc.sid[i] = -1
+	}
+	return sc
+}
+
+// fold records position sid on chain c, keeping the smaller of two
+// positions when down and the larger otherwise.
+func (sc *chainScratch) fold(c, sid int32, down bool) {
+	switch cur := sc.sid[c]; {
+	case cur == -1:
+		sc.sid[c] = sid
+		sc.touched = append(sc.touched, c)
+	case cur != sid && (sid < cur) == down:
+		sc.sid[c] = sid
+	}
+}
+
+// inOrder returns the chains present in ascending order: by sorting
+// touched, or, once the table is more than sparsely filled, by reading
+// it front to back (half the arXiv build time otherwise goes to sorting).
+func (sc *chainScratch) inOrder() []int32 {
+	if len(sc.touched)*32 < len(sc.sid) {
+		slices.Sort(sc.touched)
+		return sc.touched
+	}
+	sc.touched = sc.touched[:0]
+	for c, sid := range sc.sid {
+		if sid != -1 {
+			sc.touched = append(sc.touched, int32(c))
+		}
+	}
+	return sc.touched
+}
+
+func (sc *chainScratch) reset() {
+	for _, c := range sc.touched {
+		sc.sid[c] = -1
+	}
+	sc.touched = sc.touched[:0]
 }
 
 // NewThreeHop builds the index for g serially. Construction is O(total
-// reachable chain entries) via sparse per-SCC contour maps that are
-// freed as soon as every dependent has consumed them.
+// reachable chain entries) via sparse per-SCC contours that are freed as
+// soon as every dependent has consumed them.
 func NewThreeHop(g *graph.Graph) *ThreeHop {
 	return NewThreeHopWith(g, BuildOptions{})
 }
 
 // NewThreeHopWith builds the index for g; with opt.Parallel the two
 // list sweeps run concurrently and each is sharded per SCC level. A
-// parallel build produces the same entry sets (and therefore identical
-// query answers) as a serial one; only within-list entry order, which
-// comes from map iteration either way, may differ.
+// parallel build produces the same index as a serial one, byte for
+// byte: every list is emitted in chain-id order.
 func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 	buildCount.Add(1)
-	g.Freeze()
 	cond := graph.Condense(g)
-	n := cond.NumSCC()
 	h := &ThreeHop{g: g, cond: cond}
-	h.chains, h.chainOf, h.sidOf = chainDecompose(cond.Out, n)
-	h.lout = make([][]entry, n)
-	h.lin = make([][]entry, n)
+	h.chains, h.chainOf, h.sidOf = chainDecompose(cond)
 	if opt.Parallel {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); h.buildOut(true) }()
-		go func() { defer wg.Done(); h.buildIn(true) }()
+		go func() { defer wg.Done(); h.lout = h.sweep(true, true) }()
+		go func() { defer wg.Done(); h.lin = h.sweep(false, true) }()
 		wg.Wait()
 	} else {
-		h.buildOut(false)
-		h.buildIn(false)
+		h.lout = h.sweep(true, false)
+		h.lin = h.sweep(false, false)
 	}
 	h.buildSkips()
 	return h
 }
 
-// buildOut computes Lout by a reverse-topological sweep: ent(s) maps each
-// chain to the smallest position reachable from s (inclusive of s). The
-// map for s is dropped once all of s's predecessors have consumed it.
-// With parallel set, SCCs are processed one out-level at a time, the
-// level's nodes sharded across goroutines (nodes of one level depend
-// only on strictly deeper levels).
-func (h *ThreeHop) buildOut(parallel bool) {
+// sweep computes one list family. Down, it is Lout by a reverse-
+// topological sweep: the contour of s holds, per chain, the smallest
+// position reachable from s (inclusive of s), folded from the contours
+// of s's DAG successors. Up, it is Lin by the mirror-image forward
+// sweep over predecessors and largest positions. Contours live as
+// chain-sorted entry slices and are dropped once every SCC that folds
+// them has done so. With parallel set, SCCs are processed one level at
+// a time, the level's nodes sharded across goroutines (nodes of one
+// level depend only on strictly earlier levels).
+func (h *ThreeHop) sweep(down, parallel bool) csr[entry] {
 	n := h.cond.NumSCC()
-	ent := make([]map[int32]int32, n)
-	pending := make([]int32, n) // remaining in-neighbors that still need ent[s]
-	for s := 0; s < n; s++ {
-		pending[s] = int32(len(h.cond.In[s]))
+	deps, users := h.cond.Out, h.cond.In
+	if !down {
+		deps, users = users, deps
 	}
-	step := func(s int32) {
-		m := map[int32]int32{h.chainOf[s]: h.sidOf[s]}
-		for _, w := range h.cond.Out[s] {
-			for c, sid := range ent[w] {
-				if cur, ok := m[c]; !ok || sid < cur {
-					m[c] = sid
-				}
+	contour := make([][]entry, n)
+	pending := make([]int32, n) // users that still need contour[s]
+	for s := range pending {
+		pending[s] = int32(len(users(int32(s))))
+	}
+	lists := make([][]entry, n)
+	step := func(s int32, sc *chainScratch) {
+		sc.fold(h.chainOf[s], h.sidOf[s], down)
+		for _, w := range deps(s) {
+			for _, e := range contour[w] {
+				sc.fold(e.cid, e.sid, down)
 			}
 		}
-		ent[s] = m
-		// Lout(s): entries on foreign chains not derivable from the chain
-		// successor. The chain successor (if any) is one of s's DAG
-		// out-neighbors, so its ent map is still alive here.
-		succ := h.chainSucc(s)
-		for c, sid := range m {
-			if c == h.chainOf[s] {
+		m := make([]entry, len(sc.touched))
+		for i, c := range sc.inOrder() {
+			m[i] = entry{cid: c, sid: sc.sid[c]}
+		}
+		sc.reset()
+		contour[s] = m
+		// The list of s: entries on foreign chains not derivable from the
+		// chain neighbor. The neighbor (if any) is one of deps(s), so its
+		// contour is still alive here, and it names no chain m does not.
+		var via []entry
+		if t := h.chainNeighbor(s, down); t != -1 {
+			via = contour[t]
+		}
+		sc.out = sc.out[:0]
+		for _, e := range m {
+			if e.cid == h.chainOf[s] {
 				continue
 			}
-			if succ != -1 {
-				if ssid, ok := ent[succ][c]; ok && ssid <= sid {
-					continue // derivable via the chain successor
-				}
+			for len(via) > 0 && via[0].cid < e.cid {
+				via = via[1:]
 			}
-			h.lout[s] = append(h.lout[s], entry{cid: c, sid: sid})
+			if len(via) > 0 && via[0] == e {
+				continue // derivable via the chain neighbor, whose contour m folded in
+			}
+			sc.out = append(sc.out, e)
 		}
-		// Free contour maps nobody will read again. The decrement comes
-		// after every read of ent[w] above, so under level-parallelism the
+		if len(sc.out) > 0 {
+			lists[s] = slices.Clone(sc.out)
+		}
+		// Free contours nobody will read again. The decrement comes after
+		// every read of contour[w] above, so under level-parallelism the
 		// last sibling to finish is the one that frees.
-		for _, w := range h.cond.Out[s] {
+		for _, w := range deps(s) {
 			if atomic.AddInt32(&pending[w], -1) == 0 {
-				ent[w] = nil
+				contour[w] = nil
 			}
 		}
-		if len(h.cond.In[s]) == 0 {
-			ent[s] = nil
-		}
-	}
-	revTopo := reverseOf(h.cond.Topo)
-	if !parallel {
-		for _, s := range revTopo {
-			step(s)
-		}
-		return
-	}
-	for _, bucket := range levelize(h.cond.Out, revTopo, n) {
-		b := bucket
-		parallelFor(len(b), func(i int) { step(b[i]) })
-	}
-}
-
-// buildIn computes Lin by a forward-topological sweep with ext(s): the
-// largest position per chain that reaches s (inclusive). Parallel mode
-// shards per in-level, mirroring buildOut.
-func (h *ThreeHop) buildIn(parallel bool) {
-	n := h.cond.NumSCC()
-	ext := make([]map[int32]int32, n)
-	pending := make([]int32, n)
-	for s := 0; s < n; s++ {
-		pending[s] = int32(len(h.cond.Out[s]))
-	}
-	step := func(s int32) {
-		m := map[int32]int32{h.chainOf[s]: h.sidOf[s]}
-		for _, p := range h.cond.In[s] {
-			for c, sid := range ext[p] {
-				if cur, ok := m[c]; !ok || sid > cur {
-					m[c] = sid
-				}
-			}
-		}
-		ext[s] = m
-		pred := h.chainPred(s)
-		for c, sid := range m {
-			if c == h.chainOf[s] {
-				continue
-			}
-			if pred != -1 {
-				if psid, ok := ext[pred][c]; ok && psid >= sid {
-					continue
-				}
-			}
-			h.lin[s] = append(h.lin[s], entry{cid: c, sid: sid})
-		}
-		for _, p := range h.cond.In[s] {
-			if atomic.AddInt32(&pending[p], -1) == 0 {
-				ext[p] = nil
-			}
-		}
-		if len(h.cond.Out[s]) == 0 {
-			ext[s] = nil
+		if len(users(s)) == 0 {
+			contour[s] = nil
 		}
 	}
 	if !parallel {
-		for _, s := range h.cond.Topo {
-			step(s)
-		}
-		return
+		sc := h.newScratch()
+		eachSCC(h.cond, down, func(s int32) { step(s, sc) })
+		return flatten(lists)
 	}
-	for _, bucket := range levelize(h.cond.In, h.cond.Topo, n) {
-		b := bucket
-		parallelFor(len(b), func(i int) { step(b[i]) })
+	pool := sync.Pool{New: func() any { return h.newScratch() }}
+	for _, bucket := range levelize(h.cond, down) {
+		parallelFor(len(bucket), func(lo, hi int) {
+			sc := pool.Get().(*chainScratch)
+			for _, s := range bucket[lo:hi] {
+				step(s, sc)
+			}
+			pool.Put(sc)
+		})
 	}
+	return flatten(lists)
 }
 
 func (h *ThreeHop) buildSkips() {
 	n := h.cond.NumSCC()
 	h.skipOut = make([]int32, n)
 	h.skipIn = make([]int32, n)
-	for _, chain := range h.chains {
+	for c := int32(0); c < int32(h.chains.rows()); c++ {
+		chain := h.chains.row(c)
 		next := int32(-1)
 		for i := len(chain) - 1; i >= 0; i-- {
 			s := chain[i]
 			h.skipOut[s] = next
-			if len(h.lout[s]) > 0 {
+			if len(h.lout.row(s)) > 0 {
 				next = s
 			}
 		}
 		prev := int32(-1)
 		for _, s := range chain {
 			h.skipIn[s] = prev
-			if len(h.lin[s]) > 0 {
+			if len(h.lin.row(s)) > 0 {
 				prev = s
 			}
 		}
 	}
 }
 
-func (h *ThreeHop) chainSucc(s int32) int32 {
-	chain := h.chains[h.chainOf[s]]
-	i := h.sidOf[s]
-	if int(i)+1 < len(chain) {
-		return chain[i+1]
+// chainNeighbor returns the successor (down) or predecessor of s on its
+// chain, or -1.
+func (h *ThreeHop) chainNeighbor(s int32, down bool) int32 {
+	chain := h.chains.row(h.chainOf[s])
+	i := int(h.sidOf[s]) - 1
+	if down {
+		i += 2
 	}
-	return -1
-}
-
-func (h *ThreeHop) chainPred(s int32) int32 {
-	if i := h.sidOf[s]; i > 0 {
-		return h.chains[h.chainOf[s]][i-1]
+	if i < 0 || i >= len(chain) {
+		return -1
 	}
-	return -1
+	return chain[i]
 }
-
-// SCCOf returns the condensation component of v.
-func (h *ThreeHop) SCCOf(v graph.NodeID) int32 { return h.cond.Comp[v] }
-
-// Cond exposes the condensation (engines need Nontrivial and neighbor
-// sets for the rare strictness fallbacks).
-func (h *ThreeHop) Cond() *graph.Condensation { return h.cond }
 
 // NumChains returns the number of chains in the cover.
-func (h *ThreeHop) NumChains() int { return len(h.chains) }
+func (h *ThreeHop) NumChains() int { return h.chains.rows() }
 
 // Kind returns the registry name of this backend.
 func (h *ThreeHop) Kind() string { return "threehop" }
@@ -260,16 +308,7 @@ func (h *ThreeHop) LabelCount(label string) int { return len(h.g.ByLabel(label))
 
 // IndexSize returns the total number of Lin/Lout entries — the paper's
 // |Lin| + |Lout| measure.
-func (h *ThreeHop) IndexSize() int {
-	n := 0
-	for _, l := range h.lout {
-		n += len(l)
-	}
-	for _, l := range h.lin {
-		n += len(l)
-	}
-	return n
-}
+func (h *ThreeHop) IndexSize() int { return len(h.lout.val) + len(h.lin.val) }
 
 // Stats returns the counters charged by the legacy Reaches.
 func (h *ThreeHop) Stats() *Stats { return &h.stats }
@@ -301,23 +340,26 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 		return h.sidOf[su] < h.sidOf[sv]
 	}
 	// X_su as a per-chain minimum.
-	x := map[int32]int32{h.chainOf[su]: h.sidOf[su]}
+	x, _ := h.scratch.Get().(*chainScratch)
+	if x == nil {
+		x = h.newScratch()
+	}
+	defer func() { x.reset(); h.scratch.Put(x) }()
+	x.fold(h.chainOf[su], h.sidOf[su], true)
 	for s := h.firstOut(su); s != -1; s = h.skipOut[s] {
-		for _, e := range h.lout[s] {
+		for _, e := range h.lout.row(s) {
 			st.Lookups++
-			if cur, ok := x[e.cid]; !ok || e.sid < cur {
-				x[e.cid] = e.sid
-			}
+			x.fold(e.cid, e.sid, true)
 		}
 	}
 	// Y_sv scanned against X.
-	if sid, ok := x[h.chainOf[sv]]; ok && sid <= h.sidOf[sv] {
+	if sid := x.sid[h.chainOf[sv]]; sid != -1 && sid <= h.sidOf[sv] {
 		return true
 	}
 	for s := h.firstIn(sv); s != -1; s = h.skipIn[s] {
-		for _, e := range h.lin[s] {
+		for _, e := range h.lin.row(s) {
 			st.Lookups++
-			if sid, ok := x[e.cid]; ok && sid <= e.sid {
+			if sid := x.sid[e.cid]; sid != -1 && sid <= e.sid {
 				return true
 			}
 		}
@@ -328,14 +370,14 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 // firstOut returns s itself when it has a non-empty Lout, otherwise the
 // first later position with one.
 func (h *ThreeHop) firstOut(s int32) int32 {
-	if len(h.lout[s]) > 0 {
+	if len(h.lout.row(s)) > 0 {
 		return s
 	}
 	return h.skipOut[s]
 }
 
 func (h *ThreeHop) firstIn(s int32) int32 {
-	if len(h.lin[s]) > 0 {
+	if len(h.lin.row(s)) > 0 {
 		return s
 	}
 	return h.skipIn[s]

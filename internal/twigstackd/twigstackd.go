@@ -172,18 +172,17 @@ func (e *Engine) PreFilter(q *core.Query) [][]graph.NodeID {
 			if q.Nodes[c].PEdge == core.PC {
 				continue
 			}
-			contains := make([]bool, len(e.cond.Members))
+			contains := make([]bool, e.cond.NumSCC())
 			for v := 0; v < n; v++ {
 				if down[c][v] {
 					contains[e.cond.Comp[v]] = true
 				}
 			}
-			r := make([]bool, len(e.cond.Members))
+			r := make([]bool, e.cond.NumSCC())
 			// Reverse topological order: successors first.
-			for k := len(e.cond.Topo) - 1; k >= 0; k-- {
-				s := e.cond.Topo[k]
+			for s := int32(0); s < int32(e.cond.NumSCC()); s++ {
 				hit := e.cond.Nontrivial(s) && contains[s]
-				for _, t := range e.cond.Out[s] {
+				for _, t := range e.cond.Out(s) {
 					if r[t] || contains[t] {
 						hit = true
 						break
@@ -245,16 +244,16 @@ func (e *Engine) PreFilter(q *core.Query) [][]graph.NodeID {
 			}
 		} else {
 			// Forward topological sweep: reachable-from-surviving-parent.
-			contains := make([]bool, len(e.cond.Members))
+			contains := make([]bool, e.cond.NumSCC())
 			for v := 0; v < n; v++ {
 				if up[p][v] {
 					contains[e.cond.Comp[v]] = true
 				}
 			}
-			r := make([]bool, len(e.cond.Members))
-			for _, s := range e.cond.Topo {
+			r := make([]bool, e.cond.NumSCC())
+			for s := int32(e.cond.NumSCC()) - 1; s >= 0; s-- {
 				hit := e.cond.Nontrivial(s) && contains[s]
-				for _, t := range e.cond.In[s] {
+				for _, t := range e.cond.In(s) {
 					if r[t] || contains[t] {
 						hit = true
 						break
