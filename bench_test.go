@@ -1,13 +1,10 @@
 package gtpq
 
-// One benchmark per paper artifact (Tables 1–5, Figs 8–10, 12, plus the
-// DESIGN.md ablations). Each benchmark drives the same runner that
-// cmd/gtpq-bench uses, at a reduced size; run cmd/gtpq-bench for the
-// full printed tables.
-
 import (
+	"flag"
 	"io"
 	"math/rand"
+	"os"
 	"testing"
 
 	"gtpq/internal/bench"
@@ -20,82 +17,35 @@ import (
 	"gtpq/internal/xmark"
 )
 
-func benchConfig() bench.Config {
-	return bench.Config{
-		PersonsPerUnit:  150,
-		Scales:          []float64{0.5, 1, 1.5, 2, 4},
-		QueriesPerPoint: 3,
-		ArxivPerSize:    2,
-		Seed:            17,
+// Sizes of a BenchmarkPaper run; the defaults are a reduced size.
+var (
+	flagPersons = flag.Int("persons", 150, "BenchmarkPaper: XMark persons per scale unit")
+	flagQueries = flag.Int("queries", 3, "BenchmarkPaper: query instances averaged per data point")
+	flagPerSize = flag.Int("persize", 2, "BenchmarkPaper: arXiv queries kept per size and result group")
+)
+
+// BenchmarkPaper prints the paper's artifacts (Tables 1–5, Figs 8–10,
+// 12, plus the ablations and the index-backend and concurrency sweeps;
+// README "Benchmarks" has the index), one sub-benchmark per entry of
+// bench.Experiments:
+//
+//	go test -run '^$' -bench 'Paper/f8a' -benchtime=1x -v .
+//	go test -run '^$' -bench Paper -benchtime=1x -v . -persons 1500 -queries 10 -persize 15   # paper-sized
+//
+// The tables go to stdout under -v; without it only the timings show.
+func BenchmarkPaper(b *testing.B) {
+	var w io.Writer = io.Discard
+	if testing.Verbose() {
+		w = os.Stdout
 	}
-}
-
-func runExperiment(b *testing.B, f func(r *bench.Runner)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r := bench.NewRunner(benchConfig(), io.Discard)
-		f(r)
+	cfg := bench.Config{PersonsPerUnit: *flagPersons, QueriesPerPoint: *flagQueries, ArxivPerSize: *flagPerSize}
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(bench.NewRunner(cfg, w))
+			}
+		})
 	}
-}
-
-func BenchmarkTable1XMarkStats(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Table1() })
-}
-
-func BenchmarkTable2ResultSizes(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Table2() })
-}
-
-func BenchmarkFig8aVaryDataSize(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig8a() })
-}
-
-func BenchmarkFig8bVaryQuery(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig8b() })
-}
-
-func BenchmarkFig9aWorkload(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig9a() })
-}
-
-func BenchmarkFig9bSmallResults(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig9b() })
-}
-
-func BenchmarkFig9cLargeResults(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig9c() })
-}
-
-func BenchmarkFig9dFiltering(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig9d() })
-}
-
-func BenchmarkFig10IOCost(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Fig10() })
-}
-
-func BenchmarkExp1OutputNodes(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Exp1() })
-}
-
-func BenchmarkExp2Disjunction(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Exp2("DIS") })
-}
-
-func BenchmarkExp2Negation(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Exp2("NEG") })
-}
-
-func BenchmarkExp2DisNeg(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.Exp2("DIS_NEG") })
-}
-
-func BenchmarkAblationContours(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.AblationContours() })
-}
-
-func BenchmarkAblationPrimeSubtree(b *testing.B) {
-	runExperiment(b, func(r *bench.Runner) { r.AblationPrimeSubtree() })
 }
 
 // ---- per-engine microbenchmarks on a fixed XMark graph (Q1) ----

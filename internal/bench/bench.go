@@ -2,7 +2,7 @@
 // evaluation (§5 and Appendix C): the same rows and series, on
 // synthetic XMark/arXiv data sized for a single machine. Absolute times
 // differ from the paper; the shapes — who wins, rough factors,
-// crossovers — are the reproduction target (see EXPERIMENTS.md).
+// crossovers — are the reproduction target (see README "Benchmarks").
 package bench
 
 import (
@@ -17,15 +17,14 @@ import (
 	"gtpq/internal/gtea"
 	"gtpq/internal/hgjoin"
 	"gtpq/internal/queries"
-	"gtpq/internal/shard"
 	"gtpq/internal/twig2stack"
 	"gtpq/internal/twigstack"
 	"gtpq/internal/twigstackd"
 	"gtpq/internal/xmark"
 )
 
-// Config sizes the experiments. Zero values take defaults suitable for
-// `go test -bench` (small); cmd/gtpq-bench raises them.
+// Config sizes the experiments. Zero values take small defaults; the
+// root bench_test.go sets the sizes from its flags.
 type Config struct {
 	// PersonsPerUnit is the XMark person count at scale 1.
 	PersonsPerUnit int
@@ -75,17 +74,6 @@ type Runner struct {
 	hgjoinArxiv *hgjoin.Engine
 	tsdArxiv    *twigstackd.Engine
 	workload    *arxivWorkload
-
-	shardGraph   *graph.Graph
-	shardEngines map[int]*shard.ShardedEngine
-
-	planGraph   *graph.Graph
-	planFlat    map[string]*gtea.Engine         // kind/mode -> flat engine
-	planSharded map[string]*shard.ShardedEngine // kind/mode -> K-way engine
-
-	streamGraph *graph.Graph // fan product graph of the stream experiment
-
-	jsonRecords []Record // memoized machine-readable suite
 }
 
 // NewRunner builds a runner writing reports to w.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"strings"
 	"time"
 
 	"gtpq/internal/core"
@@ -91,9 +92,9 @@ func (r *Runner) Exp1() {
 }
 
 // Exp2 prints GTEA vs decompose-and-merge TwigStack / TwigStackD for
-// the Table 4 GTPQs (Fig 12(b)–(d)) restricted to the named class
-// prefix ("DIS", "NEG", "DIS_NEG", or "" for all), plus result counts
-// (Table 5).
+// the Table 4 GTPQs (Fig 12(b)–(d)) of the named class ("DIS", "NEG" or
+// "DIS_NEG": a spec's name is its class plus a number), plus result
+// counts (Table 5).
 func (r *Runner) Exp2(class string) {
 	scale := r.Cfg.Scales[len(r.Cfg.Scales)-1]
 	g, _ := r.XMark(scale)
@@ -101,10 +102,10 @@ func (r *Runner) Exp2(class string) {
 	tsWrap := decomp.New(g, twigstack.New(g), ge.H)
 	tdWrap := decomp.New(g, twigstackd.New(g), ge.H)
 
-	r.printf("== Exp-2 / Fig 12(b-d): GTPQ processing (%s), XMark scale %.1f ==\n", orAll(class), scale)
+	r.printf("== Exp-2 / Fig 12(b-d): GTPQ processing (%s), XMark scale %.1f ==\n", class, scale)
 	r.printf("%-10s %12s %14s %14s %10s %6s\n", "query", "GTEA", "TwigStack+dec", "TwigStackD+dec", "#results", "#subq")
 	for _, spec := range queries.Exp2Specs {
-		if class != "" && !matchClass(spec.Name, class) {
+		if strings.TrimRight(spec.Name, "0123456789") != class {
 			continue
 		}
 		q, err := queries.NewExp2(rand.New(rand.NewSource(r.Cfg.Seed)), spec)
@@ -120,27 +121,8 @@ func (r *Runner) Exp2(class string) {
 	}
 }
 
-func matchClass(name, class string) bool {
-	switch class {
-	case "DIS":
-		return len(name) >= 3 && name[:3] == "DIS" && (len(name) < 4 || name[3] != '_')
-	case "NEG":
-		return len(name) >= 3 && name[:3] == "NEG"
-	case "DIS_NEG":
-		return len(name) >= 7 && name[:7] == "DIS_NEG"
-	}
-	return true
-}
-
-func orAll(class string) string {
-	if class == "" {
-		return "all"
-	}
-	return class
-}
-
 // AblationContours compares GTEA with and without contour merging on
-// the arXiv workload (DESIGN.md experiment A2).
+// the arXiv workload (ablation A2 in README "Benchmarks").
 func (r *Runner) AblationContours() {
 	w := r.buildArxivWorkload()
 	g, _ := r.Arxiv()
@@ -165,7 +147,7 @@ func (r *Runner) AblationContours() {
 }
 
 // AblationPrimeSubtree compares GTEA with and without the shrunk prime
-// subtree on the Exp-1 queries (DESIGN.md experiment A3).
+// subtree on the Exp-1 queries (ablation A3 in README "Benchmarks").
 func (r *Runner) AblationPrimeSubtree() {
 	scale := r.Cfg.Scales[len(r.Cfg.Scales)-1]
 	g, _ := r.XMark(scale)
@@ -185,51 +167,43 @@ func (r *Runner) AblationPrimeSubtree() {
 	}
 }
 
+// Experiment is one paper artifact: the name it is selected by
+// (BenchmarkPaper/<Name> in the root bench_test.go), the text its
+// printed section heading starts with, and the Runner method that
+// prints it.
+type Experiment struct {
+	Name    string
+	Section string
+	Run     func(*Runner)
+}
+
+// Experiments lists every artifact, in the paper's order.
+var Experiments = []Experiment{
+	{"t1", "Table 1", (*Runner).Table1},
+	{"t2", "Table 2", (*Runner).Table2},
+	{"f8a", "Fig 8(a)", (*Runner).Fig8a},
+	{"f8b", "Fig 8(b)", (*Runner).Fig8b},
+	{"f9a", "Fig 9(a)", (*Runner).Fig9a},
+	{"f9b", "Fig 9(b)", (*Runner).Fig9b},
+	{"f9c", "Fig 9(c)", (*Runner).Fig9c},
+	{"f9d", "Fig 9(d)", (*Runner).Fig9d},
+	{"f10", "Fig 10", (*Runner).Fig10},
+	{"e1", "Exp-1", (*Runner).Exp1},
+	{"e2dis", "Exp-2", func(r *Runner) { r.Exp2("DIS") }},
+	{"e2neg", "Exp-2", func(r *Runner) { r.Exp2("NEG") }},
+	{"e2disneg", "Exp-2", func(r *Runner) { r.Exp2("DIS_NEG") }},
+	{"a2", "Ablation A2", (*Runner).AblationContours},
+	{"a3", "Ablation A3", (*Runner).AblationPrimeSubtree},
+	{"ix", "Index backends", (*Runner).IndexBackends},
+	{"conc", "Concurrency", (*Runner).Concurrency},
+}
+
 // All runs every experiment in order.
 func (r *Runner) All() {
-	r.Table1()
-	r.printf("\n")
-	r.Table2()
-	r.printf("\n")
-	r.Fig8a()
-	r.printf("\n")
-	r.Fig8b()
-	r.printf("\n")
-	r.Fig9a()
-	r.printf("\n")
-	r.Fig9b()
-	r.printf("\n")
-	r.Fig9c()
-	r.printf("\n")
-	r.Fig9d()
-	r.printf("\n")
-	r.Fig10()
-	r.printf("\n")
-	r.Exp1()
-	r.printf("\n")
-	r.Exp2("")
-	r.printf("\n")
-	r.AblationContours()
-	r.printf("\n")
-	r.AblationPrimeSubtree()
-	r.printf("\n")
-	r.IndexBackends()
-	r.printf("\n")
-	r.Concurrency()
-	r.printf("\n")
-	r.Sharding()
-	r.printf("\n")
-	r.ResultCache()
-	r.printf("\n")
-	r.Delta()
-	r.printf("\n")
-	r.Planning()
-	r.printf("\n")
-	r.Observability()
-	r.printf("\n")
-	r.Stream()
-	r.printf("\n")
-	r.Repl()
-	r.printf("\n")
-	r.Sub()
+	for i, e := range Experiments {
+		if i > 0 {
+			r.printf("\n")
+		}
+		e.Run(r)
+	}
 }

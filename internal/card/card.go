@@ -1,28 +1,24 @@
 // Package card maintains per-dataset cardinality summaries: a
-// label-frequency histogram plus the node/edge totals, persisted as a
-// small JSON sidecar next to the dataset's snapshot. The summary feeds
-// two consumers: the query planner's candidate estimates (which read
-// the same numbers through reach.ContourIndex.LabelCount) and the
-// server's cost-based admission, which must price a query before any
-// evaluation work — including engine access — happens.
+// label-frequency histogram plus the node/edge totals, rebuilt by the
+// catalog from the graph (or the shard label counts) on every load,
+// applied delta and compaction. The summary feeds two consumers: the
+// query planner's candidate estimates (which read the same numbers
+// through reach.ContourIndex.LabelCount) and the server's cost-based
+// admission, which must price a query before any evaluation work —
+// including engine access — happens.
 package card
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 )
 
 // Stats is one dataset's cardinality summary at one catalog generation.
 type Stats struct {
-	Nodes      int            `json:"nodes"`
-	Edges      int            `json:"edges"`
-	Labels     map[string]int `json:"labels"`
-	Generation uint64         `json:"generation"`
+	Nodes      int
+	Edges      int
+	Labels     map[string]int
+	Generation uint64
 }
 
 // FromGraph summarizes a frozen graph at the given generation.
@@ -66,52 +62,4 @@ func (s *Stats) EstimateQuery(q *core.Query) int64 {
 		}
 	}
 	return total
-}
-
-// SidecarPath derives the summary path for a dataset source: the
-// ".snap"/".json"/... extension is replaced with ".stats.json"; a
-// directory source (sharded dataset) gets "stats.json" inside it.
-func SidecarPath(srcPath string) string {
-	if fi, err := os.Stat(srcPath); err == nil && fi.IsDir() {
-		return filepath.Join(srcPath, "stats.json")
-	}
-	ext := filepath.Ext(srcPath)
-	return strings.TrimSuffix(srcPath, ext) + ".stats.json"
-}
-
-// Save writes the summary atomically (temp file + rename).
-func Save(path string, s *Stats) error {
-	blob, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".stats-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// Load reads a summary sidecar.
-func Load(path string) (*Stats, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Stats
-	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, err
-	}
-	if s.Labels == nil {
-		s.Labels = map[string]int{}
-	}
-	return &s, nil
 }

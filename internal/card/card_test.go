@@ -1,8 +1,6 @@
 package card
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -67,41 +65,5 @@ func TestFromCounts(t *testing.T) {
 	}
 	if want := map[string]int{"a": 4, "b": 1}; !reflect.DeepEqual(s.Labels, want) {
 		t.Fatalf("labels %v, want %v", s.Labels, want)
-	}
-}
-
-func TestSidecarPath(t *testing.T) {
-	dir := t.TempDir()
-	if got, want := SidecarPath(filepath.Join(dir, "x.snap")), filepath.Join(dir, "x.stats.json"); got != want {
-		t.Fatalf("snap sidecar = %q, want %q", got, want)
-	}
-	if got, want := SidecarPath(filepath.Join(dir, "x.json")), filepath.Join(dir, "x.stats.json"); got != want {
-		t.Fatalf("json sidecar = %q, want %q", got, want)
-	}
-	// A directory source (sharded dataset) keeps the sidecar inside.
-	sub := filepath.Join(dir, "sharded")
-	if err := os.Mkdir(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := SidecarPath(sub), filepath.Join(sub, "stats.json"); got != want {
-		t.Fatalf("dir sidecar = %q, want %q", got, want)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := FromGraph(testGraph(), 42)
-	path := filepath.Join(t.TempDir(), "x.stats.json")
-	if err := Save(path, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip: %+v != %+v", got, s)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loading a missing sidecar should fail")
 	}
 }

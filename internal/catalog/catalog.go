@@ -307,7 +307,9 @@ func (c *Catalog) Names() ([]string, error) {
 			continue
 		}
 		if strings.HasSuffix(de.Name(), ".stats.json") {
-			continue // cardinality sidecar, not a dataset
+			// A cardinality sidecar that older binaries wrote next to
+			// each dataset, not a dataset (".json" is a dataset suffix).
+			continue
 		}
 		for _, suf := range suffixes {
 			if strings.HasSuffix(de.Name(), suf) {
@@ -463,7 +465,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 			Sharded: true, FromSnapshot: true, LoadTime: time.Since(start),
 			Card: card.FromCounts(se.Labels(), se, se.TotalNodes(), se.TotalEdges(), e.gen),
 		}
-		persistCard(filepath.Dir(e.srcPath), e.ds.Card)
 	case loadSnap:
 		g, h, err := snapshot.LoadFile(e.srcPath)
 		if err != nil {
@@ -479,7 +480,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 			LoadTime:     time.Since(start),
 			Card:         card.FromGraph(g, e.gen),
 		}
-		persistCard(e.srcPath, e.ds.Card)
 	default:
 		f, err := os.Open(e.srcPath)
 		if err != nil {
@@ -523,7 +523,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 			// index; pending deltas stay in the log.
 			snapPath := filepath.Join(e.c.dir, e.name+".snap")
 			if err := snapshot.SaveFile(snapPath, g, baseIdx); err == nil {
-				persistCard(snapPath, e.ds.Card)
 				if err := os.Chtimes(snapPath, e.srcMod, e.srcMod); err == nil {
 					e.srcPath = snapPath // published by close(e.ready)
 				}
@@ -535,15 +534,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 		e.ds = nil
 	} else {
 		e.ds.LoadTime = time.Since(start)
-	}
-}
-
-// persistCard best-effort writes the cardinality sidecar next to the
-// dataset source (serving works without it; the sidecar exists so
-// external tooling reads the same numbers admission prices with).
-func persistCard(srcPath string, s *card.Stats) {
-	if s != nil {
-		_ = card.Save(card.SidecarPath(srcPath), s)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -189,6 +190,55 @@ func TestSnapshotPreferredAndZeroRebuild(t *testing.T) {
 	}
 	if !ds2.FromSnapshot || ds2.Engine.IndexKind() != kind {
 		t.Fatalf("FromSnapshot=%v kind=%q want true/%q", ds2.FromSnapshot, ds2.Engine.IndexKind(), kind)
+	}
+}
+
+// TestLegacyStatsSidecarIsNotADataset covers data directories written by
+// binaries that kept a <name>.stats.json cardinality sidecar next to
+// each dataset: ".json" is a dataset suffix, so the listing must keep
+// skipping the sidecar, and a load neither rewrites it nor leaves
+// anything else behind.
+func TestLegacyStatsSidecarIsNotADataset(t *testing.T) {
+	dir := t.TempDir()
+	writeGraph(t, dir, "x.json", []string{"a", "b"})
+	c1, err := Open(dir, Options{AutoSnapshot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := c1.Acquire("x") // writes x.snap
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Release()
+	c1.Close()
+	if err := os.Remove(filepath.Join(dir, "x.json")); err != nil {
+		t.Fatal(err)
+	}
+	sidecarPath := filepath.Join(dir, "x.stats.json")
+	sidecar := []byte(`{"nodes": 2, "edges": 1, "labels": {"a": 1, "b": 1}, "generation": 1}`)
+	if err := os.WriteFile(sidecarPath, sidecar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if names, err := c2.Names(); err != nil || !reflect.DeepEqual(names, []string{"x"}) {
+		t.Fatalf("Names() = %v, %v, want [x]", names, err)
+	}
+	ds, err = c2.Acquire("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Release()
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if want := []string{filepath.Join(dir, "x.snap"), sidecarPath}; !reflect.DeepEqual(files, want) {
+		t.Errorf("loading x left %v in the directory, want %v", files, want)
+	}
+	if got, err := os.ReadFile(sidecarPath); err != nil || !bytes.Equal(got, sidecar) {
+		t.Errorf("loading x rewrote the legacy sidecar: %q, %v", got, err)
 	}
 }
 

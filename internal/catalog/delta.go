@@ -414,7 +414,6 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 			Sharded: true, FromSnapshot: true,
 			Card: card.FromCounts(se.Labels(), se, se.TotalNodes(), se.TotalEdges(), 0),
 		}
-		persistCard(dir, next.ds.Card)
 	} else {
 		h, berr := reach.Build(e.buildKind, ext, reach.BuildOptions{Parallel: c.opt.Parallel})
 		if berr != nil {
@@ -436,7 +435,6 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 			FromSnapshot: true,
 			Card:         card.FromGraph(ext, 0),
 		}
-		persistCard(snapPath, next.ds.Card)
 	}
 
 	// Steps (3) and (4): the folded base is published, drop the log

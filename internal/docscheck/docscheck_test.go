@@ -21,8 +21,8 @@ import (
 const repoRoot = "../.."
 
 // opsBinaries are the binaries whose every flag must be documented.
-// gtpq and gtpq-bench are development tools with self-describing
-// -help output; the operational four are what OPERATIONS.md covers.
+// gtpq is a development tool with self-describing -help output; the
+// operational four are what OPERATIONS.md covers.
 var opsBinaries = []string{"gtpq-serve", "gtpq-route", "gtpq-compact", "gtpq-shard"}
 
 var (

@@ -43,28 +43,60 @@ func benchGraph() *graph.Graph {
 	return gen.Forest(rand.New(rand.NewSource(11)), 16, 160, 360, []string{"a", "b", "c"})
 }
 
+// skewedWorkload anchors queries on rare labels hanging off hot ones,
+// over planTestGraph — the shape where candidate-count ordering and
+// multiway intersection pay, and the only fixture on which the multiway
+// kernel is known to fire: a fixed post-order prunes the huge hot sets
+// first, while the planner starts from the rare sets and intersects the
+// hot root against all children at once.
+func skewedWorkload() map[string]*core.Query {
+	chain := core.NewQuery()
+	cx := chain.AddRoot("x", core.Label("a"))
+	cy := chain.AddNode("y", core.Backbone, cx, core.AD, core.Label("d"))
+	chain.AddNode("z", core.Backbone, cy, core.AD, core.Label("g"))
+	chain.SetOutput(cx)
+	chain.SetOutput(cy)
+
+	mixed := core.NewQuery()
+	mx := mixed.AddRoot("x", core.Label("b"))
+	mp := mixed.AddNode("p", core.Predicate, mx, core.AD, core.Label("a"))
+	mq := mixed.AddNode("q", core.Predicate, mx, core.AD, core.Label("g"))
+	mixed.SetStruct(mx, logic.And(logic.Var(mp), logic.Var(mq)))
+	mixed.SetOutput(mx)
+
+	return map[string]*core.Query{"star": starQuery(), "chain": chain, "mixed": mixed}
+}
+
 // BenchmarkEval measures steady-state Eval latency and allocations per
 // call on a shared engine — the server's cache-miss path. Run with
 // -benchmem (ReportAllocs is already on) and compare allocs/op across
 // PRs; the result cache PR's acceptance bar is a ≥30% allocs/op
-// reduction on pair vs. its pre-PR baseline.
+// reduction on pair vs. its pre-PR baseline. star, chain and mixed run
+// on the label-skewed forest, the rest on the uniform one.
 func BenchmarkEval(b *testing.B) {
-	g := benchGraph()
-	for _, kind := range []string{"threehop", "tc"} {
-		for _, mode := range []string{"plan", "noplan"} {
-			e, err := NewWithOptions(g, Options{Index: kind, NoPlan: mode == "noplan"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for name, q := range benchWorkload() {
-				b.Run(fmt.Sprintf("%s/%s/%s", kind, name, mode), func(b *testing.B) {
-					e.Eval(q) // warm up (and pre-size pooled scratch)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						e.Eval(q)
-					}
-				})
+	for _, fx := range []struct {
+		g        *graph.Graph
+		workload map[string]*core.Query
+	}{
+		{benchGraph(), benchWorkload()},
+		{planTestGraph(), skewedWorkload()},
+	} {
+		for _, kind := range []string{"threehop", "tc"} {
+			for _, mode := range []string{"plan", "noplan"} {
+				e, err := NewWithOptions(fx.g, Options{Index: kind, NoPlan: mode == "noplan"})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for name, q := range fx.workload {
+					b.Run(fmt.Sprintf("%s/%s/%s", kind, name, mode), func(b *testing.B) {
+						e.Eval(q) // warm up (and pre-size pooled scratch)
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							e.Eval(q)
+						}
+					})
+				}
 			}
 		}
 	}

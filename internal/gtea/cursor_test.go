@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"gtpq/internal/core"
+	"gtpq/internal/graph"
 )
 
 // TestCursorMatchesEval is the core streaming property on one engine:
@@ -69,6 +72,106 @@ func TestCursorLazyOnContiguousOutputs(t *testing.T) {
 	}
 	if !want.Equal(got) {
 		t.Fatalf("lazy cursor rows differ: want %d rows, got %d", len(want.Tuples), len(got.Tuples))
+	}
+}
+
+// TestCursorFirstRowAndHeapBounds pins what streaming exists for, on a
+// result that is the Cartesian product of small per-component
+// partials: a hub r with fan a-children and fan b-children, queried for
+// every (a, b) pair below r. The hub prunes to one candidate, so the
+// two output nodes become independent components of fan tuples each
+// and the answer has fan² rows. Eval builds and sorts the whole product
+// before a row exists; the cursor's first row must come at least 5x
+// sooner, and mid-drain it must hold the 2·fan partial tuples, not the
+// fan² rows — under a quarter of the materialized answer's live heap.
+// Both sides hash their rows in order, so this is a byte-identity check
+// as well.
+func TestCursorFirstRowAndHeapBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("memory/latency measurement; skipped in -short")
+	}
+	const fan = 300
+	g := graph.New(1+2*fan, 2*fan)
+	hub := g.AddNode("r", nil)
+	for _, label := range []string{"a", "b"} {
+		for i := 0; i < fan; i++ {
+			g.AddEdge(hub, g.AddNode(label, nil))
+		}
+	}
+	q := core.NewQuery()
+	r := q.AddRoot("r", core.Label("r"))
+	q.SetOutput(q.AddNode("x", core.Backbone, r, core.AD, core.Label("a")))
+	q.SetOutput(q.AddNode("y", core.Backbone, r, core.AD, core.Label("b")))
+	e := New(g)
+	e.Eval(q) // warm up index paths outside the measurement
+
+	hash := func(h uint64, row []graph.NodeID) uint64 {
+		for _, v := range row {
+			h = (h ^ uint64(uint32(v))) * 1099511628211
+		}
+		return h
+	}
+	const fnvOffset = 14695981039346656037 // FNV-1a
+
+	// Materialized: the first row is usable only once the whole answer
+	// exists; the heap is sampled with the answer live.
+	base := liveHeap()
+	t0 := time.Now()
+	ans := e.Eval(q)
+	matFirst := time.Since(t0)
+	matHeap := int64(liveHeap() - base)
+	matHash := uint64(fnvOffset)
+	for _, row := range ans.Tuples {
+		matHash = hash(matHash, row)
+	}
+	rows := len(ans.Tuples)
+	runtime.KeepAlive(ans)
+	ans = nil
+	if rows != fan*fan {
+		t.Fatalf("fan product has %d rows, want %d", rows, fan*fan)
+	}
+
+	// Streamed: the first Next is the first row; the heap is sampled
+	// mid-drain with only the cursor live.
+	base = liveHeap()
+	t0 = time.Now()
+	cur, _, err := e.EvalCursor(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if cur.Buffered() {
+		t.Fatal("fan product fell back to a buffered cursor")
+	}
+	var curFirst time.Duration
+	curHeap, curHash, n := int64(0), uint64(fnvOffset), 0
+	for {
+		row, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if n++; n == 1 {
+			curFirst = time.Since(t0)
+		}
+		curHash = hash(curHash, row)
+		if n == rows/2 {
+			curHeap = int64(liveHeap() - base)
+		}
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("materialized: first row %v, live heap %d B; cursor: first row %v, mid-drain heap %d B",
+		matFirst, matHeap, curFirst, curHeap)
+
+	if n != rows || curHash != matHash {
+		t.Fatalf("cursor rows differ from Eval: %d rows vs %d, hash %x vs %x", n, rows, curHash, matHash)
+	}
+	if curFirst*5 > matFirst {
+		t.Errorf("cursor's first row after %v is not 5x sooner than the materialized answer's %v", curFirst, matFirst)
+	}
+	if curHeap*4 > matHeap {
+		t.Errorf("mid-drain heap %d B is not under 1/4 of the materialized answer's %d B", curHeap, matHeap)
 	}
 }
 

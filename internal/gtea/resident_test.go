@@ -7,6 +7,19 @@ import (
 	"gtpq/internal/xmark"
 )
 
+// liveHeap returns the post-GC live heap, for before/after deltas. Two
+// GC cycles, because sync.Pool contents survive the first one (as
+// victim caches): a single collection would leave pool memory from
+// earlier work in the first sample but not in the later one, skewing
+// the delta negative by however much the pools held.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestResidentBytesPerNode pins what a loaded dataset costs: the live
 // heap held by an XMark site (~200k nodes, the benchmark's xmark_eval
 // dataset) plus its 3-hop engine, per node. The flat offset + payload
@@ -15,13 +28,6 @@ import (
 func TestResidentBytesPerNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a 200k-node graph")
-	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
 	}
 	before := liveHeap()
 	g, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 2000, Seed: 7})

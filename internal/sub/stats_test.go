@@ -1,0 +1,103 @@
+package sub
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"gtpq/internal/delta"
+	"gtpq/internal/graph"
+)
+
+// TestStatsCountSkipsExactly pins the counters the registry reports
+// (decide_test.go pins decide in isolation). The fixture is K
+// label-disjoint clusters of r<i> → c<i> pairs with one conjunctive AD
+// standing query per cluster. A batch that grows one cluster must be
+// skipped by the other K-1 subscriptions — a skip is only worth having
+// when it is sound and actually taken — and answered by a
+// delta-restricted re-evaluation of the touched one: skip rate exactly
+// (K-1)/K. A batch that grows every cluster skips nothing. Each touched
+// subscription's result grows, so it receives one delta event per batch.
+func TestStatsCountSkipsExactly(t *testing.T) {
+	const clusters, roots, batches = 4, 8, 40
+	label := func(kind string, i int) string { return fmt.Sprintf("%s%d", kind, i) }
+	g := graph.New(clusters*roots*2, clusters*roots)
+	for i := 0; i < clusters; i++ {
+		for j := 0; j < roots; j++ {
+			g.AddEdge(g.AddNode(label("r", i), nil), g.AddNode(label("c", i), nil))
+		}
+	}
+	g.Freeze()
+	firstRoot := func(i int) graph.NodeID { return graph.NodeID(i * roots * 2) }
+
+	cat := openTestCatalog(t, g)
+	r := New(cat, Config{Buffer: 2 * batches, Retain: time.Minute})
+	defer r.Close()
+	clients := make([]*Client, clusters)
+	for i := range clients {
+		q := adQuery(label("r", i), label("c", i))
+		q.SetOutput(1) // y too: a new child is a new row
+		c, err := r.Subscribe("ds", q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	r.Sync("ds")
+	for i, c := range clients {
+		if ev := recvEvent(t, c); ev.Type != "snapshot" || len(ev.Rows) != roots {
+			t.Fatalf("cluster %d: initial event %q with %d rows, want snapshot with %d", i, ev.Type, len(ev.Rows), roots)
+		}
+	}
+
+	vertices := g.N()
+	for _, phase := range []struct {
+		touched int // each batch hangs a new c<i> off the first root of clusters 0..touched-1
+		want    Stats
+	}{
+		{1, Stats{Skips: (clusters - 1) * batches, RestrictedEvals: batches}},
+		{clusters, Stats{RestrictedEvals: clusters * batches}},
+	} {
+		before := r.Stats()
+		for n := 0; n < batches; n++ {
+			var b delta.Batch
+			for i := 0; i < phase.touched; i++ {
+				b.Nodes = append(b.Nodes, delta.NodeAdd{Label: label("c", i)})
+				b.Edges = append(b.Edges, delta.EdgeAdd{From: firstRoot(i), To: graph.NodeID(vertices + i)})
+			}
+			ds, err := cat.ApplyDelta("ds", b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Release()
+			vertices += phase.touched
+		}
+		r.Sync("ds")
+		after := r.Stats()
+		got := Stats{
+			Skips:           after.Skips - before.Skips,
+			RestrictedEvals: after.RestrictedEvals - before.RestrictedEvals,
+			FullEvals:       after.FullEvals - before.FullEvals,
+		}
+		if got != phase.want {
+			t.Errorf("%d clusters per batch: %d skips / %d restricted / %d full, want %d / %d / %d", phase.touched,
+				got.Skips, got.RestrictedEvals, got.FullEvals, phase.want.Skips, phase.want.RestrictedEvals, phase.want.FullEvals)
+		}
+		for i, c := range clients {
+			evs := drainEvents(c)
+			for _, ev := range evs {
+				if ev.Type != "delta" || len(ev.Added) != 1 || len(ev.Removed) != 0 {
+					t.Fatalf("%d clusters per batch: cluster %d got %+v, want a one-row delta", phase.touched, i, ev)
+				}
+			}
+			want := 0
+			if i < phase.touched {
+				want = batches
+			}
+			if len(evs) != want {
+				t.Errorf("%d clusters per batch: cluster %d received %d delta events, want %d", phase.touched, i, len(evs), want)
+			}
+		}
+	}
+}
