@@ -31,8 +31,7 @@
 //	POST /subscribe {"dataset":"d","query":"..."} — SSE stream of result changes
 //	POST /update    {"dataset":"d","nodes":[{"label":"a"}],"edges":[{"from":0,"to":9}]}
 //	GET  /datasets
-//	GET  /stats
-//	GET  /metrics          Prometheus text exposition
+//	GET  /metrics          Prometheus text exposition (every serving counter)
 //	GET  /debug/slowlog    slow-query ring (see -slowlog-ms)
 //	GET  /healthz
 //
@@ -88,16 +87,11 @@ func main() {
 		slowSize  = flag.Int("slowlog-size", 128, "slow-query ring capacity")
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty: disabled)")
 		logFormat = flag.String("log-format", "text", "request logging: text (startup logs only) or json (one structured line per request on stderr)")
-		logSample = flag.Int("log-sample", 1, "with -log-format=json, log every Nth request")
 
-		follow    = flag.String("follow", "", "primary base URL to replicate from; makes this server a read-only replica (see internal/repl)")
-		followDS  = flag.String("follow-datasets", "", "comma-separated datasets to follow (default: everything the primary serves)")
-		maxLag    = flag.Int("max-lag", 64, "with -follow, batches behind the primary before /readyz reports not-ready")
-		replMin   = flag.Duration("repl-retry-min", 50*time.Millisecond, "with -follow, first retry delay after a failed fetch")
-		replMax   = flag.Duration("repl-retry-max", 5*time.Second, "with -follow, retry delay ceiling")
-		replChunk = flag.Int("repl-chunk", 1<<20, "with -follow, max log bytes fetched per round")
-		replWait  = flag.Duration("repl-wait", 2*time.Second, "with -follow, long-poll budget while caught up")
-		replSeed  = flag.Int64("repl-seed", 0, "with -follow, jitter seed (0: fixed default; give each replica its own to decorrelate retries)")
+		follow   = flag.String("follow", "", "primary base URL to replicate from; makes this server a read-only replica (see internal/repl)")
+		followDS = flag.String("follow-datasets", "", "comma-separated datasets to follow (default: everything the primary serves)")
+		maxLag   = flag.Int("max-lag", 64, "with -follow, batches behind the primary before /readyz reports not-ready")
+		replSeed = flag.Int64("repl-seed", 0, "with -follow, jitter seed (0: fixed default; give each replica its own to decorrelate retries)")
 	)
 	flag.Parse()
 	if *dataDir == "" {
@@ -168,7 +162,6 @@ func main() {
 		MaxSubs:          *maxSubs,
 		SlowLogThreshold: time.Duration(*slowMS) * time.Millisecond,
 		SlowLogSize:      *slowSize,
-		AccessLogSample:  *logSample,
 	}
 
 	// Replica mode: tail the primary's delta logs, refuse direct writes,
@@ -187,13 +180,10 @@ func main() {
 		tailer = repl.NewTailer(cat,
 			&repl.HTTPClient{BaseURL: strings.TrimRight(*follow, "/")},
 			repl.TailerConfig{
-				Datasets:   followList,
-				MaxLag:     *maxLag,
-				ChunkBytes: *replChunk,
-				PollWait:   *replWait,
-				Backoff:    repl.Backoff{Min: *replMin, Max: *replMax},
-				Seed:       *replSeed,
-				Logf:       log.Printf,
+				Datasets: followList,
+				MaxLag:   *maxLag,
+				Seed:     *replSeed,
+				Logf:     log.Printf,
 			})
 		reg := obs.NewRegistry()
 		tailer.Register(reg)

@@ -1,65 +1,42 @@
-// Package card maintains per-dataset cardinality summaries: a
-// label-frequency histogram plus the node/edge totals, rebuilt by the
-// catalog from the graph (or the shard label counts) on every load,
-// applied delta and compaction. The summary feeds two consumers: the
-// query planner's candidate estimates (which read the same numbers
-// through reach.ContourIndex.LabelCount) and the server's cost-based
-// admission, which must price a query before any evaluation work —
-// including engine access — happens.
+// Package card is the one cardinality estimator. A query node's
+// candidate set is a lookup in the data graph's label index, so its
+// size for a pure label predicate is known exactly to every served
+// engine (LabelCount: flat index, delta overlay, sharded or composite);
+// any other predicate is priced at the node count. Candidates is that
+// rule, and every consumer calls it: the planner's per-node estimates,
+// the server's admission pricing (Stats.EstimateQuery, surfaced as
+// X-GTPQ-Cost / cost_estimate) and the standing-query restricted-vs-full
+// gate. card keeps no counts of its own.
 package card
 
-import (
-	"gtpq/internal/core"
-	"gtpq/internal/graph"
-)
+import "gtpq/internal/core"
 
-// Stats is one dataset's cardinality summary at one catalog generation.
+// Candidates estimates |mat(u)| for a query node with predicate p
+// before any candidate scan: labelCount(l) for a pure label predicate,
+// nodes otherwise (attribute predicates are not summarized).
+func Candidates(p core.AttrPred, labelCount func(label string) int, nodes int) int {
+	if l, ok := p.LabelOnly(); ok {
+		return labelCount(l)
+	}
+	return nodes
+}
+
+// Stats prices queries against one served dataset generation: the
+// engine's own LabelCount and logical node count.
 type Stats struct {
 	Nodes      int
-	Edges      int
-	Labels     map[string]int
-	Generation uint64
+	LabelCount func(label string) int
 }
 
-// FromGraph summarizes a frozen graph at the given generation.
-func FromGraph(g *graph.Graph, generation uint64) *Stats {
-	s := &Stats{Nodes: g.N(), Edges: g.M(), Labels: make(map[string]int), Generation: generation}
-	for _, l := range g.Labels() {
-		s.Labels[l] = len(g.ByLabel(l))
-	}
-	return s
-}
-
-// Counter is anything that can answer per-label counts (every
-// reach.ContourIndex qualifies).
-type Counter interface {
-	LabelCount(label string) int
-}
-
-// FromCounts summarizes via per-label counts instead of a graph — the
-// sharded path, where no flat graph is materialized.
-func FromCounts(labels []string, c Counter, nodes, edges int, generation uint64) *Stats {
-	s := &Stats{Nodes: nodes, Edges: edges, Labels: make(map[string]int), Generation: generation}
-	for _, l := range labels {
-		s.Labels[l] = c.LabelCount(l)
-	}
-	return s
-}
-
-// EstimateQuery prices a query against the summary: the sum over query
-// nodes of the estimated candidate-set size (the label count for pure
-// label predicates, the node count otherwise). This is exactly the
-// work initCandidates + the first pruning sweep must touch at minimum,
-// so it is a sound admission signal; it deliberately ignores
-// reachability fan-out (estimating that needs the index itself).
+// EstimateQuery prices a query: the sum over query nodes of Candidates.
+// This is exactly the work initCandidates + the first pruning sweep
+// must touch at minimum, so it is a sound admission signal; it
+// deliberately ignores reachability fan-out (estimating that needs the
+// index itself).
 func (s *Stats) EstimateQuery(q *core.Query) int64 {
 	var total int64
 	for u := range q.Nodes {
-		if l, ok := q.Nodes[u].Attr.LabelOnly(); ok {
-			total += int64(s.Labels[l])
-		} else {
-			total += int64(s.Nodes)
-		}
+		total += int64(Candidates(q.Nodes[u].Attr, s.LabelCount, s.Nodes))
 	}
 	return total
 }

@@ -72,6 +72,10 @@ type Engine interface {
 	// results instead of a materialized answer; the streaming result
 	// path (NDJSON responses, pagination) drains it row by row.
 	EvalCursor(ctx context.Context, q *core.Query) (gtea.Cursor, gtea.Stats, error)
+	// LabelCount answers how many logical vertices carry a label —
+	// exactly, from the served index or shard histograms; Dataset.Card
+	// prices queries with it.
+	LabelCount(label string) int
 	IndexKind() string
 	IndexSize() int
 }
@@ -104,9 +108,9 @@ type Dataset struct {
 	// for a fully-compacted dataset.
 	PendingDeltas int
 	DeltaBatches  int
-	// Card is the dataset's cardinality summary (label histogram +
-	// totals) at this generation, recomputed across delta generations;
-	// the server prices queries against it before admission.
+	// Card prices queries against Engine's own label counts and the
+	// logical node count (see priceFromEngine); the server reads it
+	// before admission.
 	Card *card.Stats
 	// LoadTime is how long the build or revive took.
 	LoadTime time.Duration
@@ -135,6 +139,14 @@ func (d *Dataset) Edges() int {
 		return se.TotalEdges()
 	}
 	return 0
+}
+
+// priceFromEngine derives Card from the served engine — flat, delta
+// overlay, sharded or composite alike — so admission and the planner
+// read the same counts. Every entry passes through it once, before it
+// is published (end of load, swapEntry).
+func (d *Dataset) priceFromEngine() {
+	d.Card = &card.Stats{Nodes: d.Nodes(), LabelCount: d.Engine.LabelCount}
 }
 
 // Release returns the dataset to the catalog; callers must not use it
@@ -463,7 +475,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 		e.ds = &Dataset{
 			Name: e.name, Source: e.srcPath, Engine: se,
 			Sharded: true, FromSnapshot: true, LoadTime: time.Since(start),
-			Card: card.FromCounts(se.Labels(), se, se.TotalNodes(), se.TotalEdges(), e.gen),
 		}
 	case loadSnap:
 		g, h, err := snapshot.LoadFile(e.srcPath)
@@ -478,7 +489,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 			Engine:       gtea.NewWithIndexOptions(g, h, gtea.Options{NoPlan: opt.NoPlan}),
 			FromSnapshot: true,
 			LoadTime:     time.Since(start),
-			Card:         card.FromGraph(g, e.gen),
 		}
 	default:
 		f, err := os.Open(e.srcPath)
@@ -510,7 +520,6 @@ func (e *entry) load(opt Options, kind loadKind) {
 		e.ds = &Dataset{
 			Name: e.name, Source: e.srcPath, Graph: g, Engine: eng,
 			LoadTime: time.Since(start),
-			Card:     card.FromGraph(g, e.gen),
 		}
 		if opt.AutoSnapshot {
 			// Best effort; serving works without it. The snapshot is
@@ -533,6 +542,7 @@ func (e *entry) load(opt Options, kind loadKind) {
 		e.err = err
 		e.ds = nil
 	} else {
+		e.ds.priceFromEngine()
 		e.ds.LoadTime = time.Since(start)
 	}
 }

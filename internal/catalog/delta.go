@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gtpq/internal/card"
 	"gtpq/internal/delta"
 	"gtpq/internal/gtea"
 	"gtpq/internal/reach"
@@ -157,9 +156,6 @@ func (e *entry) applyBatches(base *deltaBase, batches []delta.Batch) error {
 	e.batches = batches
 	e.ds.Graph = ext
 	e.ds.Engine = gtea.NewWithIndexOptions(ext, ov, gtea.Options{NoPlan: e.c.opt.NoPlan})
-	// The summary tracks the served (extended) graph, so admission and
-	// the planner price delta generations against current counts.
-	e.ds.Card = card.FromGraph(ext, e.gen)
 	return nil
 }
 
@@ -188,11 +184,7 @@ func (c *Catalog) swapEntry(name string, prev, next *entry) *Dataset {
 	defer c.mu.Unlock()
 	c.nextGen++
 	next.gen = c.nextGen
-	if next.ds != nil && next.ds.Card != nil {
-		// The swapped-in entry got its generation just now; the summary
-		// carries it so sidecars and /stats agree with cache keys.
-		next.ds.Card.Generation = next.gen
-	}
+	next.ds.priceFromEngine()
 	next.refs++ // the returned handle
 	if old := c.entries[name]; old == prev {
 		if old != nil && !old.stale {
@@ -412,7 +404,6 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 		next.ds = &Dataset{
 			Name: name, Source: mpath, Engine: se,
 			Sharded: true, FromSnapshot: true,
-			Card: card.FromCounts(se.Labels(), se, se.TotalNodes(), se.TotalEdges(), 0),
 		}
 	} else {
 		h, berr := reach.Build(e.buildKind, ext, reach.BuildOptions{Parallel: c.opt.Parallel})
@@ -433,7 +424,6 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 			Name: name, Source: snapPath, Graph: ext,
 			Engine:       gtea.NewWithIndexOptions(ext, h, gtea.Options{NoPlan: c.opt.NoPlan}),
 			FromSnapshot: true,
-			Card:         card.FromGraph(ext, 0),
 		}
 	}
 

@@ -176,8 +176,7 @@ func (o *Overlay) Kind() string { return KindPrefix + o.base.Kind() }
 func (o *Overlay) IndexSize() int { return o.base.IndexSize() + len(o.tails) }
 
 // LabelCount is the base count plus the delta-added vertices carrying
-// the label, keeping the planner's cardinality summary current across
-// generations.
+// the label, so estimates stay exact across delta generations.
 func (o *Overlay) LabelCount(label string) int {
 	return o.base.LabelCount(label) + o.deltaLabels[label]
 }

@@ -1,9 +1,10 @@
 // Package docscheck keeps docs/OPERATIONS.md honest: it extracts
-// every flag the operational binaries define and every gtpq_* metric
-// family the code registers, and fails if any is missing from the
-// documentation — or if a flag table documents a flag its binary no
-// longer defines. It contains only tests — running them (the CI lint
-// job does) is the whole point.
+// every flag the operational binaries define, every gtpq_* metric
+// family the code registers and every HTTP route the server mounts,
+// and fails if any is missing from the documentation — or if a flag
+// table or the endpoint table documents something the code no longer
+// defines. It contains only tests — running them (the CI lint job
+// does) is the whole point.
 package docscheck
 
 import (
@@ -29,6 +30,8 @@ var (
 	flagRe   = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Float64|Duration)\(\s*"([^"]+)"`)
 	flagRow  = regexp.MustCompile("^\\| `-([^`]+)` \\|")
 	metricRe = regexp.MustCompile(`"(gtpq_[a-z_]+)"`)
+	routeRe  = regexp.MustCompile(`mux\.HandleFunc\("([A-Z]+) (/[^"]*)"`)
+	routeRow = regexp.MustCompile("^\\| `(/[^`]*)` \\| ([A-Z]+) \\|")
 )
 
 func readOperations(t *testing.T) string {
@@ -131,6 +134,44 @@ func TestOperationsCoversMetrics(t *testing.T) {
 	for _, n := range sorted {
 		if !strings.Contains(doc, n) {
 			t.Errorf("docs/OPERATIONS.md: metric %s (registered in %s) is undocumented", n, names[n][0])
+		}
+	}
+}
+
+// TestOperationsCoversEndpoints requires every route internal/server
+// mounts (`mux.HandleFunc("METHOD /path", …)`) to be a row of the
+// OPERATIONS.md "HTTP endpoints" table, and every row of that table to
+// name a mounted route — a removed endpoint cannot leave a stale row.
+// gtpq-route's routes are covered by the prose line under the table.
+func TestOperationsCoversEndpoints(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(repoRoot, "internal", "server", "server.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mounted := map[string]bool{}
+	for _, m := range routeRe.FindAllStringSubmatch(string(src), -1) {
+		mounted[m[1]+" "+m[2]] = true
+	}
+	if len(mounted) < 5 {
+		t.Fatalf("found only %d routes in internal/server/server.go — extractor regex out of date?", len(mounted))
+	}
+	documented, section := map[string]bool{}, ""
+	for _, line := range strings.Split(readOperations(t), "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			section = h
+		}
+		if m := routeRow.FindStringSubmatch(line); m != nil && section == "HTTP endpoints" {
+			documented[m[2]+" "+m[1]] = true
+		}
+	}
+	for r := range mounted {
+		if !documented[r] {
+			t.Errorf("docs/OPERATIONS.md: route %s is not in the HTTP endpoints table", r)
+		}
+	}
+	for r := range documented {
+		if !mounted[r] {
+			t.Errorf("docs/OPERATIONS.md: HTTP endpoints table documents %s, which internal/server does not mount", r)
 		}
 	}
 }

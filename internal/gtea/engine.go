@@ -129,10 +129,10 @@ func NewWithIndexOptions(g *graph.Graph, h reach.ContourIndex, opt Options) *Eng
 	return &Engine{G: g, H: h, Opt: opt}
 }
 
-// LabelCount reports how many data nodes carry the label, answered by
-// the reachability backend's cardinality summary (part of the
-// catalog.Engine interface; the planner and cost-based admission both
-// estimate candidate-set sizes through it).
+// LabelCount reports how many data nodes carry the label, answered
+// exactly by the reachability backend (part of the catalog.Engine
+// interface; the planner and cost-based admission both estimate
+// candidate-set sizes through it, via card.Candidates).
 func (e *Engine) LabelCount(label string) int { return e.H.LabelCount(label) }
 
 // IndexKind reports the reachability backend this engine evaluates

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gtpq/internal/card"
 	"gtpq/internal/core"
 )
 
@@ -20,9 +21,9 @@ import (
 //     paper's per-candidate contour kernel against a multiway bitset
 //     intersection (see prune.go) and picks the cheaper one.
 //
-// Estimates come from the reachability backend's label-frequency
-// summary (reach.ContourIndex.LabelCount); non-label predicates fall
-// back to the node count. The chosen order and the estimated vs.
+// Estimates are card.Candidates over the reachability backend's exact
+// label counts (reach.ContourIndex.LabelCount); non-label predicates
+// fall back to the node count. The chosen order and the estimated vs.
 // actual cardinalities are recorded in Stats.Plan so misestimates are
 // observable. Options.NoPlan restores the paper's behavior exactly.
 
@@ -85,7 +86,7 @@ func (ec *evalContext) planQuery(q *core.Query) {
 	n := len(q.Nodes)
 	ec.planEst = growSlice(ec.planEst, n)
 	for u := range q.Nodes {
-		ec.planEst[u] = ec.estimateCandidates(q, u)
+		ec.planEst[u] = card.Candidates(q.Nodes[u].Attr, ec.h.LabelCount, ec.g.N())
 	}
 	ec.planReady = growSlice(ec.planReady, n)
 	ec.planOrder = planDownwardOrder(q, ec.planEst, ec.planOrder[:0], ec.planReady)
@@ -96,16 +97,6 @@ func (ec *evalContext) planQuery(q *core.Query) {
 	for u := range q.Nodes {
 		ec.plan.Nodes[u] = PlanNode{Node: u, Name: q.Nodes[u].Name, Kernel: KernelPaper, EstCands: ec.planEst[u]}
 	}
-}
-
-// estimateCandidates predicts |mat(u)| before any candidate scan: the
-// backend's label count for a pure label predicate, the node count
-// otherwise (attribute predicates are not summarized).
-func (ec *evalContext) estimateCandidates(q *core.Query, u int) int {
-	if l, ok := q.Nodes[u].Attr.LabelOnly(); ok {
-		return ec.h.LabelCount(l)
-	}
-	return ec.g.N()
 }
 
 // planDownwardOrder returns a children-before-parents order over q's

@@ -49,29 +49,21 @@ const (
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evals     int64 `json:"evals"`     // computations actually run
-	Coalesced int64 `json:"coalesced"` // misses served by an in-flight leader
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
+	Hits      int64
+	Misses    int64
+	Evals     int64 // computations actually run
+	Coalesced int64 // misses served by an in-flight leader
+	Evictions int64
+	Entries   int64
+	Bytes     int64
+	MaxBytes  int64
 }
 
-// DatasetStats is the per-dataset slice of the counters (aggregated
-// across generations — the dataset's serving history, not one epoch's).
-type DatasetStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-}
-
-// dsCount accumulates one dataset's counters.
+// dsCount accumulates one dataset's counters (aggregated across
+// generations — the dataset's serving history, not one epoch's),
+// exported as the gtpq_cache_dataset_* families.
 type dsCount struct {
-	hits, misses, evictions, entries, bytes atomic.Int64
+	hits, misses, bytes atomic.Int64
 }
 
 // entry is one cached answer.
@@ -230,7 +222,6 @@ func (c *Cache) Put(k Key, ans *core.Answer) {
 		c.bytes.Add(size)
 		c.entries.Add(1)
 		d.bytes.Add(size)
-		d.entries.Add(1)
 	}
 	for s.bytes > s.max {
 		el := s.lru.Back()
@@ -249,8 +240,6 @@ func (c *Cache) Put(k Key, ans *core.Answer) {
 			evd = c.dsCount(ev.key.Dataset)
 		}
 		evd.bytes.Add(-ev.size)
-		evd.entries.Add(-1)
-		evd.evictions.Add(1)
 	}
 	s.mu.Unlock()
 }
@@ -347,22 +336,4 @@ func (c *Cache) Stats() Stats {
 		Bytes:     c.bytes.Load(),
 		MaxBytes:  c.maxBytes,
 	}
-}
-
-// DatasetStats snapshots one dataset's counters; ok is false when the
-// dataset has never been looked up.
-func (c *Cache) DatasetStats(dataset string) (DatasetStats, bool) {
-	c.dsMu.RLock()
-	d := c.ds[dataset]
-	c.dsMu.RUnlock()
-	if d == nil {
-		return DatasetStats{}, false
-	}
-	return DatasetStats{
-		Hits:      d.hits.Load(),
-		Misses:    d.misses.Load(),
-		Evictions: d.evictions.Load(),
-		Entries:   d.entries.Load(),
-		Bytes:     d.bytes.Load(),
-	}, true
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
+	"gtpq/internal/obs"
 )
 
 func answer(rows ...graph.NodeID) *core.Answer {
@@ -24,6 +27,30 @@ func answer(rows ...graph.NodeID) *core.Answer {
 
 func key(ds, q string, gen uint64) Key {
 	return Key{Dataset: ds, Generation: gen, Query: q, Index: "threehop"}
+}
+
+// datasetMetric scrapes one per-dataset family (gtpq_cache_dataset_*)
+// the way /metrics exports it.
+func datasetMetric(t *testing.T, c *Cache, family, dataset string) int64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	c.Register(reg)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	prefix := fmt.Sprintf("%s{dataset=%q} ", family, dataset)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(f)
+		}
+	}
+	t.Fatalf("no %s sample in exposition:\n%s", prefix, b.String())
+	return 0
 }
 
 func TestGetPutHitMiss(t *testing.T) {
@@ -42,9 +69,11 @@ func TestGetPutHitMiss(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	ds, ok := c.DatasetStats("d")
-	if !ok || ds.Hits != 1 || ds.Misses != 1 || ds.Entries != 1 {
-		t.Fatalf("dataset stats = %+v, %v", ds, ok)
+	hits := datasetMetric(t, c, "gtpq_cache_dataset_hits_total", "d")
+	misses := datasetMetric(t, c, "gtpq_cache_dataset_misses_total", "d")
+	bytes := datasetMetric(t, c, "gtpq_cache_dataset_bytes", "d")
+	if hits != 1 || misses != 1 || bytes != st.Bytes {
+		t.Fatalf("dataset metrics: hits %d misses %d bytes %d (global %+v)", hits, misses, bytes, st)
 	}
 }
 
@@ -100,9 +129,8 @@ func TestByteBoundEviction(t *testing.T) {
 	if int64(hits) != st.Entries {
 		t.Fatalf("%d hits vs %d entries", hits, st.Entries)
 	}
-	ds, _ := c.DatasetStats("d")
-	if ds.Bytes != st.Bytes || ds.Entries != st.Entries || ds.Evictions != st.Evictions {
-		t.Fatalf("per-dataset accounting diverged: %+v vs %+v", ds, st)
+	if b := datasetMetric(t, c, "gtpq_cache_dataset_bytes", "d"); b != st.Bytes {
+		t.Fatalf("per-dataset bytes %d diverged from global %+v", b, st)
 	}
 }
 
@@ -392,18 +420,16 @@ func TestDoHammer(t *testing.T) {
 	if st.Bytes > st.MaxBytes || st.Bytes < 0 {
 		t.Fatalf("bytes %d outside [0, %d]", st.Bytes, st.MaxBytes)
 	}
-	var dsBytes, dsEntries int64
+	var dsBytes, dsLookups int64
 	for i := 0; i < 3; i++ {
-		ds, ok := c.DatasetStats(fmt.Sprintf("d%d", i))
-		if !ok {
-			t.Fatalf("dataset d%d missing", i)
-		}
-		dsBytes += ds.Bytes
-		dsEntries += ds.Entries
+		ds := fmt.Sprintf("d%d", i)
+		dsBytes += datasetMetric(t, c, "gtpq_cache_dataset_bytes", ds)
+		dsLookups += datasetMetric(t, c, "gtpq_cache_dataset_hits_total", ds) +
+			datasetMetric(t, c, "gtpq_cache_dataset_misses_total", ds)
 	}
-	if dsBytes != st.Bytes || dsEntries != st.Entries {
-		t.Fatalf("per-dataset totals (%d bytes, %d entries) != global (%d, %d)",
-			dsBytes, dsEntries, st.Bytes, st.Entries)
+	if dsBytes != st.Bytes || dsLookups != st.Hits+st.Misses {
+		t.Fatalf("per-dataset totals (%d bytes, %d lookups) != global (%d, %d)",
+			dsBytes, dsLookups, st.Bytes, st.Hits+st.Misses)
 	}
 }
 

@@ -62,8 +62,8 @@ type ContourIndex interface {
 	// reach v?" probes (the merged complete successor list of S).
 	SuccContour(S []graph.NodeID, st *Stats) SuccContour
 	// LabelCount returns the number of graph nodes carrying the primary
-	// label — the cardinality summary behind the planner's candidate
-	// estimates and the server's cost-based admission. Zero for labels
+	// label — the exact count card.Candidates prices label-only query
+	// nodes with (planner estimates, cost-based admission). Zero for labels
 	// absent from the graph; no lookup is charged (it reads a
 	// precomputed histogram, not the index).
 	LabelCount(label string) int

@@ -71,12 +71,13 @@ func TestChaosEquivalenceUnderMixedFaults(t *testing.T) {
 	assertEquivalent(t, primary.URL, rep.srv.URL)
 
 	// Every injected fault class that fired must be accounted for by a
-	// detection-layer counter (drop → fetch errors; duplicate/truncate →
-	// chunk CRC; flip → frame/header CRC, or benign when it landed in a
-	// region the next refetch papered over). Nothing may remain as an
-	// unexplained apply divergence.
+	// detection-layer counter (drop → fetch errors, on the log or on the
+	// bootstrap base fetch; duplicate/truncate → chunk CRC; flip →
+	// frame/header CRC, or benign when it landed in a region the next
+	// refetch papered over). Nothing may remain as an unexplained apply
+	// divergence.
 	counts := inj.Counts()
-	if counts["drop"] > 0 && rep.errCount("fetch") == 0 {
+	if counts["drop"] > 0 && rep.errCount("fetch")+rep.errCount("base_fetch") == 0 {
 		t.Errorf("%d drops injected but no fetch errors counted", counts["drop"])
 	}
 	if n := counts["duplicate"] + counts["truncate"]; n > 0 && rep.errCount("chunk_corrupt") == 0 {

@@ -43,6 +43,9 @@ func (b Backoff) withDefaults() Backoff {
 	return b
 }
 
+// chunkBytes caps one log fetch.
+const chunkBytes = 1 << 20
+
 // TailerConfig tunes a Tailer.
 type TailerConfig struct {
 	// Datasets to follow; empty discovers the primary's list at Start.
@@ -51,8 +54,6 @@ type TailerConfig struct {
 	// not-ready (default 64). Serving continues regardless — readiness
 	// is the router's signal, not a correctness gate.
 	MaxLag int
-	// ChunkBytes caps one log fetch (default 1 MiB).
-	ChunkBytes int
 	// PollWait is the long-poll budget per fetch (default 2s).
 	PollWait time.Duration
 	// Backoff shapes retry delays after a failed fetch or apply.
@@ -67,9 +68,6 @@ type TailerConfig struct {
 func (c TailerConfig) withDefaults() TailerConfig {
 	if c.MaxLag <= 0 {
 		c.MaxLag = 64
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 1 << 20
 	}
 	if c.PollWait <= 0 {
 		c.PollWait = 2 * time.Second
@@ -398,7 +396,7 @@ func (t *Tailer) step(name string) error {
 		return fmt.Errorf("reading local log state: %w", err)
 	}
 
-	remote, err := t.client.FetchLog(t.ctx, name, local.Size, t.cfg.ChunkBytes, t.cfg.PollWait)
+	remote, err := t.client.FetchLog(t.ctx, name, local.Size, chunkBytes, t.cfg.PollWait)
 	if err != nil {
 		t.errs.With("fetch").Inc()
 		return fmt.Errorf("fetching log: %w", err)

@@ -68,8 +68,8 @@ func touchFuture(t *testing.T, path string, d time.Duration) {
 }
 
 // TestCachedFlagSingle: first request computes (cached:false), the
-// repeat hits (cached:true) with identical rows, and /stats reports
-// the cache counters.
+// repeat hits (cached:true) with identical rows, and the cache
+// counters record it.
 func TestCachedFlagSingle(t *testing.T) {
 	ts, s, _ := newCacheTestServer(t, Config{})
 	var rows [2]string
@@ -320,75 +320,63 @@ func TestCacheSingleflightColdHerd(t *testing.T) {
 	}
 }
 
-// TestStatsAndDatasetsReportCache checks the counters surface through
-// both endpoints.
+// TestStatsAndDatasetsReportCache checks the cache counters surface in
+// /metrics (global and per-dataset families), that /datasets is the
+// plain catalog listing with no counter copies, and that /stats is gone.
 func TestStatsAndDatasetsReportCache(t *testing.T) {
 	ts, _, _ := newCacheTestServer(t, Config{})
 	postQuery(t, ts.URL, map[string]interface{}{"dataset": "d", "query": abQuery})
 	postQuery(t, ts.URL, map[string]interface{}{"dataset": "d", "query": abQuery})
 
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	body := scrape(t, ts.URL)
+	for series, want := range map[string]float64{
+		"gtpq_cache_hits_total":                        1,
+		"gtpq_cache_misses_total":                      1,
+		`gtpq_cache_dataset_hits_total{dataset="d"}`:   1,
+		`gtpq_cache_dataset_misses_total{dataset="d"}`: 1,
+	} {
+		if got, ok := sample(body, series); !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", series, got, ok, want)
+		}
 	}
-	var st struct {
-		Cache struct {
-			Enabled bool  `json:"enabled"`
-			Hits    int64 `json:"hits"`
-			Misses  int64 `json:"misses"`
-			Bytes   int64 `json:"bytes"`
-		} `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !st.Cache.Enabled || st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Bytes <= 0 {
-		t.Fatalf("/stats cache = %+v", st.Cache)
+	for _, series := range []string{"gtpq_cache_bytes", `gtpq_cache_dataset_bytes{dataset="d"}`} {
+		if got, _ := sample(body, series); got <= 0 {
+			t.Fatalf("%s = %v, want > 0", series, got)
+		}
 	}
 
-	resp, err = http.Get(ts.URL + "/datasets")
+	resp, err := http.Get(ts.URL + "/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var dl struct {
-		Datasets []struct {
-			Name  string `json:"name"`
-			Cache *struct {
-				Hits   int64 `json:"hits"`
-				Misses int64 `json:"misses"`
-				Bytes  int64 `json:"bytes"`
-			} `json:"cache"`
-		} `json:"datasets"`
+		Datasets []map[string]interface{} `json:"datasets"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(dl.Datasets) != 1 || dl.Datasets[0].Cache == nil {
+	if len(dl.Datasets) != 1 || dl.Datasets[0]["name"] != "d" {
 		t.Fatalf("/datasets = %+v", dl.Datasets)
 	}
-	if c := dl.Datasets[0].Cache; c.Hits != 1 || c.Misses != 1 || c.Bytes <= 0 {
-		t.Fatalf("/datasets cache = %+v", c)
+	for _, k := range []string{"cache", "cost_rejected"} {
+		if _, ok := dl.Datasets[0][k]; ok {
+			t.Fatalf("/datasets entry carries %q: %+v", k, dl.Datasets[0])
+		}
 	}
 
-	// A cache-disabled server reports enabled:false and no per-dataset
-	// section.
-	tsOff, _ := newTestServer(t, Config{})
-	resp, err = http.Get(tsOff.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stOff struct {
-		Cache struct {
-			Enabled bool `json:"enabled"`
-		} `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stOff); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if stOff.Cache.Enabled {
-		t.Fatal("cache-disabled server reports enabled")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", resp.StatusCode)
+	}
+
+	// A cache-disabled server exports no cache families.
+	tsOff, _ := newTestServer(t, Config{})
+	if _, ok := sample(scrape(t, tsOff.URL), "gtpq_cache_max_bytes"); ok {
+		t.Fatal("cache-disabled server exports gtpq_cache_max_bytes")
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"gtpq/internal/obs"
 )
 
-// Observability wiring: the server's counters live in an obs.Registry
-// (scraped at GET /metrics) while /stats keeps serving the same values
-// as a JSON view. Per-query traces, the slow-query ring log, the
-// request-ID middleware, and the structured access log are all here so
-// the serving logic in server.go stays about serving.
+// Observability wiring: the server's counters live in an obs.Registry,
+// scraped at GET /metrics — their only view. Per-query traces, the
+// slow-query ring log, the request-ID middleware, and the structured
+// access log are all here so the serving logic in server.go stays
+// about serving.
 
 // requestIDHeader carries the request ID in both directions: an
 // inbound value is adopted (so a caller's ID follows the request into
@@ -83,8 +83,8 @@ func reqInfoFrom(ctx context.Context) *reqInfo {
 	return ri
 }
 
-// requestIDFrom returns the current request's ID ("" outside a
-// request, e.g. direct evalOne calls in tests).
+// requestIDFrom returns the current request's ID ("" for a context
+// the request-ID middleware did not wrap).
 func requestIDFrom(ctx context.Context) string {
 	if ri := reqInfoFrom(ctx); ri != nil {
 		return ri.id
@@ -133,7 +133,7 @@ type accessLine struct {
 // instrument wraps the API with the request-ID and access-log
 // middleware: every response carries X-GTPQ-Request-ID (inbound value
 // adopted, else generated), and with an access log configured every
-// AccessLogSample-th request writes one JSON line.
+// request writes one JSON line.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -146,9 +146,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(withReqInfo(r.Context(), ri)))
 
 		if s.cfg.AccessLog == nil {
-			return
-		}
-		if n := int64(s.cfg.AccessLogSample); n > 1 && (s.logSeq.Add(1)-1)%n != 0 {
 			return
 		}
 		line, err := json.Marshal(accessLine{

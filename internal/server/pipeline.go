@@ -73,7 +73,7 @@ type queryState struct {
 	// stream is set for NDJSON and for windowed (limit/cursor) JSON:
 	// the result is drained through a cursor, never materialized.
 	stream bool
-	est    int64 // cost estimate, -1 without a cardinality summary
+	est    int64 // admission-time cost estimate (ds.Card.EstimateQuery)
 	// tr is nil unless ?debug=1 or the slowlog is on; untraced queries
 	// pay nothing — every span call downstream no-ops on the nil trace.
 	tr    *obs.Trace
@@ -99,7 +99,7 @@ func (s *Server) prepare(ctx context.Context, ds *catalog.Dataset, ent queryEntr
 		canon:  qlang.Format(q),
 		ent:    ent,
 		stream: ndjson || ent.Limit > 0 || ent.Cursor != "",
-		est:    -1,
+		est:    ds.Card.EstimateQuery(q),
 		start:  time.Now(),
 		debug:  debug,
 	}
@@ -110,9 +110,6 @@ func (s *Server) prepare(ctx context.Context, ds *catalog.Dataset, ent queryEntr
 		ctx = obs.ContextWithTrace(ctx, qs.tr)
 	}
 	qs.ctx = ctx
-	if ds.Card != nil {
-		qs.est = ds.Card.EstimateQuery(q)
-	}
 	if ri := reqInfoFrom(ctx); ri != nil && qs.est > 0 {
 		ri.cost.Store(qs.est)
 	}

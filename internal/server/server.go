@@ -5,7 +5,7 @@
 //	POST /subscribe  standing query: SSE stream of result changes
 //	POST /update     append vertices/edges to a dataset (served at once)
 //	GET  /datasets   list datasets and their load state
-//	GET  /stats      server counters and configuration
+//	GET  /metrics    Prometheus exposition: every serving counter
 //	GET  /healthz    liveness probe
 //
 // Evaluations run through an admission-controlled worker pool: at most
@@ -79,7 +79,7 @@ type Config struct {
 	CompactAfter int
 	// CostQuota rejects a query with 429 (plus an X-GTPQ-Cost header)
 	// when its estimated evaluation cost — the summed per-node candidate
-	// estimates from the dataset's cardinality summary — exceeds this
+	// estimates over the served engine's label counts — exceeds this
 	// value. The check runs before the query takes a worker slot; cache
 	// hits are unaffected. 0 disables cost-based admission.
 	CostQuota int64
@@ -97,8 +97,6 @@ type Config struct {
 	// request (method, path, status, latency, request ID, dataset, cost
 	// estimate). Writes are serialized by the server.
 	AccessLog io.Writer
-	// AccessLogSample logs every Nth request (default 1: all).
-	AccessLogSample int
 	// ReadOnly rejects POST /update with 403. Replicas run read-only:
 	// their datasets mutate only through the replication tailer, and a
 	// client write landing on a replica would fork its history from the
@@ -133,9 +131,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowLogThreshold > 0 && c.SlowLogSize <= 0 {
 		c.SlowLogSize = 128
 	}
-	if c.AccessLogSample <= 0 {
-		c.AccessLogSample = 1
-	}
 	return c
 }
 
@@ -153,10 +148,9 @@ type Server struct {
 
 	queued atomic.Int64 // waiting + running admissions
 	logMu  sync.Mutex   // serializes AccessLog writes
-	logSeq atomic.Int64 // access-log sampling sequence
 
-	// Serving counters, owned by the metrics registry (initMetrics);
-	// /stats snapshots them and /metrics scrapes the same values.
+	// Serving counters, owned by the metrics registry (initMetrics) and
+	// scraped at /metrics.
 	requests        *obs.Counter
 	queries         *obs.Counter
 	rejected        *obs.Counter
@@ -232,7 +226,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /subscribe", s.handleSubscribe)
 	mux.HandleFunc("POST /update", s.handleUpdate)
 	mux.HandleFunc("GET /datasets", s.handleDatasets)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/slowlog", s.handleSlowlog)
 	// /healthz is pure liveness (the process answers); /readyz is
@@ -346,8 +339,8 @@ type queryResult struct {
 	Cached bool         `json:"cached"`
 	Stats  *resultStats `json:"stats,omitempty"`
 	// CostEstimate is the admission-time cost estimate (summed per-node
-	// candidate estimates); present whenever the dataset carries a
-	// cardinality summary, including on cost rejections.
+	// candidate estimates); present whenever it is non-zero, including
+	// on cost rejections.
 	CostEstimate int64 `json:"cost_estimate,omitempty"`
 	// Plan is the planner's record (chosen order, per-node kernel,
 	// estimated vs actual cardinalities); only populated under ?debug=1
@@ -523,152 +516,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}{req.Dataset, results})
 }
 
-// datasetInfo decorates a catalog listing entry with the dataset's
-// slice of the result-cache counters.
-type datasetInfo struct {
-	catalog.Info
-	Cache *qcache.DatasetStats `json:"cache,omitempty"`
-	// CostRejected counts queries this process rejected against the
-	// dataset under the cost quota (see Config.CostQuota).
-	CostRejected int64 `json:"cost_rejected,omitempty"`
-}
-
-// datasetInfos lists the catalog merged with per-dataset cache stats.
-func (s *Server) datasetInfos() ([]datasetInfo, error) {
-	infos, err := s.cat.List()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]datasetInfo, len(infos))
-	for i, info := range infos {
-		out[i] = datasetInfo{Info: info}
-		if s.cache != nil {
-			if cs, ok := s.cache.DatasetStats(info.Name); ok {
-				out[i].Cache = &cs
-			}
-		}
-		out[i].CostRejected = s.costRejectedBy.With(info.Name).Load()
-	}
-	return out, nil
-}
-
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	infos, err := s.datasetInfos()
+	infos, err := s.cat.List()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"datasets": infos})
-}
-
-// poolSnapshot is one consistent read of the worker-pool counters.
-// Every field is captured through its atomic exactly once, in one
-// place: /stats must never interleave direct counter reads with
-// response building, or a burst of traffic between two reads shows
-// impossible states (e.g. more timeouts than queries). The shape is a
-// struct rather than ad-hoc map entries so a missed field is a compile
-// error, not a silently absent stat.
-type poolSnapshot struct {
-	Requests        int64 `json:"requests"`
-	Queries         int64 `json:"queries"`
-	Rejected        int64 `json:"rejected"`
-	CostRejected    int64 `json:"cost_rejected"`
-	Timeouts        int64 `json:"timeouts"`
-	Failures        int64 `json:"failures"`
-	Rows            int64 `json:"rows_returned"`
-	InFlight        int64 `json:"in_flight"`
-	Updates         int64 `json:"updates"`
-	UpdateFailures  int64 `json:"update_failures"`
-	Compactions     int64 `json:"compactions"`
-	CompactFailures int64 `json:"compact_failures"`
-}
-
-// snapshotCounters captures all pool counters. The counters are
-// per-field atomics, so each value was true at some instant during the
-// call; cross-field sanity additionally needs a read order. Derived
-// counters (rejected/timeouts/failures — each incremented only after
-// its source counter) are read BEFORE their sources (queries, then
-// requests): a derived value can then never exceed the source value
-// read later, so a snapshot cannot show impossible states like more
-// timeouts than queries, no matter how much traffic races the read.
-func (s *Server) snapshotCounters() poolSnapshot {
-	var snap poolSnapshot
-	snap.Rejected = s.rejected.Load()
-	snap.CostRejected = s.costRejected.Load()
-	snap.Timeouts = s.timeouts.Load()
-	snap.Failures = s.failures.Load()
-	snap.Rows = s.rows.Load()
-	snap.InFlight = s.queued.Load()
-	snap.UpdateFailures = s.updateFailures.Load()
-	snap.CompactFailures = s.compactFailures.Load()
-	snap.Compactions = s.compactions.Load()
-	snap.Updates = s.updates.Load()
-	snap.Queries = s.queries.Load()
-	snap.Requests = s.requests.Load()
-	return snap
-}
-
-// cacheReport is the /stats cache section: the qcache counters plus
-// an explicit enabled flag (the counters alone cannot distinguish
-// "disabled" from "no traffic yet").
-type cacheReport struct {
-	Enabled bool `json:"enabled"`
-	qcache.Stats
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	snap := s.snapshotCounters()
-	infos, _ := s.datasetInfos()
-	shardedDatasets, pendingDeltas := 0, 0
-	for _, info := range infos {
-		if info.Shards > 0 {
-			shardedDatasets++
-		}
-		pendingDeltas += info.PendingDeltas
-	}
-	cr := cacheReport{}
-	if s.cache != nil {
-		cr.Enabled = true
-		cr.Stats = s.cache.Stats()
-	}
-	ss := s.subs.Stats()
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"uptime_s": time.Since(s.start).Seconds(),
-		"config": map[string]interface{}{
-			"workers":            s.cfg.Workers,
-			"queue_depth":        s.cfg.QueueDepth,
-			"default_timeout_ms": s.cfg.DefaultTimeout.Milliseconds(),
-			"max_timeout_ms":     s.cfg.MaxTimeout.Milliseconds(),
-			"cache_bytes":        s.cfg.CacheBytes,
-			"compact_after":      s.cfg.CompactAfter,
-			"cost_quota":         s.cfg.CostQuota,
-		},
-		"requests":         snap.Requests,
-		"queries":          snap.Queries,
-		"rejected":         snap.Rejected,
-		"cost_rejected":    snap.CostRejected,
-		"timeouts":         snap.Timeouts,
-		"failures":         snap.Failures,
-		"rows_returned":    snap.Rows,
-		"in_flight":        snap.InFlight,
-		"updates":          snap.Updates,
-		"update_failures":  snap.UpdateFailures,
-		"compactions":      snap.Compactions,
-		"compact_failures": snap.CompactFailures,
-		"pending_deltas":   pendingDeltas,
-		"cache":            cr,
-		"subscriptions": map[string]interface{}{
-			"active":           ss.ActiveSubs,
-			"clients":          ss.Clients,
-			"notifications":    ss.Notifications,
-			"skips":            ss.Skips,
-			"restricted_evals": ss.RestrictedEvals,
-			"full_evals":       ss.FullEvals,
-			"dropped":          ss.Dropped,
-		},
-		"sharded_datasets": shardedDatasets,
-		"datasets":         infos,
-	})
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -281,8 +281,8 @@ func TestServeDeadlineCancelsEvaluation(t *testing.T) {
 
 // TestServeShardedDataset is the scatter-gather e2e: a dataset stored
 // as a sharded directory answers /query exactly like the same graph
-// stored flat, and /datasets and /stats report shard counts and
-// per-shard timings.
+// stored flat, /datasets reports shard counts and per-shard timings,
+// and /metrics carries the same per-shard evaluation counters.
 func TestServeShardedDataset(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Forest(rand.New(rand.NewSource(21)), 6, 12, 20, []string{"a", "b", "c"})
@@ -324,25 +324,21 @@ func TestServeShardedDataset(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/datasets")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st struct {
-		ShardedDatasets int            `json:"sharded_datasets"`
-		Datasets        []catalog.Info `json:"datasets"`
+	var dl struct {
+		Datasets []catalog.Info `json:"datasets"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.ShardedDatasets != 1 {
-		t.Fatalf("sharded_datasets = %d", st.ShardedDatasets)
-	}
 	var parted *catalog.Info
-	for i := range st.Datasets {
-		if st.Datasets[i].Name == "parted" {
-			parted = &st.Datasets[i]
+	for i := range dl.Datasets {
+		if dl.Datasets[i].Name == "parted" {
+			parted = &dl.Datasets[i]
 		}
 	}
 	if parted == nil || parted.Shards != 3 || parted.ShardMode != "wcc" {
@@ -351,19 +347,23 @@ func TestServeShardedDataset(t *testing.T) {
 	if len(parted.ShardInfo) != 3 {
 		t.Fatalf("shard_info = %+v", parted.ShardInfo)
 	}
-	var evals int64
-	for _, si := range parted.ShardInfo {
-		evals += si.Evals
+	var evals float64
+	body := scrape(t, ts.URL)
+	for i := range parted.ShardInfo {
+		v, ok := sample(body, fmt.Sprintf(`gtpq_shard_evals_total{dataset="parted",shard="%d"}`, i))
+		if !ok || v != float64(parted.ShardInfo[i].Evals) {
+			t.Fatalf("shard %d: /metrics evals %v (present %v), /datasets %d", i, v, ok, parted.ShardInfo[i].Evals)
+		}
+		evals += v
 	}
 	if evals == 0 {
-		t.Fatal("per-shard timings absent from /stats")
+		t.Fatal("per-shard evaluation counters never moved")
 	}
 }
 
-// TestStatsConsistentUnderLoad hammers GET /stats while batches are in
-// flight: the regression test for the counter-snapshot path — every
-// read goes through one snapshotCounters call, raced here under -race,
-// and the reported values must stay within the pool's invariants.
+// TestStatsConsistentUnderLoad scrapes /metrics while batches are in
+// flight: every scrape must be a valid exposition, and the pool gauge
+// must stay within its invariants.
 func TestStatsConsistentUnderLoad(t *testing.T) {
 	ts, s := newTestServer(t, Config{Workers: 2, QueueDepth: 64})
 	queries := []string{abQuery, "node x label=a output", abQuery}
@@ -385,45 +385,17 @@ func TestStatsConsistentUnderLoad(t *testing.T) {
 		}()
 	}
 
-	cfgMax := int64(s.cfg.Workers + s.cfg.QueueDepth)
+	cfgMax := float64(s.cfg.Workers + s.cfg.QueueDepth)
 	for i := 0; i < 50; i++ {
-		// The same hammer covers /metrics: every scrape must be a valid
-		// exposition whose histogram invariants (cumulative buckets,
-		// _count == +Inf) hold even while Observe races the scrape —
-		// each child is snapshotted atomically, never mid-update.
-		mresp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.ValidateExposition(mresp.Body); err != nil {
+		// Histogram invariants (cumulative buckets, _count == +Inf) hold
+		// even while Observe races the scrape — each child is snapshotted
+		// atomically, never mid-update.
+		body := scrape(t, ts.URL)
+		if err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
 			t.Fatalf("scrape %d: %v", i, err)
 		}
-		mresp.Body.Close()
-
-		resp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out struct {
-			Requests int64 `json:"requests"`
-			Queries  int64 `json:"queries"`
-			Rejected int64 `json:"rejected"`
-			Timeouts int64 `json:"timeouts"`
-			Failures int64 `json:"failures"`
-			InFlight int64 `json:"in_flight"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if out.InFlight < 0 || out.InFlight > cfgMax+1 {
-			t.Fatalf("in_flight = %d outside [0, %d]", out.InFlight, cfgMax)
-		}
-		if out.Requests < 0 || out.Queries < 0 || out.Rejected < 0 || out.Timeouts < 0 || out.Failures < 0 {
-			t.Fatalf("negative counter in %+v", out)
-		}
-		if out.Rejected+out.Timeouts+out.Failures > out.Queries+out.Requests {
-			t.Fatalf("failure counters exceed traffic: %+v", out)
+		if v, ok := sample(body, "gtpq_in_flight"); !ok || v < 0 || v > cfgMax+1 {
+			t.Fatalf("gtpq_in_flight = %v (present %v) outside [0, %v]", v, ok, cfgMax)
 		}
 	}
 	close(stop)

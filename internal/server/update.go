@@ -183,7 +183,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			// batch is durable and serving, the next update retries the
 			// fold — but it must not fail silently: a dataset whose
 			// folds keep failing grows its overlay without bound. The
-			// response names the error and /stats counts it.
+			// response names the error and gtpq_compact_failures_total
+			// counts it.
 			s.compactFailures.Add(1)
 			resp.CompactError = cerr.Error()
 		}

@@ -109,21 +109,12 @@ func TestUpdateServedImmediately(t *testing.T) {
 		t.Fatalf("delta log not persisted: %v", err)
 	}
 
-	// /stats reports the write-path counters.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics reports the write-path counters.
+	if got := metric(t, ts.URL, "gtpq_updates_total"); got != 1 {
+		t.Fatalf("gtpq_updates_total = %v", got)
 	}
-	defer resp.Body.Close()
-	var stats map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats["updates"].(float64); got != 1 {
-		t.Fatalf("stats updates = %v", got)
-	}
-	if got := stats["pending_deltas"].(float64); got != 2 {
-		t.Fatalf("stats pending_deltas = %v", got)
+	if got := metric(t, ts.URL, `gtpq_delta_pending_ops{dataset="small"}`); got != 2 {
+		t.Fatalf("gtpq_delta_pending_ops = %v", got)
 	}
 }
 

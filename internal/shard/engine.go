@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,17 +134,6 @@ func (se *ShardedEngine) labelHist() map[string]int {
 
 // LabelCount returns the number of logical vertices carrying label.
 func (se *ShardedEngine) LabelCount(label string) int { return se.labelHist()[label] }
-
-// Labels returns the distinct labels of the logical graph, sorted.
-func (se *ShardedEngine) Labels() []string {
-	hist := se.labelHist()
-	out := make([]string, 0, len(hist))
-	for l := range hist {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // TotalNodes returns the logical (unsharded) node count.
 func (se *ShardedEngine) TotalNodes() int { return se.totalNodes }

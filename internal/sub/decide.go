@@ -1,6 +1,7 @@
 package sub
 
 import (
+	"gtpq/internal/card"
 	"gtpq/internal/catalog"
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
@@ -155,7 +156,7 @@ func decide(s *Subscription, ev catalog.ApplyEvent, budget int) decision {
 	// candidates anyway, so what matters is how many seed vertices can
 	// actually serve as roots. Restricted evaluation only wins while
 	// that count stays well under the root's unrestricted estimate
-	// (internal/card); at half or more, a full scan is no worse.
+	// (card.Candidates); at half or more, a full scan is no worse.
 	rootPred := q.Nodes[q.Root].Attr
 	rootSeed := 0
 	for _, v := range seed {
@@ -163,13 +164,7 @@ func decide(s *Subscription, ev catalog.ApplyEvent, budget int) decision {
 			rootSeed++
 		}
 	}
-	estRoot := 0
-	if ds.Card != nil {
-		estRoot = ds.Card.Nodes
-		if l, ok := rootPred.LabelOnly(); ok {
-			estRoot = ds.Card.Labels[l]
-		}
-	}
+	estRoot := card.Candidates(rootPred, eng.LabelCount, n)
 	if estRoot > 0 && rootSeed*2 > estRoot {
 		return decision{mode: modeFull}
 	}

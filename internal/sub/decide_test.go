@@ -3,7 +3,6 @@ package sub
 import (
 	"testing"
 
-	"gtpq/internal/card"
 	"gtpq/internal/catalog"
 	"gtpq/internal/core"
 	"gtpq/internal/delta"
@@ -59,7 +58,6 @@ func decideFor(t *testing.T, q *core.Query, b delta.Batch, budget int) decision 
 		DS: &catalog.Dataset{
 			Graph:  g,
 			Engine: eng,
-			Card:   card.FromGraph(g, 2),
 		},
 	}
 	return decide(s, ev, budget)

@@ -50,6 +50,8 @@ func New(cat *catalog.Catalog, cfg Config) *Registry {
 	reg := cfg.Registry
 	r.active = reg.Gauge("gtpq_subs_active",
 		"Standing-query subscriptions currently registered (distinct (dataset, query) pairs, shared across attached clients).")
+	reg.GaugeFunc("gtpq_sub_clients", "Attached standing-query client streams (what -max-subs caps).",
+		func() float64 { return float64(r.Stats().Clients) })
 	r.notifs = reg.Counter("gtpq_sub_notifications_total",
 		"Standing-query notification events published (non-empty result diffs after an applied delta batch).")
 	r.skips = reg.Counter("gtpq_sub_skips_total",

@@ -228,7 +228,8 @@ func (s *Subscription) attachEventsLocked(c *Client, lastID uint64) {
 	s.deliverLocked(c, s.snapshotLocked())
 }
 
-// Stats is a point-in-time counter snapshot (tests, bench, /stats).
+// Stats is a point-in-time counter snapshot (tests, benchmark/,
+// gtpq_sub_clients).
 type Stats struct {
 	ActiveSubs      int
 	Clients         int
