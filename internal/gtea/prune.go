@@ -89,7 +89,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			}
 		}
 
-		// Group candidates by chain, descending sequence id, so positive
+		// Group candidates by chain, descending position, so positive
 		// AD valuations can be inherited within a chain; without chain
 		// structure everything is one bucket and nothing is inherited.
 		buckets := ec.buckets(ec.mat[u], false)
@@ -157,9 +157,9 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 					}
 					ec.ambiguous = ambiguous
 					if pending > 0 {
-						walker.Walk(v, func(cid, sid int32) {
+						walker.Walk(v, func(cid, pos int32) {
 							for _, c := range adKids {
-								if !val[c] && ec.cps[c].MatchPred(cid, sid) {
+								if !val[c] && ec.cps[c].MatchPred(cid, pos) {
 									val[c] = true
 								}
 							}
@@ -310,8 +310,8 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 					}
 					hit, amb := ec.ch.CheckOwnSucc(cs, v)
 					got := hit
-					walker.Walk(v, func(cid, sid int32) {
-						if !got && cs.MatchSucc(cid, sid) {
+					walker.Walk(v, func(cid, pos int32) {
+						if !got && cs.MatchSucc(cid, pos) {
 							got = true
 						}
 					})
@@ -354,11 +354,11 @@ func (ec *evalContext) primeSubtree(q *core.Query, outs []int) map[int]bool {
 // times inside the comparator.
 type chainPos struct {
 	v        graph.NodeID
-	cid, sid int32
+	cid, pos int32
 }
 
 // buckets groups nodes for chain-shared pruning: per 3-hop chain,
-// sorted by sequence id (ascending or descending), when the index has
+// sorted by position (ascending or descending), when the index has
 // chain structure; one unsorted bucket otherwise. The returned slices
 // live in reused context scratch and are valid until the next buckets
 // call.
@@ -371,8 +371,8 @@ func (ec *evalContext) buckets(nodes []graph.NodeID, ascending bool) [][]graph.N
 	}
 	ps := ec.bucketPos[:0]
 	for _, v := range nodes {
-		cid, sid := ec.ch.Position(v)
-		ps = append(ps, chainPos{v: v, cid: cid, sid: sid})
+		cid, pos := ec.ch.Position(v)
+		ps = append(ps, chainPos{v: v, cid: cid, pos: pos})
 	}
 	ec.bucketPos = ps
 	slices.SortFunc(ps, func(a, b chainPos) int {
@@ -386,8 +386,8 @@ func (ec *evalContext) buckets(nodes []graph.NodeID, ascending bool) [][]graph.N
 		if !ascending {
 			x, y = b, a
 		}
-		if x.sid != y.sid {
-			if x.sid < y.sid {
+		if x.pos != y.pos {
+			if x.pos < y.pos {
 				return -1
 			}
 			return 1

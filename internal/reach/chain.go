@@ -6,7 +6,7 @@ import "gtpq/internal/graph"
 // matching. The resulting vertex-disjoint paths are the chain cover the
 // 3-hop index builds on: consecutive chain positions are real DAG edges,
 // so reachability along a chain is the sequence-number order the paper
-// relies on (v ≤c v' iff v.sid ≤ v'.sid).
+// relies on (v ≤c v' iff v.sid ≤ v'.sid, equivalently v.pos ≤ v'.pos).
 
 const hkInf = int32(1) << 30
 
@@ -76,8 +76,9 @@ func minPathCover(c *graph.Condensation) []int32 {
 
 // chainDecompose partitions the DAG nodes into chains following a
 // minimum path cover. It returns the chains (node ids in path order,
-// one row per chain) and per-node chain id / sequence id.
-func chainDecompose(c *graph.Condensation) (chains csr[int32], chainOf, sidOf []int32) {
+// one row per chain), each node's position (its index in chains.val)
+// and each position's chain id.
+func chainDecompose(c *graph.Condensation) (chains csr[int32], posOf, chainAt []int32) {
 	n := c.NumSCC()
 	next := minPathCover(c)
 	isSucc := make([]bool, n)
@@ -89,19 +90,19 @@ func chainDecompose(c *graph.Condensation) (chains csr[int32], chainOf, sidOf []
 		}
 	}
 	chains = csr[int32]{off: make([]int32, 1, heads+1), val: make([]int32, 0, n)}
-	chainOf = make([]int32, n)
-	sidOf = make([]int32, n)
+	posOf = make([]int32, n)
+	chainAt = make([]int32, 0, n)
 	for u := 0; u < n; u++ {
 		if isSucc[u] {
 			continue // not a path head
 		}
-		cid, start := int32(chains.rows()), len(chains.val)
+		cid := int32(chains.rows())
 		for v := int32(u); v != -1; v = next[v] {
-			chainOf[v] = cid
-			sidOf[v] = int32(len(chains.val) - start)
+			posOf[v] = int32(len(chains.val))
 			chains.val = append(chains.val, v)
+			chainAt = append(chainAt, cid)
 		}
 		chains.off = append(chains.off, int32(len(chains.val)))
 	}
-	return chains, chainOf, sidOf
+	return chains, posOf, chainAt
 }

@@ -98,9 +98,13 @@ func init() {
 //	per scc: |Lout|, entries as (cid, sid) pairs
 //	per scc: |Lin|,  entries as (cid, sid) pairs
 //
-// chainOf/sidOf are derived from the chains, the skip pointers are
-// rebuilt (O(numSCC)), and the condensation is recomputed from the
-// graph.
+// On disk an entry is still its (chain id, sequence id) pair; in memory
+// it is the position chains.off[cid] + sid, converted here in both
+// directions, so snapshots written before entries became positions
+// load unchanged. posOf/chainAt are derived from the chains, the skip
+// pointers are rebuilt (O(numSCC)), and the condensation is recomputed
+// from the graph. Every varint must be minimally encoded and nothing
+// may follow the lists, so an accepted payload re-marshals to itself.
 
 // MarshalBinary serializes the chain cover and Lin/Lout lists.
 func (h *ThreeHop) MarshalBinary() ([]byte, error) {
@@ -115,13 +119,14 @@ func (h *ThreeHop) MarshalBinary() ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(s))
 		}
 	}
-	appendLists := func(lists csr[entry]) {
+	appendLists := func(lists csr[int32]) {
 		for s := int32(0); s < int32(n); s++ {
 			l := lists.row(s)
 			buf = binary.AppendUvarint(buf, uint64(len(l)))
-			for _, e := range l {
-				buf = binary.AppendUvarint(buf, uint64(e.cid))
-				buf = binary.AppendUvarint(buf, uint64(e.sid))
+			for _, p := range l {
+				c := h.chainAt[p]
+				buf = binary.AppendUvarint(buf, uint64(c))
+				buf = binary.AppendUvarint(buf, uint64(p-h.chains.off[c]))
 			}
 		}
 	}
@@ -147,8 +152,11 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 		return nil, fmt.Errorf("reach: snapshot has %d chains for %d SCCs", numChains, n)
 	}
 	h.chains = csr[int32]{off: make([]int32, 1, numChains+1), val: make([]int32, 0, n)}
-	h.chainOf = make([]int32, n)
-	h.sidOf = make([]int32, n)
+	h.posOf = make([]int32, n)
+	for s := range h.posOf {
+		h.posOf[s] = -1 // not on a chain yet
+	}
+	h.chainAt = make([]int32, 0, n)
 	for c := 0; c < numChains; c++ {
 		// Chains are disjoint, so no chain is longer than what is left.
 		ln, err := d.length(n - len(h.chains.val))
@@ -160,17 +168,20 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 			if s >= uint64(n) {
 				return nil, fmt.Errorf("reach: snapshot chain references SCC %d of %d", s, n)
 			}
+			if h.posOf[s] != -1 {
+				return nil, fmt.Errorf("reach: snapshot chains name SCC %d twice", s)
+			}
+			h.posOf[s] = int32(len(h.chains.val))
 			h.chains.val = append(h.chains.val, int32(s))
-			h.chainOf[s] = int32(c)
-			h.sidOf[s] = int32(i)
+			h.chainAt = append(h.chainAt, int32(c))
 		}
 		h.chains.off = append(h.chains.off, int32(len(h.chains.val)))
 	}
 	if covered := len(h.chains.val); covered != n {
 		return nil, fmt.Errorf("reach: snapshot chains cover %d of %d SCCs", covered, n)
 	}
-	readLists := func() (csr[entry], error) {
-		lists := csr[entry]{off: make([]int32, n+1)}
+	readLists := func() (csr[int32], error) {
+		lists := csr[int32]{off: make([]int32, n+1)}
 		for s := 0; s < n; s++ {
 			// Every entry takes at least two varint bytes, bounding any
 			// declared length by the remaining payload.
@@ -187,7 +198,7 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 					return lists, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
 						sid, cid, chainLen)
 				}
-				lists.val = append(lists.val, entry{cid: int32(cid), sid: int32(sid)})
+				lists.val = append(lists.val, h.chains.off[cid]+int32(sid))
 			}
 			lists.off[s+1] = int32(len(lists.val))
 		}
@@ -203,6 +214,9 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	}
 	if d.err != nil {
 		return nil, fmt.Errorf("reach: truncated threehop snapshot")
+	}
+	if rest := len(d.buf) - d.off; rest != 0 {
+		return nil, fmt.Errorf("reach: %d trailing bytes after threehop snapshot", rest)
 	}
 	h.buildSkips()
 	return h, nil
@@ -259,6 +273,11 @@ func (d *varintReader) next() uint64 {
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
 		d.err = fmt.Errorf("reach: truncated varint at offset %d", d.off)
+		return math.MaxUint64
+	}
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		// A zero final group is padding binary.AppendUvarint never writes.
+		d.err = fmt.Errorf("reach: overlong varint at offset %d", d.off)
 		return math.MaxUint64
 	}
 	d.off += n

@@ -10,7 +10,7 @@ import "gtpq/internal/graph"
 // when the probe node can sit inside S.
 type Contour struct {
 	pred    bool            // predecessor contour (vals hold maxima)
-	vals    map[int32]int32 // cid -> extreme sid
+	vals    map[int32]int32 // cid -> extreme position
 	members map[int32]bool  // SCCs containing an element of S
 }
 
@@ -28,30 +28,31 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 		vals:    make(map[int32]int32),
 		members: make(map[int32]bool, len(S)),
 	}
-	visited := make(map[int32]int32) // cid -> largest sid whose prefix has been fully scanned
+	visited := make(map[int32]int32) // cid -> largest position whose prefix has been fully scanned
 	for _, v := range S {
 		s := h.cond.Comp[v]
 		c.members[s] = true
-		cid, sid := h.chainOf[s], h.sidOf[s]
-		if cur, ok := c.vals[cid]; !ok || sid > cur {
-			c.vals[cid] = sid
+		cid, pos := h.locate(s)
+		if cur, ok := c.vals[cid]; !ok || pos > cur {
+			c.vals[cid] = pos
 		}
-		// Walk the chain prefix [0, sid] downward over non-empty Lin
+		// Walk the chain prefix ending at pos downward over non-empty Lin
 		// lists, stopping at the already-visited region.
 		limit, seen := visited[cid]
 		for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-			if seen && h.sidOf[t] <= limit {
+			if seen && h.posOf[t] <= limit {
 				break
 			}
-			for _, e := range h.lin.row(t) {
+			for _, p := range h.lin.row(t) {
 				st.Lookups++
-				if cur, ok := c.vals[e.cid]; !ok || e.sid > cur {
-					c.vals[e.cid] = e.sid
+				pc := h.chainAt[p]
+				if cur, ok := c.vals[pc]; !ok || p > cur {
+					c.vals[pc] = p
 				}
 			}
 		}
-		if !seen || sid > limit {
-			visited[cid] = sid
+		if !seen || pos > limit {
+			visited[cid] = pos
 		}
 	}
 	return c
@@ -64,28 +65,29 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 		vals:    make(map[int32]int32),
 		members: make(map[int32]bool, len(S)),
 	}
-	visited := make(map[int32]int32) // cid -> smallest sid whose suffix has been fully scanned
+	visited := make(map[int32]int32) // cid -> smallest position whose suffix has been fully scanned
 	for _, v := range S {
 		s := h.cond.Comp[v]
 		c.members[s] = true
-		cid, sid := h.chainOf[s], h.sidOf[s]
-		if cur, ok := c.vals[cid]; !ok || sid < cur {
-			c.vals[cid] = sid
+		cid, pos := h.locate(s)
+		if cur, ok := c.vals[cid]; !ok || pos < cur {
+			c.vals[cid] = pos
 		}
 		limit, seen := visited[cid]
 		for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-			if seen && h.sidOf[t] >= limit {
+			if seen && h.posOf[t] >= limit {
 				break
 			}
-			for _, e := range h.lout.row(t) {
+			for _, p := range h.lout.row(t) {
 				st.Lookups++
-				if cur, ok := c.vals[e.cid]; !ok || e.sid < cur {
-					c.vals[e.cid] = e.sid
+				pc := h.chainAt[p]
+				if cur, ok := c.vals[pc]; !ok || p < cur {
+					c.vals[pc] = p
 				}
 			}
 		}
-		if !seen || sid < limit {
-			visited[cid] = sid
+		if !seen || pos < limit {
+			visited[cid] = pos
 		}
 	}
 	return c
@@ -131,38 +133,11 @@ func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
 // checking v's DAG out-neighbors inclusively.
 func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 	st.Queries++
-	s := h.cond.Comp[v]
-	if cp.members[s] && h.cond.Nontrivial(s) {
+	hit, ambiguous := h.CheckOwn(v, cp)
+	if hit || h.outMatches(h.cond.Comp[v], cp, st) {
 		return true
 	}
-	ambiguous := false
-	if m, ok := cp.vals[h.chainOf[s]]; ok {
-		switch {
-		case m > h.sidOf[s]:
-			return true
-		case m == h.sidOf[s]:
-			if !cp.members[s] {
-				return true
-			}
-			ambiguous = true
-		}
-	}
-	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		for _, e := range h.lout.row(t) {
-			st.Lookups++
-			if m, ok := cp.vals[e.cid]; ok && m >= e.sid {
-				return true
-			}
-		}
-	}
-	if ambiguous {
-		for _, w := range h.cond.Out(s) {
-			if h.inclusiveReachesPred(w, cp, st) {
-				return true
-			}
-		}
-	}
-	return false
+	return ambiguous && h.ResolveAmbiguous(v, cp, st)
 }
 
 // ContourReaches reports whether some element of the set summarized by
@@ -170,33 +145,33 @@ func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 // half).
 func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 	st.Queries++
-	s := h.cond.Comp[v]
-	if cs.members[s] && h.cond.Nontrivial(s) {
+	hit, ambiguous := h.CheckOwnSucc(cs, v)
+	if hit || h.inMatches(cs, h.cond.Comp[v], st) {
 		return true
 	}
-	ambiguous := false
-	if m, ok := cs.vals[h.chainOf[s]]; ok {
-		switch {
-		case m < h.sidOf[s]:
-			return true
-		case m == h.sidOf[s]:
-			if !cs.members[s] {
-				return true
-			}
-			ambiguous = true
-		}
-	}
-	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		for _, e := range h.lin.row(t) {
+	return ambiguous && h.ResolveAmbiguousSucc(cs, v, st)
+}
+
+// outMatches reports whether some entry of s's complete successor list
+// (the Lout lists of its chain suffix) matches the predecessor contour.
+func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
+	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
+		for _, p := range h.lout.row(t) {
 			st.Lookups++
-			if m, ok := cs.vals[e.cid]; ok && m <= e.sid {
+			if cp.MatchPred(h.chainAt[p], p) {
 				return true
 			}
 		}
 	}
-	if ambiguous {
-		for _, w := range h.cond.In(s) {
-			if h.inclusiveSuccReaches(cs, w, st) {
+	return false
+}
+
+// inMatches is outMatches' dual over s's complete predecessor list.
+func (h *ThreeHop) inMatches(cs *Contour, s int32, st *Stats) bool {
+	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
+		for _, p := range h.lin.row(t) {
+			st.Lookups++
+			if cs.MatchSucc(h.chainAt[p], p) {
 				return true
 			}
 		}
@@ -207,37 +182,15 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 // inclusiveReachesPred reports whether SCC s inclusively reaches the set
 // behind the predecessor contour.
 func (h *ThreeHop) inclusiveReachesPred(s int32, cp *Contour, st *Stats) bool {
-	if m, ok := cp.vals[h.chainOf[s]]; ok && m >= h.sidOf[s] {
-		return true
-	}
-	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		for _, e := range h.lout.row(t) {
-			st.Lookups++
-			if m, ok := cp.vals[e.cid]; ok && m >= e.sid {
-				return true
-			}
-		}
-	}
-	return false
+	return cp.MatchPred(h.locate(s)) || h.outMatches(s, cp, st)
 }
 
 func (h *ThreeHop) inclusiveSuccReaches(cs *Contour, s int32, st *Stats) bool {
-	if m, ok := cs.vals[h.chainOf[s]]; ok && m <= h.sidOf[s] {
-		return true
-	}
-	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		for _, e := range h.lin.row(t) {
-			st.Lookups++
-			if m, ok := cs.vals[e.cid]; ok && m <= e.sid {
-				return true
-			}
-		}
-	}
-	return false
+	return cs.MatchSucc(h.locate(s)) || h.inMatches(cs, s, st)
 }
 
 // OutWalker streams the complete-successor-list entries of candidates
-// processed in descending sequence order on each chain, visiting every
+// processed in descending position order on each chain, visiting every
 // Lout element at most once per walker lifetime (the inner loop of
 // Procedure 6). Callers create one walker per query node being pruned;
 // a walker is single-use state for one evaluation and charges its
@@ -245,7 +198,7 @@ func (h *ThreeHop) inclusiveSuccReaches(cs *Contour, s int32, st *Stats) bool {
 type OutWalker struct {
 	h       *ThreeHop
 	st      *Stats
-	visited map[int32]int32 // cid -> smallest sid whose suffix was walked
+	visited map[int32]int32 // cid -> smallest position whose suffix was walked
 }
 
 // NewOutWalker returns a walker over h charging st.
@@ -257,32 +210,32 @@ func (h *ThreeHop) NewOutWalker(st *Stats) ChainWalker {
 // chain suffix starting at v's position. Entries already walked for a
 // larger candidate on the same chain are skipped, matching the
 // `visited` bookkeeping of Procedure 6.
-func (w *OutWalker) Walk(v graph.NodeID, f func(cid, sid int32)) {
+func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	h := w.h
 	s := h.cond.Comp[v]
-	cid, sid := h.chainOf[s], h.sidOf[s]
+	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		if seen && h.sidOf[t] >= limit {
+		if seen && h.posOf[t] >= limit {
 			break
 		}
-		for _, e := range h.lout.row(t) {
+		for _, p := range h.lout.row(t) {
 			w.st.Lookups++
-			f(e.cid, e.sid)
+			f(h.chainAt[p], p)
 		}
 	}
-	if !seen || sid < limit {
-		w.visited[cid] = sid
+	if !seen || pos < limit {
+		w.visited[cid] = pos
 	}
 }
 
 // InWalker is the dual used by Procedure 7: candidates are processed in
-// ascending sequence order per chain, and Lin entries of the chain
+// ascending position order per chain, and Lin entries of the chain
 // prefix are visited at most once.
 type InWalker struct {
 	h       *ThreeHop
 	st      *Stats
-	visited map[int32]int32 // cid -> largest sid whose prefix was walked
+	visited map[int32]int32 // cid -> largest position whose prefix was walked
 }
 
 // NewInWalker returns a walker over h charging st.
@@ -292,30 +245,29 @@ func (h *ThreeHop) NewInWalker(st *Stats) ChainWalker {
 
 // Walk invokes f for every Lin entry in the not-yet-visited part of the
 // chain prefix ending at v's position.
-func (w *InWalker) Walk(v graph.NodeID, f func(cid, sid int32)) {
+func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	h := w.h
 	s := h.cond.Comp[v]
-	cid, sid := h.chainOf[s], h.sidOf[s]
+	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		if seen && h.sidOf[t] <= limit {
+		if seen && h.posOf[t] <= limit {
 			break
 		}
-		for _, e := range h.lin.row(t) {
+		for _, p := range h.lin.row(t) {
 			w.st.Lookups++
-			f(e.cid, e.sid)
+			f(h.chainAt[p], p)
 		}
 	}
-	if !seen || sid > limit {
-		w.visited[cid] = sid
+	if !seen || pos > limit {
+		w.visited[cid] = pos
 	}
 }
 
-// Position returns v's chain id and sequence id (engines group candidate
-// sets by chain with these).
-func (h *ThreeHop) Position(v graph.NodeID) (cid, sid int32) {
-	s := h.cond.Comp[v]
-	return h.chainOf[s], h.sidOf[s]
+// Position returns v's chain id and position (engines group candidate
+// sets by chain with these and order each group by position).
+func (h *ThreeHop) Position(v graph.NodeID) (cid, pos int32) {
+	return h.locate(h.cond.Comp[v])
 }
 
 // CheckOwn reports the relationship of v's own chain position against a
@@ -326,11 +278,12 @@ func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
 	if cp.members[s] && h.cond.Nontrivial(s) {
 		return true, false
 	}
-	if m, ok := cp.vals[h.chainOf[s]]; ok {
+	cid, pos := h.locate(s)
+	if m, ok := cp.vals[cid]; ok {
 		switch {
-		case m > h.sidOf[s]:
+		case m > pos:
 			return true, false
-		case m == h.sidOf[s]:
+		case m == pos:
 			if !cp.members[s] {
 				return true, false
 			}
@@ -359,11 +312,12 @@ func (h *ThreeHop) CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous boo
 	if cs.members[s] && h.cond.Nontrivial(s) {
 		return true, false
 	}
-	if m, ok := cs.vals[h.chainOf[s]]; ok {
+	cid, pos := h.locate(s)
+	if m, ok := cs.vals[cid]; ok {
 		switch {
-		case m < h.sidOf[s]:
+		case m < pos:
 			return true, false
-		case m == h.sidOf[s]:
+		case m == pos:
 			if !cs.members[s] {
 				return true, false
 			}
@@ -385,16 +339,16 @@ func (h *ThreeHop) ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) 
 	return false
 }
 
-// MatchPred reports whether a single complete-successor-list entry
-// matches the predecessor contour.
-func (c *Contour) MatchPred(cid, sid int32) bool {
+// MatchPred reports whether a single complete-successor-list entry, at
+// position pos on chain cid, matches the predecessor contour.
+func (c *Contour) MatchPred(cid, pos int32) bool {
 	m, ok := c.vals[cid]
-	return ok && m >= sid
+	return ok && m >= pos
 }
 
-// MatchSucc reports whether a single complete-predecessor-list entry
-// matches the successor contour.
-func (c *Contour) MatchSucc(cid, sid int32) bool {
+// MatchSucc reports whether a single complete-predecessor-list entry, at
+// position pos on chain cid, matches the successor contour.
+func (c *Contour) MatchSucc(cid, pos int32) bool {
 	m, ok := c.vals[cid]
-	return ok && m <= sid
+	return ok && m <= pos
 }

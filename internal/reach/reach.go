@@ -89,22 +89,28 @@ type SuccContour interface {
 // ChainWalker streams index list entries for candidates processed in
 // chain order (see ThreeHop's OutWalker/InWalker).
 type ChainWalker interface {
-	// Walk invokes f for every not-yet-visited list entry relevant to v.
-	Walk(v graph.NodeID, f func(cid, sid int32))
+	// Walk invokes f for every not-yet-visited list entry relevant to v,
+	// as the entry's chain id and position (see ChainIndex.Position).
+	Walk(v graph.NodeID, f func(cid, pos int32))
 }
 
 // ChainIndex extends ContourIndex with the chain-cover structure the
 // paper's Procedure 6/7 rely on: total reachability order within a
-// chain (by sequence id), shared suffix/prefix walkers, and the
-// own-position shortcuts. The GTEA engine uses these to share list
-// scans between candidates on the same chain and to inherit positive
-// valuations along chains; backends without chain structure simply
-// don't implement it.
+// chain, shared suffix/prefix walkers, and the own-position shortcuts.
+// The GTEA engine uses these to share list scans between candidates on
+// the same chain and to inherit positive valuations along chains;
+// backends without chain structure simply don't implement it.
+//
+// A position stands in for the paper's sequence id: within one chain,
+// positions are ordered exactly as sequence ids are (of two SCCs on one
+// chain, the one at the smaller position reaches the other), but they
+// do not start at 0 and comparing positions from two different chains
+// means nothing.
 type ChainIndex interface {
 	ContourIndex
 
-	// Position returns v's chain id and sequence id.
-	Position(v graph.NodeID) (cid, sid int32)
+	// Position returns v's chain id and its position on that chain.
+	Position(v graph.NodeID) (cid, pos int32)
 	// MergePredLists computes the predecessor contour of S (Procedure 2).
 	MergePredLists(S []graph.NodeID, st *Stats) *Contour
 	// MergeSuccLists computes the successor contour of S (its dual).

@@ -101,13 +101,13 @@ func TestChainDecomposition(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randDAG(r, 2+r.Intn(40), 2+r.Intn(120))
 		cond := graph.Condense(g)
-		chains, chainOf, sidOf := chainDecompose(cond)
+		chains, posOf, chainAt := chainDecompose(cond)
 		covered := 0
 		for cid := 0; cid < chains.rows(); cid++ {
 			chain := chains.row(int32(cid))
 			for i, s := range chain {
 				covered++
-				if chainOf[s] != int32(cid) || sidOf[s] != int32(i) {
+				if p := posOf[s]; p != chains.off[cid]+int32(i) || chainAt[p] != int32(cid) {
 					t.Fatalf("position bookkeeping wrong for scc %d", s)
 				}
 				if i > 0 {
@@ -254,7 +254,7 @@ func TestContoursMatchBruteForce(t *testing.T) {
 }
 
 func TestOutWalkerCoversSuffixEntries(t *testing.T) {
-	// The walker, fed candidates in descending sid order, must see each
+	// The walker, fed candidates in descending position order, must see each
 	// suffix entry exactly once and in total cover the same evidence as
 	// direct contour checks.
 	r := rand.New(rand.NewSource(7))
@@ -268,14 +268,14 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 		}
 		cp := h.MergePredLists(S, h.Stats())
 
-		// Group all nodes by chain, descending sid.
+		// Group all nodes by chain, descending position.
 		byChain := map[int32][]graph.NodeID{}
 		for v := 0; v < g.N(); v++ {
 			cid, _ := h.Position(graph.NodeID(v))
 			byChain[cid] = append(byChain[cid], graph.NodeID(v))
 		}
 		for _, nodes := range byChain {
-			// Sort descending by sid.
+			// Sort descending by position.
 			for i := 1; i < len(nodes); i++ {
 				for j := i; j > 0; j-- {
 					_, si := h.Position(nodes[j])
@@ -292,8 +292,8 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 			for _, v := range nodes {
 				hit, ambiguous := h.CheckOwn(v, cp)
 				got := reached || hit
-				w.Walk(v, func(cid, sid int32) {
-					if cp.MatchPred(cid, sid) {
+				w.Walk(v, func(cid, pos int32) {
+					if cp.MatchPred(cid, pos) {
 						got = true
 					}
 				})
@@ -330,7 +330,7 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 			byChain[cid] = append(byChain[cid], graph.NodeID(v))
 		}
 		for _, nodes := range byChain {
-			// Ascending sid.
+			// Ascending position.
 			for i := 1; i < len(nodes); i++ {
 				for j := i; j > 0; j-- {
 					_, si := h.Position(nodes[j])
@@ -347,8 +347,8 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 			for _, v := range nodes {
 				hit, ambiguous := h.CheckOwnSucc(cs, v)
 				got := reached || hit
-				w.Walk(v, func(cid, sid int32) {
-					if cs.MatchSucc(cid, sid) {
+				w.Walk(v, func(cid, pos int32) {
+					if cs.MatchSucc(cid, pos) {
 						got = true
 					}
 				})

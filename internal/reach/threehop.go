@@ -8,13 +8,6 @@ import (
 	"gtpq/internal/graph"
 )
 
-// entry is one element of a 3-hop successor/predecessor list: a chain
-// position (cid, sid) on a chain different from the owner's.
-type entry struct {
-	cid int32
-	sid int32
-}
-
 // csr is package graph's layout for lists of lists, here for the chains
 // and the Lin/Lout lists: row i is val[off[i]:off[i+1]].
 type csr[T any] struct {
@@ -57,12 +50,18 @@ func flatten[T any](lists [][]T) csr[T] {
 // complete predecessor list Y_v is the union of Lin over the prefix
 // ending at v. Skip pointers jump over positions with empty lists.
 //
-// Layout. The chains and the two list families are each one offsets
-// array plus one payload array (csr): 4 B per SCC and 8 B per entry,
-// no per-SCC slice header and nothing for the collector to trace.
-// Every list is sorted by chain id, so the bytes of an index depend
-// only on the graph, not on whether it was built serially, in parallel
-// or decoded from a snapshot.
+// Layout. The chains are laid out one after another in chains.val, and
+// an SCC's position is its index there: position p lies on chain
+// chainAt[p], at sequence id p - chains.off[chainAt[p]]. On one chain,
+// positions are ordered exactly as sequence ids are, so every
+// same-chain comparison the paper makes holds on positions unchanged;
+// across chains a position comparison means nothing. A list entry is
+// one position, 4 B. The chains and the two list families are each one
+// offsets array plus one payload array (csr), with no per-SCC slice
+// header and nothing for the collector to trace. Every list is sorted
+// by chain id, which is ascending position order, so the bytes of an
+// index depend only on the graph, not on whether it was built
+// serially, in parallel or decoded from a snapshot.
 //
 // A built index is immutable: the query methods taking a *Stats sink
 // (ReachesSt and the ChainIndex operations) are safe for concurrent
@@ -71,16 +70,16 @@ type ThreeHop struct {
 	g    *graph.Graph
 	cond *graph.Condensation
 
-	chains  csr[int32] // chain -> scc ids in order
-	chainOf []int32    // per scc
-	sidOf   []int32    // per scc
+	chains  csr[int32] // chain -> scc ids in order; chains.val is indexed by position
+	posOf   []int32    // per scc: its position
+	chainAt []int32    // per position: its chain id
 
-	lout csr[entry] // per scc, sorted by cid
-	lin  csr[entry] // per scc, sorted by cid
+	lout csr[int32] // per scc: positions, ascending
+	lin  csr[int32] // per scc: positions, ascending
 
-	// skipOut[s]: the scc at the smallest position > sid(s) on s's chain
+	// skipOut[s]: the scc at the smallest position > pos(s) on s's chain
 	// with a non-empty Lout, or -1. skipIn is symmetric (largest position
-	// < sid(s) with non-empty Lin).
+	// < pos(s) with non-empty Lin).
 	skipOut []int32
 	skipIn  []int32
 
@@ -88,33 +87,39 @@ type ThreeHop struct {
 	stats   Stats
 }
 
-// chainScratch is a dense chain id -> sequence id table for folding
-// lists into a per-chain extreme. sid[c] is -1 while chain c is absent;
+// locate returns the chain and position of SCC s.
+func (h *ThreeHop) locate(s int32) (cid, pos int32) {
+	pos = h.posOf[s]
+	return h.chainAt[pos], pos
+}
+
+// chainScratch is a dense chain id -> position table for folding lists
+// into a per-chain extreme. pos[c] is -1 while chain c is absent;
 // touched names the chains present, so emptying the table costs its
 // content, not the chain count.
 type chainScratch struct {
-	sid     []int32
+	pos     []int32
 	touched []int32
-	out     []entry // sweep's list under construction
+	out     []int32 // sweep's list under construction
 }
 
 func (h *ThreeHop) newScratch() *chainScratch {
-	sc := &chainScratch{sid: make([]int32, h.chains.rows())}
-	for i := range sc.sid {
-		sc.sid[i] = -1
+	sc := &chainScratch{pos: make([]int32, h.chains.rows())}
+	for i := range sc.pos {
+		sc.pos[i] = -1
 	}
 	return sc
 }
 
-// fold records position sid on chain c, keeping the smaller of two
+// fold records position p on chain c, keeping the smaller of two
 // positions when down and the larger otherwise.
-func (sc *chainScratch) fold(c, sid int32, down bool) {
-	switch cur := sc.sid[c]; {
+func (sc *chainScratch) fold(c, p int32, down bool) {
+	switch cur := sc.pos[c]; {
 	case cur == -1:
-		sc.sid[c] = sid
+		sc.pos[c] = p
 		sc.touched = append(sc.touched, c)
-	case cur != sid && (sid < cur) == down:
-		sc.sid[c] = sid
+	case cur != p && (p < cur) == down:
+		sc.pos[c] = p
 	}
 }
 
@@ -122,13 +127,13 @@ func (sc *chainScratch) fold(c, sid int32, down bool) {
 // touched, or, once the table is more than sparsely filled, by reading
 // it front to back (half the arXiv build time otherwise goes to sorting).
 func (sc *chainScratch) inOrder() []int32 {
-	if len(sc.touched)*32 < len(sc.sid) {
+	if len(sc.touched)*32 < len(sc.pos) {
 		slices.Sort(sc.touched)
 		return sc.touched
 	}
 	sc.touched = sc.touched[:0]
-	for c, sid := range sc.sid {
-		if sid != -1 {
+	for c, p := range sc.pos {
+		if p != -1 {
 			sc.touched = append(sc.touched, int32(c))
 		}
 	}
@@ -137,7 +142,7 @@ func (sc *chainScratch) inOrder() []int32 {
 
 func (sc *chainScratch) reset() {
 	for _, c := range sc.touched {
-		sc.sid[c] = -1
+		sc.pos[c] = -1
 	}
 	sc.touched = sc.touched[:0]
 }
@@ -157,7 +162,7 @@ func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 	buildCount.Add(1)
 	cond := graph.Condense(g)
 	h := &ThreeHop{g: g, cond: cond}
-	h.chains, h.chainOf, h.sidOf = chainDecompose(cond)
+	h.chains, h.posOf, h.chainAt = chainDecompose(cond)
 	if opt.Parallel {
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -177,54 +182,56 @@ func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 // position reachable from s (inclusive of s), folded from the contours
 // of s's DAG successors. Up, it is Lin by the mirror-image forward
 // sweep over predecessors and largest positions. Contours live as
-// chain-sorted entry slices and are dropped once every SCC that folds
-// them has done so. With parallel set, SCCs are processed one level at
-// a time, the level's nodes sharded across goroutines (nodes of one
-// level depend only on strictly earlier levels).
-func (h *ThreeHop) sweep(down, parallel bool) csr[entry] {
+// ascending position slices (one position per chain) and are dropped
+// once every SCC that folds them has done so. With parallel set, SCCs
+// are processed one level at a time, the level's nodes sharded across
+// goroutines (nodes of one level depend only on strictly earlier
+// levels).
+func (h *ThreeHop) sweep(down, parallel bool) csr[int32] {
 	n := h.cond.NumSCC()
 	deps, users := h.cond.Out, h.cond.In
 	if !down {
 		deps, users = users, deps
 	}
-	contour := make([][]entry, n)
+	contour := make([][]int32, n)
 	pending := make([]int32, n) // users that still need contour[s]
 	for s := range pending {
 		pending[s] = int32(len(users(int32(s))))
 	}
-	lists := make([][]entry, n)
+	lists := make([][]int32, n)
 	step := func(s int32, sc *chainScratch) {
-		sc.fold(h.chainOf[s], h.sidOf[s], down)
+		own, pos := h.locate(s)
+		sc.fold(own, pos, down)
 		for _, w := range deps(s) {
-			for _, e := range contour[w] {
-				sc.fold(e.cid, e.sid, down)
+			for _, p := range contour[w] {
+				sc.fold(h.chainAt[p], p, down)
 			}
 		}
-		m := make([]entry, len(sc.touched))
+		m := make([]int32, len(sc.touched))
 		for i, c := range sc.inOrder() {
-			m[i] = entry{cid: c, sid: sc.sid[c]}
+			m[i] = sc.pos[c]
 		}
 		sc.reset()
 		contour[s] = m
 		// The list of s: entries on foreign chains not derivable from the
 		// chain neighbor. The neighbor (if any) is one of deps(s), so its
 		// contour is still alive here, and it names no chain m does not.
-		var via []entry
+		var via []int32
 		if t := h.chainNeighbor(s, down); t != -1 {
 			via = contour[t]
 		}
 		sc.out = sc.out[:0]
-		for _, e := range m {
-			if e.cid == h.chainOf[s] {
-				continue
+		for _, p := range m {
+			if p == pos {
+				continue // m's entry on s's own chain: in a DAG nothing beats s there
 			}
-			for len(via) > 0 && via[0].cid < e.cid {
+			for len(via) > 0 && via[0] < p {
 				via = via[1:]
 			}
-			if len(via) > 0 && via[0] == e {
+			if len(via) > 0 && via[0] == p {
 				continue // derivable via the chain neighbor, whose contour m folded in
 			}
-			sc.out = append(sc.out, e)
+			sc.out = append(sc.out, p)
 		}
 		if len(sc.out) > 0 {
 			lists[s] = slices.Clone(sc.out)
@@ -286,15 +293,16 @@ func (h *ThreeHop) buildSkips() {
 // chainNeighbor returns the successor (down) or predecessor of s on its
 // chain, or -1.
 func (h *ThreeHop) chainNeighbor(s int32, down bool) int32 {
-	chain := h.chains.row(h.chainOf[s])
-	i := int(h.sidOf[s]) - 1
+	c, p := h.locate(s)
 	if down {
-		i += 2
+		p++
+	} else {
+		p--
 	}
-	if i < 0 || i >= len(chain) {
+	if p < h.chains.off[c] || p >= h.chains.off[c+1] {
 		return -1
 	}
-	return chain[i]
+	return h.chains.val[p]
 }
 
 // NumChains returns the number of chains in the cover.
@@ -321,8 +329,8 @@ func (h *ThreeHop) Reaches(u, v graph.NodeID) bool {
 
 // ReachesSt reports whether there is a non-empty path from u to v,
 // following the paper's three-step 3-hop query: same-chain positions
-// compare by sequence number; otherwise the complete successor list of u
-// is matched against the complete predecessor list of v. Work is
+// compare like sequence numbers; otherwise the complete successor list
+// of u is matched against the complete predecessor list of v. Work is
 // charged to st.
 func (h *ThreeHop) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 	st.Queries++
@@ -336,8 +344,10 @@ func (h *ThreeHop) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 // sccReaches answers reachability between two distinct SCCs (strict and
 // inclusive coincide there).
 func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
-	if h.chainOf[su] == h.chainOf[sv] {
-		return h.sidOf[su] < h.sidOf[sv]
+	cu, pu := h.locate(su)
+	cv, pv := h.locate(sv)
+	if cu == cv {
+		return pu < pv
 	}
 	// X_su as a per-chain minimum.
 	x, _ := h.scratch.Get().(*chainScratch)
@@ -345,21 +355,21 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 		x = h.newScratch()
 	}
 	defer func() { x.reset(); h.scratch.Put(x) }()
-	x.fold(h.chainOf[su], h.sidOf[su], true)
+	x.fold(cu, pu, true)
 	for s := h.firstOut(su); s != -1; s = h.skipOut[s] {
-		for _, e := range h.lout.row(s) {
+		for _, p := range h.lout.row(s) {
 			st.Lookups++
-			x.fold(e.cid, e.sid, true)
+			x.fold(h.chainAt[p], p, true)
 		}
 	}
 	// Y_sv scanned against X.
-	if sid := x.sid[h.chainOf[sv]]; sid != -1 && sid <= h.sidOf[sv] {
+	if m := x.pos[cv]; m != -1 && m <= pv {
 		return true
 	}
 	for s := h.firstIn(sv); s != -1; s = h.skipIn[s] {
-		for _, e := range h.lin.row(s) {
+		for _, p := range h.lin.row(s) {
 			st.Lookups++
-			if sid := x.sid[e.cid]; sid != -1 && sid <= e.sid {
+			if m := x.pos[h.chainAt[p]]; m != -1 && m <= p {
 				return true
 			}
 		}
