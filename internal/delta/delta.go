@@ -93,7 +93,7 @@ func Extend(base *graph.Graph, batches []Batch) (*graph.Graph, error) {
 	g := graph.New(n+extra, m)
 	for v := 0; v < n; v++ {
 		nv := graph.NodeID(v)
-		g.AddNode(base.Label(nv), copyAttrs(base, nv))
+		g.AddNode(base.Label(nv), base.AttrMap(nv))
 	}
 	for v := 0; v < n; v++ {
 		nv := graph.NodeID(v)
@@ -123,20 +123,6 @@ func Extend(base *graph.Graph, batches []Batch) (*graph.Graph, error) {
 	}
 	g.Freeze()
 	return g, nil
-}
-
-// copyAttrs clones v's explicit attributes (nil when it has none).
-func copyAttrs(g *graph.Graph, v graph.NodeID) graph.Attrs {
-	keys := g.AttrKeys(v)
-	if len(keys) == 0 {
-		return nil
-	}
-	attrs := make(graph.Attrs, len(keys))
-	for _, k := range keys {
-		val, _ := g.Attr(v, k)
-		attrs[k] = val
-	}
-	return attrs
 }
 
 // Hash fingerprints a graph's structure (vertex count, labels,

@@ -15,11 +15,14 @@
 // marks cross edges in a bitset parallel to the out payload, groups the
 // node ids by label into a third csr, and drops the edge list. Labels
 // are interned: a node stores an int32 into the table of distinct
-// labels. Attribute maps are kept only for the nodes that have any. A
-// frozen graph therefore costs about 8 B per node and 8 B per edge plus
-// 4 B per node for each of the label ids and the label index, none of
-// it pointers the collector has to follow; Condense stores the SCC
-// quotient the same way.
+// labels. Attributes are one more csr, with a row only for the nodes
+// that have any: each entry is a name id plus a number or the id of an
+// interned string value, 16 B and no pointer, and each row is sorted by
+// name. AddNode copies the caller's map into it. A frozen graph
+// therefore costs about 8 B per node and 8 B per edge plus 4 B per node
+// for each of the label ids and the label index, none of it pointers
+// the collector has to follow; Condense stores the SCC quotient the
+// same way.
 package graph
 
 import (
@@ -102,9 +105,13 @@ type Graph struct {
 	labelTab []string         // distinct labels in first-use order
 	labelID  map[string]int32 // inverse of labelTab
 
-	hasAttrs bitset   // per node
-	attrNode []NodeID // nodes with explicit attributes, ascending
-	attrVal  []Attrs  // parallel to attrNode
+	hasAttrs   bitset           // per node
+	attrNode   []NodeID         // nodes with explicit attributes, ascending
+	attrs      csr[attrEntry]   // parallel to attrNode: the node's attributes, sorted by name
+	attrName   []string         // distinct attribute names
+	attrNameID map[string]int32 // inverse of attrName
+	attrStr    []string         // distinct string values
+	attrStrID  map[string]int32 // builder state: inverse of attrStr; nil once frozen
 
 	edges  []edge // builder state: every added edge, in call order; nil once frozen
 	frozen bool
@@ -119,36 +126,67 @@ type edge struct {
 	kind EdgeKind
 }
 
+// attrEntry is one explicit attribute: a name id, and either an id into
+// attrStr or, when str is -1, a number.
+type attrEntry struct {
+	name, str int32
+	num       float64
+}
+
 // New returns an empty graph with capacity hints.
 func New(nodeHint, edgeHint int) *Graph {
 	return &Graph{
-		labelOf: make([]int32, 0, nodeHint),
-		labelID: make(map[string]int32),
-		edges:   make([]edge, 0, edgeHint),
+		labelOf:    make([]int32, 0, nodeHint),
+		labelID:    make(map[string]int32),
+		attrs:      csr[attrEntry]{off: []int32{0}},
+		attrNameID: make(map[string]int32),
+		attrStrID:  make(map[string]int32),
+		edges:      make([]edge, 0, edgeHint),
 	}
 }
 
 // AddNode appends a node with the given label and optional attributes
-// and returns its id.
+// and returns its id. The attributes are copied: the caller may reuse
+// or change attrs afterwards.
 func (g *Graph) AddNode(label string, attrs Attrs) NodeID {
 	if g.frozen {
 		panic("graph: AddNode after Freeze")
 	}
 	id := NodeID(len(g.labelOf))
-	l, ok := g.labelID[label]
-	if !ok {
-		l = int32(len(g.labelTab))
-		g.labelTab = append(g.labelTab, label)
-		g.labelID[label] = l
-	}
-	g.labelOf = append(g.labelOf, l)
+	g.labelOf = append(g.labelOf, intern(label, &g.labelTab, g.labelID))
 	if id&63 == 0 {
 		g.hasAttrs = append(g.hasAttrs, 0)
 	}
-	if len(attrs) > 0 {
-		g.hasAttrs.set(int32(id))
-		g.attrNode = append(g.attrNode, id)
-		g.attrVal = append(g.attrVal, attrs)
+	if len(attrs) == 0 {
+		return id
+	}
+	g.hasAttrs.set(int32(id))
+	g.attrNode = append(g.attrNode, id)
+	var buf [8]string // no allocation for up to 8 attributes
+	names := buf[:0]
+	for name := range attrs {
+		names = append(names, name)
+	}
+	slices.Sort(names) // rows are sorted by name, and ids are given in that order
+	for _, name := range names {
+		val := attrs[name]
+		e := attrEntry{name: intern(name, &g.attrName, g.attrNameID), str: -1, num: val.Num}
+		if !val.IsNum {
+			e.str, e.num = intern(val.Str, &g.attrStr, g.attrStrID), 0
+		}
+		g.attrs.val = append(g.attrs.val, e)
+	}
+	g.attrs.off = append(g.attrs.off, int32(len(g.attrs.val)))
+	return id
+}
+
+// intern returns the id of s in tab, appending it if it is new.
+func intern(s string, tab *[]string, ids map[string]int32) int32 {
+	id, ok := ids[s]
+	if !ok {
+		id = int32(len(*tab))
+		*tab = append(*tab, s)
+		ids[s] = id
 	}
 	return id
 }
@@ -184,7 +222,7 @@ func (g *Graph) Freeze() {
 	src := func(e edge) int32 { return int32(e.u) }
 	dst := func(e edge) int32 { return int32(e.v) }
 	es := bucket(n, bucket(n, g.edges, dst, self).val, src, self)
-	g.edges = nil
+	g.edges, g.attrStrID = nil, nil
 	g.out = csr[NodeID]{off: es.off, val: make([]NodeID, len(es.val))}
 	g.cross = newBitset(len(es.val))
 	for i := 0; i < len(es.val); {
@@ -220,21 +258,36 @@ func (g *Graph) M() int { return len(g.edges) + len(g.out.val) }
 // Label returns the primary label of v.
 func (g *Graph) Label(v NodeID) string { return g.labelTab[g.labelOf[v]] }
 
-// attrs returns the explicit attributes of v, nil when it has none.
-func (g *Graph) attrs(v NodeID) Attrs {
+// attrRow returns the explicit attributes of v, sorted by name; nil when
+// it has none.
+func (g *Graph) attrRow(v NodeID) []attrEntry {
 	if !g.hasAttrs.get(int32(v)) {
 		return nil
 	}
 	i, _ := slices.BinarySearch(g.attrNode, v)
-	return g.attrVal[i]
+	return g.attrs.row(int32(i))
+}
+
+// attrValue returns the value an entry holds.
+func (g *Graph) attrValue(e attrEntry) Value {
+	if e.str < 0 {
+		return NumV(e.num)
+	}
+	return StrV(g.attrStr[e.str])
 }
 
 // Attr returns the named attribute of v. Explicit attributes take
 // precedence; the primary label is exposed as attribute "label" (and as
 // "tag" when no explicit tag attribute exists).
 func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
-	if val, ok := g.attrs(v)[name]; ok {
-		return val, ok
+	if row := g.attrRow(v); row != nil {
+		if id, ok := g.attrNameID[name]; ok {
+			for _, e := range row {
+				if e.name == id {
+					return g.attrValue(e), true
+				}
+			}
+		}
 	}
 	if name == "label" || name == "tag" {
 		return StrV(g.Label(v)), true
@@ -242,17 +295,31 @@ func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
 	return Value{}, false
 }
 
-// AttrKeys returns the names of v's explicit attributes (unsorted).
+// AttrKeys returns the names of v's explicit attributes, sorted.
 func (g *Graph) AttrKeys(v NodeID) []string {
-	a := g.attrs(v)
-	if len(a) == 0 {
+	row := g.attrRow(v)
+	if len(row) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
+	keys := make([]string, len(row))
+	for i, e := range row {
+		keys[i] = g.attrName[e.name]
 	}
 	return keys
+}
+
+// AttrMap returns a copy of v's explicit attributes, nil when it has
+// none.
+func (g *Graph) AttrMap(v NodeID) Attrs {
+	row := g.attrRow(v)
+	if len(row) == 0 {
+		return nil
+	}
+	attrs := make(Attrs, len(row))
+	for _, e := range row {
+		attrs[g.attrName[e.name]] = g.attrValue(e)
+	}
+	return attrs
 }
 
 // Out returns the out-neighbors of v in id order; the graph must be

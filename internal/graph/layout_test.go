@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -65,25 +66,35 @@ func (m *model) outOfKind(v NodeID, k EdgeKind) []NodeID {
 // randomModel draws a multigraph with everything the layout has to get
 // right: duplicate edges, self-loops, a tree and a cross edge between
 // one pair, isolated nodes, nodes with, without and with empty
-// attributes, and nodes added after edges.
+// attributes, one attribute name carrying a number on some nodes and a
+// string on others, an explicit label attribute, values repeated across
+// nodes, and nodes added after edges. The caller changes every
+// attribute map after AddNode; the graph must have copied it.
 func randomModel(r *rand.Rand) (*model, *Graph) {
 	m := &model{}
 	g := New(0, 0)
 	addNode := func() {
 		label := fmt.Sprintf("l%d", r.Intn(5))
 		var attrs Attrs
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			attrs = Attrs{"year": NumV(float64(1990 + r.Intn(30)))}
 		case 1:
 			attrs = Attrs{"tag": StrV("explicit"), "name": StrV(label)}
 		case 2:
 			attrs = Attrs{}
+		case 3:
+			attrs = Attrs{"year": StrV(fmt.Sprintf("y%d", r.Intn(3))), "label": StrV("explicit")}
 		}
 		m.labels = append(m.labels, label)
-		m.attrs = append(m.attrs, attrs)
+		m.attrs = append(m.attrs, maps.Clone(attrs))
 		if got := g.AddNode(label, attrs); int(got) != len(m.labels)-1 {
 			panic("AddNode ids are not dense")
+		}
+		if attrs != nil {
+			attrs["year"] = StrV("changed after AddNode")
+			attrs["late"] = NumV(1)
+			delete(attrs, "tag")
 		}
 	}
 	addEdge := func(u, v NodeID, k EdgeKind) {
@@ -125,7 +136,7 @@ func TestLayoutMatchesModel(t *testing.T) {
 		}
 		g.Freeze()
 		g.Freeze()
-		if g.edges != nil {
+		if g.edges != nil || g.attrStrID != nil {
 			t.Fatalf("seed %d: builder state survives Freeze", seed)
 		}
 		if g.N() != len(m.labels) || g.M() != len(m.edges) {
@@ -138,8 +149,7 @@ func TestLayoutMatchesModel(t *testing.T) {
 			if g.Label(v) != m.labels[i] {
 				t.Fatalf("seed %d: Label(%d) = %q, want %q", seed, v, g.Label(v), m.labels[i])
 			}
-			keys := g.AttrKeys(v)
-			sort.Strings(keys)
+			keys := g.AttrKeys(v) // sorted
 			var wantKeys []string
 			for k := range m.attrs[i] {
 				wantKeys = append(wantKeys, k)
@@ -148,7 +158,10 @@ func TestLayoutMatchesModel(t *testing.T) {
 			if !slices.Equal(keys, wantKeys) {
 				t.Fatalf("seed %d: AttrKeys(%d) = %v, want %v", seed, v, keys, wantKeys)
 			}
-			for _, name := range []string{"label", "tag", "year", "name", "absent"} {
+			if got := g.AttrMap(v); !maps.Equal(got, m.attrs[i]) {
+				t.Fatalf("seed %d: AttrMap(%d) = %v, want %v", seed, v, got, m.attrs[i])
+			}
+			for _, name := range []string{"label", "tag", "year", "name", "late", "absent"} {
 				want, ok := m.attrs[i][name]
 				if !ok && (name == "label" || name == "tag") {
 					want, ok = StrV(m.labels[i]), true

@@ -5,20 +5,34 @@ import "slices"
 // Tarjan strongly-connected-component condensation, iterative so deep
 // graphs do not overflow the goroutine stack. Every reachability index
 // operates on the condensation DAG; strict-path semantics for cyclic
-// graphs come from the NontrivialSCC test.
+// graphs come from the Nontrivial test.
 
-// Condensation is the SCC quotient of a Graph, stored like the graph
-// itself: members and DAG adjacency are offset + payload arrays.
-type Condensation struct {
+// SCCMap is what a built reachability index keeps of a condensation:
+// each node's SCC, and per SCC one bit for whether it contains a cycle.
+// That costs 4 B per node plus K/8 bytes; the members and DAG rows are
+// needed only while an index is built or decoded.
+type SCCMap struct {
 	// Comp maps each original node to its SCC id. Tarjan numbers SCCs in
 	// reverse topological order — every DAG edge leads from a larger id
 	// to a smaller one — so NumSCC()-1, ..., 0 is a topological order
 	// (sources first) and nothing else needs storing for it.
 	Comp []int32
 
-	members  csr[NodeID]
-	out, in  csr[int32]
-	selfLoop bitset // SCCs whose (single) member has a self edge
+	cyclic bitset
+}
+
+// Nontrivial reports whether SCC s contains a cycle: more than one
+// member, or a single member with a self-loop. A node strictly reaches
+// itself exactly when its SCC is nontrivial.
+func (m *SCCMap) Nontrivial(s int32) bool { return m.cyclic.get(s) }
+
+// Condensation is the SCC quotient of a Graph, stored like the graph
+// itself: members and DAG adjacency are offset + payload arrays.
+type Condensation struct {
+	SCCMap
+
+	members csr[NodeID]
+	out, in csr[int32]
 }
 
 // NumSCC returns the number of strongly connected components.
@@ -36,18 +50,11 @@ func (c *Condensation) Out(s int32) []int32 { return c.out.row(s) }
 // modify the slice.
 func (c *Condensation) In(s int32) []int32 { return c.in.row(s) }
 
-// Nontrivial reports whether SCC s contains a cycle: more than one
-// member, or a single member with a self-loop. A node strictly reaches
-// itself exactly when its SCC is nontrivial.
-func (c *Condensation) Nontrivial(s int32) bool {
-	return c.members.off[s+1]-c.members.off[s] > 1 || c.selfLoop.get(s)
-}
-
 // Condense computes the SCC condensation of g.
 func Condense(g *Graph) *Condensation {
 	g.Freeze()
 	n := g.N()
-	c := &Condensation{Comp: make([]int32, n)}
+	c := &Condensation{SCCMap: SCCMap{Comp: make([]int32, n)}}
 	c.members = csr[NodeID]{off: []int32{0}, val: make([]NodeID, 0, n)}
 	for i := range c.Comp {
 		c.Comp[i] = -1
@@ -128,13 +135,13 @@ func Condense(g *Graph) *Condensation {
 		}
 	}
 
-	// Condensation edges and self loops. The edges are listed in node-id
+	// Condensation edges and cycles. The edges are listed in node-id
 	// order, bucketed per source and per target SCC, and each row keeps
 	// the first occurrence of every neighbor: the chain cover's matching
 	// depends on this order.
 	k := c.members.rows()
 	c.members.off = slices.Clone(c.members.off) // drop the append slack
-	c.selfLoop = newBitset(k)
+	c.cyclic = newBitset(k)
 	type dagEdge struct{ from, to int32 }
 	es := make([]dagEdge, 0, g.M())
 	for v := 0; v < n; v++ {
@@ -142,8 +149,8 @@ func Condense(g *Graph) *Condensation {
 		for _, w := range g.Out(NodeID(v)) {
 			if sw := c.Comp[w]; sv != sw {
 				es = append(es, dagEdge{sv, sw})
-			} else if NodeID(v) == w {
-				c.selfLoop.set(sv)
+			} else {
+				c.cyclic.set(sv) // an edge inside an SCC closes a cycle
 			}
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"gtpq/internal/graph"
 )
@@ -62,21 +61,19 @@ func load(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: %v", err)
 	}
 	g := graph.New(len(jg.Nodes), len(jg.Edges)+len(jg.Refs))
+	attrs := graph.Attrs{} // reused: AddNode copies it
 	for i, n := range jg.Nodes {
-		var attrs graph.Attrs
-		if len(n.Attrs) > 0 {
-			attrs = make(graph.Attrs, len(n.Attrs))
-			for k, v := range n.Attrs {
-				switch x := v.(type) {
-				case float64:
-					attrs[k] = graph.NumV(x)
-				case string:
-					attrs[k] = graph.StrV(x)
-				case bool:
-					attrs[k] = graph.StrV(fmt.Sprintf("%v", x))
-				default:
-					return nil, fmt.Errorf("graphio: node %d attr %q has unsupported type %T", i, k, v)
-				}
+		clear(attrs)
+		for k, v := range n.Attrs {
+			switch x := v.(type) {
+			case float64:
+				attrs[k] = graph.NumV(x)
+			case string:
+				attrs[k] = graph.StrV(x)
+			case bool:
+				attrs[k] = graph.StrV(fmt.Sprintf("%v", x))
+			default:
+				return nil, fmt.Errorf("graphio: node %d attr %q has unsupported type %T", i, k, v)
 			}
 		}
 		g.AddNode(n.Label, attrs)
@@ -129,21 +126,16 @@ func Save(w io.Writer, g *graph.Graph) error {
 	return enc.Encode(jg)
 }
 
-// attrMap extracts the explicit attributes of v. The graph package does
-// not expose the attribute map directly, so probe the known keys via a
-// snapshot: Save is used for small exports, not hot paths.
+// attrMap returns the explicit attributes of v as JSON values, nil when
+// it has none.
 func attrMap(g *graph.Graph, v graph.NodeID) map[string]interface{} {
 	keys := g.AttrKeys(v)
 	if len(keys) == 0 {
 		return nil
 	}
-	sort.Strings(keys)
 	out := make(map[string]interface{}, len(keys))
 	for _, k := range keys {
-		val, ok := g.Attr(v, k)
-		if !ok {
-			continue
-		}
+		val, _ := g.Attr(v, k)
 		if val.IsNum {
 			out[k] = val.Num
 		} else {

@@ -16,7 +16,7 @@ import (
 // construction work. The SCC condensation is intentionally not part of
 // the payload: graph.Condense is deterministic for a fixed frozen
 // graph and costs O(V+E), negligible next to chain covering or list
-// sweeps, so Unmarshal recomputes it.
+// sweeps, so Unmarshal recomputes it and keeps its graph.SCCMap.
 type Codec struct {
 	// Marshal serializes h (whose Kind matches the registration).
 	Marshal func(h ContourIndex) ([]byte, error)
@@ -108,7 +108,7 @@ func init() {
 
 // MarshalBinary serializes the chain cover and Lin/Lout lists.
 func (h *ThreeHop) MarshalBinary() ([]byte, error) {
-	n := h.cond.NumSCC()
+	n := len(h.posOf)
 	buf := make([]byte, 0, 16+8*n+4*h.IndexSize())
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(h.chains.rows()))
@@ -146,7 +146,7 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if n != cond.NumSCC() {
 		return nil, fmt.Errorf("reach: snapshot has %d SCCs, graph condenses to %d", n, cond.NumSCC())
 	}
-	h := &ThreeHop{g: g, cond: cond}
+	h := &ThreeHop{g: g, scc: cond.SCCMap}
 	numChains := int(d.next())
 	if numChains < 0 || numChains > n {
 		return nil, fmt.Errorf("reach: snapshot has %d chains for %d SCCs", numChains, n)
@@ -229,7 +229,7 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 
 // MarshalBinary serializes the closure bit matrix.
 func (t *TC) MarshalBinary() ([]byte, error) {
-	n := t.cond.NumSCC()
+	n := t.numSCC()
 	buf := make([]byte, 0, 10+8*len(t.rows))
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, w := range t.rows {
@@ -251,7 +251,7 @@ func unmarshalTC(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if len(rest) != n*words*8 {
 		return nil, fmt.Errorf("reach: tc snapshot has %d row bytes, want %d", len(rest), n*words*8)
 	}
-	t := &TC{g: g, cond: cond, words: words, rows: make([]uint64, n*words)}
+	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
 	for i := range t.rows {
 		t.rows[i] = binary.LittleEndian.Uint64(rest[i*8:])
 	}

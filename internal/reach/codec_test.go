@@ -147,7 +147,7 @@ func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*te
 func FuzzUnmarshalThreeHop(f *testing.F) {
 	fuzzCodec(f, "threehop", map[uint8][]byte{0: dupSCCPayload}, func(t *testing.T, ci ContourIndex) {
 		h := ci.(*ThreeHop)
-		n := h.cond.NumSCC()
+		n := len(h.posOf)
 		onChains := make([]int, n)
 		for c := int32(0); c < int32(h.chains.rows()); c++ {
 			for i, s := range h.chains.row(c) {

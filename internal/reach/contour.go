@@ -30,7 +30,7 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 	}
 	visited := make(map[int32]int32) // cid -> largest position whose prefix has been fully scanned
 	for _, v := range S {
-		s := h.cond.Comp[v]
+		s := h.scc.Comp[v]
 		c.members[s] = true
 		cid, pos := h.locate(s)
 		if cur, ok := c.vals[cid]; !ok || pos > cur {
@@ -67,7 +67,7 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 	}
 	visited := make(map[int32]int32) // cid -> smallest position whose suffix has been fully scanned
 	for _, v := range S {
-		s := h.cond.Comp[v]
+		s := h.scc.Comp[v]
 		c.members[s] = true
 		cid, pos := h.locate(s)
 		if cur, ok := c.vals[cid]; !ok || pos < cur {
@@ -134,7 +134,7 @@ func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
 func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 	st.Queries++
 	hit, ambiguous := h.CheckOwn(v, cp)
-	if hit || h.outMatches(h.cond.Comp[v], cp, st) {
+	if hit || h.outMatches(h.scc.Comp[v], cp, st) {
 		return true
 	}
 	return ambiguous && h.ResolveAmbiguous(v, cp, st)
@@ -146,7 +146,7 @@ func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
 func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	hit, ambiguous := h.CheckOwnSucc(cs, v)
-	if hit || h.inMatches(cs, h.cond.Comp[v], st) {
+	if hit || h.inMatches(cs, h.scc.Comp[v], st) {
 		return true
 	}
 	return ambiguous && h.ResolveAmbiguousSucc(cs, v, st)
@@ -212,7 +212,7 @@ func (h *ThreeHop) NewOutWalker(st *Stats) ChainWalker {
 // `visited` bookkeeping of Procedure 6.
 func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	h := w.h
-	s := h.cond.Comp[v]
+	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
@@ -247,7 +247,7 @@ func (h *ThreeHop) NewInWalker(st *Stats) ChainWalker {
 // chain prefix ending at v's position.
 func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	h := w.h
-	s := h.cond.Comp[v]
+	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
@@ -267,15 +267,15 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 // Position returns v's chain id and position (engines group candidate
 // sets by chain with these and order each group by position).
 func (h *ThreeHop) Position(v graph.NodeID) (cid, pos int32) {
-	return h.locate(h.cond.Comp[v])
+	return h.locate(h.scc.Comp[v])
 }
 
 // CheckOwn reports the relationship of v's own chain position against a
 // predecessor contour: reached (definitely strict), ambiguous (witness
 // is v's own position and v ∈ S), or nothing.
 func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
-	s := h.cond.Comp[v]
-	if cp.members[s] && h.cond.Nontrivial(s) {
+	s := h.scc.Comp[v]
+	if cp.members[s] && h.scc.Nontrivial(s) {
 		return true, false
 	}
 	cid, pos := h.locate(s)
@@ -295,21 +295,16 @@ func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
 
 // ResolveAmbiguous answers the rare own-position ambiguity by probing
 // v's DAG out-neighbors inclusively against the predecessor contour.
+// v's SCC must be trivial, as it is whenever CheckOwn reports ambiguous.
 func (h *ThreeHop) ResolveAmbiguous(v graph.NodeID, cp *Contour, st *Stats) bool {
-	s := h.cond.Comp[v]
-	for _, w := range h.cond.Out(s) {
-		if h.inclusiveReachesPred(w, cp, st) {
-			return true
-		}
-	}
-	return false
+	return h.anyNeighborSCC(h.g.Out(v), func(s int32) bool { return h.inclusiveReachesPred(s, cp, st) })
 }
 
 // CheckOwnSucc is CheckOwn's dual for successor contours (upward
 // pruning).
 func (h *ThreeHop) CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous bool) {
-	s := h.cond.Comp[v]
-	if cs.members[s] && h.cond.Nontrivial(s) {
+	s := h.scc.Comp[v]
+	if cs.members[s] && h.scc.Nontrivial(s) {
 		return true, false
 	}
 	cid, pos := h.locate(s)
@@ -328,15 +323,47 @@ func (h *ThreeHop) CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous boo
 }
 
 // ResolveAmbiguousSucc resolves the dual ambiguity through v's DAG
-// in-neighbors.
+// in-neighbors; v's SCC must be trivial.
 func (h *ThreeHop) ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) bool {
-	s := h.cond.Comp[v]
-	for _, w := range h.cond.In(s) {
-		if h.inclusiveSuccReaches(cs, w, st) {
-			return true
+	return h.anyNeighborSCC(h.g.In(v), func(s int32) bool { return h.inclusiveSuccReaches(cs, s, st) })
+}
+
+// anyNeighborSCC calls probe on the SCCs of nbrs, each once and in order
+// of first occurrence, until probe returns true. For the out- (in-)
+// neighbors of a node v whose SCC is trivial, that is the condensation's
+// DAG successor (predecessor) row of v's SCC in the same order, so the
+// index needs no DAG at query time. Clearing the set again walks nbrs,
+// not the SCC count: XMark's people node has 8,000 children.
+func (h *ThreeHop) anyNeighborSCC(nbrs []graph.NodeID, probe func(s int32) bool) bool {
+	seen, _ := h.seen.Get().(*sccSet)
+	if seen == nil {
+		seen = &sccSet{bits: make([]uint64, (len(h.posOf)+63)/64)}
+	}
+	hit := false
+	for _, w := range nbrs {
+		if s := h.scc.Comp[w]; seen.add(s) && probe(s) {
+			hit = true
+			break
 		}
 	}
-	return false
+	for _, w := range nbrs {
+		seen.bits[h.scc.Comp[w]>>6] = 0 // every set bit lies in one of these words
+	}
+	h.seen.Put(seen)
+	return hit
+}
+
+// sccSet is a set of SCC ids, one bit each.
+type sccSet struct{ bits []uint64 }
+
+// add inserts s and reports whether it was absent.
+func (b *sccSet) add(s int32) bool {
+	w, m := s>>6, uint64(1)<<uint(s&63)
+	if b.bits[w]&m != 0 {
+		return false
+	}
+	b.bits[w] |= m
+	return true
 }
 
 // MatchPred reports whether a single complete-successor-list entry, at

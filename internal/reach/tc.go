@@ -18,7 +18,7 @@ import (
 // safe for concurrent use.
 type TC struct {
 	g     *graph.Graph
-	cond  *graph.Condensation
+	scc   graph.SCCMap // all the closure keeps of the condensation
 	words int
 	rows  []uint64 // NumSCC() rows of `words` words; bit w set in row s iff s reaches w (s != w)
 	stats Stats
@@ -52,7 +52,7 @@ func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
 		return nil, fmt.Errorf("reach: TC limited to %d SCCs, graph has %d", tcLimit, n)
 	}
 	words := (n + 63) / 64
-	t := &TC{g: g, cond: cond, words: words, rows: make([]uint64, n*words)}
+	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
 	step := func(s int32) {
 		row := t.row(s)
 		for _, w := range cond.Out(s) {
@@ -81,6 +81,9 @@ func (t *TC) row(s int32) []uint64 {
 	return t.rows[int(s)*t.words : (int(s)+1)*t.words]
 }
 
+// numSCC returns the number of SCCs, one row each.
+func (t *TC) numSCC() int { return len(t.rows) / max(t.words, 1) }
+
 // Kind returns the registry name of this backend.
 func (t *TC) Kind() string { return "tc" }
 
@@ -108,9 +111,9 @@ func (t *TC) Reaches(u, v graph.NodeID) bool {
 // charging st.
 func (t *TC) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 	st.Queries++
-	su, sv := t.cond.Comp[u], t.cond.Comp[v]
+	su, sv := t.scc.Comp[u], t.scc.Comp[v]
 	if su == sv {
-		return t.cond.Nontrivial(su)
+		return t.scc.Nontrivial(su)
 	}
 	st.Lookups++
 	return t.row(su)[sv/64]&(1<<uint(sv%64)) != 0
@@ -130,8 +133,8 @@ type tcPred struct {
 
 func (p tcPred) ReachedFrom(v graph.NodeID, st *Stats) bool {
 	st.Queries++
-	s := p.t.cond.Comp[v]
-	if p.mask[s/64]&(1<<uint(s%64)) != 0 && p.t.cond.Nontrivial(s) {
+	s := p.t.scc.Comp[v]
+	if p.mask[s/64]&(1<<uint(s%64)) != 0 && p.t.scc.Nontrivial(s) {
 		return true
 	}
 	row := p.t.row(s)
@@ -157,9 +160,9 @@ type tcSucc struct {
 func (s tcSucc) ReachesNode(v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	st.Lookups++
-	sv := s.t.cond.Comp[v]
+	sv := s.t.scc.Comp[v]
 	bit := uint64(1) << uint(sv%64)
-	if s.mask[sv/64]&bit != 0 && s.t.cond.Nontrivial(sv) {
+	if s.mask[sv/64]&bit != 0 && s.t.scc.Nontrivial(sv) {
 		return true
 	}
 	return s.reach[sv/64]&bit != 0
@@ -171,7 +174,7 @@ func (s tcSucc) Size() int { return s.n }
 func (t *TC) PredContour(S []graph.NodeID, st *Stats) PredContour {
 	p := tcPred{t: t, mask: make([]uint64, t.words)}
 	for _, v := range S {
-		s := t.cond.Comp[v]
+		s := t.scc.Comp[v]
 		if p.mask[s/64]&(1<<uint(s%64)) == 0 {
 			p.mask[s/64] |= 1 << uint(s%64)
 			p.n++
@@ -192,9 +195,9 @@ type tcSuccOne struct {
 func (c tcSuccOne) ReachesNode(v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	st.Lookups++
-	sv := c.t.cond.Comp[v]
+	sv := c.t.scc.Comp[v]
 	if sv == c.s {
-		return c.t.cond.Nontrivial(sv)
+		return c.t.scc.Nontrivial(sv)
 	}
 	return c.t.row(c.s)[sv/64]&(1<<uint(sv%64)) != 0
 }
@@ -205,11 +208,11 @@ func (c tcSuccOne) Size() int { return 1 }
 func (t *TC) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
 	if len(S) == 1 {
 		st.Lookups++
-		return tcSuccOne{t: t, s: t.cond.Comp[S[0]]}
+		return tcSuccOne{t: t, s: t.scc.Comp[S[0]]}
 	}
 	c := tcSucc{t: t, mask: make([]uint64, t.words), reach: make([]uint64, t.words)}
 	for _, v := range S {
-		s := t.cond.Comp[v]
+		s := t.scc.Comp[v]
 		if c.mask[s/64]&(1<<uint(s%64)) != 0 {
 			continue // SCC already folded in
 		}

@@ -61,14 +61,17 @@ func flatten[T any](lists [][]T) csr[T] {
 // header and nothing for the collector to trace. Every list is sorted
 // by chain id, which is ascending position order, so the bytes of an
 // index depend only on the graph, not on whether it was built
-// serially, in parallel or decoded from a snapshot.
+// serially, in parallel or decoded from a snapshot. Of the SCC
+// condensation the index keeps only the node -> SCC map and one cycle
+// bit per SCC (graph.SCCMap); the members and DAG rows the build sweeps
+// over are dropped with it.
 //
 // A built index is immutable: the query methods taking a *Stats sink
 // (ReachesSt and the ChainIndex operations) are safe for concurrent
 // use. The legacy Reaches, charging the index's own Stats, is not.
 type ThreeHop struct {
-	g    *graph.Graph
-	cond *graph.Condensation
+	g   *graph.Graph
+	scc graph.SCCMap // all the index keeps of the condensation
 
 	chains  csr[int32] // chain -> scc ids in order; chains.val is indexed by position
 	posOf   []int32    // per scc: its position
@@ -84,6 +87,7 @@ type ThreeHop struct {
 	skipIn  []int32
 
 	scratch sync.Pool // *chainScratch for point queries
+	seen    sync.Pool // *sccSet for ResolveAmbiguous*
 	stats   Stats
 }
 
@@ -161,35 +165,35 @@ func NewThreeHop(g *graph.Graph) *ThreeHop {
 func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 	buildCount.Add(1)
 	cond := graph.Condense(g)
-	h := &ThreeHop{g: g, cond: cond}
+	h := &ThreeHop{g: g, scc: cond.SCCMap}
 	h.chains, h.posOf, h.chainAt = chainDecompose(cond)
 	if opt.Parallel {
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); h.lout = h.sweep(true, true) }()
-		go func() { defer wg.Done(); h.lin = h.sweep(false, true) }()
+		go func() { defer wg.Done(); h.lout = h.sweep(cond, true, true) }()
+		go func() { defer wg.Done(); h.lin = h.sweep(cond, false, true) }()
 		wg.Wait()
 	} else {
-		h.lout = h.sweep(true, false)
-		h.lin = h.sweep(false, false)
+		h.lout = h.sweep(cond, true, false)
+		h.lin = h.sweep(cond, false, false)
 	}
 	h.buildSkips()
 	return h
 }
 
-// sweep computes one list family. Down, it is Lout by a reverse-
-// topological sweep: the contour of s holds, per chain, the smallest
-// position reachable from s (inclusive of s), folded from the contours
-// of s's DAG successors. Up, it is Lin by the mirror-image forward
-// sweep over predecessors and largest positions. Contours live as
-// ascending position slices (one position per chain) and are dropped
-// once every SCC that folds them has done so. With parallel set, SCCs
-// are processed one level at a time, the level's nodes sharded across
-// goroutines (nodes of one level depend only on strictly earlier
-// levels).
-func (h *ThreeHop) sweep(down, parallel bool) csr[int32] {
-	n := h.cond.NumSCC()
-	deps, users := h.cond.Out, h.cond.In
+// sweep computes one list family over the condensation cond. Down, it
+// is Lout by a reverse-topological sweep: the contour of s holds, per
+// chain, the smallest position reachable from s (inclusive of s),
+// folded from the contours of s's DAG successors. Up, it is Lin by the
+// mirror-image forward sweep over predecessors and largest positions.
+// Contours live as ascending position slices (one position per chain)
+// and are dropped once every SCC that folds them has done so. With
+// parallel set, SCCs are processed one level at a time, the level's
+// nodes sharded across goroutines (nodes of one level depend only on
+// strictly earlier levels).
+func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int32] {
+	n := cond.NumSCC()
+	deps, users := cond.Out, cond.In
 	if !down {
 		deps, users = users, deps
 	}
@@ -250,11 +254,11 @@ func (h *ThreeHop) sweep(down, parallel bool) csr[int32] {
 	}
 	if !parallel {
 		sc := h.newScratch()
-		eachSCC(h.cond, down, func(s int32) { step(s, sc) })
+		eachSCC(cond, down, func(s int32) { step(s, sc) })
 		return flatten(lists)
 	}
 	pool := sync.Pool{New: func() any { return h.newScratch() }}
-	for _, bucket := range levelize(h.cond, down) {
+	for _, bucket := range levelize(cond, down) {
 		parallelFor(len(bucket), func(lo, hi int) {
 			sc := pool.Get().(*chainScratch)
 			for _, s := range bucket[lo:hi] {
@@ -267,7 +271,7 @@ func (h *ThreeHop) sweep(down, parallel bool) csr[int32] {
 }
 
 func (h *ThreeHop) buildSkips() {
-	n := h.cond.NumSCC()
+	n := len(h.posOf)
 	h.skipOut = make([]int32, n)
 	h.skipIn = make([]int32, n)
 	for c := int32(0); c < int32(h.chains.rows()); c++ {
@@ -334,9 +338,9 @@ func (h *ThreeHop) Reaches(u, v graph.NodeID) bool {
 // charged to st.
 func (h *ThreeHop) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 	st.Queries++
-	su, sv := h.cond.Comp[u], h.cond.Comp[v]
+	su, sv := h.scc.Comp[u], h.scc.Comp[v]
 	if su == sv {
-		return h.cond.Nontrivial(su)
+		return h.scc.Nontrivial(su)
 	}
 	return h.sccReaches(su, sv, st)
 }

@@ -207,15 +207,7 @@ func Subgraph(g *graph.Graph, verts []graph.NodeID) *graph.Graph {
 	local := make(map[graph.NodeID]graph.NodeID, len(verts))
 	sg := graph.New(len(verts), 0)
 	for _, gv := range verts {
-		var attrs graph.Attrs
-		if keys := g.AttrKeys(gv); len(keys) > 0 {
-			attrs = make(graph.Attrs, len(keys))
-			for _, k := range keys {
-				val, _ := g.Attr(gv, k)
-				attrs[k] = val
-			}
-		}
-		local[gv] = sg.AddNode(g.Label(gv), attrs)
+		local[gv] = sg.AddNode(g.Label(gv), g.AttrMap(gv))
 	}
 	for _, gv := range verts {
 		lu := local[gv]

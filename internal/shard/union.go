@@ -61,15 +61,7 @@ func (se *ShardedEngine) Union() *graph.Graph {
 	for v := 0; v < se.totalNodes; v++ {
 		loc := home[v]
 		sg := se.shards[loc.shard].eng.G
-		var attrs graph.Attrs
-		if keys := sg.AttrKeys(loc.local); len(keys) > 0 {
-			attrs = make(graph.Attrs, len(keys))
-			for _, k := range keys {
-				val, _ := sg.Attr(loc.local, k)
-				attrs[k] = val
-			}
-		}
-		g.AddNode(sg.Label(loc.local), attrs)
+		g.AddNode(sg.Label(loc.local), sg.AttrMap(loc.local))
 	}
 	for v := 0; v < se.totalNodes; v++ {
 		loc := home[v]

@@ -10,7 +10,7 @@
 //	graph section:
 //	  uvarint nodeCount
 //	  per node: label string, uvarint attrCount,
-//	            per attr (sorted by key): key string, tag byte
+//	            per attr (keys strictly ascending): key string, tag byte
 //	            (0 string / 1 number), value (string, or float64 bits
 //	            as little-endian uint64)
 //	  uvarint treeEdgeCount, per edge: uvarint from, uvarint to
@@ -33,7 +33,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
@@ -78,8 +77,7 @@ func Save(w io.Writer, g *graph.Graph, h reach.ContourIndex) error {
 	for v := 0; v < n; v++ {
 		nv := graph.NodeID(v)
 		writeString(g.Label(nv))
-		keys := g.AttrKeys(nv)
-		sort.Strings(keys)
+		keys := g.AttrKeys(nv) // sorted
 		writeUvarint(uint64(len(keys)))
 		for _, k := range keys {
 			val, _ := g.Attr(nv, k)
@@ -173,6 +171,7 @@ func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
 		hint = 1 << 20
 	}
 	g := graph.New(hint, 0)
+	attrs := graph.Attrs{} // reused: AddNode copies it
 	for v := 0; v < n; v++ {
 		label, err := readString()
 		if err != nil {
@@ -185,15 +184,19 @@ func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
 		if nattr > 1<<20 {
 			return nil, nil, fmt.Errorf("snapshot: node %d declares %d attributes", v, nattr)
 		}
-		var attrs graph.Attrs
-		if nattr > 0 {
-			attrs = make(graph.Attrs, nattr)
-		}
+		clear(attrs)
+		prev := ""
 		for i := uint64(0); i < nattr; i++ {
 			key, err := readString()
 			if err != nil {
 				return nil, nil, fmt.Errorf("snapshot: node %d attr: %v", v, err)
 			}
+			// Save writes keys sorted, so a repeated or out-of-order key
+			// is corruption, not a value to overwrite.
+			if i > 0 && key <= prev {
+				return nil, nil, fmt.Errorf("snapshot: node %d attr %q follows %q: keys must be strictly ascending", v, key, prev)
+			}
+			prev = key
 			tag, err := br.ReadByte()
 			if err != nil {
 				return nil, nil, fmt.Errorf("snapshot: node %d attr %q: %v", v, key, err)

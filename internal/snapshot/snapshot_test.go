@@ -3,15 +3,19 @@ package snapshot
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"gtpq/internal/arxiv"
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
 	"gtpq/internal/qlang"
 	"gtpq/internal/reach"
+	"gtpq/internal/xmark"
 )
 
 // randAttrGraph builds a random labeled graph with mixed string/number
@@ -211,4 +215,104 @@ func TestLoadNeverPanicsOnCorruptInput(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dupKeySnapshot is the snapshot of one node with the attributes
+// {qq: "one", zz: "two"}, with the second key rewritten to qq: a node
+// that names one attribute twice.
+func dupKeySnapshot(tb testing.TB) []byte {
+	g := graph.New(1, 0)
+	g.AddNode("n", graph.Attrs{"qq": graph.StrV("one"), "zz": graph.StrV("two")})
+	g.Freeze()
+	var buf bytes.Buffer
+	if err := Save(&buf, g, reach.NewThreeHop(g)); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	i := bytes.Index(data, []byte("\x02zz"))
+	if i < 0 || bytes.Count(data, []byte("zz")) != 1 {
+		tb.Fatalf("no unique key zz in % x", data)
+	}
+	copy(data[i+1:], "qq")
+	return data
+}
+
+// TestLoadRejectsRepeatedAttrKey: Save writes a node's keys strictly
+// ascending, so a repeated key is corruption. Decoding into a map used
+// to keep the last value and drop the other silently.
+func TestLoadRejectsRepeatedAttrKey(t *testing.T) {
+	data := dupKeySnapshot(t)
+	if g, _, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatalf("a node naming qq twice loaded, with attributes %v", g.AttrKeys(0))
+	}
+}
+
+// sameNodes reports the first node whose label or explicit attributes
+// differ between g1 and g2; numbers compare by their bits, so NaN
+// round-trips too.
+func sameNodes(g1, g2 *graph.Graph) error {
+	if g1.N() != g2.N() {
+		return fmt.Errorf("%d nodes, then %d", g1.N(), g2.N())
+	}
+	for v := graph.NodeID(0); int(v) < g1.N(); v++ {
+		k1, k2 := g1.AttrKeys(v), g2.AttrKeys(v)
+		if g1.Label(v) != g2.Label(v) || !slices.Equal(k1, k2) {
+			return fmt.Errorf("node %d: %q %v, then %q %v", v, g1.Label(v), k1, g2.Label(v), k2)
+		}
+		for _, k := range k1 {
+			a, _ := g1.Attr(v, k)
+			b, _ := g2.Attr(v, k)
+			if a.IsNum != b.IsNum || a.Str != b.Str || math.Float64bits(a.Num) != math.Float64bits(b.Num) {
+				return fmt.Errorf("node %d attr %q: %#v, then %#v", v, k, a, b)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzSnapshotLoad feeds Load arbitrary bytes. It must never panic, and
+// whatever it accepts must reach a fixed point: Save(Load(x)) loads
+// again, with the same labels and attributes, and saves to the same
+// bytes. x itself need not be that fixed point (edges may come in any
+// order, a pair joined by a tree and a cross edge is cross throughout).
+func FuzzSnapshotLoad(f *testing.F) {
+	save := func(g *graph.Graph, h reach.ContourIndex) []byte {
+		var buf bytes.Buffer
+		if err := Save(&buf, g, h); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	site, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 10, Seed: 7})
+	f.Add(save(site, reach.NewThreeHop(site)))
+	ax, _ := arxiv.Generate(arxiv.Config{
+		Papers: 500, Authors: 250, AuthorsPerPaper: 2.5, CitesPerPaper: 1.8,
+		Window: 100, PaperLabels: 60, AuthorLabels: 40, Seed: 11,
+	})
+	f.Add(save(ax, reach.NewTC(ax)))
+	f.Add(dupKeySnapshot(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g1, h1, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var y bytes.Buffer
+		if err := Save(&y, g1, h1); err != nil {
+			t.Fatalf("save of an accepted snapshot: %v", err)
+		}
+		g2, h2, err := Load(bytes.NewReader(y.Bytes()))
+		if err != nil {
+			t.Fatalf("re-saved snapshot does not load: %v", err)
+		}
+		if err := sameNodes(g1, g2); err != nil {
+			t.Fatalf("attributes do not round-trip: %v", err)
+		}
+		var z bytes.Buffer
+		if err := Save(&z, g2, h2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(y.Bytes(), z.Bytes()) {
+			t.Fatalf("Save(Load(x)) is not a fixed point: %d bytes, then %d", y.Len(), z.Len())
+		}
+	})
 }
