@@ -1,19 +1,19 @@
 // Command gtpq-shard partitions one logical dataset into a sharded
 // dataset directory that gtpq-serve's catalog recognizes and serves
-// with scatter-gather (see internal/shard for the partitioning modes
+// with scatter-gather (see internal/shard for the partitioning rule
 // and the manifest format).
 //
 // Usage:
 //
 //	gtpq-shard -in data.json -out datasets/data -k 4
-//	gtpq-shard -in data.snap -out datasets/data -k 8 -mode hash
+//	gtpq-shard -in data.snap -out datasets/data -k 8
 //	gtpq-shard -in data.json.gz -out datasets/data -k 4 -index tc -parallel
 //	gtpq-shard -verify datasets/data
 //
 // The output directory name is the dataset name the catalog serves it
-// under (override with -name). -mode auto splits whole weakly-connected
-// components when the graph has at least K of them, and falls back to
-// hash partitioning with reachability-closure replication otherwise.
+// under (override with -name). Whole weakly-connected components are
+// bin-packed onto the K shards, largest first; a graph with fewer than
+// K components leaves the remaining shards empty.
 // -verify re-opens an existing shard directory, checks every manifest
 // content hash, and reports the shard layout without writing anything.
 package main
@@ -42,7 +42,6 @@ func main() {
 		in       = flag.String("in", "", "input graph: JSON, gzipped JSON, or a .snap snapshot")
 		out      = flag.String("out", "", "output shard directory (created if missing)")
 		k        = flag.Int("k", 4, "number of shards")
-		mode     = flag.String("mode", "auto", "partitioning mode: auto, wcc, hash")
 		index    = flag.String("index", "", "reachability backend per shard: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
 		parallel = flag.Bool("parallel", false, "build per-shard indexes with multiple goroutines")
 		name     = flag.String("name", "", "dataset name recorded in the manifest (default: base name of -out)")
@@ -55,9 +54,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: ok — dataset %q, %d %s shard(s), %d nodes, %d edges, %d replicated, %s index\n",
-			*verify, man.Name, se.NumShards(), man.Mode, man.TotalNodes, man.TotalEdges,
-			man.Replicated, man.Index)
+		fmt.Printf("%s: ok — dataset %q, %d shard(s), %d nodes, %d edges, %s index\n",
+			*verify, man.Name, se.NumShards(), man.TotalNodes, man.TotalEdges, man.Index)
 		printShards(man)
 		return
 	}
@@ -78,12 +76,12 @@ func main() {
 	fmt.Printf("loaded %s: %d nodes, %d edges\n", *in, g.N(), g.M())
 
 	start := time.Now()
-	plan, err := shard.Partition(g, *k, shard.Mode(*mode))
+	plan, err := shard.Partition(g, *k, shard.ModeWCC)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("partitioned: %d weakly-connected component(s) -> %d shard(s), mode %s, %d vertex copies replicated (%s)\n",
-		plan.Components, *k, plan.Mode, plan.Replicated, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("partitioned: %d weakly-connected component(s) -> %d shard(s) (%s)\n",
+		plan.Components, *k, time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
 	man, err := shard.WriteDir(*out, dsName, g, plan, shard.Options{Index: *index, Parallel: *parallel})

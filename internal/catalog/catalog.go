@@ -180,10 +180,8 @@ type Info struct {
 	Generation uint64 `json:"generation,omitempty"`
 	LoadMillis int64  `json:"load_ms,omitempty"`
 	// Shards is the shard count of a sharded dataset (0 for flat);
-	// ShardMode its partitioning mode and ShardInfo the per-shard
-	// sizes and timings once loaded.
+	// ShardInfo the per-shard sizes and timings once loaded.
 	Shards    int         `json:"shards,omitempty"`
-	ShardMode string      `json:"shard_mode,omitempty"`
 	ShardInfo []ShardInfo `json:"shard_info,omitempty"`
 	// PendingDeltas / DeltaBatches mirror Dataset's delta counters;
 	// Compactions counts folds of the delta log into a fresh base this
@@ -602,7 +600,6 @@ func (c *Catalog) List() ([]Info, error) {
 					info.DeltaReplayMillis = e.replay.Milliseconds()
 					if se, ok := e.ds.Engine.(*shard.ShardedEngine); ok {
 						info.Shards = se.NumShards()
-						info.ShardMode = string(se.Mode())
 						for _, st := range se.ShardStats() {
 							info.ShardInfo = append(info.ShardInfo, ShardInfo{
 								Nodes: st.Nodes, Edges: st.Edges, Evals: st.Evals,
@@ -623,7 +620,6 @@ func (c *Catalog) List() ([]Info, error) {
 			// it from the engine above, skipping this disk read.
 			if man, err := shard.ReadManifest(manifestPath); err == nil {
 				info.Shards = len(man.Shards)
-				info.ShardMode = string(man.Mode)
 			}
 		}
 		infos = append(infos, info)

@@ -366,7 +366,7 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 		// directory next to the live one, swap atomically, revive.
 		dir := filepath.Join(c.dir, name)
 		tmp := filepath.Join(c.dir, "."+name+".compact")
-		plan, perr := shard.Partition(ext, e.se.NumShards(), shard.ModeAuto)
+		plan, perr := shard.Partition(ext, e.se.NumShards(), shard.ModeWCC)
 		if perr != nil {
 			return nil, fmt.Errorf("catalog: %s: compact: %w", name, perr)
 		}

@@ -34,7 +34,7 @@ func writeFlatDataset(t *testing.T, dir, name, kind string, g *graph.Graph) {
 // writeShardedDataset writes g as a 3-shard directory into dir.
 func writeShardedDataset(t *testing.T, dir, name, kind string, g *graph.Graph) {
 	t.Helper()
-	plan, err := shard.Partition(g, 3, shard.ModeAuto)
+	plan, err := shard.Partition(g, 3, shard.ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,5 +439,82 @@ func TestCatalogDeltaLogBaseMismatch(t *testing.T) {
 	defer cat2.Close()
 	if _, err := cat2.Acquire("ds"); err == nil {
 		t.Fatal("acquire over mismatched delta log succeeded; want loud failure")
+	}
+}
+
+// TestCatalogShardedCompactKeepsWholeComponents pins that compaction
+// re-packs whole components: a batch that joins two of a 3-shard
+// dataset's three components leaves fewer components than shards, and
+// the compacted directory must still be a wcc one, with every vertex
+// in exactly one shard and answers equal to a flat engine.
+func TestCatalogShardedCompactKeepsWholeComponents(t *testing.T) {
+	r := rand.New(rand.NewSource(82))
+	const blocks, n = 3, 10
+	g := graph.New(blocks*n, 3*blocks*n)
+	for i := 0; i < blocks*n; i++ {
+		g.AddNode(deltaLabels[r.Intn(len(deltaLabels))], nil)
+	}
+	for b := 0; b < blocks; b++ {
+		base := b * n
+		for i := 0; i+1 < n; i++ { // spanning path: each block is one component
+			g.AddEdge(graph.NodeID(base+i), graph.NodeID(base+i+1))
+		}
+		for e := 0; e < n; e++ {
+			u := r.Intn(n - 1)
+			g.AddEdge(graph.NodeID(base+u), graph.NodeID(base+u+1+r.Intn(n-u-1)))
+		}
+	}
+	g.Freeze()
+	dir := t.TempDir()
+	writeShardedDataset(t, dir, "ds", "", g)
+	cat, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	b := delta.Batch{Edges: []delta.EdgeAdd{{From: 0, To: n}}}
+	ds, err := cat.ApplyDelta("ds", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Release()
+	dsc, err := cat.Compact("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dsc.Release()
+
+	man, err := shard.ReadManifest(filepath.Join(dir, "ds", shard.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Mode != shard.ModeWCC || man.Replicated != 0 || len(man.Shards) != blocks {
+		t.Fatalf("compacted manifest: mode %q, replicated %d, %d shards", man.Mode, man.Replicated, len(man.Shards))
+	}
+	ext, err := delta.Extend(g, []delta.Batch{b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, ok := dsc.Engine.(*shard.ShardedEngine)
+	if !ok {
+		t.Fatalf("compacted engine is %T", dsc.Engine)
+	}
+	held := 0
+	for _, st := range se.ShardStats() {
+		held += st.Nodes
+	}
+	if held != ext.N() {
+		t.Fatalf("shards hold %d vertices, graph has %d: some vertex lives in two shards", held, ext.N())
+	}
+	flat := gtea.New(ext)
+	for i := 0; i < 5; i++ {
+		q := gen.Query(r, 2+r.Intn(4), deltaLabels, true, true)
+		got, _, err := dsc.Engine.EvalStatsCtx(nil, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := flat.Eval(q); !want.Equal(got) {
+			t.Fatalf("query %d: compacted answers differ\n%s\nwant %v\ngot  %v", i, q, want, got)
+		}
 	}
 }

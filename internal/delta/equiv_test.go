@@ -127,7 +127,7 @@ func TestDeltaEquivalence(t *testing.T) {
 				var base reach.ContourIndex
 				var err error
 				if sharded {
-					plan, perr := shard.Partition(g, 3, shard.ModeAuto)
+					plan, perr := shard.Partition(g, 3, shard.ModeWCC)
 					if perr != nil {
 						t.Fatal(perr)
 					}

@@ -70,7 +70,7 @@ func planPair(t *testing.T, g *graph.Graph, kind, base string, r *rand.Rand) (on
 			}
 			return eng.Eval
 		case "sharded":
-			plan, err := shard.Partition(g, 3, shard.ModeAuto)
+			plan, err := shard.Partition(g, 3, shard.ModeWCC)
 			if err != nil {
 				t.Fatal(err)
 			}

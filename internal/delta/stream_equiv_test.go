@@ -86,7 +86,7 @@ func buildStreamEvaluator(t *testing.T, g *graph.Graph, kind, base string, noPla
 		}
 		return eng
 	case "sharded":
-		plan, err := shard.Partition(g, 3, shard.ModeAuto)
+		plan, err := shard.Partition(g, 3, shard.ModeWCC)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func newPrimary(t *testing.T, sharded bool) (*httptest.Server, *catalog.Catalog)
 	dir := t.TempDir()
 	g := buildGraph()
 	if sharded {
-		plan, err := shard.Partition(g, 2, shard.ModeAuto)
+		plan, err := shard.Partition(g, 2, shard.ModeWCC)
 		if err != nil {
 			t.Fatal(err)
 		}

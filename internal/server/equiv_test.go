@@ -57,7 +57,7 @@ func TestCacheEquivalence(t *testing.T) {
 
 				dir := t.TempDir()
 				saveFlat(t, dir, "flat.json", g)
-				plan, err := shard.Partition(g, 3, shard.ModeAuto)
+				plan, err := shard.Partition(g, 3, shard.ModeWCC)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -341,7 +341,7 @@ func TestServeShardedDataset(t *testing.T) {
 			parted = &dl.Datasets[i]
 		}
 	}
-	if parted == nil || parted.Shards != 3 || parted.ShardMode != "wcc" {
+	if parted == nil || parted.Shards != 3 {
 		t.Fatalf("parted info = %+v", parted)
 	}
 	if len(parted.ShardInfo) != 3 {

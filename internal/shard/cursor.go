@@ -14,48 +14,37 @@ import (
 
 // mergeCursor k-way-merges per-shard canonical-order cursors into one
 // canonical-order stream without materializing: it holds exactly one
-// remapped head row per child. Adjacent equal rows are skipped —
-// vertices replicated onto several shards (hash partitioning cut
-// copies) produce the same tuple from each residence, and in a sorted
-// merge all copies are adjacent — the streaming form of Canonicalize's
-// dedup.
+// remapped head row per child. Every tuple of a match lies in one
+// weakly-connected component, hence in one shard, so the children's
+// rows are disjoint and the merge emits each of them once.
 type mergeCursor struct {
 	out      []int
 	children []gtea.Cursor
-	// remaps[i], when non-nil, rewrites child i's rows into global ids.
-	// Remapping by an ascending globals slice is monotone, so it
-	// preserves each child's canonical order.
+	// remaps[i] rewrites child i's rows into global ids. Remapping by an
+	// ascending globals slice is monotone, so it preserves each child's
+	// canonical order.
 	remaps [][]graph.NodeID
 	heads  [][]graph.NodeID // current row per child; nil = exhausted
-	// cur is the last row handed out, alt the assembly buffer for the
-	// next one; they alternate so the emitted row stays valid until the
-	// following Next while still being comparable for dedup.
-	cur, alt []graph.NodeID
-	onClose  func()
+	// row is the last row handed out; it stays valid until the next Next.
+	row     []graph.NodeID
+	onClose func()
 
 	err    error
 	closed bool
 	rows   int64
 }
 
-// MergeCursors merges canonical-order cursors over the same output
-// columns into a single deduplicating canonical-order cursor. onClose,
-// if non-nil, runs once when the merge is closed or drained — the
-// sharded engine hangs its scatter-context cancel there. Rows must
-// already be in the final id space; the engine path applies per-shard
-// global remapping internally.
-func MergeCursors(out []int, children []gtea.Cursor, onClose func()) gtea.Cursor {
-	return newMergeCursor(out, children, nil, onClose)
-}
-
+// newMergeCursor merges canonical-order cursors over the same output
+// columns, remapping child i's rows through remaps[i]. onClose, if
+// non-nil, runs once when the merge is closed or drained — the sharded
+// engine hangs its scatter-context cancel there.
 func newMergeCursor(out []int, children []gtea.Cursor, remaps [][]graph.NodeID, onClose func()) *mergeCursor {
 	m := &mergeCursor{
 		out:      out,
 		children: children,
 		remaps:   remaps,
 		heads:    make([][]graph.NodeID, len(children)),
-		cur:      make([]graph.NodeID, len(out)),
-		alt:      make([]graph.NodeID, len(out)),
+		row:      make([]graph.NodeID, len(out)),
 		onClose:  onClose,
 	}
 	for i := range children {
@@ -76,14 +65,9 @@ func (m *mergeCursor) advance(i int) {
 		m.heads[i] = nil
 		return
 	}
-	head := m.heads[i]
-	if m.remaps != nil && m.remaps[i] != nil {
-		g := m.remaps[i]
-		for j, v := range row {
-			head[j] = g[v]
-		}
-	} else {
-		copy(head, row)
+	head, g := m.heads[i], m.remaps[i]
+	for j, v := range row {
+		head[j] = g[v]
 	}
 }
 
@@ -93,35 +77,29 @@ func (m *mergeCursor) Next() ([]graph.NodeID, bool) {
 	if m.closed || m.err != nil {
 		return nil, false
 	}
-	for {
-		// Linear-scan min: shard counts are small (single digits), where
-		// a scan beats heap bookkeeping.
-		min := -1
-		for i, h := range m.heads {
-			if h == nil {
-				continue
-			}
-			if min == -1 || core.CompareTuples(h, m.heads[min]) < 0 {
-				min = i
-			}
+	// Linear-scan min: shard counts are small (single digits), where a
+	// scan beats heap bookkeeping.
+	min := -1
+	for i, h := range m.heads {
+		if h == nil {
+			continue
 		}
-		if min == -1 {
-			m.finish()
-			return nil, false
+		if min == -1 || core.CompareTuples(h, m.heads[min]) < 0 {
+			min = i
 		}
-		copy(m.alt, m.heads[min])
-		m.advance(min)
-		if m.err != nil {
-			m.finish()
-			return nil, false
-		}
-		if m.rows > 0 && core.CompareTuples(m.alt, m.cur) == 0 {
-			continue // replica duplicate
-		}
-		m.cur, m.alt = m.alt, m.cur
-		m.rows++
-		return m.cur, true
 	}
+	if min == -1 {
+		m.finish()
+		return nil, false
+	}
+	copy(m.row, m.heads[min])
+	m.advance(min)
+	if m.err != nil {
+		m.finish()
+		return nil, false
+	}
+	m.rows++
+	return m.row, true
 }
 
 func (m *mergeCursor) Err() error  { return m.err }

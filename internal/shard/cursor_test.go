@@ -31,14 +31,13 @@ func stableGoroutines(t *testing.T) int {
 }
 
 // TestShardedCursorMatchesEval checks the streamed k-way merge returns
-// exactly the materialized scatter-gather answer — including the dedup
-// of tuples that replicated cut vertices produce from several shards —
-// across shard counts and random queries.
+// exactly the materialized scatter-gather answer across shard counts
+// and random queries.
 func TestShardedCursorMatchesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for _, k := range []int{1, 2, 4} {
 		g := randomTestGraph(r, 1)
-		plan, err := Partition(g, k, ModeAuto)
+		plan, err := Partition(g, k, ModeWCC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +70,7 @@ func TestShardedCursorMatchesEval(t *testing.T) {
 func shardPairSetup(t *testing.T, n, k int) (*ShardedEngine, *core.Query) {
 	t.Helper()
 	g := gen.Forest(rand.New(rand.NewSource(7)), k, n/k, n/k, []string{"a"})
-	plan, err := Partition(g, k, ModeAuto)
+	plan, err := Partition(g, k, ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,30 +148,33 @@ func TestShardedCursorCancelMidDrain(t *testing.T) {
 	}
 }
 
-// TestMergeCursorsDirect exercises the exported MergeCursors over
-// answer-backed cursors, including cross-cursor duplicates.
+// TestMergeCursorsDirect exercises newMergeCursor over answer-backed
+// cursors with disjoint rows: global order across children after the
+// remap, an empty child, onClose after a full drain, and an idempotent
+// Close.
 func TestMergeCursorsDirect(t *testing.T) {
-	mk := func(tuples ...[]int) gtea.Cursor {
+	mk := func(tuples ...[2]graph.NodeID) gtea.Cursor {
 		ans := core.NewAnswer([]int{0, 1})
 		for _, tp := range tuples {
-			ans.Add([]graph.NodeID{graph.NodeID(tp[0]), graph.NodeID(tp[1])})
+			ans.Add(tp[:])
 		}
 		ans.Canonicalize()
 		return gtea.NewAnswerCursor(ans)
 	}
-	closed := false
-	m := MergeCursors([]int{0, 1},
+	closed := 0
+	m := newMergeCursor([]int{0, 1},
 		[]gtea.Cursor{
-			mk([]int{1, 2}, []int{3, 4}, []int{5, 6}),
-			mk([]int{1, 2}, []int{2, 9}),
+			mk([2]graph.NodeID{0, 1}, [2]graph.NodeID{2, 3}), // globals 1, 3, 5, 6
+			mk([2]graph.NodeID{0, 1}, [2]graph.NodeID{1, 2}), // globals 2, 4, 9
 			mk(),
 		},
-		func() { closed = true })
+		[][]graph.NodeID{{1, 3, 5, 6}, {2, 4, 9}, nil},
+		func() { closed++ })
 	got, err := gtea.Collect(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]graph.NodeID{{1, 2}, {2, 9}, {3, 4}, {5, 6}}
+	want := [][]graph.NodeID{{1, 3}, {2, 4}, {4, 9}, {5, 6}}
 	if len(got.Tuples) != len(want) {
 		t.Fatalf("merged %d rows, want %d: %v", len(got.Tuples), len(want), got.Tuples)
 	}
@@ -181,8 +183,15 @@ func TestMergeCursorsDirect(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, got.Tuples[i], w)
 		}
 	}
-	if !closed {
-		t.Fatal("onClose did not run after a full drain")
+	if closed != 1 {
+		t.Fatalf("onClose ran %d times after a full drain, want 1", closed)
 	}
-	m.Close() // idempotent
+	m.Close()
+	m.Close()
+	if closed != 1 {
+		t.Fatalf("onClose ran %d times after repeated Close, want 1", closed)
+	}
+	if _, ok := m.Next(); ok {
+		t.Fatal("Next returned a row after Close")
+	}
 }

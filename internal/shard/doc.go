@@ -3,28 +3,18 @@
 // evaluates queries over all of them with scatter-gather: every shard
 // runs the paper's GTEA algorithm on its subgraph, and the per-shard
 // result streams are remapped into the global id space and merged by
-// one k-way ordered, deduplicating cursor (a materialized answer is
-// that stream collected).
+// one k-way ordered cursor (a materialized answer is that stream
+// collected).
 //
-// Soundness rests on a closure invariant: every shard's vertex set is
-// closed under reachability (if v is in the shard, so is everything v
-// reaches) and the shard graph is the induced subgraph on that set.
-// Every image of a match is reachable from the root's image, and every
-// predicate — attribute, structural, negated — only inspects the
-// reachable cone of a candidate, so for any vertex present in a shard
-// the matches rooted at it are exactly the matches rooted at it in the
-// full graph. Each vertex is owned by some shard, hence every match is
-// found at least once, and the deduplicating union merge collapses the
-// copies found through replicated vertices.
-//
-// Two partitioning modes maintain the invariant:
-//
-//   - wcc: whole weakly-connected components are bin-packed onto
-//     shards (greedy, largest first). No vertex is replicated and no
-//     edge is cut; per-shard answers are disjoint.
-//   - hash: vertices are hashed onto owner shards and each shard's
-//     vertex set is the reachability closure of its owned vertices —
-//     the cut vertices' closures are replicated. This is the fallback
-//     when the graph has fewer components than shards (e.g. one giant
-//     WCC); replication makes it sound, at the cost of shared work.
+// Soundness rests on components. Partition bin-packs whole
+// weakly-connected components onto shards (greedy, largest first), so
+// every vertex lives in exactly one shard, no edge is cut, and each
+// shard graph is the induced subgraph on its components. Every image
+// of a match is reachable from the root's image, and every predicate —
+// attribute, structural, negated — only inspects the reachable cone of
+// a candidate, so a match never leaves the root image's component. A
+// shard therefore finds exactly the matches rooted in its components,
+// the per-shard answers are disjoint, and their merge is the full
+// answer. A graph with fewer components than shards leaves some shards
+// empty; they evaluate to empty answers.
 package shard

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,18 +42,11 @@ type shardUnit struct {
 // worker pool and k-way-merging the remapped result streams. Like gtea.Engine it is
 // immutable after construction and safe for concurrent use.
 type ShardedEngine struct {
-	mode       Mode
 	kind       string
 	workers    int
 	totalNodes int
 	totalEdges int
-	replicated int
 	shards     []*shardUnit
-
-	// Lazily built logical label histogram (replicated vertices counted
-	// once), behind ContourIndex.LabelCount on the composite index.
-	labelOnce sync.Once
-	labelCt   map[string]int
 }
 
 // NewEngine builds a sharded engine in memory from a graph and a plan:
@@ -63,11 +55,9 @@ type ShardedEngine struct {
 func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) {
 	g.Freeze()
 	se := &ShardedEngine{
-		mode:       plan.Mode,
 		workers:    normalizeWorkers(opt.Workers, len(plan.Parts)),
 		totalNodes: g.N(),
 		totalEdges: g.M(),
-		replicated: plan.Replicated,
 	}
 	for _, part := range plan.Parts {
 		sg := Subgraph(g, part)
@@ -97,9 +87,6 @@ func normalizeWorkers(w, shards int) int {
 // NumShards returns the shard count.
 func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 
-// Mode returns the partitioning mode this engine was built from.
-func (se *ShardedEngine) Mode() Mode { return se.mode }
-
 // IndexKind reports the per-shard reachability backend.
 func (se *ShardedEngine) IndexKind() string { return se.kind }
 
@@ -112,38 +99,21 @@ func (se *ShardedEngine) IndexSize() int {
 	return total
 }
 
-// labelHist lazily builds the logical label histogram: vertices
-// replicated into several shards count once (their first residence is
-// authoritative, as in Union).
-func (se *ShardedEngine) labelHist() map[string]int {
-	se.labelOnce.Do(func() {
-		se.labelCt = make(map[string]int)
-		present := make([]bool, se.totalNodes)
-		for _, u := range se.shards {
-			for lv, gv := range u.globals {
-				if present[gv] {
-					continue
-				}
-				present[gv] = true
-				se.labelCt[u.eng.G.Label(graph.NodeID(lv))]++
-			}
-		}
-	})
-	return se.labelCt
+// LabelCount returns the number of logical vertices carrying label:
+// the per-shard counts sum exactly, since shards are disjoint.
+func (se *ShardedEngine) LabelCount(label string) int {
+	n := 0
+	for _, u := range se.shards {
+		n += u.eng.LabelCount(label)
+	}
+	return n
 }
-
-// LabelCount returns the number of logical vertices carrying label.
-func (se *ShardedEngine) LabelCount(label string) int { return se.labelHist()[label] }
 
 // TotalNodes returns the logical (unsharded) node count.
 func (se *ShardedEngine) TotalNodes() int { return se.totalNodes }
 
 // TotalEdges returns the logical (unsharded) edge count.
 func (se *ShardedEngine) TotalEdges() int { return se.totalEdges }
-
-// Replicated counts vertex copies beyond the first across all shards
-// (0 under ModeWCC).
-func (se *ShardedEngine) Replicated() int { return se.replicated }
 
 // ShardStat is one shard's size and cumulative serving counters.
 type ShardStat struct {
@@ -183,7 +153,7 @@ func (se *ShardedEngine) Eval(q *core.Query) *core.Answer {
 
 // EvalStatsCtx scatter-gathers q and materializes the merged stream:
 // it is gtea.Collect over EvalCursor, so the answer is the canonical
-// deduplicating union of the per-shard results in global ids. The
+// union of the disjoint per-shard results in global ids. The
 // returned stats sum the per-shard work counters; TotalTime is the
 // scatter-gather wall time. On cancellation (or a shard failure) the
 // remaining shard evaluations are cancelled, every worker is drained

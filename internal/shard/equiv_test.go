@@ -15,9 +15,9 @@ import (
 var testLabels = []string{"a", "b", "c", "d"}
 
 // randomTestGraph alternates between two shapes: a forest of
-// independent DAG blocks (many WCCs — the wcc partitioner's home turf)
-// and one dense random DAG (often a single WCC, forcing the hash
-// fallback under ModeAuto).
+// independent DAG blocks (many WCCs, spread over the shards) and one
+// dense random DAG (often a single WCC, leaving all but one shard
+// empty).
 func randomTestGraph(r *rand.Rand, style int) *graph.Graph {
 	if style == 0 {
 		blocks := 3 + r.Intn(6)
@@ -55,7 +55,7 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("seed %d style %d %s: unsharded build: %v", seed, style, kind, err)
 				}
 				for _, k := range ks {
-					plan, err := Partition(g, k, ModeAuto)
+					plan, err := Partition(g, k, ModeWCC)
 					if err != nil {
 						t.Fatalf("seed %d style %d: partition k=%d: %v", seed, style, k, err)
 					}
@@ -70,8 +70,8 @@ func TestShardedEquivalence(t *testing.T) {
 						want := base.Eval(q)
 						got := se.Eval(q)
 						if !want.Equal(got) {
-							t.Fatalf("seed %d style %d %s k=%d mode=%s query %d: answers differ\nquery:\n%s\nwant %v\ngot  %v",
-								seed, style, kind, k, plan.Mode, qi, q, want, got)
+							t.Fatalf("seed %d style %d %s k=%d query %d: answers differ\nquery:\n%s\nwant %v\ngot  %v",
+								seed, style, kind, k, qi, q, want, got)
 						}
 						cases++
 					}
@@ -85,41 +85,80 @@ func TestShardedEquivalence(t *testing.T) {
 	t.Logf("checked %d (graph, query, K, backend) cases", cases)
 }
 
+// oneComponentGraph is a dense random DAG with a spanning path, so it
+// is a single weakly-connected component: sharded at K > 1 it leaves
+// K-1 shards empty.
+func oneComponentGraph(r *rand.Rand, n int) *graph.Graph {
+	g := graph.New(n, 3*n)
+	for i := 0; i < n; i++ {
+		g.AddNode(testLabels[r.Intn(len(testLabels))], nil)
+	}
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	for e := 0; e < 2*n; e++ {
+		u := r.Intn(n - 1)
+		g.AddEdge(graph.NodeID(u), graph.NodeID(u+1+r.Intn(n-u-1)))
+	}
+	g.Freeze()
+	return g
+}
+
+// shapeCase is one graph shape the round-trip tests run on.
+type shapeCase struct {
+	name string
+	g    *graph.Graph
+}
+
+// shapeCases returns many components packed across the shards ("wcc")
+// and one component that leaves shards empty.
+func shapeCases(r *rand.Rand) []shapeCase {
+	return []shapeCase{
+		{"wcc", gen.Forest(r, 5, 12, 20, testLabels)},
+		{"one_component", oneComponentGraph(r, 40)},
+	}
+}
+
 // TestShardedEquivalenceOnDisk closes the loop through the persistence
-// layer: WriteDir → LoadDir must serve the same answers as in-memory
-// sharding and the unsharded engine, for both partitioning modes.
+// layer: WriteDir → LoadDir must serve the same answers as the
+// unsharded engine, on both backends, including empty shards.
 func TestShardedEquivalenceOnDisk(t *testing.T) {
-	for _, mode := range []Mode{ModeWCC, ModeHash} {
-		t.Run(string(mode), func(t *testing.T) {
-			r := rand.New(rand.NewSource(99))
-			g := gen.Forest(r, 5, 12, 20, testLabels)
-			base := gtea.New(g)
-			plan, err := Partition(g, 3, mode)
+	r := rand.New(rand.NewSource(99))
+	for _, c := range shapeCases(r) {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			plan, err := Partition(g, 3, ModeWCC)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := t.TempDir()
-			man, err := WriteDir(dir, "ds", g, plan, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(man.Shards) != 3 || man.Mode != mode {
-				t.Fatalf("manifest: %+v", man)
-			}
-			se, man2, err := LoadDir(dir, LoadOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if man2.TotalNodes != g.N() || man2.TotalEdges != g.M() {
-				t.Fatalf("manifest totals %d/%d, want %d/%d", man2.TotalNodes, man2.TotalEdges, g.N(), g.M())
-			}
-			for i := 0; i < 10; i++ {
-				q := gen.Query(r, 2+r.Intn(5), testLabels, true, true)
-				want := base.Eval(q)
-				got := se.Eval(q)
-				if !want.Equal(got) {
-					t.Fatalf("mode %s query %d: answers differ after disk round trip\n%s\nwant %v\ngot  %v",
-						mode, i, q, want, got)
+			for _, kind := range []string{"threehop", "tc"} {
+				base, err := gtea.NewWithOptions(g, gtea.Options{Index: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				man, err := WriteDir(dir, "ds", g, plan, Options{Index: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(man.Shards) != 3 || man.Mode != ModeWCC || man.Replicated != 0 {
+					t.Fatalf("%s: manifest: %+v", kind, man)
+				}
+				se, man2, err := LoadDir(dir, LoadOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				if man2.TotalNodes != g.N() || man2.TotalEdges != g.M() {
+					t.Fatalf("%s: manifest totals %d/%d, want %d/%d", kind, man2.TotalNodes, man2.TotalEdges, g.N(), g.M())
+				}
+				for i := 0; i < 10; i++ {
+					q := gen.Query(r, 2+r.Intn(5), testLabels, true, true)
+					want := base.Eval(q)
+					got := se.Eval(q)
+					if !want.Equal(got) {
+						t.Fatalf("%s query %d: answers differ after disk round trip\n%s\nwant %v\ngot  %v",
+							kind, i, q, want, got)
+					}
 				}
 			}
 		})

@@ -1,0 +1,88 @@
+package shard
+
+import (
+	"os"
+	"path/filepath"
+	"sort"
+	"testing"
+
+	"gtpq/internal/graph"
+)
+
+// goldenForest is a fixed three-component forest (sizes 4, 3, 3) with
+// numeric and string attributes and both edge kinds. Components
+// interleave in id order, so every shard's id sidecar remaps
+// non-trivially; at K=4 the fourth shard is empty.
+func goldenForest() *graph.Graph {
+	labels := []string{"a", "b", "c", "a", "b", "c", "a", "b", "d", "c"}
+	g := graph.New(len(labels), 8)
+	for i, l := range labels {
+		var at graph.Attrs
+		switch {
+		case i%3 == 0:
+			at = graph.Attrs{"year": graph.NumV(float64(2000 + i))}
+		case i%4 == 1:
+			at = graph.Attrs{"name": graph.StrV(l + "x")}
+		}
+		g.AddNode(l, at)
+	}
+	// Components {0,3,6,9}, {1,4,7}, {2,5,8}.
+	g.AddEdge(0, 3)
+	g.AddEdge(3, 6)
+	g.AddCrossEdge(0, 6)
+	g.AddEdge(6, 9)
+	g.AddEdge(1, 4)
+	g.AddCrossEdge(4, 7)
+	g.AddEdge(2, 5)
+	g.AddEdge(2, 8)
+	g.Freeze()
+	return g
+}
+
+// TestWriteDirGolden pins the on-disk format: WriteDir over the golden
+// forest must produce byte-identical files to the ones recorded here
+// (SHA-256 of every file, manifest included), so directories written by
+// older builds keep loading and newer builds write the same bytes.
+func TestWriteDirGolden(t *testing.T) {
+	g := goldenForest()
+	plan, err := Partition(g, 4, ModeWCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := WriteDir(dir, "golden", g, plan, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"manifest.json":   "ac0c10e46eb8f4b37c2feb3ee9eed092db5340aa4ac4744c9df1641b1b12948f",
+		"shard-0000.ids":  "6c9dc54e2fb8bd74bdf4047ae75db85dc06f52d82e8653e5751d723ab8bb67f5",
+		"shard-0000.snap": "1530d1ba48501cc686fe07465dc3f0e848e1734c246ef5520235cf1dfbbb0657",
+		"shard-0001.ids":  "18d83e3e1cc3d9714d8ec58cf4aaaf39674b21997c4e5839efb43c3c2def815a",
+		"shard-0001.snap": "18d8ffb66cb03eff1870cb75477870a2f006fa7c764076fd655262876df20d85",
+		"shard-0002.ids":  "57e60f2fc9014a923e8a6c3646d56e8831a4209671d5ca2b33d6316f8e695881",
+		"shard-0002.snap": "d16e1b375d43a8ecbfaa40920031dec5f985e27133244be38395470d5e186cf6",
+		"shard-0003.ids":  "19914f522949eb19668515da2983b5f6c996951d98cd48d4a7a8aa65df6efdc5",
+		"shard-0003.snap": "9dcee012103c1cde4d74bcffac4b8632d1dbc083df4890d7e28c38b10513f934",
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	sort.Strings(names)
+	if len(names) != len(want) {
+		t.Errorf("wrote %d files %v, want %d", len(names), names, len(want))
+	}
+	for _, n := range names {
+		sum, err := fileSHA256(filepath.Join(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum != want[n] {
+			t.Errorf("%s: sha256 %s, want %q", n, sum, want[n])
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,8 +26,8 @@ import (
 //
 // The manifest is the integrity root: LoadDir refuses to build an
 // engine unless every listed file exists with the recorded SHA-256,
-// no unlisted shard file is present, and the shard id sets cover the
-// full global id range — a corrupted or partially-copied directory
+// no unlisted shard file is present, and the shard id sets partition
+// the global id range — a corrupted or partially-copied directory
 // fails loudly instead of serving partial data. The manifest is the
 // replication unit ROADMAP.md's horizontal-serving item calls for:
 // ship the directory, verify the hashes, serve.
@@ -55,7 +54,11 @@ type ShardFile struct {
 	Edges      int    `json:"edges"`
 }
 
-// Manifest describes a sharded dataset directory.
+// Manifest describes a sharded dataset directory. Mode is always
+// ModeWCC and Replicated always 0 — every vertex lives in exactly one
+// shard; both stay in the JSON so directories keep one format.
+// Directories written before hash mode was retired may say "hash";
+// ReadManifest rejects them.
 type Manifest struct {
 	Format     string      `json:"format"`
 	Version    int         `json:"version"`
@@ -75,9 +78,6 @@ type Manifest struct {
 // verification. name is recorded in the manifest and must match the
 // dataset name the catalog will serve it under.
 func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manifest, error) {
-	if !plan.Mode.valid() {
-		return nil, fmt.Errorf("shard: plan mode %q is not concrete", plan.Mode)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -86,10 +86,9 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 		Format:     ManifestFormat,
 		Version:    ManifestVersion,
 		Name:       name,
-		Mode:       plan.Mode,
+		Mode:       ModeWCC,
 		TotalNodes: g.N(),
 		TotalEdges: g.M(),
-		Replicated: plan.Replicated,
 	}
 	for i, part := range plan.Parts {
 		sg := Subgraph(g, part)
@@ -157,8 +156,10 @@ type LoadOptions struct {
 // construction). Any integrity violation — unparsable or
 // wrong-version manifest, missing or unlisted shard file, content-hash
 // mismatch, shard sizes disagreeing with the manifest, or an id
-// mapping that fails to cover the global id range — is an error; a
-// damaged directory never yields a partially-working engine.
+// mapping that is not an exact partition of the global id range — is
+// an error; a damaged directory never yields a partially-working
+// engine. Nothing is allocated from the manifest's size claims until
+// the shard files have been verified and agree with them.
 func LoadDir(dir string, opt LoadOptions) (*ShardedEngine, *Manifest, error) {
 	man, err := ReadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -186,30 +187,13 @@ func LoadDir(dir string, opt LoadOptions) (*ShardedEngine, *Manifest, error) {
 		}
 	}
 
-	// A corrupted total_nodes must fail loudly, not drive a giant
-	// allocation (or panic) below: coverage requires every global id to
-	// appear in some shard, so the per-shard node counts bound it.
-	sumNodes := 0
-	for i, sf := range man.Shards {
-		if sf.Nodes > math.MaxInt32 || sumNodes > math.MaxInt32-sf.Nodes {
-			return fail("shard %d: implausible node count %d", i, sf.Nodes)
-		}
-		sumNodes += sf.Nodes
-	}
-	if man.TotalNodes > sumNodes {
-		return fail("total_nodes %d exceeds the %d nodes the shards hold", man.TotalNodes, sumNodes)
-	}
-
 	se := &ShardedEngine{
-		mode:       man.Mode,
 		kind:       man.Index,
 		workers:    normalizeWorkers(opt.Workers, len(man.Shards)),
 		totalNodes: man.TotalNodes,
 		totalEdges: man.TotalEdges,
-		replicated: man.Replicated,
 	}
-	covered := make([]bool, man.TotalNodes)
-	copies, edgeSum := 0, 0
+	nodeSum, edgeSum := 0, 0
 	for i, sf := range man.Shards {
 		// Each file is read once; the digest is taken over the exact
 		// bytes that get parsed (no hash-then-reopen window).
@@ -239,33 +223,31 @@ func LoadDir(dir string, opt LoadOptions) (*ShardedEngine, *Manifest, error) {
 		if len(globals) != sg.N() {
 			return fail("shard %d: id mapping covers %d nodes, snapshot has %d", i, len(globals), sg.N())
 		}
-		for _, gv := range globals {
-			if int(gv) >= man.TotalNodes {
-				return fail("shard %d: global id %d out of range (%d total nodes)", i, gv, man.TotalNodes)
-			}
-			if man.Mode == ModeWCC && covered[gv] {
-				return fail("shard %d: global id %d appears in two wcc shards", i, gv)
-			}
-			covered[gv] = true
+		if n := len(globals); n > 0 && int(globals[n-1]) >= man.TotalNodes {
+			return fail("shard %d: global id %d out of range (%d total nodes)", i, globals[n-1], man.TotalNodes)
 		}
-		copies += len(globals)
+		nodeSum += sg.N()
 		edgeSum += sg.M()
 		eng := gtea.NewWithIndexOptions(sg, h, gtea.Options{NoPlan: opt.NoPlan})
 		se.shards = append(se.shards, &shardUnit{eng: eng, globals: globals})
 	}
-	for gv, ok := range covered {
-		if !ok {
-			return fail("global id %d is owned by no shard", gv)
+	if nodeSum != man.TotalNodes {
+		return fail("shards hold %d nodes, manifest says %d", nodeSum, man.TotalNodes)
+	}
+	if edgeSum != man.TotalEdges {
+		return fail("shards hold %d edges, manifest says %d", edgeSum, man.TotalEdges)
+	}
+	// total_nodes is now backed by loaded data. Ids are in range and the
+	// counts sum to the total, so no id in two shards means every id is
+	// in exactly one.
+	covered := make([]bool, man.TotalNodes)
+	for i, u := range se.shards {
+		for _, gv := range u.globals {
+			if covered[gv] {
+				return fail("shard %d: global id %d appears in two shards", i, gv)
+			}
+			covered[gv] = true
 		}
-	}
-	if got := copies - man.TotalNodes; got != man.Replicated {
-		return fail("replicated count %d, manifest says %d", got, man.Replicated)
-	}
-	if man.Mode == ModeWCC && edgeSum != man.TotalEdges {
-		return fail("wcc shards hold %d edges, manifest says %d", edgeSum, man.TotalEdges)
-	}
-	if man.Mode == ModeHash && edgeSum < man.TotalEdges {
-		return fail("hash shards hold %d edges, fewer than the %d logical edges", edgeSum, man.TotalEdges)
 	}
 	return se, man, nil
 }
@@ -294,13 +276,19 @@ func ReadManifest(path string) (*Manifest, error) {
 	if man.Version != ManifestVersion {
 		return fail("unsupported version %d (this build reads %d)", man.Version, ManifestVersion)
 	}
-	if !man.Mode.valid() {
+	if man.Mode == "hash" {
+		return fail("hash-mode shard directories are no longer served; re-run gtpq-shard on the source graph")
+	}
+	if man.Mode != ModeWCC {
 		return fail("invalid mode %q", man.Mode)
+	}
+	if man.Replicated != 0 {
+		return fail("replicated %d, want 0 (wcc shards hold every vertex once)", man.Replicated)
 	}
 	if len(man.Shards) == 0 {
 		return fail("no shards listed")
 	}
-	if man.TotalNodes < 0 || man.TotalEdges < 0 || man.Replicated < 0 {
+	if man.TotalNodes < 0 || man.TotalEdges < 0 {
 		return fail("negative size fields")
 	}
 	for i, sf := range man.Shards {

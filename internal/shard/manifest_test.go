@@ -9,23 +9,49 @@ import (
 	"gtpq/internal/catalog"
 	"gtpq/internal/core"
 	"gtpq/internal/gen"
+	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
 	"gtpq/internal/shard"
 )
 
-// shardedFixture writes a sharded dataset "ds" into a fresh catalog
-// directory and returns the directory, the shard directory, and the
-// unsharded baseline answer of a probe query.
-func shardedFixture(t *testing.T, mode shard.Mode) (catDir, shardDir string, q *core.Query, want *core.Answer) {
+var fixtureLabels = []string{"a", "b", "c"}
+
+// forestFixture has four components, two per shard at K=2.
+func forestFixture() *graph.Graph {
+	return gen.Forest(rand.New(rand.NewSource(123)), 4, 10, 16, fixtureLabels)
+}
+
+// oneComponentFixture is a single weakly-connected component (a
+// spanning path plus random forward edges): at K=2 one shard is empty.
+func oneComponentFixture() *graph.Graph {
+	r := rand.New(rand.NewSource(124))
+	const n = 30
+	g := graph.New(n, 2*n)
+	for i := 0; i < n; i++ {
+		g.AddNode(fixtureLabels[r.Intn(len(fixtureLabels))], nil)
+	}
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	for e := 0; e < n; e++ {
+		u := r.Intn(n - 1)
+		g.AddEdge(graph.NodeID(u), graph.NodeID(u+1+r.Intn(n-u-1)))
+	}
+	g.Freeze()
+	return g
+}
+
+// shardedFixture writes g as a 2-shard dataset "ds" into a fresh
+// catalog directory and returns the directory, the shard directory,
+// and the unsharded baseline answer of a probe query.
+func shardedFixture(t *testing.T, g *graph.Graph) (catDir, shardDir string, q *core.Query, want *core.Answer) {
 	t.Helper()
-	r := rand.New(rand.NewSource(123))
-	g := gen.Forest(r, 4, 10, 16, []string{"a", "b", "c"})
-	q = gen.Query(rand.New(rand.NewSource(5)), 3, []string{"a", "b", "c"}, true, true)
+	q = gen.Query(rand.New(rand.NewSource(5)), 3, fixtureLabels, true, true)
 	want = gtea.New(g).Eval(q)
 
 	catDir = t.TempDir()
 	shardDir = filepath.Join(catDir, "ds")
-	plan, err := shard.Partition(g, 2, mode)
+	plan, err := shard.Partition(g, 2, shard.ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +83,7 @@ func acquireEval(catDir string, q *core.Query) (*core.Answer, error) {
 // construction: whitespace, hex case, or fields re-verified against
 // the files.)
 func TestManifestSingleByteMutations(t *testing.T) {
-	catDir, shardDir, q, want := shardedFixture(t, shard.ModeWCC)
+	catDir, shardDir, q, want := shardedFixture(t, forestFixture())
 	manPath := filepath.Join(shardDir, shard.ManifestName)
 	pristine, err := os.ReadFile(manPath)
 	if err != nil {
@@ -98,11 +124,15 @@ func TestManifestSingleByteMutations(t *testing.T) {
 
 // TestShardFilesMissingOrExtra checks the directory-shape guards:
 // deleting any shard file, truncating one, or dropping a stray shard
-// file into the directory fails the load.
+// file into the directory fails the load — with components on both
+// shards ("wcc") and with one shard empty.
 func TestShardFilesMissingOrExtra(t *testing.T) {
-	for _, mode := range []shard.Mode{shard.ModeWCC, shard.ModeHash} {
-		t.Run(string(mode), func(t *testing.T) {
-			catDir, shardDir, q, want := shardedFixture(t, mode)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"wcc", forestFixture()}, {"one_component", oneComponentFixture()}} {
+		t.Run(c.name, func(t *testing.T) {
+			catDir, shardDir, q, want := shardedFixture(t, c.g)
 			des, err := os.ReadDir(shardDir)
 			if err != nil {
 				t.Fatal(err)
@@ -166,7 +196,7 @@ func TestShardFilesMissingOrExtra(t *testing.T) {
 // listing metadata, acquisition, and precedence of the sharded
 // directory over a flat file of the same name.
 func TestCatalogServesSharded(t *testing.T) {
-	catDir, _, q, want := shardedFixture(t, shard.ModeWCC)
+	catDir, _, q, want := shardedFixture(t, forestFixture())
 	cat, err := catalog.Open(catDir, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +209,7 @@ func TestCatalogServesSharded(t *testing.T) {
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("list = %+v err=%v", infos, err)
 	}
-	if infos[0].Shards != 2 || infos[0].ShardMode != "wcc" || infos[0].Loaded {
+	if infos[0].Shards != 2 || infos[0].Loaded {
 		t.Fatalf("pre-load info = %+v", infos[0])
 	}
 

@@ -48,8 +48,8 @@ func TestPartitionWCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Mode != ModeWCC || plan.Replicated != 0 {
-		t.Fatalf("plan = %+v", plan)
+	if plan.Components < 16 || len(plan.Parts) != k {
+		t.Fatalf("plan: %d components, %d parts", plan.Components, len(plan.Parts))
 	}
 	seen := make([]bool, g.N())
 	for _, part := range plan.Parts {
@@ -88,62 +88,10 @@ func TestPartitionWCC(t *testing.T) {
 	}
 }
 
-// TestPartitionHashClosure checks the hash fallback's soundness
-// invariant: every part is closed under reachability, every vertex is
-// in its owner's part, and Replicated counts the copies.
-func TestPartitionHashClosure(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := gen.Graph(r, 60, 150, []string{"a", "b", "c"}, true)
-	const k = 3
-	plan, err := Partition(g, k, ModeHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for s, part := range plan.Parts {
-		in := map[graph.NodeID]bool{}
-		for _, v := range part {
-			in[v] = true
-		}
-		for _, v := range part {
-			for _, w := range g.Out(v) {
-				if !in[w] {
-					t.Fatalf("shard %d not closed: %d->%d leaves the part", s, v, w)
-				}
-			}
-		}
-		total += len(part)
-	}
-	for v := 0; v < g.N(); v++ {
-		owner := Owner(graph.NodeID(v), k)
-		found := false
-		for _, w := range plan.Parts[owner] {
-			if w == graph.NodeID(v) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("vertex %d missing from its owner shard %d", v, owner)
-		}
-	}
-	if plan.Replicated != total-g.N() {
-		t.Fatalf("Replicated = %d, want %d", plan.Replicated, total-g.N())
-	}
-}
-
-// TestPartitionAuto checks mode resolution: enough components → wcc,
-// one giant component → hash.
+// TestPartitionAuto checks the fewer-components-than-K case: one
+// 30-node chain at K=4 fills one part and leaves three empty. A shard
+// count below 1 and any mode but wcc are rejected.
 func TestPartitionAuto(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	forest := gen.Forest(r, 8, 8, 10, []string{"a"})
-	plan, err := Partition(forest, 4, ModeAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Mode != ModeWCC {
-		t.Fatalf("forest resolved to %s, want wcc", plan.Mode)
-	}
 	chain := graph.New(30, 29)
 	for i := 0; i < 30; i++ {
 		chain.AddNode("a", nil)
@@ -151,48 +99,57 @@ func TestPartitionAuto(t *testing.T) {
 	for i := 0; i < 29; i++ {
 		chain.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
 	}
-	plan, err = Partition(chain, 4, ModeAuto)
+	plan, err := Partition(chain, 4, ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Mode != ModeHash {
-		t.Fatalf("single chain resolved to %s, want hash", plan.Mode)
+	if plan.Components != 1 || len(plan.Parts) != 4 {
+		t.Fatalf("plan: %d components, %d parts", plan.Components, len(plan.Parts))
 	}
-	if _, err := Partition(chain, 0, ModeAuto); err == nil {
+	for s, part := range plan.Parts {
+		want := 0
+		if s == 0 {
+			want = 30
+		}
+		if len(part) != want {
+			t.Fatalf("part %d holds %d vertices, want %d", s, len(part), want)
+		}
+	}
+	if _, err := Partition(chain, 0, ModeWCC); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Partition(chain, 2, Mode("bogus")); err == nil {
-		t.Fatal("bogus mode accepted")
+	for _, m := range []Mode{"bogus", "hash", "auto"} {
+		if _, err := Partition(chain, 2, m); err == nil {
+			t.Fatalf("mode %q accepted", m)
+		}
 	}
 }
 
 // TestEmptyShards checks the K > N boundary: shards with no vertices
 // still build engines (on empty subgraphs) and evaluate to empty
-// partial answers, for both modes and backends.
+// partial answers, on both backends.
 func TestEmptyShards(t *testing.T) {
 	g := graph.New(2, 1)
 	g.AddNode("a", nil)
 	g.AddNode("b", nil)
 	g.AddEdge(0, 1)
 	g.Freeze()
-	for _, mode := range []Mode{ModeWCC, ModeHash} {
-		plan, err := Partition(g, 5, mode)
+	plan, err := Partition(g, 5, ModeWCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Parts) != 5 {
+		t.Fatalf("%d parts, want 5", len(plan.Parts))
+	}
+	for _, kind := range []string{"threehop", "tc"} {
+		se, err := NewEngine(g, plan, Options{Index: kind})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", kind, err)
 		}
-		if len(plan.Parts) != 5 {
-			t.Fatalf("%s: %d parts, want 5", mode, len(plan.Parts))
-		}
-		for _, kind := range []string{"threehop", "tc"} {
-			se, err := NewEngine(g, plan, Options{Index: kind})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, kind, err)
-			}
-			q := core.NewQuery()
-			q.SetOutput(q.AddRoot("x", core.Label("a")))
-			if got := se.Eval(q).Len(); got != 1 {
-				t.Fatalf("%s/%s: %d results, want 1", mode, kind, got)
-			}
+		q := core.NewQuery()
+		q.SetOutput(q.AddRoot("x", core.Label("a")))
+		if got := se.Eval(q).Len(); got != 1 {
+			t.Fatalf("%s: %d results, want 1", kind, got)
 		}
 	}
 }

@@ -4,20 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
 )
 
 // TestUnionReconstructsGraph checks Union against the graph the engine
 // was sharded from: identical sizes, labels, adjacency (multiplicity
-// included), and edge kinds — under both partitioning modes.
+// included), and edge kinds — with components spread over the shards
+// and with empty shards.
 func TestUnionReconstructsGraph(t *testing.T) {
-	for _, mode := range []Mode{ModeWCC, ModeHash} {
-		t.Run(string(mode), func(t *testing.T) {
-			r := rand.New(rand.NewSource(21))
-			g := gen.Forest(r, 4, 10, 16, testLabels)
-			plan, err := Partition(g, 3, mode)
+	for _, c := range shapeCases(rand.New(rand.NewSource(21))) {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			plan, err := Partition(g, 3, ModeWCC)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,57 +51,60 @@ func TestUnionReconstructsGraph(t *testing.T) {
 }
 
 // TestCompositeIndexMatchesFlat cross-checks the composite index's
-// point probes and contours against a flat index over the same graph.
+// point probes, contours and label counts against a flat index over
+// the same graph, on both backends.
 func TestCompositeIndexMatchesFlat(t *testing.T) {
-	for _, mode := range []Mode{ModeWCC, ModeHash} {
-		t.Run(string(mode), func(t *testing.T) {
-			r := rand.New(rand.NewSource(22))
-			var g *graph.Graph
-			if mode == ModeWCC {
-				g = gen.Forest(r, 4, 8, 14, testLabels)
-			} else {
-				g = gen.Graph(r, 30, 70, testLabels, true)
-			}
-			plan, err := Partition(g, 3, mode)
+	r := rand.New(rand.NewSource(22))
+	for _, c := range shapeCases(r) {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			plan, err := Partition(g, 3, ModeWCC)
 			if err != nil {
 				t.Fatal(err)
 			}
-			se, err := NewEngine(g, plan, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ci := se.CompositeIndex()
-			if ci.Kind() != CompositeKindPrefix+se.IndexKind() {
-				t.Fatalf("composite kind %q", ci.Kind())
-			}
-			flat, err := reach.Build("", g, reach.BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st reach.Stats
-			n := g.N()
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					gu, gv := graph.NodeID(u), graph.NodeID(v)
-					if got, want := ci.ReachesSt(gu, gv, &st), flat.ReachesSt(gu, gv, &st); got != want {
-						t.Fatalf("Reaches(%d,%d) = %v, flat %v", u, v, got, want)
+			for _, kind := range []string{"threehop", "tc"} {
+				se, err := NewEngine(g, plan, Options{Index: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ci := se.CompositeIndex()
+				if ci.Kind() != CompositeKindPrefix+se.IndexKind() {
+					t.Fatalf("composite kind %q", ci.Kind())
+				}
+				flat, err := reach.Build(kind, g, reach.BuildOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l := range testLabels {
+					if got, want := ci.LabelCount(l), flat.LabelCount(l); got != want {
+						t.Fatalf("%s: LabelCount(%q) = %d, flat %d", kind, l, got, want)
 					}
 				}
-			}
-			for rep := 0; rep < 6; rep++ {
-				S := make([]graph.NodeID, 0, 5)
-				for i := 1 + r.Intn(5); i > 0; i-- {
-					S = append(S, graph.NodeID(r.Intn(n)))
-				}
-				pc, cpc := flat.PredContour(S, &st), ci.PredContour(S, &st)
-				sc, csc := flat.SuccContour(S, &st), ci.SuccContour(S, &st)
-				for v := 0; v < n; v++ {
-					gv := graph.NodeID(v)
-					if got, want := cpc.ReachedFrom(gv, &st), pc.ReachedFrom(gv, &st); got != want {
-						t.Fatalf("S=%v PredContour(%d) = %v, flat %v", S, v, got, want)
+				var st reach.Stats
+				n := g.N()
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						gu, gv := graph.NodeID(u), graph.NodeID(v)
+						if got, want := ci.ReachesSt(gu, gv, &st), flat.ReachesSt(gu, gv, &st); got != want {
+							t.Fatalf("%s: Reaches(%d,%d) = %v, flat %v", kind, u, v, got, want)
+						}
 					}
-					if got, want := csc.ReachesNode(gv, &st), sc.ReachesNode(gv, &st); got != want {
-						t.Fatalf("S=%v SuccContour(%d) = %v, flat %v", S, v, got, want)
+				}
+				for rep := 0; rep < 6; rep++ {
+					S := make([]graph.NodeID, 0, 5)
+					for i := 1 + r.Intn(5); i > 0; i-- {
+						S = append(S, graph.NodeID(r.Intn(n)))
+					}
+					pc, cpc := flat.PredContour(S, &st), ci.PredContour(S, &st)
+					sc, csc := flat.SuccContour(S, &st), ci.SuccContour(S, &st)
+					for v := 0; v < n; v++ {
+						gv := graph.NodeID(v)
+						if got, want := cpc.ReachedFrom(gv, &st), pc.ReachedFrom(gv, &st); got != want {
+							t.Fatalf("%s: S=%v PredContour(%d) = %v, flat %v", kind, S, v, got, want)
+						}
+						if got, want := csc.ReachesNode(gv, &st), sc.ReachesNode(gv, &st); got != want {
+							t.Fatalf("%s: S=%v SuccContour(%d) = %v, flat %v", kind, S, v, got, want)
+						}
 					}
 				}
 			}

@@ -33,7 +33,7 @@ func writeFlat(t *testing.T, dir, name, kind string, g *graph.Graph) {
 
 func writeSharded(t *testing.T, dir, name, kind string, g *graph.Graph) {
 	t.Helper()
-	plan, err := shard.Partition(g, 3, shard.ModeAuto)
+	plan, err := shard.Partition(g, 3, shard.ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
