@@ -1,0 +1,62 @@
+package reach
+
+import (
+	"math/rand"
+	"testing"
+
+	"gtpq/internal/arxiv"
+	"gtpq/internal/graph"
+	"gtpq/internal/xmark"
+)
+
+// BenchmarkThreeHopReads measures the query-time reads of the Lin/Lout
+// lists on the two dataset families: the benchmark's 201k-node XMark
+// site, where lists are short and positions far apart, and the dense
+// arXiv DAG, where a row holds a few hundred entries. Over a fixed
+// random sample of nodes it times point queries, contour merges with
+// probes against them, and one walker sweep each way.
+func BenchmarkThreeHopReads(b *testing.B) {
+	xm, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 8000, Seed: 7})
+	ax, _ := arxiv.Generate(arxiv.DefaultConfig())
+	for _, fx := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"xmark", xm}, {"arxiv", ax}} {
+		h := NewThreeHop(fx.g)
+		r := rand.New(rand.NewSource(71))
+		nodes := make([]graph.NodeID, 256)
+		for i := range nodes {
+			nodes[i] = graph.NodeID(r.Intn(fx.g.N()))
+		}
+		var st Stats
+		b.Run(fx.name+"/point", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.ReachesSt(nodes[i%len(nodes)], nodes[(i*7+3)%len(nodes)], &st)
+			}
+		})
+		b.Run(fx.name+"/contour", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := nodes[(i*32)%len(nodes):][:32]
+				cp, cs := h.MergePredLists(s, &st), h.MergeSuccLists(s, &st)
+				for _, v := range nodes {
+					h.ReachesContour(v, cp, &st)
+					h.ContourReaches(cs, v, &st)
+				}
+			}
+		})
+		b.Run(fx.name+"/walk", func(b *testing.B) {
+			b.ReportAllocs()
+			sum := int32(0)
+			f := func(cid, pos int32) { sum += pos }
+			for i := 0; i < b.N; i++ {
+				out, in := h.NewOutWalker(&st), h.NewInWalker(&st)
+				for _, v := range nodes {
+					out.Walk(v, f)
+					in.Walk(v, f)
+				}
+			}
+		})
+	}
+}

@@ -99,12 +99,17 @@ func init() {
 //	per scc: |Lin|,  entries as (cid, sid) pairs
 //
 // On disk an entry is still its (chain id, sequence id) pair; in memory
-// it is the position chains.off[cid] + sid, converted here in both
-// directions, so snapshots written before entries became positions
-// load unchanged. posOf/chainAt are derived from the chains, the skip
-// pointers are rebuilt (O(numSCC)), and the condensation is recomputed
-// from the graph. Every varint must be minimally encoded and nothing
-// may follow the lists, so an accepted payload re-marshals to itself.
+// it is the position chains.off[cid] + sid, gap-coded (gapRows),
+// converted here in both directions, so snapshots written before either
+// change load unchanged. A list's entries may come in any order:
+// indexes written before the flat layout listed them in map order under
+// this same format, and every later one in ascending position order.
+// Each list is sorted on load, and a position named twice is refused.
+// posOf/chainAt are derived from the chains, the skip pointers are
+// rebuilt (O(numSCC)), and the condensation is recomputed from the
+// graph. Every varint must be minimally encoded and nothing may follow
+// the lists, so an accepted payload re-marshals to itself once its
+// lists are sorted.
 
 // MarshalBinary serializes the chain cover and Lin/Lout lists.
 func (h *ThreeHop) MarshalBinary() ([]byte, error) {
@@ -119,11 +124,12 @@ func (h *ThreeHop) MarshalBinary() ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(s))
 		}
 	}
-	appendLists := func(lists csr[int32]) {
+	appendLists := func(lists gapRows) {
 		for s := int32(0); s < int32(n); s++ {
-			l := lists.row(s)
-			buf = binary.AppendUvarint(buf, uint64(len(l)))
-			for _, p := range l {
+			b := lists.row(s)
+			buf = binary.AppendUvarint(buf, uint64(entries(b)))
+			for i, p := 0, int32(-1); i < len(b); {
+				p, i = nextGap(b, i, p)
 				c := h.chainAt[p]
 				buf = binary.AppendUvarint(buf, uint64(c))
 				buf = binary.AppendUvarint(buf, uint64(p-h.chains.off[c]))
@@ -180,8 +186,9 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if covered := len(h.chains.val); covered != n {
 		return nil, fmt.Errorf("reach: snapshot chains cover %d of %d SCCs", covered, n)
 	}
-	readLists := func() (csr[int32], error) {
-		lists := csr[int32]{off: make([]int32, n+1)}
+	var row []int32
+	readLists := func() (gapRows, error) {
+		lists := gapRows{off: make([]int32, n+1)}
 		for s := 0; s < n; s++ {
 			// Every entry takes at least two varint bytes, bounding any
 			// declared length by the remaining payload.
@@ -189,6 +196,7 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 			if err != nil {
 				return lists, err
 			}
+			row = row[:0]
 			for i := 0; i < ln; i++ {
 				cid, sid := d.next(), d.next()
 				if cid >= uint64(numChains) {
@@ -198,11 +206,19 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 					return lists, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
 						sid, cid, chainLen)
 				}
-				lists.val = append(lists.val, h.chains.off[cid]+int32(sid))
+				row = append(row, h.chains.off[cid]+int32(sid))
 			}
-			lists.off[s+1] = int32(len(lists.val))
+			slices.Sort(row)
+			for i := 1; i < len(row); i++ {
+				if row[i] == row[i-1] {
+					return lists, fmt.Errorf("reach: snapshot list of SCC %d names position %d twice", s, row[i])
+				}
+			}
+			lists.buf = appendGaps(lists.buf, row)
+			lists.off[s+1] = int32(len(lists.buf))
+			lists.n += ln
 		}
-		lists.val = slices.Clone(lists.val) // drop the append slack
+		lists.buf = slices.Clone(lists.buf) // drop the append slack
 		return lists, nil
 	}
 	var err error

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gtpq/internal/arxiv"
@@ -13,16 +14,23 @@ import (
 	"gtpq/internal/xmark"
 )
 
-// TestThreeHopSnapshotGolden pins the on-disk 3-hop payload: the
-// SHA-256 of MarshalBinary for two fixed graphs, computed before list
-// entries became in-memory chain positions. A .snap written by that
-// layout therefore still decodes to the same index.
-func TestThreeHopSnapshotGolden(t *testing.T) {
+// goldenGraphs are the two fixed graphs whose 3-hop payloads are pinned.
+func goldenGraphs() (arxivTiny, xmark50 *graph.Graph) {
 	ax, _ := arxiv.Generate(arxiv.Config{
 		Papers: 500, Authors: 250, AuthorsPerPaper: 2.5, CitesPerPaper: 1.8,
 		Window: 100, PaperLabels: 60, AuthorLabels: 40, Seed: 11,
 	})
 	xm, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 50, Seed: 7})
+	return ax, xm
+}
+
+// TestThreeHopSnapshotGolden pins the on-disk 3-hop payload: the
+// SHA-256 of MarshalBinary for two fixed graphs, computed before list
+// entries became in-memory chain positions, and unchanged since those
+// became varint gaps. A .snap written by either earlier layout
+// therefore still decodes to the same index.
+func TestThreeHopSnapshotGolden(t *testing.T) {
+	ax, xm := goldenGraphs()
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -64,38 +72,200 @@ func pathAB() *graph.Graph {
 // SCC 0 twice: n=2, one chain [0, 0], all lists empty.
 var dupSCCPayload = uvarints(2, 1, 2, 0, 0, 0, 0, 0, 0)
 
+// star3 is the graph a→b, a→c, a→d: three chains, so the Lout list
+// of a's SCC holds two entries.
+func star3() *graph.Graph {
+	g := graph.New(4, 3)
+	a := g.AddNode("a", nil)
+	for _, l := range []string{"b", "c", "d"} {
+		g.AddEdge(a, g.AddNode(l, nil))
+	}
+	g.Freeze()
+	return g
+}
+
+// star3Payload is the 3-hop payload of star3 with the two entries of
+// SCC 3's Lout list given by lout: n=4, chains [1] [2] [3 0], Lout
+// empty but for SCC 3, Lin (2,0) for SCCs 1 and 2. Built by the
+// codec, lout is (0,0), (1,0).
+func star3Payload(lout ...uint64) []byte {
+	vs := []uint64{4, 3, 1, 1, 1, 2, 2, 3, 0, 0, 0, 0, 2}
+	vs = append(vs, lout...)
+	return uvarints(append(vs, 0, 1, 2, 0, 1, 2, 0, 0)...)
+}
+
+// TestUnmarshalThreeHopRejectsBadPayloads checks malformed payloads
+// are refused, among them a list naming one position twice, which no
+// index holds and a row of position gaps cannot store.
 func TestUnmarshalThreeHopRejectsBadPayloads(t *testing.T) {
-	g := pathAB()
-	valid, err := NewThreeHop(g).MarshalBinary()
+	ab, star := pathAB(), star3()
+	valid, err := NewThreeHop(ab).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := unmarshalThreeHop(g, valid); err != nil {
-		t.Fatalf("valid payload rejected: %v", err)
+	starValid, err := NewThreeHop(star).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{
-		"SCC named twice": dupSCCPayload,
-		"trailing byte":   append(bytes.Clone(valid), 0),
-		"overlong varint": append([]byte{0x82, 0x00}, valid[1:]...), // n=2 in two bytes
+	if want := star3Payload(0, 0, 1, 0); !bytes.Equal(starValid, want) {
+		t.Fatalf("star3 marshals to % x, want % x", starValid, want)
+	}
+	for g, data := range map[*graph.Graph][]byte{ab: valid, star: starValid} {
+		if _, err := unmarshalThreeHop(g, data); err != nil {
+			t.Fatalf("valid payload % x rejected: %v", data, err)
+		}
+	}
+	for name, c := range map[string]struct {
+		g    *graph.Graph
+		data []byte
+	}{
+		"SCC named twice":     {ab, dupSCCPayload},
+		"trailing byte":       {ab, append(bytes.Clone(valid), 0)},
+		"overlong varint":     {ab, append([]byte{0x82, 0x00}, valid[1:]...)}, // n=2 in two bytes
+		"repeated list entry": {star, star3Payload(0, 0, 0, 0)},
 	} {
-		if _, err := unmarshalThreeHop(g, data); err == nil {
-			t.Errorf("%s: payload % x accepted", name, data)
+		if _, err := unmarshalThreeHop(c.g, c.data); err == nil {
+			t.Errorf("%s: payload % x accepted", name, c.data)
+		}
+	}
+}
+
+// shuffledPayload is h's 3-hop payload with the entries of every list
+// in random order, as indexes written before lists were sorted by
+// chain id stored them.
+func shuffledPayload(h *ThreeHop, r *rand.Rand) []byte {
+	n := len(h.posOf)
+	vs := []uint64{uint64(n), uint64(h.chains.rows())}
+	for c := int32(0); c < int32(h.chains.rows()); c++ {
+		chain := h.chains.row(c)
+		vs = append(vs, uint64(len(chain)))
+		for _, s := range chain {
+			vs = append(vs, uint64(s))
+		}
+	}
+	for _, lists := range []gapRows{h.lout, h.lin} {
+		for s := int32(0); s < int32(n); s++ {
+			var row []int32
+			for b, i, p := lists.row(s), 0, int32(-1); i < len(b); {
+				p, i = nextGap(b, i, p)
+				row = append(row, p)
+			}
+			r.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+			vs = append(vs, uint64(len(row)))
+			for _, p := range row {
+				c := h.chainAt[p]
+				vs = append(vs, uint64(c), uint64(p-h.chains.off[c]))
+			}
+		}
+	}
+	return uvarints(vs...)
+}
+
+// TestUnmarshalThreeHopAcceptsAnyListOrder checks that a version-1
+// payload whose lists are not in ascending position order still loads:
+// indexes built before the flat layout wrote them in map order. Such a
+// payload must decode to the index a fresh build gives, so it
+// re-marshals to the sorted payload and answers and counts every probe
+// alike.
+func TestUnmarshalThreeHopAcceptsAnyListOrder(t *testing.T) {
+	star := star3()
+	h, err := unmarshalThreeHop(star, star3Payload(1, 0, 0, 0))
+	if err != nil {
+		t.Fatalf("star3 with a descending list rejected: %v", err)
+	}
+	if got, want := mustMarshal(t, h), star3Payload(0, 0, 1, 0); !bytes.Equal(got, want) {
+		t.Errorf("star3 with a descending list re-marshals to % x, want % x", got, want)
+	}
+	ax, xm := goldenGraphs()
+	r := rand.New(rand.NewSource(17))
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"arxiv tiny", ax}, {"xmark 50", xm}} {
+		fresh := NewThreeHop(c.g)
+		want := mustMarshal(t, fresh)
+		shuffled := shuffledPayload(fresh, r)
+		if bytes.Equal(shuffled, want) {
+			t.Fatalf("%s: shuffling left every list in order", c.name)
+		}
+		decoded, err := unmarshalThreeHop(c.g, shuffled)
+		if err != nil {
+			t.Fatalf("%s: shuffled payload rejected: %v", c.name, err)
+		}
+		if !bytes.Equal(mustMarshal(t, decoded), want) {
+			t.Errorf("%s: shuffled payload does not re-marshal to the built one", c.name)
+		}
+		var got, exp Stats
+		for i := 0; i < 2000; i++ {
+			u, v := graph.NodeID(r.Intn(c.g.N())), graph.NodeID(r.Intn(c.g.N()))
+			if decoded.ReachesSt(u, v, &got) != fresh.ReachesSt(u, v, &exp) {
+				t.Fatalf("%s: %d -> %d answers differ from a fresh build", c.name, u, v)
+			}
+		}
+		if got != exp {
+			t.Errorf("%s: probes cost %+v on the decoded index, %+v on a fresh build", c.name, got, exp)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, h ContourIndex) []byte {
+	t.Helper()
+	data, err := MarshalIndex(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestGapRowsRoundTrip checks the row encoding at the varint width
+// boundaries: every row decodes to the positions it was built from,
+// and the entry count and empty rows are right.
+func TestGapRowsRoundTrip(t *testing.T) {
+	rows := [][]int32{
+		{0},
+		{},
+		{127},
+		{128},
+		{0, 128, 129, 16512, 16513, 2_113_664, 2_113_665, 1<<31 - 1},
+		{5, 6, 7},
+	}
+	enc := make([][]byte, len(rows))
+	want := 0
+	for i, r := range rows {
+		enc[i] = appendGaps(nil, r)
+		want += len(r)
+	}
+	packed := packRows(enc)
+	if packed.n != want {
+		t.Errorf("packRows counted %d entries, want %d", packed.n, want)
+	}
+	for i, r := range rows {
+		var got []int32
+		for b, j, p := packed.row(int32(i)), 0, int32(-1); j < len(b); {
+			p, j = nextGap(b, j, p)
+			got = append(got, p)
+		}
+		if !slices.Equal(got, r) || packed.empty(int32(i)) != (len(r) == 0) {
+			t.Errorf("row %d decodes to %v (empty %v), want %v", i, got, packed.empty(int32(i)), r)
 		}
 	}
 }
 
 // fuzzGraphs are the graphs the codec fuzz targets decode against,
 // picked by the input's first argument: pathAB, which the duplicate-SCC
-// payload names, and small random graphs, cycles and self-loops included.
+// payload names, small random graphs, cycles and self-loops included,
+// and star3, which the unordered-list payloads name.
 func fuzzGraphs() []*graph.Graph {
 	r := rand.New(rand.NewSource(601))
-	return []*graph.Graph{pathAB(), randDAG(r, 8, 14), randDigraph(r, 10, 18), randDigraph(r, 16, 30)}
+	return []*graph.Graph{pathAB(), randDAG(r, 8, 14), randDigraph(r, 10, 18), randDigraph(r, 16, 30), star3()}
 }
 
 // fuzzCodec seeds f with each graph's marshaled index (plus extra, keyed
 // by graph) and checks every payload the codec accepts: it re-marshals
-// to the same bytes, passes check (when given), and every query on it
-// returns without panicking.
+// to a payload that is accepted too and re-marshals to itself (a 3-hop
+// payload's lists may come in any order and are written back sorted),
+// passes check (when given), and every query on it returns without
+// panicking.
 func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*testing.T, ContourIndex)) {
 	gs := fuzzGraphs()
 	for i, g := range gs {
@@ -122,8 +292,12 @@ func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*te
 		if err != nil {
 			t.Fatalf("re-marshal: %v", err)
 		}
-		if !bytes.Equal(again, data) {
-			t.Fatalf("accepted payload % x re-marshals to % x", data, again)
+		h2, err := UnmarshalIndex(kind, g, again)
+		if err != nil {
+			t.Fatalf("accepted payload % x re-marshals to % x, which is rejected: %v", data, again, err)
+		}
+		if again2, err := MarshalIndex(h2); err != nil || !bytes.Equal(again2, again) {
+			t.Fatalf("accepted payload % x re-marshals to % x, which re-marshals to % x (%v)", data, again, again2, err)
 		}
 		if check != nil {
 			check(t, h)
@@ -145,7 +319,8 @@ func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*te
 }
 
 func FuzzUnmarshalThreeHop(f *testing.F) {
-	fuzzCodec(f, "threehop", map[uint8][]byte{0: dupSCCPayload}, func(t *testing.T, ci ContourIndex) {
+	extra := map[uint8][]byte{0: dupSCCPayload, 4: star3Payload(1, 0, 0, 0)}
+	fuzzCodec(f, "threehop", extra, func(t *testing.T, ci ContourIndex) {
 		h := ci.(*ThreeHop)
 		n := len(h.posOf)
 		onChains := make([]int, n)
@@ -161,6 +336,22 @@ func FuzzUnmarshalThreeHop(f *testing.F) {
 			if k != 1 {
 				t.Fatalf("SCC %d of %d is on %d chains", s, n, k)
 			}
+		}
+		decoded := 0
+		for _, lists := range []gapRows{h.lout, h.lin} {
+			for s := int32(0); s < int32(n); s++ {
+				for b, i, p := lists.row(s), 0, int32(-1); i < len(b); {
+					prev := p
+					p, i = nextGap(b, i, p)
+					if p <= prev || int(p) >= n {
+						t.Fatalf("list of SCC %d decodes position %d after %d, of %d", s, p, prev, n)
+					}
+					decoded++
+				}
+			}
+		}
+		if decoded != h.IndexSize() {
+			t.Fatalf("lists decode %d entries, IndexSize says %d", decoded, h.IndexSize())
 		}
 	})
 }

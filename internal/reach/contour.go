@@ -29,6 +29,7 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 		members: make(map[int32]bool, len(S)),
 	}
 	visited := make(map[int32]int32) // cid -> largest position whose prefix has been fully scanned
+	n := int64(0)
 	for _, v := range S {
 		s := h.scc.Comp[v]
 		c.members[s] = true
@@ -43,8 +44,9 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 			if seen && h.posOf[t] <= limit {
 				break
 			}
-			for _, p := range h.lin.row(t) {
-				st.Lookups++
+			for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+				p, i = nextGap(b, i, p)
+				n++
 				pc := h.chainAt[p]
 				if cur, ok := c.vals[pc]; !ok || p > cur {
 					c.vals[pc] = p
@@ -55,6 +57,7 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 			visited[cid] = pos
 		}
 	}
+	st.Lookups += n
 	return c
 }
 
@@ -66,6 +69,7 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 		members: make(map[int32]bool, len(S)),
 	}
 	visited := make(map[int32]int32) // cid -> smallest position whose suffix has been fully scanned
+	n := int64(0)
 	for _, v := range S {
 		s := h.scc.Comp[v]
 		c.members[s] = true
@@ -78,8 +82,9 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 			if seen && h.posOf[t] >= limit {
 				break
 			}
-			for _, p := range h.lout.row(t) {
-				st.Lookups++
+			for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
+				p, i = nextGap(b, i, p)
+				n++
 				pc := h.chainAt[p]
 				if cur, ok := c.vals[pc]; !ok || p < cur {
 					c.vals[pc] = p
@@ -90,6 +95,7 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 			visited[cid] = pos
 		}
 	}
+	st.Lookups += n
 	return c
 }
 
@@ -155,27 +161,35 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 // outMatches reports whether some entry of s's complete successor list
 // (the Lout lists of its chain suffix) matches the predecessor contour.
 func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
+	n := int64(0)
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		for _, p := range h.lout.row(t) {
-			st.Lookups++
+		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			if cp.MatchPred(h.chainAt[p], p) {
+				st.Lookups += n
 				return true
 			}
 		}
 	}
+	st.Lookups += n
 	return false
 }
 
 // inMatches is outMatches' dual over s's complete predecessor list.
 func (h *ThreeHop) inMatches(cs *Contour, s int32, st *Stats) bool {
+	n := int64(0)
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		for _, p := range h.lin.row(t) {
-			st.Lookups++
+		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			if cs.MatchSucc(h.chainAt[p], p) {
+				st.Lookups += n
 				return true
 			}
 		}
 	}
+	st.Lookups += n
 	return false
 }
 
@@ -215,15 +229,18 @@ func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
+	n := int64(0)
 	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
 		if seen && h.posOf[t] >= limit {
 			break
 		}
-		for _, p := range h.lout.row(t) {
-			w.st.Lookups++
+		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			f(h.chainAt[p], p)
 		}
 	}
+	w.st.Lookups += n
 	if !seen || pos < limit {
 		w.visited[cid] = pos
 	}
@@ -250,15 +267,18 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
+	n := int64(0)
 	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
 		if seen && h.posOf[t] <= limit {
 			break
 		}
-		for _, p := range h.lin.row(t) {
-			w.st.Lookups++
+		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			f(h.chainAt[p], p)
 		}
 	}
+	w.st.Lookups += n
 	if !seen || pos > limit {
 		w.visited[cid] = pos
 	}

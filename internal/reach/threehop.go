@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -8,8 +9,8 @@ import (
 	"gtpq/internal/graph"
 )
 
-// csr is package graph's layout for lists of lists, here for the chains
-// and the Lin/Lout lists: row i is val[off[i]:off[i+1]].
+// csr is package graph's layout for lists of lists, here for the chains:
+// row i is val[off[i]:off[i+1]].
 type csr[T any] struct {
 	off []int32 // len = rows + 1
 	val []T
@@ -22,17 +23,79 @@ func (c csr[T]) row(i int32) []T {
 	return c.val[lo:hi:hi]
 }
 
-// flatten lays lists out as one csr.
-func flatten[T any](lists [][]T) csr[T] {
-	c := csr[T]{off: make([]int32, len(lists)+1)}
-	for i, l := range lists {
-		c.off[i+1] = c.off[i] + int32(len(l))
+// gapRows is the layout of the Lin/Lout lists: row i is the bytes
+// buf[off[i]:off[i+1]]. A row's positions ascend strictly, so each is
+// stored as the uvarint gap p - prev - 1 from its predecessor (prev is
+// -1 before the first). Rows are only ever read front to back.
+type gapRows struct {
+	off []int32 // len = rows + 1
+	buf []byte
+	n   int // entries over all rows
+}
+
+func (r gapRows) empty(i int32) bool { return r.off[i] == r.off[i+1] }
+
+// row returns row i's bytes, to be decoded front to back by nextGap:
+//
+//	for b, i, p := r.row(s), 0, int32(-1); i < len(b); {
+//		p, i = nextGap(b, i, p)
+//		...
+//	}
+func (r gapRows) row(i int32) []byte { return r.buf[r.off[i]:r.off[i+1]] }
+
+// nextGap decodes the entry at b[i] of a row, given the row's previous
+// position prev (-1 before the first), and returns it with the offset
+// of the next entry. A pure function, so the loop above keeps its
+// state in registers; nearly every gap is the one-byte case.
+func nextGap(b []byte, i int, prev int32) (int32, int) {
+	c := b[i]
+	if c < 0x80 {
+		return prev + int32(c) + 1, i + 1
 	}
-	c.val = make([]T, 0, c.off[len(lists)])
-	for _, l := range lists {
-		c.val = append(c.val, l...)
+	gap := uint32(c & 0x7f)
+	for shift := uint(7); ; shift += 7 {
+		i++
+		c = b[i]
+		gap |= uint32(c&0x7f) << shift
+		if c < 0x80 {
+			return prev + int32(gap) + 1, i + 1
+		}
 	}
-	return c
+}
+
+// appendGaps appends the row encoding of the strictly ascending
+// positions ps to buf.
+func appendGaps(buf []byte, ps []int32) []byte {
+	prev := int32(-1)
+	for _, p := range ps {
+		buf = binary.AppendUvarint(buf, uint64(p-prev-1))
+		prev = p
+	}
+	return buf
+}
+
+// packRows lays encoded rows out as one gapRows.
+func packRows(rows [][]byte) gapRows {
+	r := gapRows{off: make([]int32, len(rows)+1)}
+	for i, b := range rows {
+		r.off[i+1] = r.off[i] + int32(len(b))
+	}
+	r.buf = make([]byte, 0, r.off[len(rows)])
+	for _, b := range rows {
+		r.buf = append(r.buf, b...)
+	}
+	r.n = entries(r.buf)
+	return r
+}
+
+// entries counts the gaps encoded in b: every uvarint ends in its one
+// byte below 0x80.
+func entries(b []byte) int {
+	n := 0
+	for _, c := range b {
+		n += int(c>>7 ^ 1)
+	}
+	return n
 }
 
 // ThreeHop is the 3-hop reachability index of Jin et al. used by GTEA.
@@ -55,13 +118,15 @@ func flatten[T any](lists [][]T) csr[T] {
 // chainAt[p], at sequence id p - chains.off[chainAt[p]]. On one chain,
 // positions are ordered exactly as sequence ids are, so every
 // same-chain comparison the paper makes holds on positions unchanged;
-// across chains a position comparison means nothing. A list entry is
-// one position, 4 B. The chains and the two list families are each one
-// offsets array plus one payload array (csr), with no per-SCC slice
-// header and nothing for the collector to trace. Every list is sorted
-// by chain id, which is ascending position order, so the bytes of an
-// index depend only on the graph, not on whether it was built
-// serially, in parallel or decoded from a snapshot. Of the SCC
+// across chains a position comparison means nothing. Every list is
+// sorted by chain id, which is ascending position order, and is stored
+// as varint position gaps (gapRows): on a dense DAG a row holds a few
+// hundred of the positions, so nearly every gap is one byte (arXiv:
+// 1.01 B per entry). The chains and the two list families are each one
+// offsets array plus one payload array, with no per-SCC slice header
+// and nothing for the collector to trace.
+// The bytes of an index depend only on the graph, not on whether it was
+// built serially, in parallel or decoded from a snapshot. Of the SCC
 // condensation the index keeps only the node -> SCC map and one cycle
 // bit per SCC (graph.SCCMap); the members and DAG rows the build sweeps
 // over are dropped with it.
@@ -77,8 +142,8 @@ type ThreeHop struct {
 	posOf   []int32    // per scc: its position
 	chainAt []int32    // per position: its chain id
 
-	lout csr[int32] // per scc: positions, ascending
-	lin  csr[int32] // per scc: positions, ascending
+	lout gapRows // per scc: positions, ascending
+	lin  gapRows // per scc: positions, ascending
 
 	// skipOut[s]: the scc at the smallest position > pos(s) on s's chain
 	// with a non-empty Lout, or -1. skipIn is symmetric (largest position
@@ -105,6 +170,7 @@ type chainScratch struct {
 	pos     []int32
 	touched []int32
 	out     []int32 // sweep's list under construction
+	enc     []byte  // and its encoding
 }
 
 func (h *ThreeHop) newScratch() *chainScratch {
@@ -191,7 +257,7 @@ func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 // parallel set, SCCs are processed one level at a time, the level's
 // nodes sharded across goroutines (nodes of one level depend only on
 // strictly earlier levels).
-func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int32] {
+func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) gapRows {
 	n := cond.NumSCC()
 	deps, users := cond.Out, cond.In
 	if !down {
@@ -202,7 +268,7 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int3
 	for s := range pending {
 		pending[s] = int32(len(users(int32(s))))
 	}
-	lists := make([][]int32, n)
+	lists := make([][]byte, n) // encoded rows
 	step := func(s int32, sc *chainScratch) {
 		own, pos := h.locate(s)
 		sc.fold(own, pos, down)
@@ -238,7 +304,8 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int3
 			sc.out = append(sc.out, p)
 		}
 		if len(sc.out) > 0 {
-			lists[s] = slices.Clone(sc.out)
+			sc.enc = appendGaps(sc.enc[:0], sc.out)
+			lists[s] = slices.Clone(sc.enc)
 		}
 		// Free contours nobody will read again. The decrement comes after
 		// every read of contour[w] above, so under level-parallelism the
@@ -255,7 +322,7 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int3
 	if !parallel {
 		sc := h.newScratch()
 		eachSCC(cond, down, func(s int32) { step(s, sc) })
-		return flatten(lists)
+		return packRows(lists)
 	}
 	pool := sync.Pool{New: func() any { return h.newScratch() }}
 	for _, bucket := range levelize(cond, down) {
@@ -267,7 +334,7 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) csr[int3
 			pool.Put(sc)
 		})
 	}
-	return flatten(lists)
+	return packRows(lists)
 }
 
 func (h *ThreeHop) buildSkips() {
@@ -280,14 +347,14 @@ func (h *ThreeHop) buildSkips() {
 		for i := len(chain) - 1; i >= 0; i-- {
 			s := chain[i]
 			h.skipOut[s] = next
-			if len(h.lout.row(s)) > 0 {
+			if !h.lout.empty(s) {
 				next = s
 			}
 		}
 		prev := int32(-1)
 		for _, s := range chain {
 			h.skipIn[s] = prev
-			if len(h.lin.row(s)) > 0 {
+			if !h.lin.empty(s) {
 				prev = s
 			}
 		}
@@ -320,7 +387,7 @@ func (h *ThreeHop) LabelCount(label string) int { return len(h.g.ByLabel(label))
 
 // IndexSize returns the total number of Lin/Lout entries — the paper's
 // |Lin| + |Lout| measure.
-func (h *ThreeHop) IndexSize() int { return len(h.lout.val) + len(h.lin.val) }
+func (h *ThreeHop) IndexSize() int { return h.lout.n + h.lin.n }
 
 // Stats returns the counters charged by the legacy Reaches.
 func (h *ThreeHop) Stats() *Stats { return &h.stats }
@@ -360,38 +427,47 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 	}
 	defer func() { x.reset(); h.scratch.Put(x) }()
 	x.fold(cu, pu, true)
+	// Lookups are counted in a local and charged to st once per call,
+	// here and in every list loop: an increment through st each entry
+	// would make the loop wait on its own store.
+	n := int64(0)
 	for s := h.firstOut(su); s != -1; s = h.skipOut[s] {
-		for _, p := range h.lout.row(s) {
-			st.Lookups++
+		for b, i, p := h.lout.row(s), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			x.fold(h.chainAt[p], p, true)
 		}
 	}
 	// Y_sv scanned against X.
 	if m := x.pos[cv]; m != -1 && m <= pv {
+		st.Lookups += n
 		return true
 	}
 	for s := h.firstIn(sv); s != -1; s = h.skipIn[s] {
-		for _, p := range h.lin.row(s) {
-			st.Lookups++
+		for b, i, p := h.lin.row(s), 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			n++
 			if m := x.pos[h.chainAt[p]]; m != -1 && m <= p {
+				st.Lookups += n
 				return true
 			}
 		}
 	}
+	st.Lookups += n
 	return false
 }
 
 // firstOut returns s itself when it has a non-empty Lout, otherwise the
 // first later position with one.
 func (h *ThreeHop) firstOut(s int32) int32 {
-	if len(h.lout.row(s)) > 0 {
+	if !h.lout.empty(s) {
 		return s
 	}
 	return h.skipOut[s]
 }
 
 func (h *ThreeHop) firstIn(s int32) int32 {
-	if len(h.lin.row(s)) > 0 {
+	if !h.lin.empty(s) {
 		return s
 	}
 	return h.skipIn[s]
