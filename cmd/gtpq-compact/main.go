@@ -19,7 +19,6 @@
 //
 //	gtpq-compact -data ./datasets citations dblp
 //	gtpq-compact -data ./datasets -all
-//	gtpq-compact -data ./datasets -parallel -all
 package main
 
 import (
@@ -35,9 +34,8 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gtpq-compact: ")
 	var (
-		dataDir  = flag.String("data", "", "dataset directory (required)")
-		all      = flag.Bool("all", false, "compact every dataset in the directory")
-		parallel = flag.Bool("parallel", false, "build rebuilt indexes with multiple goroutines")
+		dataDir = flag.String("data", "", "dataset directory (required)")
+		all     = flag.Bool("all", false, "compact every dataset in the directory")
 	)
 	flag.Parse()
 	if *dataDir == "" || (!*all && flag.NArg() == 0) {
@@ -45,7 +43,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cat, err := catalog.Open(*dataDir, catalog.Options{Parallel: *parallel})
+	cat, err := catalog.Open(*dataDir, catalog.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

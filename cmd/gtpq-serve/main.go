@@ -7,7 +7,7 @@
 //	gtpq-serve -data ./datasets                       # serve on :8080
 //	gtpq-serve -data ./datasets -addr :9000 -workers 16 -queue 128
 //	gtpq-serve -data ./datasets -snapshots -preload citations
-//	gtpq-serve -data ./datasets -index tc -parallel
+//	gtpq-serve -data ./datasets -index tc
 //	gtpq-serve -data ./datasets -cache-bytes 268435456  # 256 MiB result cache
 //	gtpq-serve -data ./datasets -compact-after 1000     # auto-fold delta logs
 //
@@ -70,7 +70,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		dataDir   = flag.String("data", "", "dataset directory (required)")
 		index     = flag.String("index", "", "reachability backend for fresh builds: "+strings.Join(reach.Kinds(), ", ")+" (default threehop; snapshots carry their own)")
-		parallel  = flag.Bool("parallel", false, "build indexes with multiple goroutines")
 		snapshots = flag.Bool("snapshots", false, "write <name>.snap after building an index from raw JSON")
 		preload   = flag.String("preload", "", "comma-separated datasets to load before listening ('all' for every dataset)")
 		workers   = flag.Int("workers", 0, "max concurrent evaluations (default GOMAXPROCS)")
@@ -109,7 +108,6 @@ func main() {
 
 	cat, err := catalog.Open(*dataDir, catalog.Options{
 		Index:        *index,
-		Parallel:     *parallel,
 		AutoSnapshot: *snapshots,
 		NoPlan:       noPlan,
 	})

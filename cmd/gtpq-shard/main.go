@@ -7,7 +7,7 @@
 //
 //	gtpq-shard -in data.json -out datasets/data -k 4
 //	gtpq-shard -in data.snap -out datasets/data -k 8
-//	gtpq-shard -in data.json.gz -out datasets/data -k 4 -index tc -parallel
+//	gtpq-shard -in data.json.gz -out datasets/data -k 4 -index tc
 //	gtpq-shard -verify datasets/data
 //
 // The output directory name is the dataset name the catalog serves it
@@ -39,13 +39,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gtpq-shard: ")
 	var (
-		in       = flag.String("in", "", "input graph: JSON, gzipped JSON, or a .snap snapshot")
-		out      = flag.String("out", "", "output shard directory (created if missing)")
-		k        = flag.Int("k", 4, "number of shards")
-		index    = flag.String("index", "", "reachability backend per shard: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
-		parallel = flag.Bool("parallel", false, "build per-shard indexes with multiple goroutines")
-		name     = flag.String("name", "", "dataset name recorded in the manifest (default: base name of -out)")
-		verify   = flag.String("verify", "", "verify an existing shard directory and exit")
+		in     = flag.String("in", "", "input graph: JSON, gzipped JSON, or a .snap snapshot")
+		out    = flag.String("out", "", "output shard directory (created if missing)")
+		k      = flag.Int("k", 4, "number of shards")
+		index  = flag.String("index", "", "reachability backend per shard: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
+		name   = flag.String("name", "", "dataset name recorded in the manifest (default: base name of -out)")
+		verify = flag.String("verify", "", "verify an existing shard directory and exit")
 	)
 	flag.Parse()
 
@@ -84,7 +83,7 @@ func main() {
 		plan.Components, *k, time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	man, err := shard.WriteDir(*out, dsName, g, plan, shard.Options{Index: *index, Parallel: *parallel})
+	man, err := shard.WriteDir(*out, dsName, g, plan, shard.Options{Index: *index})
 	if err != nil {
 		log.Fatal(err)
 	}

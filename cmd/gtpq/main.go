@@ -5,7 +5,7 @@
 //
 //	gtpq -data xmark -scale 1 -query q.gtpq [-limit 20] [-minimize]
 //	gtpq -data arxiv -query q.gtpq
-//	gtpq -data xmark -index tc -parallel -query q.gtpq   # alternate reachability backend
+//	gtpq -data xmark -index tc -query q.gtpq             # alternate reachability backend
 //	echo "node x label=open_auction output" | gtpq -data xmark -query -
 //	gtpq -data xmark -save-snapshot x.snap -query q.gtpq # persist graph+index
 //	gtpq -data file -graph x.snap -query q.gtpq          # reload without rebuilding
@@ -54,7 +54,6 @@ func main() {
 		limit    = flag.Int("limit", 20, "max result rows to print (0: all)")
 		minimize = flag.Bool("minimize", false, "minimize the query first (Algorithm 1)")
 		index    = flag.String("index", "", "reachability index backend: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
-		parallel = flag.Bool("parallel", false, "build the index with multiple goroutines")
 		saveSnap = flag.String("save-snapshot", "", "write the graph and built index to this file (load it later with -data file)")
 		plan     = flag.String("plan", "on", "cost-based pruning order + multiway kernels: on or off (off restores the paper's fixed post-order)")
 	)
@@ -134,7 +133,7 @@ func main() {
 	if eng == nil {
 		start = time.Now()
 		var err error
-		eng, err = gtea.NewWithOptions(g, gtea.Options{Index: *index, Parallel: *parallel, NoPlan: noPlan})
+		eng, err = gtea.NewWithOptions(g, gtea.Options{Index: *index, NoPlan: noPlan})
 		if err != nil {
 			log.Fatal(err)
 		}

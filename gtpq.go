@@ -286,9 +286,8 @@ type EngineOptions struct {
 	// registered backends. Empty selects the default (the paper's
 	// 3-hop index).
 	Index string
-	// Parallel builds the index with multiple goroutines (one shard
-	// per SCC level); the built index answers identically to a serial
-	// build.
+	// Parallel is ignored; every build is level-parallel over
+	// GOMAXPROCS.
 	Parallel bool
 }
 
@@ -308,7 +307,7 @@ func NewEngine(g *Graph) *Engine {
 // backend; it fails on unknown kinds or backends that refuse the graph
 // (e.g. "tc" beyond its size limit).
 func NewEngineWithOptions(g *Graph, opt EngineOptions) (*Engine, error) {
-	e, err := gtea.NewWithOptions(g.g, gtea.Options{Index: opt.Index, Parallel: opt.Parallel})
+	e, err := gtea.NewWithOptions(g.g, gtea.Options{Index: opt.Index})
 	if err != nil {
 		return nil, err
 	}

@@ -224,21 +224,19 @@ pred x: y`)
 		t.Fatalf("IndexKinds() = %v, want at least two backends", kinds)
 	}
 	for _, kind := range kinds {
-		for _, parallel := range []bool{false, true} {
-			e, err := NewEngineWithOptions(g, EngineOptions{Index: kind, Parallel: parallel})
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			if e.IndexKind() != kind {
-				t.Errorf("IndexKind() = %q, want %q", e.IndexKind(), kind)
-			}
-			res, err := e.Eval(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) != 1 || res.Rows[0][0] != ids[0] {
-				t.Fatalf("%s: rows = %v, want [[a0]]", kind, res.Rows)
-			}
+		e, err := NewEngineWithOptions(g, EngineOptions{Index: kind})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if e.IndexKind() != kind {
+			t.Errorf("IndexKind() = %q, want %q", e.IndexKind(), kind)
+		}
+		res, err := e.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || res.Rows[0][0] != ids[0] {
+			t.Fatalf("%s: rows = %v, want [[a0]]", kind, res.Rows)
 		}
 	}
 	if _, err := NewEngineWithOptions(g, EngineOptions{Index: "bogus"}); err == nil {

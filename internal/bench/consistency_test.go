@@ -81,7 +81,7 @@ func TestIndexBackendsAgree(t *testing.T) {
 	g, _ := r.XMark(1)
 	base := r.GTEA(g)
 	for _, kind := range reach.Kinds() {
-		e, err := gtea.NewWithOptions(g, gtea.Options{Index: kind, Parallel: true})
+		e, err := gtea.NewWithOptions(g, gtea.Options{Index: kind})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

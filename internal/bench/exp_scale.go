@@ -12,27 +12,23 @@ import (
 )
 
 // IndexBackends compares every registered reachability backend on the
-// same graph and workload: serial and parallel build time, index size,
-// and the average Q1 evaluation time and index-lookup count. Backends
-// that refuse the graph (e.g. "tc" beyond its SCC limit) are reported
-// and skipped.
+// same graph and workload: build time, index size, and the average Q1
+// evaluation time and index-lookup count. Backends that refuse the
+// graph (e.g. "tc" beyond its SCC limit) are reported and skipped.
 func (r *Runner) IndexBackends() {
 	scale := r.Cfg.Scales[0]
 	g, _ := r.XMark(scale)
 	r.printf("== Index backends: build and Q1 evaluation, XMark scale %.1f ==\n", scale)
-	r.printf("%-10s %12s %12s %12s %12s %14s\n",
-		"kind", "build", "build(par)", "size", "eval", "#index")
+	r.printf("%-10s %12s %12s %12s %14s\n",
+		"kind", "build", "size", "eval", "#index")
 	for _, kind := range reach.Kinds() {
 		var h reach.ContourIndex
 		var err error
-		buildT := timeIt(func() { h, err = reach.Build(kind, g, reach.BuildOptions{}) })
+		buildT := timeIt(func() { h, err = reach.Build(kind, g) })
 		if err != nil {
 			r.printf("%-10s skipped: %v\n", kind, err)
 			continue
 		}
-		buildPT := timeIt(func() {
-			_, _ = reach.Build(kind, g, reach.BuildOptions{Parallel: true})
-		})
 		e := gtea.NewWithIndex(g, h)
 		var evalT time.Duration
 		var lookups int64
@@ -43,8 +39,8 @@ func (r *Runner) IndexBackends() {
 			lookups += st.Index
 		}
 		n := time.Duration(r.Cfg.QueriesPerPoint)
-		r.printf("%-10s %12s %12s %12d %12s %14d\n", kind,
-			fmtDur(buildT), fmtDur(buildPT), h.IndexSize(),
+		r.printf("%-10s %12s %12d %12s %14d\n", kind,
+			fmtDur(buildT), h.IndexSize(),
 			fmtDur(evalT/n), lookups/int64(r.Cfg.QueriesPerPoint))
 	}
 }

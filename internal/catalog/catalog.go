@@ -49,8 +49,6 @@ type Options struct {
 	// graph JSON (empty: the default 3-hop index). Snapshots carry
 	// their own backend and win over this setting.
 	Index string
-	// Parallel builds indexes with multiple goroutines.
-	Parallel bool
 	// AutoSnapshot writes `<name>.snap` after an index is built from a
 	// raw graph file, so the next cold start skips construction.
 	AutoSnapshot bool
@@ -500,7 +498,7 @@ func (e *entry) load(opt Options, kind loadKind) {
 			e.err = fmt.Errorf("%s: %w", e.srcPath, err)
 			return
 		}
-		eng, err := gtea.NewWithOptions(g, gtea.Options{Index: opt.Index, Parallel: opt.Parallel, NoPlan: opt.NoPlan})
+		eng, err := gtea.NewWithOptions(g, gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
 		if err != nil {
 			e.err = fmt.Errorf("%s: %w", e.srcPath, err)
 			return

@@ -373,7 +373,7 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 		if err := os.RemoveAll(tmp); err != nil {
 			return nil, err
 		}
-		if _, err := shard.WriteDir(tmp, name, ext, plan, shard.Options{Index: e.buildKind, Parallel: c.opt.Parallel}); err != nil {
+		if _, err := shard.WriteDir(tmp, name, ext, plan, shard.Options{Index: e.buildKind}); err != nil {
 			return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
 		}
 		old := filepath.Join(c.dir, "."+name+".precompact")
@@ -406,7 +406,7 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 			Sharded: true, FromSnapshot: true,
 		}
 	} else {
-		h, berr := reach.Build(e.buildKind, ext, reach.BuildOptions{Parallel: c.opt.Parallel})
+		h, berr := reach.Build(e.buildKind, ext)
 		if berr != nil {
 			return nil, fmt.Errorf("catalog: %s: compact: %w", name, berr)
 		}

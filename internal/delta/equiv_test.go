@@ -54,7 +54,7 @@ func TestOverlayReachability(t *testing.T) {
 		r := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 6; trial++ {
 			g := gen.Graph(r, 16+r.Intn(20), 30+r.Intn(40), testLabels, trial%2 == 0)
-			base, err := reach.Build(kind, g, reach.BuildOptions{})
+			base, err := reach.Build(kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestOverlayReachability(t *testing.T) {
 				t.Fatal(err)
 			}
 			ov := NewOverlay(base, g.N(), ext.N(), batches)
-			oracle, err := reach.Build(kind, ext, reach.BuildOptions{})
+			oracle, err := reach.Build(kind, ext)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestDeltaEquivalence(t *testing.T) {
 					}
 					base = se.CompositeIndex()
 				} else {
-					base, err = reach.Build(kind, g, reach.BuildOptions{})
+					base, err = reach.Build(kind, g)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -180,7 +180,7 @@ func TestDeltaEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compacted, err := reach.Build(kind, ext, reach.BuildOptions{})
+				compacted, err := reach.Build(kind, ext)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,14 +213,14 @@ func TestDeltaEquivalence(t *testing.T) {
 func TestOverlayEmptyDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := gen.Graph(r, 25, 60, testLabels, false)
-	h, err := reach.Build("delta", g, reach.BuildOptions{})
+	h, err := reach.Build("delta", g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Kind() != "delta" {
 		t.Fatalf("registered delta kind reports %q", h.Kind())
 	}
-	oracle, err := reach.Build(reach.DefaultKind, g, reach.BuildOptions{})
+	oracle, err := reach.Build(reach.DefaultKind, g)
 	if err != nil {
 		t.Fatal(err)
 	}

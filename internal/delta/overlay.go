@@ -427,8 +427,8 @@ func init() {
 	// registry (cross-backend tests, -index flags) — live datasets get
 	// their overlays from the catalog, which wraps the base index a
 	// snapshot revives and reports the composite "delta+<base>" kind.
-	reach.Register("delta", func(g *graph.Graph, opt reach.BuildOptions) (reach.ContourIndex, error) {
-		base, err := reach.Build(reach.DefaultKind, g, opt)
+	reach.Register("delta", func(g *graph.Graph) (reach.ContourIndex, error) {
+		base, err := reach.Build(reach.DefaultKind, g)
 		if err != nil {
 			return nil, err
 		}

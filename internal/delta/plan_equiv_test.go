@@ -80,7 +80,7 @@ func planPair(t *testing.T, g *graph.Graph, kind, base string, r *rand.Rand) (on
 			}
 			return se.Eval
 		default: // overlay
-			h, err := reach.Build(kind, g, reach.BuildOptions{})
+			h, err := reach.Build(kind, g)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,7 +97,7 @@ func buildStreamEvaluator(t *testing.T, g *graph.Graph, kind, base string, noPla
 		return se
 	default: // overlay
 		batches := randomBatches(r, g.N(), 3)
-		h, err := reach.Build(kind, g, reach.BuildOptions{})
+		h, err := reach.Build(kind, g)
 		if err != nil {
 			t.Fatal(err)
 		}

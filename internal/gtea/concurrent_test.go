@@ -119,16 +119,14 @@ func TestBackendsMatchOracle(t *testing.T) {
 		}
 		want := core.EvalNaive(g, reach.NewTC(g), q)
 		for _, kind := range reach.Kinds() {
-			for _, parallel := range []bool{false, true} {
-				e, err := NewWithOptions(g, Options{Index: kind, Parallel: parallel})
-				if err != nil {
-					t.Fatalf("trial %d: building %q: %v", trial, kind, err)
-				}
-				got := e.Eval(q)
-				if !want.Equal(got) {
-					t.Fatalf("trial %d backend %q (parallel=%v): mismatch\nquery:\n%s\nwant: %sgot:  %s",
-						trial, kind, parallel, q, want, got)
-				}
+			e, err := NewWithOptions(g, Options{Index: kind})
+			if err != nil {
+				t.Fatalf("trial %d: building %q: %v", trial, kind, err)
+			}
+			got := e.Eval(q)
+			if !want.Equal(got) {
+				t.Fatalf("trial %d backend %q: mismatch\nquery:\n%s\nwant: %sgot:  %s",
+					trial, kind, q, want, got)
 			}
 		}
 	}

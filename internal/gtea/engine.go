@@ -78,8 +78,6 @@ type Options struct {
 	// Index names the reachability backend (reach.Kinds lists them;
 	// empty selects reach.DefaultKind, the 3-hop index).
 	Index string
-	// Parallel builds the index with multiple goroutines.
-	Parallel bool
 }
 
 // Engine evaluates GTPQs over one fixed graph; build once, evaluate
@@ -109,7 +107,7 @@ func New(g *graph.Graph) *Engine {
 // NewWithOptions builds an engine with the named index backend.
 func NewWithOptions(g *graph.Graph, opt Options) (*Engine, error) {
 	g.Freeze()
-	h, err := reach.Build(opt.Index, g, reach.BuildOptions{Parallel: opt.Parallel})
+	h, err := reach.Build(opt.Index, g)
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +120,9 @@ func NewWithIndex(g *graph.Graph, h reach.ContourIndex) *Engine {
 }
 
 // NewWithIndexOptions wraps an existing index with explicit engine
-// options (opt.Index and opt.Parallel are ignored — the index is
-// already built). The catalog uses it to carry -plan=off through
-// snapshot revivals and delta overlays.
+// options (opt.Index is ignored — the index is already built). The
+// catalog uses it to carry -plan=off through snapshot revivals and
+// delta overlays.
 func NewWithIndexOptions(g *graph.Graph, h reach.ContourIndex, opt Options) *Engine {
 	return &Engine{G: g, H: h, Opt: opt}
 }

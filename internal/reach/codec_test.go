@@ -269,7 +269,7 @@ func fuzzGraphs() []*graph.Graph {
 func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*testing.T, ContourIndex)) {
 	gs := fuzzGraphs()
 	for i, g := range gs {
-		h, err := Build(kind, g, BuildOptions{})
+		h, err := Build(kind, g)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -13,16 +13,8 @@ import (
 // paper's 3-hop index.
 const DefaultKind = "threehop"
 
-// BuildOptions tune index construction.
-type BuildOptions struct {
-	// Parallel builds the index sharded per SCC level. The resulting
-	// index is semantically identical to a serial build (same entry
-	// sets, same answers).
-	Parallel bool
-}
-
 // Builder constructs a ContourIndex for a graph.
-type Builder func(g *graph.Graph, opt BuildOptions) (ContourIndex, error)
+type Builder func(g *graph.Graph) (ContourIndex, error)
 
 var (
 	registryMu sync.RWMutex
@@ -33,7 +25,8 @@ var (
 )
 
 // BuildCount returns the number of index constructions performed by
-// this process (every NewThreeHopWith / NewTCWith run counts one).
+// this process (every NewThreeHop or NewTC run, directly or through
+// Build, counts one).
 // Snapshot loading bypasses construction entirely, which tests assert
 // by reading this counter around a load.
 func BuildCount() int64 { return buildCount.Load() }
@@ -51,7 +44,7 @@ func Register(kind string, b Builder) {
 
 // Build constructs the index kind for g (empty kind: DefaultKind). The
 // graph is frozen as a side effect.
-func Build(kind string, g *graph.Graph, opt BuildOptions) (ContourIndex, error) {
+func Build(kind string, g *graph.Graph) (ContourIndex, error) {
 	if kind == "" {
 		kind = DefaultKind
 	}
@@ -61,7 +54,7 @@ func Build(kind string, g *graph.Graph, opt BuildOptions) (ContourIndex, error) 
 	if !ok {
 		return nil, fmt.Errorf("reach: unknown index kind %q (available: %v)", kind, Kinds())
 	}
-	return b(g, opt)
+	return b(g)
 }
 
 // Kinds lists the registered backend names, sorted.
@@ -77,10 +70,10 @@ func Kinds() []string {
 }
 
 func init() {
-	Register("threehop", func(g *graph.Graph, opt BuildOptions) (ContourIndex, error) {
-		return NewThreeHopWith(g, opt), nil
+	Register("threehop", func(g *graph.Graph) (ContourIndex, error) {
+		return NewThreeHop(g), nil
 	})
-	Register("tc", func(g *graph.Graph, opt BuildOptions) (ContourIndex, error) {
-		return NewTCWith(g, opt)
+	Register("tc", func(g *graph.Graph) (ContourIndex, error) {
+		return newTC(g)
 	})
 }

@@ -3,6 +3,7 @@ package reach
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestBuildUnknownKind(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddNode("a", nil)
 	g.Freeze()
-	if _, err := Build("nope", g, BuildOptions{}); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
+	if _, err := Build("nope", g); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
 		t.Fatalf("err = %v, want unknown-kind error", err)
 	}
 }
@@ -39,7 +40,7 @@ func TestBuildDefaultKindIsThreeHop(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddNode("a", nil)
 	g.Freeze()
-	h, err := Build("", g, BuildOptions{})
+	h, err := Build("", g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,50 +49,41 @@ func TestBuildDefaultKindIsThreeHop(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesSerial checks a parallel build answers every
-// pair identically to a serial one, for both backends, on random
-// digraphs (cyclic included).
+// TestParallelBuildMatchesSerial checks that a build sharded across
+// goroutines (GOMAXPROCS 4, on graphs large enough for parallelFor to
+// really shard) marshals to the same bytes as a build run inline on one
+// goroutine (GOMAXPROCS 1), for both backends.
 func TestParallelBuildMatchesSerial(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	r := rand.New(rand.NewSource(501))
-	for trial := 0; trial < 25; trial++ {
-		var g *graph.Graph
-		if trial%2 == 0 {
-			g = randDAG(r, 2+r.Intn(50), 2+r.Intn(150))
-		} else {
-			g = randDigraph(r, 2+r.Intn(50), 2+r.Intn(150))
-		}
-		for _, kind := range Kinds() {
-			serial, err := Build(kind, g, BuildOptions{})
-			if err != nil {
-				t.Fatalf("trial %d %s serial: %v", trial, kind, err)
-			}
-			parallel, err := Build(kind, g, BuildOptions{Parallel: true})
-			if err != nil {
-				t.Fatalf("trial %d %s parallel: %v", trial, kind, err)
-			}
-			if serial.IndexSize() != parallel.IndexSize() {
-				t.Fatalf("trial %d %s: IndexSize %d (serial) vs %d (parallel)",
-					trial, kind, serial.IndexSize(), parallel.IndexSize())
-			}
-			var st Stats
-			for u := 0; u < g.N(); u++ {
-				for v := 0; v < g.N(); v++ {
-					a := serial.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
-					b := parallel.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
-					if a != b {
-						t.Fatalf("trial %d %s: Reaches(%d,%d) serial=%v parallel=%v",
-							trial, kind, u, v, a, b)
-					}
+	for name, g := range map[string]*graph.Graph{
+		"dag":    randDAG(r, 3000, 9000),
+		"cyclic": randDigraph(r, 3000, 4000),
+	} {
+		for _, kind := range []string{"threehop", "tc"} {
+			build := func(procs int) []byte {
+				runtime.GOMAXPROCS(procs)
+				h, err := Build(kind, g)
+				if err != nil {
+					t.Fatalf("%s %s: build: %v", name, kind, err)
 				}
+				data, err := MarshalIndex(h)
+				if err != nil {
+					t.Fatalf("%s %s: marshal: %v", name, kind, err)
+				}
+				return data
+			}
+			if !bytes.Equal(build(4), build(1)) {
+				t.Errorf("%s %s: GOMAXPROCS 4 build marshals differently from the GOMAXPROCS 1 build", name, kind)
 			}
 		}
 	}
 }
 
 // TestThreeHopBytesAreDeterministic checks that the marshaled index is a
-// function of the graph alone: a serial build, a level-parallel build
-// (on graphs large enough for parallelFor to really shard), a second
-// build and a decode of the first all marshal to the same bytes.
+// function of the graph alone: a second build and a decode of the first
+// marshal to the same bytes as the first build.
 func TestThreeHopBytesAreDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(503))
 	for name, g := range map[string]*graph.Graph{
@@ -111,12 +103,11 @@ func TestThreeHopBytesAreDeterministic(t *testing.T) {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
 		for how, h := range map[string]ContourIndex{
-			"parallel build": NewThreeHopWith(g, BuildOptions{Parallel: true}),
-			"second build":   NewThreeHop(g),
-			"round trip":     decoded,
+			"second build": NewThreeHop(g),
+			"round trip":   decoded,
 		} {
 			if !bytes.Equal(marshal(h), want) {
-				t.Errorf("%s: %s marshals differently from the first serial build", name, how)
+				t.Errorf("%s: %s marshals differently from the first build", name, how)
 			}
 		}
 	}
@@ -140,7 +131,7 @@ func TestGenericContoursMatchBruteForce(t *testing.T) {
 			S[i] = graph.NodeID(r.Intn(g.N()))
 		}
 		for _, kind := range Kinds() {
-			h, err := Build(kind, g, BuildOptions{})
+			h, err := Build(kind, g)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, kind, err)
 			}
@@ -173,7 +164,7 @@ func TestConcurrentReadsOneIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(503))
 	g := randDigraph(r, 80, 240)
 	for _, kind := range Kinds() {
-		h, err := Build(kind, g, BuildOptions{Parallel: true})
+		h, err := Build(kind, g)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -222,7 +213,7 @@ func TestTCRefusesOversizedGraphs(t *testing.T) {
 		g.AddNode("n", nil)
 	}
 	g.Freeze()
-	if _, err := Build("tc", g, BuildOptions{}); err == nil {
+	if _, err := Build("tc", g); err == nil {
 		t.Fatal("expected an error building TC past its SCC limit")
 	}
 }

@@ -30,21 +30,20 @@ type TC struct {
 // tcLimit bounds the SCC count a TC will be built for (~50 MB of bits).
 const tcLimit = 20000
 
-// NewTC builds the transitive closure of g serially. It panics when the
-// graph is too large — use NewTCWith (or reach.Build("tc", ...)) for an
-// error instead.
+// NewTC builds the transitive closure of g. It panics when the graph is
+// too large — use reach.Build("tc", ...) for an error instead.
 func NewTC(g *graph.Graph) *TC {
-	t, err := NewTCWith(g, BuildOptions{})
+	t, err := newTC(g)
 	if err != nil {
 		panic(err.Error())
 	}
 	return t
 }
 
-// NewTCWith builds the transitive closure of g; with opt.Parallel the
-// rows of each SCC level are computed concurrently (a row needs only
-// the rows of strictly deeper levels).
-func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
+// newTC builds the transitive closure of g one SCC level at a time, the
+// rows of a level computed concurrently (a row needs only the rows of
+// strictly deeper levels).
+func newTC(g *graph.Graph) (*TC, error) {
 	buildCount.Add(1)
 	cond := graph.Condense(g)
 	n := cond.NumSCC()
@@ -53,24 +52,17 @@ func NewTCWith(g *graph.Graph, opt BuildOptions) (*TC, error) {
 	}
 	words := (n + 63) / 64
 	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
-	step := func(s int32) {
-		row := t.row(s)
-		for _, w := range cond.Out(s) {
-			row[w/64] |= 1 << uint(w%64)
-			wr := t.row(w)
-			for k := range row {
-				row[k] |= wr[k]
-			}
-		}
-	}
-	if !opt.Parallel {
-		eachSCC(cond, true, step) // successors first
-		return t, nil
-	}
 	for _, bucket := range levelize(cond, true) {
 		parallelFor(len(bucket), func(lo, hi int) {
 			for _, s := range bucket[lo:hi] {
-				step(s)
+				row := t.row(s)
+				for _, w := range cond.Out(s) {
+					row[w/64] |= 1 << uint(w%64)
+					wr := t.row(w)
+					for k := range row {
+						row[k] |= wr[k]
+					}
+				}
 			}
 		})
 	}

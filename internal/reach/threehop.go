@@ -125,8 +125,8 @@ func entries(b []byte) int {
 // 1.01 B per entry). The chains and the two list families are each one
 // offsets array plus one payload array, with no per-SCC slice header
 // and nothing for the collector to trace.
-// The bytes of an index depend only on the graph, not on whether it was
-// built serially, in parallel or decoded from a snapshot. Of the SCC
+// The bytes of an index depend only on the graph, not on how the build
+// was scheduled or whether it was decoded from a snapshot. Of the SCC
 // condensation the index keeps only the node -> SCC map and one cycle
 // bit per SCC (graph.SCCMap); the members and DAG rows the build sweeps
 // over are dropped with it.
@@ -217,32 +217,21 @@ func (sc *chainScratch) reset() {
 	sc.touched = sc.touched[:0]
 }
 
-// NewThreeHop builds the index for g serially. Construction is O(total
-// reachable chain entries) via sparse per-SCC contours that are freed as
-// soon as every dependent has consumed them.
+// NewThreeHop builds the index for g. Construction is O(total reachable
+// chain entries) via sparse per-SCC contours that are freed as soon as
+// every dependent has consumed them. The two list sweeps run
+// concurrently, each sharded per SCC level; every list is emitted in
+// chain-id order, so the bytes do not depend on the scheduling.
 func NewThreeHop(g *graph.Graph) *ThreeHop {
-	return NewThreeHopWith(g, BuildOptions{})
-}
-
-// NewThreeHopWith builds the index for g; with opt.Parallel the two
-// list sweeps run concurrently and each is sharded per SCC level. A
-// parallel build produces the same index as a serial one, byte for
-// byte: every list is emitted in chain-id order.
-func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 	buildCount.Add(1)
 	cond := graph.Condense(g)
 	h := &ThreeHop{g: g, scc: cond.SCCMap}
 	h.chains, h.posOf, h.chainAt = chainDecompose(cond)
-	if opt.Parallel {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); h.lout = h.sweep(cond, true, true) }()
-		go func() { defer wg.Done(); h.lin = h.sweep(cond, false, true) }()
-		wg.Wait()
-	} else {
-		h.lout = h.sweep(cond, true, false)
-		h.lin = h.sweep(cond, false, false)
-	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); h.lout = h.sweep(cond, true) }()
+	go func() { defer wg.Done(); h.lin = h.sweep(cond, false) }()
+	wg.Wait()
 	h.buildSkips()
 	return h
 }
@@ -253,11 +242,11 @@ func NewThreeHopWith(g *graph.Graph, opt BuildOptions) *ThreeHop {
 // folded from the contours of s's DAG successors. Up, it is Lin by the
 // mirror-image forward sweep over predecessors and largest positions.
 // Contours live as ascending position slices (one position per chain)
-// and are dropped once every SCC that folds them has done so. With
-// parallel set, SCCs are processed one level at a time, the level's
-// nodes sharded across goroutines (nodes of one level depend only on
-// strictly earlier levels).
-func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) gapRows {
+// and are dropped once every SCC that folds them has done so. SCCs are
+// processed one level at a time, the level's nodes sharded across
+// goroutines (nodes of one level depend only on strictly earlier
+// levels).
+func (h *ThreeHop) sweep(cond *graph.Condensation, down bool) gapRows {
 	n := cond.NumSCC()
 	deps, users := cond.Out, cond.In
 	if !down {
@@ -318,11 +307,6 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down, parallel bool) gapRows 
 		if len(users(s)) == 0 {
 			contour[s] = nil
 		}
-	}
-	if !parallel {
-		sc := h.newScratch()
-		eachSCC(cond, down, func(s int32) { step(s, sc) })
-		return packRows(lists)
 	}
 	pool := sync.Pool{New: func() any { return h.newScratch() }}
 	for _, bucket := range levelize(cond, down) {

@@ -109,6 +109,9 @@ func TestChaosKillAndRestart(t *testing.T) {
 	base += 3
 	rep.waitSync(t)
 
+	// Reconnects counted before the kill (a retried fetch while the
+	// replica caught up) must not stand in for the kill being noticed.
+	before := rep.counter("gtpq_repl_reconnects_total")
 	inj.Kill()
 	// Writes land while the replica is partitioned.
 	for i := 0; i < 3; i++ {
@@ -118,7 +121,7 @@ func TestChaosKillAndRestart(t *testing.T) {
 	// The replica must notice: its fetches fail and readiness drops
 	// once lag is observed — at minimum, reconnects mount.
 	deadline := time.Now().Add(10 * time.Second)
-	for rep.counter("gtpq_repl_reconnects_total") == 0 {
+	for inj.Counts()["killed"] == 0 || rep.counter("gtpq_repl_reconnects_total") <= before {
 		if time.Now().After(deadline) {
 			t.Fatal("killed primary never surfaced as reconnects")
 		}

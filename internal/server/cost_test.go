@@ -148,7 +148,7 @@ func TestEstimateOneSource(t *testing.T) {
 		}
 	}
 	saveFlat(t, dir, "flat.json", g)
-	h, err := reach.Build("tc", g, reach.BuildOptions{})
+	h, err := reach.Build("tc", g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@ type Options struct {
 	// (empty: the default 3-hop index). Ignored by LoadDir — shard
 	// snapshots carry their own backend.
 	Index string
-	// Parallel builds per-shard indexes with multiple goroutines.
-	Parallel bool
 	// Workers bounds the scatter-gather fan-out per evaluation
 	// (default GOMAXPROCS, clamped to the shard count).
 	Workers int
@@ -61,7 +59,7 @@ func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) 
 	}
 	for _, part := range plan.Parts {
 		sg := Subgraph(g, part)
-		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index, Parallel: opt.Parallel, NoPlan: opt.NoPlan})
+		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
 		if err != nil {
 			return nil, err
 		}

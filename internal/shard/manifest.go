@@ -92,7 +92,7 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 	}
 	for i, part := range plan.Parts {
 		sg := Subgraph(g, part)
-		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index, Parallel: opt.Parallel})
+		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}

@@ -71,7 +71,7 @@ func TestCompositeIndexMatchesFlat(t *testing.T) {
 				if ci.Kind() != CompositeKindPrefix+se.IndexKind() {
 					t.Fatalf("composite kind %q", ci.Kind())
 				}
-				flat, err := reach.Build(kind, g, reach.BuildOptions{})
+				flat, err := reach.Build(kind, g)
 				if err != nil {
 					t.Fatal(err)
 				}

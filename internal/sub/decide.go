@@ -65,7 +65,10 @@ func decide(s *Subscription, ev catalog.ApplyEvent, budget int) decision {
 	g := ds.Graph
 	eng, flat := ds.Engine.(*gtea.Engine)
 	if g == nil || !flat {
-		// Sharded dataset: no single logical graph to analyze.
+		// Restricted re-evaluation needs a *gtea.Engine over ds.Graph.
+		// After an ApplyDelta every dataset, sharded ones included, is
+		// served by one (an overlay engine over the extended graph); any
+		// other handle gets the full re-evaluation, which needs neither.
 		return decision{mode: modeFull}
 	}
 	q := s.q

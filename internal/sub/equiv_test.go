@@ -31,9 +31,9 @@ func writeFlat(t *testing.T, dir, name, kind string, g *graph.Graph) {
 	}
 }
 
-func writeSharded(t *testing.T, dir, name, kind string, g *graph.Graph) {
+func writeSharded(t *testing.T, dir, name, kind string, g *graph.Graph, shards int) {
 	t.Helper()
-	plan, err := shard.Partition(g, 3, shard.ModeWCC)
+	plan, err := shard.Partition(g, shards, shard.ModeWCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSubEquivalence(t *testing.T) {
 			g := gen.Forest(r, 4, 8, 12, equivLabels)
 			dir := t.TempDir()
 			if c.sharded {
-				writeSharded(t, dir, "ds", c.kind, g)
+				writeSharded(t, dir, "ds", c.kind, g, 3)
 			} else {
 				writeFlat(t, dir, "ds", c.kind, g)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gtpq/internal/catalog"
 	"gtpq/internal/delta"
 	"gtpq/internal/graph"
 )
@@ -18,6 +19,10 @@ import (
 // delta-restricted re-evaluation of the touched one: skip rate exactly
 // (K-1)/K. A batch that grows every cluster skips nothing. Each touched
 // subscription's result grows, so it receives one delta event per batch.
+//
+// The counts are the same when the dataset is sharded: after its first
+// batch a sharded dataset is served, like a flat one, by one engine over
+// the extended union graph, so decide analyzes it the same way.
 func TestStatsCountSkipsExactly(t *testing.T) {
 	const clusters, roots, batches = 4, 8, 40
 	label := func(kind string, i int) string { return fmt.Sprintf("%s%d", kind, i) }
@@ -30,74 +35,91 @@ func TestStatsCountSkipsExactly(t *testing.T) {
 	g.Freeze()
 	firstRoot := func(i int) graph.NodeID { return graph.NodeID(i * roots * 2) }
 
-	cat := openTestCatalog(t, g)
-	r := New(cat, Config{Buffer: 2 * batches, Retain: time.Minute})
-	defer r.Close()
-	clients := make([]*Client, clusters)
-	for i := range clients {
-		q := adQuery(label("r", i), label("c", i))
-		q.SetOutput(1) // y too: a new child is a new row
-		c, err := r.Subscribe("ds", q, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-	r.Sync("ds")
-	for i, c := range clients {
-		if ev := recvEvent(t, c); ev.Type != "snapshot" || len(ev.Rows) != roots {
-			t.Fatalf("cluster %d: initial event %q with %d rows, want snapshot with %d", i, ev.Type, len(ev.Rows), roots)
-		}
-	}
-
-	vertices := g.N()
-	for _, phase := range []struct {
-		touched int // each batch hangs a new c<i> off the first root of clusters 0..touched-1
-		want    Stats
+	for _, layout := range []struct {
+		name  string
+		write func(t *testing.T, dir string)
 	}{
-		{1, Stats{Skips: (clusters - 1) * batches, RestrictedEvals: batches}},
-		{clusters, Stats{RestrictedEvals: clusters * batches}},
+		{"flat", func(t *testing.T, dir string) { writeFlat(t, dir, "ds", "threehop", g) }},
+		{"4-shard", func(t *testing.T, dir string) { writeSharded(t, dir, "ds", "threehop", g, 4) }},
 	} {
-		before := r.Stats()
-		for n := 0; n < batches; n++ {
-			var b delta.Batch
-			for i := 0; i < phase.touched; i++ {
-				b.Nodes = append(b.Nodes, delta.NodeAdd{Label: label("c", i)})
-				b.Edges = append(b.Edges, delta.EdgeAdd{From: firstRoot(i), To: graph.NodeID(vertices + i)})
-			}
-			ds, err := cat.ApplyDelta("ds", b)
+		t.Run(layout.name, func(t *testing.T) {
+			dir := t.TempDir()
+			layout.write(t, dir)
+			cat, err := catalog.Open(dir, catalog.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds.Release()
-			vertices += phase.touched
-		}
-		r.Sync("ds")
-		after := r.Stats()
-		got := Stats{
-			Skips:           after.Skips - before.Skips,
-			RestrictedEvals: after.RestrictedEvals - before.RestrictedEvals,
-			FullEvals:       after.FullEvals - before.FullEvals,
-		}
-		if got != phase.want {
-			t.Errorf("%d clusters per batch: %d skips / %d restricted / %d full, want %d / %d / %d", phase.touched,
-				got.Skips, got.RestrictedEvals, got.FullEvals, phase.want.Skips, phase.want.RestrictedEvals, phase.want.FullEvals)
-		}
-		for i, c := range clients {
-			evs := drainEvents(c)
-			for _, ev := range evs {
-				if ev.Type != "delta" || len(ev.Added) != 1 || len(ev.Removed) != 0 {
-					t.Fatalf("%d clusters per batch: cluster %d got %+v, want a one-row delta", phase.touched, i, ev)
+			defer cat.Close()
+
+			r := New(cat, Config{Buffer: 2 * batches, Retain: time.Minute})
+			defer r.Close()
+			clients := make([]*Client, clusters)
+			for i := range clients {
+				q := adQuery(label("r", i), label("c", i))
+				q.SetOutput(1) // y too: a new child is a new row
+				c, err := r.Subscribe("ds", q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				clients[i] = c
+			}
+			r.Sync("ds")
+			for i, c := range clients {
+				if ev := recvEvent(t, c); ev.Type != "snapshot" || len(ev.Rows) != roots {
+					t.Fatalf("cluster %d: initial event %q with %d rows, want snapshot with %d", i, ev.Type, len(ev.Rows), roots)
 				}
 			}
-			want := 0
-			if i < phase.touched {
-				want = batches
+
+			vertices := g.N()
+			for _, phase := range []struct {
+				touched int // each batch hangs a new c<i> off the first root of clusters 0..touched-1
+				want    Stats
+			}{
+				{1, Stats{Skips: (clusters - 1) * batches, RestrictedEvals: batches}},
+				{clusters, Stats{RestrictedEvals: clusters * batches}},
+			} {
+				before := r.Stats()
+				for n := 0; n < batches; n++ {
+					var b delta.Batch
+					for i := 0; i < phase.touched; i++ {
+						b.Nodes = append(b.Nodes, delta.NodeAdd{Label: label("c", i)})
+						b.Edges = append(b.Edges, delta.EdgeAdd{From: firstRoot(i), To: graph.NodeID(vertices + i)})
+					}
+					ds, err := cat.ApplyDelta("ds", b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds.Release()
+					vertices += phase.touched
+				}
+				r.Sync("ds")
+				after := r.Stats()
+				got := Stats{
+					Skips:           after.Skips - before.Skips,
+					RestrictedEvals: after.RestrictedEvals - before.RestrictedEvals,
+					FullEvals:       after.FullEvals - before.FullEvals,
+				}
+				if got != phase.want {
+					t.Errorf("%d clusters per batch: %d skips / %d restricted / %d full, want %d / %d / %d", phase.touched,
+						got.Skips, got.RestrictedEvals, got.FullEvals, phase.want.Skips, phase.want.RestrictedEvals, phase.want.FullEvals)
+				}
+				for i, c := range clients {
+					evs := drainEvents(c)
+					for _, ev := range evs {
+						if ev.Type != "delta" || len(ev.Added) != 1 || len(ev.Removed) != 0 {
+							t.Fatalf("%d clusters per batch: cluster %d got %+v, want a one-row delta", phase.touched, i, ev)
+						}
+					}
+					want := 0
+					if i < phase.touched {
+						want = batches
+					}
+					if len(evs) != want {
+						t.Errorf("%d clusters per batch: cluster %d received %d delta events, want %d", phase.touched, i, len(evs), want)
+					}
+				}
 			}
-			if len(evs) != want {
-				t.Errorf("%d clusters per batch: cluster %d received %d delta events, want %d", phase.touched, i, len(evs), want)
-			}
-		}
+		})
 	}
 }
