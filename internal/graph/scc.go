@@ -26,6 +26,21 @@ type SCCMap struct {
 // itself exactly when its SCC is nontrivial.
 func (m *SCCMap) Nontrivial(s int32) bool { return m.cyclic.get(s) }
 
+// Renumber returns a copy of m in which SCC s is called to[s]; to must
+// be a permutation of the SCC ids. The copy shares nothing with m.
+func (m *SCCMap) Renumber(to []int32) SCCMap {
+	r := SCCMap{Comp: make([]int32, len(m.Comp)), cyclic: newBitset(len(to))}
+	for v, s := range m.Comp {
+		r.Comp[v] = to[s]
+	}
+	for s, t := range to {
+		if m.cyclic.get(int32(s)) {
+			r.cyclic.set(t)
+		}
+	}
+	return r
+}
+
 // Condensation is the SCC quotient of a Graph, stored like the graph
 // itself: members and DAG adjacency are offset + payload arrays.
 type Condensation struct {
@@ -50,8 +65,13 @@ func (c *Condensation) Out(s int32) []int32 { return c.out.row(s) }
 // modify the slice.
 func (c *Condensation) In(s int32) []int32 { return c.in.row(s) }
 
-// Condense computes the SCC condensation of g.
-func Condense(g *Graph) *Condensation {
+// Components returns each node's SCC id as Condense numbers it, without
+// building the condensation's DAG rows or cycle bits.
+func Components(g *Graph) []int32 { return components(g).Comp }
+
+// components runs Tarjan's algorithm over g: the condensation it
+// returns has Comp and the members set, nothing else.
+func components(g *Graph) *Condensation {
 	g.Freeze()
 	n := g.N()
 	c := &Condensation{SCCMap: SCCMap{Comp: make([]int32, n)}}
@@ -134,6 +154,13 @@ func Condense(g *Graph) *Condensation {
 			}
 		}
 	}
+	return c
+}
+
+// Condense computes the SCC condensation of g.
+func Condense(g *Graph) *Condensation {
+	c := components(g)
+	n := g.N()
 
 	// Condensation edges and cycles. The edges are listed in node-id
 	// order, bucketed per source and per target SCC, and each row keeps

@@ -75,10 +75,11 @@ func minPathCover(c *graph.Condensation) []int32 {
 }
 
 // chainDecompose partitions the DAG nodes into chains following a
-// minimum path cover. It returns the chains (node ids in path order,
-// one row per chain), each node's position (its index in chains.val)
-// and each position's chain id.
-func chainDecompose(c *graph.Condensation) (chains csr[int32], posOf, chainAt []int32) {
+// minimum path cover and numbers them by position: the chains are laid
+// out one after another, so chain c is the positions [chainOff[c],
+// chainOff[c+1]), in path order. It also returns each position's chain
+// id and each SCC's position.
+func chainDecompose(c *graph.Condensation) (chainOff, chainAt, posOf []int32) {
 	n := c.NumSCC()
 	next := minPathCover(c)
 	isSucc := make([]bool, n)
@@ -89,20 +90,19 @@ func chainDecompose(c *graph.Condensation) (chains csr[int32], posOf, chainAt []
 			heads--
 		}
 	}
-	chains = csr[int32]{off: make([]int32, 1, heads+1), val: make([]int32, 0, n)}
-	posOf = make([]int32, n)
+	chainOff = make([]int32, 1, heads+1)
 	chainAt = make([]int32, 0, n)
+	posOf = make([]int32, n)
 	for u := 0; u < n; u++ {
 		if isSucc[u] {
 			continue // not a path head
 		}
-		cid := int32(chains.rows())
+		cid := int32(len(chainOff) - 1)
 		for v := int32(u); v != -1; v = next[v] {
-			posOf[v] = int32(len(chains.val))
-			chains.val = append(chains.val, v)
+			posOf[v] = int32(len(chainAt))
 			chainAt = append(chainAt, cid)
 		}
-		chains.off = append(chains.off, int32(len(chains.val)))
+		chainOff = append(chainOff, int32(len(chainAt)))
 	}
-	return chains, posOf, chainAt
+	return chainOff, chainAt, posOf
 }

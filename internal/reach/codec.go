@@ -16,7 +16,8 @@ import (
 // construction work. The SCC condensation is intentionally not part of
 // the payload: graph.Condense is deterministic for a fixed frozen
 // graph and costs O(V+E), negligible next to chain covering or list
-// sweeps, so Unmarshal recomputes it and keeps its graph.SCCMap.
+// sweeps, so Unmarshal recomputes it and keeps its graph.SCCMap (the
+// 3-hop index renumbered by chain position).
 type Codec struct {
 	// Marshal serializes h (whose Kind matches the registration).
 	Marshal func(h ContourIndex) ([]byte, error)
@@ -98,41 +99,41 @@ func init() {
 //	per scc: |Lout|, entries as (cid, sid) pairs
 //	per scc: |Lin|,  entries as (cid, sid) pairs
 //
-// On disk an entry is still its (chain id, sequence id) pair; in memory
-// it is the position chains.off[cid] + sid, gap-coded (gapRows),
-// converted here in both directions, so snapshots written before either
-// change load unchanged. A list's entries may come in any order:
-// indexes written before the flat layout listed them in map order under
-// this same format, and every later one in ascending position order.
-// Each list is sorted on load, and a position named twice is refused.
-// posOf/chainAt are derived from the chains, the skip pointers are
-// rebuilt (O(numSCC)), and the condensation is recomputed from the
-// graph. Every varint must be minimally encoded and nothing may follow
-// the lists, so an accepted payload re-marshals to itself once its
-// lists are sorted.
+// On disk an SCC is still its Tarjan id, as graph.Condense numbers it,
+// and a list entry its (chain id, sequence id) pair; in memory both are
+// the position chainOff[cid] + sid, and lists are gap-coded (gapRows).
+// Both directions translate through the condensation recomputed from
+// the graph, so snapshots written before any of these changes load
+// unchanged. A list's entries may come in any order: indexes written
+// before the flat layout listed them in map order under this same
+// format, and every later one in ascending position order. Each list is
+// sorted on load, and a position named twice is refused. Every varint
+// must be minimally encoded and nothing may follow the lists, so an
+// accepted payload re-marshals to itself once its lists are sorted.
 
 // MarshalBinary serializes the chain cover and Lin/Lout lists.
 func (h *ThreeHop) MarshalBinary() ([]byte, error) {
-	n := len(h.posOf)
+	n := len(h.chainAt)
+	posOf, sccAt := h.tarjanIDs()
 	buf := make([]byte, 0, 16+8*n+4*h.IndexSize())
 	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(h.chains.rows()))
-	for c := int32(0); c < int32(h.chains.rows()); c++ {
-		chain := h.chains.row(c)
+	buf = binary.AppendUvarint(buf, uint64(h.NumChains()))
+	for c := 1; c < len(h.chainOff); c++ {
+		chain := sccAt[h.chainOff[c-1]:h.chainOff[c]]
 		buf = binary.AppendUvarint(buf, uint64(len(chain)))
 		for _, s := range chain {
 			buf = binary.AppendUvarint(buf, uint64(s))
 		}
 	}
 	appendLists := func(lists gapRows) {
-		for s := int32(0); s < int32(n); s++ {
-			b := lists.row(s)
+		for _, pos := range posOf {
+			b := lists.row(pos)
 			buf = binary.AppendUvarint(buf, uint64(entries(b)))
 			for i, p := 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				c := h.chainAt[p]
 				buf = binary.AppendUvarint(buf, uint64(c))
-				buf = binary.AppendUvarint(buf, uint64(p-h.chains.off[c]))
+				buf = binary.AppendUvarint(buf, uint64(p-h.chainOff[c]))
 			}
 		}
 	}
@@ -141,9 +142,21 @@ func (h *ThreeHop) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
+// tarjanIDs recomputes the SCCs of h's graph and returns the map
+// between their Tarjan ids and h's positions, both ways.
+func (h *ThreeHop) tarjanIDs() (posOf, sccAt []int32) {
+	posOf = make([]int32, len(h.chainAt))
+	sccAt = make([]int32, len(h.chainAt))
+	for v, s := range graph.Components(h.g) {
+		p := h.scc.Comp[v]
+		posOf[s], sccAt[p] = p, s
+	}
+	return posOf, sccAt
+}
+
 // unmarshalThreeHop revives a 3-hop index over g. The chain cover and
-// entry lists are decoded straight into their flat arrays; only the
-// condensation (cheap and deterministic) and the skip pointers are
+// entry lists are decoded straight into their flat arrays and reordered
+// by position; only the condensation (cheap and deterministic) is
 // recomputed.
 func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	cond := graph.Condense(g)
@@ -152,20 +165,19 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if n != cond.NumSCC() {
 		return nil, fmt.Errorf("reach: snapshot has %d SCCs, graph condenses to %d", n, cond.NumSCC())
 	}
-	h := &ThreeHop{g: g, scc: cond.SCCMap}
 	numChains := int(d.next())
 	if numChains < 0 || numChains > n {
 		return nil, fmt.Errorf("reach: snapshot has %d chains for %d SCCs", numChains, n)
 	}
-	h.chains = csr[int32]{off: make([]int32, 1, numChains+1), val: make([]int32, 0, n)}
-	h.posOf = make([]int32, n)
-	for s := range h.posOf {
-		h.posOf[s] = -1 // not on a chain yet
+	h := &ThreeHop{g: g, chainOff: make([]int32, 1, numChains+1), chainAt: make([]int32, 0, n)}
+	posOf := make([]int32, n) // per Tarjan id: its position
+	for s := range posOf {
+		posOf[s] = -1 // not on a chain yet
 	}
-	h.chainAt = make([]int32, 0, n)
+	sccAt := make([]int32, 0, n) // per position: its Tarjan id
 	for c := 0; c < numChains; c++ {
 		// Chains are disjoint, so no chain is longer than what is left.
-		ln, err := d.length(n - len(h.chains.val))
+		ln, err := d.length(n - len(sccAt))
 		if err != nil {
 			return nil, err
 		}
@@ -174,21 +186,22 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 			if s >= uint64(n) {
 				return nil, fmt.Errorf("reach: snapshot chain references SCC %d of %d", s, n)
 			}
-			if h.posOf[s] != -1 {
+			if posOf[s] != -1 {
 				return nil, fmt.Errorf("reach: snapshot chains name SCC %d twice", s)
 			}
-			h.posOf[s] = int32(len(h.chains.val))
-			h.chains.val = append(h.chains.val, int32(s))
+			posOf[s] = int32(len(sccAt))
+			sccAt = append(sccAt, int32(s))
 			h.chainAt = append(h.chainAt, int32(c))
 		}
-		h.chains.off = append(h.chains.off, int32(len(h.chains.val)))
+		h.chainOff = append(h.chainOff, int32(len(sccAt)))
 	}
-	if covered := len(h.chains.val); covered != n {
+	if covered := len(sccAt); covered != n {
 		return nil, fmt.Errorf("reach: snapshot chains cover %d of %d SCCs", covered, n)
 	}
+	h.scc = cond.Renumber(posOf)
 	var row []int32
 	readLists := func() (gapRows, error) {
-		lists := gapRows{off: make([]int32, n+1)}
+		lists := gapRows{off: make([]int32, n+1)} // per Tarjan id
 		for s := 0; s < n; s++ {
 			// Every entry takes at least two varint bytes, bounding any
 			// declared length by the remaining payload.
@@ -202,11 +215,11 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 				if cid >= uint64(numChains) {
 					return lists, fmt.Errorf("reach: snapshot list entry references chain %d of %d", cid, numChains)
 				}
-				if chainLen := len(h.chains.row(int32(cid))); sid >= uint64(chainLen) {
+				if chainLen := h.chainOff[cid+1] - h.chainOff[cid]; sid >= uint64(chainLen) {
 					return lists, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
 						sid, cid, chainLen)
 				}
-				row = append(row, h.chains.off[cid]+int32(sid))
+				row = append(row, h.chainOff[cid]+int32(sid))
 			}
 			slices.Sort(row)
 			for i := 1; i < len(row); i++ {
@@ -218,8 +231,7 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 			lists.off[s+1] = int32(len(lists.buf))
 			lists.n += ln
 		}
-		lists.buf = slices.Clone(lists.buf) // drop the append slack
-		return lists, nil
+		return lists.reorder(sccAt), nil
 	}
 	var err error
 	if h.lout, err = readLists(); err != nil {
@@ -234,7 +246,6 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	if rest := len(d.buf) - d.off; rest != 0 {
 		return nil, fmt.Errorf("reach: %d trailing bytes after threehop snapshot", rest)
 	}
-	h.buildSkips()
 	return h, nil
 }
 

@@ -134,19 +134,19 @@ func TestUnmarshalThreeHopRejectsBadPayloads(t *testing.T) {
 // in random order, as indexes written before lists were sorted by
 // chain id stored them.
 func shuffledPayload(h *ThreeHop, r *rand.Rand) []byte {
-	n := len(h.posOf)
-	vs := []uint64{uint64(n), uint64(h.chains.rows())}
-	for c := int32(0); c < int32(h.chains.rows()); c++ {
-		chain := h.chains.row(c)
+	posOf, sccAt := h.tarjanIDs()
+	vs := []uint64{uint64(len(posOf)), uint64(h.NumChains())}
+	for c := 1; c < len(h.chainOff); c++ {
+		chain := sccAt[h.chainOff[c-1]:h.chainOff[c]]
 		vs = append(vs, uint64(len(chain)))
 		for _, s := range chain {
 			vs = append(vs, uint64(s))
 		}
 	}
 	for _, lists := range []gapRows{h.lout, h.lin} {
-		for s := int32(0); s < int32(n); s++ {
+		for _, pos := range posOf {
 			var row []int32
-			for b, i, p := lists.row(s), 0, int32(-1); i < len(b); {
+			for b, i, p := lists.row(pos), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				row = append(row, p)
 			}
@@ -154,7 +154,7 @@ func shuffledPayload(h *ThreeHop, r *rand.Rand) []byte {
 			vs = append(vs, uint64(len(row)))
 			for _, p := range row {
 				c := h.chainAt[p]
-				vs = append(vs, uint64(c), uint64(p-h.chains.off[c]))
+				vs = append(vs, uint64(c), uint64(p-h.chainOff[c]))
 			}
 		}
 	}
@@ -218,8 +218,9 @@ func mustMarshal(t *testing.T, h ContourIndex) []byte {
 }
 
 // TestGapRowsRoundTrip checks the row encoding at the varint width
-// boundaries: every row decodes to the positions it was built from,
-// and the entry count and empty rows are right.
+// boundaries: every row, empty ones included, decodes to the positions
+// it was built from, also after reorder reverses the rows, and the
+// entry count is right.
 func TestGapRowsRoundTrip(t *testing.T) {
 	rows := [][]int32{
 		{0},
@@ -231,22 +232,33 @@ func TestGapRowsRoundTrip(t *testing.T) {
 	}
 	enc := make([][]byte, len(rows))
 	want := 0
+	reversed := make([]int32, len(rows))
 	for i, r := range rows {
 		enc[i] = appendGaps(nil, r)
 		want += len(r)
+		reversed[len(rows)-1-i] = int32(i)
 	}
 	packed := packRows(enc)
-	if packed.n != want {
-		t.Errorf("packRows counted %d entries, want %d", packed.n, want)
-	}
-	for i, r := range rows {
-		var got []int32
-		for b, j, p := packed.row(int32(i)), 0, int32(-1); j < len(b); {
-			p, j = nextGap(b, j, p)
-			got = append(got, p)
+	for name, c := range map[string]struct {
+		rows  gapRows
+		order []int32 // row i holds rows[order[i]]
+	}{
+		"packed":   {packed, []int32{0, 1, 2, 3, 4, 5}},
+		"reversed": {packed.reorder(reversed), reversed},
+	} {
+		if c.rows.n != want {
+			t.Errorf("%s: counted %d entries, want %d", name, c.rows.n, want)
 		}
-		if !slices.Equal(got, r) || packed.empty(int32(i)) != (len(r) == 0) {
-			t.Errorf("row %d decodes to %v (empty %v), want %v", i, got, packed.empty(int32(i)), r)
+		for i, r := range c.order {
+			var got []int32
+			b := c.rows.row(int32(i))
+			for j, p := 0, int32(-1); j < len(b); {
+				p, j = nextGap(b, j, p)
+				got = append(got, p)
+			}
+			if !slices.Equal(got, rows[r]) {
+				t.Errorf("%s: row %d decodes to %v from % x, want %v", name, i, got, b, rows[r])
+			}
 		}
 	}
 }
@@ -322,29 +334,16 @@ func FuzzUnmarshalThreeHop(f *testing.F) {
 	extra := map[uint8][]byte{0: dupSCCPayload, 4: star3Payload(1, 0, 0, 0)}
 	fuzzCodec(f, "threehop", extra, func(t *testing.T, ci ContourIndex) {
 		h := ci.(*ThreeHop)
-		n := len(h.posOf)
-		onChains := make([]int, n)
-		for c := int32(0); c < int32(h.chains.rows()); c++ {
-			for i, s := range h.chains.row(c) {
-				onChains[s]++
-				if p := h.posOf[s]; p != h.chains.off[c]+int32(i) || h.chainAt[p] != c {
-					t.Fatalf("SCC %d at chain %d index %d has position %d", s, c, i, p)
-				}
-			}
-		}
-		for s, k := range onChains {
-			if k != 1 {
-				t.Fatalf("SCC %d of %d is on %d chains", s, n, k)
-			}
-		}
+		checkPositionLayout(t, h)
+		n := int32(len(h.chainAt))
 		decoded := 0
 		for _, lists := range []gapRows{h.lout, h.lin} {
-			for s := int32(0); s < int32(n); s++ {
+			for s := int32(0); s < n; s++ {
 				for b, i, p := lists.row(s), 0, int32(-1); i < len(b); {
 					prev := p
 					p, i = nextGap(b, i, p)
-					if p <= prev || int(p) >= n {
-						t.Fatalf("list of SCC %d decodes position %d after %d, of %d", s, p, prev, n)
+					if p <= prev || p >= n {
+						t.Fatalf("list of position %d decodes position %d after %d, of %d", s, p, prev, n)
 					}
 					decoded++
 				}
@@ -354,6 +353,41 @@ func FuzzUnmarshalThreeHop(f *testing.F) {
 			t.Fatalf("lists decode %d entries, IndexSize says %d", decoded, h.IndexSize())
 		}
 	})
+}
+
+// checkPositionLayout checks that h names SCCs by chain position: the
+// chains are contiguous position ranges that tile [0, K) in order,
+// chainAt agrees with them, and Comp and the cycle bits are the
+// condensation's renumbered one to one, so the cover is disjoint.
+func checkPositionLayout(t *testing.T, h *ThreeHop) {
+	t.Helper()
+	cond := graph.Condense(h.g)
+	n := int32(cond.NumSCC())
+	if len(h.chainAt) != int(n) || h.chainOff[0] != 0 || h.chainOff[len(h.chainOff)-1] != n {
+		t.Fatalf("%d positions, chain offsets %v, for %d SCCs", len(h.chainAt), h.chainOff, n)
+	}
+	for c := 1; c < len(h.chainOff); c++ {
+		for p := h.chainOff[c-1]; p < h.chainOff[c]; p++ {
+			if h.chainAt[p] != int32(c-1) {
+				t.Fatalf("position %d of chain %d has chainAt %d", p, c-1, h.chainAt[p])
+			}
+		}
+	}
+	sccAt := make([]int32, n) // per position: its Tarjan id + 1
+	posOf := make([]int32, n) // per Tarjan id: its position + 1
+	for v, s := range cond.Comp {
+		p := h.scc.Comp[v]
+		if p < 0 || p >= n {
+			t.Fatalf("node %d at position %d of %d", v, p, n)
+		}
+		if (sccAt[p] != 0 && sccAt[p] != s+1) || (posOf[s] != 0 && posOf[s] != p+1) {
+			t.Fatalf("node %d: SCC %d at position %d, but SCC %d or position %d seen with it", v, s, p, sccAt[p]-1, posOf[s]-1)
+		}
+		sccAt[p], posOf[s] = s+1, p+1
+		if h.scc.Nontrivial(p) != cond.Nontrivial(s) {
+			t.Fatalf("position %d has cycle bit %v, its SCC %d has %v", p, h.scc.Nontrivial(p), s, cond.Nontrivial(s))
+		}
+	}
 }
 
 func FuzzUnmarshalTC(f *testing.F) {

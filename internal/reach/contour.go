@@ -37,13 +37,14 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 		if cur, ok := c.vals[cid]; !ok || pos > cur {
 			c.vals[cid] = pos
 		}
-		// Walk the chain prefix ending at pos downward over non-empty Lin
-		// lists, stopping at the already-visited region.
+		// Walk the chain prefix ending at pos downward, stopping at the
+		// already-visited region.
 		limit, seen := visited[cid]
-		for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-			if seen && h.posOf[t] <= limit {
-				break
-			}
+		start := h.chainOff[cid]
+		if seen {
+			start = limit + 1
+		}
+		for t := pos; t >= start; t-- {
 			for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				n++
@@ -78,10 +79,11 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 			c.vals[cid] = pos
 		}
 		limit, seen := visited[cid]
-		for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-			if seen && h.posOf[t] >= limit {
-				break
-			}
+		end := h.chainOff[cid+1]
+		if seen {
+			end = limit
+		}
+		for t := pos; t < end; t++ {
 			for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				n++
@@ -162,7 +164,7 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 // (the Lout lists of its chain suffix) matches the predecessor contour.
 func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
 	n := int64(0)
-	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
+	for t, end := s, h.chainOff[h.chainAt[s]+1]; t < end; t++ {
 		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -179,7 +181,7 @@ func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
 // inMatches is outMatches' dual over s's complete predecessor list.
 func (h *ThreeHop) inMatches(cs *Contour, s int32, st *Stats) bool {
 	n := int64(0)
-	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
+	for t, start := s, h.chainOff[h.chainAt[s]]; t >= start; t-- {
 		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -229,11 +231,18 @@ func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
+	end := h.chainOff[cid+1]
+	if seen {
+		end = limit
+	}
+	// Recorded before the walk, so that no more than the loop's own
+	// state is live across the calls of f: the extra spills cost arXiv
+	// walks ~10%.
+	if !seen || pos < limit {
+		w.visited[cid] = pos
+	}
 	n := int64(0)
-	for t := h.firstOut(s); t != -1; t = h.skipOut[t] {
-		if seen && h.posOf[t] >= limit {
-			break
-		}
+	for t := pos; t < end; t++ {
 		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -241,9 +250,6 @@ func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 		}
 	}
 	w.st.Lookups += n
-	if !seen || pos < limit {
-		w.visited[cid] = pos
-	}
 }
 
 // InWalker is the dual used by Procedure 7: candidates are processed in
@@ -267,11 +273,15 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	s := h.scc.Comp[v]
 	cid, pos := h.locate(s)
 	limit, seen := w.visited[cid]
+	start := h.chainOff[cid]
+	if seen {
+		start = limit + 1
+	}
+	if !seen || pos > limit { // before the walk, as in OutWalker.Walk
+		w.visited[cid] = pos
+	}
 	n := int64(0)
-	for t := h.firstIn(s); t != -1; t = h.skipIn[t] {
-		if seen && h.posOf[t] <= limit {
-			break
-		}
+	for t := pos; t >= start; t-- {
 		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -279,9 +289,6 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 		}
 	}
 	w.st.Lookups += n
-	if !seen || pos > limit {
-		w.visited[cid] = pos
-	}
 }
 
 // Position returns v's chain id and position (engines group candidate
@@ -357,7 +364,7 @@ func (h *ThreeHop) ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) 
 func (h *ThreeHop) anyNeighborSCC(nbrs []graph.NodeID, probe func(s int32) bool) bool {
 	seen, _ := h.seen.Get().(*sccSet)
 	if seen == nil {
-		seen = &sccSet{bits: make([]uint64, (len(h.posOf)+63)/64)}
+		seen = &sccSet{bits: make([]uint64, (len(h.chainAt)+63)/64)}
 	}
 	hit := false
 	for _, w := range nbrs {

@@ -118,7 +118,9 @@ func TestQuickIndexesAgree(t *testing.T) {
 }
 
 func TestQuickChainPositionsConsistent(t *testing.T) {
-	// Positions on the same chain are totally ordered by reachability.
+	// A node's position is its SCC id and lies in its chain's position
+	// range; positions on the same chain are totally ordered by
+	// reachability.
 	r := rand.New(rand.NewSource(405))
 	cfg := &quick.Config{MaxCount: 40, Rand: r}
 	err := quick.Check(func(seed int64) bool {
@@ -126,8 +128,11 @@ func TestQuickChainPositionsConsistent(t *testing.T) {
 		g := randDAG(rr, 2+rr.Intn(30), 2+rr.Intn(80))
 		h := NewThreeHop(g)
 		for u := 0; u < g.N(); u++ {
+			cu, su := h.Position(graph.NodeID(u))
+			if su != h.scc.Comp[u] || su < h.chainOff[cu] || su >= h.chainOff[cu+1] {
+				return false
+			}
 			for v := 0; v < g.N(); v++ {
-				cu, su := h.Position(graph.NodeID(u))
 				cv, sv := h.Position(graph.NodeID(v))
 				if cu == cv && su < sv && !h.Reaches(graph.NodeID(u), graph.NodeID(v)) {
 					return false

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gtpq/internal/graph"
@@ -101,33 +102,40 @@ func TestChainDecomposition(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randDAG(r, 2+r.Intn(40), 2+r.Intn(120))
 		cond := graph.Condense(g)
-		chains, posOf, chainAt := chainDecompose(cond)
-		covered := 0
-		for cid := 0; cid < chains.rows(); cid++ {
-			chain := chains.row(int32(cid))
-			for i, s := range chain {
-				covered++
-				if p := posOf[s]; p != chains.off[cid]+int32(i) || chainAt[p] != int32(cid) {
-					t.Fatalf("position bookkeeping wrong for scc %d", s)
+		n := int32(cond.NumSCC())
+		chainOff, chainAt, posOf := chainDecompose(cond)
+		// The cover is disjoint: posOf is a permutation of the positions.
+		sccAt := make([]int32, n)
+		for i := range sccAt {
+			sccAt[i] = -1
+		}
+		for s, p := range posOf {
+			if p < 0 || p >= n || sccAt[p] != -1 {
+				t.Fatalf("scc %d at position %d of %d, taken or out of range", s, p, n)
+			}
+			sccAt[p] = int32(s)
+		}
+		// Chains are contiguous, non-empty and tile [0, n).
+		if chainOff[0] != 0 || chainOff[len(chainOff)-1] != n || len(chainAt) != int(n) {
+			t.Fatalf("chain offsets %v, %d positions, for %d sccs", chainOff, len(chainAt), n)
+		}
+		for cid := 1; cid < len(chainOff); cid++ {
+			lo, hi := chainOff[cid-1], chainOff[cid]
+			if lo >= hi {
+				t.Fatalf("chain %d is the empty range [%d, %d)", cid-1, lo, hi)
+			}
+			for p := lo; p < hi; p++ {
+				if chainAt[p] != int32(cid-1) {
+					t.Fatalf("position %d of chain %d has chainAt %d", p, cid-1, chainAt[p])
 				}
-				if i > 0 {
-					// Consecutive chain members must be DAG edges.
-					prev := chain[i-1]
-					found := false
-					for _, w := range cond.Out(prev) {
-						if w == s {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("chain %d: %d -> %d is not a DAG edge", cid, prev, s)
-					}
+				if p == lo {
+					continue
+				}
+				// Consecutive chain positions must be DAG edges.
+				if !slices.Contains(cond.Out(sccAt[p-1]), sccAt[p]) {
+					t.Fatalf("chain %d: %d -> %d is not a DAG edge", cid-1, sccAt[p-1], sccAt[p])
 				}
 			}
-		}
-		if covered != cond.NumSCC() {
-			t.Fatalf("chains cover %d of %d sccs", covered, cond.NumSCC())
 		}
 	}
 }

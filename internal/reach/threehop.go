@@ -9,20 +9,6 @@ import (
 	"gtpq/internal/graph"
 )
 
-// csr is package graph's layout for lists of lists, here for the chains:
-// row i is val[off[i]:off[i+1]].
-type csr[T any] struct {
-	off []int32 // len = rows + 1
-	val []T
-}
-
-func (c csr[T]) rows() int { return len(c.off) - 1 }
-
-func (c csr[T]) row(i int32) []T {
-	lo, hi := c.off[i], c.off[i+1]
-	return c.val[lo:hi:hi]
-}
-
 // gapRows is the layout of the Lin/Lout lists: row i is the bytes
 // buf[off[i]:off[i+1]]. A row's positions ascend strictly, so each is
 // stored as the uvarint gap p - prev - 1 from its predecessor (prev is
@@ -32,8 +18,6 @@ type gapRows struct {
 	buf []byte
 	n   int // entries over all rows
 }
-
-func (r gapRows) empty(i int32) bool { return r.off[i] == r.off[i+1] }
 
 // row returns row i's bytes, to be decoded front to back by nextGap:
 //
@@ -88,6 +72,17 @@ func packRows(rows [][]byte) gapRows {
 	return r
 }
 
+// reorder returns the rows of r in the order named by rows: row i of
+// the result is row rows[i] of r.
+func (r gapRows) reorder(rows []int32) gapRows {
+	out := gapRows{off: make([]int32, len(rows)+1), buf: make([]byte, 0, len(r.buf)), n: r.n}
+	for i, s := range rows {
+		out.buf = append(out.buf, r.row(s)...)
+		out.off[i+1] = int32(len(out.buf))
+	}
+	return out
+}
+
 // entries counts the gaps encoded in b: every uvarint ends in its one
 // byte below 0x80.
 func entries(b []byte) int {
@@ -111,56 +106,50 @@ func entries(b []byte) int {
 // The complete successor list X_v of the paper is the union of Lout over
 // the suffix of v's chain starting at v (plus v's own position); the
 // complete predecessor list Y_v is the union of Lin over the prefix
-// ending at v. Skip pointers jump over positions with empty lists.
+// ending at v.
 //
-// Layout. The chains are laid out one after another in chains.val, and
-// an SCC's position is its index there: position p lies on chain
-// chainAt[p], at sequence id p - chains.off[chainAt[p]]. On one chain,
+// Layout. An SCC is named by its position: the chains are laid out one
+// after another, chain c holds the positions [chainOff[c],
+// chainOff[c+1]) in path order, and position p lies on chain
+// chainAt[p] at sequence id p - chainOff[chainAt[p]]. The node -> SCC
+// map, the cycle bits and both list families are indexed by position,
+// so a chain suffix or prefix is a run of consecutive rows, and an
+// empty row costs one offset compare to step over. On one chain,
 // positions are ordered exactly as sequence ids are, so every
 // same-chain comparison the paper makes holds on positions unchanged;
 // across chains a position comparison means nothing. Every list is
 // sorted by chain id, which is ascending position order, and is stored
 // as varint position gaps (gapRows): on a dense DAG a row holds a few
 // hundred of the positions, so nearly every gap is one byte (arXiv:
-// 1.01 B per entry). The chains and the two list families are each one
-// offsets array plus one payload array, with no per-SCC slice header
-// and nothing for the collector to trace.
+// 1.01 B per entry). Each list family is one offsets array plus one
+// payload array, with no per-SCC slice header and nothing for the
+// collector to trace.
 // The bytes of an index depend only on the graph, not on how the build
 // was scheduled or whether it was decoded from a snapshot. Of the SCC
 // condensation the index keeps only the node -> SCC map and one cycle
-// bit per SCC (graph.SCCMap); the members and DAG rows the build sweeps
-// over are dropped with it.
+// bit per SCC (graph.SCCMap), renumbered by position; the members, DAG
+// rows and Tarjan ids the build sweeps over are dropped with it.
 //
 // A built index is immutable: the query methods taking a *Stats sink
 // (ReachesSt and the ChainIndex operations) are safe for concurrent
 // use. The legacy Reaches, charging the index's own Stats, is not.
 type ThreeHop struct {
 	g   *graph.Graph
-	scc graph.SCCMap // all the index keeps of the condensation
+	scc graph.SCCMap // node -> position, and a cycle bit per position
 
-	chains  csr[int32] // chain -> scc ids in order; chains.val is indexed by position
-	posOf   []int32    // per scc: its position
-	chainAt []int32    // per position: its chain id
+	chainOff []int32 // chain c is the positions [chainOff[c], chainOff[c+1])
+	chainAt  []int32 // per position: its chain id
 
-	lout gapRows // per scc: positions, ascending
-	lin  gapRows // per scc: positions, ascending
-
-	// skipOut[s]: the scc at the smallest position > pos(s) on s's chain
-	// with a non-empty Lout, or -1. skipIn is symmetric (largest position
-	// < pos(s) with non-empty Lin).
-	skipOut []int32
-	skipIn  []int32
+	lout gapRows // per position: positions, ascending
+	lin  gapRows // per position: positions, ascending
 
 	scratch sync.Pool // *chainScratch for point queries
 	seen    sync.Pool // *sccSet for ResolveAmbiguous*
 	stats   Stats
 }
 
-// locate returns the chain and position of SCC s.
-func (h *ThreeHop) locate(s int32) (cid, pos int32) {
-	pos = h.posOf[s]
-	return h.chainAt[pos], pos
-}
+// locate returns the chain of the SCC at position p, and p.
+func (h *ThreeHop) locate(p int32) (cid, pos int32) { return h.chainAt[p], p }
 
 // chainScratch is a dense chain id -> position table for folding lists
 // into a per-chain extreme. pos[c] is -1 while chain c is absent;
@@ -174,7 +163,7 @@ type chainScratch struct {
 }
 
 func (h *ThreeHop) newScratch() *chainScratch {
-	sc := &chainScratch{pos: make([]int32, h.chains.rows())}
+	sc := &chainScratch{pos: make([]int32, h.NumChains())}
 	for i := range sc.pos {
 		sc.pos[i] = -1
 	}
@@ -225,44 +214,43 @@ func (sc *chainScratch) reset() {
 func NewThreeHop(g *graph.Graph) *ThreeHop {
 	buildCount.Add(1)
 	cond := graph.Condense(g)
-	h := &ThreeHop{g: g, scc: cond.SCCMap}
-	h.chains, h.posOf, h.chainAt = chainDecompose(cond)
+	chainOff, chainAt, posOf := chainDecompose(cond)
+	h := &ThreeHop{g: g, scc: cond.Renumber(posOf), chainOff: chainOff, chainAt: chainAt}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); h.lout = h.sweep(cond, true) }()
-	go func() { defer wg.Done(); h.lin = h.sweep(cond, false) }()
+	go func() { defer wg.Done(); h.lout = h.sweep(cond, posOf, true) }()
+	go func() { defer wg.Done(); h.lin = h.sweep(cond, posOf, false) }()
 	wg.Wait()
-	h.buildSkips()
 	return h
 }
 
-// sweep computes one list family over the condensation cond. Down, it
-// is Lout by a reverse-topological sweep: the contour of s holds, per
-// chain, the smallest position reachable from s (inclusive of s),
-// folded from the contours of s's DAG successors. Up, it is Lin by the
-// mirror-image forward sweep over predecessors and largest positions.
-// Contours live as ascending position slices (one position per chain)
-// and are dropped once every SCC that folds them has done so. SCCs are
-// processed one level at a time, the level's nodes sharded across
-// goroutines (nodes of one level depend only on strictly earlier
-// levels).
-func (h *ThreeHop) sweep(cond *graph.Condensation, down bool) gapRows {
+// sweep computes one list family over the condensation cond, whose SCC
+// s sits at position posOf[s]. Down, it is Lout by a reverse-topological
+// sweep: the contour of s holds, per chain, the smallest position
+// reachable from s (inclusive of s), folded from the contours of s's
+// DAG successors. Up, it is Lin by the mirror-image forward sweep over
+// predecessors and largest positions. Contours live as ascending
+// position slices (one position per chain) and are dropped once every
+// SCC that folds them has done so. SCCs are processed one level at a
+// time, the level's nodes sharded across goroutines (nodes of one level
+// depend only on strictly earlier levels).
+func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, down bool) gapRows {
 	n := cond.NumSCC()
 	deps, users := cond.Out, cond.In
 	if !down {
 		deps, users = users, deps
 	}
-	contour := make([][]int32, n)
-	pending := make([]int32, n) // users that still need contour[s]
+	contour := make([][]int32, n) // per position
+	pending := make([]int32, n)   // per SCC: users that still need its contour
 	for s := range pending {
 		pending[s] = int32(len(users(int32(s))))
 	}
-	lists := make([][]byte, n) // encoded rows
+	lists := make([][]byte, n) // per position: the encoded row
 	step := func(s int32, sc *chainScratch) {
-		own, pos := h.locate(s)
+		own, pos := h.locate(posOf[s])
 		sc.fold(own, pos, down)
 		for _, w := range deps(s) {
-			for _, p := range contour[w] {
+			for _, p := range contour[posOf[w]] {
 				sc.fold(h.chainAt[p], p, down)
 			}
 		}
@@ -271,12 +259,12 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down bool) gapRows {
 			m[i] = sc.pos[c]
 		}
 		sc.reset()
-		contour[s] = m
+		contour[pos] = m
 		// The list of s: entries on foreign chains not derivable from the
 		// chain neighbor. The neighbor (if any) is one of deps(s), so its
 		// contour is still alive here, and it names no chain m does not.
 		var via []int32
-		if t := h.chainNeighbor(s, down); t != -1 {
+		if t := h.chainNeighbor(pos, down); t != -1 {
 			via = contour[t]
 		}
 		sc.out = sc.out[:0]
@@ -294,18 +282,18 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down bool) gapRows {
 		}
 		if len(sc.out) > 0 {
 			sc.enc = appendGaps(sc.enc[:0], sc.out)
-			lists[s] = slices.Clone(sc.enc)
+			lists[pos] = slices.Clone(sc.enc)
 		}
 		// Free contours nobody will read again. The decrement comes after
 		// every read of contour[w] above, so under level-parallelism the
 		// last sibling to finish is the one that frees.
 		for _, w := range deps(s) {
 			if atomic.AddInt32(&pending[w], -1) == 0 {
-				contour[w] = nil
+				contour[posOf[w]] = nil
 			}
 		}
 		if len(users(s)) == 0 {
-			contour[s] = nil
+			contour[pos] = nil
 		}
 	}
 	pool := sync.Pool{New: func() any { return h.newScratch() }}
@@ -321,47 +309,23 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, down bool) gapRows {
 	return packRows(lists)
 }
 
-func (h *ThreeHop) buildSkips() {
-	n := len(h.posOf)
-	h.skipOut = make([]int32, n)
-	h.skipIn = make([]int32, n)
-	for c := int32(0); c < int32(h.chains.rows()); c++ {
-		chain := h.chains.row(c)
-		next := int32(-1)
-		for i := len(chain) - 1; i >= 0; i-- {
-			s := chain[i]
-			h.skipOut[s] = next
-			if !h.lout.empty(s) {
-				next = s
-			}
-		}
-		prev := int32(-1)
-		for _, s := range chain {
-			h.skipIn[s] = prev
-			if !h.lin.empty(s) {
-				prev = s
-			}
-		}
-	}
-}
-
-// chainNeighbor returns the successor (down) or predecessor of s on its
+// chainNeighbor returns the position after (down) or before p on its
 // chain, or -1.
-func (h *ThreeHop) chainNeighbor(s int32, down bool) int32 {
-	c, p := h.locate(s)
+func (h *ThreeHop) chainNeighbor(p int32, down bool) int32 {
+	c := h.chainAt[p]
 	if down {
 		p++
 	} else {
 		p--
 	}
-	if p < h.chains.off[c] || p >= h.chains.off[c+1] {
+	if p < h.chainOff[c] || p >= h.chainOff[c+1] {
 		return -1
 	}
-	return h.chains.val[p]
+	return p
 }
 
 // NumChains returns the number of chains in the cover.
-func (h *ThreeHop) NumChains() int { return h.chains.rows() }
+func (h *ThreeHop) NumChains() int { return len(h.chainOff) - 1 }
 
 // Kind returns the registry name of this backend.
 func (h *ThreeHop) Kind() string { return "threehop" }
@@ -389,22 +353,21 @@ func (h *ThreeHop) Reaches(u, v graph.NodeID) bool {
 // charged to st.
 func (h *ThreeHop) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 	st.Queries++
-	su, sv := h.scc.Comp[u], h.scc.Comp[v]
-	if su == sv {
-		return h.scc.Nontrivial(su)
+	pu, pv := h.scc.Comp[u], h.scc.Comp[v]
+	if pu == pv {
+		return h.scc.Nontrivial(pu)
 	}
-	return h.sccReaches(su, sv, st)
+	return h.sccReaches(pu, pv, st)
 }
 
-// sccReaches answers reachability between two distinct SCCs (strict and
-// inclusive coincide there).
-func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
-	cu, pu := h.locate(su)
-	cv, pv := h.locate(sv)
+// sccReaches answers reachability between the SCCs at two distinct
+// positions (strict and inclusive coincide there).
+func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
+	cu, cv := h.chainAt[pu], h.chainAt[pv]
 	if cu == cv {
 		return pu < pv
 	}
-	// X_su as a per-chain minimum.
+	// X_pu as a per-chain minimum.
 	x, _ := h.scratch.Get().(*chainScratch)
 	if x == nil {
 		x = h.newScratch()
@@ -415,20 +378,20 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 	// here and in every list loop: an increment through st each entry
 	// would make the loop wait on its own store.
 	n := int64(0)
-	for s := h.firstOut(su); s != -1; s = h.skipOut[s] {
-		for b, i, p := h.lout.row(s), 0, int32(-1); i < len(b); {
+	for t, end := pu, h.chainOff[cu+1]; t < end; t++ {
+		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
 			x.fold(h.chainAt[p], p, true)
 		}
 	}
-	// Y_sv scanned against X.
+	// Y_pv scanned against X.
 	if m := x.pos[cv]; m != -1 && m <= pv {
 		st.Lookups += n
 		return true
 	}
-	for s := h.firstIn(sv); s != -1; s = h.skipIn[s] {
-		for b, i, p := h.lin.row(s), 0, int32(-1); i < len(b); {
+	for t, start := pv, h.chainOff[cv]; t >= start; t-- {
+		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
 			if m := x.pos[h.chainAt[p]]; m != -1 && m <= p {
@@ -439,20 +402,4 @@ func (h *ThreeHop) sccReaches(su, sv int32, st *Stats) bool {
 	}
 	st.Lookups += n
 	return false
-}
-
-// firstOut returns s itself when it has a non-empty Lout, otherwise the
-// first later position with one.
-func (h *ThreeHop) firstOut(s int32) int32 {
-	if !h.lout.empty(s) {
-		return s
-	}
-	return h.skipOut[s]
-}
-
-func (h *ThreeHop) firstIn(s int32) int32 {
-	if !h.lin.empty(s) {
-		return s
-	}
-	return h.skipIn[s]
 }
