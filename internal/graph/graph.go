@@ -223,6 +223,12 @@ func (g *Graph) Freeze() {
 	dst := func(e edge) int32 { return int32(e.v) }
 	es := bucket(n, bucket(n, g.edges, dst, self).val, src, self)
 	g.edges, g.attrStrID = nil, nil
+	// The builder arrays that stay resident grew by append: copy each to
+	// its length, so a frozen graph costs the same whatever hints New had.
+	g.labelOf, g.labelTab = exact(g.labelOf), exact(g.labelTab)
+	g.hasAttrs, g.attrNode = exact(g.hasAttrs), exact(g.attrNode)
+	g.attrs = csr[attrEntry]{off: exact(g.attrs.off), val: exact(g.attrs.val)}
+	g.attrName, g.attrStr = exact(g.attrName), exact(g.attrStr)
 	g.out = csr[NodeID]{off: es.off, val: make([]NodeID, len(es.val))}
 	g.cross = newBitset(len(es.val))
 	for i := 0; i < len(es.val); {
@@ -247,6 +253,14 @@ func (g *Graph) Freeze() {
 	}
 	g.byLabel = bucket(len(g.labelTab), nodes,
 		func(v NodeID) int32 { return g.labelOf[v] }, func(v NodeID) NodeID { return v })
+}
+
+// exact returns s, or a copy of it without spare capacity.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // N returns the number of nodes.

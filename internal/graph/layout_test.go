@@ -321,3 +321,44 @@ func TestCondenseDedupsNonContiguousSCC(t *testing.T) {
 		t.Errorf("In({3}) = %v, want [%d %d] (first-occurrence order)", got, a, b)
 	}
 }
+
+// TestFreezeKeepsNoSpareCapacity checks that the arrays a frozen graph
+// keeps are exactly as long as their contents, whether the graph was
+// built without hints or with exact ones.
+func TestFreezeKeepsNoSpareCapacity(t *testing.T) {
+	build := func(nodeHint, edgeHint int) *Graph {
+		g := New(nodeHint, edgeHint)
+		for i := 0; i < 300; i++ {
+			var attrs Attrs
+			if i%3 == 0 {
+				attrs = Attrs{"year": NumV(float64(i)), "name": StrV(fmt.Sprint("n", i%7))}
+			}
+			g.AddNode(fmt.Sprint("l", i%11), attrs)
+		}
+		for i := 1; i < 300; i++ {
+			g.AddEdge(NodeID(i/2), NodeID(i))
+		}
+		g.Freeze()
+		return g
+	}
+	for _, hints := range [][2]int{{0, 0}, {300, 299}} {
+		g := build(hints[0], hints[1])
+		for _, a := range []struct {
+			name     string
+			len, cap int
+		}{
+			{"labelOf", len(g.labelOf), cap(g.labelOf)},
+			{"labelTab", len(g.labelTab), cap(g.labelTab)},
+			{"hasAttrs", len(g.hasAttrs), cap(g.hasAttrs)},
+			{"attrNode", len(g.attrNode), cap(g.attrNode)},
+			{"attrs.off", len(g.attrs.off), cap(g.attrs.off)},
+			{"attrs.val", len(g.attrs.val), cap(g.attrs.val)},
+			{"attrName", len(g.attrName), cap(g.attrName)},
+			{"attrStr", len(g.attrStr), cap(g.attrStr)},
+		} {
+			if a.cap != a.len {
+				t.Errorf("New(%d, %d): %s has len %d, cap %d", hints[0], hints[1], a.name, a.len, a.cap)
+			}
+		}
+	}
+}
