@@ -49,7 +49,7 @@ func main() {
 	flag.Parse()
 
 	if *verify != "" {
-		se, man, err := shard.LoadDir(*verify, shard.LoadOptions{})
+		se, man, err := shard.LoadDir(*verify, shard.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func main() {
 
 	// Re-load through the verification path so a partitioning run never
 	// reports success for a directory the catalog would refuse.
-	if _, _, err := shard.LoadDir(*out, shard.LoadOptions{}); err != nil {
+	if _, _, err := shard.LoadDir(*out, shard.Options{}); err != nil {
 		log.Fatalf("self-verification failed: %v", err)
 	}
 	fmt.Println("self-verification ok")

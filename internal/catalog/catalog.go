@@ -18,6 +18,12 @@
 // and serves a scatter-gather engine under the same name — queries hit
 // it exactly like a flat dataset. A sharded directory takes precedence
 // over flat files of the same name.
+//
+// Every loaded base is one shape in memory: a *shard.ShardedEngine. A
+// `.snap` or JSON file is a one-shard engine over the graph and index
+// it loaded, with no copy. A one-shard base — flat file or one-shard
+// directory — is queried through its shard's own gtea.Engine, so only
+// a base of K > 1 shards scatters.
 package catalog
 
 import (
@@ -52,17 +58,15 @@ type Options struct {
 	// AutoSnapshot writes `<name>.snap` after an index is built from a
 	// raw graph file, so the next cold start skips construction.
 	AutoSnapshot bool
-	// ShardWorkers bounds the scatter-gather fan-out of sharded
-	// datasets (default GOMAXPROCS).
-	ShardWorkers int
 	// NoPlan disables the cost-based query planner in every engine the
 	// catalog builds or revives (gtea.Options.NoPlan).
 	NoPlan bool
 }
 
-// Engine is the evaluation surface a dataset exposes: the single-graph
-// gtea.Engine or the scatter-gather shard.ShardedEngine. Both are
-// immutable and safe for concurrent use.
+// Engine is the evaluation surface a dataset exposes: a single-graph
+// gtea.Engine (one shard, or pending deltas) or the scatter-gather
+// shard.ShardedEngine (K > 1 shards). Both are immutable and safe for
+// concurrent use.
 type Engine interface {
 	Eval(q *core.Query) *core.Answer
 	EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer, gtea.Stats, error)
@@ -78,21 +82,19 @@ type Engine interface {
 	IndexSize() int
 }
 
-// Dataset is one acquired dataset: a ready engine (plus the graph, for
-// flat datasets). It stays valid until Release, even across a hot
-// reload.
+// Dataset is one acquired dataset: a ready engine. It stays valid
+// until Release, even across a hot reload.
 type Dataset struct {
 	Name   string
 	Source string // file the engine came from
-	// Graph is the data graph of a flat dataset; nil when Sharded (the
-	// logical graph exists only as the union of the shard subgraphs).
-	Graph  *graph.Graph
 	Engine Engine
-	// Sharded reports whether Engine fans out across shard engines.
+	// Sharded reports a base of more than one shard: Engine fans out
+	// across shard engines until the first delta, and a flat overlay
+	// engine over the union graph serves while deltas are pending.
 	Sharded bool
 	// FromSnapshot reports whether the engine was revived from a
-	// snapshot (no index construction) rather than built. Sharded
-	// datasets always revive from their per-shard snapshots.
+	// snapshot (no index construction) rather than built. Shard
+	// directories always revive from their per-shard snapshots.
 	FromSnapshot bool
 	// Generation identifies this load of the dataset: it is unique per
 	// catalog entry and strictly increases every time any dataset is
@@ -113,31 +115,16 @@ type Dataset struct {
 	// LoadTime is how long the build or revive took.
 	LoadTime time.Duration
 
-	entry       *entry
-	releaseOnce sync.Once
+	nodes, edges int // logical graph size, pending deltas included
+	entry        *entry
+	releaseOnce  sync.Once
 }
 
-// Nodes returns the logical node count (flat graph or sharded total).
-func (d *Dataset) Nodes() int {
-	if d.Graph != nil {
-		return d.Graph.N()
-	}
-	if se, ok := d.Engine.(*shard.ShardedEngine); ok {
-		return se.TotalNodes()
-	}
-	return 0
-}
+// Nodes returns the logical node count, pending deltas included.
+func (d *Dataset) Nodes() int { return d.nodes }
 
-// Edges returns the logical edge count (flat graph or sharded total).
-func (d *Dataset) Edges() int {
-	if d.Graph != nil {
-		return d.Graph.M()
-	}
-	if se, ok := d.Engine.(*shard.ShardedEngine); ok {
-		return se.TotalEdges()
-	}
-	return 0
-}
+// Edges returns the logical edge count, pending deltas included.
+func (d *Dataset) Edges() int { return d.edges }
 
 // priceFromEngine derives Card from the served engine — flat, delta
 // overlay, sharded or composite alike — so admission and the planner
@@ -177,8 +164,10 @@ type Info struct {
 	// not loaded) — the value result-cache keys carry.
 	Generation uint64 `json:"generation,omitempty"`
 	LoadMillis int64  `json:"load_ms,omitempty"`
-	// Shards is the shard count of a sharded dataset (0 for flat);
-	// ShardInfo the per-shard sizes and timings once loaded.
+	// Shards is the shard count of a dataset stored as K > 1 shards (0
+	// for a flat file or a one-shard directory); ShardInfo the
+	// per-shard sizes and timings once loaded. Both describe the base,
+	// so they stay while deltas are pending.
 	Shards    int         `json:"shards,omitempty"`
 	ShardInfo []ShardInfo `json:"shard_info,omitempty"`
 	// PendingDeltas / DeltaBatches mirror Dataset's delta counters;
@@ -229,18 +218,21 @@ type entry struct {
 	srcPath string
 	srcMod  time.Time
 
-	// Delta state (see delta.go). dbase is the frozen pre-delta graph
-	// and its reachability index — what ApplyDelta extends and Compact
-	// folds into; nil for a sharded dataset until the first delta needs
-	// it (the union graph + composite index are then materialized).
+	// Delta state (see delta.go). base is the frozen engine the
+	// dataset loaded or compacted to; every generation until the next
+	// compaction shares it. dir records that it came from (and
+	// compacts back to) a shard directory. dbase is base's logical
+	// graph and reachability index — what ApplyDelta extends and
+	// Compact folds into — filled on first need (see deltaBaseOf).
 	// batches are the pending mutations, replayed from the log at load
-	// or appended in memory by ApplyDelta; se is the scatter-gather
-	// engine of a sharded base (nil for flat).
-	dbase     *deltaBase
-	se        *shard.ShardedEngine
-	batches   []delta.Batch
-	replay    time.Duration
-	buildKind string // backend kind a compaction rebuilds with
+	// or appended in memory by ApplyDelta; overlay is the engine
+	// serving base ∪ batches (nil while none are pending).
+	base    *shard.ShardedEngine
+	dir     bool
+	dbase   *deltaBase
+	batches []delta.Batch
+	overlay *gtea.Engine
+	replay  time.Duration
 	// baseID memoizes delta.BaseOf(dbase.g) for the replication
 	// handlers (repl.go); filled and read under the dlog mutex, carried
 	// across delta swaps because the base is unchanged.
@@ -289,7 +281,7 @@ type loadKind int
 const (
 	loadRaw   loadKind = iota // graphio JSON, index built
 	loadSnap                  // single snapshot, index revived
-	loadShard                 // sharded directory, scatter-gather engine
+	loadShard                 // shard directory of K >= 1 shards
 )
 
 // Names lists the dataset names present on disk, sorted: flat graph /
@@ -410,7 +402,7 @@ func (c *Catalog) Acquire(name string) (*Dataset, error) {
 		c.nextGen++
 		e = &entry{c: c, name: name, ready: make(chan struct{}), refs: 1, srcPath: path, srcMod: mod, gen: c.nextGen}
 		c.entries[name] = e
-		go e.load(c.opt, kind)
+		go e.load(kind)
 	}
 	e.refs++
 	c.mu.Unlock()
@@ -435,7 +427,6 @@ func (e *entry) handle() *Dataset {
 	return &Dataset{
 		Name:          e.ds.Name,
 		Source:        e.ds.Source,
-		Graph:         e.ds.Graph,
 		Engine:        e.ds.Engine,
 		Sharded:       e.ds.Sharded,
 		FromSnapshot:  e.ds.FromSnapshot,
@@ -444,6 +435,8 @@ func (e *entry) handle() *Dataset {
 		DeltaBatches:  len(e.batches),
 		Card:          e.ds.Card,
 		LoadTime:      e.ds.LoadTime,
+		nodes:         e.ds.nodes,
+		edges:         e.ds.edges,
 		entry:         e,
 	}
 }
@@ -451,86 +444,29 @@ func (e *entry) handle() *Dataset {
 // load builds or revives the entry's engine; it runs once per entry.
 // After the base is up, any delta log next to it is replayed and the
 // pending batches are layered on as an overlay engine (see delta.go).
-func (e *entry) load(opt Options, kind loadKind) {
+func (e *entry) load(kind loadKind) {
 	defer close(e.ready)
 	e.c.loads.Add(1)
 	start := time.Now()
-	switch kind {
-	case loadShard:
-		se, man, err := shard.LoadDir(filepath.Dir(e.srcPath), shard.LoadOptions{Workers: opt.ShardWorkers, NoPlan: opt.NoPlan})
-		if err != nil {
-			e.err = err
-			return
-		}
-		if man.Name != e.name {
-			e.err = fmt.Errorf("catalog: %s names dataset %q, directory says %q", e.srcPath, man.Name, e.name)
-			return
-		}
-		e.se = se
-		e.buildKind = man.Index
-		e.ds = &Dataset{
-			Name: e.name, Source: e.srcPath, Engine: se,
-			Sharded: true, FromSnapshot: true, LoadTime: time.Since(start),
-		}
-	case loadSnap:
-		g, h, err := snapshot.LoadFile(e.srcPath)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.dbase = &deltaBase{g: g, h: h}
-		e.buildKind = h.Kind()
-		e.ds = &Dataset{
-			Name: e.name, Source: e.srcPath, Graph: g,
-			Engine:       gtea.NewWithIndexOptions(g, h, gtea.Options{NoPlan: opt.NoPlan}),
-			FromSnapshot: true,
-			LoadTime:     time.Since(start),
-		}
-	default:
-		f, err := os.Open(e.srcPath)
-		if err != nil {
-			e.err = err
-			return
-		}
-		g, err := graphio.Load(f)
-		f.Close()
-		if err != nil {
-			e.err = fmt.Errorf("%s: %w", e.srcPath, err)
-			return
-		}
-		eng, err := gtea.NewWithOptions(g, gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
-		if err != nil {
-			e.err = fmt.Errorf("%s: %w", e.srcPath, err)
-			return
-		}
-		// The registered "delta" backend is an empty overlay over the
-		// default base; the catalog's delta machinery wants the real
-		// base underneath — it has a snapshot codec (the overlay does
-		// not) and is what compaction rebuilds and AutoSnapshot saves.
-		baseIdx := eng.H
-		if ov, ok := baseIdx.(interface{ Base() reach.ContourIndex }); ok {
-			baseIdx = ov.Base()
-		}
-		e.dbase = &deltaBase{g: g, h: baseIdx}
-		e.buildKind = baseIdx.Kind()
-		e.ds = &Dataset{
-			Name: e.name, Source: e.srcPath, Graph: g, Engine: eng,
-			LoadTime: time.Since(start),
-		}
-		if opt.AutoSnapshot {
-			// Best effort; serving works without it. The snapshot is
-			// stamped no newer than the source so resolve keeps
-			// preferring fresher raw files, and the entry's identity
-			// moves to the snapshot — resolve will return it from now
-			// on, and without this the next Acquire would mistake the
-			// path change for a source update and throw the just-built
-			// engine away. The snapshot always holds the BASE graph and
-			// index; pending deltas stay in the log.
-			snapPath := filepath.Join(e.c.dir, e.name+".snap")
-			if err := snapshot.SaveFile(snapPath, g, baseIdx); err == nil {
-				if err := os.Chtimes(snapPath, e.srcMod, e.srcMod); err == nil {
-					e.srcPath = snapPath // published by close(e.ready)
-				}
+	se, err := e.loadBase(kind)
+	if err != nil {
+		e.err = err
+		return
+	}
+	e.serve(se, kind == loadShard, kind != loadRaw)
+	if kind == loadRaw && e.c.opt.AutoSnapshot {
+		// Best effort; serving works without it. The snapshot is
+		// stamped no newer than the source so resolve keeps
+		// preferring fresher raw files, and the entry's identity
+		// moves to the snapshot — resolve will return it from now
+		// on, and without this the next Acquire would mistake the
+		// path change for a source update and throw the just-built
+		// engine away. The snapshot always holds the BASE graph and
+		// index; pending deltas stay in the log.
+		snapPath := filepath.Join(e.c.dir, e.name+".snap")
+		if err := snapshot.SaveFile(snapPath, se.Union(), se.CompositeIndex()); err == nil {
+			if err := os.Chtimes(snapPath, e.srcMod, e.srcMod); err == nil {
+				e.srcPath = snapPath // published by close(e.ready)
 			}
 		}
 	}
@@ -540,6 +476,83 @@ func (e *entry) load(opt Options, kind loadKind) {
 	} else {
 		e.ds.priceFromEngine()
 		e.ds.LoadTime = time.Since(start)
+	}
+}
+
+// loadBase reads the entry's source into its base engine: a shard
+// directory as its K shards, a snapshot or JSON graph as one shard.
+func (e *entry) loadBase(kind loadKind) (*shard.ShardedEngine, error) {
+	switch kind {
+	case loadShard:
+		se, man, err := shard.LoadDir(filepath.Dir(e.srcPath), shard.Options{NoPlan: e.c.opt.NoPlan})
+		if err != nil {
+			return nil, err
+		}
+		if man.Name != e.name {
+			return nil, fmt.Errorf("catalog: %s names dataset %q, directory says %q", e.srcPath, man.Name, e.name)
+		}
+		return se, nil
+	case loadSnap:
+		g, h, err := snapshot.LoadFile(e.srcPath)
+		if err != nil {
+			return nil, err
+		}
+		return shard.Single(g, h, shard.Options{NoPlan: e.c.opt.NoPlan}), nil
+	}
+	f, err := os.Open(e.srcPath)
+	if err != nil {
+		return nil, err
+	}
+	g, err := graphio.Load(f)
+	f.Close()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", e.srcPath, err)
+	}
+	se, err := e.c.buildBase(g, 1, e.c.opt.Index)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", e.srcPath, err)
+	}
+	return se, nil
+}
+
+// buildBase builds a base engine over g: g itself as the one shard at
+// k=1, k whole-component shards otherwise, each with a fresh index of
+// the named backend.
+func (c *Catalog) buildBase(g *graph.Graph, k int, kind string) (*shard.ShardedEngine, error) {
+	opt := shard.Options{Index: kind, NoPlan: c.opt.NoPlan}
+	if k > 1 {
+		plan, err := shard.Partition(g, k, shard.ModeWCC)
+		if err != nil {
+			return nil, err
+		}
+		return shard.NewEngine(g, plan, opt)
+	}
+	h, err := reach.Build(kind, g)
+	if err != nil {
+		return nil, err
+	}
+	// The registered "delta" backend is an empty overlay over the
+	// default base; a dataset's base is the index underneath — it has
+	// a snapshot codec (the overlay does not), and it is what
+	// compaction rebuilds and AutoSnapshot saves.
+	if ov, ok := h.(interface{ Base() reach.ContourIndex }); ok {
+		h = ov.Base()
+	}
+	return shard.Single(g, h, opt), nil
+}
+
+// serve makes se the entry's base and publishes the dataset serving
+// it: through the one shard's own engine, or scatter-gather at K > 1.
+func (e *entry) serve(se *shard.ShardedEngine, dir, fromSnapshot bool) {
+	e.base, e.dir = se, dir
+	var eng Engine = se
+	if flat := se.Flat(); flat != nil {
+		eng = flat
+	}
+	e.ds = &Dataset{
+		Name: e.name, Source: e.srcPath, Engine: eng,
+		Sharded: se.NumShards() > 1, FromSnapshot: fromSnapshot,
+		nodes: se.TotalNodes(), edges: se.TotalEdges(),
 	}
 }
 
@@ -572,7 +585,7 @@ func (c *Catalog) List() ([]Info, error) {
 	defer c.mu.Unlock()
 	for _, name := range names {
 		info := Info{Name: name}
-		var manifestPath string
+		var manifestPath string // set for a shard directory
 		if path, _, kind, err := c.resolve(name); err == nil {
 			info.Source = filepath.Base(path)
 			if kind == loadShard {
@@ -596,9 +609,9 @@ func (c *Catalog) List() ([]Info, error) {
 					info.PendingDeltas = delta.Ops(e.batches)
 					info.DeltaBatches = len(e.batches)
 					info.DeltaReplayMillis = e.replay.Milliseconds()
-					if se, ok := e.ds.Engine.(*shard.ShardedEngine); ok {
-						info.Shards = se.NumShards()
-						for _, st := range se.ShardStats() {
+					if e.ds.Sharded {
+						info.Shards = e.base.NumShards()
+						for _, st := range e.base.ShardStats() {
 							info.ShardInfo = append(info.ShardInfo, ShardInfo{
 								Nodes: st.Nodes, Edges: st.Edges, Evals: st.Evals,
 								EvalMillis: float64(st.EvalTime.Microseconds()) / 1000,
@@ -612,11 +625,11 @@ func (c *Catalog) List() ([]Info, error) {
 		if dl := c.dlogs[name]; dl != nil {
 			info.Compactions = dl.compactions.Load()
 		}
-		if manifestPath != "" && info.Shards == 0 {
+		if manifestPath != "" && !info.Loaded {
 			// Not loaded yet: the shard count comes from the manifest
 			// (listings must not trigger loads). Loaded entries filled
 			// it from the engine above, skipping this disk read.
-			if man, err := shard.ReadManifest(manifestPath); err == nil {
+			if man, err := shard.ReadManifest(manifestPath); err == nil && len(man.Shards) > 1 {
 				info.Shards = len(man.Shards)
 			}
 		}

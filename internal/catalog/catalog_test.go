@@ -67,8 +67,8 @@ func TestAcquireBuildsLazilyAndCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Release()
-	if ds.Graph.N() != 3 || ds.FromSnapshot {
-		t.Fatalf("ds: n=%d fromSnapshot=%v", ds.Graph.N(), ds.FromSnapshot)
+	if ds.Nodes() != 3 || ds.FromSnapshot {
+		t.Fatalf("ds: n=%d fromSnapshot=%v", ds.Nodes(), ds.FromSnapshot)
 	}
 	q, err := qlang.Parse("node x label=a output\npnode y label=b parent=x edge=ad\npred x: y")
 	if err != nil {
@@ -94,8 +94,8 @@ func TestAcquireBuildsLazilyAndCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dz.Graph.N() != 3 {
-		t.Fatalf("gzipped dataset: n=%d", dz.Graph.N())
+	if dz.Nodes() != 3 {
+		t.Fatalf("gzipped dataset: n=%d", dz.Nodes())
 	}
 	dz.Release()
 
@@ -256,8 +256,8 @@ func TestHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Graph.N() != 2 {
-		t.Fatalf("first load: n=%d", old.Graph.N())
+	if old.Nodes() != 2 {
+		t.Fatalf("first load: n=%d", old.Nodes())
 	}
 
 	// Rewrite the source with a different shape and a future mtime (the
@@ -272,10 +272,10 @@ func TestHotReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Graph.N() != 3 {
-		t.Fatalf("hot reload: n=%d, want 3", fresh.Graph.N())
+	if fresh.Nodes() != 3 {
+		t.Fatalf("hot reload: n=%d, want 3", fresh.Nodes())
 	}
-	if old.Graph.N() != 2 || old.Engine == fresh.Engine {
+	if old.Nodes() != 2 || old.Engine == fresh.Engine {
 		t.Fatal("old holder lost its engine across the hot reload")
 	}
 	if fresh.Generation <= old.Generation {

@@ -10,7 +10,6 @@ import (
 
 	"gtpq/internal/delta"
 	"gtpq/internal/gtea"
-	"gtpq/internal/reach"
 	"gtpq/internal/shard"
 	"gtpq/internal/snapshot"
 )
@@ -21,11 +20,12 @@ import (
 // frozen base and serve an overlay engine; ApplyDelta appends one
 // durable record and hot-swaps in a new entry generation (in-flight
 // holders keep theirs, the result cache keys past it for free);
-// Compact folds the pending batches into a fresh snapshot — or a fresh
-// re-sharded directory — and deletes the log. One *dlog per dataset
-// name serializes every log mutation; it outlives entry generations,
-// so the open file handle and the compaction counter survive hot
-// swaps.
+// Compact folds the pending batches into a fresh base of the same
+// shard count, serves it from memory, persists it as a fresh snapshot
+// — or a fresh re-sharded directory — and deletes the log. One *dlog
+// per dataset name serializes every log mutation; it outlives entry
+// generations, so the open file handle and the compaction counter
+// survive hot swaps.
 
 // dlog is the per-dataset delta-log state. mu serializes log appends,
 // replays, and compactions for the dataset; w is the open writer (nil
@@ -59,16 +59,16 @@ func (c *Catalog) foldMarkerPath(name string) string {
 	return filepath.Join(c.dir, name+delta.FoldMarkerSuffix)
 }
 
-// deltaBaseOf materializes the entry's delta base on first need: flat
-// datasets recorded it at load; a sharded dataset reconstructs the
-// logical graph from its shards and routes base reachability through
-// the composite index (internal/shard). The result is memoized on the
-// entry — entries are immutable after ready, except for this
-// lazily-filled pair, which only ApplyDelta and replayDeltas touch
-// while holding the dataset's dlog mutex.
+// deltaBaseOf materializes the entry's delta base on first need: the
+// base engine's logical graph and its reachability routed through the
+// composite index (internal/shard). At one shard both are the shard's
+// own; at K > 1 the union graph is a copy, built only when a delta or
+// a replication handler needs it. The result is memoized on the entry
+// — entries are immutable after ready, except for this lazily-filled
+// pair, which is only touched while holding the dataset's dlog mutex.
 func (e *entry) deltaBaseOf() *deltaBase {
-	if e.dbase == nil && e.se != nil {
-		e.dbase = &deltaBase{g: e.se.Union(), h: e.se.CompositeIndex()}
+	if e.dbase == nil {
+		e.dbase = &deltaBase{g: e.base.Union(), h: e.base.CompositeIndex()}
 	}
 	return e.dbase
 }
@@ -154,8 +154,9 @@ func (e *entry) applyBatches(base *deltaBase, batches []delta.Batch) error {
 	}
 	ov := delta.NewOverlay(base.h, base.g.N(), ext.N(), batches)
 	e.batches = batches
-	e.ds.Graph = ext
-	e.ds.Engine = gtea.NewWithIndexOptions(ext, ov, gtea.Options{NoPlan: e.c.opt.NoPlan})
+	e.overlay = gtea.NewWithIndexOptions(ext, ov, gtea.Options{NoPlan: e.c.opt.NoPlan})
+	e.ds.Engine = e.overlay
+	e.ds.nodes, e.ds.edges = ext.N(), ext.M()
 	return nil
 }
 
@@ -263,15 +264,9 @@ func (c *Catalog) applyDeltaOnce(name string, b delta.Batch) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	logical := e.ds.Graph
-	if logical == nil && e.se != nil {
-		// Sharded with no pending deltas: the logical vertex count is
-		// the shard total (materializing the union can wait until the
-		// batch validates).
-		if err := b.Validate(e.se.TotalNodes()); err != nil {
-			return nil, err
-		}
-	} else if err := b.Validate(logical.N()); err != nil {
+	// Validate first: materializing a K > 1 union can wait until the
+	// batch is known good.
+	if err := b.Validate(e.ds.Nodes()); err != nil {
 		return nil, err
 	}
 
@@ -302,7 +297,7 @@ func (c *Catalog) applyDeltaOnce(name string, b delta.Batch) (*Dataset, error) {
 	next := &entry{
 		c: c, name: name, ready: make(chan struct{}), refs: 1,
 		srcPath: e.srcPath, srcMod: e.srcMod,
-		dbase: base, se: e.se, replay: e.replay, buildKind: e.buildKind,
+		base: e.base, dir: e.dir, dbase: base, replay: e.replay,
 		baseID: e.baseID,
 		ds: &Dataset{
 			Name: name, Source: e.ds.Source, Sharded: e.ds.Sharded,
@@ -316,16 +311,17 @@ func (c *Catalog) applyDeltaOnce(name string, b delta.Batch) (*Dataset, error) {
 	next.ds.LoadTime = time.Since(start)
 	close(next.ready)
 	h := c.swapEntry(name, e, next)
-	c.notifyApply(name, next, b, false)
+	c.notifyApply(name, next, ApplyEvent{Batch: b, Engine: next.overlay})
 	return h, nil
 }
 
 // Compact folds the named dataset's pending deltas into a fresh base:
-// the extended graph gets a from-scratch reachability index, flat
-// datasets get a new `<name>.snap`, sharded datasets are re-partitioned
-// and their directory atomically replaced, and the delta log is
-// deleted. A no-op (returning the current handle) when nothing is
-// pending. The caller must Release the returned dataset.
+// the extended graph is rebuilt as an engine of the base's shard count
+// (fresh reachability indexes, re-partitioned at K > 1) and served
+// from memory. It is persisted the way the dataset is stored — a new
+// `<name>.snap`, or a shard directory replaced atomically — and the
+// delta log is deleted. A no-op (returning the current handle) when
+// nothing is pending. The caller must Release the returned dataset.
 func (c *Catalog) Compact(name string) (*Dataset, error) {
 	ds, err := c.Acquire(name)
 	if err != nil {
@@ -346,7 +342,7 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 	}
 	defer ds.Release()
 
-	ext := e.ds.Graph
+	ext := e.overlay.G
 	start := time.Now()
 	// Commit protocol, crash-recoverable at every step (ResolveFold):
 	// (1) marker names the post-fold base, (2) folded base publishes,
@@ -357,75 +353,19 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 	if err := delta.WriteFoldMarker(c.foldMarkerPath(name), delta.BaseOf(ext)); err != nil {
 		return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
 	}
-	next := &entry{
-		c: c, name: name, ready: make(chan struct{}), refs: 1,
-		se: nil, buildKind: e.buildKind,
+	se, err := c.buildBase(ext, e.base.NumShards(), e.base.IndexKind())
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
 	}
-	if e.se != nil {
-		// Sharded: re-partition the extended graph, write a fresh
-		// directory next to the live one, swap atomically, revive.
-		dir := filepath.Join(c.dir, name)
-		tmp := filepath.Join(c.dir, "."+name+".compact")
-		plan, perr := shard.Partition(ext, e.se.NumShards(), shard.ModeWCC)
-		if perr != nil {
-			return nil, fmt.Errorf("catalog: %s: compact: %w", name, perr)
-		}
-		if err := os.RemoveAll(tmp); err != nil {
-			return nil, err
-		}
-		if _, err := shard.WriteDir(tmp, name, ext, plan, shard.Options{Index: e.buildKind}); err != nil {
-			return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
-		}
-		old := filepath.Join(c.dir, "."+name+".precompact")
-		if err := os.RemoveAll(old); err != nil {
-			return nil, err
-		}
-		if err := os.Rename(dir, old); err != nil {
-			return nil, fmt.Errorf("catalog: %s: compact swap: %w", name, err)
-		}
-		if err := os.Rename(tmp, dir); err != nil {
-			// Try to restore the previous directory before failing.
-			os.Rename(old, dir)
-			return nil, fmt.Errorf("catalog: %s: compact swap: %w", name, err)
-		}
-		os.RemoveAll(old)
-		se, man, lerr := shard.LoadDir(dir, shard.LoadOptions{Workers: c.opt.ShardWorkers, NoPlan: c.opt.NoPlan})
-		if lerr != nil {
-			return nil, fmt.Errorf("catalog: %s: compacted directory: %w", name, lerr)
-		}
-		mpath := filepath.Join(dir, shard.ManifestName)
-		st, _ := os.Stat(mpath)
-		next.srcPath = mpath
-		if st != nil {
-			next.srcMod = st.ModTime()
-		}
-		next.se = se
-		next.buildKind = man.Index
-		next.ds = &Dataset{
-			Name: name, Source: mpath, Engine: se,
-			Sharded: true, FromSnapshot: true,
-		}
-	} else {
-		h, berr := reach.Build(e.buildKind, ext)
-		if berr != nil {
-			return nil, fmt.Errorf("catalog: %s: compact: %w", name, berr)
-		}
-		snapPath := filepath.Join(c.dir, name+".snap")
-		if err := snapshot.SaveFile(snapPath, ext, h); err != nil {
-			return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
-		}
-		st, _ := os.Stat(snapPath)
-		next.srcPath = snapPath
-		if st != nil {
-			next.srcMod = st.ModTime()
-		}
-		next.dbase = &deltaBase{g: ext, h: h}
-		next.ds = &Dataset{
-			Name: name, Source: snapPath, Graph: ext,
-			Engine:       gtea.NewWithIndexOptions(ext, h, gtea.Options{NoPlan: c.opt.NoPlan}),
-			FromSnapshot: true,
-		}
+	srcPath, err := c.saveBase(name, se, e.dir)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %s: compact: %w", name, err)
 	}
+	next := &entry{c: c, name: name, ready: make(chan struct{}), refs: 1, srcPath: srcPath}
+	if st, err := os.Stat(srcPath); err == nil {
+		next.srcMod = st.ModTime()
+	}
+	next.serve(se, e.dir, true)
 
 	// Steps (3) and (4): the folded base is published, drop the log
 	// and then the marker.
@@ -446,8 +386,42 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 	// Live subscriptions hand over atomically here: the fold is a pure
 	// generation advance (same logical graph), delivered in order with
 	// the surrounding batches because dl.mu is still held.
-	c.notifyApply(name, next, delta.Batch{}, true)
+	c.notifyApply(name, next, ApplyEvent{Compacted: true})
 	return h, nil
+}
+
+// saveBase persists a compacted base where the dataset lives and
+// returns the path the next load resolves to: `<name>.snap` for a
+// dataset stored as a file, and for a shard directory a fresh
+// directory written next to the live one and swapped in (resolve
+// restores the aside copy if a crash splits the two renames).
+func (c *Catalog) saveBase(name string, se *shard.ShardedEngine, dir bool) (string, error) {
+	if !dir {
+		snapPath := filepath.Join(c.dir, name+".snap")
+		return snapPath, snapshot.SaveFile(snapPath, se.Union(), se.CompositeIndex())
+	}
+	live := filepath.Join(c.dir, name)
+	tmp := filepath.Join(c.dir, "."+name+".compact")
+	if err := os.RemoveAll(tmp); err != nil {
+		return "", err
+	}
+	if _, err := se.Save(tmp, name); err != nil {
+		return "", err
+	}
+	old := filepath.Join(c.dir, "."+name+".precompact")
+	if err := os.RemoveAll(old); err != nil {
+		return "", err
+	}
+	if err := os.Rename(live, old); err != nil {
+		return "", fmt.Errorf("swap: %w", err)
+	}
+	if err := os.Rename(tmp, live); err != nil {
+		// Try to restore the previous directory before failing.
+		os.Rename(old, live)
+		return "", fmt.Errorf("swap: %w", err)
+	}
+	os.RemoveAll(old)
+	return filepath.Join(live, shard.ManifestName), nil
 }
 
 // Compactions reports how many times the named dataset's delta log was

@@ -270,7 +270,7 @@ func TestCatalogDeltaRawSource(t *testing.T) {
 	if ds2.DeltaBatches != 1 {
 		t.Fatalf("reload replayed %d batches", ds2.DeltaBatches)
 	}
-	if !ds2.Graph.HasEdge(0, graph.NodeID(g.N()-1)) {
+	if !ds2.Engine.(*gtea.Engine).G.HasEdge(0, graph.NodeID(g.N()-1)) {
 		t.Fatal("replayed edge missing from extended graph")
 	}
 	ds2.Release()
@@ -319,7 +319,7 @@ func TestCatalogCompactCrashWindows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stale marker bricked the dataset: %v", err)
 	}
-	if dsA.DeltaBatches != 1 || !dsA.Graph.HasEdge(0, graph.NodeID(g.N()-1)) {
+	if dsA.DeltaBatches != 1 || !dsA.Engine.(*gtea.Engine).G.HasEdge(0, graph.NodeID(g.N()-1)) {
 		t.Fatalf("stale marker lost the pending delta: %d batches", dsA.DeltaBatches)
 	}
 	dsA.Release()
@@ -348,7 +348,7 @@ func TestCatalogCompactCrashWindows(t *testing.T) {
 	if dsB.DeltaBatches != 0 {
 		t.Fatalf("folded leftovers replayed again: %d batches", dsB.DeltaBatches)
 	}
-	if !dsB.Graph.HasEdge(0, graph.NodeID(g.N()-1)) {
+	if !dsB.Engine.(*gtea.Engine).G.HasEdge(0, graph.NodeID(g.N()-1)) {
 		t.Fatal("folded base lost the delta edge")
 	}
 	dsB.Release()
@@ -401,7 +401,7 @@ func TestCatalogShardedCompactSwapRecovery(t *testing.T) {
 		t.Fatalf("crash window bricked the sharded dataset: %v", err)
 	}
 	defer ds2.Release()
-	if ds2.DeltaBatches != 1 || !ds2.Graph.HasEdge(0, graph.NodeID(g.N()-1)) {
+	if ds2.DeltaBatches != 1 || !ds2.Engine.(*gtea.Engine).G.HasEdge(0, graph.NodeID(g.N()-1)) {
 		t.Fatalf("recovered dataset lost the pending delta: %d batches", ds2.DeltaBatches)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "ds", shard.ManifestName)); err != nil {

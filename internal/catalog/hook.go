@@ -1,6 +1,9 @@
 package catalog
 
-import "gtpq/internal/delta"
+import (
+	"gtpq/internal/delta"
+	"gtpq/internal/gtea"
+)
 
 // ApplyEvent describes one committed catalog mutation: an applied
 // delta batch, or a compaction fold. Events for one dataset are
@@ -18,6 +21,10 @@ type ApplyEvent struct {
 	// Compacted marks a fold: pending deltas became the new frozen
 	// base. The served graph is logically identical before and after.
 	Compacted bool
+	// Engine serves the post-batch graph (Engine.G), whatever the
+	// base's shard count: the overlay engine over the extended graph.
+	// Nil for compaction events.
+	Engine *gtea.Engine
 	// DS is an acquired handle on the post-mutation dataset; the hook's
 	// consumer MUST Release it (a non-blocking hook hands it to
 	// whatever goroutine does the real work).
@@ -36,11 +43,12 @@ func (c *Catalog) SetApplyHook(fn func(ApplyEvent)) {
 	c.mu.Unlock()
 }
 
-// notifyApply fires the hook (if any) with a freshly acquired handle
-// on next. Called under the dataset's dlog mutex, after swapEntry, so
-// hook invocations for one dataset observe strictly increasing
-// generations in order.
-func (c *Catalog) notifyApply(name string, next *entry, b delta.Batch, compacted bool) {
+// notifyApply fires the hook (if any) with ev — its Batch, Compacted
+// and Engine filled by the caller — completed by a freshly acquired
+// handle on next. Called under the dataset's dlog mutex, after
+// swapEntry, so hook invocations for one dataset observe strictly
+// increasing generations in order.
+func (c *Catalog) notifyApply(name string, next *entry, ev ApplyEvent) {
 	c.mu.Lock()
 	fn := c.applyHook
 	if fn != nil {
@@ -50,5 +58,6 @@ func (c *Catalog) notifyApply(name string, next *entry, b delta.Batch, compacted
 	if fn == nil {
 		return
 	}
-	fn(ApplyEvent{Name: name, Gen: next.gen, Batch: b, Compacted: compacted, DS: next.handle()})
+	ev.Name, ev.Gen, ev.DS = name, next.gen, next.handle()
+	fn(ev)
 }

@@ -91,15 +91,16 @@ func (c *Catalog) collectEntries(fn func(name string, e *entry, out *[]obs.Sampl
 	return out
 }
 
-// collectShards emits one sample per shard of every loaded sharded
-// dataset, labeled (dataset, shard index).
+// collectShards emits one sample per shard of every loaded dataset
+// whose base has K > 1 shards, labeled (dataset, shard index). The
+// counters belong to the base, so they persist while deltas are
+// pending.
 func (c *Catalog) collectShards(read func(shard.ShardStat) float64) []obs.Sample {
 	return c.collectEntries(func(name string, e *entry, out *[]obs.Sample) {
-		se, ok := e.ds.Engine.(*shard.ShardedEngine)
-		if !ok {
+		if !e.ds.Sharded {
 			return
 		}
-		for i, st := range se.ShardStats() {
+		for i, st := range e.base.ShardStats() {
 			*out = append(*out, obs.Sample{
 				Labels: []string{name, strconv.Itoa(i)},
 				Value:  read(st),

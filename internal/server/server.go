@@ -344,8 +344,9 @@ type queryResult struct {
 	CostEstimate int64 `json:"cost_estimate,omitempty"`
 	// Plan is the planner's record (chosen order, per-node kernel,
 	// estimated vs actual cardinalities); only populated under ?debug=1
-	// on fresh flat-dataset evaluations (sharded stats aggregate across
-	// shards, whose per-shard plans differ).
+	// on fresh evaluations by one engine: a flat file, a one-shard
+	// directory, or any dataset with pending deltas. A K > 1 scatter's
+	// stats aggregate across shards, whose per-shard plans differ.
 	Plan  *gtea.PlanInfo `json:"plan,omitempty"`
 	Error string         `json:"error,omitempty"`
 	// RequestID echoes X-GTPQ-Request-ID and Trace carries the

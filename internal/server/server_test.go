@@ -282,7 +282,8 @@ func TestServeDeadlineCancelsEvaluation(t *testing.T) {
 // TestServeShardedDataset is the scatter-gather e2e: a dataset stored
 // as a sharded directory answers /query exactly like the same graph
 // stored flat, /datasets reports shard counts and per-shard timings,
-// and /metrics carries the same per-shard evaluation counters.
+// and /metrics carries the same per-shard evaluation counters — also
+// once an /update leaves a delta pending.
 func TestServeShardedDataset(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Forest(rand.New(rand.NewSource(21)), 6, 12, 20, []string{"a", "b", "c"})
@@ -324,41 +325,57 @@ func TestServeShardedDataset(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dl struct {
-		Datasets []catalog.Info `json:"datasets"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	var parted *catalog.Info
-	for i := range dl.Datasets {
-		if dl.Datasets[i].Name == "parted" {
-			parted = &dl.Datasets[i]
+	checkShards := func(pending int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/datasets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dl struct {
+			Datasets []catalog.Info `json:"datasets"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		var parted *catalog.Info
+		for i := range dl.Datasets {
+			if dl.Datasets[i].Name == "parted" {
+				parted = &dl.Datasets[i]
+			}
+		}
+		if parted == nil || parted.Shards != 3 || parted.PendingDeltas != pending {
+			t.Fatalf("parted info = %+v", parted)
+		}
+		if len(parted.ShardInfo) != 3 {
+			t.Fatalf("shard_info = %+v", parted.ShardInfo)
+		}
+		var evals float64
+		body := scrape(t, ts.URL)
+		for i := range parted.ShardInfo {
+			v, ok := sample(body, fmt.Sprintf(`gtpq_shard_evals_total{dataset="parted",shard="%d"}`, i))
+			if !ok || v != float64(parted.ShardInfo[i].Evals) {
+				t.Fatalf("shard %d: /metrics evals %v (present %v), /datasets %d", i, v, ok, parted.ShardInfo[i].Evals)
+			}
+			evals += v
+		}
+		if evals == 0 {
+			t.Fatal("per-shard evaluation counters never moved")
+		}
+		if _, ok := sample(body, `gtpq_shard_evals_total{dataset="parted",shard="3"}`); ok {
+			t.Fatal("a fourth shard series for a three-shard dataset")
 		}
 	}
-	if parted == nil || parted.Shards != 3 {
-		t.Fatalf("parted info = %+v", parted)
+	checkShards(0)
+
+	// The shard counters describe the base, so a pending delta — served
+	// by the overlay engine — must not hide them.
+	if code, out := postJSON(t, ts.URL+"/update", map[string]interface{}{
+		"dataset": "parted", "nodes": []map[string]interface{}{{"label": "a"}},
+	}); code != http.StatusOK {
+		t.Fatalf("update: %d %v", code, out)
 	}
-	if len(parted.ShardInfo) != 3 {
-		t.Fatalf("shard_info = %+v", parted.ShardInfo)
-	}
-	var evals float64
-	body := scrape(t, ts.URL)
-	for i := range parted.ShardInfo {
-		v, ok := sample(body, fmt.Sprintf(`gtpq_shard_evals_total{dataset="parted",shard="%d"}`, i))
-		if !ok || v != float64(parted.ShardInfo[i].Evals) {
-			t.Fatalf("shard %d: /metrics evals %v (present %v), /datasets %d", i, v, ok, parted.ShardInfo[i].Evals)
-		}
-		evals += v
-	}
-	if evals == 0 {
-		t.Fatal("per-shard evaluation counters never moved")
-	}
+	checkShards(1)
 }
 
 // TestStatsConsistentUnderLoad scrapes /metrics while batches are in

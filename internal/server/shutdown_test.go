@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gtpq/internal/catalog"
+	"gtpq/internal/gtea"
 )
 
 // TestGracefulShutdownDrains is the server e2e for the gtpq-serve
@@ -101,7 +102,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if ds.DeltaBatches != 1 {
 		t.Fatalf("replayed %d batches, want 1", ds.DeltaBatches)
 	}
-	if !ds.Graph.HasEdge(0, 4) {
+	if !ds.Engine.(*gtea.Engine).G.HasEdge(0, 4) {
 		t.Fatal("acknowledged update lost across shutdown")
 	}
 }

@@ -150,8 +150,12 @@ func (m *mergeCursor) finish() {
 // drain — closes every shard cursor and cancels the scatter context;
 // callers must Close it even after a clean drain. Stats sum the
 // per-shard counters; Results stays 0 (use Cursor.Rows after the
-// drain). Safe for concurrent use.
+// drain). A one-shard engine returns its shard's own cursor and stats,
+// Plan included. Safe for concurrent use.
 func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cursor, gtea.Stats, error) {
+	if eng := se.Flat(); eng != nil {
+		return eng.EvalCursor(ctx, q)
+	}
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background() // same tolerance as gtea.EvalCursor

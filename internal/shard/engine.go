@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -9,13 +10,14 @@ import (
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
+	"gtpq/internal/reach"
 )
 
-// Options tune sharded engine construction and execution.
+// Options tune sharded engine construction, loading and execution.
 type Options struct {
 	// Index names the reachability backend for per-shard indexes
-	// (empty: the default 3-hop index). Ignored by LoadDir — shard
-	// snapshots carry their own backend.
+	// (empty: the default 3-hop index). Ignored by LoadDir and Single —
+	// their indexes are already built.
 	Index string
 	// Workers bounds the scatter-gather fan-out per evaluation
 	// (default GOMAXPROCS, clamped to the shard count).
@@ -29,16 +31,20 @@ type Options struct {
 // shard subgraph plus the local→global id mapping and cumulative
 // serving counters.
 type shardUnit struct {
-	eng     *gtea.Engine
-	globals []graph.NodeID // local id -> global id, ascending
+	eng *gtea.Engine
+	// globals maps local id -> global id, ascending; nil when the two
+	// are the same (Single, and a one-shard LoadDir).
+	globals []graph.NodeID
 	evals   atomic.Int64
 	evalNs  atomic.Int64
 }
 
 // ShardedEngine evaluates queries over a partitioned dataset by
 // fanning each evaluation out across per-shard engines on a bounded
-// worker pool and k-way-merging the remapped result streams. Like gtea.Engine it is
-// immutable after construction and safe for concurrent use.
+// worker pool and k-way-merging the remapped result streams. With one
+// shard there is nothing to fan out or merge: every evaluation is the
+// shard engine's own (see Single). Like gtea.Engine it is immutable
+// after construction and safe for concurrent use.
 type ShardedEngine struct {
 	kind       string
 	workers    int
@@ -61,7 +67,7 @@ func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) 
 		sg := Subgraph(g, part)
 		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("shard %d: %w", len(se.shards), err)
 		}
 		se.shards = append(se.shards, &shardUnit{eng: eng, globals: part})
 	}
@@ -69,17 +75,37 @@ func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) 
 	return se, nil
 }
 
+// Single serves g and its already-built index h as a one-shard engine:
+// the shard is g itself, so there is no id mapping, Union and
+// CompositeIndex return g and h, and every evaluation runs on the shard
+// engine (Flat) with no worker and no merge.
+func Single(g *graph.Graph, h reach.ContourIndex, opt Options) *ShardedEngine {
+	return &ShardedEngine{
+		kind:       h.Kind(),
+		workers:    1,
+		totalNodes: g.N(),
+		totalEdges: g.M(),
+		shards:     []*shardUnit{{eng: gtea.NewWithIndexOptions(g, h, gtea.Options{NoPlan: opt.NoPlan})}},
+	}
+}
+
+// Flat returns the engine of a one-shard engine's only shard, which
+// answers every query exactly as the sharded engine does; nil when
+// there are several shards.
+func (se *ShardedEngine) Flat() *gtea.Engine {
+	if len(se.shards) != 1 {
+		return nil
+	}
+	return se.shards[0].eng
+}
+
+// normalizeWorkers is the scatter width: w, or GOMAXPROCS when unset,
+// clamped to [1, shards].
 func normalizeWorkers(w, shards int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if shards >= 1 && w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, shards))
 }
 
 // NumShards returns the shard count.

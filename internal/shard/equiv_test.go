@@ -144,7 +144,7 @@ func TestShardedEquivalenceOnDisk(t *testing.T) {
 				if len(man.Shards) != 3 || man.Mode != ModeWCC || man.Replicated != 0 {
 					t.Fatalf("%s: manifest: %+v", kind, man)
 				}
-				se, man2, err := LoadDir(dir, LoadOptions{})
+				se, man2, err := LoadDir(dir, Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", kind, err)
 				}

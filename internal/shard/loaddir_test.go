@@ -28,7 +28,7 @@ func TestLoadDirRejectsImplausibleTotals(t *testing.T) {
 	m["total_nodes"] = float64(1 << 60)
 	mut, _ := json.Marshal(m)
 	os.WriteFile(manPath, mut, 0o644)
-	_, _, err := LoadDir(dir, LoadOptions{})
+	_, _, err := LoadDir(dir, Options{})
 	if err == nil || !strings.Contains(err.Error(), "shards hold") {
 		t.Fatalf("huge total_nodes: err = %v", err)
 	}
@@ -89,7 +89,7 @@ func TestLoadDirOversizedClaimAllocatesLittle(t *testing.T) {
 		}
 	}
 	var err error
-	alloc := allocatedBy(func() { _, _, err = LoadDir(dir, LoadOptions{}) })
+	alloc := allocatedBy(func() { _, _, err = LoadDir(dir, Options{}) })
 	if err == nil || !strings.Contains(err.Error(), "content hash") {
 		t.Fatalf("err = %v, want a content-hash failure", err)
 	}
@@ -124,7 +124,7 @@ func TestReadManifestRejectsHashMode(t *testing.T) {
 	if err := os.WriteFile(path, []byte(hashManifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := LoadDir(dir, LoadOptions{})
+	_, _, err := LoadDir(dir, Options{})
 	if err == nil || !strings.Contains(err.Error(), "re-run gtpq-shard") {
 		t.Fatalf("hash manifest: err = %v", err)
 	}
@@ -137,25 +137,32 @@ func TestReadManifestRejectsHashMode(t *testing.T) {
 	}
 }
 
-// FuzzLoadDir fuzzes manifest.json in a fixed 2-shard forest directory:
-// LoadDir must never panic, never allocate more than loadBudget, and a
-// manifest it accepts must serve exactly the pristine answers.
+// FuzzLoadDir fuzzes manifest.json in two fixed directories of one
+// forest, written as 2 shards and as 1: each input is the manifest of
+// both. LoadDir must never panic, never allocate more than loadBudget,
+// and a manifest either directory accepts must serve exactly the
+// pristine answers.
 func FuzzLoadDir(f *testing.F) {
 	g := gen.Forest(rand.New(rand.NewSource(11)), 3, 10, 20, []string{"a", "b"})
-	plan, err := Partition(g, 2, ModeWCC)
-	if err != nil {
-		f.Fatal(err)
+	var dirs []string
+	var pristine [][]byte
+	for _, k := range []int{2, 1} {
+		plan, err := Partition(g, k, ModeWCC)
+		if err != nil {
+			f.Fatal(err)
+		}
+		dir := f.TempDir()
+		if _, err := WriteDir(dir, "ds", g, plan, Options{}); err != nil {
+			f.Fatal(err)
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		dirs = append(dirs, dir)
+		pristine = append(pristine, blob)
 	}
-	dir := f.TempDir()
-	if _, err := WriteDir(dir, "ds", g, plan, Options{}); err != nil {
-		f.Fatal(err)
-	}
-	manPath := filepath.Join(dir, ManifestName)
-	pristine, err := os.ReadFile(manPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	se, _, err := LoadDir(dir, LoadOptions{})
+	se, _, err := LoadDir(dirs[0], Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -168,31 +175,34 @@ func FuzzLoadDir(f *testing.F) {
 		f.Fatal("fixture query has no answers")
 	}
 
-	f.Add(pristine)
+	f.Add(pristine[0])
 	var m map[string]interface{}
-	if err := json.Unmarshal(pristine, &m); err != nil {
+	if err := json.Unmarshal(pristine[0], &m); err != nil {
 		f.Fatal(err)
 	}
 	m["total_nodes"] = 1_500_000_000
 	m["shards"].([]interface{})[0].(map[string]interface{})["nodes"] = 1_500_000_000
 	oversized, _ := json.Marshal(m)
 	f.Add(oversized)
-	f.Add([]byte(strings.Replace(string(pristine), `"mode": "wcc"`, `"mode": "hash"`, 1)))
+	f.Add([]byte(strings.Replace(string(pristine[0]), `"mode": "wcc"`, `"mode": "hash"`, 1)))
+	f.Add(pristine[1]) // the one-shard directory's own manifest
 
 	f.Fuzz(func(t *testing.T, manifest []byte) {
-		if err := os.WriteFile(manPath, manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var se *ShardedEngine
-		var err error
-		if alloc := allocatedBy(func() { se, _, err = LoadDir(dir, LoadOptions{}) }); alloc > loadBudget {
-			t.Fatalf("LoadDir allocated %d MiB", alloc>>20)
-		}
-		if err != nil {
-			return
-		}
-		if got := se.Eval(q); !want.Equal(got) {
-			t.Fatalf("accepted manifest serves different answers\n%s", manifest)
+		for _, dir := range dirs {
+			if err := os.WriteFile(filepath.Join(dir, ManifestName), manifest, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var se *ShardedEngine
+			var err error
+			if alloc := allocatedBy(func() { se, _, err = LoadDir(dir, Options{}) }); alloc > loadBudget {
+				t.Fatalf("LoadDir allocated %d MiB", alloc>>20)
+			}
+			if err != nil {
+				continue
+			}
+			if got := se.Eval(q); !want.Equal(got) {
+				t.Fatalf("accepted manifest serves different answers\n%s", manifest)
+			}
 		}
 	})
 }

@@ -72,35 +72,39 @@ type Manifest struct {
 }
 
 // WriteDir partitions nothing itself — it materializes a computed plan
-// under dir: per-shard snapshots (building each shard's reachability
-// index), id sidecars, and finally the manifest, written atomically
-// last so a crashed run never leaves a directory that passes
-// verification. name is recorded in the manifest and must match the
-// dataset name the catalog will serve it under.
+// under dir: it builds the plan's engine (NewEngine) and saves it
+// (Save). name is recorded in the manifest and must match the dataset
+// name the catalog will serve it under.
 func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manifest, error) {
+	se, err := NewEngine(g, plan, opt)
+	if err != nil {
+		return nil, err
+	}
+	return se.Save(dir, name)
+}
+
+// Save writes the engine as a shard directory under dir: per-shard
+// snapshots of the graphs and indexes it already holds, id sidecars,
+// and finally the manifest, written atomically last so a crashed run
+// never leaves a directory that passes verification.
+func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	g.Freeze()
 	man := &Manifest{
 		Format:     ManifestFormat,
 		Version:    ManifestVersion,
 		Name:       name,
 		Mode:       ModeWCC,
-		TotalNodes: g.N(),
-		TotalEdges: g.M(),
+		Index:      se.kind,
+		TotalNodes: se.totalNodes,
+		TotalEdges: se.totalEdges,
 	}
-	for i, part := range plan.Parts {
-		sg := Subgraph(g, part)
-		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index})
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		man.Index = eng.IndexKind()
-
+	for i, u := range se.shards {
+		sg := u.eng.G
 		snapName := fmt.Sprintf("shard-%04d.snap", i)
 		snapPath := filepath.Join(dir, snapName)
-		if err := snapshot.SaveFile(snapPath, sg, eng.H); err != nil {
+		if err := snapshot.SaveFile(snapPath, sg, u.eng.H); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		snapSum, err := fileSHA256(snapPath)
@@ -108,8 +112,15 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 			return nil, err
 		}
 
+		ids := u.globals
+		if ids == nil { // local ids are global ids
+			ids = make([]graph.NodeID, sg.N())
+			for v := range ids {
+				ids[v] = graph.NodeID(v)
+			}
+		}
 		idsName := fmt.Sprintf("shard-%04d.ids", i)
-		idsSum, err := writeIDs(filepath.Join(dir, idsName), part)
+		idsSum, err := writeIDs(filepath.Join(dir, idsName), ids)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -143,14 +154,6 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 	return man, nil
 }
 
-// LoadOptions tune LoadDir.
-type LoadOptions struct {
-	// Workers bounds scatter-gather fan-out (default GOMAXPROCS).
-	Workers int
-	// NoPlan disables the cost-based planner in every per-shard engine.
-	NoPlan bool
-}
-
 // LoadDir verifies and loads a sharded dataset directory written by
 // WriteDir, reviving every shard's index from its snapshot (no index
 // construction). Any integrity violation — unparsable or
@@ -159,8 +162,10 @@ type LoadOptions struct {
 // mapping that is not an exact partition of the global id range — is
 // an error; a damaged directory never yields a partially-working
 // engine. Nothing is allocated from the manifest's size claims until
-// the shard files have been verified and agree with them.
-func LoadDir(dir string, opt LoadOptions) (*ShardedEngine, *Manifest, error) {
+// the shard files have been verified and agree with them. A one-shard
+// directory loads as Single would build it: its ids are verified to be
+// the identity and then dropped. opt.Index is ignored.
+func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 	man, err := ReadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, nil, err
@@ -248,6 +253,9 @@ func LoadDir(dir string, opt LoadOptions) (*ShardedEngine, *Manifest, error) {
 			}
 			covered[gv] = true
 		}
+	}
+	if len(se.shards) == 1 {
+		se.shards[0].globals = nil
 	}
 	return se, man, nil
 }

@@ -24,7 +24,8 @@ import (
 // The delta overlay then wraps CompositeIndex the way it wraps a flat
 // backend, and a dataset with pending deltas is served by a single
 // GTEA engine over Union() — scatter-gather resumes after compaction
-// re-shards the extended graph.
+// re-shards the extended graph. At one shard both are the shard's own
+// graph and index, so a flat dataset pays for neither.
 
 // shardLoc is the residence of a global vertex: the shard and its
 // local id there.
@@ -50,8 +51,12 @@ func (se *ShardedEngine) homes() []shardLoc {
 
 // Union reconstructs the logical graph from the shard subgraphs:
 // global ids, labels, attributes, and tree/cross edge kinds (parallel
-// edges included) are all preserved. The result is frozen.
+// edges included) are all preserved. The result is frozen. A one-shard
+// engine's shard graph is the logical graph, and Union returns it.
 func (se *ShardedEngine) Union() *graph.Graph {
+	if eng := se.Flat(); eng != nil {
+		return eng.G
+	}
 	g := graph.New(se.totalNodes, se.totalEdges)
 	home := se.homes()
 	for _, loc := range home {
@@ -77,8 +82,12 @@ func (se *ShardedEngine) Union() *graph.Graph {
 // CompositeIndex returns a reach.ContourIndex over the logical (global
 // id) graph that routes every probe to a per-shard index. It shares
 // the shard engines' indexes — no construction happens — and is
-// immutable and safe for concurrent use like every backend.
+// immutable and safe for concurrent use like every backend. A one-shard
+// engine has nothing to route, and returns its shard's index.
 func (se *ShardedEngine) CompositeIndex() reach.ContourIndex {
+	if eng := se.Flat(); eng != nil {
+		return eng.H
+	}
 	return &compositeIndex{se: se, kind: CompositeKindPrefix + se.kind, home: se.homes()}
 }
 

@@ -67,7 +67,7 @@ func BenchmarkMaintain(b *testing.B) {
 		seeds[i] = append(up, batch.Edges[0].To)
 	}
 	last := decide(&Subscription{q: q, conj: q.IsConjunctive()},
-		catalog.ApplyEvent{Batch: bs[batches-1], DS: &catalog.Dataset{Graph: ext, Engine: eng}}, ext.N())
+		catalog.ApplyEvent{Batch: bs[batches-1], Engine: eng, DS: &catalog.Dataset{Engine: eng}}, ext.N())
 	if last.mode != modeRestricted || !sameSet(last.seed, seeds[batches-1]) {
 		b.Fatalf("decide picked %s with a %d-vertex seed, want restricted with %d", last.mode, len(last.seed), len(seeds[batches-1]))
 	}

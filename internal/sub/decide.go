@@ -5,7 +5,6 @@ import (
 	"gtpq/internal/catalog"
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
-	"gtpq/internal/gtea"
 )
 
 // evalMode is the maintenance plan decide picked for one batch.
@@ -29,14 +28,13 @@ func (m evalMode) String() string {
 }
 
 type decision struct {
-	mode   evalMode
-	seed   []graph.NodeID // root seed (modeRestricted)
-	seeder *gtea.Engine   // engine carrying EvalSeededStatsCtx
+	mode evalMode
+	seed []graph.NodeID // root seed (modeRestricted), for ev.Engine's EvalSeededStatsCtx
 }
 
 // decide analyzes one applied batch against one subscription and picks
 // the cheapest sound maintenance plan. The analysis runs on the
-// post-batch graph ev.DS.Graph, so paths through other additions of the
+// post-batch graph ev.Engine.G, so paths through other additions of the
 // same batch are seen.
 //
 // Soundness of the skip: additive deltas never change which existing
@@ -61,16 +59,8 @@ type decision struct {
 // therefore finds every new tuple; the diff against the stored result
 // is exactly the addition.
 func decide(s *Subscription, ev catalog.ApplyEvent, budget int) decision {
-	ds := ev.DS
-	g := ds.Graph
-	eng, flat := ds.Engine.(*gtea.Engine)
-	if g == nil || !flat {
-		// Restricted re-evaluation needs a *gtea.Engine over ds.Graph.
-		// After an ApplyDelta every dataset, sharded ones included, is
-		// served by one (an overlay engine over the extended graph); any
-		// other handle gets the full re-evaluation, which needs neither.
-		return decision{mode: modeFull}
-	}
+	eng := ev.Engine
+	g := eng.G
 	q := s.q
 	batch := &ev.Batch
 	n := g.N()
@@ -171,7 +161,7 @@ func decide(s *Subscription, ev catalog.ApplyEvent, budget int) decision {
 	if estRoot > 0 && rootSeed*2 > estRoot {
 		return decision{mode: modeFull}
 	}
-	return decision{mode: modeRestricted, seed: seed, seeder: eng}
+	return decision{mode: modeRestricted, seed: seed}
 }
 
 // reachSet collects the vertices reachable from starts (inclusive)

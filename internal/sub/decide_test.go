@@ -50,15 +50,13 @@ func adQuery(rootLabel, childLabel string) *core.Query {
 
 func decideFor(t *testing.T, q *core.Query, b delta.Batch, budget int) decision {
 	t.Helper()
-	g, eng := clusterGraph(t, b)
+	_, eng := clusterGraph(t, b)
 	s := &Subscription{q: q, conj: q.IsConjunctive()}
 	ev := catalog.ApplyEvent{
-		Gen:   2,
-		Batch: b,
-		DS: &catalog.Dataset{
-			Graph:  g,
-			Engine: eng,
-		},
+		Gen:    2,
+		Batch:  b,
+		Engine: eng,
+		DS:     &catalog.Dataset{Engine: eng},
 	}
 	return decide(s, ev, budget)
 }

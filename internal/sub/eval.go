@@ -94,7 +94,7 @@ func (r *Registry) applyToSub(s *Subscription, ev catalog.ApplyEvent, enqueued t
 		return
 	case modeRestricted:
 		r.evals.With("restricted").Inc()
-		restricted, _, err := dec.seeder.EvalSeededStatsCtx(ctx, s.q, dec.seed)
+		restricted, _, err := ev.Engine.EvalSeededStatsCtx(ctx, s.q, dec.seed)
 		if err != nil {
 			tr.Finish()
 			return // background ctx: unreachable; keep prev, retry next batch
