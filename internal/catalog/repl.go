@@ -49,7 +49,9 @@ type LogState struct {
 	Batches int
 	// Generation is the serving entry's catalog generation.
 	Generation uint64
-	// Sharded reports a sharded base (ships via manifest files).
+	// Sharded reports a base of K > 1 shards (ships via manifest
+	// files); a one-shard directory ships as a snapshot, like a flat
+	// file.
 	Sharded bool
 }
 

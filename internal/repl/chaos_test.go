@@ -52,7 +52,7 @@ func chaosUpdates(t *testing.T, url string, rounds, perRound int) {
 // whatever faults fired were surfaced through typed-error counters
 // (never a silent wrong answer: the equivalence check IS the proof).
 func TestChaosEquivalenceUnderMixedFaults(t *testing.T) {
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	inj := fault.New(&repl.HTTPClient{BaseURL: primary.URL}, fault.Config{
 		Drop:      0.10,
 		Delay:     0.05,
@@ -97,7 +97,7 @@ func TestChaosEquivalenceUnderMixedFaults(t *testing.T) {
 // report not-ready; on revival it re-attaches from the durable offset
 // and converges — including batches written while it was cut off.
 func TestChaosKillAndRestart(t *testing.T) {
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	inj := fault.New(&repl.HTTPClient{BaseURL: primary.URL}, fault.Config{Seed: 7})
 	rep := newReplica(t, inj, repl.TailerConfig{
 		Datasets: []string{"d"},
@@ -139,7 +139,7 @@ func TestChaosKillAndRestart(t *testing.T) {
 // Compaction handoff under chaos: the primary folds mid-stream while
 // faults fire; the replica re-ships the new base and converges.
 func TestChaosCompactionHandoff(t *testing.T) {
-	primary, pcat := newPrimary(t, false)
+	primary, pcat := newPrimary(t, 0)
 	inj := fault.New(&repl.HTTPClient{BaseURL: primary.URL}, fault.Config{
 		Drop:     0.10,
 		Truncate: 0.05,

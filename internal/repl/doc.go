@@ -19,9 +19,9 @@
 //	    CRC32 of the body so transport damage is detected before any
 //	    frame is parsed.
 //	GET /repl/base?dataset=X[&file=F]
-//	    the frozen base: a snapshot stream for flat datasets, the
-//	    manifest (then per-file fetches, each SHA-256-verified) for
-//	    sharded ones.
+//	    the frozen base: a snapshot stream for one-shard datasets
+//	    (flat files and one-shard directories), the manifest (then
+//	    per-file fetches, each SHA-256-verified) for K > 1 shards.
 //
 // Faults are detected in layers: transport damage (drop, truncation,
 // duplication) by the chunk CRC; in-band frame corruption by the

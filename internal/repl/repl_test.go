@@ -49,13 +49,14 @@ func buildGraph() *graph.Graph {
 }
 
 // newPrimary spins a primary server over a fresh catalog directory
-// holding dataset "d" (flat by default, sharded on request).
-func newPrimary(t *testing.T, sharded bool) (*httptest.Server, *catalog.Catalog) {
+// holding dataset "d": flat JSON when shards is 0, a shard directory of
+// that many shards otherwise.
+func newPrimary(t *testing.T, shards int) (*httptest.Server, *catalog.Catalog) {
 	t.Helper()
 	dir := t.TempDir()
 	g := buildGraph()
-	if sharded {
-		plan, err := shard.Partition(g, 2, shard.ModeWCC)
+	if shards > 0 {
+		plan, err := shard.Partition(g, shards, shard.ModeWCC)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,7 +189,7 @@ func TestRouterWritesToPrimaryOnly(t *testing.T) {
 // replica's backend process (closing its listener) fails reads over
 // to the primary, and the router's metrics expose the transition.
 func TestRouterOverRealFleet(t *testing.T) {
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	rep := newReplica(t, &repl.HTTPClient{BaseURL: primary.URL},
 		repl.TailerConfig{Datasets: []string{"d"}})
 	postUpdate(t, primary.URL, 8, 3)

@@ -3,6 +3,8 @@ package repl_test
 import (
 	"context"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -62,7 +64,7 @@ func damageOnce(inner repl.Client, rewrite func(repl.Chunk) repl.Chunk) *scripte
 // applied, a replica tailing through client, sync, equivalence.
 func tailOneFault(t *testing.T, client func(repl.Client) repl.Client) *replica {
 	t.Helper()
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	base := 8
 	for i := 0; i < 4; i++ {
 		postUpdate(t, primary.URL, base, 3)
@@ -127,7 +129,7 @@ func TestTailerDetectsFrameFlip(t *testing.T) {
 // valid frames the replica already applied; the advertised-size
 // overrun check must refuse it rather than double-apply.
 func TestTailerRefusesReplayedChunk(t *testing.T) {
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	base := 8
 	for i := 0; i < 4; i++ {
 		postUpdate(t, primary.URL, base, 3)
@@ -214,7 +216,7 @@ func TestTailerHealsTornTailMidChunk(t *testing.T) {
 // fresh tailer over the same replica directory. It must resume from
 // the durable local offset — no re-ship of the base, no double-apply.
 func TestTailerResumesFromDurableOffset(t *testing.T) {
-	primary, _ := newPrimary(t, false)
+	primary, _ := newPrimary(t, 0)
 	base := 8
 	postUpdate(t, primary.URL, base, 4)
 	base += 4
@@ -254,7 +256,7 @@ func TestTailerResumesFromDurableOffset(t *testing.T) {
 // then resume incremental tailing (replaying exactly from the
 // compaction boundary, not from scratch) for subsequent updates.
 func TestTailerCompactionHandoff(t *testing.T) {
-	primary, pcat := newPrimary(t, false)
+	primary, pcat := newPrimary(t, 0)
 	base := 8
 	postUpdate(t, primary.URL, base, 4)
 	base += 4
@@ -287,16 +289,24 @@ func TestTailerCompactionHandoff(t *testing.T) {
 	}
 }
 
-// Sharded bases ship via the manifest with per-file SHA-256
-// verification; tailing afterwards works exactly as for flat bases.
+// Bases of K > 1 shards ship via the manifest with per-file SHA-256
+// verification; a one-shard directory ships as a snapshot, like a flat
+// file. Tailing afterwards works exactly as for flat bases.
 func TestTailerShardedBootstrapAndTail(t *testing.T) {
-	primary, _ := newPrimary(t, true)
-	postUpdate(t, primary.URL, 8, 4)
-	rep := newReplica(t, &repl.HTTPClient{BaseURL: primary.URL},
-		repl.TailerConfig{Datasets: []string{"d"}})
-	rep.waitSync(t)
-	assertEquivalent(t, primary.URL, rep.srv.URL)
-	if n := rep.counter("gtpq_repl_resyncs_total"); n < 1 {
-		t.Errorf("resyncs = %d, want >= 1 (bootstrap ships the base)", n)
+	for _, k := range []int{2, 1} {
+		primary, _ := newPrimary(t, k)
+		postUpdate(t, primary.URL, 8, 4)
+		rep := newReplica(t, &repl.HTTPClient{BaseURL: primary.URL},
+			repl.TailerConfig{Datasets: []string{"d"}})
+		rep.waitSync(t)
+		assertEquivalent(t, primary.URL, rep.srv.URL)
+		if n := rep.counter("gtpq_repl_resyncs_total"); n < 1 {
+			t.Errorf("k=%d: resyncs = %d, want >= 1 (bootstrap ships the base)", k, n)
+		}
+		_, dirErr := os.Stat(filepath.Join(rep.dir, "d", "manifest.json"))
+		_, snapErr := os.Stat(filepath.Join(rep.dir, "d.snap"))
+		if (k > 1) != (dirErr == nil) || (k > 1) != (snapErr != nil) {
+			t.Errorf("k=%d: replica installed a directory %v, a snapshot %v", k, dirErr == nil, snapErr == nil)
+		}
 	}
 }
