@@ -245,8 +245,15 @@ func (g *Graph) Freeze() {
 			}
 		}
 	}
-	g.in = bucket(n, es.val, dst, func(e edge) NodeID { return e.u })
+	g.derive(es.val)
+}
 
+// derive builds what a frozen graph derives from its edges, given in
+// (source, target) order, and its labels: the in-adjacency and the
+// label index.
+func (g *Graph) derive(es []edge) {
+	n := len(g.labelOf)
+	g.in = bucket(n, es, func(e edge) int32 { return int32(e.v) }, func(e edge) NodeID { return e.u })
 	nodes := make([]NodeID, n)
 	for i := range nodes {
 		nodes[i] = NodeID(i)

@@ -9,23 +9,30 @@ import (
 	"gtpq/internal/graph"
 )
 
-// Codec (un)marshals a built index of one kind. Marshal serializes the
-// index structure only — the graph is stored separately (snapshots
-// carry both) and is handed back to Unmarshal, which must return an
-// index answering identically to a fresh build without redoing
-// construction work. The SCC condensation is intentionally not part of
-// the payload: graph.Condense is deterministic for a fixed frozen
-// graph and costs O(V+E), negligible next to chain covering or list
-// sweeps, so Unmarshal recomputes it and keeps its graph.SCCMap (the
-// 3-hop index renumbered by chain position).
+// Codec saves and revives a built index of one kind. The graph is
+// stored beside the index (a snapshot carries both) and is handed back
+// to the decoders, which must return an index answering identically to
+// a fresh build without redoing construction work.
+//
+// Append writes the index's image: its resident arrays, little-endian
+// and fixed-width, in the layout a snapshot of version 2 stores (see
+// internal/snapshot). Decode reads an image back into exact-length
+// copies and validates it in O(V+E) plus one pass over the lists.
+// DecodeV1 reads the payload a snapshot of version 1 stores, which
+// names SCCs by their Tarjan ids: nothing writes that payload any more,
+// but files written before version 2 still load through it.
 type Codec struct {
-	// Marshal serializes h (whose Kind matches the registration).
-	Marshal func(h ContourIndex) ([]byte, error)
-	// Unmarshal revives an index over g from data.
-	Unmarshal func(g *graph.Graph, data []byte) (ContourIndex, error)
+	// Append appends the image of h (whose Kind matches the
+	// registration) to b.
+	Append func(b []byte, h ContourIndex) ([]byte, error)
+	// Decode revives an index over the frozen graph g from the image d
+	// holds, and leaves d after it.
+	Decode func(g *graph.Graph, d *graph.Decoder) (ContourIndex, error)
+	// DecodeV1 revives an index over g from a version-1 payload.
+	DecodeV1 func(g *graph.Graph, data []byte) (ContourIndex, error)
 }
 
-// RegisterCodec adds the (un)marshaling hooks for kind; like Register,
+// RegisterCodec adds the (de)coding hooks for kind; like Register,
 // it panics on duplicates.
 func RegisterCodec(kind string, c Codec) {
 	registryMu.Lock()
@@ -38,59 +45,190 @@ func RegisterCodec(kind string, c Codec) {
 
 // HasCodec reports whether kind has registered snapshot hooks.
 func HasCodec(kind string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := codecs[kind]
+	_, ok := codecFor(kind)
 	return ok
 }
 
-// MarshalIndex serializes h using the codec registered for its kind.
-func MarshalIndex(h ContourIndex) ([]byte, error) {
+func codecFor(kind string) (Codec, bool) {
 	registryMu.RLock()
-	c, ok := codecs[h.Kind()]
-	registryMu.RUnlock()
+	defer registryMu.RUnlock()
+	c, ok := codecs[kind]
+	return c, ok
+}
+
+// AppendIndex appends the image of h to b using the codec registered
+// for its kind.
+func AppendIndex(b []byte, h ContourIndex) ([]byte, error) {
+	c, ok := codecFor(h.Kind())
 	if !ok {
 		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", h.Kind())
 	}
-	return c.Marshal(h)
+	return c.Append(b, h)
 }
 
-// UnmarshalIndex revives a kind index over g from data without
-// rebuilding it.
-func UnmarshalIndex(kind string, g *graph.Graph, data []byte) (ContourIndex, error) {
-	registryMu.RLock()
-	c, ok := codecs[kind]
-	registryMu.RUnlock()
+// DecodeIndex revives a kind index over g from the image d holds,
+// without rebuilding it.
+func DecodeIndex(kind string, g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
+	c, ok := codecFor(kind)
 	if !ok {
 		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
 	}
-	return c.Unmarshal(g, data)
+	return c.Decode(g, d)
+}
+
+// DecodeIndexV1 revives a kind index over g from a version-1 payload.
+func DecodeIndexV1(kind string, g *graph.Graph, data []byte) (ContourIndex, error) {
+	c, ok := codecFor(kind)
+	if !ok {
+		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
+	}
+	return c.DecodeV1(g, data)
 }
 
 func init() {
 	RegisterCodec("threehop", Codec{
-		Marshal: func(h ContourIndex) ([]byte, error) {
+		Append: func(b []byte, h ContourIndex) ([]byte, error) {
 			th, ok := h.(*ThreeHop)
 			if !ok {
 				return nil, fmt.Errorf("reach: threehop codec got %T", h)
 			}
-			return th.MarshalBinary()
+			return th.appendImage(b), nil
 		},
-		Unmarshal: unmarshalThreeHop,
+		Decode:   decodeThreeHop,
+		DecodeV1: unmarshalThreeHop,
 	})
 	RegisterCodec("tc", Codec{
-		Marshal: func(h ContourIndex) ([]byte, error) {
+		Append: func(b []byte, h ContourIndex) ([]byte, error) {
 			t, ok := h.(*TC)
 			if !ok {
 				return nil, fmt.Errorf("reach: tc codec got %T", h)
 			}
-			return t.MarshalBinary()
+			return t.appendImage(b), nil
 		},
-		Unmarshal: unmarshalTC,
+		Decode:   decodeTC,
+		DecodeV1: unmarshalTC,
 	})
 }
 
-// --- ThreeHop ---
+// --- ThreeHop image ---
+//
+//	uvarint K, uvarint C      SCCs (= positions) and chains
+//	chainOff                  C+1 int32
+//	scc                       graph.SCCMap image: Comp, the cycle bits
+//	lout, lin                 per family: off (K+1 int32), uvarint
+//	                          len(buf), buf
+//
+// chainAt and the entry counts are derived on load.
+
+func (h *ThreeHop) appendImage(b []byte) []byte {
+	k := len(h.chainAt)
+	b = slices.Grow(b, 32+4*len(h.chainOff)+4*len(h.scc.Comp)+k/8+8*(k+1)+len(h.lout.buf)+len(h.lin.buf))
+	b = binary.AppendUvarint(b, uint64(k))
+	b = binary.AppendUvarint(b, uint64(h.NumChains()))
+	b = graph.AppendInt32s(b, h.chainOff)
+	b = h.scc.AppendImage(b)
+	for _, r := range []gapRows{h.lout, h.lin} {
+		b = graph.AppendInt32s(b, r.off)
+		b = binary.AppendUvarint(b, uint64(len(r.buf)))
+		b = append(b, r.buf...)
+	}
+	return b
+}
+
+// decodeThreeHop revives a 3-hop index over g from its image. It
+// checks that the chains are non-empty and tile [0, K), that the
+// SCCMap renumbers g's SCCs onto the positions (graph.DecodeSCCMap), and
+// that every list row decodes inside its row, with minimal varints, to
+// positions below K.
+func decodeThreeHop(g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
+	k := d.Count(4) // a position takes at least a list offset
+	chains := d.Count(4)
+	chainOff := d.Int32s(chains + 1)
+	if d.Err() != nil {
+		return nil, fmt.Errorf("reach: threehop image: %w", d.Err())
+	}
+	if chainOff[0] != 0 || chainOff[chains] != int32(k) {
+		return nil, fmt.Errorf("reach: threehop image: chains cover [%d, %d), want [0, %d)", chainOff[0], chainOff[chains], k)
+	}
+	for c := 0; c < chains; c++ {
+		if chainOff[c+1] <= chainOff[c] {
+			return nil, fmt.Errorf("reach: threehop image: chain %d spans [%d, %d)", c, chainOff[c], chainOff[c+1])
+		}
+	}
+	h := &ThreeHop{g: g, chainOff: chainOff, chainAt: make([]int32, k)}
+	for c := 0; c < chains; c++ {
+		for p := chainOff[c]; p < chainOff[c+1]; p++ {
+			h.chainAt[p] = int32(c)
+		}
+	}
+	var err error
+	if h.scc, err = graph.DecodeSCCMap(d, g, k); err != nil {
+		return nil, fmt.Errorf("reach: threehop image: %w", err)
+	}
+	if h.lout, err = decodeGapRows(d, k); err != nil {
+		return nil, err
+	}
+	if h.lin, err = decodeGapRows(d, k); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// decodeGapRows reads one list family of k rows and checks it.
+func decodeGapRows(d *graph.Decoder, k int) (gapRows, error) {
+	r := gapRows{off: d.Int32s(k + 1)}
+	r.buf = d.Bytes(d.Count(1))
+	if d.Err() != nil {
+		return r, fmt.Errorf("reach: threehop image: %w", d.Err())
+	}
+	if r.off[0] != 0 || int(r.off[k]) != len(r.buf) {
+		return r, fmt.Errorf("reach: threehop image: list offsets run from %d to %d, want 0 to %d", r.off[0], r.off[k], len(r.buf))
+	}
+	for s := 0; s < k; s++ {
+		lo, hi := r.off[s], r.off[s+1]
+		if hi < lo || int(hi) > len(r.buf) {
+			return r, fmt.Errorf("reach: threehop image: list offset %d is %d after %d", s+1, hi, lo)
+		}
+		n, err := checkRow(r.buf[lo:hi], k)
+		if err != nil {
+			return r, fmt.Errorf("reach: threehop image: list of position %d %v", s, err)
+		}
+		r.n += n
+	}
+	return r, nil
+}
+
+// checkRow checks that the gap-coded row b decodes, with minimal
+// varints, to positions below k, and returns how many it holds. Nearly
+// every gap is one byte, so that case skips the varint decoder, and the
+// bound is checked on the last position only (positions ascend).
+func checkRow(b []byte, k int) (int, error) {
+	n, p := 0, int64(-1)
+	for i := 0; i < len(b); n++ {
+		if c := b[i]; c < 0x80 {
+			p += int64(c) + 1
+			i++
+			continue
+		}
+		gap, w := binary.Uvarint(b[i:])
+		switch {
+		case w <= 0:
+			return 0, fmt.Errorf("ends inside a varint")
+		case b[i+w-1] == 0:
+			return 0, fmt.Errorf("holds an overlong varint")
+		case gap >= uint64(k):
+			return 0, fmt.Errorf("names a position past %d", k)
+		}
+		p += int64(gap) + 1
+		i += w
+	}
+	if p >= int64(k) {
+		return 0, fmt.Errorf("names a position past %d", k)
+	}
+	return n, nil
+}
+
+// --- ThreeHop, version 1 ---
 //
 // Payload (all integers unsigned varints):
 //
@@ -99,60 +237,14 @@ func init() {
 //	per scc: |Lout|, entries as (cid, sid) pairs
 //	per scc: |Lin|,  entries as (cid, sid) pairs
 //
-// On disk an SCC is still its Tarjan id, as graph.Condense numbers it,
-// and a list entry its (chain id, sequence id) pair; in memory both are
-// the position chainOff[cid] + sid, and lists are gap-coded (gapRows).
-// Both directions translate through the condensation recomputed from
-// the graph, so snapshots written before any of these changes load
-// unchanged. A list's entries may come in any order: indexes written
-// before the flat layout listed them in map order under this same
-// format, and every later one in ascending position order. Each list is
-// sorted on load, and a position named twice is refused. Every varint
-// must be minimally encoded and nothing may follow the lists, so an
-// accepted payload re-marshals to itself once its lists are sorted.
-
-// MarshalBinary serializes the chain cover and Lin/Lout lists.
-func (h *ThreeHop) MarshalBinary() ([]byte, error) {
-	n := len(h.chainAt)
-	posOf, sccAt := h.tarjanIDs()
-	buf := make([]byte, 0, 16+8*n+4*h.IndexSize())
-	buf = binary.AppendUvarint(buf, uint64(n))
-	buf = binary.AppendUvarint(buf, uint64(h.NumChains()))
-	for c := 1; c < len(h.chainOff); c++ {
-		chain := sccAt[h.chainOff[c-1]:h.chainOff[c]]
-		buf = binary.AppendUvarint(buf, uint64(len(chain)))
-		for _, s := range chain {
-			buf = binary.AppendUvarint(buf, uint64(s))
-		}
-	}
-	appendLists := func(lists gapRows) {
-		for _, pos := range posOf {
-			b := lists.row(pos)
-			buf = binary.AppendUvarint(buf, uint64(entries(b)))
-			for i, p := 0, int32(-1); i < len(b); {
-				p, i = nextGap(b, i, p)
-				c := h.chainAt[p]
-				buf = binary.AppendUvarint(buf, uint64(c))
-				buf = binary.AppendUvarint(buf, uint64(p-h.chainOff[c]))
-			}
-		}
-	}
-	appendLists(h.lout)
-	appendLists(h.lin)
-	return buf, nil
-}
-
-// tarjanIDs recomputes the SCCs of h's graph and returns the map
-// between their Tarjan ids and h's positions, both ways.
-func (h *ThreeHop) tarjanIDs() (posOf, sccAt []int32) {
-	posOf = make([]int32, len(h.chainAt))
-	sccAt = make([]int32, len(h.chainAt))
-	for v, s := range graph.Components(h.g) {
-		p := h.scc.Comp[v]
-		posOf[s], sccAt[p] = p, s
-	}
-	return posOf, sccAt
-}
+// An SCC is its Tarjan id, as graph.Condense numbers it, and a list
+// entry its (chain id, sequence id) pair; the decoder translates both
+// to positions through the condensation recomputed from the graph. A
+// list's entries may come in any order: indexes written before the flat
+// layout listed them in map order, and every later one in ascending
+// position order. Each list is sorted on load, and a position named
+// twice is refused, as is an empty chain. Every varint must be minimally
+// encoded and nothing may follow the lists.
 
 // unmarshalThreeHop revives a 3-hop index over g. The chain cover and
 // entry lists are decoded straight into their flat arrays and reordered
@@ -180,6 +272,10 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 		ln, err := d.length(n - len(sccAt))
 		if err != nil {
 			return nil, err
+		}
+		if ln == 0 {
+			// No build writes one, and a version-2 image cannot hold one.
+			return nil, fmt.Errorf("reach: snapshot chain %d is empty", c)
 		}
 		for i := 0; i < ln; i++ {
 			s := d.next()
@@ -249,21 +345,40 @@ func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
 	return h, nil
 }
 
-// --- TC ---
+// --- TC image ---
+//
+//	uvarint K                 SCCs
+//	scc                       graph.SCCMap image: Comp, the cycle bits
+//	rows                      K*ceil(K/64) uint64
+//
+// As in version 1, a row's bits past K are not checked: no query reads
+// them, and they can only inflate IndexSize.
+
+func (t *TC) appendImage(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(t.numSCC()))
+	b = t.scc.AppendImage(b)
+	return graph.AppendUint64s(b, t.rows)
+}
+
+// decodeTC revives a transitive-closure index over g from its image.
+func decodeTC(g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
+	k := d.Count(4) // an SCC takes at least the Comp entry of a member
+	scc, err := graph.DecodeSCCMap(d, g, k)
+	if err != nil {
+		return nil, fmt.Errorf("reach: tc image: %w", err)
+	}
+	words := (k + 63) / 64
+	t := &TC{g: g, scc: scc, words: words, rows: d.Uint64s(k * words)}
+	if d.Err() != nil {
+		return nil, fmt.Errorf("reach: tc image: %w", d.Err())
+	}
+	return t, nil
+}
+
+// --- TC, version 1 ---
 //
 // Payload: uvarint numSCC, then numSCC*words closure words (little
 // endian), words = ceil(numSCC/64).
-
-// MarshalBinary serializes the closure bit matrix.
-func (t *TC) MarshalBinary() ([]byte, error) {
-	n := t.numSCC()
-	buf := make([]byte, 0, 10+8*len(t.rows))
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for _, w := range t.rows {
-		buf = binary.LittleEndian.AppendUint64(buf, w)
-	}
-	return buf, nil
-}
 
 // unmarshalTC revives a transitive-closure index over g.
 func unmarshalTC(g *graph.Graph, data []byte) (ContourIndex, error) {

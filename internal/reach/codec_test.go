@@ -24,11 +24,11 @@ func goldenGraphs() (arxivTiny, xmark50 *graph.Graph) {
 	return ax, xm
 }
 
-// TestThreeHopSnapshotGolden pins the on-disk 3-hop payload: the
-// SHA-256 of MarshalBinary for two fixed graphs, computed before list
+// TestThreeHopSnapshotGolden pins the version-1 3-hop payload: the
+// SHA-256 of marshalV1 for two fixed graphs, computed before list
 // entries became in-memory chain positions, and unchanged since those
-// became varint gaps. A .snap written by either earlier layout
-// therefore still decodes to the same index.
+// became varint gaps and since version 2 replaced the writer. The
+// oracle therefore writes what every version-1 .snap holds.
 func TestThreeHopSnapshotGolden(t *testing.T) {
 	ax, xm := goldenGraphs()
 	for _, c := range []struct {
@@ -39,12 +39,9 @@ func TestThreeHopSnapshotGolden(t *testing.T) {
 		{"arxiv tiny", ax, "7b6aa930f46696cc9019963febfdf6429dc725da2dc0af2ffc08533a53aca5b7"},
 		{"xmark 50", xm, "3454fbb6d75ce85dc25f0fab88caaf401ef20223a4e2e63a2b23796f8222324e"},
 	} {
-		data, err := NewThreeHop(c.g).MarshalBinary()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
+		data := marshalV1(NewThreeHop(c.g))
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
-			t.Errorf("%s: MarshalBinary SHA-256 = %s, want %s", c.name, got, c.want)
+			t.Errorf("%s: marshalV1 SHA-256 = %s, want %s", c.name, got, c.want)
 		}
 	}
 }
@@ -99,14 +96,7 @@ func star3Payload(lout ...uint64) []byte {
 // index holds and a row of position gaps cannot store.
 func TestUnmarshalThreeHopRejectsBadPayloads(t *testing.T) {
 	ab, star := pathAB(), star3()
-	valid, err := NewThreeHop(ab).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	starValid, err := NewThreeHop(star).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid, starValid := marshalV1(NewThreeHop(ab)), marshalV1(NewThreeHop(star))
 	if want := star3Payload(0, 0, 1, 0); !bytes.Equal(starValid, want) {
 		t.Fatalf("star3 marshals to % x, want % x", starValid, want)
 	}
@@ -120,6 +110,7 @@ func TestUnmarshalThreeHopRejectsBadPayloads(t *testing.T) {
 		data []byte
 	}{
 		"SCC named twice":     {ab, dupSCCPayload},
+		"empty chain":         {ab, uvarints(2, 2, 2, 1, 0, 0, 0, 0, 0, 0)},
 		"trailing byte":       {ab, append(bytes.Clone(valid), 0)},
 		"overlong varint":     {ab, append([]byte{0x82, 0x00}, valid[1:]...)}, // n=2 in two bytes
 		"repeated list entry": {star, star3Payload(0, 0, 0, 0)},
@@ -134,7 +125,7 @@ func TestUnmarshalThreeHopRejectsBadPayloads(t *testing.T) {
 // in random order, as indexes written before lists were sorted by
 // chain id stored them.
 func shuffledPayload(h *ThreeHop, r *rand.Rand) []byte {
-	posOf, sccAt := h.tarjanIDs()
+	posOf, sccAt := tarjanIDs(h)
 	vs := []uint64{uint64(len(posOf)), uint64(h.NumChains())}
 	for c := 1; c < len(h.chainOff); c++ {
 		chain := sccAt[h.chainOff[c-1]:h.chainOff[c]]
@@ -173,7 +164,7 @@ func TestUnmarshalThreeHopAcceptsAnyListOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("star3 with a descending list rejected: %v", err)
 	}
-	if got, want := mustMarshal(t, h), star3Payload(0, 0, 1, 0); !bytes.Equal(got, want) {
+	if got, want := marshalV1(h), star3Payload(0, 0, 1, 0); !bytes.Equal(got, want) {
 		t.Errorf("star3 with a descending list re-marshals to % x, want % x", got, want)
 	}
 	ax, xm := goldenGraphs()
@@ -183,7 +174,7 @@ func TestUnmarshalThreeHopAcceptsAnyListOrder(t *testing.T) {
 		g    *graph.Graph
 	}{{"arxiv tiny", ax}, {"xmark 50", xm}} {
 		fresh := NewThreeHop(c.g)
-		want := mustMarshal(t, fresh)
+		want := marshalV1(fresh)
 		shuffled := shuffledPayload(fresh, r)
 		if bytes.Equal(shuffled, want) {
 			t.Fatalf("%s: shuffling left every list in order", c.name)
@@ -192,7 +183,7 @@ func TestUnmarshalThreeHopAcceptsAnyListOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: shuffled payload rejected: %v", c.name, err)
 		}
-		if !bytes.Equal(mustMarshal(t, decoded), want) {
+		if !bytes.Equal(marshalV1(decoded), want) {
 			t.Errorf("%s: shuffled payload does not re-marshal to the built one", c.name)
 		}
 		var got, exp Stats
@@ -208,13 +199,75 @@ func TestUnmarshalThreeHopAcceptsAnyListOrder(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, h ContourIndex) []byte {
+// marshalV1 returns the version-1 payload of h, written as the codec
+// wrote it before version 2 replaced it: the oracle the version-1
+// decoder is checked against.
+func marshalV1(h ContourIndex) []byte {
+	switch h := h.(type) {
+	case *ThreeHop:
+		posOf, sccAt := tarjanIDs(h)
+		buf := binary.AppendUvarint(nil, uint64(len(posOf)))
+		buf = binary.AppendUvarint(buf, uint64(h.NumChains()))
+		for c := 1; c < len(h.chainOff); c++ {
+			chain := sccAt[h.chainOff[c-1]:h.chainOff[c]]
+			buf = binary.AppendUvarint(buf, uint64(len(chain)))
+			for _, s := range chain {
+				buf = binary.AppendUvarint(buf, uint64(s))
+			}
+		}
+		for _, lists := range []gapRows{h.lout, h.lin} {
+			for _, pos := range posOf {
+				b := lists.row(pos)
+				buf = binary.AppendUvarint(buf, uint64(entries(b)))
+				for i, p := 0, int32(-1); i < len(b); {
+					p, i = nextGap(b, i, p)
+					c := h.chainAt[p]
+					buf = binary.AppendUvarint(buf, uint64(c))
+					buf = binary.AppendUvarint(buf, uint64(p-h.chainOff[c]))
+				}
+			}
+		}
+		return buf
+	case *TC:
+		buf := binary.AppendUvarint(nil, uint64(h.numSCC()))
+		for _, w := range h.rows {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		return buf
+	}
+	panic(fmt.Sprintf("marshalV1: %T", h))
+}
+
+// tarjanIDs recomputes the SCCs of h's graph and returns the map
+// between their Tarjan ids and h's positions, both ways.
+func tarjanIDs(h *ThreeHop) (posOf, sccAt []int32) {
+	posOf = make([]int32, len(h.chainAt))
+	sccAt = make([]int32, len(h.chainAt))
+	for v, s := range graph.Components(h.g) {
+		p := h.scc.Comp[v]
+		posOf[s], sccAt[p] = p, s
+	}
+	return posOf, sccAt
+}
+
+// image returns the version-2 image of h.
+func image(t testing.TB, h ContourIndex) []byte {
 	t.Helper()
-	data, err := MarshalIndex(h)
+	data, err := AppendIndex(nil, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// decodeImage revives a kind index over g from the whole of data.
+func decodeImage(kind string, g *graph.Graph, data []byte) (ContourIndex, error) {
+	d := graph.NewDecoder(data)
+	h, err := DecodeIndex(kind, g, d)
+	if err == nil && d.Len() != 0 {
+		err = fmt.Errorf("%d bytes trail the image", d.Len())
+	}
+	return h, err
 }
 
 // TestGapRowsRoundTrip checks the row encoding at the varint width
@@ -272,12 +325,13 @@ func fuzzGraphs() []*graph.Graph {
 	return []*graph.Graph{pathAB(), randDAG(r, 8, 14), randDigraph(r, 10, 18), randDigraph(r, 16, 30), star3()}
 }
 
-// fuzzCodec seeds f with each graph's marshaled index (plus extra, keyed
-// by graph) and checks every payload the codec accepts: it re-marshals
-// to a payload that is accepted too and re-marshals to itself (a 3-hop
-// payload's lists may come in any order and are written back sorted),
-// passes check (when given), and every query on it returns without
-// panicking.
+// fuzzCodec seeds f with each graph's version-1 payload (plus extra,
+// keyed by graph) and checks every payload the version-1 decoder
+// accepts: it re-marshals to a payload that is accepted too and
+// re-marshals to itself (a 3-hop payload's lists may come in any order
+// and are written back sorted); its version-2 image decodes and
+// re-encodes to itself; it passes check (when given); and every query
+// on it returns without panicking.
 func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*testing.T, ContourIndex)) {
 	gs := fuzzGraphs()
 	for i, g := range gs {
@@ -285,31 +339,32 @@ func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*te
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := MarshalIndex(h)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(uint8(i), data)
+		f.Add(uint8(i), marshalV1(h))
 	}
 	for i, data := range extra {
 		f.Add(i, data)
 	}
 	f.Fuzz(func(t *testing.T, gi uint8, data []byte) {
 		g := gs[int(gi)%len(gs)]
-		h, err := UnmarshalIndex(kind, g, data)
+		h, err := DecodeIndexV1(kind, g, data)
 		if err != nil {
 			return
 		}
-		again, err := MarshalIndex(h)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		h2, err := UnmarshalIndex(kind, g, again)
+		again := marshalV1(h)
+		h2, err := DecodeIndexV1(kind, g, again)
 		if err != nil {
 			t.Fatalf("accepted payload % x re-marshals to % x, which is rejected: %v", data, again, err)
 		}
-		if again2, err := MarshalIndex(h2); err != nil || !bytes.Equal(again2, again) {
-			t.Fatalf("accepted payload % x re-marshals to % x, which re-marshals to % x (%v)", data, again, again2, err)
+		if again2 := marshalV1(h2); !bytes.Equal(again2, again) {
+			t.Fatalf("accepted payload % x re-marshals to % x, which re-marshals to % x", data, again, again2)
+		}
+		img := image(t, h)
+		h3, err := decodeImage(kind, g, img)
+		if err != nil {
+			t.Fatalf("accepted payload % x has an image that does not decode: %v", data, err)
+		}
+		if img2 := image(t, h3); !bytes.Equal(img2, img) {
+			t.Fatalf("accepted payload % x: its image % x re-encodes to % x", data, img, img2)
 		}
 		if check != nil {
 			check(t, h)

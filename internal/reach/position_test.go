@@ -14,11 +14,11 @@ import (
 // an SCC by its chain position, against the transitive closure, which
 // keeps Tarjan's ids, on random graphs with cycles and self-loops: the
 // cycle bits must follow each SCC to its position, so every node
-// strictly reaches itself on both or on neither. The codec translates
-// positions back to Tarjan ids, so a payload must survive a decode and
-// re-encode byte for byte. At least one graph must number some SCC
-// differently in the two orders, or the test would not exercise the
-// translation.
+// strictly reaches itself on both or on neither. A decoded image checks
+// its position map against the Tarjan ids recomputed from the graph, so
+// an image must survive a decode and re-encode byte for byte. At least
+// one graph must number some SCC differently in the two orders, or the
+// test would not exercise the renumbering.
 func TestPositionsRenumberCyclicSCCs(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	labels := []string{"a", "b", "c"}
@@ -42,20 +42,20 @@ func TestPositionsRenumberCyclicSCCs(t *testing.T) {
 				renumbered++
 			}
 		}
-		data, err := reach.MarshalIndex(built)
+		data, err := reach.AppendIndex(nil, built)
 		if err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := reach.UnmarshalIndex("threehop", g, data)
+		decoded, err := reach.DecodeIndex("threehop", g, graph.NewDecoder(data))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		again, err := reach.MarshalIndex(decoded)
+		again, err := reach.AppendIndex(nil, decoded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(again, data) {
-			t.Fatalf("trial %d: payload changes on a decode and re-encode", trial)
+			t.Fatalf("trial %d: image changes on a decode and re-encode", trial)
 		}
 	}
 	if renumbered == 0 || cyclic == 0 {

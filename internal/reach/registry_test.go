@@ -51,7 +51,7 @@ func TestBuildDefaultKindIsThreeHop(t *testing.T) {
 
 // TestParallelBuildMatchesSerial checks that a build sharded across
 // goroutines (GOMAXPROCS 4, on graphs large enough for parallelFor to
-// really shard) marshals to the same bytes as a build run inline on one
+// really shard) encodes to the same image as a build run inline on one
 // goroutine (GOMAXPROCS 1), for both backends.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
@@ -68,46 +68,35 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: build: %v", name, kind, err)
 				}
-				data, err := MarshalIndex(h)
-				if err != nil {
-					t.Fatalf("%s %s: marshal: %v", name, kind, err)
-				}
-				return data
+				return image(t, h)
 			}
 			if !bytes.Equal(build(4), build(1)) {
-				t.Errorf("%s %s: GOMAXPROCS 4 build marshals differently from the GOMAXPROCS 1 build", name, kind)
+				t.Errorf("%s %s: GOMAXPROCS 4 build encodes differently from the GOMAXPROCS 1 build", name, kind)
 			}
 		}
 	}
 }
 
-// TestThreeHopBytesAreDeterministic checks that the marshaled index is a
+// TestThreeHopBytesAreDeterministic checks that the image of an index is a
 // function of the graph alone: a second build and a decode of the first
-// marshal to the same bytes as the first build.
+// encode to the same bytes as the first build.
 func TestThreeHopBytesAreDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(503))
 	for name, g := range map[string]*graph.Graph{
 		"dag":    randDAG(r, 3000, 9000),
 		"cyclic": randDigraph(r, 3000, 4000),
 	} {
-		marshal := func(h ContourIndex) []byte {
-			data, err := MarshalIndex(h)
-			if err != nil {
-				t.Fatalf("%s: marshal: %v", name, err)
-			}
-			return data
-		}
-		want := marshal(NewThreeHop(g))
-		decoded, err := UnmarshalIndex("threehop", g, want)
+		want := image(t, NewThreeHop(g))
+		decoded, err := decodeImage("threehop", g, want)
 		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", name, err)
+			t.Fatalf("%s: decode: %v", name, err)
 		}
 		for how, h := range map[string]ContourIndex{
 			"second build": NewThreeHop(g),
 			"round trip":   decoded,
 		} {
-			if !bytes.Equal(marshal(h), want) {
-				t.Errorf("%s: %s marshals differently from the first build", name, how)
+			if !bytes.Equal(image(t, h), want) {
+				t.Errorf("%s: %s encodes differently from the first build", name, how)
 			}
 		}
 	}

@@ -41,8 +41,10 @@ func goldenForest() *graph.Graph {
 
 // TestWriteDirGolden pins the on-disk format: WriteDir over the golden
 // forest must produce byte-identical files to the ones recorded here
-// (SHA-256 of every file, manifest included), so directories written by
-// older builds keep loading and newer builds write the same bytes.
+// (SHA-256 of every file, manifest included), so newer builds write the
+// same bytes. The hashes are those of version-2 snapshots; that
+// directories written with version-1 snapshots keep loading is checked
+// on a fixture an older build wrote (internal/snapshot/testdata).
 func TestWriteDirGolden(t *testing.T) {
 	g := goldenForest()
 	plan, err := Partition(g, 4, ModeWCC)
@@ -54,15 +56,15 @@ func TestWriteDirGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"manifest.json":   "ac0c10e46eb8f4b37c2feb3ee9eed092db5340aa4ac4744c9df1641b1b12948f",
+		"manifest.json":   "962daef85d1be3dcb003f665597425679f34382f63db397879178e42492c7ce8",
 		"shard-0000.ids":  "6c9dc54e2fb8bd74bdf4047ae75db85dc06f52d82e8653e5751d723ab8bb67f5",
-		"shard-0000.snap": "1530d1ba48501cc686fe07465dc3f0e848e1734c246ef5520235cf1dfbbb0657",
+		"shard-0000.snap": "eb735164d5932dcc0ea386e79702176151d849661e3b20ebac184d007c82e36a",
 		"shard-0001.ids":  "18d83e3e1cc3d9714d8ec58cf4aaaf39674b21997c4e5839efb43c3c2def815a",
-		"shard-0001.snap": "18d8ffb66cb03eff1870cb75477870a2f006fa7c764076fd655262876df20d85",
+		"shard-0001.snap": "8d639b11746bb3b65010a26baf15076b3f6f50081ccd68f60f35c3eb7ee06a8e",
 		"shard-0002.ids":  "57e60f2fc9014a923e8a6c3646d56e8831a4209671d5ca2b33d6316f8e695881",
-		"shard-0002.snap": "d16e1b375d43a8ecbfaa40920031dec5f985e27133244be38395470d5e186cf6",
+		"shard-0002.snap": "6db8cef03a42a602bc5abb302471baf36458ff55e7c6d316c39bc76d82cbb0d1",
 		"shard-0003.ids":  "19914f522949eb19668515da2983b5f6c996951d98cd48d4a7a8aa65df6efdc5",
-		"shard-0003.snap": "9dcee012103c1cde4d74bcffac4b8632d1dbc083df4890d7e28c38b10513f934",
+		"shard-0003.snap": "86b445e6422d782dbe5ec3fe551aa914ed7f7a67caf39067c8049a74c34dd60a",
 	}
 	des, err := os.ReadDir(dir)
 	if err != nil {

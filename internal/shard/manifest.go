@@ -210,7 +210,7 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 		if err != nil {
 			return fail("shard %d: %v", i, err)
 		}
-		sg, h, err := snapshot.Load(bytes.NewReader(snapBlob))
+		sg, h, err := snapshot.Decode(snapBlob)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", filepath.Join(dir, sf.Snap), err)
 		}

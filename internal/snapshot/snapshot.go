@@ -1,34 +1,56 @@
 // Package snapshot persists a data graph together with its built
-// reachability index so a server cold-starts in milliseconds instead
+// reachability index, so a server cold-starts by reading a file instead
 // of re-running index construction.
 //
-// File layout (version 1):
+// A version-2 file is the resident image: the arrays the frozen graph
+// and the index keep in memory, written as they are. Loading one is one
+// read, a copy of each array and an O(V+E) validation; nothing is
+// re-derived but what the graph derives at Freeze (its in-adjacency and
+// label index) and the chain id of each 3-hop position.
+//
+// File layout (version 2; integers are little endian, a uvarint count
+// precedes every array whose length the reader cannot derive):
 //
 //	magic   "GTPQSNAP" (8 bytes)
-//	version uint16 little endian (currently 1)
+//	version uint16 (2)
 //	kind    index backend name (uvarint length + bytes)
-//	graph section:
-//	  uvarint nodeCount
-//	  per node: label string, uvarint attrCount,
-//	            per attr (keys strictly ascending): key string, tag byte
-//	            (0 string / 1 number), value (string, or float64 bits
-//	            as little-endian uint64)
-//	  uvarint treeEdgeCount, per edge: uvarint from, uvarint to
-//	  uvarint crossEdgeCount, per edge: uvarint from, uvarint to
-//	index section: uvarint blob length + blob (the backend codec's
-//	  reach.MarshalBinary payload, see internal/reach/codec.go)
+//	graph   the frozen graph's arrays (graph.Graph.AppendImage): label
+//	        table and per-node label ids, out-adjacency offsets and
+//	        targets, the cross-edge bitset, attribute names and string
+//	        values, and the attribute rows (node ids, offsets, entries)
+//	index   the backend's arrays (reach.AppendIndex): for threehop the
+//	        chain offsets, the node -> position map and cycle bits, and
+//	        both gap-coded Lin/Lout families (offsets + bytes); for tc
+//	        the node -> SCC map, cycle bits and the closure rows
+//	crc     CRC-32C (Castagnoli) of every byte before it, uint32
 //
-// Strings are uvarint length + raw bytes. The format is
-// deliberately raw binary (no compression): loading is bounded by
-// allocation, not decoding, and callers who want smaller files can
-// layer gzip themselves.
+// Load refuses any file a build could not have written. It checks the
+// CRC first; then that offsets start at 0, never decrease and tile
+// their payload; that out rows ascend within [0, n); that parallel
+// edges share one cross bit and no bit is set past E; that attribute
+// rows are sorted by name, use valid ids and give a string value no
+// number; that every string table holds distinct strings in order of
+// first use; that 3-hop chains are non-empty and tile [0, K); that the
+// node -> SCC map renumbers graph.Components one to one and the cycle
+// bits are the recomputed ones; that every list row decodes inside its
+// row, with minimal varints, to positions below K; and that nothing
+// trails the index. An accepted image therefore saves back to the same
+// bytes, and every decoded array is an exact-length copy that shares
+// nothing with the file's buffer.
+//
+// Version 1, which stored nodes, attributes and edges one by one and
+// named 3-hop SCCs by their Tarjan ids, is read-only: Load still
+// accepts it through the decoder below (loadV1), and Save writes
+// version 2 only. A build older than version 2 refuses a version-2
+// file by its version number.
 package snapshot
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -41,98 +63,98 @@ import (
 // Magic identifies snapshot files; LoadFile and cmd/gtpq sniff it.
 const Magic = "GTPQSNAP"
 
-// Version is the current format version.
-const Version = 1
+// Version is the format version Save writes.
+const Version = 2
 
 // ErrNotSnapshot reports that the input does not start with the
 // snapshot magic (callers fall back to other graph formats on it).
 var ErrNotSnapshot = errors.New("snapshot: missing GTPQSNAP magic")
 
-// Save writes g and its built index h to w. The index kind must have a
-// registered codec (both built-in backends do).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Save writes g and its built index h to w as one version-2 image. The
+// index kind must have a registered codec (both built-in backends do).
 func Save(w io.Writer, g *graph.Graph, h reach.ContourIndex) error {
-	blob, err := reach.MarshalIndex(h)
+	b := append([]byte(Magic), Version&0xff, Version>>8)
+	b = binary.AppendUvarint(b, uint64(len(h.Kind())))
+	b = append(b, h.Kind()...)
+	b = g.AppendImage(b)
+	b, err := reach.AppendIndex(b, h)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	var scratch []byte
-	writeUvarint := func(v uint64) {
-		scratch = binary.AppendUvarint(scratch[:0], v)
-		bw.Write(scratch)
-	}
-	writeString := func(s string) {
-		writeUvarint(uint64(len(s)))
-		bw.WriteString(s)
-	}
-	bw.Write([]byte{Version & 0xff, Version >> 8})
-	writeString(h.Kind())
-
-	// Graph section.
-	n := g.N()
-	writeUvarint(uint64(n))
-	for v := 0; v < n; v++ {
-		nv := graph.NodeID(v)
-		writeString(g.Label(nv))
-		keys := g.AttrKeys(nv) // sorted
-		writeUvarint(uint64(len(keys)))
-		for _, k := range keys {
-			val, _ := g.Attr(nv, k)
-			writeString(k)
-			if val.IsNum {
-				bw.WriteByte(1)
-				scratch = binary.LittleEndian.AppendUint64(scratch[:0], math.Float64bits(val.Num))
-				bw.Write(scratch)
-			} else {
-				bw.WriteByte(0)
-				writeString(val.Str)
-			}
-		}
-	}
-	var tree, cross [][2]uint64
-	for v := 0; v < n; v++ {
-		nv := graph.NodeID(v)
-		for _, w := range g.Out(nv) {
-			pair := [2]uint64{uint64(v), uint64(w)}
-			if g.EdgeKindOf(nv, w) == graph.CrossEdge {
-				cross = append(cross, pair)
-			} else {
-				tree = append(tree, pair)
-			}
-		}
-	}
-	for _, edges := range [][][2]uint64{tree, cross} {
-		writeUvarint(uint64(len(edges)))
-		for _, e := range edges {
-			writeUvarint(e[0])
-			writeUvarint(e[1])
-		}
-	}
-
-	// Index section.
-	writeUvarint(uint64(len(blob)))
-	bw.Write(blob)
-	return bw.Flush()
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	_, err = w.Write(b)
+	return err
 }
 
-// Load reads a snapshot: the graph is rebuilt (and frozen) and the
-// index revived through its codec — no index construction happens.
-func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != Magic {
+// Decode reads a snapshot held in data, of either version: the graph
+// and index are revived without any index construction. data is only
+// read; nothing returned refers to it.
+func Decode(data []byte) (*graph.Graph, reach.ContourIndex, error) {
+	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, nil, ErrNotSnapshot
 	}
-	var verBytes [2]byte
-	if _, err := io.ReadFull(br, verBytes[:]); err != nil {
-		return nil, nil, fmt.Errorf("snapshot: truncated header: %v", err)
+	if len(data) < len(Magic)+2 {
+		return nil, nil, errors.New("snapshot: truncated header")
 	}
-	if ver := int(verBytes[0]) | int(verBytes[1])<<8; ver != Version {
-		return nil, nil, fmt.Errorf("snapshot: unsupported version %d (this build reads %d)", ver, Version)
+	switch ver := int(data[len(Magic)]) | int(data[len(Magic)+1])<<8; ver {
+	case 1:
+		return loadV1(bytes.NewReader(data[len(Magic)+2:]))
+	case Version:
+		return decodeV2(data)
+	default:
+		return nil, nil, fmt.Errorf("snapshot: unsupported version %d (this build reads 1 and %d)", ver, Version)
 	}
+}
+
+// decodeV2 decodes a version-2 file, header included.
+func decodeV2(data []byte) (*graph.Graph, reach.ContourIndex, error) {
+	const header = len(Magic) + 2
+	if len(data) < header+4 {
+		return nil, nil, errors.New("snapshot: truncated image")
+	}
+	body := data[:len(data)-4]
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := crc32.Checksum(body, castagnoli); got != want {
+		return nil, nil, fmt.Errorf("snapshot: CRC-32C %08x, file says %08x (truncated or damaged)", got, want)
+	}
+	d := graph.NewDecoder(body[header:])
+	kind := string(d.Bytes(d.Count(1)))
+	if d.Err() != nil {
+		return nil, nil, fmt.Errorf("snapshot: reading index kind: %w", d.Err())
+	}
+	g, err := graph.DecodeImage(d)
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	h, err := reach.DecodeIndex(kind, g, d)
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if d.Len() != 0 {
+		return nil, nil, fmt.Errorf("snapshot: %d bytes trail the index", d.Len())
+	}
+	return g, h, nil
+}
+
+// Load reads a snapshot from r, of either version (see Decode).
+func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
+	magic := make([]byte, len(Magic))
+	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != Magic {
+		return nil, nil, ErrNotSnapshot
+	}
+	data, err := io.ReadAll(io.MultiReader(bytes.NewReader(magic), r))
+	if err != nil {
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return Decode(data)
+}
+
+// loadV1 decodes a version-1 file from br, which starts after the
+// version: the nodes, attributes and edges are added one by one and
+// frozen, and the index payload goes to its codec's version-1 decoder.
+func loadV1(br *bytes.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
 	readString := func() (string, error) {
 		ln, err := readUvarint()
@@ -255,7 +277,7 @@ func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	if uint64(len(blob)) != blobLen {
 		return nil, nil, fmt.Errorf("snapshot: truncated index blob: %d of %d bytes", len(blob), blobLen)
 	}
-	h, err := reach.UnmarshalIndex(kind, g, blob)
+	h, err := reach.DecodeIndexV1(kind, g, blob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -279,16 +301,36 @@ func SaveFile(path string, g *graph.Graph, h reach.ContourIndex) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadFile reads a snapshot file.
+// LoadFile reads a snapshot file (see Decode).
 func LoadFile(path string) (*graph.Graph, reach.ContourIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	g, h, err := Load(f)
+	g, h, err := readFile(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return g, h, nil
+}
+
+// readFile reads f into one buffer sized from its Stat and decodes it;
+// a file without the magic is not read past it.
+func readFile(f *os.File) (*graph.Graph, reach.ContourIndex, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	if fi.Size() < int64(len(Magic)) {
+		return nil, nil, ErrNotSnapshot
+	}
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf[:len(Magic)]); err != nil || string(buf[:len(Magic)]) != Magic {
+		return nil, nil, ErrNotSnapshot
+	}
+	if _, err := io.ReadFull(f, buf[len(Magic):]); err != nil {
+		return nil, nil, fmt.Errorf("snapshot: reading: %w", err)
+	}
+	return Decode(buf)
 }

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -79,9 +81,9 @@ func parsedQueries(t *testing.T) []*core.Query {
 
 // TestRoundTripProperty is the snapshot correctness property: for
 // random graphs and both backends, build → save → load must preserve
-// the index kind and size and answer every query identically — and
-// loading must perform zero index-construction work (reach.BuildCount
-// stays flat across Load).
+// the index kind and size, save back to the same bytes and answer every
+// query identically — and loading must perform zero index-construction
+// work (reach.BuildCount stays flat across Load).
 func TestRoundTripProperty(t *testing.T) {
 	qs := parsedQueries(t)
 	for seed := int64(0); seed < 8; seed++ {
@@ -118,6 +120,13 @@ func TestRoundTripProperty(t *testing.T) {
 			if g2.N() != g.N() || g2.M() != g.M() {
 				t.Fatalf("seed %d %s: loaded graph %d/%d nodes/edges, want %d/%d",
 					seed, kind, g2.N(), g2.M(), g.N(), g.M())
+			}
+			var again bytes.Buffer
+			if err := Save(&again, g2, h2); err != nil {
+				t.Fatalf("seed %d %s: re-save: %v", seed, kind, err)
+			}
+			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Fatalf("seed %d %s: a loaded snapshot saves to other bytes", seed, kind)
 			}
 			e2 := gtea.NewWithIndex(g2, h2)
 			for i, q := range qs {
@@ -185,7 +194,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 // snapshot at every offset and flips bytes throughout: Load (and the
 // index codecs underneath) must return errors, never panic — a bad
 // .snap file must not be able to take down a serving process. Both
-// backends are exercised since they have separate codecs.
+// backends are exercised since they have separate codecs, in both
+// versions; a flipped version-2 image is loaded as it is and with its
+// CRC fixed up, so the validation behind the CRC is exercised too.
 func TestLoadNeverPanicsOnCorruptInput(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randAttrGraph(r, 25, 70)
@@ -198,37 +209,46 @@ func TestLoadNeverPanicsOnCorruptInput(t *testing.T) {
 		if err := Save(&buf, g, e.H); err != nil {
 			t.Fatal(err)
 		}
-		full := buf.Bytes()
-		for cut := 0; cut < len(full); cut++ {
-			Load(bytes.NewReader(full[:cut])) // must not panic
-		}
-		for off := len(Magic) + 2; off < len(full); off++ {
-			for _, flip := range []byte{0xff, 0x80, 0x01} {
-				mut := append([]byte(nil), full...)
-				mut[off] ^= flip
-				if g2, h2, err := Load(bytes.NewReader(mut)); err == nil {
-					// A mutation may survive decoding (e.g. inside an
-					// attribute value); whatever loads must be usable.
-					_ = h2.IndexSize()
-					_ = g2.N()
+		for _, full := range [][]byte{buf.Bytes(), saveV1(t, g, e.H)} {
+			for cut := 0; cut < len(full); cut++ {
+				Load(bytes.NewReader(full[:cut])) // must not panic
+			}
+			for off := len(Magic) + 2; off < len(full); off++ {
+				for _, flip := range []byte{0xff, 0x80, 0x01} {
+					mut := append([]byte(nil), full...)
+					mut[off] ^= flip
+					for _, data := range [][]byte{mut, withCRC(mut)} {
+						if g2, h2, err := Load(bytes.NewReader(data)); err == nil {
+							// A mutation may survive decoding (e.g. inside an
+							// attribute value); whatever loads must be usable.
+							_ = h2.IndexSize()
+							_ = g2.N()
+						}
+					}
 				}
 			}
 		}
 	}
 }
 
-// dupKeySnapshot is the snapshot of one node with the attributes
-// {qq: "one", zz: "two"}, with the second key rewritten to qq: a node
-// that names one attribute twice.
+// withCRC returns a copy of data with the trailing CRC of a version-2
+// image recomputed, or data itself when it is not one.
+func withCRC(data []byte) []byte {
+	if len(data) < len(Magic)+6 || string(data[:len(Magic)]) != Magic || data[len(Magic)] != Version || data[len(Magic)+1] != 0 {
+		return data
+	}
+	body := data[:len(data)-4]
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.Checksum(body, castagnoli))
+}
+
+// dupKeySnapshot is the version-1 snapshot of one node with the
+// attributes {qq: "one", zz: "two"}, with the second key rewritten to
+// qq: a node that names one attribute twice.
 func dupKeySnapshot(tb testing.TB) []byte {
 	g := graph.New(1, 0)
 	g.AddNode("n", graph.Attrs{"qq": graph.StrV("one"), "zz": graph.StrV("two")})
 	g.Freeze()
-	var buf bytes.Buffer
-	if err := Save(&buf, g, reach.NewThreeHop(g)); err != nil {
-		tb.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saveV1(tb, g, reach.NewThreeHop(g))
 	i := bytes.Index(data, []byte("\x02zz"))
 	if i < 0 || bytes.Count(data, []byte("zz")) != 1 {
 		tb.Fatalf("no unique key zz in % x", data)
@@ -237,9 +257,9 @@ func dupKeySnapshot(tb testing.TB) []byte {
 	return data
 }
 
-// TestLoadRejectsRepeatedAttrKey: Save writes a node's keys strictly
-// ascending, so a repeated key is corruption. Decoding into a map used
-// to keep the last value and drop the other silently.
+// TestLoadRejectsRepeatedAttrKey: a version-1 file lists a node's keys
+// strictly ascending, so a repeated key is corruption. Decoding into a
+// map used to keep the last value and drop the other silently.
 func TestLoadRejectsRepeatedAttrKey(t *testing.T) {
 	data := dupKeySnapshot(t)
 	if g, _, err := Load(bytes.NewReader(data)); err == nil {
@@ -270,11 +290,15 @@ func sameNodes(g1, g2 *graph.Graph) error {
 	return nil
 }
 
-// FuzzSnapshotLoad feeds Load arbitrary bytes. It must never panic, and
-// whatever it accepts must reach a fixed point: Save(Load(x)) loads
-// again, with the same labels and attributes, and saves to the same
-// bytes. x itself need not be that fixed point (edges may come in any
-// order, a pair joined by a tree and a cross edge is cross throughout).
+// FuzzSnapshotLoad feeds Load arbitrary bytes, each input as it is and,
+// when it is a version-2 image, with its CRC fixed up, so that mutations
+// reach the validation behind the CRC. Load must never panic. A
+// version-2 image it accepts must save back to itself: Save(Load(x)) ==
+// x. A version-1 file it accepts must reach a fixed point: Save(Load(x))
+// loads again, with the same labels and attributes, and saves to the
+// same bytes (x itself is not that fixed point: it is version 1, its
+// edges may come in any order, and a pair joined by a tree and a cross
+// edge is cross throughout).
 func FuzzSnapshotLoad(f *testing.F) {
 	save := func(g *graph.Graph, h reach.ContourIndex) []byte {
 		var buf bytes.Buffer
@@ -284,35 +308,45 @@ func FuzzSnapshotLoad(f *testing.F) {
 		return buf.Bytes()
 	}
 	site, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 10, Seed: 7})
-	f.Add(save(site, reach.NewThreeHop(site)))
+	siteIndex := reach.NewThreeHop(site)
+	f.Add(save(site, siteIndex))
 	ax, _ := arxiv.Generate(arxiv.Config{
 		Papers: 500, Authors: 250, AuthorsPerPaper: 2.5, CitesPerPaper: 1.8,
 		Window: 100, PaperLabels: 60, AuthorLabels: 40, Seed: 11,
 	})
 	f.Add(save(ax, reach.NewTC(ax)))
 	f.Add(dupKeySnapshot(f))
+	f.Add(saveV1(f, site, siteIndex))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g1, h1, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var y bytes.Buffer
-		if err := Save(&y, g1, h1); err != nil {
-			t.Fatalf("save of an accepted snapshot: %v", err)
-		}
-		g2, h2, err := Load(bytes.NewReader(y.Bytes()))
-		if err != nil {
-			t.Fatalf("re-saved snapshot does not load: %v", err)
-		}
-		if err := sameNodes(g1, g2); err != nil {
-			t.Fatalf("attributes do not round-trip: %v", err)
-		}
-		var z bytes.Buffer
-		if err := Save(&z, g2, h2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(y.Bytes(), z.Bytes()) {
-			t.Fatalf("Save(Load(x)) is not a fixed point: %d bytes, then %d", y.Len(), z.Len())
+		for _, x := range [][]byte{data, withCRC(data)} {
+			g1, h1, err := Load(bytes.NewReader(x))
+			if err != nil {
+				continue
+			}
+			var y bytes.Buffer
+			if err := Save(&y, g1, h1); err != nil {
+				t.Fatalf("save of an accepted snapshot: %v", err)
+			}
+			if x[len(Magic)] == Version {
+				if !bytes.Equal(y.Bytes(), x) {
+					t.Fatalf("an accepted version-2 image of %d bytes saves to %d other bytes", len(x), y.Len())
+				}
+				continue
+			}
+			g2, h2, err := Load(bytes.NewReader(y.Bytes()))
+			if err != nil {
+				t.Fatalf("re-saved snapshot does not load: %v", err)
+			}
+			if err := sameNodes(g1, g2); err != nil {
+				t.Fatalf("attributes do not round-trip: %v", err)
+			}
+			var z bytes.Buffer
+			if err := Save(&z, g2, h2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(y.Bytes(), z.Bytes()) {
+				t.Fatalf("Save(Load(x)) is not a fixed point: %d bytes, then %d", y.Len(), z.Len())
+			}
 		}
 	})
 }
