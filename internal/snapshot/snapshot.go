@@ -24,17 +24,17 @@
 //	        the node -> SCC map, cycle bits and the closure rows
 //	crc     CRC-32C (Castagnoli) of every byte before it, uint32
 //
-// Load refuses any file a build could not have written. It checks the
-// CRC first; then that offsets start at 0, never decrease and tile
-// their payload; that out rows ascend within [0, n); that parallel
-// edges share one cross bit and no bit is set past E; that attribute
-// rows are sorted by name, use valid ids and give a string value no
-// number; that every string table holds distinct strings in order of
-// first use; that 3-hop chains are non-empty and tile [0, K); that the
-// node -> SCC map renumbers graph.Components one to one and the cycle
-// bits are the recomputed ones; that every list row decodes inside its
-// row, with minimal varints, to positions below K; and that nothing
-// trails the index. An accepted image therefore saves back to the same
+// Load refuses an image that breaks an invariant Freeze or the index
+// build establishes. It checks the CRC first; then that offsets start
+// at 0, never decrease and tile their payload; that out rows ascend
+// within [0, n); that parallel edges share one cross bit and no bit is
+// set past E; that attribute rows are sorted by name, use valid ids and
+// give a string value no number; that every string table holds
+// distinct strings in order of first use; that 3-hop chains are
+// non-empty and tile [0, K); that the node -> SCC map renumbers
+// graph.Components one to one and the cycle bits are the recomputed
+// ones; that every list row decodes inside its row, with minimal
+// varints, to positions below K; and that nothing trails the index. An accepted image therefore saves back to the same
 // bytes, and every decoded array is an exact-length copy that shares
 // nothing with the file's buffer.
 //
