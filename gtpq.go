@@ -283,8 +283,7 @@ type EvalStats struct {
 // EngineOptions select the engine's reachability backend.
 type EngineOptions struct {
 	// Index names the reachability index kind; IndexKinds lists the
-	// registered backends. Empty selects the default (the paper's
-	// 3-hop index).
+	// backends. Empty selects the default (the paper's 3-hop index).
 	Index string
 	// Parallel is ignored; every build is level-parallel over
 	// GOMAXPROCS.
@@ -314,7 +313,7 @@ func NewEngineWithOptions(g *Graph, opt EngineOptions) (*Engine, error) {
 	return &Engine{e: e}, nil
 }
 
-// IndexKinds lists the registered reachability backends, sorted.
+// IndexKinds lists the reachability backends, sorted.
 func IndexKinds() []string { return reach.Kinds() }
 
 // IndexKind reports which backend this engine evaluates over.

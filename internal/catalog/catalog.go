@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,8 +53,9 @@ import (
 // Options tune how the catalog builds engines.
 type Options struct {
 	// Index names the reachability backend used when building from raw
-	// graph JSON (empty: the default 3-hop index). Snapshots carry
-	// their own backend and win over this setting.
+	// graph JSON (empty: the default 3-hop index); Open refuses a kind
+	// outside reach.Kinds. Snapshots carry their own backend and win
+	// over this setting.
 	Index string
 	// AutoSnapshot writes `<name>.snap` after an index is built from a
 	// raw graph file, so the next cold start skips construction.
@@ -260,6 +262,9 @@ func Open(dir string, opt Options) (*Catalog, error) {
 	}
 	if !st.IsDir() {
 		return nil, fmt.Errorf("catalog: %s is not a directory", dir)
+	}
+	if opt.Index != "" && !slices.Contains(reach.Kinds(), opt.Index) {
+		return nil, fmt.Errorf("catalog: unknown index kind %q (available: %v)", opt.Index, reach.Kinds())
 	}
 	return &Catalog{dir: dir, opt: opt, entries: map[string]*entry{}, dlogs: map[string]*dlog{}}, nil
 }
@@ -530,13 +535,6 @@ func (c *Catalog) buildBase(g *graph.Graph, k int, kind string) (*shard.ShardedE
 	h, err := reach.Build(kind, g)
 	if err != nil {
 		return nil, err
-	}
-	// The registered "delta" backend is an empty overlay over the
-	// default base; a dataset's base is the index underneath — it has
-	// a snapshot codec (the overlay does not), and it is what
-	// compaction rebuilds and AutoSnapshot saves.
-	if ov, ok := h.(interface{ Base() reach.ContourIndex }); ok {
-		h = ov.Base()
 	}
 	return shard.Single(g, h, opt), nil
 }

@@ -107,6 +107,31 @@ func TestAcquireBuildsLazilyAndCaches(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnknownIndex checks that an Options.Index outside
+// reach.Kinds fails Open, before any dataset is loaded, and that the
+// empty default and every listed kind are accepted.
+func TestOpenRefusesUnknownIndex(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"bogus", "delta", "delta+threehop", "THREEHOP"} {
+		if _, err := Open(dir, Options{Index: kind}); err == nil {
+			t.Errorf("Open accepted index kind %q", kind)
+		}
+	}
+	for _, kind := range append([]string{""}, reach.Kinds()...) {
+		if _, err := Open(dir, Options{Index: kind}); err != nil {
+			t.Errorf("Open refused index kind %q: %v", kind, err)
+		}
+	}
+}
+
+// TestBackendSet pins the backends a binary linking the delta overlay
+// offers: the overlay wraps a backend and is not one itself.
+func TestBackendSet(t *testing.T) {
+	if got, want := reach.Kinds(), []string{"tc", "threehop"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reach.Kinds() = %v, want %v", got, want)
+	}
+}
+
 // TestConcurrentAcquireSharesOneLoad races many Acquires of a cold
 // dataset and checks exactly one engine gets built.
 func TestConcurrentAcquireSharesOneLoad(t *testing.T) {

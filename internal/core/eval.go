@@ -14,7 +14,8 @@ import (
 // It is deliberately simple — the oracle every engine is tested against
 // — and uses the supplied reachability index (typically reach.TC) for AD
 // edges. Intended for small graphs only.
-func EvalNaive(g *graph.Graph, idx reach.Index, q *Query) *Answer {
+func EvalNaive(g *graph.Graph, idx reach.ContourIndex, q *Query) *Answer {
+	var st reach.Stats
 	down := DownwardMatches(g, idx, q)
 	ans := NewAnswer(q.Outputs())
 
@@ -51,7 +52,7 @@ func EvalNaive(g *graph.Graph, idx reach.Index, q *Query) *Answer {
 					if !g.HasEdge(parentImage, v) {
 						continue
 					}
-				} else if !idx.Reaches(parentImage, v) {
+				} else if !idx.ReachesSt(parentImage, v, &st) {
 					continue
 				}
 			}
@@ -80,7 +81,8 @@ func EvalNaive(g *graph.Graph, idx reach.Index, q *Query) *Answer {
 // nodes v with v |= u (v downward-matches u): v satisfies fa(u) and the
 // valuation it induces on u's children satisfies fext(u). Sets are
 // returned in ascending node order.
-func DownwardMatches(g *graph.Graph, idx reach.Index, q *Query) [][]graph.NodeID {
+func DownwardMatches(g *graph.Graph, idx reach.ContourIndex, q *Query) [][]graph.NodeID {
+	var st reach.Stats
 	down := make([][]graph.NodeID, len(q.Nodes))
 	downSet := make([]map[graph.NodeID]bool, len(q.Nodes))
 	for _, u := range q.PostOrder() {
@@ -101,7 +103,7 @@ func DownwardMatches(g *graph.Graph, idx reach.Index, q *Query) [][]graph.NodeID
 				}
 				// AD: some downward match of c strictly reachable from v.
 				for _, w := range down[c] {
-					if idx.Reaches(v, w) {
+					if idx.ReachesSt(v, w, &st) {
 						return true
 					}
 				}

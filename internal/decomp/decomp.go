@@ -29,14 +29,14 @@ type Wrapper struct {
 	G *graph.Graph
 	E ConjunctiveEngine
 	// R answers reachability for the negation anti-joins.
-	R reach.Index
+	R reach.ContourIndex
 	// Subqueries reports how many conjunctive TPQs the last Eval
 	// generated (the decomposition blow-up).
 	Subqueries int
 }
 
 // New builds a wrapper.
-func New(g *graph.Graph, e ConjunctiveEngine, r reach.Index) *Wrapper {
+func New(g *graph.Graph, e ConjunctiveEngine, r reach.ContourIndex) *Wrapper {
 	return &Wrapper{G: g, E: e, R: r}
 }
 
@@ -197,6 +197,7 @@ func (w *Wrapper) evalSubquery(q *core.Query, sub subquery) [][]graph.NodeID {
 		keepPos[i] = outPos[remap[o]]
 	}
 	var rows [][]graph.NodeID
+	var st reach.Stats
 	for _, t := range res.Tuples {
 		ok := true
 		for _, f := range filters {
@@ -210,7 +211,7 @@ func (w *Wrapper) evalSubquery(q *core.Query, sub subquery) [][]graph.NodeID {
 				}
 			} else {
 				for wv := range f.set {
-					if w.R.Reaches(v, wv) {
+					if w.R.ReachesSt(v, wv, &st) {
 						ok = false
 						break
 					}

@@ -208,21 +208,17 @@ func TestDeltaEquivalence(t *testing.T) {
 }
 
 // TestOverlayEmptyDelta pins the degenerate overlay: zero batches must
-// behave exactly like the base, including the registered "delta"
-// backend kind.
+// behave exactly like the base.
 func TestOverlayEmptyDelta(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := gen.Graph(r, 25, 60, testLabels, false)
-	h, err := reach.Build("delta", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Kind() != "delta" {
-		t.Fatalf("registered delta kind reports %q", h.Kind())
-	}
 	oracle, err := reach.Build(reach.DefaultKind, g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	h := NewOverlay(oracle, g.N(), g.N(), nil)
+	if want := KindPrefix + reach.DefaultKind; h.Kind() != want {
+		t.Fatalf("empty overlay reports kind %q, want %q", h.Kind(), want)
 	}
 	var st reach.Stats
 	for u := 0; u < g.N(); u++ {

@@ -52,8 +52,6 @@ type Overlay struct {
 
 	words   int // words per bitrow
 	scratch sync.Pool
-
-	stats reach.Stats // sink for the legacy Index interface
 }
 
 // bitrow is one row of the edge-closure matrix.
@@ -169,7 +167,7 @@ func (o *Overlay) reachOrEq(x, y graph.NodeID, st *reach.Stats) bool {
 	return false
 }
 
-// Kind reports the overlay's registry kind: "delta+" + the base kind.
+// Kind reports the overlay's kind: "delta+" + the base kind.
 func (o *Overlay) Kind() string { return KindPrefix + o.base.Kind() }
 
 // IndexSize is the base index size plus one element per delta edge.
@@ -180,18 +178,6 @@ func (o *Overlay) IndexSize() int { return o.base.IndexSize() + len(o.tails) }
 func (o *Overlay) LabelCount(label string) int {
 	return o.base.LabelCount(label) + o.deltaLabels[label]
 }
-
-// DeltaEdges returns the number of delta edges the overlay carries.
-func (o *Overlay) DeltaEdges() int { return len(o.tails) }
-
-// Base returns the wrapped base index.
-func (o *Overlay) Base() reach.ContourIndex { return o.base }
-
-// Stats returns the overlay's own sink (the legacy Index contract).
-func (o *Overlay) Stats() *reach.Stats { return &o.stats }
-
-// Reaches is the legacy single-threaded entry point.
-func (o *Overlay) Reaches(u, v graph.NodeID) bool { return o.ReachesSt(u, v, &o.stats) }
 
 // ReachesSt reports whether u strictly reaches v in base ∪ delta.
 func (o *Overlay) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {
@@ -411,27 +397,4 @@ func (sc *succContour) Size() int {
 		size += sc.toEdges.count()
 	}
 	return size
-}
-
-// registeredOverlay is what reach.Build("delta", ...) returns: an
-// empty overlay over the default base, reporting the registry name it
-// was built under (the registry contract every backend follows).
-type registeredOverlay struct{ *Overlay }
-
-func (registeredOverlay) Kind() string { return "delta" }
-
-func init() {
-	// The "delta" registry kind builds the default base backend and
-	// wraps it with an empty overlay: semantically identical to the
-	// base, it exists so the overlay participates in the backend
-	// registry (cross-backend tests, -index flags) — live datasets get
-	// their overlays from the catalog, which wraps the base index a
-	// snapshot revives and reports the composite "delta+<base>" kind.
-	reach.Register("delta", func(g *graph.Graph) (reach.ContourIndex, error) {
-		base, err := reach.Build(reach.DefaultKind, g)
-		if err != nil {
-			return nil, err
-		}
-		return registeredOverlay{NewOverlay(base, g.N(), g.N(), nil)}, nil
-	})
 }

@@ -105,7 +105,7 @@ func TestConcurrentEvalAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestBackendsMatchOracle checks every registered backend drives GTEA
+// TestBackendsMatchOracle checks every backend drives GTEA
 // to the oracle answer on random graphs, cyclic and acyclic, with PC
 // edges and logic.
 func TestBackendsMatchOracle(t *testing.T) {

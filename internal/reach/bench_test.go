@@ -10,18 +10,27 @@ import (
 )
 
 // BenchmarkThreeHopReads measures the query-time reads of the Lin/Lout
-// lists on the two dataset families: the benchmark's 201k-node XMark
-// site, where lists are short and positions far apart, and the dense
-// arXiv DAG, where a row holds a few hundred entries. Over a fixed
-// random sample of nodes it times point queries, contour merges with
-// probes against them, and one walker sweep each way.
+// lists on three dataset shapes: the benchmark's 201k-node XMark site,
+// where lists are short and positions far apart; the dense arXiv DAG,
+// where a row holds a few hundred entries; and a 1,500-node path, one
+// chain whose rows are all empty, so a walk costs only the crossing of
+// empty rows. Over a fixed random sample of nodes it times point
+// queries, contour merges with probes against them, and one walker
+// sweep each way.
 func BenchmarkThreeHopReads(b *testing.B) {
 	xm, _ := xmark.Generate(xmark.Config{Scale: 1, PersonsPerUnit: 8000, Seed: 7})
 	ax, _ := arxiv.Generate(arxiv.DefaultConfig())
+	path := graph.New(1500, 1499)
+	for i := 0; i < 1500; i++ {
+		path.AddNode("n", nil)
+		if i > 0 {
+			path.AddEdge(graph.NodeID(i-1), graph.NodeID(i))
+		}
+	}
 	for _, fx := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"xmark", xm}, {"arxiv", ax}} {
+	}{{"xmark", xm}, {"arxiv", ax}, {"path", path}} {
 		h := NewThreeHop(fx.g)
 		r := rand.New(rand.NewSource(71))
 		nodes := make([]graph.NodeID, 256)

@@ -103,7 +103,7 @@ func TestThreeHopBytesAreDeterministic(t *testing.T) {
 }
 
 // TestGenericContoursMatchBruteForce checks the backend-opaque
-// PredContour/SuccContour probes of every registered backend against
+// PredContour/SuccContour probes of every backend against
 // brute-force traversal truth.
 func TestGenericContoursMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(502))
@@ -193,7 +193,7 @@ func TestConcurrentReadsOneIndex(t *testing.T) {
 	}
 }
 
-// TestTCRefusesOversizedGraphs checks the registry surface returns an
+// TestTCRefusesOversizedGraphs checks that Build returns an
 // error (not a panic) past the closure's SCC limit.
 func TestTCRefusesOversizedGraphs(t *testing.T) {
 	n := tcLimit + 1

@@ -9,105 +9,47 @@ import (
 	"gtpq/internal/graph"
 )
 
-// Codec saves and revives a built index of one kind. The graph is
-// stored beside the index (a snapshot carries both) and is handed back
-// to the decoders, which must return an index answering identically to
-// a fresh build without redoing construction work.
-//
-// Append writes the index's image: its resident arrays, little-endian
-// and fixed-width, in the layout a snapshot of version 2 stores (see
-// internal/snapshot). Decode reads an image back into exact-length
-// copies and validates it in O(V+E) plus one pass over the lists.
-// DecodeV1 reads the payload a snapshot of version 1 stores, which
-// names SCCs by their Tarjan ids: nothing writes that payload any more,
-// but files written before version 2 still load through it.
-type Codec struct {
-	// Append appends the image of h (whose Kind matches the
-	// registration) to b.
-	Append func(b []byte, h ContourIndex) ([]byte, error)
-	// Decode revives an index over the frozen graph g from the image d
-	// holds, and leaves d after it.
-	Decode func(g *graph.Graph, d *graph.Decoder) (ContourIndex, error)
-	// DecodeV1 revives an index over g from a version-1 payload.
-	DecodeV1 func(g *graph.Graph, data []byte) (ContourIndex, error)
-}
-
-// RegisterCodec adds the (de)coding hooks for kind; like Register,
-// it panics on duplicates.
-func RegisterCodec(kind string, c Codec) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := codecs[kind]; dup {
-		panic(fmt.Sprintf("reach: duplicate codec for index kind %q", kind))
-	}
-	codecs[kind] = c
-}
-
-// HasCodec reports whether kind has registered snapshot hooks.
-func HasCodec(kind string) bool {
-	_, ok := codecFor(kind)
-	return ok
-}
-
-func codecFor(kind string) (Codec, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	c, ok := codecs[kind]
-	return c, ok
-}
-
-// AppendIndex appends the image of h to b using the codec registered
-// for its kind.
+// AppendIndex appends the image of a built index to b: its resident
+// arrays, little-endian and fixed-width, in the layout a snapshot of
+// version 2 stores (see internal/snapshot). The graph is stored beside
+// the index, and is handed back to the decoders.
 func AppendIndex(b []byte, h ContourIndex) ([]byte, error) {
-	c, ok := codecFor(h.Kind())
-	if !ok {
-		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", h.Kind())
+	switch h := h.(type) {
+	case *ThreeHop:
+		return h.appendImage(b), nil
+	case *TC:
+		return h.appendImage(b), nil
 	}
-	return c.Append(b, h)
+	return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", h.Kind())
 }
 
-// DecodeIndex revives a kind index over g from the image d holds,
-// without rebuilding it.
+// DecodeIndex revives a kind index over the frozen graph g from the
+// image d holds, and leaves d after it. It reads the image into
+// exact-length copies and validates it in O(V+E) plus one pass over the
+// lists; the index answers identically to a fresh build, which is not
+// redone.
 func DecodeIndex(kind string, g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
-	c, ok := codecFor(kind)
-	if !ok {
-		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
+	switch kind {
+	case "threehop":
+		return decodeThreeHop(g, d)
+	case "tc":
+		return decodeTC(g, d)
 	}
-	return c.Decode(g, d)
+	return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
 }
 
-// DecodeIndexV1 revives a kind index over g from a version-1 payload.
+// DecodeIndexV1 revives a kind index over g from the payload a snapshot
+// of version 1 stores, which names SCCs by their Tarjan ids: nothing
+// writes that payload any more, but files written before version 2
+// still load through it.
 func DecodeIndexV1(kind string, g *graph.Graph, data []byte) (ContourIndex, error) {
-	c, ok := codecFor(kind)
-	if !ok {
-		return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
+	switch kind {
+	case "threehop":
+		return unmarshalThreeHop(g, data)
+	case "tc":
+		return unmarshalTC(g, data)
 	}
-	return c.DecodeV1(g, data)
-}
-
-func init() {
-	RegisterCodec("threehop", Codec{
-		Append: func(b []byte, h ContourIndex) ([]byte, error) {
-			th, ok := h.(*ThreeHop)
-			if !ok {
-				return nil, fmt.Errorf("reach: threehop codec got %T", h)
-			}
-			return th.appendImage(b), nil
-		},
-		Decode:   decodeThreeHop,
-		DecodeV1: unmarshalThreeHop,
-	})
-	RegisterCodec("tc", Codec{
-		Append: func(b []byte, h ContourIndex) ([]byte, error) {
-			t, ok := h.(*TC)
-			if !ok {
-				return nil, fmt.Errorf("reach: tc codec got %T", h)
-			}
-			return t.appendImage(b), nil
-		},
-		Decode:   decodeTC,
-		DecodeV1: unmarshalTC,
-	})
+	return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
 }
 
 // --- ThreeHop image ---

@@ -44,7 +44,7 @@ func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
 		if seen {
 			start = limit + 1
 		}
-		for t := pos; t >= start; t-- {
+		for t := h.lin.prevRow(pos, start); t >= start; t = h.lin.prevRow(t-1, start) {
 			for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				n++
@@ -83,7 +83,7 @@ func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
 		if seen {
 			end = limit
 		}
-		for t := pos; t < end; t++ {
+		for t := h.lout.nextRow(pos, end); t < end; t = h.lout.nextRow(t+1, end) {
 			for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				n++
@@ -164,7 +164,8 @@ func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
 // (the Lout lists of its chain suffix) matches the predecessor contour.
 func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
 	n := int64(0)
-	for t, end := s, h.chainOff[h.chainAt[s]+1]; t < end; t++ {
+	end := h.chainOff[h.chainAt[s]+1]
+	for t := h.lout.nextRow(s, end); t < end; t = h.lout.nextRow(t+1, end) {
 		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -181,7 +182,8 @@ func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
 // inMatches is outMatches' dual over s's complete predecessor list.
 func (h *ThreeHop) inMatches(cs *Contour, s int32, st *Stats) bool {
 	n := int64(0)
-	for t, start := s, h.chainOff[h.chainAt[s]]; t >= start; t-- {
+	start := h.chainOff[h.chainAt[s]]
+	for t := h.lin.prevRow(s, start); t >= start; t = h.lin.prevRow(t-1, start) {
 		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -242,7 +244,7 @@ func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 		w.visited[cid] = pos
 	}
 	n := int64(0)
-	for t := pos; t < end; t++ {
+	for t := h.lout.nextRow(pos, end); t < end; t = h.lout.nextRow(t+1, end) {
 		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -281,7 +283,7 @@ func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 		w.visited[cid] = pos
 	}
 	n := int64(0)
-	for t := pos; t >= start; t-- {
+	for t := h.lin.prevRow(pos, start); t >= start; t = h.lin.prevRow(t-1, start) {
 		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++

@@ -18,12 +18,13 @@ func TestQuickReachabilityIsTransitive(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		g := randDigraph(rr, 2+rr.Intn(25), 2+rr.Intn(70))
 		h := NewThreeHop(g)
+		var st Stats
 		// Sample triples: u→v and v→w imply u→w.
 		for i := 0; i < 30; i++ {
 			u := graph.NodeID(rr.Intn(g.N()))
 			v := graph.NodeID(rr.Intn(g.N()))
 			w := graph.NodeID(rr.Intn(g.N()))
-			if h.Reaches(u, v) && h.Reaches(v, w) && !h.Reaches(u, w) {
+			if h.ReachesSt(u, v, &st) && h.ReachesSt(v, w, &st) && !h.ReachesSt(u, w, &st) {
 				return false
 			}
 		}
@@ -41,9 +42,10 @@ func TestQuickEdgeImpliesReach(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		g := randDigraph(rr, 2+rr.Intn(25), 2+rr.Intn(70))
 		h := NewThreeHop(g)
+		var st Stats
 		for v := 0; v < g.N(); v++ {
 			for _, w := range g.Out(graph.NodeID(v)) {
-				if !h.Reaches(graph.NodeID(v), w) {
+				if !h.ReachesSt(graph.NodeID(v), w, &st) {
 					return false
 				}
 			}
@@ -64,20 +66,21 @@ func TestQuickContourSubsumesMembers(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		g := randDAG(rr, 2+rr.Intn(30), 2+rr.Intn(80))
 		h := NewThreeHop(g)
+		var st Stats
 		k := 1 + rr.Intn(5)
 		S := make([]graph.NodeID, k)
 		for i := range S {
 			S[i] = graph.NodeID(rr.Intn(g.N()))
 		}
-		cp := h.MergePredLists(S, h.Stats())
-		cs := h.MergeSuccLists(S, h.Stats())
+		cp := h.MergePredLists(S, &st)
+		cs := h.MergeSuccLists(S, &st)
 		for v := 0; v < g.N(); v++ {
 			nv := graph.NodeID(v)
 			for _, s := range S {
-				if h.Reaches(nv, s) && !h.ReachesContour(nv, cp, h.Stats()) {
+				if h.ReachesSt(nv, s, &st) && !h.ReachesContour(nv, cp, &st) {
 					return false
 				}
-				if h.Reaches(s, nv) && !h.ContourReaches(cs, nv, h.Stats()) {
+				if h.ReachesSt(s, nv, &st) && !h.ContourReaches(cs, nv, &st) {
 					return false
 				}
 			}
@@ -90,7 +93,7 @@ func TestQuickContourSubsumesMembers(t *testing.T) {
 }
 
 func TestQuickIndexesAgree(t *testing.T) {
-	// 3-hop, SSPI and TC must answer identically on arbitrary digraphs.
+	// 3-hop and TC must answer identically on arbitrary digraphs.
 	r := rand.New(rand.NewSource(404))
 	cfg := &quick.Config{MaxCount: 30, Rand: r}
 	err := quick.Check(func(seed int64) bool {
@@ -98,14 +101,11 @@ func TestQuickIndexesAgree(t *testing.T) {
 		g := randDigraph(rr, 2+rr.Intn(20), 2+rr.Intn(60))
 		tc := NewTC(g)
 		h := NewThreeHop(g)
-		x := NewSSPI(g)
+		var st Stats
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				a := tc.Reaches(graph.NodeID(u), graph.NodeID(v))
-				if h.Reaches(graph.NodeID(u), graph.NodeID(v)) != a {
-					return false
-				}
-				if x.Reaches(graph.NodeID(u), graph.NodeID(v)) != a {
+				a := tc.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
+				if h.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st) != a {
 					return false
 				}
 			}
@@ -127,6 +127,7 @@ func TestQuickChainPositionsConsistent(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		g := randDAG(rr, 2+rr.Intn(30), 2+rr.Intn(80))
 		h := NewThreeHop(g)
+		var st Stats
 		for u := 0; u < g.N(); u++ {
 			cu, su := h.Position(graph.NodeID(u))
 			if su != h.scc.Comp[u] || su < h.chainOff[cu] || su >= h.chainOff[cu+1] {
@@ -134,7 +135,7 @@ func TestQuickChainPositionsConsistent(t *testing.T) {
 			}
 			for v := 0; v < g.N(); v++ {
 				cv, sv := h.Position(graph.NodeID(v))
-				if cu == cv && su < sv && !h.Reaches(graph.NodeID(u), graph.NodeID(v)) {
+				if cu == cv && su < sv && !h.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st) {
 					return false
 				}
 			}

@@ -1,9 +1,8 @@
-// Package reach implements the reachability indexes the paper's engines
-// rely on: the 3-hop index (Jin et al., SIGMOD'09) with the contour
-// merging of GTEA (Procedure 2 / Proposition 7), a bitset transitive
+// Package reach implements the reachability indexes GTEA evaluates
+// over: the 3-hop index (Jin et al., SIGMOD'09) with the contour
+// merging of GTEA (Procedure 2 / Proposition 7), and a bitset transitive
 // closure usable both as the testing oracle and as a production backend
-// for mid-sized graphs, and SSPI (Chen et al., VLDB'05) used by
-// TwigStackD.
+// for mid-sized graphs.
 //
 // All indexes answer *strict* reachability — "is there a non-empty path
 // from u to v" — which is the ancestor-descendant relationship of the
@@ -22,22 +21,12 @@
 //     chain-structured indexes (3-hop) provide it, and the engine falls
 //     back to plain contour probes when it is absent.
 //
-// Backends register themselves under a kind name; Build constructs one
-// by name (see Register/Build/Kinds).
+// This package is the one place that names the backends: Build
+// constructs one by kind, Kinds lists the kinds, and AppendIndex /
+// DecodeIndex save and revive each.
 package reach
 
 import "gtpq/internal/graph"
-
-// Index answers strict reachability queries on a fixed graph. It is the
-// legacy single-threaded contract (lookups are counted into the index's
-// own Stats); concurrent callers use ContourIndex's explicit-sink
-// methods instead.
-type Index interface {
-	// Reaches reports whether there is a non-empty path from u to v.
-	Reaches(u, v graph.NodeID) bool
-	// Stats returns the index's lookup counters (never nil).
-	Stats() *Stats
-}
 
 // ContourIndex is the reachability abstraction the GTEA engine
 // evaluates over. Implementations are immutable once built: every query
@@ -45,9 +34,7 @@ type Index interface {
 // must be non-nil), so one index can serve any number of concurrent
 // evaluations.
 type ContourIndex interface {
-	Index
-
-	// Kind returns the registry name of the backend ("threehop", ...).
+	// Kind returns the backend's kind name ("threehop", ...).
 	Kind() string
 	// IndexSize returns the number of index elements — the paper's
 	// |Lin| + |Lout| measure (bits for the transitive closure).
@@ -132,8 +119,8 @@ type ChainIndex interface {
 }
 
 // Stats counts index work for the I/O-cost experiments (Fig 10): every
-// element retrieved from a successor/predecessor list (or an SSPI
-// surplus list, or a closure row) increments Lookups.
+// element retrieved from a successor/predecessor list (or a closure
+// row) increments Lookups.
 type Stats struct {
 	// Lookups is the number of index elements examined.
 	Lookups int64

@@ -43,6 +43,7 @@ func bruteReaches(g *graph.Graph, u, v graph.NodeID) bool {
 }
 
 func TestTCOnDiamond(t *testing.T) {
+	var st Stats
 	g := graph.New(4, 4)
 	a := g.AddNode("a", nil)
 	b := g.AddNode("b", nil)
@@ -54,12 +55,13 @@ func TestTCOnDiamond(t *testing.T) {
 	g.AddEdge(c, d)
 	g.Freeze()
 	tc := NewTC(g)
-	if !tc.Reaches(a, d) || !tc.Reaches(a, b) || tc.Reaches(d, a) || tc.Reaches(a, a) {
+	if !tc.ReachesSt(a, d, &st) || !tc.ReachesSt(a, b, &st) || tc.ReachesSt(d, a, &st) || tc.ReachesSt(a, a, &st) {
 		t.Error("TC diamond reachability wrong")
 	}
 }
 
 func TestTCOnCycle(t *testing.T) {
+	var st Stats
 	g := graph.New(3, 3)
 	a := g.AddNode("a", nil)
 	b := g.AddNode("b", nil)
@@ -69,18 +71,19 @@ func TestTCOnCycle(t *testing.T) {
 	g.AddEdge(b, c)
 	g.Freeze()
 	tc := NewTC(g)
-	if !tc.Reaches(a, a) || !tc.Reaches(b, b) {
+	if !tc.ReachesSt(a, a, &st) || !tc.ReachesSt(b, b, &st) {
 		t.Error("cycle nodes must strictly reach themselves")
 	}
-	if tc.Reaches(c, c) || tc.Reaches(c, a) {
+	if tc.ReachesSt(c, c, &st) || tc.ReachesSt(c, a, &st) {
 		t.Error("c reaches nothing")
 	}
-	if !tc.Reaches(a, c) {
+	if !tc.ReachesSt(a, c, &st) {
 		t.Error("a must reach c")
 	}
 }
 
 func TestTCMatchesBrute(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		g := randDigraph(r, 2+r.Intn(30), 2+r.Intn(90))
@@ -89,8 +92,8 @@ func TestTCMatchesBrute(t *testing.T) {
 			ru := graph.ReachableFrom(g, graph.NodeID(u))
 			for v := 0; v < g.N(); v++ {
 				want := ru[graph.NodeID(v)]
-				if got := tc.Reaches(graph.NodeID(u), graph.NodeID(v)); got != want {
-					t.Fatalf("trial %d: TC.Reaches(%d,%d)=%v want %v", trial, u, v, got, want)
+				if got := tc.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st); got != want {
+					t.Fatalf("trial %d: TC.ReachesSt(%d,%d)=%v want %v", trial, u, v, got, want)
 				}
 			}
 		}
@@ -160,6 +163,7 @@ func TestChainCoverIsMinimalOnKnownGraph(t *testing.T) {
 }
 
 func TestThreeHopMatchesTCOnDAGs(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		g := randDAG(r, 2+r.Intn(50), 2+r.Intn(150))
@@ -167,10 +171,10 @@ func TestThreeHopMatchesTCOnDAGs(t *testing.T) {
 		h := NewThreeHop(g)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				want := tc.Reaches(graph.NodeID(u), graph.NodeID(v))
-				got := h.Reaches(graph.NodeID(u), graph.NodeID(v))
+				want := tc.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
+				got := h.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
 				if got != want {
-					t.Fatalf("trial %d: ThreeHop.Reaches(%d,%d)=%v want %v", trial, u, v, got, want)
+					t.Fatalf("trial %d: ThreeHop.ReachesSt(%d,%d)=%v want %v", trial, u, v, got, want)
 				}
 			}
 		}
@@ -178,6 +182,7 @@ func TestThreeHopMatchesTCOnDAGs(t *testing.T) {
 }
 
 func TestThreeHopMatchesTCOnCyclicGraphs(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		g := randDigraph(r, 2+r.Intn(40), 2+r.Intn(120))
@@ -185,33 +190,10 @@ func TestThreeHopMatchesTCOnCyclicGraphs(t *testing.T) {
 		h := NewThreeHop(g)
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				want := tc.Reaches(graph.NodeID(u), graph.NodeID(v))
-				got := h.Reaches(graph.NodeID(u), graph.NodeID(v))
+				want := tc.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
+				got := h.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
 				if got != want {
-					t.Fatalf("trial %d: ThreeHop.Reaches(%d,%d)=%v want %v", trial, u, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestSSPIMatchesTC(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		var g *graph.Graph
-		if trial%2 == 0 {
-			g = randDAG(r, 2+r.Intn(40), 2+r.Intn(120))
-		} else {
-			g = randDigraph(r, 2+r.Intn(40), 2+r.Intn(120))
-		}
-		tc := NewTC(g)
-		x := NewSSPI(g)
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
-				want := tc.Reaches(graph.NodeID(u), graph.NodeID(v))
-				got := x.Reaches(graph.NodeID(u), graph.NodeID(v))
-				if got != want {
-					t.Fatalf("trial %d: SSPI.Reaches(%d,%d)=%v want %v", trial, u, v, got, want)
+					t.Fatalf("trial %d: ThreeHop.ReachesSt(%d,%d)=%v want %v", trial, u, v, got, want)
 				}
 			}
 		}
@@ -232,6 +214,7 @@ func contourWant(g *graph.Graph, v graph.NodeID, S []graph.NodeID, dir string) b
 }
 
 func TestContoursMatchBruteForce(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 40; trial++ {
 		var g *graph.Graph
@@ -247,14 +230,14 @@ func TestContoursMatchBruteForce(t *testing.T) {
 		for i := range S {
 			S[i] = graph.NodeID(r.Intn(g.N()))
 		}
-		cp := h.MergePredLists(S, h.Stats())
-		cs := h.MergeSuccLists(S, h.Stats())
+		cp := h.MergePredLists(S, &st)
+		cs := h.MergeSuccLists(S, &st)
 		for v := 0; v < g.N(); v++ {
 			nv := graph.NodeID(v)
-			if got, want := h.ReachesContour(nv, cp, h.Stats()), contourWant(g, nv, S, "vToS"); got != want {
+			if got, want := h.ReachesContour(nv, cp, &st), contourWant(g, nv, S, "vToS"); got != want {
 				t.Fatalf("trial %d: ReachesContour(%d, S=%v)=%v want %v", trial, v, S, got, want)
 			}
-			if got, want := h.ContourReaches(cs, nv, h.Stats()), contourWant(g, nv, S, "sToV"); got != want {
+			if got, want := h.ContourReaches(cs, nv, &st), contourWant(g, nv, S, "sToV"); got != want {
 				t.Fatalf("trial %d: ContourReaches(S=%v, %d)=%v want %v", trial, S, v, got, want)
 			}
 		}
@@ -262,6 +245,7 @@ func TestContoursMatchBruteForce(t *testing.T) {
 }
 
 func TestOutWalkerCoversSuffixEntries(t *testing.T) {
+	var st Stats
 	// The walker, fed candidates in descending position order, must see each
 	// suffix entry exactly once and in total cover the same evidence as
 	// direct contour checks.
@@ -274,7 +258,7 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 		for i := range S {
 			S[i] = graph.NodeID(r.Intn(g.N()))
 		}
-		cp := h.MergePredLists(S, h.Stats())
+		cp := h.MergePredLists(S, &st)
 
 		// Group all nodes by chain, descending position.
 		byChain := map[int32][]graph.NodeID{}
@@ -295,7 +279,7 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 					}
 				}
 			}
-			w := h.NewOutWalker(h.Stats())
+			w := h.NewOutWalker(&st)
 			reached := false // inherited along the chain
 			for _, v := range nodes {
 				hit, ambiguous := h.CheckOwn(v, cp)
@@ -306,7 +290,7 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 					}
 				})
 				if !got && ambiguous {
-					got = h.ResolveAmbiguous(v, cp, h.Stats())
+					got = h.ResolveAmbiguous(v, cp, &st)
 				}
 				want := contourWant(g, v, S, "vToS")
 				if got != want {
@@ -321,6 +305,7 @@ func TestOutWalkerCoversSuffixEntries(t *testing.T) {
 }
 
 func TestInWalkerCoversPrefixEntries(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 25; trial++ {
 		g := randDAG(r, 2+r.Intn(35), 2+r.Intn(100))
@@ -330,7 +315,7 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 		for i := range S {
 			S[i] = graph.NodeID(r.Intn(g.N()))
 		}
-		cs := h.MergeSuccLists(S, h.Stats())
+		cs := h.MergeSuccLists(S, &st)
 
 		byChain := map[int32][]graph.NodeID{}
 		for v := 0; v < g.N(); v++ {
@@ -350,7 +335,7 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 					}
 				}
 			}
-			w := h.NewInWalker(h.Stats())
+			w := h.NewInWalker(&st)
 			reached := false
 			for _, v := range nodes {
 				hit, ambiguous := h.CheckOwnSucc(cs, v)
@@ -361,7 +346,7 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 					}
 				})
 				if !got && ambiguous {
-					got = h.ResolveAmbiguousSucc(cs, v, h.Stats())
+					got = h.ResolveAmbiguousSucc(cs, v, &st)
 				}
 				want := contourWant(g, v, S, "sToV")
 				if got != want {
@@ -376,6 +361,7 @@ func TestInWalkerCoversPrefixEntries(t *testing.T) {
 }
 
 func TestContourSizeBoundedByChains(t *testing.T) {
+	var st Stats
 	r := rand.New(rand.NewSource(9))
 	g := randDAG(r, 60, 150)
 	h := NewThreeHop(g)
@@ -383,7 +369,7 @@ func TestContourSizeBoundedByChains(t *testing.T) {
 	for i := range S {
 		S[i] = graph.NodeID(r.Intn(g.N()))
 	}
-	cp := h.MergePredLists(S, h.Stats())
+	cp := h.MergePredLists(S, &st)
 	if cp.Size() > h.NumChains() {
 		t.Errorf("contour size %d exceeds chain count %d", cp.Size(), h.NumChains())
 	}
@@ -393,13 +379,14 @@ func TestStatsCounting(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	g := randDAG(r, 30, 90)
 	h := NewThreeHop(g)
-	h.Stats().Reset()
-	h.Reaches(0, graph.NodeID(g.N()-1))
-	if h.Stats().Queries != 1 {
-		t.Errorf("Queries = %d, want 1", h.Stats().Queries)
+	st := Stats{Lookups: 7, Queries: 5}
+	st.Reset()
+	h.ReachesSt(0, graph.NodeID(g.N()-1), &st)
+	if st.Queries != 1 {
+		t.Errorf("Queries = %d, want 1", st.Queries)
 	}
 	var s Stats
-	s.Add(*h.Stats())
+	s.Add(st)
 	if s.Queries != 1 {
 		t.Error("Stats.Add failed")
 	}
@@ -426,6 +413,7 @@ func TestThreeHopIndexSmallerThanTC(t *testing.T) {
 }
 
 func TestEmptyAndSingletonGraphs(t *testing.T) {
+	var st Stats
 	g := graph.New(0, 0)
 	g.Freeze()
 	h := NewThreeHop(g)
@@ -437,7 +425,7 @@ func TestEmptyAndSingletonGraphs(t *testing.T) {
 	v := g2.AddNode("x", nil)
 	g2.Freeze()
 	h2 := NewThreeHop(g2)
-	if h2.Reaches(v, v) {
+	if h2.ReachesSt(v, v, &st) {
 		t.Error("singleton without self-loop must not reach itself")
 	}
 	g3 := graph.New(1, 1)
@@ -445,7 +433,7 @@ func TestEmptyAndSingletonGraphs(t *testing.T) {
 	g3.AddEdge(w, w)
 	g3.Freeze()
 	h3 := NewThreeHop(g3)
-	if !h3.Reaches(w, w) {
+	if !h3.ReachesSt(w, w, &st) {
 		t.Error("self-loop node must reach itself")
 	}
 }

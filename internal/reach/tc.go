@@ -10,7 +10,7 @@ import (
 
 // TC is a bitset transitive closure over the SCC condensation. It
 // doubles as the ground-truth oracle for the other indexes and as a
-// registered engine backend for mid-sized graphs: contour probes reduce
+// engine backend for mid-sized graphs: contour probes reduce
 // to word-parallel row/mask intersections. Memory is quadratic in the
 // SCC count, so construction refuses graphs beyond a safety limit.
 //
@@ -21,7 +21,6 @@ type TC struct {
 	scc   graph.SCCMap // all the closure keeps of the condensation
 	words int
 	rows  []uint64 // NumSCC() rows of `words` words; bit w set in row s iff s reaches w (s != w)
-	stats Stats
 
 	sizeOnce sync.Once
 	size     int
@@ -76,7 +75,7 @@ func (t *TC) row(s int32) []uint64 {
 // numSCC returns the number of SCCs, one row each.
 func (t *TC) numSCC() int { return len(t.rows) / max(t.words, 1) }
 
-// Kind returns the registry name of this backend.
+// Kind returns this backend's kind name.
 func (t *TC) Kind() string { return "tc" }
 
 // LabelCount implements ContourIndex via the graph's label index.
@@ -93,12 +92,6 @@ func (t *TC) IndexSize() int {
 	return t.size
 }
 
-// Reaches answers like ReachesSt but charges the index's own Stats;
-// retained for the single-threaded Index contract.
-func (t *TC) Reaches(u, v graph.NodeID) bool {
-	return t.ReachesSt(u, v, &t.stats)
-}
-
 // ReachesSt reports whether there is a non-empty path from u to v,
 // charging st.
 func (t *TC) ReachesSt(u, v graph.NodeID, st *Stats) bool {
@@ -110,9 +103,6 @@ func (t *TC) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 	st.Lookups++
 	return t.row(su)[sv/64]&(1<<uint(sv%64)) != 0
 }
-
-// Stats returns the counters charged by the legacy Reaches.
-func (t *TC) Stats() *Stats { return &t.stats }
 
 // tcPred summarizes S as a bitset mask over its SCCs: v strictly
 // reaches S iff v's row intersects the mask, or v sits in a nontrivial

@@ -27,6 +27,58 @@ type gapRows struct {
 //	}
 func (r gapRows) row(i int32) []byte { return r.buf[r.off[i]:r.off[i+1]] }
 
+// nextRow returns the first non-empty row in [t, end), or t if t >=
+// end. A run of empty rows is a run of equal offsets: a non-empty row
+// costs one inlined compare, and a run is crossed by a binary search,
+// so a walk costs the rows that hold entries, not the chain length.
+func (r *gapRows) nextRow(t, end int32) int32 {
+	if t >= end || r.off[t] != r.off[t+1] {
+		return t
+	}
+	return r.cross(t, end)
+}
+
+// prevRow returns the last non-empty row in [start, t], or start-1 (t
+// if t < start).
+func (r *gapRows) prevRow(t, start int32) int32 {
+	if t < start || r.off[t] != r.off[t+1] {
+		return t
+	}
+	return r.cross(t, start)
+}
+
+// cross crosses the run of empty rows holding row t by binary search:
+// forward to the first non-empty row before bound (or bound) when
+// bound > t, else backward to the last non-empty row from bound on (or
+// bound-1). The rows of the run share one offset o = off[t] = off[t+1];
+// those before it start below o, and those after it end above o. It
+// stays out of line, so that nextRow and prevRow inline.
+//
+//go:noinline
+func (r *gapRows) cross(t, bound int32) int32 {
+	o := r.off[t]
+	if bound > t {
+		lo, hi := t+1, bound
+		for lo < hi {
+			if m := int32(uint32(lo+hi) >> 1); r.off[m+1] > o {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		return lo
+	}
+	lo, hi := bound, t
+	for lo < hi {
+		if m := int32(uint32(lo+hi) >> 1); r.off[m] < o {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
 // nextGap decodes the entry at b[i] of a row, given the row's previous
 // position prev (-1 before the first), and returns it with the offset
 // of the next entry. A pure function, so the loop above keeps its
@@ -113,8 +165,9 @@ func entries(b []byte) int {
 // chainOff[c+1]) in path order, and position p lies on chain
 // chainAt[p] at sequence id p - chainOff[chainAt[p]]. The node -> SCC
 // map, the cycle bits and both list families are indexed by position,
-// so a chain suffix or prefix is a run of consecutive rows, and an
-// empty row costs one offset compare to step over. On one chain,
+// so a chain suffix or prefix is a run of consecutive rows, and a run
+// of empty rows is crossed by one binary search over the offsets
+// (nextRow, prevRow). On one chain,
 // positions are ordered exactly as sequence ids are, so every
 // same-chain comparison the paper makes holds on positions unchanged;
 // across chains a position comparison means nothing. Every list is
@@ -132,7 +185,7 @@ func entries(b []byte) int {
 //
 // A built index is immutable: the query methods taking a *Stats sink
 // (ReachesSt and the ChainIndex operations) are safe for concurrent
-// use. The legacy Reaches, charging the index's own Stats, is not.
+// use.
 type ThreeHop struct {
 	g   *graph.Graph
 	scc graph.SCCMap // node -> position, and a cycle bit per position
@@ -145,7 +198,6 @@ type ThreeHop struct {
 
 	scratch sync.Pool // *chainScratch for point queries
 	seen    sync.Pool // *sccSet for ResolveAmbiguous*
-	stats   Stats
 }
 
 // locate returns the chain of the SCC at position p, and p.
@@ -327,7 +379,7 @@ func (h *ThreeHop) chainNeighbor(p int32, down bool) int32 {
 // NumChains returns the number of chains in the cover.
 func (h *ThreeHop) NumChains() int { return len(h.chainOff) - 1 }
 
-// Kind returns the registry name of this backend.
+// Kind returns this backend's kind name.
 func (h *ThreeHop) Kind() string { return "threehop" }
 
 // LabelCount implements ContourIndex via the graph's label index.
@@ -336,15 +388,6 @@ func (h *ThreeHop) LabelCount(label string) int { return len(h.g.ByLabel(label))
 // IndexSize returns the total number of Lin/Lout entries — the paper's
 // |Lin| + |Lout| measure.
 func (h *ThreeHop) IndexSize() int { return h.lout.n + h.lin.n }
-
-// Stats returns the counters charged by the legacy Reaches.
-func (h *ThreeHop) Stats() *Stats { return &h.stats }
-
-// Reaches answers like ReachesSt but charges the index's own Stats;
-// retained for the single-threaded Index contract.
-func (h *ThreeHop) Reaches(u, v graph.NodeID) bool {
-	return h.ReachesSt(u, v, &h.stats)
-}
 
 // ReachesSt reports whether there is a non-empty path from u to v,
 // following the paper's three-step 3-hop query: same-chain positions
@@ -378,7 +421,8 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 	// here and in every list loop: an increment through st each entry
 	// would make the loop wait on its own store.
 	n := int64(0)
-	for t, end := pu, h.chainOff[cu+1]; t < end; t++ {
+	end := h.chainOff[cu+1]
+	for t := h.lout.nextRow(pu, end); t < end; t = h.lout.nextRow(t+1, end) {
 		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
@@ -390,7 +434,8 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 		st.Lookups += n
 		return true
 	}
-	for t, start := pv, h.chainOff[cv]; t >= start; t-- {
+	start := h.chainOff[cv]
+	for t := h.lin.prevRow(pv, start); t >= start; t = h.lin.prevRow(t-1, start) {
 		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++

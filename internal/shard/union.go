@@ -98,8 +98,6 @@ type compositeIndex struct {
 	se   *ShardedEngine
 	kind string
 	home []shardLoc // global id -> residence
-
-	stats reach.Stats
 }
 
 func (ci *compositeIndex) Kind() string { return ci.kind }
@@ -107,12 +105,6 @@ func (ci *compositeIndex) Kind() string { return ci.kind }
 func (ci *compositeIndex) IndexSize() int { return ci.se.IndexSize() }
 
 func (ci *compositeIndex) LabelCount(label string) int { return ci.se.LabelCount(label) }
-
-func (ci *compositeIndex) Stats() *reach.Stats { return &ci.stats }
-
-func (ci *compositeIndex) Reaches(u, v graph.NodeID) bool {
-	return ci.ReachesSt(u, v, &ci.stats)
-}
 
 // ReachesSt answers through u's shard: if v lives in another shard it
 // is in another component, outside u's cone.

@@ -90,10 +90,6 @@ func TestRoundTripProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(900 + seed))
 		g := randAttrGraph(r, 20+r.Intn(60), 40+r.Intn(200))
 		for _, kind := range reach.Kinds() {
-			if !reach.HasCodec(kind) {
-				t.Errorf("backend %q has no snapshot codec", kind)
-				continue
-			}
 			e, err := gtea.NewWithOptions(g, gtea.Options{Index: kind})
 			if err != nil {
 				t.Fatalf("seed %d %s: build: %v", seed, kind, err)

@@ -1,6 +1,9 @@
-package reach
+package twigstackd
 
-import "gtpq/internal/graph"
+import (
+	"gtpq/internal/graph"
+	"gtpq/internal/reach"
+)
 
 // SSPI is the surrogate & surplus predecessor index of Chen et al.
 // (VLDB'05) that TwigStackD uses: a spanning forest of the condensation
@@ -17,7 +20,7 @@ type SSPI struct {
 	// surplus[s]: sources of non-tree edges into s.
 	surplus [][]int32
 
-	stats Stats
+	stats reach.Stats
 	epoch int32
 	seen  []int32
 }
@@ -39,14 +42,14 @@ func NewSSPI(g *graph.Graph) *SSPI {
 		x.start[i] = -1
 	}
 	// Spanning forest: first DAG in-edge encountered in topological order
-	// becomes the tree edge; the rest are surplus.
-	eachSCC(cond, false, func(s int32) {
+	// (descending SCC ids) becomes the tree edge; the rest are surplus.
+	for s := int32(n) - 1; s >= 0; s-- {
 		for _, w := range cond.Out(s) {
 			if x.parent[w] == -1 {
 				x.parent[w] = s
 			}
 		}
-	})
+	}
 	for s := int32(0); s < int32(n); s++ {
 		for _, p := range cond.In(s) {
 			if p != x.parent[s] {
@@ -143,14 +146,4 @@ func (x *SSPI) sccReaches(su, sv int32) bool {
 }
 
 // Stats returns the lookup counters.
-func (x *SSPI) Stats() *Stats { return &x.stats }
-
-// IndexSize returns the total number of surplus entries (the analogue of
-// |Lin|+|Lout| for SSPI).
-func (x *SSPI) IndexSize() int {
-	n := 0
-	for _, l := range x.surplus {
-		n += len(l)
-	}
-	return n
-}
+func (x *SSPI) Stats() *reach.Stats { return &x.stats }

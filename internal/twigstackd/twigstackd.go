@@ -13,7 +13,6 @@ import (
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
-	"gtpq/internal/reach"
 )
 
 // Stats mirrors the paper's I/O-cost metrics.
@@ -31,7 +30,7 @@ type Stats struct {
 // Engine evaluates conjunctive TPQs over a digraph using SSPI.
 type Engine struct {
 	G    *graph.Graph
-	X    *reach.SSPI
+	X    *SSPI
 	cond *graph.Condensation
 	stat Stats
 }
@@ -39,7 +38,7 @@ type Engine struct {
 // New builds a TwigStackD engine (and its SSPI index) for g.
 func New(g *graph.Graph) *Engine {
 	g.Freeze()
-	return &Engine{G: g, X: reach.NewSSPI(g), cond: graph.Condense(g)}
+	return &Engine{G: g, X: NewSSPI(g), cond: graph.Condense(g)}
 }
 
 // Stats returns the counters of the most recent Eval.

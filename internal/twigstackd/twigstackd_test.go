@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gtpq/internal/core"
+	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
 )
@@ -152,5 +153,26 @@ func TestEmptyWhenLabelMissing(t *testing.T) {
 	q.SetOutput(z)
 	if ans := New(g).Eval(q); ans.Len() != 0 {
 		t.Fatalf("answer = %s, want empty", ans)
+	}
+}
+
+// TestSSPIMatchesTC checks SSPI against the transitive closure on
+// random DAGs and on random digraphs with cycles and self-loops.
+func TestSSPIMatchesTC(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var st reach.Stats
+	for trial := 0; trial < 30; trial++ {
+		g := gen.Graph(r, 2+r.Intn(40), 2+r.Intn(120), []string{"n"}, trial%2 == 0)
+		tc := reach.NewTC(g)
+		x := NewSSPI(g)
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				want := tc.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
+				got := x.Reaches(graph.NodeID(u), graph.NodeID(v))
+				if got != want {
+					t.Fatalf("trial %d: SSPI.Reaches(%d,%d)=%v want %v", trial, u, v, got, want)
+				}
+			}
+		}
 	}
 }
