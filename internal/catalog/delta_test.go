@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"gtpq/internal/graph"
 	"gtpq/internal/graphio"
 	"gtpq/internal/gtea"
+	"gtpq/internal/reach"
 	"gtpq/internal/shard"
 	"gtpq/internal/snapshot"
 )
@@ -58,173 +58,6 @@ func randomBatch(r *rand.Rand, n int) delta.Batch {
 		})
 	}
 	return b
-}
-
-// TestCatalogDeltaEquivalence drives the full live-update lifecycle
-// through the catalog — apply, restart-replay, compact, apply more —
-// and at every step checks answers byte-identical to an engine rebuilt
-// from scratch over the same logical graph. Runs the matrix of
-// backends × {flat, sharded} bases.
-func TestCatalogDeltaEquivalence(t *testing.T) {
-	baseSeed, trials := gen.EquivKnobs(t, 77, 1)
-	type cell struct {
-		sharded bool
-		kind    string
-		seed    int64
-	}
-	var cells []cell
-	for trial := 0; trial < trials; trial++ {
-		for _, sharded := range []bool{false, true} {
-			for _, kind := range []string{"threehop", "tc"} {
-				cells = append(cells, cell{sharded: sharded, kind: kind, seed: baseSeed + int64(trial)*31})
-			}
-		}
-	}
-	for _, c := range cells {
-		sharded, kind := c.sharded, c.kind
-		shape := "flat"
-		if sharded {
-			shape = "sharded"
-		}
-		t.Run(fmt.Sprintf("%s-%s-seed%d", shape, kind, c.seed), func(t *testing.T) {
-			r := rand.New(rand.NewSource(c.seed))
-			g := gen.Forest(r, 4, 8, 12, deltaLabels)
-			dir := t.TempDir()
-			if sharded {
-				writeShardedDataset(t, dir, "ds", kind, g)
-			} else {
-				writeFlatDataset(t, dir, "ds", kind, g)
-			}
-			cat, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cat.Close()
-
-			queries := make([]*core.Query, 3)
-			for i := range queries {
-				queries[i] = gen.Query(r, 2+r.Intn(4), deltaLabels, true, true)
-			}
-			var batches []delta.Batch
-			vertices := g.N()
-
-			check := func(stage string, ds *Dataset) {
-				t.Helper()
-				ext, err := delta.Extend(g, batches)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracle, err := gtea.NewWithOptions(ext, gtea.Options{Index: kind})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for qi, q := range queries {
-					want := oracle.Eval(q)
-					got, _, err := ds.Engine.EvalStatsCtx(nil, q)
-					if err != nil {
-						t.Fatalf("%s query %d: %v", stage, qi, err)
-					}
-					if !want.Equal(got) {
-						t.Fatalf("%s query %d: answers differ\nwant %v\ngot  %v", stage, qi, want, got)
-					}
-				}
-			}
-
-			ds0, err := cat.Acquire("ds")
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("initial", ds0)
-			lastGen := ds0.Generation
-			ds0.Release()
-
-			// Apply three batches; each must be visible immediately
-			// and bump the generation.
-			for i := 0; i < 3; i++ {
-				b := randomBatch(r, vertices)
-				batches = append(batches, b)
-				vertices += len(b.Nodes)
-				ds, err := cat.ApplyDelta("ds", b)
-				if err != nil {
-					t.Fatalf("apply %d: %v", i, err)
-				}
-				if ds.Generation <= lastGen {
-					t.Fatalf("apply %d: generation %d did not advance past %d", i, ds.Generation, lastGen)
-				}
-				lastGen = ds.Generation
-				if ds.DeltaBatches != i+1 {
-					t.Fatalf("apply %d: %d pending batches", i, ds.DeltaBatches)
-				}
-				check("after apply", ds)
-				ds.Release()
-			}
-
-			// Restart: a fresh catalog must replay the log.
-			cat2, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cat2.Close()
-			ds2, err := cat2.Acquire("ds")
-			if err != nil {
-				t.Fatalf("reload with pending deltas: %v", err)
-			}
-			if ds2.DeltaBatches != 3 {
-				t.Fatalf("reload: %d batches replayed, want 3", ds2.DeltaBatches)
-			}
-			check("after restart replay", ds2)
-			ds2.Release()
-
-			// Compact on the restarted catalog: deltas fold into a
-			// fresh base, the log disappears, answers are unchanged.
-			dsc, err := cat2.Compact("ds")
-			if err != nil {
-				t.Fatalf("compact: %v", err)
-			}
-			if dsc.PendingDeltas != 0 || dsc.DeltaBatches != 0 {
-				t.Fatalf("compact left %d ops pending", dsc.PendingDeltas)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "ds"+delta.LogSuffix)); !os.IsNotExist(err) {
-				t.Fatalf("delta log still present after compaction: %v", err)
-			}
-			if got := cat2.Compactions("ds"); got != 1 {
-				t.Fatalf("compactions counter = %d", got)
-			}
-			check("after compaction", dsc)
-			if sharded && !dsc.Sharded {
-				t.Fatal("compaction of a sharded dataset produced a flat one")
-			}
-			dsc.Release()
-
-			// Across the compaction boundary: more deltas over the
-			// new base; the logical graph is base+all batches.
-			b := randomBatch(r, vertices)
-			batches = append(batches, b)
-			vertices += len(b.Nodes)
-			ds3, err := cat2.ApplyDelta("ds", b)
-			if err != nil {
-				t.Fatalf("apply post-compaction: %v", err)
-			}
-			if ds3.DeltaBatches != 1 {
-				t.Fatalf("post-compaction pending batches = %d", ds3.DeltaBatches)
-			}
-			check("post-compaction apply", ds3)
-			ds3.Release()
-
-			// And a final restart sees base' + the new log.
-			cat3, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cat3.Close()
-			ds4, err := cat3.Acquire("ds")
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("final restart", ds4)
-			ds4.Release()
-		})
-	}
 }
 
 // TestCatalogDeltaRawSource checks the delta path over a dataset
@@ -506,14 +339,14 @@ func TestCatalogShardedCompactKeepsWholeComponents(t *testing.T) {
 	if held != ext.N() {
 		t.Fatalf("shards hold %d vertices, graph has %d: some vertex lives in two shards", held, ext.N())
 	}
-	flat := gtea.New(ext)
+	oracle := reach.NewTC(ext)
 	for i := 0; i < 5; i++ {
 		q := gen.Query(r, 2+r.Intn(4), deltaLabels, true, true)
 		got, _, err := dsc.Engine.EvalStatsCtx(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := flat.Eval(q); !want.Equal(got) {
+		if want := core.EvalNaive(ext, oracle, q); !want.Equal(got) {
 			t.Fatalf("query %d: compacted answers differ\n%s\nwant %v\ngot  %v", i, q, want, got)
 		}
 	}

@@ -171,14 +171,14 @@ func TestOneShardDirCompactsToADirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := gtea.New(ext)
+	oracle := reach.NewTC(ext)
 	reloaded, _, err := shard.LoadDir(filepath.Join(dir, "ds"), shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		q := gen.Query(r, 2+r.Intn(4), deltaLabels, true, true)
-		want := flat.Eval(q)
+		want := core.EvalNaive(ext, oracle, q)
 		if got := dsc.Engine.Eval(q); !want.Equal(got) {
 			t.Fatalf("query %d: compacted answers differ\n%s", i, q)
 		}

@@ -9,8 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"gtpq/internal/atomicfile"
 	"gtpq/internal/graph"
 )
 
@@ -443,26 +443,10 @@ func (w *Writer) Path() string { return w.path }
 // two-file commit crash-recoverable — see ResolveFold.
 const FoldMarkerSuffix = ".deltas.folded"
 
-// WriteFoldMarker atomically records that a fold into newBase is about
-// to be (or was) published.
+// WriteFoldMarker atomically and durably records that a fold into
+// newBase is about to be (or was) published.
 func WriteFoldMarker(path string, newBase BaseID) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".folded-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeHeader(newBase)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.WriteFile(path, encodeHeader(newBase))
 }
 
 // readFoldMarker parses a marker written by WriteFoldMarker.

@@ -1,7 +1,7 @@
 // Package gen provides deterministic random data-graph and query
 // generators shared by property tests and benchmarks across the
-// repository (gtea's oracle tests and BenchmarkEval, the shard
-// equivalence suite). Everything is driven by a caller-owned
+// repository (gtea's oracle tests and BenchmarkEval, the internal/equiv
+// driver). Everything is driven by a caller-owned
 // *rand.Rand, so a fixed seed reproduces the exact workload.
 package gen
 

@@ -9,9 +9,8 @@ import (
 // EquivKnobs reads the randomized-suite scaling knobs the nightly CI
 // workflow sets: GTPQ_EQUIV_SEED rotates the workload seed (logged so
 // a failure reproduces locally) and GTPQ_EQUIV_CASES scales the case
-// count. Every equivalence suite (shard, delta, catalog) reads its
-// workload size through this one helper so the nightly contract can't
-// drift between them.
+// count. The internal/equiv driver reads its workload size through
+// this helper, the one place the nightly contract is read.
 func EquivKnobs(t testing.TB, defaultSeed int64, defaultCases int) (seed int64, cases int) {
 	t.Helper()
 	seed, cases = defaultSeed, defaultCases

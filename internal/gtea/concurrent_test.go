@@ -160,7 +160,8 @@ func TestSharedIndexStatsNotDoubleCounted(t *testing.T) {
 	}
 }
 
-// TestNewWithOptionsUnknownIndex checks the registry error surfaces.
+// TestNewWithOptionsUnknownIndex checks that reach.Build's unknown-kind
+// error surfaces.
 func TestNewWithOptionsUnknownIndex(t *testing.T) {
 	g := graph.New(1, 0)
 	g.AddNode("a", nil)

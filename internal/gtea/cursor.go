@@ -39,8 +39,8 @@ type Cursor interface {
 }
 
 // Collect drains c to completion and returns the rows as an Answer
-// (tuples copied, already in canonical order). The equivalence tests
-// compare this against the materialized Eval byte for byte.
+// (tuples copied, already in canonical order). The internal/equiv
+// driver checks what it returns against the core.EvalNaive oracle.
 func Collect(c Cursor) (*core.Answer, error) {
 	ans := &core.Answer{Out: append([]int(nil), c.Out()...)}
 	for {

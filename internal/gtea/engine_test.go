@@ -12,7 +12,7 @@ import (
 )
 
 // randGraph and randQuery delegate to the shared generator package so
-// the shard equivalence suite and these oracle tests draw from the same
+// the internal/equiv driver and these oracle tests draw from the same
 // workload distribution (identical code moved to internal/gen).
 func randGraph(r *rand.Rand, n, m int, labels []string, dag bool) *graph.Graph {
 	return gen.Graph(r, n, m, labels, dag)

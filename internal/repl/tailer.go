@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"gtpq/internal/atomicfile"
 	"gtpq/internal/catalog"
 	"gtpq/internal/delta"
 	"gtpq/internal/obs"
@@ -565,23 +566,7 @@ func (t *Tailer) installFlat(name string, base Chunk) error {
 	if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "."+name+".replbase-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(base.Data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name+".snap"))
+	return atomicfile.WriteFile(filepath.Join(dir, name+".snap"), base.Data)
 }
 
 // installSharded installs a sharded base: fetch every manifest-listed

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -16,7 +18,9 @@ import (
 	"gtpq/internal/delta"
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
+	"gtpq/internal/graphio"
 	"gtpq/internal/gtea"
+	"gtpq/internal/qlang"
 	"gtpq/internal/reach"
 	"gtpq/internal/shard"
 	"gtpq/internal/snapshot"
@@ -274,4 +278,25 @@ func postCost(t *testing.T, url, dataset, query string) (*http.Response, map[str
 		t.Fatalf("%s: status %d: %v", dataset, resp.StatusCode, out)
 	}
 	return resp, out
+}
+
+// formatGenQuery renders a generated query as qlang text. gen.Query
+// reuses node names, and the DSL needs them unique, so they are
+// rewritten by id first.
+func formatGenQuery(q *core.Query) string {
+	for i, n := range q.Nodes {
+		n.Name = fmt.Sprintf("n%d", i)
+	}
+	return qlang.Format(q)
+}
+
+func saveFlat(t *testing.T, dir, name string, g *graph.Graph) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graphio.Save(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

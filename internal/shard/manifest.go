@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"gtpq/internal/atomicfile"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
 	"gtpq/internal/snapshot"
@@ -136,20 +137,23 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
+	if err := atomicfile.WriteFile(filepath.Join(dir, ManifestName), append(blob, '\n')); err != nil {
+		return nil, err
+	}
+	// A save over a directory that held more shards leaves their files
+	// behind, and LoadDir refuses unlisted shard files. Only names this
+	// function writes are removed: any other stray file still fails the
+	// load.
+	stale, err := unlistedFiles(dir, man)
 	if err != nil {
 		return nil, err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return nil, err
+	for _, n := range stale {
+		if strings.HasPrefix(n, "shard-") {
+			if err := os.Remove(filepath.Join(dir, n)); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return man, nil
 }
@@ -176,20 +180,12 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 
 	// No shard-looking file may exist outside the manifest: an extra
 	// .snap/.ids is evidence of a mangled copy or name corruption.
-	listed := map[string]bool{ManifestName: true}
-	for _, sf := range man.Shards {
-		listed[sf.Snap] = true
-		listed[sf.IDs] = true
-	}
-	des, err := os.ReadDir(dir)
+	stale, err := unlistedFiles(dir, man)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, de := range des {
-		n := de.Name()
-		if (strings.HasSuffix(n, ".snap") || strings.HasSuffix(n, ".ids")) && !listed[n] {
-			return fail("unlisted shard file %q (manifest corruption or stray copy)", n)
-		}
+	if len(stale) > 0 {
+		return fail("unlisted shard file %q (manifest corruption or stray copy)", stale[0])
 	}
 
 	se := &ShardedEngine{
@@ -258,6 +254,28 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 		se.shards[0].globals = nil
 	}
 	return se, man, nil
+}
+
+// unlistedFiles names the shard-looking files (.snap, .ids) in dir
+// that man does not list.
+func unlistedFiles(dir string, man *Manifest) ([]string, error) {
+	listed := map[string]bool{}
+	for _, sf := range man.Shards {
+		listed[sf.Snap] = true
+		listed[sf.IDs] = true
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, de := range des {
+		n := de.Name()
+		if (strings.HasSuffix(n, ".snap") || strings.HasSuffix(n, ".ids")) && !listed[n] {
+			out = append(out, n)
+		}
+	}
+	return out, nil
 }
 
 // ReadManifest parses and structurally validates a manifest file
@@ -372,19 +390,7 @@ func writeIDs(path string, ids []graph.NodeID) (string, error) {
 		prev = int64(id)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ids-*")
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := atomicfile.WriteFile(path, buf.Bytes()); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(sum[:]), nil

@@ -10,7 +10,7 @@ import (
 	"gtpq/internal/core"
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
-	"gtpq/internal/gtea"
+	"gtpq/internal/reach"
 	"gtpq/internal/shard"
 )
 
@@ -47,7 +47,7 @@ func oneComponentFixture() *graph.Graph {
 func shardedFixture(t *testing.T, g *graph.Graph) (catDir, shardDir string, q *core.Query, want *core.Answer) {
 	t.Helper()
 	q = gen.Query(rand.New(rand.NewSource(5)), 3, fixtureLabels, true, true)
-	want = gtea.New(g).Eval(q)
+	want = core.EvalNaive(g, reach.NewTC(g), q)
 
 	catDir = t.TempDir()
 	shardDir = filepath.Join(catDir, "ds")
@@ -189,6 +189,39 @@ func TestShardFilesMissingOrExtra(t *testing.T) {
 				t.Fatalf("restored directory: err=%v", err)
 			}
 		})
+	}
+}
+
+// TestReshardToFewerShards re-saves a 4-shard directory at K=2 in
+// place, as `gtpq-shard -k 4 -out d` then `-k 2 -out d` does: the
+// wider save's extra shard files are removed, so the directory still
+// loads and answers.
+func TestReshardToFewerShards(t *testing.T) {
+	g := forestFixture()
+	q := gen.Query(rand.New(rand.NewSource(5)), 3, fixtureLabels, true, true)
+	want := core.EvalNaive(g, reach.NewTC(g), q)
+	dir := filepath.Join(t.TempDir(), "ds")
+	for _, k := range []int{4, 2} {
+		plan, err := shard.Partition(g, k, shard.ModeWCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := shard.WriteDir(dir, "ds", g, plan, shard.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stale := range []string{"shard-0002.snap", "shard-0003.ids"} {
+		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the K=2 save: %v", stale, err)
+		}
+	}
+	se, man, err := shard.LoadDir(dir, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) != 2 || se.NumShards() != 2 || !want.Equal(se.Eval(q)) {
+		t.Fatalf("re-sharded directory: %d manifest shards, %d loaded, answers equal %t",
+			len(man.Shards), se.NumShards(), want.Equal(se.Eval(q)))
 	}
 }
 

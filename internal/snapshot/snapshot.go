@@ -54,8 +54,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
+	"gtpq/internal/atomicfile"
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
 )
@@ -72,8 +72,8 @@ var ErrNotSnapshot = errors.New("snapshot: missing GTPQSNAP magic")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Save writes g and its built index h to w as one version-2 image. The
-// index kind must have a registered codec (both built-in backends do).
+// Save writes g and its built index h to w as one version-2 image. h
+// must be one of the backends reach.AppendIndex encodes (reach.Kinds).
 func Save(w io.Writer, g *graph.Graph, h reach.ContourIndex) error {
 	b := append([]byte(Magic), Version&0xff, Version>>8)
 	b = binary.AppendUvarint(b, uint64(len(h.Kind())))
@@ -284,21 +284,10 @@ func loadV1(br *bytes.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	return g, h, nil
 }
 
-// SaveFile writes the snapshot atomically (temp file + rename).
+// SaveFile writes the snapshot atomically and durably (see
+// internal/atomicfile).
 func SaveFile(path string, g *graph.Graph, h reach.ContourIndex) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := Save(tmp, g, h); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return atomicfile.Write(path, func(w io.Writer) error { return Save(w, g, h) })
 }
 
 // LoadFile reads a snapshot file (see Decode).

@@ -2,12 +2,16 @@ package sub
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"gtpq/internal/catalog"
 	"gtpq/internal/delta"
 	"gtpq/internal/graph"
+	"gtpq/internal/gtea"
+	"gtpq/internal/shard"
+	"gtpq/internal/snapshot"
 )
 
 // TestStatsCountSkipsExactly pins the counters the registry reports
@@ -121,5 +125,42 @@ func TestStatsCountSkipsExactly(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func writeFlat(t *testing.T, dir, name, kind string, g *graph.Graph) {
+	t.Helper()
+	eng, err := gtea.NewWithOptions(g, gtea.Options{Index: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.SaveFile(filepath.Join(dir, name+".snap"), g, eng.H); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func writeSharded(t *testing.T, dir, name, kind string, g *graph.Graph, shards int) {
+	t.Helper()
+	plan, err := shard.Partition(g, shards, shard.ModeWCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.WriteDir(filepath.Join(dir, name), name, g, plan, shard.Options{Index: kind}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func drainEvents(c *Client) []Event {
+	var evs []Event
+	for {
+		select {
+		case ev, ok := <-c.Events():
+			if !ok {
+				return evs
+			}
+			evs = append(evs, ev)
+		default:
+			return evs
+		}
 	}
 }
