@@ -219,7 +219,8 @@ func (c *cell) checkDataset(t *testing.T, si int, ds *catalog.Dataset, pending i
 func (c *cell) checkAnswers(t *testing.T, si int, ds *catalog.Dataset) {
 	t.Helper()
 	d := deliveries[(c.rot+si)%len(deliveries)]
-	c.meet(d.name)
+	c.meet("stage/" + stages[si].name)
+	c.meet("delivery/" + d.name)
 	eng := ds.Engine
 	if si == 0 && c.mem != nil {
 		eng = c.mem
@@ -227,7 +228,7 @@ func (c *cell) checkAnswers(t *testing.T, si int, ds *catalog.Dataset) {
 	var before [3]int64
 	var want [3]int64 // queries, rows streamed, cache bypasses
 	if d.http {
-		c.meet("cache " + c.cache)
+		c.meet("cache/" + c.cache)
 		before = c.counters(t)
 	}
 	for qi, q := range c.w.queries {

@@ -8,9 +8,9 @@
 // axis is one line. The data axes (shape × backend × layout × plan)
 // run as a full product, and each product cell walks the whole
 // pending-deltas axis on one dataset. The delivery axes (delivery,
-// cache, replica, standing) rotate over the cells as a covering set;
-// the driver fails unless each of their values met every backend and
-// every layout.
+// cache, replica, standing) rotate over the cells as a covering set.
+// Every axis value then gets a subtest, axes/<axis>/<value>, that
+// fails unless the value met every backend and every layout.
 //
 // CI runs this package whole (go test -race ./internal/equiv), not by
 // -run list: a -run pattern passes silently once a rename empties it.
@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -320,6 +321,9 @@ func TestOracleMatrix(t *testing.T) {
 							t.Run(name, func(t *testing.T) {
 								t.Parallel()
 								c.run(t)
+								for _, v := range []string{"shape/" + sh.name, "layout/" + lay.name, "plan/" + pl.name} {
+									c.meet(v)
+								}
 								cells.Add(1)
 								answers.Add(c.answers)
 								multiPage.Add(c.multiPage)
@@ -333,27 +337,48 @@ func TestOracleMatrix(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	values := []string{"replica", "standing"}
-	for _, d := range deliveries {
-		values = append(values, d.name)
-	}
-	for _, c := range caches {
-		values = append(values, "cache "+c)
-	}
-	for _, v := range values {
-		for _, kind := range reach.Kinds() {
-			if _, ok := met.Load(v + " × " + kind); !ok {
-				t.Errorf("%s never met backend %s", v, kind)
-			}
+	t.Run("axes", func(t *testing.T) {
+		for _, v := range axisValues() {
+			t.Run(v, func(t *testing.T) {
+				for _, kind := range reach.Kinds() {
+					if _, ok := met.Load(v + " × " + kind); !ok {
+						t.Errorf("never met backend %s", kind)
+					}
+				}
+				for _, lay := range layouts {
+					if _, ok := met.Load(v + " × " + lay.name); !ok && !strings.HasPrefix(v, "layout/") {
+						t.Errorf("never met layout %s", lay.name)
+					}
+				}
+			})
 		}
-		for _, lay := range layouts {
-			if _, ok := met.Load(v + " × " + lay.name); !ok {
-				t.Errorf("%s never met layout %s", v, lay.name)
-			}
-		}
-	}
+	})
 	if multiPage.Load() == 0 {
 		t.Fatal("no query spanned more than one page: the paged deliveries tested nothing")
 	}
 	t.Logf("%d cells, %d answers checked against core.EvalNaive", cells.Load(), answers.Load())
+}
+
+// axisValues names every axis value as the cells record it.
+func axisValues() []string {
+	values := []string{"replica", "standing"}
+	for _, sh := range shapes {
+		values = append(values, "shape/"+sh.name)
+	}
+	for _, lay := range layouts {
+		values = append(values, "layout/"+lay.name)
+	}
+	for _, pl := range plans {
+		values = append(values, "plan/"+pl.name)
+	}
+	for _, st := range stages {
+		values = append(values, "stage/"+st.name)
+	}
+	for _, d := range deliveries {
+		values = append(values, "delivery/"+d.name)
+	}
+	for _, c := range caches {
+		values = append(values, "cache/"+c)
+	}
+	return values
 }
