@@ -67,6 +67,22 @@ func skewedWorkload() map[string]*core.Query {
 	return map[string]*core.Query{"star": starQuery(), "chain": chain, "mixed": mixed}
 }
 
+// evalFixture is one graph of BenchmarkEval with the queries run on it.
+type evalFixture struct {
+	name     string
+	g        *graph.Graph
+	workload map[string]*core.Query
+}
+
+// evalFixtures are BenchmarkEval's graphs and workloads, which
+// TestEvalCountersGolden pins the counters of.
+func evalFixtures() []evalFixture {
+	return []evalFixture{
+		{"uniform", benchGraph(), benchWorkload()},
+		{"skewed", planTestGraph(), skewedWorkload()},
+	}
+}
+
 // BenchmarkEval measures steady-state Eval latency and allocations per
 // call on a shared engine — the server's cache-miss path. Run with
 // -benchmem (ReportAllocs is already on) and compare allocs/op across
@@ -74,13 +90,7 @@ func skewedWorkload() map[string]*core.Query {
 // reduction on pair vs. its pre-PR baseline. star, chain and mixed run
 // on the label-skewed forest, the rest on the uniform one.
 func BenchmarkEval(b *testing.B) {
-	for _, fx := range []struct {
-		g        *graph.Graph
-		workload map[string]*core.Query
-	}{
-		{benchGraph(), benchWorkload()},
-		{planTestGraph(), skewedWorkload()},
-	} {
+	for _, fx := range evalFixtures() {
 		for _, kind := range []string{"threehop", "tc"} {
 			for _, mode := range []string{"plan", "noplan"} {
 				e, err := NewWithOptions(fx.g, Options{Index: kind, NoPlan: mode == "noplan"})
