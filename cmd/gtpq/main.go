@@ -55,7 +55,7 @@ func main() {
 		minimize = flag.Bool("minimize", false, "minimize the query first (Algorithm 1)")
 		index    = flag.String("index", "", "reachability index backend: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
 		saveSnap = flag.String("save-snapshot", "", "write the graph and built index to this file (load it later with -data file)")
-		plan     = flag.String("plan", "on", "cost-based pruning order + multiway kernels: on or off (off restores the paper's fixed post-order)")
+		plan     = flag.String("plan", "on", "cost-based choice of multiway pruning kernels: on or off (off restores the paper's per-candidate kernel)")
 	)
 	flag.Parse()
 	if *queryArg == "" {

@@ -285,9 +285,6 @@ type EngineOptions struct {
 	// Index names the reachability index kind; IndexKinds lists the
 	// backends. Empty selects the default (the paper's 3-hop index).
 	Index string
-	// Parallel is ignored; every build is level-parallel over
-	// GOMAXPROCS.
-	Parallel bool
 }
 
 // Engine evaluates queries over one graph; building it constructs the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gtpq/internal/graph"
@@ -112,6 +114,35 @@ func TestOrdersAndLCA(t *testing.T) {
 	}
 	if d := q.Descendants(a); len(d) != 1 || d[0] != c {
 		t.Errorf("Descendants(a) = %v", d)
+	}
+	// On random trees PostOrder names every node once, each after all of
+	// its children: the one invariant downward pruning needs, as pruning
+	// a node reads its children's final candidate sets.
+	rnd := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 40; trial++ {
+		q := NewQuery()
+		q.AddRoot("n0", nil)
+		for i, n := 1, 2+rnd.Intn(6); i < n; i++ {
+			q.AddNode(fmt.Sprintf("n%d", i), Backbone, rnd.Intn(i), AD, nil)
+		}
+		order := q.PostOrder()
+		pos := make(map[int]int, len(order))
+		for i, u := range order {
+			if _, dup := pos[u]; dup {
+				t.Fatalf("trial %d: node %d appears twice in %v", trial, u, order)
+			}
+			pos[u] = i
+		}
+		if len(pos) != len(q.Nodes) {
+			t.Fatalf("trial %d: post-order %v does not cover %d nodes", trial, order, len(q.Nodes))
+		}
+		for _, n := range q.Nodes {
+			for _, c := range n.Children {
+				if pos[c] > pos[n.ID] {
+					t.Fatalf("trial %d: child %d after parent %d in %v", trial, c, n.ID, order)
+				}
+			}
+		}
 	}
 }
 

@@ -44,11 +44,10 @@ func benchGraph() *graph.Graph {
 }
 
 // skewedWorkload anchors queries on rare labels hanging off hot ones,
-// over planTestGraph — the shape where candidate-count ordering and
-// multiway intersection pay, and the only fixture on which the multiway
-// kernel is known to fire: a fixed post-order prunes the huge hot sets
-// first, while the planner starts from the rare sets and intersects the
-// hot root against all children at once.
+// over planTestGraph — the shape where multiway intersection pays, and
+// the only fixture on which the multiway kernel is known to fire: the
+// paper kernel probes every candidate of the huge hot sets, while the
+// planner intersects the hot root against all children at once.
 func skewedWorkload() map[string]*core.Query {
 	chain := core.NewQuery()
 	cx := chain.AddRoot("x", core.Label("a"))

@@ -56,8 +56,8 @@ type Stats struct {
 	TotalTime time.Duration
 	// Plan is the cost-based planner's record of this evaluation (nil
 	// with Options.NoPlan, and in aggregated sharded stats): the chosen
-	// downward order and per-node kernel with estimated vs. actual
-	// candidate counts, so misestimates are observable.
+	// per-node kernel with estimated vs. actual candidate counts, so
+	// misestimates are observable.
 	Plan *PlanInfo
 }
 
@@ -70,10 +70,10 @@ type Options struct {
 	// NoShrink disables the shrunk prime subtree: enumeration walks the
 	// full prime subtree.
 	NoShrink bool
-	// NoPlan disables the cost-based planner: pruning visits query
-	// nodes in the paper's fixed post-order and always uses the paper's
-	// pairwise/contour kernels (no multiway bitset intersection). The
-	// escape hatch behind the -plan=off flags.
+	// NoPlan disables the cost-based planner: pruning always uses the
+	// paper's pairwise/contour kernels (no multiway bitset
+	// intersection), and no plan is recorded. The escape hatch behind
+	// the -plan=off flags.
 	NoPlan bool
 	// Index names the reachability backend (reach.Kinds lists them;
 	// empty selects reach.DefaultKind, the 3-hop index).
@@ -172,17 +172,14 @@ type evalContext struct {
 	bucketBuf []graph.NodeID
 	bucketOut [][]graph.NodeID
 
-	// Planner state (see plan.go): the chosen downward order, per-node
-	// estimates, and the multiway kernel's bitset/stack scratch. plan is
-	// freshly allocated per call (it escapes through Stats); the rest is
-	// pooled like every other buffer.
-	plan      *PlanInfo
-	planOrder []int
-	planEst   []int
-	planReady []bool
-	accSet    core.Bitset
-	childSet  core.Bitset
-	bfsStack  []graph.NodeID
+	// Planner state (see plan.go): the plan record and the multiway
+	// kernel's bitset/stack scratch. plan is freshly allocated per call
+	// (it escapes through Stats); the rest is pooled like every other
+	// buffer.
+	plan     *PlanInfo
+	accSet   core.Bitset
+	childSet core.Bitset
+	bfsStack []graph.NodeID
 
 	// Seeded evaluation (see seed.go): with seeded set, the root's
 	// initial candidates are intersected with seedSet before the arena

@@ -8,24 +8,19 @@ import (
 	"gtpq/internal/core"
 )
 
-// Cost-based planning. The paper prescribes a fixed post-order for
-// downward pruning (Procedure 6); any children-before-parents order is
-// equally correct, because pruning a node reads only its children's
-// final candidate sets. The planner exploits that freedom two ways:
-//
-//   - ordering: among the nodes whose children are all pruned, it
-//     always processes the one with the smallest estimated candidate
-//     set next, so cheap nodes shrink the sets feeding expensive ones
-//     as early as possible;
-//   - kernel choice: per node it compares the estimated cost of the
-//     paper's per-candidate contour kernel against a multiway bitset
-//     intersection (see prune.go) and picks the cheaper one.
+// Cost-based planning. Downward pruning (Procedure 6) visits the query
+// nodes in the paper's post-order with the planner on or off: pruning a
+// node reads only its own initial candidates and its children's final
+// sets, so every children-before-parents order yields the same sets,
+// kernel choices and counts. What the planner chooses is the kernel: per node it compares the estimated cost of the paper's
+// per-candidate contour kernel against a multiway bitset intersection
+// (see prune.go) and picks the cheaper one.
 //
 // Estimates are card.Candidates over the reachability backend's exact
 // label counts (reach.ContourIndex.LabelCount); non-label predicates
-// fall back to the node count. The chosen order and the estimated vs.
-// actual cardinalities are recorded in Stats.Plan so misestimates are
-// observable. Options.NoPlan restores the paper's behavior exactly.
+// fall back to the node count. The estimated vs. actual cardinalities
+// are recorded in Stats.Plan so misestimates are observable.
+// Options.NoPlan restores the paper's behavior exactly.
 
 // Kernel names recorded in PlanNode.
 const (
@@ -51,85 +46,35 @@ type PlanNode struct {
 
 // PlanInfo is the planner output recorded in Stats.Plan.
 type PlanInfo struct {
-	// Order is the downward processing order the planner chose.
-	Order []int `json:"order"`
 	// Nodes is indexed by query node id.
 	Nodes []PlanNode `json:"nodes"`
 }
 
-// String renders a compact one-line summary (order plus per-node
-// kernel and est/init/final counts), for logs and debug output.
+// String renders a compact one-line summary (per-node kernel and
+// est/init/final counts), for logs and debug output.
 func (p *PlanInfo) String() string {
 	var b strings.Builder
-	b.WriteString("order=[")
-	for i, u := range p.Order {
+	for i, n := range p.Nodes {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%d", u)
-	}
-	b.WriteString("]")
-	for _, n := range p.Nodes {
-		fmt.Fprintf(&b, " %d:%s(est=%d init=%d final=%d)", n.Node, n.Kernel, n.EstCands, n.InitCands, n.FinalCands)
+		fmt.Fprintf(&b, "%d:%s(est=%d init=%d final=%d)", n.Node, n.Kernel, n.EstCands, n.InitCands, n.FinalCands)
 	}
 	return b.String()
 }
 
-// planQuery prepares the downward order (and, with the planner on, the
-// PlanInfo and estimates) before candidates are materialized.
+// planQuery starts the PlanInfo, with every node's estimate, before
+// candidates are materialized; with the planner off there is none.
 func (ec *evalContext) planQuery(q *core.Query) {
+	ec.plan = nil
 	if ec.opt.NoPlan {
-		ec.planOrder = append(ec.planOrder[:0], q.PostOrder()...)
-		ec.plan = nil
 		return
 	}
-	n := len(q.Nodes)
-	ec.planEst = growSlice(ec.planEst, n)
-	for u := range q.Nodes {
-		ec.planEst[u] = card.Candidates(q.Nodes[u].Attr, ec.h.LabelCount, ec.g.N())
+	ec.plan = &PlanInfo{Nodes: make([]PlanNode, len(q.Nodes))}
+	for u, n := range q.Nodes {
+		est := card.Candidates(n.Attr, ec.h.LabelCount, ec.g.N())
+		ec.plan.Nodes[u] = PlanNode{Node: u, Name: n.Name, Kernel: KernelPaper, EstCands: est}
 	}
-	ec.planReady = growSlice(ec.planReady, n)
-	ec.planOrder = planDownwardOrder(q, ec.planEst, ec.planOrder[:0], ec.planReady)
-	ec.plan = &PlanInfo{
-		Order: append([]int(nil), ec.planOrder...),
-		Nodes: make([]PlanNode, n),
-	}
-	for u := range q.Nodes {
-		ec.plan.Nodes[u] = PlanNode{Node: u, Name: q.Nodes[u].Name, Kernel: KernelPaper, EstCands: ec.planEst[u]}
-	}
-}
-
-// planDownwardOrder returns a children-before-parents order over q's
-// nodes, greedily choosing the smallest-estimate ready node at every
-// step. Queries are small (tens of nodes), so the O(n²) ready scan
-// beats any heap. pending is caller-provided scratch of length ≥ n.
-func planDownwardOrder(q *core.Query, est []int, out []int, pending []bool) []int {
-	n := len(q.Nodes)
-	kids := make([]int, n) // children not yet processed, per node
-	for u := range q.Nodes {
-		kids[u] = len(q.Nodes[u].Children)
-		pending[u] = true
-	}
-	for len(out) < n {
-		best := -1
-		for u := range q.Nodes {
-			if !pending[u] || kids[u] > 0 {
-				continue
-			}
-			if best == -1 || est[u] < est[best] || (est[u] == est[best] && u < best) {
-				best = u
-			}
-		}
-		if best == -1 { // malformed tree; Validate rejects these
-			break
-		}
-		out = append(out, best)
-		pending[best] = false
-		if p := q.Nodes[best].Parent; p != -1 {
-			kids[p]--
-		}
-	}
-	return out
 }
 
 // finishPlan records the surviving candidate counts.

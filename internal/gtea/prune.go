@@ -18,12 +18,11 @@ import (
 // answer one contour probe per candidate. PC-child valuations are
 // computed exactly from adjacency — §4.4's first strategy, required
 // anyway under negation.
-// With the planner on (plan.go) the iteration follows the planner's
-// children-before-parents order instead of the fixed post-order, and
-// conjunctive nodes may run the multiway intersection kernel
-// (multiway.go) when the cost model prefers it; both are exact.
+// With the planner on (plan.go) conjunctive nodes may run the multiway
+// intersection kernel (multiway.go) when the cost model prefers it;
+// both kernels are exact.
 func (ec *evalContext) pruneDownward(q *core.Query) {
-	for _, u := range ec.planOrder {
+	for _, u := range q.PostOrder() {
 		if ec.cancelled() {
 			return
 		}
@@ -80,7 +79,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 		case ec.ch != nil:
 			useChain = true
 			for _, c := range adKids {
-				ec.cps[c] = ec.ch.MergePredLists(ec.mat[c], &ec.rst)
+				ec.cps[c] = ec.ch.MergeLists(ec.mat[c], false, &ec.rst)
 			}
 		default:
 			useGeneric = true
@@ -102,7 +101,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			}
 			var walker reach.ChainWalker
 			if useChain {
-				walker = ec.ch.NewOutWalker(&ec.rst)
+				walker = ec.ch.NewWalker(true, &ec.rst)
 			}
 			for _, v := range bucket {
 				if ec.tick() {
@@ -159,7 +158,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 					if pending > 0 {
 						walker.Walk(v, func(cid, pos int32) {
 							for _, c := range adKids {
-								if !val[c] && ec.cps[c].MatchPred(cid, pos) {
+								if !val[c] && ec.cps[c].Match(cid, pos) {
 									val[c] = true
 								}
 							}
@@ -290,14 +289,14 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 				continue
 			}
 			if cs == nil {
-				cs = ec.ch.MergeSuccLists(ec.mat[u], &ec.rst)
+				cs = ec.ch.MergeLists(ec.mat[u], true, &ec.rst)
 			}
 			// Ascending order per chain: once one candidate is reached,
 			// all larger ones are too.
 			buckets := ec.buckets(ec.mat[c], true)
 			keep := ec.mat[c][:0]
 			for _, bucket := range buckets {
-				walker := ec.ch.NewInWalker(&ec.rst)
+				walker := ec.ch.NewWalker(false, &ec.rst)
 				reached := false
 				for _, v := range bucket {
 					if ec.tick() {
@@ -308,15 +307,15 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 						keep = append(keep, v)
 						continue
 					}
-					hit, amb := ec.ch.CheckOwnSucc(cs, v)
+					hit, amb := ec.ch.CheckOwn(v, cs)
 					got := hit
 					walker.Walk(v, func(cid, pos int32) {
-						if !got && cs.MatchSucc(cid, pos) {
+						if !got && cs.Match(cid, pos) {
 							got = true
 						}
 					})
 					if !got && amb {
-						got = ec.ch.ResolveAmbiguousSucc(cs, v, &ec.rst)
+						got = ec.ch.ResolveAmbiguous(v, cs, &ec.rst)
 					}
 					if got {
 						reached = true

@@ -50,9 +50,8 @@ func ambiguousGraphs() []*graph.Graph {
 	return gs
 }
 
-// TestAmbiguousWitnessThroughAdjacency drives ReachesContour and
-// ContourReaches into ResolveAmbiguous / ResolveAmbiguousSucc: v is in
-// S, v's SCC is trivial, and v's own position is the contour's witness.
+// TestAmbiguousWitnessThroughAdjacency drives Probe into
+// ResolveAmbiguous over contours of both directions: v is in S, v's SCC is trivial, and v's own position is the contour's witness.
 // Answers are checked against a BFS. The lookups those probes charge are
 // pinned: a probe that gets as far as resolving has found no witness in
 // v's own lists, so it visits every SCC next to v, and the count moves
@@ -91,18 +90,18 @@ func TestAmbiguousWitnessThroughAdjacency(t *testing.T) {
 				near,
 			} {
 				var st Stats
-				cp, cs := h.MergePredLists(S, &st), h.MergeSuccLists(S, &st)
+				cp, cs := h.MergeLists(S, false, &st), h.MergeLists(S, true, &st)
 				_, pAmb := h.CheckOwn(nv, cp)
-				_, sAmb := h.CheckOwnSucc(cs, nv)
+				_, sAmb := h.CheckOwn(nv, cs)
 				if gi == 0 && len(S) == 1 && nv == 0 && !(pAmb && sAmb) {
 					t.Fatalf("node 0 with S = {0}: ambiguous %v (pred) %v (succ), want both", pAmb, sAmb)
 				}
 				var pst, sst Stats
-				if got, want := h.ReachesContour(nv, cp, &pst), contourWant(g, nv, S, "vToS"); got != want {
-					t.Fatalf("graph %d: ReachesContour(%d, S=%v) = %v, want %v", gi, v, S, got, want)
+				if got, want := h.Probe(nv, cp, &pst), contourWant(g, nv, S, "vToS"); got != want {
+					t.Fatalf("graph %d: v=%d reaches S=%v: Probe = %v, want %v", gi, v, S, got, want)
 				}
-				if got, want := h.ContourReaches(cs, nv, &sst), contourWant(g, nv, S, "sToV"); got != want {
-					t.Fatalf("graph %d: ContourReaches(S=%v, %d) = %v, want %v", gi, S, v, got, want)
+				if got, want := h.Probe(nv, cs, &sst), contourWant(g, nv, S, "sToV"); got != want {
+					t.Fatalf("graph %d: S=%v reaches v=%d: Probe = %v, want %v", gi, S, v, got, want)
 				}
 				if pAmb {
 					ambPred++

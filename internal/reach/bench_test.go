@@ -48,10 +48,10 @@ func BenchmarkThreeHopReads(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := nodes[(i*32)%len(nodes):][:32]
-				cp, cs := h.MergePredLists(s, &st), h.MergeSuccLists(s, &st)
+				cp, cs := h.MergeLists(s, false, &st), h.MergeLists(s, true, &st)
 				for _, v := range nodes {
-					h.ReachesContour(v, cp, &st)
-					h.ContourReaches(cs, v, &st)
+					h.Probe(v, cp, &st)
+					h.Probe(v, cs, &st)
 				}
 			}
 		})
@@ -60,7 +60,7 @@ func BenchmarkThreeHopReads(b *testing.B) {
 			sum := int32(0)
 			f := func(cid, pos int32) { sum += pos }
 			for i := 0; i < b.N; i++ {
-				out, in := h.NewOutWalker(&st), h.NewInWalker(&st)
+				out, in := h.NewWalker(true, &st), h.NewWalker(false, &st)
 				for _, v := range nodes {
 					out.Walk(v, f)
 					in.Walk(v, f)

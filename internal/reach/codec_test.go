@@ -316,11 +316,11 @@ func TestGapRowsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNextPrevRowCrossEmptyRuns checks nextRow and prevRow against a
-// row-by-row scan, for every start and bound, over rows whose empty
+// TestSeekCrossesEmptyRuns checks seek against a row-by-row scan, for
+// every row and every bound on either side of it, over rows whose empty
 // runs have lengths 0 to 9, at the ends as well as between rows that
 // hold entries.
-func TestNextPrevRowCrossEmptyRuns(t *testing.T) {
+func TestSeekCrossesEmptyRuns(t *testing.T) {
 	var enc [][]byte
 	for run := 0; run < 10; run++ {
 		enc = append(enc, make([][]byte, run)...)
@@ -329,26 +329,18 @@ func TestNextPrevRowCrossEmptyRuns(t *testing.T) {
 	enc = append(enc, make([][]byte, 7)...)
 	r := packRows(enc)
 	k := int32(len(enc))
-	empty := func(row int32) bool { return len(r.row(row)) == 0 }
-	for row := int32(0); row <= k; row++ {
-		for end := int32(0); end <= k; end++ {
+	for row := int32(0); row < k; row++ {
+		for bound := int32(-1); bound <= k; bound++ {
+			step := int32(1)
+			if bound < row {
+				step = -1
+			}
 			want := row
-			for want < end && empty(want) {
-				want++
+			for want != bound && len(r.row(want)) == 0 {
+				want += step
 			}
-			if got := r.nextRow(row, end); got != want {
-				t.Fatalf("nextRow(%d, %d) = %d, want %d", row, end, got, want)
-			}
-		}
-	}
-	for row := int32(-1); row < k; row++ {
-		for start := int32(0); start <= k; start++ {
-			want := row
-			for want >= start && empty(want) {
-				want--
-			}
-			if got := r.prevRow(row, start); got != want {
-				t.Fatalf("prevRow(%d, %d) = %d, want %d", row, start, got, want)
+			if got := r.seek(row, bound); got != want {
+				t.Fatalf("seek(%d, %d) = %d, want %d", row, bound, got, want)
 			}
 		}
 	}

@@ -2,14 +2,25 @@ package reach
 
 import "gtpq/internal/graph"
 
-// Contour is the merged complete predecessor (or successor) list of a
-// node set S (Procedure 2 / MergeSuccLists): one extreme position per
-// chain — the largest position reaching S for a predecessor contour, the
-// smallest position reachable from S for a successor contour — plus the
-// SCC membership of S itself, needed to answer *strict* reachability
-// when the probe node can sit inside S.
+// The query side reads the chains in one of two directions, named by
+// the build's down flag (see sweep): down reads the successor lists
+// (Lout) of a chain suffix, forward from a position; up reads the
+// predecessor lists (Lin) of a chain prefix, backward from it. Every
+// operation below is written once and takes its direction when a
+// contour is merged or a walker is made, never per list entry.
+
+// Contour is the merged complete predecessor or successor list of a
+// node set S (Procedure 2, and MergeSuccLists, its dual): one extreme
+// position per chain — the largest position reaching S for a
+// predecessor contour, the smallest position reachable from S for a
+// successor contour — plus the SCC membership of S itself, needed to
+// answer *strict* reachability when the probe node can sit inside S.
 type Contour struct {
-	pred    bool            // predecessor contour (vals hold maxima)
+	// step is the contour's direction: +1 for a successor contour
+	// (down), -1 for a predecessor one. Position a lies before b in
+	// that direction when (a-b)*step < 0, and vals keep, per chain, the
+	// position before all others.
+	step    int32
 	vals    map[int32]int32 // cid -> extreme position
 	members map[int32]bool  // SCCs containing an element of S
 }
@@ -18,158 +29,108 @@ type Contour struct {
 // contour-size measure; bounded by the number of chains).
 func (c *Contour) Size() int { return len(c.vals) }
 
-// MergePredLists computes the predecessor contour of S following
-// Procedure 2: every element's complete predecessor list is folded in,
-// and the per-chain `visited` high-water mark guarantees no Lin list is
-// examined twice. Work is charged to st.
-func (h *ThreeHop) MergePredLists(S []graph.NodeID, st *Stats) *Contour {
-	c := &Contour{
-		pred:    true,
-		vals:    make(map[int32]int32),
-		members: make(map[int32]bool, len(S)),
+// fold records position p on chain cid, keeping the chain's extreme.
+func (c *Contour) fold(cid, p int32) {
+	if cur, ok := c.vals[cid]; !ok || (p-cur)*c.step < 0 {
+		c.vals[cid] = p
 	}
-	visited := make(map[int32]int32) // cid -> largest position whose prefix has been fully scanned
+}
+
+// Match reports whether a single entry of a complete list read in the
+// other direction, at position pos on chain cid, matches the contour:
+// a successor-list entry at or below a predecessor contour's maximum,
+// or a predecessor-list entry at or above a successor contour's
+// minimum.
+func (c *Contour) Match(cid, pos int32) bool {
+	m, ok := c.vals[cid]
+	return ok && (m-pos)*c.step <= 0
+}
+
+// MergeLists computes the contour of S in direction down: per-chain
+// minima over the complete successor lists when down, per-chain maxima
+// over the complete predecessor lists otherwise (Procedure 2). Each
+// element's own position is folded in, and its list is read as a
+// walker reads it, so the per-chain visited mark guarantees no list is
+// examined twice. The loop folds inline rather than through Walk: a
+// call per entry costs arXiv merges ~10%. Work is charged to st.
+func (h *ThreeHop) MergeLists(S []graph.NodeID, down bool, st *Stats) *Contour {
+	c := &Contour{step: -1, vals: make(map[int32]int32), members: make(map[int32]bool, len(S))}
+	if down {
+		c.step = 1
+	}
+	w := walker{h: h, down: down, visited: make(map[int32]int32)}
 	n := int64(0)
 	for _, v := range S {
 		s := h.scc.Comp[v]
 		c.members[s] = true
-		cid, pos := h.locate(s)
-		if cur, ok := c.vals[cid]; !ok || pos > cur {
-			c.vals[cid] = pos
-		}
-		// Walk the chain prefix ending at pos downward, stopping at the
-		// already-visited region.
-		limit, seen := visited[cid]
-		start := h.chainOff[cid]
-		if seen {
-			start = limit + 1
-		}
-		for t := h.lin.prevRow(pos, start); t >= start; t = h.lin.prevRow(t-1, start) {
-			for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+		cid := h.chainAt[s]
+		c.fold(cid, s)
+		r, t, step, bound := w.claim(cid, s)
+		for t = r.seek(t, bound); t != bound; t = r.seek(t+step, bound) {
+			for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 				p, i = nextGap(b, i, p)
 				n++
-				pc := h.chainAt[p]
-				if cur, ok := c.vals[pc]; !ok || p > cur {
-					c.vals[pc] = p
-				}
+				c.fold(h.chainAt[p], p)
 			}
-		}
-		if !seen || pos > limit {
-			visited[cid] = pos
 		}
 	}
 	st.Lookups += n
 	return c
 }
 
-// MergeSuccLists computes the successor contour of S (per-chain minima
-// over complete successor lists), the dual of MergePredLists.
-func (h *ThreeHop) MergeSuccLists(S []graph.NodeID, st *Stats) *Contour {
-	c := &Contour{
-		vals:    make(map[int32]int32),
-		members: make(map[int32]bool, len(S)),
-	}
-	visited := make(map[int32]int32) // cid -> smallest position whose suffix has been fully scanned
-	n := int64(0)
-	for _, v := range S {
-		s := h.scc.Comp[v]
-		c.members[s] = true
-		cid, pos := h.locate(s)
-		if cur, ok := c.vals[cid]; !ok || pos < cur {
-			c.vals[cid] = pos
-		}
-		limit, seen := visited[cid]
-		end := h.chainOff[cid+1]
-		if seen {
-			end = limit
-		}
-		for t := h.lout.nextRow(pos, end); t < end; t = h.lout.nextRow(t+1, end) {
-			for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
-				p, i = nextGap(b, i, p)
-				n++
-				pc := h.chainAt[p]
-				if cur, ok := c.vals[pc]; !ok || p < cur {
-					c.vals[pc] = p
-				}
-			}
-		}
-		if !seen || pos < limit {
-			visited[cid] = pos
-		}
-	}
-	st.Lookups += n
-	return c
-}
-
-// threeHopPred adapts a chain predecessor contour to the backend-opaque
-// PredContour probe interface.
-type threeHopPred struct {
+// threeHopContour adapts a chain contour to the backend-opaque probe
+// interfaces: it is handed out as a PredContour when merged up and as
+// a SuccContour when merged down, and both methods ask Probe.
+type threeHopContour struct {
 	h *ThreeHop
-	c *Contour
+	*Contour
 }
 
-func (p threeHopPred) ReachedFrom(v graph.NodeID, st *Stats) bool {
-	return p.h.ReachesContour(v, p.c, st)
-}
-func (p threeHopPred) Size() int { return p.c.Size() }
-
-// threeHopSucc is the successor dual.
-type threeHopSucc struct {
-	h *ThreeHop
-	c *Contour
+func (a threeHopContour) ReachedFrom(v graph.NodeID, st *Stats) bool {
+	return a.h.Probe(v, a.Contour, st)
 }
 
-func (s threeHopSucc) ReachesNode(v graph.NodeID, st *Stats) bool {
-	return s.h.ContourReaches(s.c, v, st)
+func (a threeHopContour) ReachesNode(v graph.NodeID, st *Stats) bool {
+	return a.h.Probe(v, a.Contour, st)
 }
-func (s threeHopSucc) Size() int { return s.c.Size() }
 
 // PredContour summarizes S for generic "v reaches S?" probes.
 func (h *ThreeHop) PredContour(S []graph.NodeID, st *Stats) PredContour {
-	return threeHopPred{h: h, c: h.MergePredLists(S, st)}
+	return threeHopContour{h, h.MergeLists(S, false, st)}
 }
 
 // SuccContour summarizes S for generic "S reaches v?" probes.
 func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
-	return threeHopSucc{h: h, c: h.MergeSuccLists(S, st)}
+	return threeHopContour{h, h.MergeLists(S, true, st)}
 }
 
-// ReachesContour reports whether v strictly reaches some element of the
-// set summarized by the predecessor contour cp (Proposition 7, first
-// half). The rare ambiguous case — v itself is in S, v's SCC is trivial,
-// and the only inclusive witness is v's own position — falls back to
-// checking v's DAG out-neighbors inclusively.
-func (h *ThreeHop) ReachesContour(v graph.NodeID, cp *Contour, st *Stats) bool {
+// Probe reports whether v is strictly connected to the set S behind c
+// in c's direction (Proposition 7): whether v reaches some element of S
+// for a predecessor contour, whether some element of S reaches v for a
+// successor contour. The rare ambiguous case — v itself is in S, v's
+// SCC is trivial, and the only inclusive witness is v's own position —
+// falls back to v's DAG neighbors (ResolveAmbiguous).
+func (h *ThreeHop) Probe(v graph.NodeID, c *Contour, st *Stats) bool {
 	st.Queries++
-	hit, ambiguous := h.CheckOwn(v, cp)
-	if hit || h.outMatches(h.scc.Comp[v], cp, st) {
+	hit, ambiguous := h.CheckOwn(v, c)
+	if hit || h.matches(h.scc.Comp[v], c, st) {
 		return true
 	}
-	return ambiguous && h.ResolveAmbiguous(v, cp, st)
+	return ambiguous && h.ResolveAmbiguous(v, c, st)
 }
 
-// ContourReaches reports whether some element of the set summarized by
-// the successor contour cs strictly reaches v (Proposition 7, second
-// half).
-func (h *ThreeHop) ContourReaches(cs *Contour, v graph.NodeID, st *Stats) bool {
-	st.Queries++
-	hit, ambiguous := h.CheckOwnSucc(cs, v)
-	if hit || h.inMatches(cs, h.scc.Comp[v], st) {
-		return true
-	}
-	return ambiguous && h.ResolveAmbiguousSucc(cs, v, st)
-}
-
-// outMatches reports whether some entry of s's complete successor list
-// (the Lout lists of its chain suffix) matches the predecessor contour.
-func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
+// matches reports whether some entry of the complete list of the SCC
+// at position s, read in the direction opposite c's, matches c: its
+// successor list against a predecessor contour, its predecessor list
+// against a successor contour.
+func (h *ThreeHop) matches(s int32, c *Contour, st *Stats) bool {
 	n := int64(0)
-	end := h.chainOff[h.chainAt[s]+1]
-	for t := h.lout.nextRow(s, end); t < end; t = h.lout.nextRow(t+1, end) {
-		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
+	r, step, bound := h.span(h.chainAt[s], c.step < 0)
+	for t := r.seek(s, bound); t != bound; t = r.seek(t+step, bound) {
+		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
-			if cp.MatchPred(h.chainAt[p], p) {
+			if c.Match(h.chainAt[p], p) {
 				st.Lookups += n
 				return true
 			}
@@ -179,112 +140,56 @@ func (h *ThreeHop) outMatches(s int32, cp *Contour, st *Stats) bool {
 	return false
 }
 
-// inMatches is outMatches' dual over s's complete predecessor list.
-func (h *ThreeHop) inMatches(cs *Contour, s int32, st *Stats) bool {
-	n := int64(0)
-	start := h.chainOff[h.chainAt[s]]
-	for t := h.lin.prevRow(s, start); t >= start; t = h.lin.prevRow(t-1, start) {
-		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
-			p, i = nextGap(b, i, p)
-			n++
-			if cs.MatchSucc(h.chainAt[p], p) {
-				st.Lookups += n
-				return true
-			}
-		}
-	}
-	st.Lookups += n
-	return false
-}
-
-// inclusiveReachesPred reports whether SCC s inclusively reaches the set
-// behind the predecessor contour.
-func (h *ThreeHop) inclusiveReachesPred(s int32, cp *Contour, st *Stats) bool {
-	return cp.MatchPred(h.locate(s)) || h.outMatches(s, cp, st)
-}
-
-func (h *ThreeHop) inclusiveSuccReaches(cs *Contour, s int32, st *Stats) bool {
-	return cs.MatchSucc(h.locate(s)) || h.inMatches(cs, s, st)
-}
-
-// OutWalker streams the complete-successor-list entries of candidates
-// processed in descending position order on each chain, visiting every
-// Lout element at most once per walker lifetime (the inner loop of
-// Procedure 6). Callers create one walker per query node being pruned;
-// a walker is single-use state for one evaluation and charges its
-// lookups to the sink it was created with.
-type OutWalker struct {
+// walker streams the complete-list entries of candidates processed in
+// chain order, visiting every list element at most once per walker
+// lifetime: down, the Lout entries of chain suffixes for candidates in
+// descending position order per chain (the inner loop of Procedure 6);
+// up, the Lin entries of chain prefixes in ascending order (Procedure
+// 7). Callers create one walker per query node being pruned; a walker
+// is single-use state for one evaluation and charges its lookups to
+// the sink it was created with.
+type walker struct {
 	h       *ThreeHop
 	st      *Stats
-	visited map[int32]int32 // cid -> smallest position whose suffix was walked
+	down    bool
+	visited map[int32]int32 // cid -> the position the chain was last walked from
 }
 
-// NewOutWalker returns a walker over h charging st.
-func (h *ThreeHop) NewOutWalker(st *Stats) ChainWalker {
-	return &OutWalker{h: h, st: st, visited: make(map[int32]int32)}
+// NewWalker returns a walker over h in direction down, charging st.
+func (h *ThreeHop) NewWalker(down bool, st *Stats) ChainWalker {
+	return &walker{h: h, st: st, down: down, visited: make(map[int32]int32)}
 }
 
-// Walk invokes f for every Lout entry in the not-yet-visited part of the
-// chain suffix starting at v's position. Entries already walked for a
-// larger candidate on the same chain are skipped, matching the
-// `visited` bookkeeping of Procedure 6.
-func (w *OutWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
-	h := w.h
-	s := h.scc.Comp[v]
-	cid, pos := h.locate(s)
-	limit, seen := w.visited[cid]
-	end := h.chainOff[cid+1]
-	if seen {
-		end = limit
+// claim returns the rows still to be walked from position s on chain
+// cid — the list family, the first row, the step and the bound, as
+// span gives them — and marks them walked. The part of the chain
+// suffix (down) or prefix (up) from s that a walk from s or from
+// before it in that direction already covered is left out, matching
+// the `visited` bookkeeping of Procedures 6 and 7; if nothing is left,
+// the first row is the bound.
+func (w *walker) claim(cid, s int32) (r *gapRows, t, step, bound int32) {
+	r, step, bound = w.h.span(cid, w.down)
+	if limit, seen := w.visited[cid]; seen {
+		bound = limit
 	}
-	// Recorded before the walk, so that no more than the loop's own
+	if t = bound; (bound-s)*step > 0 {
+		t = s
+		w.visited[cid] = s
+	}
+	return
+}
+
+// Walk invokes f for every list entry in the not-yet-visited part of
+// the chain suffix (down) or prefix (up) that starts at v's position.
+func (w *walker) Walk(v graph.NodeID, f func(cid, pos int32)) {
+	h := w.h
+	// Claimed before the walk, so that no more than the loop's own
 	// state is live across the calls of f: the extra spills cost arXiv
 	// walks ~10%.
-	if !seen || pos < limit {
-		w.visited[cid] = pos
-	}
+	r, t, step, bound := w.claim(h.locate(h.scc.Comp[v]))
 	n := int64(0)
-	for t := h.lout.nextRow(pos, end); t < end; t = h.lout.nextRow(t+1, end) {
-		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
-			p, i = nextGap(b, i, p)
-			n++
-			f(h.chainAt[p], p)
-		}
-	}
-	w.st.Lookups += n
-}
-
-// InWalker is the dual used by Procedure 7: candidates are processed in
-// ascending position order per chain, and Lin entries of the chain
-// prefix are visited at most once.
-type InWalker struct {
-	h       *ThreeHop
-	st      *Stats
-	visited map[int32]int32 // cid -> largest position whose prefix was walked
-}
-
-// NewInWalker returns a walker over h charging st.
-func (h *ThreeHop) NewInWalker(st *Stats) ChainWalker {
-	return &InWalker{h: h, st: st, visited: make(map[int32]int32)}
-}
-
-// Walk invokes f for every Lin entry in the not-yet-visited part of the
-// chain prefix ending at v's position.
-func (w *InWalker) Walk(v graph.NodeID, f func(cid, pos int32)) {
-	h := w.h
-	s := h.scc.Comp[v]
-	cid, pos := h.locate(s)
-	limit, seen := w.visited[cid]
-	start := h.chainOff[cid]
-	if seen {
-		start = limit + 1
-	}
-	if !seen || pos > limit { // before the walk, as in OutWalker.Walk
-		w.visited[cid] = pos
-	}
-	n := int64(0)
-	for t := h.lin.prevRow(pos, start); t >= start; t = h.lin.prevRow(t-1, start) {
-		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+	for t = r.seek(t, bound); t != bound; t = r.seek(t+step, bound) {
+		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
 			f(h.chainAt[p], p)
@@ -299,21 +204,21 @@ func (h *ThreeHop) Position(v graph.NodeID) (cid, pos int32) {
 	return h.locate(h.scc.Comp[v])
 }
 
-// CheckOwn reports the relationship of v's own chain position against a
-// predecessor contour: reached (definitely strict), ambiguous (witness
-// is v's own position and v ∈ S), or nothing.
-func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
+// CheckOwn reports the relationship of v's own chain position against
+// a contour: reached (definitely strict), ambiguous (the witness is
+// v's own position and v ∈ S), or nothing.
+func (h *ThreeHop) CheckOwn(v graph.NodeID, c *Contour) (hit, ambiguous bool) {
 	s := h.scc.Comp[v]
-	if cp.members[s] && h.scc.Nontrivial(s) {
+	if c.members[s] && h.scc.Nontrivial(s) {
 		return true, false
 	}
 	cid, pos := h.locate(s)
-	if m, ok := cp.vals[cid]; ok {
+	if m, ok := c.vals[cid]; ok {
 		switch {
-		case m > pos:
+		case (m-pos)*c.step < 0:
 			return true, false
 		case m == pos:
-			if !cp.members[s] {
+			if !c.members[s] {
 				return true, false
 			}
 			return false, true
@@ -323,38 +228,16 @@ func (h *ThreeHop) CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool) {
 }
 
 // ResolveAmbiguous answers the rare own-position ambiguity by probing
-// v's DAG out-neighbors inclusively against the predecessor contour.
-// v's SCC must be trivial, as it is whenever CheckOwn reports ambiguous.
-func (h *ThreeHop) ResolveAmbiguous(v graph.NodeID, cp *Contour, st *Stats) bool {
-	return h.anyNeighborSCC(h.g.Out(v), func(s int32) bool { return h.inclusiveReachesPred(s, cp, st) })
-}
-
-// CheckOwnSucc is CheckOwn's dual for successor contours (upward
-// pruning).
-func (h *ThreeHop) CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous bool) {
-	s := h.scc.Comp[v]
-	if cs.members[s] && h.scc.Nontrivial(s) {
-		return true, false
+// v's DAG neighbors inclusively against the contour: its out-neighbors
+// against a predecessor contour, its in-neighbors against a successor
+// one. v's SCC must be trivial, as it is whenever CheckOwn reports
+// ambiguous.
+func (h *ThreeHop) ResolveAmbiguous(v graph.NodeID, c *Contour, st *Stats) bool {
+	nbrs := h.g.In(v)
+	if c.step < 0 {
+		nbrs = h.g.Out(v)
 	}
-	cid, pos := h.locate(s)
-	if m, ok := cs.vals[cid]; ok {
-		switch {
-		case m < pos:
-			return true, false
-		case m == pos:
-			if !cs.members[s] {
-				return true, false
-			}
-			return false, true
-		}
-	}
-	return false, false
-}
-
-// ResolveAmbiguousSucc resolves the dual ambiguity through v's DAG
-// in-neighbors; v's SCC must be trivial.
-func (h *ThreeHop) ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) bool {
-	return h.anyNeighborSCC(h.g.In(v), func(s int32) bool { return h.inclusiveSuccReaches(cs, s, st) })
+	return h.anyNeighborSCC(nbrs, func(s int32) bool { return c.Match(h.locate(s)) || h.matches(s, c, st) })
 }
 
 // anyNeighborSCC calls probe on the SCCs of nbrs, each once and in order
@@ -393,18 +276,4 @@ func (b *sccSet) add(s int32) bool {
 	}
 	b.bits[w] |= m
 	return true
-}
-
-// MatchPred reports whether a single complete-successor-list entry, at
-// position pos on chain cid, matches the predecessor contour.
-func (c *Contour) MatchPred(cid, pos int32) bool {
-	m, ok := c.vals[cid]
-	return ok && m >= pos
-}
-
-// MatchSucc reports whether a single complete-predecessor-list entry, at
-// position pos on chain cid, matches the successor contour.
-func (c *Contour) MatchSucc(cid, pos int32) bool {
-	m, ok := c.vals[cid]
-	return ok && m <= pos
 }

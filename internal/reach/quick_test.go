@@ -72,15 +72,15 @@ func TestQuickContourSubsumesMembers(t *testing.T) {
 		for i := range S {
 			S[i] = graph.NodeID(rr.Intn(g.N()))
 		}
-		cp := h.MergePredLists(S, &st)
-		cs := h.MergeSuccLists(S, &st)
+		cp := h.MergeLists(S, false, &st)
+		cs := h.MergeLists(S, true, &st)
 		for v := 0; v < g.N(); v++ {
 			nv := graph.NodeID(v)
 			for _, s := range S {
-				if h.ReachesSt(nv, s, &st) && !h.ReachesContour(nv, cp, &st) {
+				if h.ReachesSt(nv, s, &st) && !h.Probe(nv, cp, &st) {
 					return false
 				}
-				if h.ReachesSt(s, nv, &st) && !h.ContourReaches(cs, nv, &st) {
+				if h.ReachesSt(s, nv, &st) && !h.Probe(nv, cs, &st) {
 					return false
 				}
 			}

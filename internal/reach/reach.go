@@ -16,8 +16,10 @@
 //     merged set summaries (contours) for holistic "node vs. node-set"
 //     pruning probes. Every query method takes an explicit *Stats sink,
 //     so a built index is immutable and safe for concurrent readers.
-//   - ChainIndex extends it with the chain positions and shared
-//     list walkers the paper's Procedure 6/7 optimizations need; only
+//   - ChainIndex extends it with the chain positions, chain contours
+//     and shared list walkers the paper's Procedure 6/7 optimizations
+//     need, each written once for both directions (the build's down
+//     flag: successor lists down, predecessor lists up); only
 //     chain-structured indexes (3-hop) provide it, and the engine falls
 //     back to plain contour probes when it is absent.
 //
@@ -74,7 +76,7 @@ type SuccContour interface {
 }
 
 // ChainWalker streams index list entries for candidates processed in
-// chain order (see ThreeHop's OutWalker/InWalker).
+// chain order (see ThreeHop.NewWalker).
 type ChainWalker interface {
 	// Walk invokes f for every not-yet-visited list entry relevant to v,
 	// as the entry's chain id and position (see ChainIndex.Position).
@@ -88,6 +90,13 @@ type ChainWalker interface {
 // the same chain and to inherit positive valuations along chains;
 // backends without chain structure simply don't implement it.
 //
+// Each operation serves both pruning rounds. Its direction is the
+// build's down flag: down reads successor lists and merges per-chain
+// minima (upward pruning's successor contours, Procedure 6's suffix
+// walks); up reads predecessor lists and merges per-chain maxima
+// (downward pruning's predecessor contours, Procedure 7's prefix
+// walks). A contour carries the direction it was merged in.
+//
 // A position stands in for the paper's sequence id: within one chain,
 // positions are ordered exactly as sequence ids are (of two SCCs on one
 // chain, the one at the smaller position reaches the other), but they
@@ -98,24 +107,18 @@ type ChainIndex interface {
 
 	// Position returns v's chain id and its position on that chain.
 	Position(v graph.NodeID) (cid, pos int32)
-	// MergePredLists computes the predecessor contour of S (Procedure 2).
-	MergePredLists(S []graph.NodeID, st *Stats) *Contour
-	// MergeSuccLists computes the successor contour of S (its dual).
-	MergeSuccLists(S []graph.NodeID, st *Stats) *Contour
-	// NewOutWalker returns a walker over successor lists (Procedure 6).
-	NewOutWalker(st *Stats) ChainWalker
-	// NewInWalker returns a walker over predecessor lists (Procedure 7).
-	NewInWalker(st *Stats) ChainWalker
-	// CheckOwn tests v's own chain position against a predecessor
-	// contour: reached, ambiguous (witness is v's own position and
-	// v ∈ S), or neither.
-	CheckOwn(v graph.NodeID, cp *Contour) (hit, ambiguous bool)
+	// MergeLists computes the contour of S in direction down: the
+	// successor contour when down, else the predecessor contour of
+	// Procedure 2.
+	MergeLists(S []graph.NodeID, down bool, st *Stats) *Contour
+	// NewWalker returns a walker over successor lists when down
+	// (Procedure 6), over predecessor lists otherwise (Procedure 7).
+	NewWalker(down bool, st *Stats) ChainWalker
+	// CheckOwn tests v's own chain position against a contour: reached,
+	// ambiguous (witness is v's own position and v ∈ S), or neither.
+	CheckOwn(v graph.NodeID, c *Contour) (hit, ambiguous bool)
 	// ResolveAmbiguous settles the rare own-position ambiguity.
-	ResolveAmbiguous(v graph.NodeID, cp *Contour, st *Stats) bool
-	// CheckOwnSucc and ResolveAmbiguousSucc are the successor-contour
-	// duals used by upward pruning.
-	CheckOwnSucc(cs *Contour, v graph.NodeID) (hit, ambiguous bool)
-	ResolveAmbiguousSucc(cs *Contour, v graph.NodeID, st *Stats) bool
+	ResolveAmbiguous(v graph.NodeID, c *Contour, st *Stats) bool
 }
 
 // Stats counts index work for the I/O-cost experiments (Fig 10): every

@@ -230,133 +230,84 @@ func TestContoursMatchBruteForce(t *testing.T) {
 		for i := range S {
 			S[i] = graph.NodeID(r.Intn(g.N()))
 		}
-		cp := h.MergePredLists(S, &st)
-		cs := h.MergeSuccLists(S, &st)
+		cp := h.MergeLists(S, false, &st)
+		cs := h.MergeLists(S, true, &st)
 		for v := 0; v < g.N(); v++ {
 			nv := graph.NodeID(v)
-			if got, want := h.ReachesContour(nv, cp, &st), contourWant(g, nv, S, "vToS"); got != want {
-				t.Fatalf("trial %d: ReachesContour(%d, S=%v)=%v want %v", trial, v, S, got, want)
+			if got, want := h.Probe(nv, cp, &st), contourWant(g, nv, S, "vToS"); got != want {
+				t.Fatalf("trial %d: v=%d reaches S=%v: Probe=%v want %v", trial, v, S, got, want)
 			}
-			if got, want := h.ContourReaches(cs, nv, &st), contourWant(g, nv, S, "sToV"); got != want {
-				t.Fatalf("trial %d: ContourReaches(S=%v, %d)=%v want %v", trial, S, v, got, want)
-			}
-		}
-	}
-}
-
-func TestOutWalkerCoversSuffixEntries(t *testing.T) {
-	var st Stats
-	// The walker, fed candidates in descending position order, must see each
-	// suffix entry exactly once and in total cover the same evidence as
-	// direct contour checks.
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		g := randDAG(r, 2+r.Intn(35), 2+r.Intn(100))
-		h := NewThreeHop(g)
-		k := 1 + r.Intn(5)
-		S := make([]graph.NodeID, k)
-		for i := range S {
-			S[i] = graph.NodeID(r.Intn(g.N()))
-		}
-		cp := h.MergePredLists(S, &st)
-
-		// Group all nodes by chain, descending position.
-		byChain := map[int32][]graph.NodeID{}
-		for v := 0; v < g.N(); v++ {
-			cid, _ := h.Position(graph.NodeID(v))
-			byChain[cid] = append(byChain[cid], graph.NodeID(v))
-		}
-		for _, nodes := range byChain {
-			// Sort descending by position.
-			for i := 1; i < len(nodes); i++ {
-				for j := i; j > 0; j-- {
-					_, si := h.Position(nodes[j])
-					_, sj := h.Position(nodes[j-1])
-					if si > sj {
-						nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-					} else {
-						break
-					}
-				}
-			}
-			w := h.NewOutWalker(&st)
-			reached := false // inherited along the chain
-			for _, v := range nodes {
-				hit, ambiguous := h.CheckOwn(v, cp)
-				got := reached || hit
-				w.Walk(v, func(cid, pos int32) {
-					if cp.MatchPred(cid, pos) {
-						got = true
-					}
-				})
-				if !got && ambiguous {
-					got = h.ResolveAmbiguous(v, cp, &st)
-				}
-				want := contourWant(g, v, S, "vToS")
-				if got != want {
-					t.Fatalf("walker check for %d: got %v want %v", v, got, want)
-				}
-				if got {
-					reached = true
-				}
+			if got, want := h.Probe(nv, cs, &st), contourWant(g, nv, S, "sToV"); got != want {
+				t.Fatalf("trial %d: S=%v reaches v=%d: Probe=%v want %v", trial, S, v, got, want)
 			}
 		}
 	}
 }
 
-func TestInWalkerCoversPrefixEntries(t *testing.T) {
-	var st Stats
-	r := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 25; trial++ {
-		g := randDAG(r, 2+r.Intn(35), 2+r.Intn(100))
-		h := NewThreeHop(g)
-		k := 1 + r.Intn(5)
-		S := make([]graph.NodeID, k)
-		for i := range S {
-			S[i] = graph.NodeID(r.Intn(g.N()))
-		}
-		cs := h.MergeSuccLists(S, &st)
+// TestWalkerCoversChainEntries feeds a walker each chain's nodes in its
+// direction's order — descending positions down, ascending up — and
+// checks that, with the contour of the other direction, its entries
+// decide every node as direct contour checks do.
+func TestWalkerCoversChainEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		down bool
+		seed int64
+		want string
+	}{{"down", true, 7, "vToS"}, {"up", false, 8, "sToV"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st Stats
+			r := rand.New(rand.NewSource(tc.seed))
+			for trial := 0; trial < 25; trial++ {
+				g := randDAG(r, 2+r.Intn(35), 2+r.Intn(100))
+				h := NewThreeHop(g)
+				k := 1 + r.Intn(5)
+				S := make([]graph.NodeID, k)
+				for i := range S {
+					S[i] = graph.NodeID(r.Intn(g.N()))
+				}
+				c := h.MergeLists(S, !tc.down, &st)
 
-		byChain := map[int32][]graph.NodeID{}
-		for v := 0; v < g.N(); v++ {
-			cid, _ := h.Position(graph.NodeID(v))
-			byChain[cid] = append(byChain[cid], graph.NodeID(v))
-		}
-		for _, nodes := range byChain {
-			// Ascending position.
-			for i := 1; i < len(nodes); i++ {
-				for j := i; j > 0; j-- {
-					_, si := h.Position(nodes[j])
-					_, sj := h.Position(nodes[j-1])
-					if si < sj {
-						nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-					} else {
-						break
+				byChain := map[int32][]graph.NodeID{}
+				for v := 0; v < g.N(); v++ {
+					cid, _ := h.Position(graph.NodeID(v))
+					byChain[cid] = append(byChain[cid], graph.NodeID(v))
+				}
+				for _, nodes := range byChain {
+					// Descending position down, ascending up.
+					for i := 1; i < len(nodes); i++ {
+						for j := i; j > 0; j-- {
+							_, si := h.Position(nodes[j])
+							_, sj := h.Position(nodes[j-1])
+							if si == sj || (si > sj) != tc.down {
+								break
+							}
+							nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
+						}
+					}
+					w := h.NewWalker(tc.down, &st)
+					reached := false // inherited along the chain
+					for _, v := range nodes {
+						hit, ambiguous := h.CheckOwn(v, c)
+						got := reached || hit
+						w.Walk(v, func(cid, pos int32) {
+							if c.Match(cid, pos) {
+								got = true
+							}
+						})
+						if !got && ambiguous {
+							got = h.ResolveAmbiguous(v, c, &st)
+						}
+						if want := contourWant(g, v, S, tc.want); got != want {
+							t.Fatalf("walker check for %d: got %v want %v", v, got, want)
+						}
+						if got {
+							reached = true
+						}
 					}
 				}
 			}
-			w := h.NewInWalker(&st)
-			reached := false
-			for _, v := range nodes {
-				hit, ambiguous := h.CheckOwnSucc(cs, v)
-				got := reached || hit
-				w.Walk(v, func(cid, pos int32) {
-					if cs.MatchSucc(cid, pos) {
-						got = true
-					}
-				})
-				if !got && ambiguous {
-					got = h.ResolveAmbiguousSucc(cs, v, &st)
-				}
-				want := contourWant(g, v, S, "sToV")
-				if got != want {
-					t.Fatalf("walker check for %d: got %v want %v", v, got, want)
-				}
-				if got {
-					reached = true
-				}
-			}
-		}
+		})
 	}
 }
 
@@ -369,7 +320,7 @@ func TestContourSizeBoundedByChains(t *testing.T) {
 	for i := range S {
 		S[i] = graph.NodeID(r.Intn(g.N()))
 	}
-	cp := h.MergePredLists(S, &st)
+	cp := h.MergeLists(S, false, &st)
 	if cp.Size() > h.NumChains() {
 		t.Errorf("contour size %d exceeds chain count %d", cp.Size(), h.NumChains())
 	}

@@ -25,34 +25,26 @@ type gapRows struct {
 //		p, i = nextGap(b, i, p)
 //		...
 //	}
-func (r gapRows) row(i int32) []byte { return r.buf[r.off[i]:r.off[i+1]] }
+func (r *gapRows) row(i int32) []byte { return r.buf[r.off[i]:r.off[i+1]] }
 
-// nextRow returns the first non-empty row in [t, end), or t if t >=
-// end. A run of empty rows is a run of equal offsets: a non-empty row
+// seek returns the first non-empty row met stepping from row t toward
+// bound, or bound itself; bound is exclusive and lies on either side of
+// t. A run of empty rows is a run of equal offsets: a non-empty row
 // costs one inlined compare, and a run is crossed by a binary search,
 // so a walk costs the rows that hold entries, not the chain length.
-func (r *gapRows) nextRow(t, end int32) int32 {
-	if t >= end || r.off[t] != r.off[t+1] {
+func (r *gapRows) seek(t, bound int32) int32 {
+	if t == bound || r.off[t] != r.off[t+1] {
 		return t
 	}
-	return r.cross(t, end)
-}
-
-// prevRow returns the last non-empty row in [start, t], or start-1 (t
-// if t < start).
-func (r *gapRows) prevRow(t, start int32) int32 {
-	if t < start || r.off[t] != r.off[t+1] {
-		return t
-	}
-	return r.cross(t, start)
+	return r.cross(t, bound)
 }
 
 // cross crosses the run of empty rows holding row t by binary search:
 // forward to the first non-empty row before bound (or bound) when
-// bound > t, else backward to the last non-empty row from bound on (or
-// bound-1). The rows of the run share one offset o = off[t] = off[t+1];
+// bound > t, else backward to the last non-empty row after bound (or
+// bound). The rows of the run share one offset o = off[t] = off[t+1];
 // those before it start below o, and those after it end above o. It
-// stays out of line, so that nextRow and prevRow inline.
+// stays out of line, so that seek inlines.
 //
 //go:noinline
 func (r *gapRows) cross(t, bound int32) int32 {
@@ -68,7 +60,7 @@ func (r *gapRows) cross(t, bound int32) int32 {
 		}
 		return lo
 	}
-	lo, hi := bound, t
+	lo, hi := bound+1, t
 	for lo < hi {
 		if m := int32(uint32(lo+hi) >> 1); r.off[m] < o {
 			lo = m + 1
@@ -167,7 +159,7 @@ func entries(b []byte) int {
 // map, the cycle bits and both list families are indexed by position,
 // so a chain suffix or prefix is a run of consecutive rows, and a run
 // of empty rows is crossed by one binary search over the offsets
-// (nextRow, prevRow). On one chain,
+// (seek). On one chain,
 // positions are ordered exactly as sequence ids are, so every
 // same-chain comparison the paper makes holds on positions unchanged;
 // across chains a position comparison means nothing. Every list is
@@ -197,7 +189,7 @@ type ThreeHop struct {
 	lin  gapRows // per position: positions, ascending
 
 	scratch sync.Pool // *chainScratch for point queries
-	seen    sync.Pool // *sccSet for ResolveAmbiguous*
+	seen    sync.Pool // *sccSet for ResolveAmbiguous
 }
 
 // locate returns the chain of the SCC at position p, and p.
@@ -376,6 +368,18 @@ func (h *ThreeHop) chainNeighbor(p int32, down bool) int32 {
 	return p
 }
 
+// span returns what a walk along chain c in direction down reads: the
+// list family, the step from one of its rows to the next, and the
+// bound the walk stops at, exclusive, at the end of the chain. Down,
+// that is the Lout rows walked forward to the chain's last position;
+// up, the Lin rows walked backward to its first.
+func (h *ThreeHop) span(c int32, down bool) (r *gapRows, step, bound int32) {
+	if down {
+		return &h.lout, 1, h.chainOff[c+1]
+	}
+	return &h.lin, -1, h.chainOff[c] - 1
+}
+
 // NumChains returns the number of chains in the cover.
 func (h *ThreeHop) NumChains() int { return len(h.chainOff) - 1 }
 
@@ -421,9 +425,9 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 	// here and in every list loop: an increment through st each entry
 	// would make the loop wait on its own store.
 	n := int64(0)
-	end := h.chainOff[cu+1]
-	for t := h.lout.nextRow(pu, end); t < end; t = h.lout.nextRow(t+1, end) {
-		for b, i, p := h.lout.row(t), 0, int32(-1); i < len(b); {
+	r, step, bound := h.span(cu, true)
+	for t := r.seek(pu, bound); t != bound; t = r.seek(t+step, bound) {
+		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
 			x.fold(h.chainAt[p], p, true)
@@ -434,9 +438,9 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 		st.Lookups += n
 		return true
 	}
-	start := h.chainOff[cv]
-	for t := h.lin.prevRow(pv, start); t >= start; t = h.lin.prevRow(t-1, start) {
-		for b, i, p := h.lin.row(t), 0, int32(-1); i < len(b); {
+	r, step, bound = h.span(cv, false)
+	for t := r.seek(pv, bound); t != bound; t = r.seek(t+step, bound) {
+		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
 			if m := x.pos[h.chainAt[p]]; m != -1 && m <= p {

@@ -114,8 +114,8 @@ func TestServeCostAdmission(t *testing.T) {
 	if !ok {
 		t.Fatalf("debug response has no plan: %v", out)
 	}
-	if _, ok := plan["order"].([]interface{}); !ok {
-		t.Fatalf("plan has no order: %v", plan)
+	if _, ok := plan["nodes"].([]interface{}); !ok {
+		t.Fatalf("plan has no nodes: %v", plan)
 	}
 	resp, out = post("/query?debug=1", map[string]interface{}{"dataset": "small", "query": "node x label=c output"})
 	if resp.StatusCode != http.StatusOK {

@@ -342,7 +342,7 @@ type queryResult struct {
 	// candidate estimates); present whenever it is non-zero, including
 	// on cost rejections.
 	CostEstimate int64 `json:"cost_estimate,omitempty"`
-	// Plan is the planner's record (chosen order, per-node kernel,
+	// Plan is the planner's record (per-node kernel,
 	// estimated vs actual cardinalities); only populated under ?debug=1
 	// on fresh evaluations by one engine: a flat file, a one-shard
 	// directory, or any dataset with pending deltas. A K > 1 scatter's

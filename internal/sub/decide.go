@@ -32,6 +32,11 @@ type decision struct {
 	seed []graph.NodeID // root seed (modeRestricted), for ev.Engine's EvalSeededStatsCtx
 }
 
+// seedBudget bounds the BFS vertex visits the per-batch skip/seed
+// analysis may spend; past it the matcher stops analyzing and falls
+// back to a full re-evaluation.
+const seedBudget = 4096
+
 // decide analyzes one applied batch against one subscription and picks
 // the cheapest sound maintenance plan. The analysis runs on the
 // post-batch graph ev.Engine.G, so paths through other additions of the

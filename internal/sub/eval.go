@@ -77,7 +77,7 @@ func (r *Registry) applyToSub(s *Subscription, ev catalog.ApplyEvent, enqueued t
 	start := time.Now()
 
 	sp := tr.Start("decide")
-	dec := decide(s, ev, r.cfg.SeedBudget)
+	dec := decide(s, ev, seedBudget)
 	sp.Attr("mode", dec.mode.String())
 	sp.AttrInt("seed", int64(len(dec.seed)))
 	sp.End()

@@ -28,10 +28,6 @@ type Config struct {
 	// RingSize bounds the per-subscription replay ring of recent delta
 	// events. Default 64.
 	RingSize int
-	// SeedBudget bounds the BFS vertex visits the per-batch skip/seed
-	// analysis may spend; past it the matcher stops analyzing and falls
-	// back to a full re-evaluation. Default 4096.
-	SeedBudget int
 	// Registry receives the gtpq_sub* metric families; nil creates a
 	// private registry.
 	Registry *obs.Registry
@@ -54,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RingSize <= 0 {
 		c.RingSize = 64
-	}
-	if c.SeedBudget <= 0 {
-		c.SeedBudget = 4096
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
