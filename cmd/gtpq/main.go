@@ -109,7 +109,7 @@ func main() {
 		switch {
 		case err == nil:
 			// Snapshot: graph and index revived together, no build.
-			eng = gtea.NewWithIndexOptions(g, h, gtea.Options{NoPlan: noPlan})
+			eng = gtea.NewWithIndex(g, h, gtea.Options{NoPlan: noPlan})
 			fmt.Printf("%s: %d nodes, %d edges, %s index (snapshot loaded in %s)\n",
 				*file, g.N(), g.M(), h.Kind(), time.Since(start).Round(time.Millisecond))
 		case errors.Is(err, snapshot.ErrNotSnapshot):

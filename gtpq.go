@@ -334,7 +334,7 @@ func LoadSnapshot(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{e: gtea.NewWithIndex(g, h)}, nil
+	return &Engine{e: gtea.NewWithIndex(g, h, gtea.Options{})}, nil
 }
 
 // Eval evaluates q. Safe for concurrent use; the returned Stats are

@@ -114,8 +114,7 @@ func TestAblationVariantsAgree(t *testing.T) {
 	}{{"nocontours", true, false}, {"noshrink", false, true}} {
 		// Share the built index but not the engine itself (it carries a
 		// sync.Pool of evaluation contexts and must not be copied).
-		variant := gtea.NewWithIndex(g, base.H)
-		variant.Opt = base.Opt
+		variant := gtea.NewWithIndex(g, base.H, base.Opt)
 		variant.Opt.NoContours = opts.noContours
 		variant.Opt.NoShrink = opts.noShrink
 		for _, s := range w.sizes {

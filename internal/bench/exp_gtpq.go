@@ -127,8 +127,7 @@ func (r *Runner) AblationContours() {
 	w := r.buildArxivWorkload()
 	g, _ := r.Arxiv()
 	withC := r.GTEA(g)
-	withoutC := gtea.NewWithIndex(g, withC.H)
-	withoutC.Opt.NoContours = true
+	withoutC := gtea.NewWithIndex(g, withC.H, gtea.Options{NoContours: true})
 	r.printf("== Ablation A2: contour merging on/off (arXiv, small group) ==\n")
 	r.printf("%-6s %14s %14s\n", "size", "contours", "pairwise")
 	for _, s := range w.sizes {
@@ -152,8 +151,7 @@ func (r *Runner) AblationPrimeSubtree() {
 	scale := r.Cfg.Scales[len(r.Cfg.Scales)-1]
 	g, _ := r.XMark(scale)
 	withS := r.GTEA(g)
-	withoutS := gtea.NewWithIndex(g, withS.H)
-	withoutS.Opt.NoShrink = true
+	withoutS := gtea.NewWithIndex(g, withS.H, gtea.Options{NoShrink: true})
 	r.printf("== Ablation A3: shrunk prime subtree on/off (XMark scale %.1f) ==\n", scale)
 	r.printf("%-6s %14s %14s\n", "query", "shrunk", "full-prime")
 	for _, name := range []string{"Q4", "Q5", "Q6", "Q7", "Q8"} {

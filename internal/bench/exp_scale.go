@@ -29,7 +29,7 @@ func (r *Runner) IndexBackends() {
 			r.printf("%-10s skipped: %v\n", kind, err)
 			continue
 		}
-		e := gtea.NewWithIndex(g, h)
+		e := gtea.NewWithIndex(g, h, gtea.Options{})
 		var evalT time.Duration
 		var lookups int64
 		for i := 0; i < r.Cfg.QueriesPerPoint; i++ {

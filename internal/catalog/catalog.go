@@ -70,7 +70,6 @@ type Options struct {
 // shard.ShardedEngine (K > 1 shards). Both are immutable and safe for
 // concurrent use.
 type Engine interface {
-	Eval(q *core.Query) *core.Answer
 	EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer, gtea.Stats, error)
 	// EvalCursor returns a pull-based cursor over the canonical-order
 	// results instead of a materialized answer; the streaming result

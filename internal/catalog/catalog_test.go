@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,8 +75,8 @@ func TestAcquireBuildsLazilyAndCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ds.Engine.Eval(q).Len(); got != 1 {
-		t.Fatalf("eval on acquired dataset: %d results, want 1", got)
+	if ans, _, err := ds.Engine.EvalStatsCtx(context.Background(), q); err != nil || ans.Len() != 1 {
+		t.Fatalf("eval on acquired dataset: %v, %v; want 1 result", ans, err)
 	}
 
 	// Second acquire shares the cached engine.

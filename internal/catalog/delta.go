@@ -154,7 +154,7 @@ func (e *entry) applyBatches(base *deltaBase, batches []delta.Batch) error {
 	}
 	ov := delta.NewOverlay(base.h, base.g.N(), ext.N(), batches)
 	e.batches = batches
-	e.overlay = gtea.NewWithIndexOptions(ext, ov, gtea.Options{NoPlan: e.c.opt.NoPlan})
+	e.overlay = gtea.NewWithIndex(ext, ov, gtea.Options{NoPlan: e.c.opt.NoPlan})
 	e.ds.Engine = e.overlay
 	e.ds.nodes, e.ds.edges = ext.N(), ext.M()
 	return nil

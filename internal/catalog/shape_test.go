@@ -179,11 +179,11 @@ func TestOneShardDirCompactsToADirectory(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q := gen.Query(r, 2+r.Intn(4), deltaLabels, true, true)
 		want := core.EvalNaive(ext, oracle, q)
-		if got := dsc.Engine.Eval(q); !want.Equal(got) {
-			t.Fatalf("query %d: compacted answers differ\n%s", i, q)
+		if got, _, err := dsc.Engine.EvalStatsCtx(context.Background(), q); err != nil || !want.Equal(got) {
+			t.Fatalf("query %d: compacted answers differ (%v)\n%s", i, err, q)
 		}
-		if got := reloaded.Eval(q); !want.Equal(got) {
-			t.Fatalf("query %d: the persisted directory answers differently\n%s", i, q)
+		if got, _, err := reloaded.EvalStatsCtx(context.Background(), q); err != nil || !want.Equal(got) {
+			t.Fatalf("query %d: the persisted directory answers differently (%v)\n%s", i, err, q)
 		}
 	}
 }

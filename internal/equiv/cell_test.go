@@ -273,7 +273,7 @@ func (c *cell) checkAnswers(t *testing.T, si int, ds *catalog.Dataset) {
 			}
 			got = a.Tuples
 		default:
-			got = eng.Eval(q.q).Tuples
+			got = evalTuples(t, where, eng, q.q)
 		}
 		c.compare(t, where, q, ans, got)
 	}
@@ -327,8 +327,19 @@ func (c *cell) checkReplica(t *testing.T, si int) {
 	}
 	defer ds.Release()
 	for qi, q := range c.w.queries {
-		c.compare(t, fmt.Sprintf("%s, replica, query %d", stages[si].name, qi), q, c.w.want[si][qi], ds.Engine.Eval(q.q).Tuples)
+		where := fmt.Sprintf("%s, replica, query %d", stages[si].name, qi)
+		c.compare(t, where, q, c.w.want[si][qi], evalTuples(t, where, ds.Engine, q.q))
 	}
+}
+
+// evalTuples materializes q on eng, failing t on an error.
+func evalTuples(t *testing.T, where string, eng catalog.Engine, q *core.Query) [][]graph.NodeID {
+	t.Helper()
+	ans, _, err := eng.EvalStatsCtx(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	return ans.Tuples
 }
 
 // checkStanding rebuilds each standing query's rows from the events

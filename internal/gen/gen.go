@@ -1,6 +1,6 @@
 // Package gen provides deterministic random data-graph and query
-// generators shared by property tests and benchmarks across the
-// repository (gtea's oracle tests and BenchmarkEval, the internal/equiv
+// generators, and a few fixed fixtures, shared by property tests and
+// benchmarks across the repository (gtea's oracle tests and BenchmarkEval, the internal/equiv
 // driver). Everything is driven by a caller-owned
 // *rand.Rand, so a fixed seed reproduces the exact workload.
 package gen
@@ -165,4 +165,30 @@ func Query(r *rand.Rand, size int, labels []string, allowPC, allowLogic bool) *c
 		q.SetOutput(backbones[r.Intn(len(backbones))])
 	}
 	return q
+}
+
+// InterleavedHub builds trees weakly-connected copies of a hub r with
+// fan a-children, each with one c-child, and fan b-children, plus the
+// query for every (a, b, c) below r. Within one copy the hub prunes to
+// one candidate, so the outputs split into the components {x, z} and
+// {y}, whose output positions (x, y, z) interleave: no odometer order
+// over the two components is canonical. Each copy has fan² rows.
+func InterleavedHub(trees, fan int) (*graph.Graph, *core.Query) {
+	g := graph.New(trees*(1+3*fan), trees*3*fan)
+	for t := 0; t < trees; t++ {
+		hub := g.AddNode("r", nil)
+		for i := 0; i < fan; i++ {
+			a := g.AddNode("a", nil)
+			g.AddEdge(hub, a)
+			g.AddEdge(a, g.AddNode("c", nil))
+			g.AddEdge(hub, g.AddNode("b", nil))
+		}
+	}
+	q := core.NewQuery()
+	r := q.AddRoot("r", core.Label("r"))
+	x := q.AddNode("x", core.Backbone, r, core.AD, core.Label("a"))
+	q.SetOutput(x)
+	q.SetOutput(q.AddNode("y", core.Backbone, r, core.AD, core.Label("b")))
+	q.SetOutput(q.AddNode("z", core.Backbone, x, core.AD, core.Label("c")))
+	return g, q
 }

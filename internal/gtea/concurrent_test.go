@@ -145,8 +145,8 @@ func TestSharedIndexStatsNotDoubleCounted(t *testing.T) {
 	_, want := lone.EvalStats(q)
 
 	h := reach.NewThreeHop(g)
-	e1 := NewWithIndex(g, h)
-	e2 := NewWithIndex(g, h)
+	e1 := NewWithIndex(g, h, Options{})
+	e2 := NewWithIndex(g, h, Options{})
 	// Interleave: e1, e2, e1 — under the old shared-counter delta the
 	// later calls would absorb the earlier calls' lookups.
 	if _, st := e1.EvalStats(q); st.Index != want.Index {

@@ -1,16 +1,17 @@
 package gtea
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 )
 
 // Cursor is a pull-based iterator over one query's result tuples in
-// canonical order: lexicographically sorted, distinct, exactly the
-// sequence Eval materializes after Canonicalize. Streaming layers
+// canonical order: lexicographically sorted and distinct. Eval's
+// answer is exactly such a cursor, collected. Streaming layers
 // (NDJSON responses, cursor pagination, sharded k-way merges) drain a
 // Cursor row by row instead of holding the whole answer.
 //
@@ -30,8 +31,9 @@ type Cursor interface {
 	// Rows counts the tuples handed out so far.
 	Rows() int64
 	// Buffered reports whether this cursor materialized its full result
-	// up front (the interleaved-component fallback, or an answer-backed
-	// cursor) rather than enumerating lazily.
+	// up front (the sorted rows of an interleaved product, or an
+	// answer-backed cursor) rather than enumerating lazily. A buffered
+	// cursor's rows stay valid after the following Next.
 	Buffered() bool
 	// Close releases the cursor's resources. Safe to call at any point,
 	// including before the drain finishes, and more than once.
@@ -39,8 +41,9 @@ type Cursor interface {
 }
 
 // Collect drains c to completion and returns the rows as an Answer
-// (tuples copied, already in canonical order). The internal/equiv
-// driver checks what it returns against the core.EvalNaive oracle.
+// (tuples copied, in c's order). Every materialized answer is Collect
+// over an EvalCursor; the internal/equiv driver checks what it returns
+// against the core.EvalNaive oracle.
 func Collect(c Cursor) (*core.Answer, error) {
 	ans := &core.Answer{Out: append([]int(nil), c.Out()...)}
 	for {
@@ -52,9 +55,9 @@ func Collect(c Cursor) (*core.Answer, error) {
 	}
 }
 
-// answerCursor streams a materialized canonical answer. It backs the
-// empty-result and interleaved-component paths, and pagination over
-// cached answers.
+// answerCursor streams a materialized canonical answer: the sorted
+// rows of an interleaved product (newCursor), or a cached answer the
+// server pages through.
 type answerCursor struct {
 	ans  *core.Answer
 	pos  int
@@ -94,10 +97,12 @@ type cursorComp struct {
 	dst []int
 }
 
-// productCursor enumerates the cross-component Cartesian product
-// lazily, in canonical order, via an odometer over per-component
-// sorted tuple lists. Validity rests on two invariants established by
-// newProductCursor:
+// productCursor enumerates the cross-component Cartesian product — the
+// §4.3 step that combines the independent components of the shrunk
+// prime subtree — with an odometer over per-component tuple lists. It
+// is the only code that forms that product. Its rows come out in
+// canonical order when two invariants hold, which newCursor
+// establishes whenever it can:
 //
 //   - each component's tuples are sorted by the projection onto final
 //     row positions, ascending;
@@ -122,67 +127,62 @@ type productCursor struct {
 	rows int64
 }
 
-// newProductCursor assembles a streaming cursor from enumeration
-// partials, or returns nil when the components' output positions
-// interleave (the caller falls back to materializing). ctx, when
-// cancellable, aborts long drains between rows.
-func newProductCursor(ctx context.Context, out []int, pt partials) *productCursor {
-	posOf := make(map[int]int, len(out))
+// newCursor returns the cursor over the product of pt's components,
+// with columns out (ascending). It is the lazy odometer itself unless
+// the components' output positions interleave: then no odometer order
+// is canonical, and the odometer's rows are drained, sorted and served
+// as a Buffered cursor. ctx, when non-nil, aborts long drains between
+// rows; a drain cancelled here leaves the error in the cursor's Err.
+func newCursor(ctx context.Context, out []int, pt partials) Cursor {
+	pc := &productCursor{out: out, ctx: ctx, done: pt.empty}
+	if pt.empty {
+		return pc
+	}
+	posOf := make([]int, out[len(out)-1]+1)
 	for i, u := range out {
 		posOf[u] = i
 	}
-	row := make([]graph.NodeID, len(out))
+	pc.row = make([]graph.NodeID, len(out))
 	for u, v := range pt.singles {
-		row[posOf[u]] = v
+		pc.row[posOf[u]] = v
 	}
-	comps := make([]cursorComp, len(pt.perComp))
+	pc.comps = make([]cursorComp, len(pt.perComp))
+	pc.idx = make([]int, len(pt.perComp))
 	for i, cols := range pt.compOuts {
 		src := make([]int, len(cols))
 		for j := range src {
 			src[j] = j
 		}
-		sort.Slice(src, func(a, b int) bool {
-			return posOf[cols[src[a]]] < posOf[cols[src[b]]]
-		})
+		slices.SortFunc(src, func(a, b int) int { return posOf[cols[a]] - posOf[cols[b]] })
 		dst := make([]int, len(cols))
 		for j, s := range src {
 			dst[j] = posOf[cols[s]]
 		}
-		comps[i] = cursorComp{tuples: pt.perComp[i], src: src, dst: dst}
+		pc.comps[i] = cursorComp{tuples: pt.perComp[i], src: src, dst: dst}
 	}
 	// Most-significant component first: ascending smallest position.
-	sort.Slice(comps, func(a, b int) bool {
-		return comps[a].dst[0] < comps[b].dst[0]
-	})
-	// Streamability: position blocks must be contiguous. Query subtrees
-	// over preorder node ids always are; randomly-wired test queries can
-	// interleave, and then no odometer order matches the canonical one.
-	for i := 1; i < len(comps); i++ {
-		prev := comps[i-1]
-		if prev.dst[len(prev.dst)-1] > comps[i].dst[0] {
-			return nil
+	slices.SortFunc(pc.comps, func(a, b cursorComp) int { return a.dst[0] - b.dst[0] })
+	// Query subtrees over preorder node ids never interleave; randomly
+	// wired queries can.
+	for i := 1; i < len(pc.comps); i++ {
+		if prev := pc.comps[i-1]; prev.dst[len(prev.dst)-1] > pc.comps[i].dst[0] {
+			ans, err := Collect(pc)
+			if err != nil {
+				return pc
+			}
+			slices.SortFunc(ans.Tuples, core.CompareTuples)
+			return NewAnswerCursor(ans)
 		}
 	}
-	for i := range comps {
-		c := comps[i]
-		sort.Slice(c.tuples, func(a, b int) bool {
-			x, y := c.tuples[a], c.tuples[b]
+	for _, c := range pc.comps {
+		slices.SortFunc(c.tuples, func(x, y []graph.NodeID) int {
 			for _, s := range c.src {
 				if x[s] != y[s] {
-					return x[s] < y[s]
+					return cmp.Compare(x[s], y[s])
 				}
 			}
-			return false
+			return 0
 		})
-	}
-	pc := &productCursor{
-		comps: comps,
-		idx:   make([]int, len(comps)),
-		row:   row,
-		out:   out,
-	}
-	if ctx != nil && ctx.Done() != nil {
-		pc.ctx = ctx
 	}
 	return pc
 }
@@ -234,39 +234,26 @@ func (c *productCursor) Buffered() bool { return false }
 func (c *productCursor) Close()         { c.done = true }
 
 // EvalCursor evaluates q and returns a Cursor over its canonical-order
-// results instead of a materialized answer. Pruning and per-component
-// collection run eagerly (their cost is unavoidable and they bound the
-// intermediate size per the paper); only the cross-component product —
-// where result counts explode — streams. The pooled evaluation context
-// is released before EvalCursor returns: the cursor owns freshly
-// allocated partials only, so abandoning it early leaks nothing.
+// results. Pruning and per-component collection run eagerly (their
+// cost is unavoidable and they bound the intermediate size per the
+// paper); only the cross-component product — where result counts
+// explode — streams, unless its output positions interleave (see
+// newCursor). The pooled evaluation context is released before
+// EvalCursor returns: the cursor owns freshly allocated partials only,
+// so abandoning it early leaks nothing.
 //
-// Stats mirror EvalStatsCtx except Results, which stays 0 on a lazy
-// cursor — the result count is unknown until it drains (use
-// Cursor.Rows). ctx
-// cancellation aborts both the evaluation and, later, the drain. Safe
-// for concurrent use.
+// Stats mirror EvalStatsCtx except Results, which stays 0 — the
+// result count is known once the cursor drains (Cursor.Rows) — and
+// TotalTime, which excludes the drain. ctx cancellation aborts both
+// the evaluation and, later, the drain. Safe for concurrent use.
 func (e *Engine) EvalCursor(ctx context.Context, q *core.Query) (Cursor, Stats, error) {
 	var cur Cursor
-	var results int64 // known before the drain only on the buffered fallback
-	st, err := e.evaluate(ctx, q, false, nil, func(outs []int, pt partials, tick func() bool) {
-		ans := core.NewAnswer(outs)
-		if !pt.empty {
-			if pc := newProductCursor(ctx, ans.Out, pt); pc != nil {
-				cur = pc
-				return
-			}
-			// Interleaved component positions: no odometer order is
-			// canonical. Materialize through the eager path and stream
-			// from the answer.
-			CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, tick)
-			results = int64(ans.Len())
-		}
-		cur = NewAnswerCursor(ans)
+	st, err := e.evaluate(ctx, q, false, nil, func(c Cursor) error {
+		cur = c
+		return c.Err()
 	})
 	if err != nil {
 		return nil, st, err
 	}
-	st.Results = results
 	return cur, st, nil
 }

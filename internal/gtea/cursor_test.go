@@ -9,23 +9,37 @@ import (
 	"time"
 
 	"gtpq/internal/core"
+	"gtpq/internal/gen"
 	"gtpq/internal/graph"
+	"gtpq/internal/reach"
 )
 
 // TestCursorMatchesEval is the core streaming property on one engine:
-// draining EvalCursor yields rows byte-identical (order included) to
-// the materialized Eval, across random graphs and random queries —
-// both the lazy product path and the interleaved-component fallback.
+// draining EvalCursor yields exactly the core.EvalNaive oracle's rows,
+// in canonical order, across random graphs and random queries. Random
+// queries almost never interleave their output positions, so
+// gen.InterleavedHub is added to make sure both the lazy odometer
+// and its sorted, buffered rows are checked.
 func TestCursorMatchesEval(t *testing.T) {
 	r := rand.New(rand.NewSource(88))
 	labels := []string{"a", "b", "c"}
 	g := randGraph(r, 80, 240, labels, false)
-	e := New(g)
-	lazy, buffered := 0, 0
+	type testCase struct {
+		e  *Engine
+		tc *reach.TC
+		q  *core.Query
+	}
+	e, tc := New(g), reach.NewTC(g)
+	var cases []testCase
 	for i := 0; i < 25; i++ {
-		q := randQuery(r, 2+r.Intn(5), labels, true, true)
-		want := e.Eval(q)
-		cur, _, err := e.EvalCursor(context.Background(), q)
+		cases = append(cases, testCase{e, tc, randQuery(r, 2+r.Intn(5), labels, true, true)})
+	}
+	hub, hq := gen.InterleavedHub(1, 4)
+	cases = append(cases, testCase{New(hub), reach.NewTC(hub), hq})
+	lazy, buffered := 0, 0
+	for i, c := range cases {
+		want := core.EvalNaive(c.e.G, c.tc, c.q)
+		cur, _, err := c.e.EvalCursor(context.Background(), c.q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -43,10 +57,12 @@ func TestCursorMatchesEval(t *testing.T) {
 		}
 		cur.Close()
 		if !want.Equal(got) {
-			t.Fatalf("query %d: cursor rows differ from Eval\nquery:\n%s\nwant %v\ngot  %v", i, q, want, got)
+			t.Fatalf("query %d: cursor rows differ from the oracle\nquery:\n%s\nwant %v\ngot  %v", i, c.q, want, got)
 		}
 	}
-	t.Logf("%d lazy, %d buffered cursors", lazy, buffered)
+	if lazy == 0 || buffered == 0 {
+		t.Fatalf("%d lazy, %d buffered cursors: both paths must run", lazy, buffered)
+	}
 }
 
 // TestCursorLazyOnContiguousOutputs pins the structural guarantee the

@@ -114,16 +114,10 @@ func NewWithOptions(g *graph.Graph, opt Options) (*Engine, error) {
 	return &Engine{G: g, H: h, Opt: opt}, nil
 }
 
-// NewWithIndex wraps an existing index (shared across engines).
-func NewWithIndex(g *graph.Graph, h reach.ContourIndex) *Engine {
-	return &Engine{G: g, H: h}
-}
-
-// NewWithIndexOptions wraps an existing index with explicit engine
-// options (opt.Index is ignored — the index is already built). The
-// catalog uses it to carry -plan=off through snapshot revivals and
-// delta overlays.
-func NewWithIndexOptions(g *graph.Graph, h reach.ContourIndex, opt Options) *Engine {
+// NewWithIndex wraps an already-built index h over g (shared across
+// engines, revived from a snapshot, or a delta overlay) with the given
+// options. opt.Index is unused: the index is already built.
+func NewWithIndex(g *graph.Graph, h reach.ContourIndex, opt Options) *Engine {
 	return &Engine{G: g, H: h, Opt: opt}
 }
 
@@ -283,24 +277,22 @@ func (e *Engine) EvalStats(q *core.Query) (*core.Answer, Stats) {
 }
 
 // EvalStatsCtx evaluates q under ctx and returns the answer and the
-// per-call cost counters. When ctx is cancelled (or its deadline
-// passes) mid-evaluation, the partial answer is discarded and ctx's
-// error returned; the counters still report the work performed up to
-// the abort. Safe for concurrent use.
+// per-call cost counters. The answer is Collect over the evaluation's
+// cursor, drained inside the enumerate stage and TotalTime. When ctx is
+// cancelled (or its deadline passes) mid-evaluation, the partial answer
+// is discarded and ctx's error returned; the counters still report the
+// work performed up to the abort. Safe for concurrent use.
 func (e *Engine) EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer, Stats, error) {
-	return e.evalStats(ctx, q, false, nil)
+	return e.collect(ctx, q, false, nil)
 }
 
-// evalStats is the materializing tail shared by EvalStatsCtx and
-// EvalSeededStatsCtx (seed.go): the cross-component product is taken
-// eagerly and canonicalized.
-func (e *Engine) evalStats(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID) (*core.Answer, Stats, error) {
+// collect is the materializing entry shared by EvalStatsCtx and
+// EvalSeededStatsCtx (seed.go).
+func (e *Engine) collect(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID) (*core.Answer, Stats, error) {
 	var ans *core.Answer
-	st, err := e.evaluate(ctx, q, seeded, seed, func(outs []int, pt partials, tick func() bool) {
-		ans = core.NewAnswer(outs)
-		if !pt.empty {
-			CombineComponents(ans, pt.singles, pt.perComp, pt.compOuts, tick)
-		}
+	st, err := e.evaluate(ctx, q, seeded, seed, func(c Cursor) (err error) {
+		ans, err = Collect(c)
+		return err
 	})
 	if err != nil {
 		return nil, st, err
@@ -312,12 +304,12 @@ func (e *Engine) evalStats(ctx context.Context, q *core.Query, seeded bool, seed
 // evaluate is the one evaluation body behind every entry point: context
 // set-up, the two pruning rounds, the shrunk prime subtree, the maximal
 // matching graph and per-component result collection (§4.3), then the
-// stats and span epilogue. tail turns the collected partials into the
-// caller's result shape — a materialized answer or a cursor — while the
-// evaluation context, and with it the cancellation tick, is still live;
-// it does not run when the evaluation was cancelled. With seeded set,
-// the root's candidates are restricted to seed before pruning starts.
-func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID, tail func(outs []int, pt partials, tick func() bool)) (Stats, error) {
+// stats and span epilogue. tail receives the cursor over the
+// cross-component product (newCursor) inside the enumerate span, and
+// returns it or drains it; its error aborts the evaluation. It does not
+// run when the evaluation was cancelled. With seeded set, the root's
+// candidates are restricted to seed before pruning starts.
+func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed []graph.NodeID, tail func(Cursor) error) (Stats, error) {
 	start := time.Now()
 	ec := e.newContext()
 	defer e.release(ec)
@@ -352,7 +344,7 @@ func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed 
 		}
 	}
 	if ec.err == nil {
-		tail(outs, pt, ec.tick)
+		ec.err = tail(newCursor(ec.ctx, outs, pt))
 	}
 	sp.AttrInt("intermediate", ec.stat.Intermediate)
 	sp.End()

@@ -1,7 +1,7 @@
 package gtea
 
 import (
-	"sort"
+	"slices"
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
@@ -78,27 +78,13 @@ func (e *Engine) EvalGrouped(q *core.Query, groupNode int) *GroupedAnswer {
 	// deterministically.
 	for gi := range ga.Groups {
 		ms := ga.Groups[gi].Members
-		sort.Slice(ms, func(i, j int) bool { return lessTuple(ms[i], ms[j]) })
-		out := ms[:0]
-		for i, m := range ms {
-			if i > 0 && tupleKey(ms[i-1]) == tupleKey(m) {
-				continue
-			}
-			out = append(out, m)
-		}
-		ga.Groups[gi].Members = out
+		slices.SortFunc(ms, core.CompareTuples)
+		ga.Groups[gi].Members = slices.CompactFunc(ms, func(a, b []graph.NodeID) bool {
+			return core.CompareTuples(a, b) == 0
+		})
 	}
-	sort.Slice(ga.Groups, func(i, j int) bool {
-		return lessTuple(ga.Groups[i].Key, ga.Groups[j].Key)
+	slices.SortFunc(ga.Groups, func(a, b Group) int {
+		return core.CompareTuples(a.Key, b.Key)
 	})
 	return ga
-}
-
-func lessTuple(a, b []graph.NodeID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -169,11 +169,11 @@ func (ec *evalContext) buildMatchingGraph(q *core.Query, comps []component) *mat
 // partials is one evaluation's enumeration state just before the
 // cross-component combination step: the per-component distinct partial
 // tuples, the output nodes each component covers, and the fixed images
-// of the shrunk-away singleton outputs. It is the handoff point between
-// eager evaluation (CombineComponents materializes the product) and the
-// pull-based Cursor (which enumerates the same product lazily). All
-// slices are freshly allocated — nothing points into pooled evalContext
-// scratch, so a partials value outlives its context's release.
+// of the shrunk-away singleton outputs. newCursor turns it into the one
+// cursor over the product, which EvalCursor returns and every
+// materializing entry point collects. All slices are freshly allocated
+// — nothing points into pooled evalContext scratch, so a partials value
+// outlives its context's release.
 type partials struct {
 	singles  map[int]graph.NodeID
 	perComp  [][][]graph.NodeID
@@ -185,8 +185,7 @@ type partials struct {
 
 // collectPartials runs per-component result collection (Procedure 5
 // with advance merging) and returns the partials; the cross-component
-// product is left to the caller — materialized by EvalStatsCtx,
-// streamed by EvalCursor.
+// product is left to newCursor.
 func (ec *evalContext) collectPartials(q *core.Query, comps []component, singles map[int]graph.NodeID, mg *matchingGraph) partials {
 	pt := partials{singles: singles}
 	for _, v := range singles {

@@ -24,5 +24,5 @@ import (
 // An empty (non-nil or nil) seed returns an empty answer. Safe for
 // concurrent use.
 func (e *Engine) EvalSeededStatsCtx(ctx context.Context, q *core.Query, seed []graph.NodeID) (*core.Answer, Stats, error) {
-	return e.evalStats(ctx, q, true, seed)
+	return e.collect(ctx, q, true, seed)
 }

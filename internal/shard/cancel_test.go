@@ -147,7 +147,7 @@ func TestShardedConcurrentEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pairQuery()
-	want := se.Eval(q)
+	want := evalAnswer(t, se, q)
 	if want.Len() == 0 {
 		t.Fatal("empty baseline answer")
 	}
@@ -159,7 +159,7 @@ func TestShardedConcurrentEval(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if got := se.Eval(q); !want.Equal(got) {
+				if got, _, err := se.EvalStatsCtx(context.Background(), q); err != nil || !want.Equal(got) {
 					bad <- "concurrent answer diverged"
 					return
 				}

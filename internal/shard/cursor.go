@@ -25,9 +25,12 @@ type mergeCursor struct {
 	// canonical order.
 	remaps [][]graph.NodeID
 	heads  [][]graph.NodeID // current row per child; nil = exhausted
-	// row is the last row handed out; it stays valid until the next Next.
+	// row is the last row handed out; it stays valid until the next Next,
+	// or for good when the merge is buffered.
 	row     []graph.NodeID
 	onClose func()
+	// buffered is decided at construction: every child materialized.
+	buffered bool
 
 	err    error
 	closed bool
@@ -47,7 +50,9 @@ func newMergeCursor(out []int, children []gtea.Cursor, remaps [][]graph.NodeID, 
 		row:      make([]graph.NodeID, len(out)),
 		onClose:  onClose,
 	}
-	for i := range children {
+	m.buffered = true
+	for i, c := range children {
+		m.buffered = m.buffered && c.Buffered()
 		m.heads[i] = make([]graph.NodeID, len(out))
 		m.advance(i)
 	}
@@ -92,6 +97,9 @@ func (m *mergeCursor) Next() ([]graph.NodeID, bool) {
 		m.finish()
 		return nil, false
 	}
+	if m.buffered {
+		m.row = make([]graph.NodeID, len(m.out)) // buffered rows stay valid
+	}
 	copy(m.row, m.heads[min])
 	m.advance(min)
 	if m.err != nil {
@@ -102,19 +110,9 @@ func (m *mergeCursor) Next() ([]graph.NodeID, bool) {
 	return m.row, true
 }
 
-func (m *mergeCursor) Err() error  { return m.err }
-func (m *mergeCursor) Rows() int64 { return m.rows }
-
-// Buffered reports whether the whole merged result is resident anyway —
-// true only when every child materialized.
-func (m *mergeCursor) Buffered() bool {
-	for _, c := range m.children {
-		if !c.Buffered() {
-			return false
-		}
-	}
-	return true
-}
+func (m *mergeCursor) Err() error     { return m.err }
+func (m *mergeCursor) Rows() int64    { return m.rows }
+func (m *mergeCursor) Buffered() bool { return m.buffered }
 
 func (m *mergeCursor) Close() {
 	if !m.closed {

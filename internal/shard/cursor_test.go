@@ -12,6 +12,7 @@ import (
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/gtea"
+	"gtpq/internal/reach"
 )
 
 // stableGoroutines samples the goroutine count after a settle period;
@@ -28,6 +29,16 @@ func stableGoroutines(t *testing.T) int {
 		n = m
 	}
 	return n
+}
+
+// evalAnswer materializes q on se, failing t on an error.
+func evalAnswer(t testing.TB, se *ShardedEngine, q *core.Query) *core.Answer {
+	t.Helper()
+	ans, _, err := se.EvalStatsCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans
 }
 
 // TestShardedCursorMatchesEval checks the streamed k-way merge returns
@@ -47,7 +58,7 @@ func TestShardedCursorMatchesEval(t *testing.T) {
 		}
 		for qi := 0; qi < 6; qi++ {
 			q := gen.Query(r, 2+r.Intn(5), testLabels, true, true)
-			want := se.Eval(q)
+			want := evalAnswer(t, se, q)
 			cur, _, err := se.EvalCursor(context.Background(), q)
 			if err != nil {
 				t.Fatalf("k=%d query %d: %v", k, qi, err)
@@ -93,7 +104,7 @@ func shardPairSetup(t *testing.T, n, k int) (*ShardedEngine, *core.Query) {
 // were released).
 func TestShardedCursorAbandonLeaksNothing(t *testing.T) {
 	se, q := shardPairSetup(t, 120, 4)
-	want := se.Eval(q)
+	want := evalAnswer(t, se, q)
 	before := stableGoroutines(t)
 	for trial := 0; trial < 5; trial++ {
 		cur, _, err := se.EvalCursor(context.Background(), q)
@@ -112,7 +123,7 @@ func TestShardedCursorAbandonLeaksNothing(t *testing.T) {
 	if after > before {
 		t.Fatalf("goroutines grew from %d to %d across abandoned cursors", before, after)
 	}
-	if got := se.Eval(q); !want.Equal(got) {
+	if got := evalAnswer(t, se, q); !want.Equal(got) {
 		t.Fatal("evaluation after abandoned cursors differs")
 	}
 }
@@ -193,5 +204,55 @@ func TestMergeCursorsDirect(t *testing.T) {
 	}
 	if _, ok := m.Next(); ok {
 		t.Fatal("Next returned a row after Close")
+	}
+}
+
+// TestMergeCursorBufferedAfterDrainAndClose is a regression test:
+// Buffered asked the children, which a drain or a Close drops, so
+// calling it afterwards panicked. It runs a lazy merge (the pair query
+// over a chain forest) and a buffered one (gen.InterleavedHub over two
+// shards, where every shard cursor is buffered), and checks
+// the buffered merge keeps its rows valid after the following Next, as
+// the Cursor contract says.
+func TestMergeCursorBufferedAfterDrainAndClose(t *testing.T) {
+	lazy, pq := shardPairSetup(t, 40, 2)
+	g, hq := gen.InterleavedHub(2, 3)
+	plan, err := Partition(g, 2, ModeWCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffered, err := NewEngine(g, plan, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubWant := core.EvalNaive(g, reach.NewTC(g), hq)
+	for _, c := range []struct {
+		name string
+		se   *ShardedEngine
+		q    *core.Query
+		want bool
+	}{{"lazy", lazy, pq, false}, {"buffered", buffered, hq, true}} {
+		for _, drain := range []bool{true, false} {
+			cur, _, err := c.se.EvalCursor(context.Background(), c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.Buffered() != c.want {
+				t.Fatalf("%s: Buffered() = %t before the drain", c.name, !c.want)
+			}
+			var rows [][]graph.NodeID
+			for row, ok := cur.Next(); ok && drain; row, ok = cur.Next() {
+				rows = append(rows, row) // not copied: checked only when buffered
+			}
+			cur.Close()
+			if cur.Buffered() != c.want {
+				t.Fatalf("%s (drain %t): Buffered() = %t after the cursor ended", c.name, drain, !c.want)
+			}
+			if drain && c.want {
+				if got := (&core.Answer{Out: cur.Out(), Tuples: rows}); !hubWant.Equal(got) {
+					t.Fatalf("buffered merge rows did not stay valid:\nwant %v\ngot  %v", hubWant, got)
+				}
+			}
+		}
 	}
 }

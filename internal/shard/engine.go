@@ -85,7 +85,7 @@ func Single(g *graph.Graph, h reach.ContourIndex, opt Options) *ShardedEngine {
 		workers:    1,
 		totalNodes: g.N(),
 		totalEdges: g.M(),
-		shards:     []*shardUnit{{eng: gtea.NewWithIndexOptions(g, h, gtea.Options{NoPlan: opt.NoPlan})}},
+		shards:     []*shardUnit{{eng: gtea.NewWithIndex(g, h, gtea.Options{NoPlan: opt.NoPlan})}},
 	}
 }
 
@@ -162,17 +162,6 @@ func (se *ShardedEngine) ShardStats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// Eval evaluates q across all shards and returns the merged answer.
-// The query must be valid and have at least one output node. Safe for
-// concurrent use.
-func (se *ShardedEngine) Eval(q *core.Query) *core.Answer {
-	ans, _, err := se.EvalStatsCtx(context.Background(), q)
-	if err != nil {
-		panic("shard: " + err.Error()) // background context cannot fail
-	}
-	return ans
 }
 
 // EvalStatsCtx scatter-gathers q and materializes the merged stream:

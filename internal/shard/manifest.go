@@ -229,7 +229,7 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 		}
 		nodeSum += sg.N()
 		edgeSum += sg.M()
-		eng := gtea.NewWithIndexOptions(sg, h, gtea.Options{NoPlan: opt.NoPlan})
+		eng := gtea.NewWithIndex(sg, h, gtea.Options{NoPlan: opt.NoPlan})
 		se.shards = append(se.shards, &shardUnit{eng: eng, globals: globals})
 	}
 	if nodeSum != man.TotalNodes {

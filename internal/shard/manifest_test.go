@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -73,7 +74,8 @@ func acquireEval(catDir string, q *core.Query) (*core.Answer, error) {
 		return nil, err
 	}
 	defer ds.Release()
-	return ds.Engine.Eval(q), nil
+	ans, _, err := ds.Engine.EvalStatsCtx(context.Background(), q)
+	return ans, err
 }
 
 // TestManifestSingleByteMutations is the integrity property of the
@@ -219,9 +221,10 @@ func TestReshardToFewerShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Shards) != 2 || se.NumShards() != 2 || !want.Equal(se.Eval(q)) {
-		t.Fatalf("re-sharded directory: %d manifest shards, %d loaded, answers equal %t",
-			len(man.Shards), se.NumShards(), want.Equal(se.Eval(q)))
+	got, _, err := se.EvalStatsCtx(context.Background(), q)
+	if err != nil || len(man.Shards) != 2 || se.NumShards() != 2 || !want.Equal(got) {
+		t.Fatalf("re-sharded directory: %d manifest shards, %d loaded, answers equal %t (%v)",
+			len(man.Shards), se.NumShards(), want.Equal(got), err)
 	}
 }
 
@@ -254,7 +257,7 @@ func TestCatalogServesSharded(t *testing.T) {
 	if !ds.Sharded {
 		t.Fatal("two-shard dataset handle: Sharded=false")
 	}
-	if got := ds.Engine.Eval(q); !want.Equal(got) {
+	if got, _, err := ds.Engine.EvalStatsCtx(context.Background(), q); err != nil || !want.Equal(got) {
 		t.Fatal("sharded catalog answers differ from unsharded baseline")
 	}
 	se, ok := ds.Engine.(*shard.ShardedEngine)

@@ -148,7 +148,7 @@ func TestEmptyShards(t *testing.T) {
 		}
 		q := core.NewQuery()
 		q.SetOutput(q.AddRoot("x", core.Label("a")))
-		if got := se.Eval(q).Len(); got != 1 {
+		if got := evalAnswer(t, se, q).Len(); got != 1 {
 			t.Fatalf("%s: %d results, want 1", kind, got)
 		}
 	}

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -87,8 +88,9 @@ func arxivQueries(g *graph.Graph) []*core.Query {
 	return qs
 }
 
+// evaluator is what a flat gtea.Engine and a shard.ShardedEngine share.
 type evaluator interface {
-	Eval(q *core.Query) *core.Answer
+	EvalStatsCtx(ctx context.Context, q *core.Query) (*core.Answer, gtea.Stats, error)
 }
 
 // sameAnswers fails t unless got answers every query in the same bytes
@@ -97,7 +99,11 @@ func sameAnswers(t *testing.T, name string, want, got evaluator, qs []*core.Quer
 	t.Helper()
 	rows := 0
 	for i, q := range qs {
-		w, g := want.Eval(q), got.Eval(q)
+		w, _, werr := want.EvalStatsCtx(context.Background(), q)
+		g, _, gerr := got.EvalStatsCtx(context.Background(), q)
+		if werr != nil || gerr != nil {
+			t.Fatalf("%s: query %d: %v, %v", name, i, werr, gerr)
+		}
 		if w.String() != g.String() {
 			t.Errorf("%s: query %d answers differ from a fresh build:\nwant %v\ngot  %v", name, i, w, g)
 		}
@@ -150,8 +156,8 @@ func TestLegacyFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs, want := c.qs(c.g), gtea.NewWithIndex(c.g, fresh)
-		rows := sameAnswers(t, c.file, want, gtea.NewWithIndex(g1, h1), qs)
+		qs, want := c.qs(c.g), gtea.NewWithIndex(c.g, fresh, gtea.Options{})
+		rows := sameAnswers(t, c.file, want, gtea.NewWithIndex(g1, h1, gtea.Options{}), qs)
 		t.Logf("%s: %d rows over %d queries", c.file, rows, len(qs))
 
 		v2 := save(t, g1, h1)
@@ -162,7 +168,7 @@ func TestLegacyFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s re-saved: %v", c.file, err)
 		}
-		sameAnswers(t, c.file+" re-saved", want, gtea.NewWithIndex(g2, h2), qs)
+		sameAnswers(t, c.file+" re-saved", want, gtea.NewWithIndex(g2, h2, gtea.Options{}), qs)
 	}
 }
 

@@ -124,7 +124,7 @@ func TestRoundTripProperty(t *testing.T) {
 			if !bytes.Equal(again.Bytes(), buf.Bytes()) {
 				t.Fatalf("seed %d %s: a loaded snapshot saves to other bytes", seed, kind)
 			}
-			e2 := gtea.NewWithIndex(g2, h2)
+			e2 := gtea.NewWithIndex(g2, h2, gtea.Options{})
 			for i, q := range qs {
 				want := e.Eval(q)
 				got := e2.Eval(q)
@@ -157,7 +157,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gtea.NewWithIndex(g2, h2).Eval(q).Equal(e.Eval(q)) {
+	if !gtea.NewWithIndex(g2, h2, gtea.Options{}).Eval(q).Equal(e.Eval(q)) {
 		t.Fatal("answers differ after file round trip")
 	}
 }

@@ -49,7 +49,7 @@ func BenchmarkMaintain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := gtea.NewWithIndex(ext, delta.NewOverlay(base, g.N(), ext.N(), bs))
+	eng := gtea.NewWithIndex(ext, delta.NewOverlay(base, g.N(), ext.N(), bs), gtea.Options{})
 	q, err := qlang.Parse("node x label=open_auction output\nnode y label=probe_in parent=x edge=ad output")
 	if err != nil {
 		b.Fatal(err)
