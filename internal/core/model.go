@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gtpq/internal/logic"
@@ -360,15 +359,4 @@ func (q *Query) NameToID() map[string]int {
 		m[n.Name] = n.ID
 	}
 	return m
-}
-
-// SortedIDs returns 0..len(Nodes)-1; convenience for deterministic
-// iteration in reports.
-func (q *Query) SortedIDs() []int {
-	ids := make([]int, len(q.Nodes))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -225,6 +225,15 @@ func decodeBatch(payload []byte) (Batch, error) {
 	if r.Len() != 0 {
 		return b, fmt.Errorf("delta: record has %d trailing bytes", r.Len())
 	}
+	// A payload must be the one encoding of its batch: a non-minimal
+	// uvarint, or attribute keys repeated or out of order, decode
+	// without error but re-encode to other bytes. A replica re-appends
+	// every batch through encodeBatch and then fetches the primary's log
+	// at its own size, so such a frame would leave it reading from
+	// inside the next one.
+	if !bytes.Equal(encodeBatch(&b), payload) {
+		return b, errors.New("delta: record is not the canonical encoding of its batch")
+	}
 	return b, nil
 }
 
@@ -422,16 +431,20 @@ func ReplayFile(path string, base BaseID) (batches []Batch, torn bool, err error
 // Append writes one batch as a CRC-framed record and fsyncs: when
 // Append returns, the batch survives a crash.
 func (w *Writer) Append(b *Batch) error {
-	payload := encodeBatch(b)
+	if _, err := w.f.Write(encodeFrame(encodeBatch(b))); err != nil {
+		return err
+	}
+	return w.f.Sync()
+}
+
+// encodeFrame wraps a payload in its record frame: length, length CRC,
+// payload, payload CRC.
+func encodeFrame(payload []byte) []byte {
 	frame := make([]byte, 0, 12+len(payload))
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[0:4]))
 	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(frame); err != nil {
-		return err
-	}
-	return w.f.Sync()
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 }
 
 // Path returns the log file path.

@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"math/bits"
 	"sync"
 
 	"gtpq/internal/graph"
@@ -140,14 +139,6 @@ func (r bitrow) intersects(other bitrow) bool {
 	return false
 }
 
-func (r bitrow) count() int {
-	total := 0
-	for _, w := range r {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 func (r bitrow) clear() {
 	for w := range r {
 		r[w] = 0
@@ -215,35 +206,39 @@ func (o *Overlay) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {
 }
 
 // PredContour summarizes S for "does v strictly reach some element of
-// S" probes: the base contour of S's base members plus the set of
-// delta edges from which S is reachable.
-func (o *Overlay) PredContour(S []graph.NodeID, st *reach.Stats) reach.PredContour {
-	pc := &predContour{o: o}
-	pc.init(S, st)
-	return pc
+// S" probes: the base contour of S's base members plus the delta edges
+// from which S is reachable.
+func (o *Overlay) PredContour(S []graph.NodeID, st *reach.Stats) reach.SetContour {
+	return o.contour(S, false, st)
 }
 
 // SuccContour summarizes S for "does some element of S strictly reach
-// v" probes (the dual of PredContour).
-func (o *Overlay) SuccContour(S []graph.NodeID, st *reach.Stats) reach.SuccContour {
-	sc := &succContour{o: o}
-	sc.init(S, st)
-	return sc
+// v" probes: the base contour of S's base members plus the delta edges
+// a path from S can traverse.
+func (o *Overlay) SuccContour(S []graph.NodeID, st *reach.Stats) reach.SetContour {
+	return o.contour(S, true, st)
 }
 
-// predContour is the overlay's predecessor summary: v reaches S iff
-// v base-reaches a base member (basePC) or v's base cone enters a
-// delta edge whose closure contains an edge exiting into S (fromEdges).
-type predContour struct {
+// overlayContour is the overlay's summary of S in one direction. Merged
+// down, some element of S reaches v; merged up, v reaches some element
+// of S. Either holds iff it holds in the base (base), or some path
+// between S and v crosses a marked delta edge, whose endpoint on v's
+// side then connects to v: merged down, an edge a path from S can
+// traverse, whose head reaches v; merged up, an edge a path into S can
+// start with, whose tail v reaches.
+type overlayContour struct {
 	o      *Overlay
-	basePC reach.PredContour // nil when S has no base members
-	// fromEdges[i] set: entering delta edge i leads into S.
-	fromEdges bitrow
-	anyEdges  bool
+	down   bool
+	base   reach.SetContour // nil when S has no base members
+	marked bitrow           // nil when no delta edge connects to S
 }
 
-func (pc *predContour) init(S []graph.NodeID, st *reach.Stats) {
-	o := pc.o
+// contour merges S in direction down. A delta edge touches S when its
+// endpoint on S's side — the tail when merged down, the head when
+// merged up — is in S or connects to S through the base; the marked
+// edges are those a path through a touching edge can use.
+func (o *Overlay) contour(S []graph.NodeID, down bool, st *reach.Stats) *overlayContour {
+	c := &overlayContour{o: o, down: down}
 	baseS := make([]graph.NodeID, 0, len(S))
 	inS := make(map[graph.NodeID]struct{}, len(S))
 	for _, s := range S {
@@ -252,149 +247,60 @@ func (pc *predContour) init(S []graph.NodeID, st *reach.Stats) {
 			baseS = append(baseS, s)
 		}
 	}
-	if len(baseS) > 0 {
-		pc.basePC = o.base.PredContour(baseS, st)
+	near := o.heads
+	if down {
+		near = o.tails
+		if len(baseS) > 0 {
+			c.base = o.base.SuccContour(baseS, st)
+		}
+	} else if len(baseS) > 0 {
+		c.base = o.base.PredContour(baseS, st)
 	}
-	e := len(o.tails)
-	if e == 0 {
-		return
+	if len(near) == 0 {
+		return c
 	}
-	// exits[j]: delta edge j's head lands in S (directly or via a base
-	// segment to a base member).
-	exits := make(bitrow, o.words)
-	anyExit := false
-	for j := 0; j < e; j++ {
+	touch := make(bitrow, o.words)
+	anyTouch := false
+	for i, x := range near {
 		st.Lookups++
-		h := o.heads[j]
-		if _, ok := inS[h]; ok {
-			exits.set(j)
-			anyExit = true
-			continue
-		}
-		if h < o.baseN && pc.basePC != nil && pc.basePC.ReachedFrom(h, st) {
-			exits.set(j)
-			anyExit = true
+		if _, ok := inS[x]; ok || x < o.baseN && c.base != nil && c.base.Probe(x, st) {
+			touch.set(i)
+			anyTouch = true
 		}
 	}
-	if !anyExit {
-		return
+	if !anyTouch {
+		return c
 	}
-	pc.fromEdges = make(bitrow, o.words)
-	for i := 0; i < e; i++ {
-		if o.closure[i].intersects(exits) {
-			pc.fromEdges.set(i)
-			pc.anyEdges = true
+	// Down, a path from S goes on through the closure of every touching
+	// edge; up, a path into S can start with every edge whose closure
+	// holds a touching edge.
+	c.marked = make(bitrow, o.words)
+	for i := range near {
+		if down && touch.has(i) {
+			o.closure[i].orInto(c.marked)
+		} else if !down && o.closure[i].intersects(touch) {
+			c.marked.set(i)
 		}
 	}
+	return c
 }
 
-func (pc *predContour) ReachedFrom(v graph.NodeID, st *reach.Stats) bool {
-	o := pc.o
-	if v < o.baseN && pc.basePC != nil && pc.basePC.ReachedFrom(v, st) {
+func (c *overlayContour) Probe(v graph.NodeID, st *reach.Stats) bool {
+	o := c.o
+	if v < o.baseN && c.base != nil && c.base.Probe(v, st) {
 		return true
 	}
-	if !pc.anyEdges {
+	if c.marked == nil {
 		return false
 	}
 	for i := range o.tails {
 		st.Lookups++
-		if pc.fromEdges.has(i) && o.reachOrEq(v, o.tails[i], st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (pc *predContour) Size() int {
-	size := 0
-	if pc.basePC != nil {
-		size = pc.basePC.Size()
-	}
-	if pc.anyEdges {
-		size += pc.fromEdges.count()
-	}
-	return size
-}
-
-// succContour is the dual: some element of S reaches v iff a base
-// member base-reaches v (baseSC) or S's cone enters a delta edge whose
-// closure contains an edge exiting into v (toEdges).
-type succContour struct {
-	o      *Overlay
-	baseSC reach.SuccContour // nil when S has no base members
-	// toEdges[j] set: delta edge j is traversable starting from S.
-	toEdges  bitrow
-	anyEdges bool
-}
-
-func (sc *succContour) init(S []graph.NodeID, st *reach.Stats) {
-	o := sc.o
-	baseS := make([]graph.NodeID, 0, len(S))
-	inS := make(map[graph.NodeID]struct{}, len(S))
-	for _, s := range S {
-		inS[s] = struct{}{}
-		if s < o.baseN {
-			baseS = append(baseS, s)
-		}
-	}
-	if len(baseS) > 0 {
-		sc.baseSC = o.base.SuccContour(baseS, st)
-	}
-	e := len(o.tails)
-	if e == 0 {
-		return
-	}
-	entries := make(bitrow, o.words)
-	anyEntry := false
-	for i := 0; i < e; i++ {
-		st.Lookups++
-		t := o.tails[i]
-		if _, ok := inS[t]; ok {
-			entries.set(i)
-			anyEntry = true
+		if !c.marked.has(i) {
 			continue
 		}
-		if t < o.baseN && sc.baseSC != nil && sc.baseSC.ReachesNode(t, st) {
-			entries.set(i)
-			anyEntry = true
-		}
-	}
-	if !anyEntry {
-		return
-	}
-	sc.toEdges = make(bitrow, o.words)
-	for i := 0; i < e; i++ {
-		if entries.has(i) {
-			o.closure[i].orInto(sc.toEdges)
-			sc.anyEdges = true
-		}
-	}
-}
-
-func (sc *succContour) ReachesNode(v graph.NodeID, st *reach.Stats) bool {
-	o := sc.o
-	if v < o.baseN && sc.baseSC != nil && sc.baseSC.ReachesNode(v, st) {
-		return true
-	}
-	if !sc.anyEdges {
-		return false
-	}
-	for j := range o.heads {
-		st.Lookups++
-		if sc.toEdges.has(j) && o.reachOrEq(o.heads[j], v, st) {
+		if c.down && o.reachOrEq(o.heads[i], v, st) || !c.down && o.reachOrEq(v, o.tails[i], st) {
 			return true
 		}
 	}
 	return false
-}
-
-func (sc *succContour) Size() int {
-	size := 0
-	if sc.baseSC != nil {
-		size = sc.baseSC.Size()
-	}
-	if sc.anyEdges {
-		size += sc.toEdges.count()
-	}
-	return size
 }

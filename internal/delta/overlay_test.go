@@ -74,10 +74,10 @@ func TestOverlayReachability(t *testing.T) {
 				sc, osc := oracle.SuccContour(S, &st), ov.SuccContour(S, &st)
 				for v := 0; v < n; v++ {
 					gv := graph.NodeID(v)
-					if got, want := opc.ReachedFrom(gv, &st), pc.ReachedFrom(gv, &st); got != want {
+					if got, want := opc.Probe(gv, &st), pc.Probe(gv, &st); got != want {
 						t.Fatalf("%s trial %d S=%v: PredContour(%d) = %v, oracle %v", kind, trial, S, v, got, want)
 					}
-					if got, want := osc.ReachesNode(gv, &st), sc.ReachesNode(gv, &st); got != want {
+					if got, want := osc.Probe(gv, &st), sc.Probe(gv, &st); got != want {
 						t.Fatalf("%s trial %d S=%v: SuccContour(%d) = %v, oracle %v", kind, trial, S, v, got, want)
 					}
 				}

@@ -8,10 +8,10 @@
 //
 // The engine is layered over the reach.ContourIndex abstraction: any
 // backend providing point reachability and merged set contours works
-// (reach.Build selects one by name). Backends that additionally expose
-// chain structure (reach.ChainIndex, e.g. the paper's 3-hop index) get
-// the Procedure 6/7 shared-walk and chain-inheritance optimizations;
-// the rest are pruned with plain holistic contour probes.
+// (reach.Build selects one by name). Over the paper's 3-hop index
+// (*reach.ThreeHop) pruning also gets the Procedure 6/7 shared-walk
+// and chain-inheritance optimizations; every other backend is pruned
+// with one reach.SetContour probe per candidate.
 //
 // An Engine is immutable after construction and safe for concurrent
 // use: all per-evaluation state lives in a per-call context, and every
@@ -64,8 +64,11 @@ type Stats struct {
 // Options tune the engine; the zero value is the paper's algorithm over
 // its 3-hop index. The No* flags exist for the ablation benchmarks.
 type Options struct {
-	// NoContours disables contour merging: pruning falls back to
-	// pairwise reachability probes per (candidate, child-set) pair.
+	// NoContours disables contour merging: every pruning probe is a
+	// pairwise SetContour, which asks ReachesSt once per member of the
+	// set, and the multiway kernel never runs. Over the 3-hop index,
+	// positive valuations are still inherited along a chain. The
+	// matching graph keeps the backend's contours.
 	NoContours bool
 	// NoShrink disables the shrunk prime subtree: enumeration walks the
 	// full prime subtree.
@@ -141,7 +144,7 @@ func (e *Engine) IndexSize() int { return e.H.IndexSize() }
 type evalContext struct {
 	g   *graph.Graph
 	h   reach.ContourIndex
-	ch  reach.ChainIndex // non-nil when the backend has chain structure
+	ch  *reach.ThreeHop // non-nil when the backend is the 3-hop index
 	opt Options
 
 	// mat[u] is query node u's surviving candidate list; the slices
@@ -161,7 +164,7 @@ type evalContext struct {
 	pcKids    []int
 	ambiguous []int
 	cps       []*reach.Contour
-	gps       []reach.PredContour
+	gps       []reach.SetContour
 	bucketPos []chainPos
 	bucketBuf []graph.NodeID
 	bucketOut [][]graph.NodeID
@@ -241,7 +244,7 @@ func (e *Engine) newContext() *evalContext {
 		ec = &evalContext{}
 	}
 	ec.g, ec.h, ec.opt = e.G, e.H, e.Opt
-	ec.ch, _ = e.H.(reach.ChainIndex)
+	ec.ch, _ = e.H.(*reach.ThreeHop)
 	ec.stat = Stats{}
 	ec.rst = reach.Stats{}
 	ec.ctx, ec.err, ec.ops = nil, nil, 0

@@ -136,7 +136,7 @@ func (ec *evalContext) buildMatchingGraph(q *core.Query, comps []component) *mat
 				}
 				ec.stat.EnumInput++
 				lists := make([][]graph.NodeID, len(kids))
-				var cs reach.SuccContour
+				var cs reach.SetContour
 				if hasAD {
 					// One successor-list merge per source node serves all
 					// AD children (the PruneUpward technique of §4.3).
@@ -151,7 +151,7 @@ func (ec *evalContext) buildMatchingGraph(q *core.Query, comps []component) *mat
 						}
 					} else {
 						for _, w := range ec.mat[c] {
-							if cs.ReachesNode(w, &ec.rst) {
+							if cs.Probe(w, &ec.rst) {
 								lists[i] = append(lists[i], w)
 							}
 						}

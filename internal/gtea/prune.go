@@ -11,13 +11,14 @@ import (
 // pruneDownward is Procedure 6: processing query nodes bottom-up, it
 // removes every candidate of u whose induced valuation falsifies
 // fext(u). AD-child valuations are answered holistically against the
-// children's predecessor contours. Over a chain-structured index the
+// children's predecessor contours. Over the 3-hop index the
 // chain-suffix walks are shared between candidates on the same chain
-// and positive valuations are inherited from larger to smaller chain
-// positions (reachability is monotone along a chain); other backends
-// answer one contour probe per candidate. PC-child valuations are
-// computed exactly from adjacency — §4.4's first strategy, required
-// anyway under negation.
+// (the chain kernel); other backends, and the NoContours ablation,
+// answer one SetContour probe per candidate. Over the 3-hop index,
+// positive valuations are inherited from larger to smaller chain
+// positions either way (reachability is monotone along a chain).
+// PC-child valuations are computed exactly from adjacency — §4.4's
+// first strategy, required anyway under negation.
 // With the planner on (plan.go) conjunctive nodes may run the multiway
 // intersection kernel (multiway.go) when the cost model prefers it;
 // both kernels are exact.
@@ -31,7 +32,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			ec.setMatSet(u, ec.mat[u])
 			continue
 		}
-		if ec.plan != nil && !ec.opt.NoContours {
+		if ec.multiway() {
 			if ad, pc, ok := ec.multiwayEligible(q, u); ok {
 				if !q.Fext(u).Eval(func(int) bool { return true }) {
 					// Unsatisfiable extension formula (contains False):
@@ -70,21 +71,15 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 		fext := q.Fext(u)
 
 		// Predecessor summaries of the (already pruned) AD children:
-		// chain contours when the index exposes them, opaque contours
-		// otherwise, none under the pairwise ablation. Stored in
-		// child-id-indexed scratch; only adKids entries are live.
-		useChain, useGeneric := false, false
-		switch {
-		case ec.opt.NoContours:
-		case ec.ch != nil:
-			useChain = true
-			for _, c := range adKids {
+		// chain contours for the chain kernel, SetContours otherwise.
+		// Stored in child-id-indexed scratch; only adKids entries are
+		// live.
+		chain := ec.chainKernel()
+		for _, c := range adKids {
+			if chain {
 				ec.cps[c] = ec.ch.MergeLists(ec.mat[c], false, &ec.rst)
-			}
-		default:
-			useGeneric = true
-			for _, c := range adKids {
-				ec.gps[c] = ec.h.PredContour(ec.mat[c], &ec.rst)
+			} else {
+				ec.gps[c] = ec.contour(ec.mat[c], false)
 			}
 		}
 
@@ -99,8 +94,8 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			for _, c := range n.Children {
 				val[c] = false
 			}
-			var walker reach.ChainWalker
-			if useChain {
+			var walker *reach.Walker
+			if chain {
 				walker = ec.ch.NewWalker(true, &ec.rst)
 			}
 			for _, v := range bucket {
@@ -119,24 +114,8 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 					}
 				}
 				// AD children.
-				switch {
-				case ec.opt.NoContours:
-					// Pairwise probes; positive values inherited along the
-					// chain when there is one.
-					for _, c := range adKids {
-						if inherit && val[c] {
-							continue
-						}
-						val[c] = false
-						for _, w := range ec.mat[c] {
-							if ec.h.ReachesSt(v, w, &ec.rst) {
-								val[c] = true
-								break
-							}
-						}
-					}
-				case useChain:
-					// Chain path: own-position check, one shared suffix
+				if chain {
+					// Chain kernel: own-position check, one shared suffix
 					// walk for all undecided children, ambiguity fallback.
 					ambiguous := ec.ambiguous[:0]
 					pending := 0
@@ -169,11 +148,13 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 							val[c] = true
 						}
 					}
-				case useGeneric:
-					// Generic path: one holistic probe per (candidate,
-					// child contour).
+				} else {
+					// One probe per (candidate, child contour); positive
+					// values inherited along the chain when there is one.
 					for _, c := range adKids {
-						val[c] = ec.gps[c].ReachedFrom(v, &ec.rst)
+						if !inherit || !val[c] {
+							val[c] = ec.gps[c].Probe(v, &ec.rst)
+						}
 					}
 				}
 				if fext.Eval(func(c int) bool { return val[c] }) {
@@ -205,7 +186,7 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 		// per-candidate contour probes (multiway.go); upward semantics
 		// carry no negation, so the swap is always exact.
 		multiAD := false
-		if ec.plan != nil && !ec.opt.NoContours {
+		if ec.multiway() {
 			adKids := ec.adKids[:0]
 			adCands := 0
 			for _, c := range q.Nodes[u].Children {
@@ -223,8 +204,8 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 				}
 			}
 		}
-		var cs *reach.Contour     // chain successor contour of mat[u], lazy
-		var gcs reach.SuccContour // generic successor contour, lazy
+		var cs *reach.Contour    // chain successor contour of mat[u], lazy
+		var gcs reach.SetContour // its SetContour off the chain kernel, lazy
 		for _, c := range q.Nodes[u].Children {
 			if !prime[c] {
 				continue
@@ -250,29 +231,11 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 				ec.setMatSet(c, keep)
 				continue
 			}
-			if ec.opt.NoContours {
-				keep := ec.mat[c][:0]
-				for _, v := range ec.mat[c] {
-					if ec.tick() {
-						return
-					}
-					ec.stat.PruneInput++
-					for _, w := range ec.mat[u] {
-						if ec.h.ReachesSt(w, v, &ec.rst) {
-							keep = append(keep, v)
-							break
-						}
-					}
-				}
-				ec.mat[c] = keep
-				ec.setMatSet(c, keep)
-				continue
-			}
-			if ec.ch == nil {
-				// Generic path: holistic probe of every child candidate
-				// against the parent's successor contour.
+			if !ec.chainKernel() {
+				// Holistic probe of every child candidate against the
+				// parent's successor contour.
 				if gcs == nil {
-					gcs = ec.h.SuccContour(ec.mat[u], &ec.rst)
+					gcs = ec.contour(ec.mat[u], true)
 				}
 				keep := ec.mat[c][:0]
 				for _, v := range ec.mat[c] {
@@ -280,7 +243,7 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 						return
 					}
 					ec.stat.PruneInput++
-					if gcs.ReachesNode(v, &ec.rst) {
+					if gcs.Probe(v, &ec.rst) {
 						keep = append(keep, v)
 					}
 				}
@@ -328,6 +291,48 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 			ec.setMatSet(c, keep)
 		}
 	}
+}
+
+// chainKernel reports whether AD valuations run Procedures 6/7's
+// chain kernel: over the 3-hop index, unless the NoContours ablation
+// forgoes merged contours.
+func (ec *evalContext) chainKernel() bool { return ec.ch != nil && !ec.opt.NoContours }
+
+// multiway reports whether the planner may swap in the multiway kernel.
+// It merges whole candidate sets as contours do, so the NoContours
+// ablation never runs it.
+func (ec *evalContext) multiway() bool { return ec.plan != nil && !ec.opt.NoContours }
+
+// contour summarizes S for SetContour probes in direction down (see
+// ContourIndex.SuccContour and PredContour): the backend's merged
+// contour, or a pairwiseContour under the NoContours ablation.
+func (ec *evalContext) contour(S []graph.NodeID, down bool) reach.SetContour {
+	switch {
+	case ec.opt.NoContours:
+		return pairwiseContour{ec.h, S, down}
+	case down:
+		return ec.h.SuccContour(S, &ec.rst)
+	default:
+		return ec.h.PredContour(S, &ec.rst)
+	}
+}
+
+// pairwiseContour is the NoContours ablation's SetContour: it merges
+// nothing, and a probe asks ReachesSt once per member of S, in order,
+// until one answers.
+type pairwiseContour struct {
+	h    reach.ContourIndex
+	S    []graph.NodeID
+	down bool
+}
+
+func (p pairwiseContour) Probe(v graph.NodeID, st *reach.Stats) bool {
+	for _, w := range p.S {
+		if p.down && p.h.ReachesSt(w, v, st) || !p.down && p.h.ReachesSt(v, w, st) {
+			return true
+		}
+	}
+	return false
 }
 
 // primeSubtree returns the node set of the minimum subtree containing

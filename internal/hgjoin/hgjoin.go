@@ -263,7 +263,7 @@ func (e *Engine) edgePairs(q *core.Query, mat [][]graph.NodeID, edges []qedge) [
 		for _, v := range mat[ed.p] {
 			cs := e.H.SuccContour([]graph.NodeID{v}, &rst)
 			for _, w := range mat[ed.c] {
-				if cs.ReachesNode(w, &rst) {
+				if cs.Probe(w, &rst) {
 					pairs[i] = append(pairs[i], [2]graph.NodeID{v, w})
 				}
 			}

@@ -128,9 +128,6 @@ func (f *Formula) VarID() int {
 // variables). The slice must not be modified.
 func (f *Formula) Operands() []*Formula { return f.sub }
 
-// IsConst reports whether f is the constant true or false.
-func (f *Formula) IsConst() bool { return f.kind == KindTrue || f.kind == KindFalse }
-
 // Eval evaluates f under the assignment function val.
 func (f *Formula) Eval(val func(v int) bool) bool {
 	switch f.kind {

@@ -102,9 +102,9 @@ func TestThreeHopBytesAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenericContoursMatchBruteForce checks the backend-opaque
-// PredContour/SuccContour probes of every backend against
-// brute-force traversal truth.
+// TestGenericContoursMatchBruteForce checks the Probe of every
+// backend's PredContour and SuccContour against brute-force traversal
+// truth.
 func TestGenericContoursMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(502))
 	for trial := 0; trial < 40; trial++ {
@@ -129,12 +129,12 @@ func TestGenericContoursMatchBruteForce(t *testing.T) {
 			cs := h.SuccContour(S, &st)
 			for v := 0; v < g.N(); v++ {
 				nv := graph.NodeID(v)
-				if got, want := cp.ReachedFrom(nv, &st), contourWant(g, nv, S, "vToS"); got != want {
-					t.Fatalf("trial %d %s: PredContour.ReachedFrom(%d, S=%v)=%v want %v",
+				if got, want := cp.Probe(nv, &st), contourWant(g, nv, S, "vToS"); got != want {
+					t.Fatalf("trial %d %s: PredContour.Probe(%d, S=%v)=%v want %v",
 						trial, kind, v, S, got, want)
 				}
-				if got, want := cs.ReachesNode(nv, &st), contourWant(g, nv, S, "sToV"); got != want {
-					t.Fatalf("trial %d %s: SuccContour.ReachesNode(%d, S=%v)=%v want %v",
+				if got, want := cs.Probe(nv, &st), contourWant(g, nv, S, "sToV"); got != want {
+					t.Fatalf("trial %d %s: SuccContour.Probe(%d, S=%v)=%v want %v",
 						trial, kind, v, S, got, want)
 				}
 			}
@@ -175,10 +175,10 @@ func TestConcurrentReadsOneIndex(t *testing.T) {
 					cp := h.PredContour(S, &st)
 					cs := h.SuccContour(S, &st)
 					w := graph.NodeID(rr.Intn(g.N()))
-					if cp.ReachedFrom(w, &st) != contourWant(g, w, S, "vToS") {
+					if cp.Probe(w, &st) != contourWant(g, w, S, "vToS") {
 						ok = false
 					}
-					if cs.ReachesNode(w, &st) != contourWant(g, w, S, "sToV") {
+					if cs.Probe(w, &st) != contourWant(g, w, S, "sToV") {
 						ok = false
 					}
 				}

@@ -409,8 +409,8 @@ func fuzzCodec(f *testing.F, kind string, extra map[uint8][]byte, check func(*te
 			for v := range all {
 				h.ReachesSt(graph.NodeID(u), graph.NodeID(v), &st)
 			}
-			cp.ReachedFrom(graph.NodeID(u), &st)
-			cs.ReachesNode(graph.NodeID(u), &st)
+			cp.Probe(graph.NodeID(u), &st)
+			cs.Probe(graph.NodeID(u), &st)
 		}
 	})
 }

@@ -58,7 +58,7 @@ func (h *ThreeHop) MergeLists(S []graph.NodeID, down bool, st *Stats) *Contour {
 	if down {
 		c.step = 1
 	}
-	w := walker{h: h, down: down, visited: make(map[int32]int32)}
+	w := Walker{h: h, down: down, visited: make(map[int32]int32)}
 	n := int64(0)
 	for _, v := range S {
 		s := h.scc.Comp[v]
@@ -78,29 +78,24 @@ func (h *ThreeHop) MergeLists(S []graph.NodeID, down bool, st *Stats) *Contour {
 	return c
 }
 
-// threeHopContour adapts a chain contour to the backend-opaque probe
-// interfaces: it is handed out as a PredContour when merged up and as
-// a SuccContour when merged down, and both methods ask Probe.
+// threeHopContour is the 3-hop SetContour: a chain contour merged in
+// either direction, which ThreeHop.Probe answers from alone.
 type threeHopContour struct {
 	h *ThreeHop
 	*Contour
 }
 
-func (a threeHopContour) ReachedFrom(v graph.NodeID, st *Stats) bool {
-	return a.h.Probe(v, a.Contour, st)
-}
-
-func (a threeHopContour) ReachesNode(v graph.NodeID, st *Stats) bool {
+func (a threeHopContour) Probe(v graph.NodeID, st *Stats) bool {
 	return a.h.Probe(v, a.Contour, st)
 }
 
 // PredContour summarizes S for generic "v reaches S?" probes.
-func (h *ThreeHop) PredContour(S []graph.NodeID, st *Stats) PredContour {
+func (h *ThreeHop) PredContour(S []graph.NodeID, st *Stats) SetContour {
 	return threeHopContour{h, h.MergeLists(S, false, st)}
 }
 
 // SuccContour summarizes S for generic "S reaches v?" probes.
-func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
+func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SetContour {
 	return threeHopContour{h, h.MergeLists(S, true, st)}
 }
 
@@ -140,7 +135,7 @@ func (h *ThreeHop) matches(s int32, c *Contour, st *Stats) bool {
 	return false
 }
 
-// walker streams the complete-list entries of candidates processed in
+// Walker streams the complete-list entries of candidates processed in
 // chain order, visiting every list element at most once per walker
 // lifetime: down, the Lout entries of chain suffixes for candidates in
 // descending position order per chain (the inner loop of Procedure 6);
@@ -148,7 +143,7 @@ func (h *ThreeHop) matches(s int32, c *Contour, st *Stats) bool {
 // 7). Callers create one walker per query node being pruned; a walker
 // is single-use state for one evaluation and charges its lookups to
 // the sink it was created with.
-type walker struct {
+type Walker struct {
 	h       *ThreeHop
 	st      *Stats
 	down    bool
@@ -156,8 +151,8 @@ type walker struct {
 }
 
 // NewWalker returns a walker over h in direction down, charging st.
-func (h *ThreeHop) NewWalker(down bool, st *Stats) ChainWalker {
-	return &walker{h: h, st: st, down: down, visited: make(map[int32]int32)}
+func (h *ThreeHop) NewWalker(down bool, st *Stats) *Walker {
+	return &Walker{h: h, st: st, down: down, visited: make(map[int32]int32)}
 }
 
 // claim returns the rows still to be walked from position s on chain
@@ -167,7 +162,7 @@ func (h *ThreeHop) NewWalker(down bool, st *Stats) ChainWalker {
 // before it in that direction already covered is left out, matching
 // the `visited` bookkeeping of Procedures 6 and 7; if nothing is left,
 // the first row is the bound.
-func (w *walker) claim(cid, s int32) (r *gapRows, t, step, bound int32) {
+func (w *Walker) claim(cid, s int32) (r *gapRows, t, step, bound int32) {
 	r, step, bound = w.h.span(cid, w.down)
 	if limit, seen := w.visited[cid]; seen {
 		bound = limit
@@ -180,8 +175,9 @@ func (w *walker) claim(cid, s int32) (r *gapRows, t, step, bound int32) {
 }
 
 // Walk invokes f for every list entry in the not-yet-visited part of
-// the chain suffix (down) or prefix (up) that starts at v's position.
-func (w *walker) Walk(v graph.NodeID, f func(cid, pos int32)) {
+// the chain suffix (down) or prefix (up) that starts at v's position,
+// as the entry's chain id and position (see Position).
+func (w *Walker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 	h := w.h
 	// Claimed before the walk, so that no more than the loop's own
 	// state is live across the calls of f: the extra spills cost arXiv
@@ -199,7 +195,12 @@ func (w *walker) Walk(v graph.NodeID, f func(cid, pos int32)) {
 }
 
 // Position returns v's chain id and position (engines group candidate
-// sets by chain with these and order each group by position).
+// sets by chain with these and order each group by position). A
+// position stands in for the paper's sequence id: within one chain,
+// positions are ordered exactly as sequence ids are (of two SCCs on one
+// chain, the one at the smaller position reaches the other), but they
+// do not start at 0 and comparing positions from two different chains
+// means nothing.
 func (h *ThreeHop) Position(v graph.NodeID) (cid, pos int32) {
 	return h.locate(h.scc.Comp[v])
 }

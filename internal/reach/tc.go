@@ -110,10 +110,9 @@ func (t *TC) ReachesSt(u, v graph.NodeID, st *Stats) bool {
 type tcPred struct {
 	t    *TC
 	mask []uint64
-	n    int // distinct SCCs in S
 }
 
-func (p tcPred) ReachedFrom(v graph.NodeID, st *Stats) bool {
+func (p tcPred) Probe(v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	s := p.t.scc.Comp[v]
 	if p.mask[s/64]&(1<<uint(s%64)) != 0 && p.t.scc.Nontrivial(s) {
@@ -129,17 +128,14 @@ func (p tcPred) ReachedFrom(v graph.NodeID, st *Stats) bool {
 	return false
 }
 
-func (p tcPred) Size() int { return p.n }
-
 // tcSucc summarizes S as the union of its rows (everything S reaches)
 // plus the membership mask for the nontrivial-SCC case.
 type tcSucc struct {
 	t           *TC
 	mask, reach []uint64
-	n           int
 }
 
-func (s tcSucc) ReachesNode(v graph.NodeID, st *Stats) bool {
+func (s tcSucc) Probe(v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	st.Lookups++
 	sv := s.t.scc.Comp[v]
@@ -150,31 +146,29 @@ func (s tcSucc) ReachesNode(v graph.NodeID, st *Stats) bool {
 	return s.reach[sv/64]&bit != 0
 }
 
-func (s tcSucc) Size() int { return s.n }
-
 // PredContour summarizes S for "v reaches S?" probes.
-func (t *TC) PredContour(S []graph.NodeID, st *Stats) PredContour {
+func (t *TC) PredContour(S []graph.NodeID, st *Stats) SetContour {
 	p := tcPred{t: t, mask: make([]uint64, t.words)}
 	for _, v := range S {
 		s := t.scc.Comp[v]
 		if p.mask[s/64]&(1<<uint(s%64)) == 0 {
 			p.mask[s/64] |= 1 << uint(s%64)
-			p.n++
 			st.Lookups++
 		}
 	}
 	return p
 }
 
-// tcSuccOne is the singleton SuccContour: it aliases the source SCC's
-// closure row instead of copying it — matchgraph and hgjoin build one
-// per candidate node, so this path must not allocate per call.
+// tcSuccOne is the singleton successor contour: it aliases the source
+// SCC's closure row instead of copying it — matchgraph and hgjoin build
+// one per candidate node, so this path allocates only the small
+// contour value itself (it escapes into the SetContour), never a row.
 type tcSuccOne struct {
 	t *TC
 	s int32
 }
 
-func (c tcSuccOne) ReachesNode(v graph.NodeID, st *Stats) bool {
+func (c tcSuccOne) Probe(v graph.NodeID, st *Stats) bool {
 	st.Queries++
 	st.Lookups++
 	sv := c.t.scc.Comp[v]
@@ -184,10 +178,8 @@ func (c tcSuccOne) ReachesNode(v graph.NodeID, st *Stats) bool {
 	return c.t.row(c.s)[sv/64]&(1<<uint(sv%64)) != 0
 }
 
-func (c tcSuccOne) Size() int { return 1 }
-
 // SuccContour summarizes S for "S reaches v?" probes.
-func (t *TC) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
+func (t *TC) SuccContour(S []graph.NodeID, st *Stats) SetContour {
 	if len(S) == 1 {
 		st.Lookups++
 		return tcSuccOne{t: t, s: t.scc.Comp[S[0]]}
@@ -199,7 +191,6 @@ func (t *TC) SuccContour(S []graph.NodeID, st *Stats) SuccContour {
 			continue // SCC already folded in
 		}
 		c.mask[s/64] |= 1 << uint(s%64)
-		c.n++
 		row := t.row(s)
 		st.Lookups += int64(len(row))
 		for k, w := range row {

@@ -176,8 +176,8 @@ func entries(b []byte) int {
 // rows and Tarjan ids the build sweeps over are dropped with it.
 //
 // A built index is immutable: the query methods taking a *Stats sink
-// (ReachesSt and the ChainIndex operations) are safe for concurrent
-// use.
+// (ReachesSt, the contours and the chain operations) are safe for
+// concurrent use.
 type ThreeHop struct {
 	g   *graph.Graph
 	scc graph.SCCMap // node -> position, and a cycle bit per position

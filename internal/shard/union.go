@@ -120,76 +120,46 @@ func (ci *compositeIndex) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {
 // PredContour builds one per-shard predecessor contour over S's local
 // members; a probe for v consults the contour of v's shard — elements
 // of S outside it are outside v's component.
-func (ci *compositeIndex) PredContour(S []graph.NodeID, st *reach.Stats) reach.PredContour {
-	pc := &compositePred{ci: ci, per: make([]reach.PredContour, len(ci.se.shards))}
-	for si, ls := range ci.groupByShard(S) {
-		if len(ls) > 0 {
-			pc.per[si] = ci.se.shards[si].eng.H.PredContour(ls, st)
-		}
-	}
-	return pc
+func (ci *compositeIndex) PredContour(S []graph.NodeID, st *reach.Stats) reach.SetContour {
+	return ci.contour(S, false, st)
 }
 
-// SuccContour builds one per-shard successor contour; a probe for v
-// consults the contour of v's shard, for the same reason.
-func (ci *compositeIndex) SuccContour(S []graph.NodeID, st *reach.Stats) reach.SuccContour {
-	sc := &compositeSucc{ci: ci, per: make([]reach.SuccContour, len(ci.se.shards))}
-	for si, ls := range ci.groupByShard(S) {
-		if len(ls) > 0 {
-			sc.per[si] = ci.se.shards[si].eng.H.SuccContour(ls, st)
-		}
-	}
-	return sc
+// SuccContour builds one per-shard successor contour, for the same
+// reason.
+func (ci *compositeIndex) SuccContour(S []graph.NodeID, st *reach.Stats) reach.SetContour {
+	return ci.contour(S, true, st)
 }
 
-// groupByShard maps S onto each shard's local id space.
-func (ci *compositeIndex) groupByShard(S []graph.NodeID) [][]graph.NodeID {
+// contour maps S onto each shard's local id space and merges each
+// shard's share there: its successor contour when down, else its
+// predecessor contour.
+func (ci *compositeIndex) contour(S []graph.NodeID, down bool, st *reach.Stats) *compositeContour {
 	locals := make([][]graph.NodeID, len(ci.se.shards))
 	for _, s := range S {
 		loc := ci.home[s]
 		locals[loc.shard] = append(locals[loc.shard], loc.local)
 	}
-	return locals
-}
-
-type compositePred struct {
-	ci  *compositeIndex
-	per []reach.PredContour
-}
-
-func (pc *compositePred) ReachedFrom(v graph.NodeID, st *reach.Stats) bool {
-	loc := pc.ci.home[v]
-	inner := pc.per[loc.shard]
-	return inner != nil && inner.ReachedFrom(loc.local, st)
-}
-
-func (pc *compositePred) Size() int {
-	total := 0
-	for _, inner := range pc.per {
-		if inner != nil {
-			total += inner.Size()
+	c := &compositeContour{ci: ci, per: make([]reach.SetContour, len(ci.se.shards))}
+	for si, ls := range locals {
+		switch h := ci.se.shards[si].eng.H; {
+		case len(ls) == 0:
+		case down:
+			c.per[si] = h.SuccContour(ls, st)
+		default:
+			c.per[si] = h.PredContour(ls, st)
 		}
 	}
-	return total
+	return c
 }
 
-type compositeSucc struct {
+// compositeContour holds one contour per shard with members of S.
+type compositeContour struct {
 	ci  *compositeIndex
-	per []reach.SuccContour
+	per []reach.SetContour // nil for shards without members of S
 }
 
-func (sc *compositeSucc) ReachesNode(v graph.NodeID, st *reach.Stats) bool {
-	loc := sc.ci.home[v]
-	inner := sc.per[loc.shard]
-	return inner != nil && inner.ReachesNode(loc.local, st)
-}
-
-func (sc *compositeSucc) Size() int {
-	total := 0
-	for _, inner := range sc.per {
-		if inner != nil {
-			total += inner.Size()
-		}
-	}
-	return total
+func (c *compositeContour) Probe(v graph.NodeID, st *reach.Stats) bool {
+	loc := c.ci.home[v]
+	inner := c.per[loc.shard]
+	return inner != nil && inner.Probe(loc.local, st)
 }

@@ -99,10 +99,10 @@ func TestCompositeIndexMatchesFlat(t *testing.T) {
 					sc, csc := flat.SuccContour(S, &st), ci.SuccContour(S, &st)
 					for v := 0; v < n; v++ {
 						gv := graph.NodeID(v)
-						if got, want := cpc.ReachedFrom(gv, &st), pc.ReachedFrom(gv, &st); got != want {
+						if got, want := cpc.Probe(gv, &st), pc.Probe(gv, &st); got != want {
 							t.Fatalf("%s: S=%v PredContour(%d) = %v, flat %v", kind, S, v, got, want)
 						}
-						if got, want := csc.ReachesNode(gv, &st), sc.ReachesNode(gv, &st); got != want {
+						if got, want := csc.Probe(gv, &st), sc.Probe(gv, &st); got != want {
 							t.Fatalf("%s: S=%v SuccContour(%d) = %v, flat %v", kind, S, v, got, want)
 						}
 					}
