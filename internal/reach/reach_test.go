@@ -200,6 +200,112 @@ func TestThreeHopMatchesTCOnCyclicGraphs(t *testing.T) {
 	}
 }
 
+// TestListsMatchDefinition checks every position's decoded Lout and
+// Lin rows against the definitions in the ThreeHop doc comment,
+// computed by BFS over the condensation, on random DAGs and cyclic
+// digraphs; and that Lin is the transpose of Lout: s is in Lin(p)
+// exactly when p is in Lout(s).
+func TestListsMatchDefinition(t *testing.T) {
+	r := rand.New(rand.NewSource(505))
+	entries := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(299)
+		var g *graph.Graph
+		if trial%2 == 0 {
+			g = randDAG(r, n, n+r.Intn(3*n))
+		} else {
+			g = randDigraph(r, n, n+r.Intn(2*n))
+		}
+		h := NewThreeHop(g)
+		cond := graph.Condense(g)
+		posOf, sccAt := tarjanIDs(h)
+		k := int32(len(sccAt))
+		// reaches[p][q]: the SCC at position p reaches the one at q, or p == q.
+		reaches := make([][]bool, k)
+		for p := range reaches {
+			seen := make([]bool, k)
+			seen[p] = true
+			for queue := []int32{int32(p)}; len(queue) > 0; queue = queue[1:] {
+				for _, w := range cond.Out(sccAt[queue[0]]) {
+					if q := posOf[w]; !seen[q] {
+						seen[q] = true
+						queue = append(queue, q)
+					}
+				}
+			}
+			reaches[p] = seen
+		}
+		// onChain returns p's neighbor at offset d on its own chain, or -1.
+		onChain := func(p, d int32) int32 {
+			c := h.chainAt[p]
+			if q := p + d; q >= h.chainOff[c] && q < h.chainOff[c+1] {
+				return q
+			}
+			return -1
+		}
+		decode := func(b []byte) []int32 {
+			var ps []int32
+			for i, p := 0, int32(-1); i < len(b); {
+				p, i = nextGap(b, i, p)
+				ps = append(ps, p)
+			}
+			return ps
+		}
+		transposed := make([][]int32, k) // per position p: the s with p in Lout(s)
+		for s := int32(0); s < k; s++ {
+			var lout, lin []int32
+			for c := int32(0); c < int32(h.NumChains()); c++ {
+				if c == h.chainAt[s] {
+					continue
+				}
+				lo, hi := h.chainOff[c], h.chainOff[c+1]
+				// Lout: the smallest position on c that s reaches, unless
+				// s's successor on its own chain reaches it too.
+				for p := lo; p < hi; p++ {
+					if reaches[s][p] {
+						if next := onChain(s, 1); next == -1 || !reaches[next][p] {
+							lout = append(lout, p)
+						}
+						break
+					}
+				}
+				// Lin: the largest position on c reaching s, unless it
+				// reaches s's predecessor on its own chain too.
+				for p := hi - 1; p >= lo; p-- {
+					if reaches[p][s] {
+						if prev := onChain(s, -1); prev == -1 || !reaches[p][prev] {
+							lin = append(lin, p)
+						}
+						break
+					}
+				}
+			}
+			gotOut, gotIn := decode(h.lout.row(s)), decode(h.lin.row(s))
+			if !slices.Equal(gotOut, lout) {
+				t.Fatalf("trial %d (%d nodes): Lout(%d) = %v, want %v", trial, n, s, gotOut, lout)
+			}
+			if !slices.Equal(gotIn, lin) {
+				t.Fatalf("trial %d (%d nodes): Lin(%d) = %v, want %v", trial, n, s, gotIn, lin)
+			}
+			for _, p := range gotOut {
+				transposed[p] = append(transposed[p], s)
+			}
+		}
+		for p := int32(0); p < k; p++ {
+			if got := decode(h.lin.row(p)); !slices.Equal(got, transposed[p]) {
+				t.Fatalf("trial %d (%d nodes): Lin(%d) = %v, but the transpose of Lout gives %v", trial, n, p, got, transposed[p])
+			}
+		}
+		if h.lout.n != h.lin.n {
+			t.Fatalf("trial %d (%d nodes): %d Lout entries, %d Lin entries", trial, n, h.lout.n, h.lin.n)
+		}
+		entries += h.lout.n
+	}
+	if entries < 1000 {
+		t.Fatalf("%d Lout entries over all trials: the graphs are too sparse to test the lists", entries)
+	}
+}
+
 // contourWant computes the brute-force truth for the contour questions.
 func contourWant(g *graph.Graph, v graph.NodeID, S []graph.NodeID, dir string) bool {
 	for _, s := range S {
