@@ -8,6 +8,7 @@ import (
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/logic"
+	"gtpq/internal/reach"
 )
 
 var planTestLabels = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -54,21 +55,19 @@ func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
 	if st.Plan.Nodes[q.Root].Kernel != KernelMultiway {
 		t.Fatalf("root kernel = %q, want multiway on the skewed star", st.Plan.Nodes[q.Root].Kernel)
 	}
-	// And the multiway answer matches the paper path.
-	off, err := NewWithOptions(g, Options{NoPlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := off.Eval(q); !want.Equal(ans) {
+	// And the multiway answer is the oracle's.
+	if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
 		t.Fatalf("multiway root changed the answer: want %v got %v", want, ans)
 	}
 }
 
 // TestNoPlanRestoresPaperBehavior checks the escape hatch: with NoPlan
-// no plan is recorded, and answers are byte-identical either way.
+// no plan is recorded, and answers are byte-identical either way, and
+// the oracle's.
 func TestNoPlanRestoresPaperBehavior(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	g := planTestGraph()
+	tc := reach.NewTC(g)
 	on := New(g)
 	off, err := NewWithOptions(g, Options{NoPlan: true})
 	if err != nil {
@@ -87,12 +86,15 @@ func TestNoPlanRestoresPaperBehavior(t *testing.T) {
 		if !want.Equal(got) {
 			t.Fatalf("trial %d: answers differ\n%s\nwant %v\ngot  %v", trial, q, want, got)
 		}
+		if oracle := core.EvalNaive(g, tc, q); !oracle.Equal(want) {
+			t.Fatalf("trial %d: answers differ from the oracle's\n%s\nwant %v\ngot  %v", trial, q, oracle, want)
+		}
 	}
 }
 
 // TestPlanNegationFallsBackToPaper pins the safety gate: a node whose
 // extension formula negates an AD child is not multiway-eligible, so
-// its kernel stays "paper" and the answer is unchanged.
+// its kernel stays "paper" and the answer is the oracle's.
 func TestPlanNegationFallsBackToPaper(t *testing.T) {
 	g := planTestGraph()
 	q := core.NewQuery()
@@ -108,11 +110,7 @@ func TestPlanNegationFallsBackToPaper(t *testing.T) {
 	if k := st.Plan.Nodes[x].Kernel; k != KernelPaper {
 		t.Fatalf("negated node kernel = %q, want paper", k)
 	}
-	off, err := NewWithOptions(g, Options{NoPlan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := off.Eval(q); !want.Equal(ans) {
+	if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
 		t.Fatalf("negation fallback changed the answer: want %v got %v", want, ans)
 	}
 }

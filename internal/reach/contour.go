@@ -2,12 +2,12 @@ package reach
 
 import "gtpq/internal/graph"
 
-// The query side reads the chains in one of two directions, named by
-// the build's down flag (see sweep): down reads the successor lists
-// (Lout) of a chain suffix, forward from a position; up reads the
-// predecessor lists (Lin) of a chain prefix, backward from it. Every
-// operation below is written once and takes its direction when a
-// contour is merged or a walker is made, never per list entry.
+// The query side reads the chains in one of two directions, each named
+// by a down flag: down reads the successor lists (Lout) of a chain
+// suffix, forward from a position; up reads the predecessor lists (Lin)
+// of a chain prefix, backward from it (see span). Every operation below
+// is written once and takes its direction when a contour is merged or a
+// walker is made, never per list entry.
 
 // Contour is the merged complete predecessor or successor list of a
 // node set S (Procedure 2, and MergeSuccLists, its dual): one extreme

@@ -1,93 +1,88 @@
 package reach
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gtpq/internal/graph"
 )
 
-// Helpers for level-parallel index construction. Both topological
-// sweeps used by the builders (3-hop Lin/Lout, TC rows) have the same
-// dependency shape: a node needs only nodes it points at (or is pointed
-// at by). Grouping the condensation by longest-path level makes every
-// level internally independent, so levels run serially and the nodes of
-// a level run sharded across goroutines.
+// Helpers for level-parallel index construction. The one topological
+// sweep of each builder (3-hop Lout, TC rows) has the same dependency
+// shape: an SCC needs only the SCCs it points at. Grouping the
+// condensation by longest-path level makes every level internally
+// independent, so levels run serially and the SCCs of a level run
+// spread over goroutines.
 
-// eachSCC calls f for every SCC of c in dependency order. SCC ids are
-// reverse topological (DAG edges lead to smaller ids), so a sweep whose
-// nodes need their successors (down) runs in ascending id order and one
-// whose nodes need their predecessors in descending order.
-func eachSCC(c *graph.Condensation, down bool, f func(s int32)) {
+// levelize buckets the SCCs of c by longest-path distance along their
+// DAG successors: level(s) = 1 + max over successors (0 without any).
+// Buckets are returned in dependency order: every SCC's successors live
+// in strictly earlier buckets. SCC ids are reverse topological (DAG
+// edges lead to smaller ids), so one pass in ascending id order sees
+// every successor's level first, and each bucket lists its SCCs in
+// ascending id order.
+func levelize(c *graph.Condensation) [][]int32 {
 	n := int32(c.NumSCC())
-	for i := int32(0); i < n; i++ {
-		if down {
-			f(i)
-		} else {
-			f(n - 1 - i)
-		}
-	}
-}
-
-// levelize buckets the SCCs of c by longest-path distance measured
-// along their dependencies (successors when down, else predecessors):
-// level(s) = 1 + max over deps (0 without any). Buckets are returned in
-// dependency order: every node's deps live in strictly earlier buckets.
-func levelize(c *graph.Condensation, down bool) [][]int32 {
-	dep := c.Out
-	if !down {
-		dep = c.In
-	}
-	level := make([]int32, c.NumSCC())
-	max := int32(0)
-	eachSCC(c, down, func(s int32) {
+	level := make([]int32, n)
+	top := int32(0)
+	for s := int32(0); s < n; s++ {
 		l := int32(0)
-		for _, w := range dep(s) {
+		for _, w := range c.Out(s) {
 			if level[w]+1 > l {
 				l = level[w] + 1
 			}
 		}
 		level[s] = l
-		if l > max {
-			max = l
+		if l > top {
+			top = l
 		}
-	})
-	buckets := make([][]int32, max+1)
-	eachSCC(c, down, func(s int32) {
+	}
+	buckets := make([][]int32, top+1)
+	for s := int32(0); s < n; s++ {
 		buckets[level[s]] = append(buckets[level[s]], s)
-	})
+	}
 	return buckets
 }
 
-// parallelFor covers [0, n) with calls f(lo, hi), sharded across
-// GOMAXPROCS goroutines. Small batches run inline — goroutine startup
-// dominates otherwise.
-func parallelFor(n int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	const minPerWorker = 16
-	if workers > n/minPerWorker {
-		workers = n / minPerWorker
+// spread runs f(0), ..., f(workers-1), each on its own goroutine but
+// f(0), which runs on the caller's, and returns when all have.
+func spread(workers int, f func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
 	}
+	f(0)
+	wg.Wait()
+}
+
+// parallelFor covers [0, n) with calls f(w, lo, hi) from at most procs
+// goroutines; w < procs names the calling goroutine, so f may keep
+// per-worker state in a slice indexed by it. The range is handed out in
+// grains of at most maxGrain items on demand, so a worker that drew
+// cheap items takes more: the items of one SCC level differ in cost by
+// orders of magnitude, and a level of a few items can hold most of the
+// work (the top of an XMark site folds nearly every chain per item).
+func parallelFor(procs, n int, f func(w, lo, hi int)) {
+	const maxGrain = 16
+	workers := min(procs, n)
 	if workers <= 1 {
-		f(0, n)
+		f(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	grain := max(1, min(maxGrain, n/(8*workers)))
+	var next atomic.Int64
+	spread(workers, func(w int) {
+		for {
+			hi := int(next.Add(int64(grain)))
+			lo := hi - grain
+			if lo >= n {
+				return
+			}
+			f(w, lo, min(hi, n))
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }

@@ -20,8 +20,8 @@
 // way. The 3-hop index also exposes its chain positions, chain contours
 // and shared list walkers (MergeLists, NewWalker, CheckOwn, ...) for
 // the paper's Procedure 6/7 optimizations, each written once for both
-// directions (the build's down flag: successor lists down, predecessor
-// lists up); the engine uses them when its backend is a *ThreeHop.
+// directions (a down flag: successor lists down, predecessor lists up);
+// the engine uses them when its backend is a *ThreeHop.
 //
 // This package is the one place that names the backends: Build
 // constructs one by kind, Kinds lists the kinds, and AppendIndex /

@@ -3,6 +3,7 @@ package reach
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"gtpq/internal/graph"
@@ -51,8 +52,8 @@ func newTC(g *graph.Graph) (*TC, error) {
 	}
 	words := (n + 63) / 64
 	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
-	for _, bucket := range levelize(cond, true) {
-		parallelFor(len(bucket), func(lo, hi int) {
+	for _, bucket := range levelize(cond) {
+		parallelFor(runtime.GOMAXPROCS(0), len(bucket), func(_, lo, hi int) {
 			for _, s := range bucket[lo:hi] {
 				row := t.row(s)
 				for _, w := range cond.Out(s) {

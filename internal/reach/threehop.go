@@ -2,9 +2,11 @@ package reach
 
 import (
 	"encoding/binary"
+	"math"
+	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"gtpq/internal/graph"
 )
@@ -127,6 +129,74 @@ func (r gapRows) reorder(rows []int32) gapRows {
 	return out
 }
 
+// transpose returns the rows of r read by column: row p of the result
+// lists, ascending, the rows of r that hold position p, and counts[p]
+// must be their number. The columns are split into one contiguous range
+// per worker, each holding about an equal share of the entries. A
+// worker scans every row of r in ascending order and scatters the
+// entries in its range into their columns, so each column fills in
+// ascending order without a sort, and the bytes do not depend on procs;
+// it then sizes its columns' encodings, and once every worker has,
+// writes them.
+func (r *gapRows) transpose(counts []int32, procs int) gapRows {
+	k := int32(len(counts))
+	start := make([]int32, k+1) // column p is cols[start[p]:start[p+1]]
+	for p, c := range counts {
+		start[p+1] = start[p] + c
+	}
+	cols := make([]int32, r.n)
+	workers := max(1, min(procs, r.n/minPerWorker))
+	cut := make([]int32, workers+1) // worker w owns the columns [cut[w], cut[w+1])
+	for w := 1; w < workers; w++ {
+		c, _ := slices.BinarySearch(start, int32(w*r.n/workers))
+		cut[w] = int32(c)
+	}
+	cut[workers] = k
+	out := gapRows{off: make([]int32, k+1), n: r.n}
+	spread(workers, func(w int) {
+		lo, hi := cut[w], cut[w+1]
+		fill := slices.Clone(start[lo:hi]) // per column: its next free slot
+		for s := range k {
+			for b, i, p := r.row(s), 0, int32(-1); i < len(b); {
+				if p, i = nextGap(b, i, p); p >= hi {
+					break
+				}
+				if q := p - lo; q >= 0 {
+					cols[fill[q]] = s
+					fill[q]++
+				}
+			}
+		}
+		for p := lo; p < hi; p++ {
+			out.off[p+1] = gapsLen(cols[start[p]:start[p+1]])
+		}
+	})
+	for p := range k {
+		out.off[p+1] += out.off[p]
+	}
+	out.buf = make([]byte, out.off[k])
+	spread(workers, func(w int) {
+		for p := cut[w]; p < cut[w+1]; p++ {
+			appendGaps(out.buf[out.off[p]:out.off[p]:out.off[p+1]], cols[start[p]:start[p+1]])
+		}
+	})
+	return out
+}
+
+// minPerWorker is the fewest entries transpose hands a goroutine: a
+// small index is transposed inline.
+const minPerWorker = 1 << 14
+
+// gapsLen returns the length of the row encoding of ps.
+func gapsLen(ps []int32) int32 {
+	n, prev := 0, int32(-1)
+	for _, p := range ps {
+		n += (bits.Len32(uint32(p-prev-1)|1) + 6) / 7 // the uvarint's length
+		prev = p
+	}
+	return int32(n)
+}
+
 // entries counts the gaps encoded in b: every uvarint ends in its one
 // byte below 0x80.
 func entries(b []byte) int {
@@ -150,7 +220,9 @@ func entries(b []byte) int {
 // The complete successor list X_v of the paper is the union of Lout over
 // the suffix of v's chain starting at v (plus v's own position); the
 // complete predecessor list Y_v is the union of Lin over the prefix
-// ending at v.
+// ending at v. The two families hold one set of pairs: p ∈ Lout(s)
+// exactly when s ∈ Lin(p), so the build computes Lout and transposes it
+// (see sweep).
 //
 // Layout. An SCC is named by its position: the chains are laid out one
 // after another, chain c holds the positions [chainOff[c],
@@ -196,176 +268,197 @@ type ThreeHop struct {
 func (h *ThreeHop) locate(p int32) (cid, pos int32) { return h.chainAt[p], p }
 
 // chainScratch is a dense chain id -> position table for folding lists
-// into a per-chain extreme. pos[c] is -1 while chain c is absent;
+// into a per-chain minimum. pos[c] is absent while chain c is absent;
 // touched names the chains present, so emptying the table costs its
 // content, not the chain count.
 type chainScratch struct {
 	pos     []int32
 	touched []int32
 	out     []int32 // sweep's list under construction
-	enc     []byte  // and its encoding
+	hits    []int32 // sweep's per-position count of the rows it emitted holding that position
 }
+
+// absent marks an empty slot of chainScratch.pos: above every position,
+// so that a fold is one compare.
+const absent = math.MaxInt32
 
 func (h *ThreeHop) newScratch() *chainScratch {
 	sc := &chainScratch{pos: make([]int32, h.NumChains())}
 	for i := range sc.pos {
-		sc.pos[i] = -1
+		sc.pos[i] = absent
 	}
 	return sc
 }
 
 // fold records position p on chain c, keeping the smaller of two
-// positions when down and the larger otherwise.
-func (sc *chainScratch) fold(c, p int32, down bool) {
-	switch cur := sc.pos[c]; {
-	case cur == -1:
-		sc.pos[c] = p
-		sc.touched = append(sc.touched, c)
-	case cur != p && (p < cur) == down:
+// positions.
+func (sc *chainScratch) fold(c, p int32) {
+	if cur := sc.pos[c]; p < cur {
+		if cur == absent {
+			sc.touched = append(sc.touched, c)
+		}
 		sc.pos[c] = p
 	}
 }
 
-// inOrder returns the chains present in ascending order: by sorting
-// touched, or, once the table is more than sparsely filled, by reading
-// it front to back (half the arXiv build time otherwise goes to sorting).
-func (sc *chainScratch) inOrder() []int32 {
+// drain returns the positions present in ascending chain order, nil
+// for none, and empties the table. A sparse table sorts touched; once
+// the table is more than sparsely filled, it is read front to back and
+// cleared as it is read, without a branch per slot (half the arXiv
+// build time otherwise goes to sorting).
+func (sc *chainScratch) drain() []int32 {
+	if len(sc.touched) == 0 {
+		return nil
+	}
+	m := make([]int32, len(sc.touched)+1) // a spare slot for the dense read's last store
 	if len(sc.touched)*32 < len(sc.pos) {
 		slices.Sort(sc.touched)
-		return sc.touched
-	}
-	sc.touched = sc.touched[:0]
-	for c, p := range sc.pos {
-		if p != -1 {
-			sc.touched = append(sc.touched, int32(c))
+		for i, c := range sc.touched {
+			m[i] = sc.pos[c]
+			sc.pos[c] = absent
+		}
+	} else {
+		j := 0
+		for c, p := range sc.pos {
+			m[j] = p
+			j += int((uint64(absent-p) + math.MaxUint32) >> 32) // 1 unless p is absent
+			sc.pos[c] = absent
 		}
 	}
-	return sc.touched
+	m = m[:len(sc.touched)]
+	sc.touched = sc.touched[:0]
+	return m
 }
 
 func (sc *chainScratch) reset() {
 	for _, c := range sc.touched {
-		sc.pos[c] = -1
+		sc.pos[c] = absent
 	}
 	sc.touched = sc.touched[:0]
 }
 
 // NewThreeHop builds the index for g. Construction is O(total reachable
 // chain entries) via sparse per-SCC contours that are freed as soon as
-// every dependent has consumed them. The two list sweeps run
-// concurrently, each sharded per SCC level; every list is emitted in
-// chain-id order, so the bytes do not depend on the scheduling.
+// every dependent has consumed them. One list sweep computes Lout, each
+// SCC level sharded over GOMAXPROCS goroutines, and Lin is its
+// transpose: both families list the same pairs (s, p), Lout by s and
+// Lin by p. Every row comes out in ascending position order whatever
+// the scheduling, so the bytes depend only on the graph.
 func NewThreeHop(g *graph.Graph) *ThreeHop {
 	buildCount.Add(1)
+	procs := runtime.GOMAXPROCS(0)
 	cond := graph.Condense(g)
 	chainOff, chainAt, posOf := chainDecompose(cond)
 	h := &ThreeHop{g: g, scc: cond.Renumber(posOf), chainOff: chainOff, chainAt: chainAt}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); h.lout = h.sweep(cond, posOf, true) }()
-	go func() { defer wg.Done(); h.lin = h.sweep(cond, posOf, false) }()
-	wg.Wait()
+	var hits []int32
+	h.lout, hits = h.sweep(cond, posOf, procs)
+	h.lin = h.lout.transpose(hits, procs)
 	return h
 }
 
-// sweep computes one list family over the condensation cond, whose SCC
-// s sits at position posOf[s]. Down, it is Lout by a reverse-topological
-// sweep: the contour of s holds, per chain, the smallest position
-// reachable from s (inclusive of s), folded from the contours of s's
-// DAG successors. Up, it is Lin by the mirror-image forward sweep over
-// predecessors and largest positions. Contours live as ascending
-// position slices (one position per chain) and are dropped once every
-// SCC that folds them has done so. SCCs are processed one level at a
-// time, the level's nodes sharded across goroutines (nodes of one level
-// depend only on strictly earlier levels).
-func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, down bool) gapRows {
+// sweep computes Lout over the condensation cond, whose SCC s sits at
+// position posOf[s], by a reverse-topological sweep. The contour of s
+// holds, per chain, the smallest position s reaches by a non-empty
+// path: the positions of s's DAG successors folded with their
+// contours. Lout(s) is the contour less s's own chain and less the
+// entries of the contour of s's successor on its chain. Contours live as
+// ascending position slices (one position per chain; none for an SCC
+// without successors) and are dropped once every SCC that folds them
+// has done so. SCCs are processed one level at a time, the level's SCCs
+// handed out to procs goroutines (SCCs of one level depend only on
+// strictly earlier levels). It also returns, per position p, the number
+// of rows that hold p: the row lengths of Lin.
+//
+// Lin needs no sweep of its own. Say p ∈ Lout(s): p is the smallest
+// position on its chain that s reaches, and s's chain successor does
+// not reach p, so s is the largest position on its chain that reaches
+// p; and s does not reach p-1, so s reaching p is not derivable from
+// p's chain predecessor. That is s ∈ Lin(p), and the converse is the
+// mirror image.
+func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (gapRows, []int32) {
 	n := cond.NumSCC()
-	deps, users := cond.Out, cond.In
-	if !down {
-		deps, users = users, deps
+	levels := levelize(cond)
+	lastUse := make([]int32, n) // per SCC: the level of its last DAG predecessor
+	for l, bucket := range levels {
+		for _, s := range bucket {
+			for _, w := range cond.Out(s) {
+				lastUse[w] = int32(l)
+			}
+		}
 	}
 	contour := make([][]int32, n) // per position
-	pending := make([]int32, n)   // per SCC: users that still need its contour
-	for s := range pending {
-		pending[s] = int32(len(users(int32(s))))
-	}
-	lists := make([][]byte, n) // per position: the encoded row
+	lists := make([][]byte, n)    // per position: the encoded row
 	step := func(s int32, sc *chainScratch) {
 		own, pos := h.locate(posOf[s])
-		sc.fold(own, pos, down)
-		for _, w := range deps(s) {
-			for _, p := range contour[posOf[w]] {
-				sc.fold(h.chainAt[p], p, down)
+		for _, w := range cond.Out(s) {
+			pw := posOf[w]
+			sc.fold(h.chainAt[pw], pw)
+			for _, p := range contour[pw] {
+				sc.fold(h.chainAt[p], p)
 			}
 		}
-		m := make([]int32, len(sc.touched))
-		for i, c := range sc.inOrder() {
-			m[i] = sc.pos[c]
+		m := sc.drain()
+		if len(cond.In(s)) > 0 {
+			contour[pos] = m // else nothing reads it
 		}
-		sc.reset()
-		contour[pos] = m
 		// The list of s: entries on foreign chains not derivable from the
-		// chain neighbor. The neighbor (if any) is one of deps(s), so its
-		// contour is still alive here, and it names no chain m does not.
-		var via []int32
-		if t := h.chainNeighbor(pos, down); t != -1 {
-			via = contour[t]
+		// chain successor. The successor (if any) is one of s's DAG
+		// successors, so its contour is still alive here, and it names no
+		// chain m does not.
+		next, via := int32(-1), []int32(nil) // s's chain successor and its contour
+		if pos+1 < h.chainOff[own+1] {
+			next, via = pos+1, contour[pos+1]
 		}
 		sc.out = sc.out[:0]
+		k := 0
 		for _, p := range m {
-			if p == pos {
-				continue // m's entry on s's own chain: in a DAG nothing beats s there
+			if p == next {
+				continue // m's one entry on s's own chain
 			}
-			for len(via) > 0 && via[0] < p {
-				via = via[1:]
+			for k < len(via) && via[k] < p {
+				k++
 			}
-			if len(via) > 0 && via[0] == p {
-				continue // derivable via the chain neighbor, whose contour m folded in
+			if k < len(via) && via[k] == p {
+				continue // derivable via the chain successor, whose contour m folded in
 			}
 			sc.out = append(sc.out, p)
+			sc.hits[p]++
 		}
 		if len(sc.out) > 0 {
-			sc.enc = appendGaps(sc.enc[:0], sc.out)
-			lists[pos] = slices.Clone(sc.enc)
-		}
-		// Free contours nobody will read again. The decrement comes after
-		// every read of contour[w] above, so under level-parallelism the
-		// last sibling to finish is the one that frees.
-		for _, w := range deps(s) {
-			if atomic.AddInt32(&pending[w], -1) == 0 {
-				contour[posOf[w]] = nil
-			}
-		}
-		if len(users(s)) == 0 {
-			contour[pos] = nil
+			lists[pos] = appendGaps(make([]byte, 0, gapsLen(sc.out)), sc.out)
 		}
 	}
-	pool := sync.Pool{New: func() any { return h.newScratch() }}
-	for _, bucket := range levelize(cond, down) {
-		parallelFor(len(bucket), func(lo, hi int) {
-			sc := pool.Get().(*chainScratch)
+	scratch := make([]*chainScratch, procs) // per worker, made on first use
+	for l, bucket := range levels {
+		parallelFor(procs, len(bucket), func(w, lo, hi int) {
+			sc := scratch[w]
+			if sc == nil {
+				sc = h.newScratch()
+				sc.hits = make([]int32, n)
+				scratch[w] = sc
+			}
 			for _, s := range bucket[lo:hi] {
 				step(s, sc)
 			}
-			pool.Put(sc)
 		})
+		// Free the contours no later level reads.
+		for _, s := range bucket {
+			for _, w := range cond.Out(s) {
+				if lastUse[w] == int32(l) {
+					contour[posOf[w]] = nil
+				}
+			}
+		}
 	}
-	return packRows(lists)
-}
-
-// chainNeighbor returns the position after (down) or before p on its
-// chain, or -1.
-func (h *ThreeHop) chainNeighbor(p int32, down bool) int32 {
-	c := h.chainAt[p]
-	if down {
-		p++
-	} else {
-		p--
+	hits := make([]int32, n)
+	for _, sc := range scratch {
+		if sc != nil {
+			for p, k := range sc.hits {
+				hits[p] += k
+			}
+		}
 	}
-	if p < h.chainOff[c] || p >= h.chainOff[c+1] {
-		return -1
-	}
-	return p
+	return packRows(lists), hits
 }
 
 // span returns what a walk along chain c in direction down reads: the
@@ -420,7 +513,7 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 		x = h.newScratch()
 	}
 	defer func() { x.reset(); h.scratch.Put(x) }()
-	x.fold(cu, pu, true)
+	x.fold(cu, pu)
 	// Lookups are counted in a local and charged to st once per call,
 	// here and in every list loop: an increment through st each entry
 	// would make the loop wait on its own store.
@@ -430,11 +523,11 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
-			x.fold(h.chainAt[p], p, true)
+			x.fold(h.chainAt[p], p)
 		}
 	}
 	// Y_pv scanned against X.
-	if m := x.pos[cv]; m != -1 && m <= pv {
+	if x.pos[cv] <= pv {
 		st.Lookups += n
 		return true
 	}
@@ -443,7 +536,7 @@ func (h *ThreeHop) sccReaches(pu, pv int32, st *Stats) bool {
 		for b, i, p := r.row(t), 0, int32(-1); i < len(b); {
 			p, i = nextGap(b, i, p)
 			n++
-			if m := x.pos[h.chainAt[p]]; m != -1 && m <= p {
+			if x.pos[h.chainAt[p]] <= p {
 				st.Lookups += n
 				return true
 			}
