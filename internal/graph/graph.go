@@ -262,6 +262,107 @@ func (g *Graph) derive(es []edge) {
 		func(v NodeID) int32 { return g.labelOf[v] }, func(v NodeID) NodeID { return v })
 }
 
+// Induced returns the frozen subgraph of the frozen graph g induced by
+// verts, which must ascend strictly: local id i is verts[i], and edges
+// to nodes outside verts are dropped. Labels, attributes and edge kinds
+// carry over. It is the graph AddNode, AddEdge/AddCrossEdge and Freeze
+// build when given verts' nodes in order and then their edges, down to
+// the image: each string table is renumbered in order of first use, as
+// intern numbers it. It copies rows straight from g's arrays, through a
+// dense local-id table, with no attribute map and no sort: rows of g
+// ascend, and so do their local ids. verts is not retained.
+func (g *Graph) Induced(verts []NodeID) *Graph {
+	g.mustBeFrozen()
+	n := len(verts)
+	local := make([]int32, g.N()) // local id + 1; 0 outside verts
+	for i, v := range verts {
+		if i > 0 && v <= verts[i-1] {
+			panic(fmt.Sprintf("graph: Induced: node %d after %d, want ascending ids", v, verts[i-1]))
+		}
+		local[v] = int32(i) + 1
+	}
+	sg := &Graph{frozen: true, labelOf: make([]int32, n), hasAttrs: newBitset(n)}
+
+	labels := newRenumbering(g.labelTab)
+	for i, v := range verts {
+		sg.labelOf[i] = labels.id(g.labelOf[v])
+	}
+	sg.labelTab = exact(labels.tab)
+
+	names, strs := newRenumbering(g.attrName), newRenumbering(g.attrStr)
+	sg.attrs.off = []int32{0}
+	row := 0 // g's attribute rows before it name nodes before v
+	for i, v := range verts {
+		if !g.hasAttrs.get(int32(v)) {
+			continue
+		}
+		k, _ := slices.BinarySearch(g.attrNode[row:], v)
+		row += k
+		sg.hasAttrs.set(int32(i))
+		sg.attrNode = append(sg.attrNode, NodeID(i))
+		for _, e := range g.attrs.row(int32(row)) { // sorted by name, as AddNode sorts
+			e.name = names.id(e.name)
+			if e.str >= 0 {
+				e.str = strs.id(e.str)
+			}
+			sg.attrs.val = append(sg.attrs.val, e)
+		}
+		sg.attrs.off = append(sg.attrs.off, int32(len(sg.attrs.val)))
+	}
+	sg.attrNode = exact(sg.attrNode)
+	sg.attrs = csr[attrEntry]{off: exact(sg.attrs.off), val: exact(sg.attrs.val)}
+	sg.attrName, sg.attrStr = exact(names.tab), exact(strs.tab)
+	sg.labelID, sg.attrNameID = tableIDs(sg.labelTab), tableIDs(sg.attrName)
+
+	m := 0
+	for _, v := range verts {
+		for _, w := range g.Out(v) {
+			if local[w] != 0 {
+				m++
+			}
+		}
+	}
+	sg.out = csr[NodeID]{off: make([]int32, n+1), val: make([]NodeID, 0, m)}
+	sg.cross = newBitset(m)
+	es := make([]edge, 0, m)
+	for i, v := range verts {
+		lo := g.out.off[v]
+		for j, w := range g.Out(v) {
+			if lw := local[w] - 1; lw >= 0 {
+				if g.cross.get(lo + int32(j)) {
+					sg.cross.set(int32(len(sg.out.val)))
+				}
+				sg.out.val = append(sg.out.val, NodeID(lw))
+				es = append(es, edge{u: NodeID(i), v: NodeID(lw)})
+			}
+		}
+		sg.out.off[i+1] = int32(len(sg.out.val))
+	}
+	sg.derive(es)
+	return sg
+}
+
+// renumbering maps ids into a string table src to ids into a new table
+// listing the strings it is asked for in order of first request.
+type renumbering struct {
+	src []string
+	to  []int32 // per src id: the new id plus one; 0 until requested
+	tab []string
+}
+
+func newRenumbering(src []string) *renumbering {
+	return &renumbering{src: src, to: make([]int32, len(src))}
+}
+
+// id returns the new id of src[old], appending it to tab if it is new.
+func (r *renumbering) id(old int32) int32 {
+	if r.to[old] == 0 {
+		r.tab = append(r.tab, r.src[old])
+		r.to[old] = int32(len(r.tab))
+	}
+	return r.to[old] - 1
+}
+
 // exact returns s, or a copy of it without spare capacity.
 func exact[S ~[]E, E any](s S) S {
 	if cap(s) == len(s) {
