@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,22 +55,31 @@ type ShardedEngine struct {
 }
 
 // NewEngine builds a sharded engine in memory from a graph and a plan:
-// one subgraph, reachability index, and GTEA engine per shard. For the
-// on-disk path see WriteDir/LoadDir.
+// one subgraph (graph.Induced), reachability index, and GTEA engine per
+// shard. Shards are cut and built Options.Workers at a time (the
+// scatter width, normalizeWorkers), each from g and its own part alone,
+// so what a shard holds does not depend on which shards build beside
+// it; an error names the lowest failing shard. For the on-disk path see
+// WriteDir/LoadDir.
 func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) {
 	g.Freeze()
 	se := &ShardedEngine{
 		workers:    normalizeWorkers(opt.Workers, len(plan.Parts)),
 		totalNodes: g.N(),
 		totalEdges: g.M(),
+		shards:     make([]*shardUnit, len(plan.Parts)),
 	}
-	for _, part := range plan.Parts {
-		sg := Subgraph(g, part)
-		eng, err := gtea.NewWithOptions(sg, gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
+	err := forEachShard(len(plan.Parts), se.workers, func(i int) error {
+		part := plan.Parts[i]
+		eng, err := gtea.NewWithOptions(g.Induced(part), gtea.Options{Index: opt.Index, NoPlan: opt.NoPlan})
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", len(se.shards), err)
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		se.shards = append(se.shards, &shardUnit{eng: eng, globals: part})
+		se.shards[i] = &shardUnit{eng: eng, globals: part}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	se.kind = se.shards[0].eng.IndexKind()
 	return se, nil
@@ -106,6 +116,46 @@ func normalizeWorkers(w, shards int) int {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return max(1, min(w, shards))
+}
+
+// forEachShard runs f(0), ..., f(k-1) on at most workers goroutines,
+// the caller's own among them, and returns the error of the lowest i
+// whose f failed: what a loop over the shards in order would report.
+// Shards are started in index order, and none after a failed one, so
+// every shard below the lowest failure has run. Every goroutine it
+// starts has returned when it returns.
+func forEachShard(k, workers int, f func(i int) error) error {
+	errs := make([]error, k)
+	var next, failed atomic.Int64
+	failed.Store(int64(k))
+	work := func() {
+		for {
+			i := next.Add(1) - 1
+			if i >= failed.Load() {
+				return
+			}
+			if errs[i] = f(int(i)); errs[i] != nil {
+				for cur := failed.Load(); i < cur && !failed.CompareAndSwap(cur, i); cur = failed.Load() {
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NumShards returns the shard count.

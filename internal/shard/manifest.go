@@ -87,7 +87,10 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 // Save writes the engine as a shard directory under dir: per-shard
 // snapshots of the graphs and indexes it already holds, id sidecars,
 // and finally the manifest, written atomically last so a crashed run
-// never leaves a directory that passes verification.
+// never leaves a directory that passes verification. Shards are written
+// Options.Workers at a time, each file hashed as it is written; a
+// shard's bytes depend only on that shard, so the directory is the same
+// whatever the worker count. An error names the lowest failing shard.
 func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -100,19 +103,23 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 		Index:      se.kind,
 		TotalNodes: se.totalNodes,
 		TotalEdges: se.totalEdges,
+		Shards:     make([]ShardFile, len(se.shards)),
 	}
-	for i, u := range se.shards {
+	err := forEachShard(len(se.shards), se.workers, func(i int) error {
+		u := se.shards[i]
 		sg := u.eng.G
-		snapName := fmt.Sprintf("shard-%04d.snap", i)
-		snapPath := filepath.Join(dir, snapName)
-		if err := snapshot.SaveFile(snapPath, sg, u.eng.H); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+		sf := ShardFile{
+			Snap:  fmt.Sprintf("shard-%04d.snap", i),
+			IDs:   fmt.Sprintf("shard-%04d.ids", i),
+			Nodes: sg.N(), Edges: sg.M(),
 		}
-		snapSum, err := fileSHA256(snapPath)
+		var err error
+		sf.SnapSHA256, err = writeHashed(filepath.Join(dir, sf.Snap), func(w io.Writer) error {
+			return snapshot.Save(w, sg, u.eng.H)
+		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-
 		ids := u.globals
 		if ids == nil { // local ids are global ids
 			ids = make([]graph.NodeID, sg.N())
@@ -120,17 +127,21 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 				ids[v] = graph.NodeID(v)
 			}
 		}
-		idsName := fmt.Sprintf("shard-%04d.ids", i)
-		idsSum, err := writeIDs(filepath.Join(dir, idsName), ids)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+		blob, err := appendIDs(nil, ids)
+		if err == nil {
+			sf.IDsSHA256, err = writeHashed(filepath.Join(dir, sf.IDs), func(w io.Writer) error {
+				_, err := w.Write(blob)
+				return err
+			})
 		}
-
-		man.Shards = append(man.Shards, ShardFile{
-			Snap: snapName, SnapSHA256: snapSum,
-			IDs: idsName, IDsSHA256: idsSum,
-			Nodes: sg.N(), Edges: sg.M(),
-		})
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		man.Shards[i] = sf
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	blob, err := json.MarshalIndent(man, "", "  ")
@@ -165,10 +176,14 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 // mismatch, shard sizes disagreeing with the manifest, or an id
 // mapping that is not an exact partition of the global id range — is
 // an error; a damaged directory never yields a partially-working
-// engine. Nothing is allocated from the manifest's size claims until
-// the shard files have been verified and agree with them. A one-shard
-// directory loads as Single would build it: its ids are verified to be
-// the identity and then dropped. opt.Index is ignored.
+// engine. Shards are read, verified and decoded Options.Workers at a
+// time, each with the checks in the same order (its bytes hashed before
+// they are decoded), and an error names the lowest failing shard, as a
+// shard-by-shard load would. Nothing is allocated from the manifest's
+// size claims until the shard files have been verified and agree with
+// them. A one-shard directory loads as Single would build it: its ids
+// are verified to be the identity and then dropped. opt.Index is
+// ignored.
 func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 	man, err := ReadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -193,44 +208,20 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 		workers:    normalizeWorkers(opt.Workers, len(man.Shards)),
 		totalNodes: man.TotalNodes,
 		totalEdges: man.TotalEdges,
+		shards:     make([]*shardUnit, len(man.Shards)),
+	}
+	err = forEachShard(len(man.Shards), se.workers, func(i int) error {
+		u, err := loadShard(dir, man, i, opt)
+		se.shards[i] = u
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	nodeSum, edgeSum := 0, 0
-	for i, sf := range man.Shards {
-		// Each file is read once; the digest is taken over the exact
-		// bytes that get parsed (no hash-then-reopen window).
-		snapBlob, err := readVerified(filepath.Join(dir, sf.Snap), sf.SnapSHA256)
-		if err != nil {
-			return fail("shard %d: %v", i, err)
-		}
-		idsBlob, err := readVerified(filepath.Join(dir, sf.IDs), sf.IDsSHA256)
-		if err != nil {
-			return fail("shard %d: %v", i, err)
-		}
-		sg, h, err := snapshot.Decode(snapBlob)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", filepath.Join(dir, sf.Snap), err)
-		}
-		if sg.N() != sf.Nodes || sg.M() != sf.Edges {
-			return fail("shard %d: snapshot has %d nodes / %d edges, manifest says %d / %d",
-				i, sg.N(), sg.M(), sf.Nodes, sf.Edges)
-		}
-		if h.Kind() != man.Index {
-			return fail("shard %d: index kind %q, manifest says %q", i, h.Kind(), man.Index)
-		}
-		globals, err := parseIDs(sf.IDs, idsBlob)
-		if err != nil {
-			return fail("shard %d: %v", i, err)
-		}
-		if len(globals) != sg.N() {
-			return fail("shard %d: id mapping covers %d nodes, snapshot has %d", i, len(globals), sg.N())
-		}
-		if n := len(globals); n > 0 && int(globals[n-1]) >= man.TotalNodes {
-			return fail("shard %d: global id %d out of range (%d total nodes)", i, globals[n-1], man.TotalNodes)
-		}
-		nodeSum += sg.N()
-		edgeSum += sg.M()
-		eng := gtea.NewWithIndex(sg, h, gtea.Options{NoPlan: opt.NoPlan})
-		se.shards = append(se.shards, &shardUnit{eng: eng, globals: globals})
+	for _, u := range se.shards {
+		nodeSum += u.eng.G.N()
+		edgeSum += u.eng.G.M()
 	}
 	if nodeSum != man.TotalNodes {
 		return fail("shards hold %d nodes, manifest says %d", nodeSum, man.TotalNodes)
@@ -254,6 +245,47 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 		se.shards[0].globals = nil
 	}
 	return se, man, nil
+}
+
+// loadShard reads, verifies and decodes shard i of the directory dir
+// that man describes, checking it against the manifest's claims for it.
+func loadShard(dir string, man *Manifest, i int, opt Options) (*shardUnit, error) {
+	sf := man.Shards[i]
+	fail := func(format string, args ...interface{}) (*shardUnit, error) {
+		return nil, fmt.Errorf("shard: %s: shard %d: %s", dir, i, fmt.Sprintf(format, args...))
+	}
+	// Each file is read once; the digest is taken over the exact bytes
+	// that get parsed (no hash-then-reopen window).
+	snapBlob, err := readVerified(filepath.Join(dir, sf.Snap), sf.SnapSHA256)
+	if err != nil {
+		return fail("%v", err)
+	}
+	idsBlob, err := readVerified(filepath.Join(dir, sf.IDs), sf.IDsSHA256)
+	if err != nil {
+		return fail("%v", err)
+	}
+	sg, h, err := snapshot.Decode(snapBlob)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", filepath.Join(dir, sf.Snap), err)
+	}
+	if sg.N() != sf.Nodes || sg.M() != sf.Edges {
+		return fail("snapshot has %d nodes / %d edges, manifest says %d / %d",
+			sg.N(), sg.M(), sf.Nodes, sf.Edges)
+	}
+	if h.Kind() != man.Index {
+		return fail("index kind %q, manifest says %q", h.Kind(), man.Index)
+	}
+	globals, err := parseIDs(sf.IDs, idsBlob)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if len(globals) != sg.N() {
+		return fail("id mapping covers %d nodes, snapshot has %d", len(globals), sg.N())
+	}
+	if n := len(globals); n > 0 && int(globals[n-1]) >= man.TotalNodes {
+		return fail("global id %d out of range (%d total nodes)", globals[n-1], man.TotalNodes)
+	}
+	return &shardUnit{eng: gtea.NewWithIndex(sg, h, gtea.Options{NoPlan: opt.NoPlan}), globals: globals}, nil
 }
 
 // unlistedFiles names the shard-looking files (.snap, .ids) in dir
@@ -330,18 +362,16 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &man, nil
 }
 
-// fileSHA256 returns the lower-case hex SHA-256 of a file's contents.
-func fileSHA256(path string) (string, error) {
-	f, err := os.Open(path)
+// writeHashed replaces path atomically (atomicfile.Write) with what
+// fill writes and returns the lower-case hex SHA-256 of those bytes,
+// taken as they are written.
+func writeHashed(path string, fill func(io.Writer) error) (string, error) {
+	sum := sha256.New()
+	err := atomicfile.Write(path, func(w io.Writer) error { return fill(io.MultiWriter(w, sum)) })
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(sum.Sum(nil)), nil
 }
 
 // VerifySHA256 checks blob's SHA-256 digest against the lower-case hex
@@ -369,31 +399,20 @@ func readVerified(path, want string) ([]byte, error) {
 	return blob, nil
 }
 
-// writeIDs writes the local→global id mapping sidecar (magic, uvarint
-// count, then uvarint deltas between consecutive ascending ids) and
-// returns its SHA-256.
-func writeIDs(path string, ids []graph.NodeID) (string, error) {
-	var buf bytes.Buffer
-	buf.WriteString(idsMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		buf.Write(scratch[:n])
-	}
-	put(uint64(len(ids)))
+// appendIDs appends the local→global id mapping sidecar to b: magic,
+// uvarint count, then uvarint deltas between consecutive ascending ids.
+func appendIDs(b []byte, ids []graph.NodeID) ([]byte, error) {
+	b = append(b, idsMagic...)
+	b = binary.AppendUvarint(b, uint64(len(ids)))
 	prev := int64(-1)
 	for _, id := range ids {
 		if int64(id) <= prev {
-			return "", fmt.Errorf("ids not strictly ascending at %d", id)
+			return nil, fmt.Errorf("ids not strictly ascending at %d", id)
 		}
-		put(uint64(int64(id) - prev))
+		b = binary.AppendUvarint(b, uint64(int64(id)-prev))
 		prev = int64(id)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	if err := atomicfile.WriteFile(path, buf.Bytes()); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(sum[:]), nil
+	return b, nil
 }
 
 // parseIDs decodes an id sidecar's bytes into an ascending id list.

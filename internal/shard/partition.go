@@ -116,32 +116,3 @@ func planWCC(k int, comps [][]graph.NodeID) *Plan {
 	}
 	return &Plan{Parts: parts}
 }
-
-// Subgraph materializes the induced subgraph of g on verts (ascending
-// global ids), preserving labels, attributes, and tree/cross edge
-// kinds. Local id i corresponds to verts[i]; edges to vertices outside
-// verts are dropped (Partition's parts are whole components, so nothing
-// is dropped for its plans). The subgraph is frozen.
-func Subgraph(g *graph.Graph, verts []graph.NodeID) *graph.Graph {
-	local := make(map[graph.NodeID]graph.NodeID, len(verts))
-	sg := graph.New(len(verts), 0)
-	for _, gv := range verts {
-		local[gv] = sg.AddNode(g.Label(gv), g.AttrMap(gv))
-	}
-	for _, gv := range verts {
-		lu := local[gv]
-		for _, w := range g.Out(gv) {
-			lw, ok := local[w]
-			if !ok {
-				continue
-			}
-			if g.EdgeKindOf(gv, w) == graph.CrossEdge {
-				sg.AddCrossEdge(lu, lw)
-			} else {
-				sg.AddEdge(lu, lw)
-			}
-		}
-	}
-	sg.Freeze()
-	return sg
-}

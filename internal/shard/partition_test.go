@@ -153,33 +153,3 @@ func TestEmptyShards(t *testing.T) {
 		}
 	}
 }
-
-// TestSubgraphFidelity checks labels, attributes, and edge kinds
-// survive extraction.
-func TestSubgraphFidelity(t *testing.T) {
-	g := graph.New(4, 3)
-	g.AddNode("a", graph.Attrs{"year": graph.NumV(2001)})
-	g.AddNode("b", graph.Attrs{"name": graph.StrV("x")})
-	g.AddNode("c", nil)
-	g.AddNode("d", nil)
-	g.AddEdge(0, 1)
-	g.AddCrossEdge(1, 2)
-	g.AddEdge(0, 3)
-	g.Freeze()
-	sg := Subgraph(g, []graph.NodeID{0, 1, 2})
-	if sg.N() != 3 || sg.M() != 2 {
-		t.Fatalf("subgraph %d nodes %d edges, want 3/2", sg.N(), sg.M())
-	}
-	if sg.Label(0) != "a" || sg.Label(1) != "b" || sg.Label(2) != "c" {
-		t.Fatal("labels lost")
-	}
-	if v, ok := sg.Attr(0, "year"); !ok || v.Num != 2001 {
-		t.Fatal("numeric attribute lost")
-	}
-	if v, ok := sg.Attr(1, "name"); !ok || v.Str != "x" {
-		t.Fatal("string attribute lost")
-	}
-	if sg.EdgeKindOf(0, 1) != graph.TreeEdge || sg.EdgeKindOf(1, 2) != graph.CrossEdge {
-		t.Fatal("edge kinds lost")
-	}
-}

@@ -48,14 +48,21 @@ func dirSums(t *testing.T, dir string) map[string]string {
 	}
 	sums := map[string]string{}
 	for _, de := range des {
-		blob, err := os.ReadFile(filepath.Join(dir, de.Name()))
-		if err != nil {
+		if sums[de.Name()], err = fileSHA256(filepath.Join(dir, de.Name())); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(blob)
-		sums[de.Name()] = hex.EncodeToString(sum[:])
 	}
 	return sums
+}
+
+// fileSHA256 returns the lower-case hex SHA-256 of a file's contents.
+func fileSHA256(path string) (string, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // xmarkGolden pins the SHA-256 of every file WriteDir writes for the
