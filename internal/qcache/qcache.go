@@ -162,11 +162,14 @@ func (c *Cache) dsCount(dataset string) *dsCount {
 }
 
 // AnswerBytes estimates the memory an answer's tuples occupy: the
-// NodeID payload plus a slice header per row.
+// Tuples array at its capacity, a 24-byte slice header a slot, plus
+// each row's own allocation at its capacity, rounded up to the 8 bytes
+// the allocator hands out at least. Lengths alone would miss the spare
+// capacity append leaves, and a cache would hold well over its budget.
 func AnswerBytes(ans *core.Answer) int64 {
-	size := int64(0)
+	size := int64(cap(ans.Tuples)) * 24
 	for _, t := range ans.Tuples {
-		size += int64(len(t))*4 + 24
+		size += (int64(cap(t))*4 + 7) &^ 7
 	}
 	return size
 }
