@@ -22,7 +22,9 @@
 // therefore costs about 8 B per node and 8 B per edge plus 4 B per node
 // for each of the label ids and the label index, none of it pointers
 // the collector has to follow; Condense stores the SCC quotient the
-// same way.
+// same way. Induced cuts a frozen graph down to a vertex set by copying
+// these arrays, into the graph the builder would make of the same
+// nodes and edges.
 package graph
 
 import (
@@ -291,7 +293,7 @@ func (g *Graph) Induced(verts []NodeID) *Graph {
 
 	names, strs := newRenumbering(g.attrName), newRenumbering(g.attrStr)
 	sg.attrs.off = []int32{0}
-	row := 0 // g's attribute rows before it name nodes before v
+	row := 0 // position in g.attrNode: verts ascend, so each search resumes here
 	for i, v := range verts {
 		if !g.hasAttrs.get(int32(v)) {
 			continue

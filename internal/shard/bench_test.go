@@ -56,8 +56,7 @@ func BenchmarkWriteDir(b *testing.B) {
 	dir, plan, size := writeStreamDir(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := WriteDir(dir, "forest", streamForest(), plan, Options{}); err != nil {
 			b.Fatal(err)
 		}
@@ -70,8 +69,7 @@ func BenchmarkLoadDir(b *testing.B) {
 	dir, _, size := writeStreamDir(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, _, err := LoadDir(dir, Options{}); err != nil {
 			b.Fatal(err)
 		}

@@ -113,13 +113,6 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 			IDs:   fmt.Sprintf("shard-%04d.ids", i),
 			Nodes: sg.N(), Edges: sg.M(),
 		}
-		var err error
-		sf.SnapSHA256, err = writeHashed(filepath.Join(dir, sf.Snap), func(w io.Writer) error {
-			return snapshot.Save(w, sg, u.eng.H)
-		})
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
 		ids := u.globals
 		if ids == nil { // local ids are global ids
 			ids = make([]graph.NodeID, sg.N())
@@ -127,11 +120,13 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 				ids[v] = graph.NodeID(v)
 			}
 		}
-		blob, err := appendIDs(nil, ids)
+		var err error
+		sf.SnapSHA256, err = writeHashed(filepath.Join(dir, sf.Snap), func(w io.Writer) error {
+			return snapshot.Save(w, sg, u.eng.H)
+		})
 		if err == nil {
 			sf.IDsSHA256, err = writeHashed(filepath.Join(dir, sf.IDs), func(w io.Writer) error {
-				_, err := w.Write(blob)
-				return err
+				return writeIDs(w, ids)
 			})
 		}
 		if err != nil {
@@ -399,20 +394,20 @@ func readVerified(path, want string) ([]byte, error) {
 	return blob, nil
 }
 
-// appendIDs appends the local→global id mapping sidecar to b: magic,
+// writeIDs writes the local→global id mapping sidecar to w: magic,
 // uvarint count, then uvarint deltas between consecutive ascending ids.
-func appendIDs(b []byte, ids []graph.NodeID) ([]byte, error) {
-	b = append(b, idsMagic...)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
+func writeIDs(w io.Writer, ids []graph.NodeID) error {
+	b := binary.AppendUvarint([]byte(idsMagic), uint64(len(ids)))
 	prev := int64(-1)
 	for _, id := range ids {
 		if int64(id) <= prev {
-			return nil, fmt.Errorf("ids not strictly ascending at %d", id)
+			return fmt.Errorf("ids not strictly ascending at %d", id)
 		}
 		b = binary.AppendUvarint(b, uint64(int64(id)-prev))
 		prev = int64(id)
 	}
-	return b, nil
+	_, err := w.Write(b)
+	return err
 }
 
 // parseIDs decodes an id sidecar's bytes into an ascending id list.
