@@ -191,6 +191,9 @@ type Catalog struct {
 	nextGen uint64 // generation counter; ++ per entry created (under mu)
 	dlogs   map[string]*dlog
 	closed  bool
+	// changed is closed and replaced at every commit that can move a
+	// dataset's LogState (see Changed).
+	changed chan struct{}
 
 	// applyHook, when set, observes every mutation swap (see hook.go).
 	applyHook func(ApplyEvent)
@@ -265,7 +268,7 @@ func Open(dir string, opt Options) (*Catalog, error) {
 	if opt.Index != "" && !slices.Contains(reach.Kinds(), opt.Index) {
 		return nil, fmt.Errorf("catalog: unknown index kind %q (available: %v)", opt.Index, reach.Kinds())
 	}
-	return &Catalog{dir: dir, opt: opt, entries: map[string]*entry{}, dlogs: map[string]*dlog{}}, nil
+	return &Catalog{dir: dir, opt: opt, entries: map[string]*entry{}, dlogs: map[string]*dlog{}, changed: make(chan struct{})}, nil
 }
 
 // Dir returns the catalog's directory.
@@ -393,6 +396,7 @@ func (c *Catalog) Acquire(name string) (*Dataset, error) {
 				e.stale = true
 				e.refs-- // drop the cache's own reference
 				c.reloads.Add(1)
+				c.signalLocked()
 			}
 		default:
 			// Load in flight: join it regardless of on-disk changes.
@@ -561,6 +565,7 @@ func (c *Catalog) Reload(name string) {
 	if e := c.entries[name]; e != nil && !e.stale {
 		e.stale = true
 		c.reloads.Add(1)
+		c.signalLocked()
 		select {
 		case <-e.ready:
 			e.refs-- // drop the cache's own reference

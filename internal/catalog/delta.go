@@ -198,6 +198,7 @@ func (c *Catalog) swapEntry(name string, prev, next *entry) *Dataset {
 		}
 		c.entries[name] = next
 	}
+	c.signalLocked()
 	return next.handle()
 }
 
@@ -447,6 +448,7 @@ func (c *Catalog) Close() error {
 		dls = append(dls, dl)
 	}
 	c.closed = true
+	c.signalLocked()
 	c.mu.Unlock()
 	var first error
 	for _, dl := range dls {

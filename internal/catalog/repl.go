@@ -66,12 +66,30 @@ func (e *entry) replBaseID() delta.BaseID {
 	return *e.baseID
 }
 
+// Changed returns a channel that is closed at the next commit that can
+// move a dataset's LogState: the swap of ApplyDelta or Compact, a hot
+// reload, or Close. It is one channel for every dataset, so a waiter
+// re-reads its own dataset's state when woken. Take the channel before
+// reading the state it guards, or a commit in between goes unseen.
+func (c *Catalog) Changed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.changed
+}
+
+// signalLocked wakes every Changed waiter; caller holds c.mu.
+func (c *Catalog) signalLocked() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
 // ReadLogChunk returns up to max bytes of the named dataset's delta
 // log starting at byte offset from, plus the log state observed
 // atomically with the read (under the dataset's compaction lock — see
 // the package comment above for why that ordering is load-bearing).
 // A from at or past the end returns an empty chunk with the current
-// state; callers long-poll by re-calling. max <= 0 reads state only.
+// state; callers long-poll by re-calling once Changed fires. max <= 0
+// reads state only.
 func (c *Catalog) ReadLogChunk(name string, from int64, max int) ([]byte, LogState, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {

@@ -146,3 +146,66 @@ func TestBaseSnapshotStableUnderDeltas(t *testing.T) {
 		t.Fatalf("after DropLog: %d bytes, size %d, batches %d", len(chunk), st3.Size, st3.Batches)
 	}
 }
+
+// Changed fires at every commit that can move a LogState — an applied
+// batch, a compaction fold, a hot reload, Close — and not before.
+func TestChangedFiresOnCommit(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g := gen.Forest(r, 2, 6, 8, deltaLabels)
+	dir := t.TempDir()
+	writeFlatDataset(t, dir, "ds", "threehop", g)
+	cat, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	ds, err := cat.Acquire("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Release()
+
+	fired := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	for _, step := range []struct {
+		name   string
+		commit func() error
+	}{
+		{"apply", func() error {
+			ds, err := cat.ApplyDelta("ds", randomBatch(r, g.N()))
+			if err == nil {
+				ds.Release()
+			}
+			return err
+		}},
+		{"compact", func() error {
+			ds, err := cat.Compact("ds")
+			if err == nil {
+				ds.Release()
+			}
+			return err
+		}},
+		{"reload", func() error { cat.Reload("ds"); return nil }},
+		{"close", cat.Close},
+	} {
+		ch := cat.Changed()
+		if _, _, err := cat.ReadLogChunk("ds", 0, 0); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if fired(ch) {
+			t.Fatalf("%s: Changed fired before the commit", step.name)
+		}
+		if err := step.commit(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !fired(ch) {
+			t.Errorf("%s: Changed did not fire", step.name)
+		}
+	}
+}

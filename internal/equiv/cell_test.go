@@ -138,9 +138,7 @@ func (c *cell) open(t *testing.T) {
 		cfg.CacheBytes = 8 << 20
 	}
 	c.cat, c.srv = cat, server.New(cat, cfg)
-	// The log source polls every millisecond, so a caught-up replica
-	// syncs in milliseconds rather than the default poll's 15.
-	src := &repl.Source{Cat: cat, Poll: time.Millisecond}
+	src := &repl.Source{Cat: cat}
 	mux := http.NewServeMux()
 	mux.Handle("/", c.srv.Handler())
 	mux.HandleFunc("/repl/log", src.ServeLog)

@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,8 +76,18 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
+// fetchChunk GETs one repl endpoint and reads its answer as a Chunk.
+func (c *HTTPClient) fetchChunk(ctx context.Context, path string, q url.Values) (Chunk, error) {
+	resp, err := c.get(ctx, path, q)
+	if err != nil {
+		return Chunk{}, err
+	}
+	return readChunk(resp)
+}
+
 // readChunk drains a repl response into a Chunk (headers parsed, body
-// read whole; bodies are bounded by the source's MaxChunk).
+// read whole; bodies are bounded by chunkBytes at the source). A header
+// that is present must parse: the tailer trusts the state it carries.
 func readChunk(resp *http.Response) (Chunk, error) {
 	defer resp.Body.Close()
 	var ch Chunk
@@ -85,31 +96,36 @@ func readChunk(resp *http.Response) (Chunk, error) {
 		return ch, fmt.Errorf("repl: reading chunk body: %w", err)
 	}
 	ch.Data = data
-	if v := resp.Header.Get(HeaderCRC); v != "" {
-		crc, err := strconv.ParseUint(v, 10, 32)
-		if err != nil {
-			return ch, fmt.Errorf("repl: malformed %s header %q", HeaderCRC, v)
-		}
-		ch.CRC = uint32(crc)
-	}
 	if v := resp.Header.Get(HeaderBase); v != "" {
-		id, err := ParseBase(v)
-		if err != nil {
+		if ch.State.Base, err = ParseBase(v); err != nil {
 			return ch, err
 		}
-		ch.State.Base = id
 	}
-	if v := resp.Header.Get(HeaderSize); v != "" {
-		ch.State.Size, _ = strconv.ParseInt(v, 10, 64)
+	crc, err1 := headerUint(resp.Header, HeaderCRC, 32)
+	size, err2 := headerUint(resp.Header, HeaderSize, 63)
+	batches, err3 := headerUint(resp.Header, HeaderBatches, strconv.IntSize-1)
+	gen, err4 := headerUint(resp.Header, HeaderGeneration, 64)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		return ch, err
 	}
-	if v := resp.Header.Get(HeaderBatches); v != "" {
-		ch.State.Batches, _ = strconv.Atoi(v)
-	}
-	if v := resp.Header.Get(HeaderGeneration); v != "" {
-		ch.State.Generation, _ = strconv.ParseUint(v, 10, 64)
-	}
+	ch.CRC = uint32(crc)
+	ch.State.Size, ch.State.Batches, ch.State.Generation = int64(size), int(batches), gen
 	ch.State.Sharded = resp.Header.Get(HeaderSharded) == "1"
 	return ch, nil
+}
+
+// headerUint parses a decimal header of at most bits bits; an absent
+// header reads as 0, and a sign or any other garbage is refused.
+func headerUint(h http.Header, name string, bits int) (uint64, error) {
+	v := h.Get(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.ParseUint(v, 10, bits)
+	if err != nil {
+		return 0, fmt.Errorf("repl: malformed %s header %q", name, v)
+	}
+	return n, nil
 }
 
 // FetchLog implements Client.
@@ -124,29 +140,17 @@ func (c *HTTPClient) FetchLog(ctx context.Context, dataset string, from int64, m
 	if wait > 0 {
 		q.Set("wait_ms", strconv.Itoa(int(wait.Milliseconds())))
 	}
-	resp, err := c.get(ctx, "/repl/log", q)
-	if err != nil {
-		return Chunk{}, err
-	}
-	return readChunk(resp)
+	return c.fetchChunk(ctx, "/repl/log", q)
 }
 
 // FetchBase implements Client.
 func (c *HTTPClient) FetchBase(ctx context.Context, dataset string) (Chunk, error) {
-	resp, err := c.get(ctx, "/repl/base", url.Values{"dataset": {dataset}})
-	if err != nil {
-		return Chunk{}, err
-	}
-	return readChunk(resp)
+	return c.fetchChunk(ctx, "/repl/base", url.Values{"dataset": {dataset}})
 }
 
 // FetchBaseFile implements Client.
 func (c *HTTPClient) FetchBaseFile(ctx context.Context, dataset, file string) (Chunk, error) {
-	resp, err := c.get(ctx, "/repl/base", url.Values{"dataset": {dataset}, "file": {file}})
-	if err != nil {
-		return Chunk{}, err
-	}
-	return readChunk(resp)
+	return c.fetchChunk(ctx, "/repl/base", url.Values{"dataset": {dataset}, "file": {file}})
 }
 
 // ListDatasets implements Client via the primary's GET /datasets.

@@ -14,10 +14,12 @@
 // internal/server):
 //
 //	GET /repl/log?dataset=X&from=N&max=M&wait_ms=W
-//	    raw log bytes from offset N (long-polling up to W ms when
-//	    nothing is new), with the log state in response headers and a
-//	    CRC32 of the body so transport damage is detected before any
-//	    frame is parsed.
+//	    raw log bytes from offset N, with the log state in response
+//	    headers and a CRC32 of the body so transport damage is
+//	    detected before any frame is parsed. When nothing past N
+//	    exists, the answer waits for the next commit that appends or
+//	    otherwise changes the log state (a compaction fold changes
+//	    the base), up to W ms; wait_ms absent or 0 answers at once.
 //	GET /repl/base?dataset=X[&file=F]
 //	    the frozen base: a snapshot stream for one-shard datasets
 //	    (flat files and one-shard directories), the manifest (then

@@ -22,35 +22,14 @@ import (
 // primary's, so any replica can itself be tailed.
 type Source struct {
 	Cat *catalog.Catalog
-	// MaxChunk caps one log response body (default 1 MiB); clients may
-	// ask for less via max=.
-	MaxChunk int
-	// MaxWait caps the long-poll wait (default 25s).
-	MaxWait time.Duration
-	// Poll is the long-poll re-check interval (default 15ms).
-	Poll time.Duration
 }
 
-func (s *Source) maxChunk() int {
-	if s.MaxChunk > 0 {
-		return s.MaxChunk
-	}
-	return 1 << 20
-}
+// chunkBytes caps one log chunk: what a tailer asks for, and the most
+// a source answers with (clients may ask for less via max=).
+const chunkBytes = 1 << 20
 
-func (s *Source) maxWait() time.Duration {
-	if s.MaxWait > 0 {
-		return s.MaxWait
-	}
-	return 25 * time.Second
-}
-
-func (s *Source) poll() time.Duration {
-	if s.Poll > 0 {
-		return s.Poll
-	}
-	return 15 * time.Millisecond
-}
+// maxWait caps one long-poll.
+const maxWait = 25 * time.Second
 
 // sourceStatus maps catalog errors onto HTTP statuses.
 func sourceStatus(err error) int {
@@ -89,10 +68,12 @@ func writeBody(w http.ResponseWriter, body []byte) {
 
 // ServeLog answers GET /repl/log?dataset=X&from=N&max=M&wait_ms=W:
 // raw delta log bytes from offset N. When nothing past N exists yet it
-// long-polls up to W ms (capped at MaxWait) before answering with an
-// empty body — the state headers still report the current base and
-// size, which is how tailers notice a compaction fold (base changed)
-// or that they are already caught up.
+// long-polls: it answers as soon as a commit appends past N or moves
+// the dataset's log state any other way (a compaction fold changes the
+// base, a hot reload the generation), and with an empty body once W ms
+// (capped at maxWait, 25 s) pass with no change. The state headers report
+// the current base and size, which is how tailers notice a fold or
+// that they are already caught up.
 func (s *Source) ServeLog(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("dataset")
@@ -109,46 +90,51 @@ func (s *Source) ServeLog(w http.ResponseWriter, r *http.Request) {
 		}
 		from = n
 	}
-	max := s.maxChunk()
+	max := chunkBytes
 	if v := q.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			http.Error(w, "bad max", http.StatusBadRequest)
 			return
 		}
-		if n < max {
-			max = n
-		}
+		max = min(max, n)
 	}
-	var wait time.Duration
+	var expired <-chan time.Time // nil: answer now
 	if v := q.Get("wait_ms"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			http.Error(w, "bad wait_ms", http.StatusBadRequest)
 			return
 		}
-		wait = time.Duration(n) * time.Millisecond
-		if wait > s.maxWait() {
-			wait = s.maxWait()
+		if wait := min(time.Duration(n)*time.Millisecond, maxWait); wait > 0 {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			expired = timer.C
 		}
 	}
 
-	deadline := time.Now().Add(wait)
+	var began *catalog.LogState
 	for {
+		changed := s.Cat.Changed()
 		chunk, st, err := s.Cat.ReadLogChunk(name, from, max)
 		if err != nil {
 			http.Error(w, err.Error(), sourceStatus(err))
 			return
 		}
-		if len(chunk) > 0 || wait <= 0 || !time.Now().Before(deadline) {
+		if len(chunk) > 0 || expired == nil || (began != nil && st != *began) {
 			writeState(w, st)
 			writeBody(w, chunk)
 			return
 		}
+		if began == nil {
+			began = &st
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(s.poll()):
+		case <-expired:
+			expired = nil
+		case <-changed:
 		}
 	}
 }

@@ -44,9 +44,6 @@ func (b Backoff) withDefaults() Backoff {
 	return b
 }
 
-// chunkBytes caps one log fetch.
-const chunkBytes = 1 << 20
-
 // TailerConfig tunes a Tailer.
 type TailerConfig struct {
 	// Datasets to follow; empty discovers the primary's list at Start.
@@ -89,9 +86,18 @@ type dsStatus struct {
 	lagBytes   int64
 	// synced: at least one fetch round fully applied and within MaxLag.
 	synced bool
-	// rounds counts successful fetch+apply rounds (caught-up long-polls
-	// included); WaitSync uses it to distinguish fresh state from stale.
-	rounds int64
+	// begun numbers the rounds the tail loop has started; completed is
+	// the number of the last one that ended without error. WaitSync
+	// waits for a round numbered past begun at its call.
+	begun, completed int64
+	// waiters counts pending WaitSync calls; while there are any, rounds
+	// fetch without a long-poll.
+	waiters int
+	// cancelPoll aborts the in-flight round's long-poll (nil when the
+	// round does not long-poll).
+	cancelPoll context.CancelFunc
+	// roundDone is closed and replaced each time a round completes.
+	roundDone chan struct{}
 	// lastErr is the most recent failure (cleared on success).
 	lastErr string
 }
@@ -116,7 +122,6 @@ type Tailer struct {
 	mu     sync.Mutex
 	states map[string]*dsStatus
 	rng    *rand.Rand
-	seq    int64 // per-replica jitter decorrelation
 
 	// Counters (registered via Register; private registry otherwise).
 	chunks     *obs.Counter
@@ -218,9 +223,7 @@ func (t *Tailer) Start() error {
 	}
 	t.mu.Lock()
 	for _, name := range datasets {
-		if t.states[name] == nil {
-			t.states[name] = &dsStatus{}
-		}
+		t.statusLocked(name)
 	}
 	t.mu.Unlock()
 	for _, name := range datasets {
@@ -254,12 +257,12 @@ func (t *Tailer) delay(fails int) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func (t *Tailer) status(name string) *dsStatus {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// statusLocked returns (creating on first use) the named dataset's
+// status; caller holds t.mu.
+func (t *Tailer) statusLocked(name string) *dsStatus {
 	st := t.states[name]
 	if st == nil {
-		st = &dsStatus{}
+		st = &dsStatus{roundDone: make(chan struct{})}
 		t.states[name] = st
 	}
 	return st
@@ -268,12 +271,7 @@ func (t *Tailer) status(name string) *dsStatus {
 func (t *Tailer) setStatus(name string, f func(*dsStatus)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	st := t.states[name]
-	if st == nil {
-		st = &dsStatus{}
-		t.states[name] = st
-	}
-	f(st)
+	f(t.statusLocked(name))
 }
 
 // Ready reports whether every followed dataset is in-sync within
@@ -304,46 +302,80 @@ func (t *Tailer) Lag(name string) (int64, bool) {
 	return st.lagBatches, true
 }
 
-// LastError returns the named dataset's most recent failure ("" when
-// healthy).
-func (t *Tailer) LastError(name string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if st := t.states[name]; st != nil {
-		return st.lastErr
-	}
-	return ""
-}
-
 // WaitSync blocks until the named dataset is fully caught up (synced
 // with zero lag) or ctx expires. "Caught up" is measured freshly: the
 // zero-lag state must come from a fetch round that began after this
 // call, so a write acknowledged by the primary before WaitSync is
 // guaranteed visible — stale pre-write sync state cannot satisfy it.
-// Two completed rounds give that guarantee: the first may have issued
-// its fetch before the call; the second cannot have.
+// A long-poll in flight at the call is cancelled, and rounds begun
+// while any WaitSync is pending fetch without waiting, so a caught-up
+// replica answers within one round trip rather than one PollWait.
 func (t *Tailer) WaitSync(ctx context.Context, name string) error {
 	t.mu.Lock()
-	var start int64
-	if st := t.states[name]; st != nil {
-		start = st.rounds
+	st := t.statusLocked(name)
+	target := st.begun + 1
+	st.waiters++
+	if st.cancelPoll != nil {
+		st.cancelPoll()
 	}
 	t.mu.Unlock()
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
+	defer func() {
+		t.mu.Lock()
+		st.waiters--
+		t.mu.Unlock()
+	}()
 	for {
 		t.mu.Lock()
-		st := t.states[name]
-		done := st != nil && st.rounds >= start+2 && st.synced && st.lagBatches == 0
+		done := st.completed >= target && st.synced && st.lagBatches == 0
+		wake := st.roundDone
 		t.mu.Unlock()
 		if done {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("repl: %s: waiting for sync: %w (last error: %s)", name, ctx.Err(), t.LastError(name))
-		case <-tick.C:
+			t.mu.Lock()
+			lastErr := st.lastErr
+			t.mu.Unlock()
+			return fmt.Errorf("repl: %s: waiting for sync: %w (last error: %s)", name, ctx.Err(), lastErr)
+		case <-wake:
 		}
+	}
+}
+
+// beginRound numbers the next round and picks its fetch: a long-poll
+// of PollWait under a context WaitSync can cancel, or no wait while a
+// WaitSync is pending. end must be called with the round's outcome: it
+// records it, unless the round failed only because it was cancelled,
+// which it reports.
+func (t *Tailer) beginRound(name string) (ctx context.Context, wait time.Duration, end func(error) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.statusLocked(name)
+	st.begun++
+	round := st.begun
+	ctx, cancel := context.WithCancel(t.ctx)
+	if st.waiters == 0 {
+		wait = t.cfg.PollWait
+		st.cancelPoll = cancel
+	}
+	return ctx, wait, func(err error) bool {
+		cut := err != nil && ctx.Err() != nil
+		cancel()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		st.cancelPoll = nil
+		switch {
+		case err == nil:
+			st.lastErr = ""
+			st.completed = round
+			close(st.roundDone)
+			st.roundDone = make(chan struct{})
+		case !cut:
+			st.lastErr = err.Error()
+			st.synced = false
+		}
+		return cut
 	}
 }
 
@@ -352,30 +384,18 @@ func (t *Tailer) WaitSync(ctx context.Context, name string) error {
 func (t *Tailer) tailLoop(name string) {
 	defer t.wg.Done()
 	fails := 0
-	for {
-		select {
-		case <-t.ctx.Done():
-			return
-		default:
+	for t.ctx.Err() == nil {
+		ctx, wait, end := t.beginRound(name)
+		err := t.step(ctx, name, wait)
+		if end(err) {
+			continue // a WaitSync or Stop cut the round short
 		}
-		err := t.step(name)
 		if err == nil {
 			fails = 0
-			t.setStatus(name, func(s *dsStatus) {
-				s.lastErr = ""
-				s.rounds++
-			})
 			continue
-		}
-		if t.ctx.Err() != nil {
-			return
 		}
 		fails++
 		t.reconnects.Inc()
-		t.setStatus(name, func(s *dsStatus) {
-			s.lastErr = err.Error()
-			s.synced = false
-		})
 		t.logf("repl: %s: %v (retry %d)", name, err, fails)
 		select {
 		case <-t.ctx.Done():
@@ -385,9 +405,10 @@ func (t *Tailer) tailLoop(name string) {
 	}
 }
 
-// step runs one fetch+apply round. A nil return means progress (or a
-// clean caught-up long-poll); any error is retried by tailLoop.
-func (t *Tailer) step(name string) error {
+// step runs one fetch+apply round, long-polling up to wait under ctx.
+// A nil return means progress (or a clean caught-up long-poll); any
+// error is retried by tailLoop.
+func (t *Tailer) step(ctx context.Context, name string, wait time.Duration) error {
 	_, local, err := t.cat.ReadLogChunk(name, 0, 0)
 	if errors.Is(err, catalog.ErrUnknownDataset) {
 		return t.resync(name, "bootstrap")
@@ -397,8 +418,11 @@ func (t *Tailer) step(name string) error {
 		return fmt.Errorf("reading local log state: %w", err)
 	}
 
-	remote, err := t.client.FetchLog(t.ctx, name, local.Size, chunkBytes, t.cfg.PollWait)
+	remote, err := t.client.FetchLog(ctx, name, local.Size, chunkBytes, wait)
 	if err != nil {
+		if ctx.Err() != nil {
+			return err // cancelled, not a fault
+		}
 		t.errs.With("fetch").Inc()
 		return fmt.Errorf("fetching log: %w", err)
 	}
@@ -460,10 +484,15 @@ func (t *Tailer) step(name string) error {
 		if n == 0 {
 			break // torn tail mid-chunk: apply the complete prefix only
 		}
-		if _, err := t.applyBatch(name, b); err != nil {
+		// The local append is fsynced with the identical frame
+		// encoding, so the local offset advances exactly as the
+		// primary's did.
+		ds, err := t.cat.ApplyDelta(name, b)
+		if err != nil {
 			t.errs.With("apply").Inc()
 			return fmt.Errorf("applying batch at offset %d: %w", int(local.Size)+off, err)
 		}
+		ds.Release()
 		appliedBatches++
 		off += n
 	}
@@ -473,34 +502,14 @@ func (t *Tailer) step(name string) error {
 	return nil
 }
 
-// applyBatch re-applies one decoded batch through the local catalog —
-// the append is fsynced to the local log with the identical frame
-// encoding, so the local byte offset advances exactly as the
-// primary's did.
-func (t *Tailer) applyBatch(name string, b delta.Batch) (uint64, error) {
-	ds, err := t.cat.ApplyDelta(name, b)
-	if err != nil {
-		return 0, err
-	}
-	gen := ds.Generation
-	ds.Release()
-	return gen, nil
-}
-
 // updateLag recomputes the dataset's lag gauges after a round: local
 // progress is the pre-round state plus what the round applied (applied
 // batches, consumed log bytes — frame encoding is deterministic, so
 // consumed bytes equal the local log's growth); primary progress is
 // the fetched state's counters.
 func (t *Tailer) updateLag(name string, local catalog.LogState, remote State, applied, consumed int) {
-	lagB := int64(remote.Batches) - int64(local.Batches+applied)
-	if lagB < 0 {
-		lagB = 0
-	}
-	byteLag := remote.Size - (local.Size + int64(consumed))
-	if byteLag < 0 {
-		byteLag = 0
-	}
+	lagB := max(0, int64(remote.Batches)-int64(local.Batches+applied))
+	byteLag := max(0, remote.Size-(local.Size+int64(consumed)))
 	t.setStatus(name, func(s *dsStatus) {
 		s.lagBatches = lagB
 		s.lagBytes = byteLag
