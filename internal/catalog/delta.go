@@ -258,7 +258,7 @@ func (c *Catalog) applyDeltaOnce(name string, b delta.Batch) (*Dataset, error) {
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("catalog: %s: catalog closed", name)
+		return nil, fmt.Errorf("catalog: %s: %w", name, ErrClosed)
 	}
 
 	e, err := c.currentEntry(name, ds)
@@ -437,10 +437,11 @@ func (c *Catalog) Compactions(name string) int64 {
 	return dl.compactions.Load()
 }
 
-// Close flushes and closes every open delta log writer. Serving can
-// continue technically — engines stay usable — but further ApplyDelta
-// calls reopen the logs; Close exists so a graceful shutdown can pin
-// every appended batch to disk before the process exits.
+// Close flushes and closes every open delta log writer. Engines stay
+// usable, so queries can still be answered, but further ApplyDelta
+// calls are refused with ErrClosed; Close exists so a graceful
+// shutdown can pin every appended batch to disk before the process
+// exits.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	dls := make([]*dlog, 0, len(c.dlogs))

@@ -89,10 +89,8 @@ func TestOperationsCoversFlags(t *testing.T) {
 }
 
 // TestOperationsCoversMetrics extracts every gtpq_* metric-name
-// literal from non-test sources under internal/ (excluding
-// internal/bench, whose literals parse exposition output rather than
-// register families) and requires it to appear in
-// docs/OPERATIONS.md.
+// literal from non-test sources under internal/ and requires it to
+// appear in docs/OPERATIONS.md.
 func TestOperationsCoversMetrics(t *testing.T) {
 	doc := readOperations(t)
 	names := map[string][]string{}
@@ -102,9 +100,6 @@ func TestOperationsCoversMetrics(t *testing.T) {
 			return err
 		}
 		if d.IsDir() {
-			if d.Name() == "bench" {
-				return filepath.SkipDir
-			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {

@@ -394,22 +394,6 @@ func (ec *evalContext) pruneAll(q *core.Query, outs []int, parent *obs.Span) (ma
 	return prime, true
 }
 
-// FilterOnly runs only the two pruning rounds and returns the surviving
-// candidate sets; used by the Fig 9(d) filtering-time experiment. Safe
-// for concurrent use.
-func (e *Engine) FilterOnly(q *core.Query) [][]graph.NodeID {
-	ec := e.newContext()
-	defer e.release(ec)
-	ec.pruneAll(q, q.Outputs(), nil)
-	// Copy out of the pooled arena: the caller keeps these slices past
-	// the context's reuse.
-	out := make([][]graph.NodeID, len(ec.mat))
-	for u := range ec.mat {
-		out[u] = append([]graph.NodeID(nil), ec.mat[u]...)
-	}
-	return out
-}
-
 // initCandidates fills the initial candidate matching nodes and sizes
 // the per-query scratch. Candidate lists are copied — pruning filters
 // in place, and Candidates may return the graph's internal label index

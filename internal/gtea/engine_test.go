@@ -213,52 +213,6 @@ func TestGTEAStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestGTEAFilterOnlyMatchesDownwardSets(t *testing.T) {
-	// FilterOnly's surviving candidates must be exactly the nodes
-	// participating in matches (pruning is exact for tree queries).
-	r := rand.New(rand.NewSource(107))
-	labels := []string{"a", "b", "c"}
-	for trial := 0; trial < 30; trial++ {
-		g := randGraph(r, 5+r.Intn(20), 5+r.Intn(50), labels, true)
-		q := randQuery(r, 2+r.Intn(5), labels, false, false)
-		// All-output variant so every backbone node is checkable.
-		for _, n := range q.Nodes {
-			if n.Kind == core.Backbone {
-				q.SetOutput(n.ID)
-			}
-		}
-		e := New(g)
-		mat := e.FilterOnly(q)
-		want := core.EvalNaive(g, reach.NewTC(g), q)
-		participants := make(map[int]map[graph.NodeID]bool)
-		for i, u := range want.Out {
-			participants[u] = map[graph.NodeID]bool{}
-			for _, tp := range want.Tuples {
-				participants[u][tp[i]] = true
-			}
-		}
-		if len(want.Tuples) == 0 {
-			continue
-		}
-		for _, u := range want.Out {
-			got := map[graph.NodeID]bool{}
-			for _, v := range mat[u] {
-				got[v] = true
-			}
-			for v := range participants[u] {
-				if !got[v] {
-					t.Fatalf("trial %d: node %d missing from filtered mat(%d)", trial, v, u)
-				}
-			}
-			for v := range got {
-				if !participants[u][v] {
-					t.Fatalf("trial %d: node %d in filtered mat(%d) but in no match", trial, v, u)
-				}
-			}
-		}
-	}
-}
-
 func TestGTEAEmptyGraph(t *testing.T) {
 	g := graph.New(0, 0)
 	g.Freeze()

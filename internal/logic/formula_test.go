@@ -340,24 +340,6 @@ func TestMinimizeVarsProperty(t *testing.T) {
 	}
 }
 
-func TestDependsOn(t *testing.T) {
-	f := Or(And(v(1), v(2)), And(v(1), Not(v(2))))
-	if !DependsOn(f, 1) {
-		t.Error("f depends on v1")
-	}
-	if DependsOn(f, 2) {
-		t.Error("f does not depend on v2")
-	}
-}
-
-func TestEssentialVars(t *testing.T) {
-	f := Or(And(v(1), v(2)), And(v(1), Not(v(2))))
-	es := EssentialVars(f)
-	if len(es) != 1 || es[0] != 1 {
-		t.Errorf("EssentialVars = %v, want [1]", es)
-	}
-}
-
 func TestQuickSubstEquivalence(t *testing.T) {
 	// Property: substituting a variable with an equivalent formula
 	// preserves overall evaluation on random assignments.

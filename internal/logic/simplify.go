@@ -1,7 +1,5 @@
 package logic
 
-import "sort"
-
 // Simplify applies cheap equivalence-preserving rewrites: constant
 // folding (already performed by the constructors), duplicate-operand
 // removal, complementary-literal detection (x ∧ ¬x → false, x ∨ ¬x →
@@ -88,25 +86,4 @@ func MinimizeVars(f *Formula) *Formula {
 		}
 	}
 	return Simplify(f)
-}
-
-// EssentialVars returns the variables v with f[v/0] ≢ f[v/1], i.e. those
-// that can affect f's truth value (used by the independently-constraint
-// node test).
-func EssentialVars(f *Formula) []int {
-	var out []int
-	for _, v := range f.Vars() {
-		if !Equivalent(f.Assign(v, false), f.Assign(v, true)) {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// DependsOn reports whether f's truth value can depend on variable v,
-// i.e. whether (f[v/1] ⊕ f[v/0]) is satisfiable — the first condition of
-// the paper's independently-constraint node definition.
-func DependsOn(f *Formula, v int) bool {
-	return Satisfiable(Xor(f.Assign(v, true), f.Assign(v, false)))
 }

@@ -386,3 +386,22 @@ func TestPaperCostsGolden(t *testing.T) {
 		t.Errorf("Fig 10: GTEA #index %d, not below HGJoin+'s %d", gt.index, o.index)
 	}
 }
+
+// BenchmarkBaselines times every (dataset, query, engine) of
+// paperCostsGolden, one sub-benchmark each: who wins, and by what
+// factor.
+//
+//	go test -run '^$' -bench 'Baselines/xmark/Q1/' ./internal/queries
+func BenchmarkBaselines(b *testing.B) {
+	for _, d := range paperDatasets() {
+		for _, pq := range d.queries {
+			for _, engine := range pq.engines {
+				b.Run(d.name+"/"+pq.name+"/"+engine, func(b *testing.B) {
+					for b.Loop() {
+						d.eval(engine, pq.q)
+					}
+				})
+			}
+		}
+	}
+}

@@ -149,6 +149,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusNotFound // same class as /query's Acquire
 		case errors.Is(err, delta.ErrInvalidBatch):
 			status = http.StatusBadRequest
+		case errors.Is(err, catalog.ErrClosed):
+			status = http.StatusServiceUnavailable // shutting down
 		case catalog.IsReloadRace(err):
 			// Transient: the dataset hot-reloaded underneath every
 			// retry; the client should resubmit, nothing is wrong with

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"gtpq/internal/catalog"
 	"gtpq/internal/delta"
 )
 
@@ -141,6 +143,24 @@ func TestUpdateValidation(t *testing.T) {
 	// The dataset still answers and holds no deltas.
 	if n, _ := rowCount(t, ts.URL); n != 2 {
 		t.Fatalf("rows after rejected updates = %d", n)
+	}
+}
+
+// TestUpdateOnClosedCatalog is a shutdown race: an /update that
+// reaches a catalog whose Close already ran is refused with 503, not
+// reported as an internal fault.
+func TestUpdateOnClosedCatalog(t *testing.T) {
+	ts, s := newTestServer(t, Config{})
+	if err := s.cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	body := map[string]interface{}{"dataset": "small", "edges": []map[string]interface{}{{"from": 0, "to": 5}}}
+	if code, out := postJSON(t, ts.URL+"/update", body); code != http.StatusServiceUnavailable {
+		t.Fatalf("/update after Close: status %d, want 503: %v", code, out)
+	}
+	_, err := s.cat.ApplyDelta("small", delta.Batch{Edges: []delta.EdgeAdd{{From: 0, To: 5}}})
+	if !errors.Is(err, catalog.ErrClosed) {
+		t.Fatalf("ApplyDelta after Close: %v, want catalog.ErrClosed", err)
 	}
 }
 
