@@ -231,7 +231,7 @@ func paperDatasets() []*paperDataset {
 		var small, large *core.Query
 		for small == nil || large == nil {
 			q := RandomTPQ(rng, ag, size)
-			switch Classify(rowsUpTo(sampler, q, 1201)) {
+			switch Classify(rowsUpTo(sampler, q, 1201)) { // one past the Large band
 			case Small:
 				if small == nil {
 					small = q

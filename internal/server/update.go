@@ -141,8 +141,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ds, err := s.cat.ApplyDelta(req.Dataset, b)
 	if err != nil {
 		s.updateFailures.Add(1)
-		// Internal faults (a failed fsync, a full disk, shutdown) are
-		// the server's problem, not the caller's.
+		// Internal faults (a failed fsync, a full disk) are the
+		// server's problem, not the caller's.
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, catalog.ErrUnknownDataset):
