@@ -326,7 +326,10 @@ func Minimize(q *Query) *Query {
 
 // relocateOutputs prepares subtree(u2) for removal: every output node in
 // it must have an isomorphic twin outside (lines 12–14); when found the
-// marker moves to the twin. It reports whether removal is safe.
+// marker moves to the twin. A twin takes a marker only if it hangs off
+// the same edge type (an AD output moved to a PC twin would narrow its
+// column) and is not an output already (two columns cannot merge into
+// one). It reports whether removal is safe.
 func (q *Query) relocateOutputs(a *Analysis, u2 int) bool {
 	sub := append([]int{u2}, q.Descendants(u2)...)
 	inSub := make(map[int]bool, len(sub))
@@ -335,19 +338,20 @@ func (q *Query) relocateOutputs(a *Analysis, u2 int) bool {
 	}
 	type move struct{ from, to int }
 	var moves []move
+	taken := map[int]bool{}
 	for _, uo := range sub {
 		if !q.Nodes[uo].Output {
 			continue
 		}
 		found := -1
-		for cand := range q.Nodes {
-			if inSub[cand] || cand == uo {
+		for cand, n := range q.Nodes {
+			if inSub[cand] || cand == uo || n.Output || taken[cand] || n.PEdge != q.Nodes[uo].PEdge {
 				continue
 			}
 			// Only backbone twins can carry an output marker (outputs are
 			// restricted to backbone nodes); otherwise skip the removal
 			// rather than produce an invalid query.
-			if q.Nodes[cand].Kind != Backbone {
+			if n.Kind != Backbone {
 				continue
 			}
 			if a.Similar(uo, cand) && subtreeIsomorphic(q, uo, cand) {
@@ -358,6 +362,7 @@ func (q *Query) relocateOutputs(a *Analysis, u2 int) bool {
 		if found == -1 {
 			return false
 		}
+		taken[found] = true
 		moves = append(moves, move{uo, found})
 	}
 	for _, m := range moves {

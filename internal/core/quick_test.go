@@ -266,6 +266,76 @@ func TestMinimizeKeepsOutputWithoutBackboneTwin(t *testing.T) {
 	}
 }
 
+func TestMinimizeRelocatesOutputsOnlyToFreeSameEdgeTwins(t *testing.T) {
+	// An output marker may move only to a twin under the same edge type
+	// that is not an output already and takes no other marker: anything
+	// else narrows a column or merges two columns into one.
+	for _, tc := range []struct {
+		name  string
+		query func() *Query
+		graph func(g *graph.Graph)
+		rows  int
+	}{{
+		// The AD output ao is subsumed by its PC twin a; on c→a, c→b→a
+		// the second a is a descendant of c but not a child.
+		name: "pc-twin",
+		query: func() *Query {
+			q := NewQuery()
+			c := q.AddRoot("c", Label("c"))
+			q.AddNode("a", Backbone, c, PC, Label("a"))
+			q.SetOutput(c)
+			q.SetOutput(q.AddNode("ao", Backbone, c, AD, Label("a")))
+			return q
+		},
+		graph: func(g *graph.Graph) {
+			c, a1 := g.AddNode("c", nil), g.AddNode("a", nil)
+			b, a2 := g.AddNode("b", nil), g.AddNode("a", nil)
+			g.AddEdge(c, a1)
+			g.AddEdge(c, b)
+			g.AddEdge(b, a2)
+		},
+		rows: 2,
+	}, {
+		// x1 (two c outputs) is subsumed by x2 (one c); both markers
+		// would move to x2's one c.
+		name: "shared-twin",
+		query: func() *Query {
+			q := NewQuery()
+			r := q.AddRoot("r", Label("a"))
+			x2 := q.AddNode("x2", Backbone, r, AD, Label("b"))
+			q.AddNode("z", Backbone, x2, AD, Label("c"))
+			x1 := q.AddNode("x1", Backbone, r, AD, Label("b"))
+			q.SetOutput(q.AddNode("y1", Backbone, x1, AD, Label("c")))
+			q.SetOutput(q.AddNode("y2", Backbone, x1, AD, Label("c")))
+			return q
+		},
+		graph: func(g *graph.Graph) {
+			a, b := g.AddNode("a", nil), g.AddNode("b", nil)
+			c1, c2 := g.AddNode("c", nil), g.AddNode("c", nil)
+			g.AddEdge(a, b)
+			g.AddEdge(b, c1)
+			g.AddEdge(b, c2)
+		},
+		rows: 4,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := tc.query()
+			m := Minimize(q)
+			if err := m.Validate(); err != nil {
+				t.Fatalf("minimized query invalid: %v\n%s", err, m)
+			}
+			g := graph.New(0, 0)
+			tc.graph(g)
+			g.Freeze()
+			h := reach.NewTC(g)
+			want, got := EvalNaive(g, h, q), EvalNaive(g, h, m)
+			if want.Len() != tc.rows || !want.SameResults(got) {
+				t.Fatalf("minimization changed the answer: %d rows, minimized %d\n%s\nvs\n%s", want.Len(), got.Len(), q, m)
+			}
+		})
+	}
+}
+
 func TestMinimalEquivalentsAreIsomorphic(t *testing.T) {
 	// Proposition 5: minimal equivalent queries are unique up to
 	// isomorphism — minimizing two equivalent formulations of the Fig 4
