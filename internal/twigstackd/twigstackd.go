@@ -9,8 +9,6 @@
 package twigstackd
 
 import (
-	"time"
-
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 )
@@ -23,8 +21,6 @@ type Stats struct {
 	Index int64
 	// Intermediate counts pool entries and emitted tuples.
 	Intermediate int64
-	// FilterTime is the pre-filtering duration (Fig 9(d)).
-	FilterTime time.Duration
 }
 
 // Engine evaluates conjunctive TPQs over a digraph using SSPI.
@@ -50,9 +46,7 @@ func (e *Engine) Eval(q *core.Query) *core.Answer {
 	e.stat = Stats{}
 	ans := core.NewAnswer(q.Outputs())
 
-	filterStart := time.Now()
-	mat := e.PreFilter(q)
-	e.stat.FilterTime = time.Since(filterStart)
+	mat := e.preFilter(q)
 	for _, u := range q.PreOrder() {
 		if len(mat[u]) == 0 {
 			ans.Canonicalize()
@@ -150,11 +144,11 @@ func (e *Engine) Eval(q *core.Query) *core.Answer {
 	return ans
 }
 
-// PreFilter is the two-traversal pre-filtering process: a bottom-up pass
+// preFilter is the two-traversal pre-filtering process: a bottom-up pass
 // over the condensation keeps nodes satisfying the downward twig
 // constraints, a top-down pass removes nodes unreachable from surviving
-// root candidates. Exposed for the Fig 9(d) filtering-time comparison.
-func (e *Engine) PreFilter(q *core.Query) [][]graph.NodeID {
+// root candidates.
+func (e *Engine) preFilter(q *core.Query) [][]graph.NodeID {
 	n := e.G.N()
 	nq := len(q.Nodes)
 	down := make([][]bool, nq) // down[u][v]: v matches subtree(u)
