@@ -60,7 +60,7 @@ type Options struct {
 	// AutoSnapshot writes `<name>.snap` after an index is built from a
 	// raw graph file, so the next cold start skips construction.
 	AutoSnapshot bool
-	// NoPlan disables the cost-based query planner in every engine the
+	// NoPlan disables the planner's kernel rule in every engine the
 	// catalog builds or revives (gtea.Options.NoPlan).
 	NoPlan bool
 }

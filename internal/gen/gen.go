@@ -59,10 +59,10 @@ func Forest(r *rand.Rand, blocks, nPerBlock, mPerBlock int, labels []string) *gr
 
 // ZipfForest builds a Forest whose labels follow a Zipf distribution
 // (s=1.3) instead of the uniform draw: labels[0] is hot (covering
-// roughly half the vertices), the tail labels are rare. This is the
-// skew the cost-based planner exploits — a query anchored on a rare
-// label should be pruned from that label inward, not in fixed
-// post-order. The graph is frozen.
+// roughly half the vertices), the tail labels are rare: the skew under
+// which a hot-label node constrained by rare-label children is pruned
+// far faster by a set intersection than by per-candidate probes (the
+// planner's multiway kernel). The graph is frozen.
 func ZipfForest(r *rand.Rand, blocks, nPerBlock, mPerBlock int, labels []string) *graph.Graph {
 	z := rand.NewZipf(r, 1.3, 1, uint64(len(labels)-1))
 	g := graph.New(blocks*nPerBlock, blocks*mPerBlock)

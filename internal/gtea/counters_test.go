@@ -27,13 +27,13 @@ var evalCountersGolden = []struct {
 	want                     counters
 }{
 	{"skewed", "tc", "chain", "noplan", counters{2970, 2889, 81, 60152, 406, 103}},
-	{"skewed", "tc", "chain", "plan", counters{3183, 3102, 81, 12793, 406, 103}},
+	{"skewed", "tc", "chain", "plan", counters{2970, 2889, 81, 60152, 406, 103}},
 	{"skewed", "tc", "mixed", "noplan", counters{2221, 2221, 0, 39037, 280, 140}},
 	{"skewed", "tc", "mixed", "plan", counters{2221, 2221, 0, 39037, 280, 140}},
 	{"skewed", "tc", "star", "noplan", counters{2639, 2639, 0, 142233, 172, 86}},
-	{"skewed", "tc", "star", "plan", counters{5434, 5434, 0, 0, 172, 86}},
+	{"skewed", "tc", "star", "plan", counters{2639, 2639, 0, 142233, 172, 86}},
 	{"skewed", "threehop", "chain", "noplan", counters{2970, 2889, 81, 13817, 406, 103}},
-	{"skewed", "threehop", "chain", "plan", counters{3943, 3862, 81, 7528, 406, 103}},
+	{"skewed", "threehop", "chain", "plan", counters{4526, 4445, 81, 6739, 406, 103}},
 	{"skewed", "threehop", "mixed", "noplan", counters{2221, 2221, 0, 7589, 280, 140}},
 	{"skewed", "threehop", "mixed", "plan", counters{6294, 6294, 0, 0, 280, 140}},
 	{"skewed", "threehop", "star", "noplan", counters{2639, 2639, 0, 6504, 172, 86}},
@@ -64,19 +64,19 @@ var evalCountersGolden = []struct {
 	{"uniform", "threehop", "scan", "nocontours", counters{880, 880, 0, 0, 1760, 880}},
 	{"small-skewed+delta", "tc", "chain", "nocontours", counters{706, 706, 0, 14527, 0, 0}},
 	{"small-skewed+delta", "tc", "chain", "noplan", counters{706, 706, 0, 3846, 0, 0}},
-	{"small-skewed+delta", "tc", "chain", "plan", counters{707, 707, 0, 759, 0, 0}},
+	{"small-skewed+delta", "tc", "chain", "plan", counters{706, 706, 0, 3846, 0, 0}},
 	{"small-skewed+delta", "tc", "mixed", "nocontours", counters{567, 567, 0, 269200, 20, 10}},
 	{"small-skewed+delta", "tc", "mixed", "noplan", counters{567, 567, 0, 3833, 20, 10}},
 	{"small-skewed+delta", "tc", "mixed", "plan", counters{567, 567, 0, 3833, 20, 10}},
 	{"small-skewed+delta", "tc", "star", "nocontours", counters{682, 682, 0, 254492, 16, 8}},
 	{"small-skewed+delta", "tc", "star", "noplan", counters{682, 682, 0, 14577, 16, 8}},
-	{"small-skewed+delta", "tc", "star", "plan", counters{1279, 1279, 0, 0, 16, 8}},
+	{"small-skewed+delta", "tc", "star", "plan", counters{682, 682, 0, 14577, 16, 8}},
 	{"small-skewed+delta", "threehop", "chain", "nocontours", counters{706, 706, 0, 50707, 0, 0}},
 	{"small-skewed+delta", "threehop", "chain", "noplan", counters{706, 706, 0, 1835, 0, 0}},
-	{"small-skewed+delta", "threehop", "chain", "plan", counters{707, 707, 0, 565, 0, 0}},
+	{"small-skewed+delta", "threehop", "chain", "plan", counters{782, 782, 0, 0, 0, 0}},
 	{"small-skewed+delta", "threehop", "mixed", "nocontours", counters{567, 567, 0, 1007856, 20, 10}},
 	{"small-skewed+delta", "threehop", "mixed", "noplan", counters{567, 567, 0, 3119, 20, 10}},
-	{"small-skewed+delta", "threehop", "mixed", "plan", counters{567, 567, 0, 3119, 20, 10}},
+	{"small-skewed+delta", "threehop", "mixed", "plan", counters{1482, 1482, 0, 0, 20, 10}},
 	{"small-skewed+delta", "threehop", "star", "nocontours", counters{682, 682, 0, 919567, 16, 8}},
 	{"small-skewed+delta", "threehop", "star", "noplan", counters{682, 682, 0, 15121, 16, 8}},
 	{"small-skewed+delta", "threehop", "star", "plan", counters{1279, 1279, 0, 0, 16, 8}},
@@ -94,7 +94,7 @@ var evalCountersGolden = []struct {
 	{"small-uniform+delta", "threehop", "neg", "plan", counters{619, 619, 0, 1132, 76, 38}},
 	{"small-uniform+delta", "threehop", "pair", "nocontours", counters{1091, 896, 195, 2865822, 2346, 865}},
 	{"small-uniform+delta", "threehop", "pair", "noplan", counters{1091, 896, 195, 214871, 2346, 865}},
-	{"small-uniform+delta", "threehop", "pair", "plan", counters{1091, 896, 195, 214871, 2346, 865}},
+	{"small-uniform+delta", "threehop", "pair", "plan", counters{2394, 2199, 195, 211214, 2346, 865}},
 	{"small-uniform+delta", "threehop", "scan", "nocontours", counters{231, 231, 0, 0, 462, 231}},
 	{"small-uniform+delta", "threehop", "scan", "noplan", counters{231, 231, 0, 0, 462, 231}},
 	{"small-uniform+delta", "threehop", "scan", "plan", counters{231, 231, 0, 0, 462, 231}},

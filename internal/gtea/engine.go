@@ -54,10 +54,10 @@ type Stats struct {
 	// evaluation.
 	PruneTime time.Duration
 	TotalTime time.Duration
-	// Plan is the cost-based planner's record of this evaluation (nil
-	// with Options.NoPlan, and in aggregated sharded stats): the chosen
-	// per-node kernel with estimated vs. actual candidate counts, so
-	// misestimates are observable.
+	// Plan is the planner's record of this evaluation (nil with
+	// Options.NoPlan, and in aggregated sharded stats): the per-node
+	// kernel the rule chose, with estimated vs. actual candidate
+	// counts, so misestimates are observable.
 	Plan *PlanInfo
 }
 
@@ -73,10 +73,11 @@ type Options struct {
 	// NoShrink disables the shrunk prime subtree: enumeration walks the
 	// full prime subtree.
 	NoShrink bool
-	// NoPlan disables the cost-based planner: pruning always uses the
-	// paper's pairwise/contour kernels (no multiway bitset
-	// intersection), and no plan is recorded. The escape hatch behind
-	// the -plan=off flags.
+	// NoPlan disables the planner: pruning always uses the paper's
+	// pairwise/contour kernels (no multiway bitset intersection, which
+	// the planner's rule otherwise runs at every conjunctive-only node
+	// unless the index is the transitive closure), and no plan is
+	// recorded. The escape hatch behind the -plan=off flags.
 	NoPlan bool
 	// Index names the reachability backend (reach.Kinds lists them;
 	// empty selects reach.DefaultKind, the 3-hop index).
@@ -96,6 +97,10 @@ type Engine struct {
 	// engine's evaluations allocate only their results. Contexts are
 	// engine-local because their scratch is sized to this graph.
 	ctxPool sync.Pool
+	// closure is the kernel rule's one exception (plan.go): H is the
+	// transitive closure, flat or under a delta overlay. Decided at
+	// construction because an overlay builds its Kind string per call.
+	closure bool
 }
 
 // New builds a GTEA engine (and its 3-hop index) for g.
@@ -114,14 +119,14 @@ func NewWithOptions(g *graph.Graph, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{G: g, H: h, Opt: opt}, nil
+	return NewWithIndex(g, h, opt), nil
 }
 
 // NewWithIndex wraps an already-built index h over g (shared across
 // engines, revived from a snapshot, or a delta overlay) with the given
 // options. opt.Index is unused: the index is already built.
 func NewWithIndex(g *graph.Graph, h reach.ContourIndex, opt Options) *Engine {
-	return &Engine{G: g, H: h, Opt: opt}
+	return &Engine{G: g, H: h, Opt: opt, closure: closureIndex(h)}
 }
 
 // LabelCount reports how many data nodes carry the label, answered
@@ -169,11 +174,12 @@ type evalContext struct {
 	bucketBuf []graph.NodeID
 	bucketOut [][]graph.NodeID
 
-	// Planner state (see plan.go): the plan record and the multiway
-	// kernel's bitset/stack scratch. plan is freshly allocated per call
-	// (it escapes through Stats); the rest is pooled like every other
-	// buffer.
+	// Planner state (see plan.go): the plan record, the kernel rule,
+	// and the multiway kernel's bitset/stack scratch. plan is freshly
+	// allocated per call (it escapes through Stats); the rest is pooled
+	// like every other buffer.
 	plan     *PlanInfo
+	multiway bool
 	accSet   core.Bitset
 	childSet core.Bitset
 	bfsStack []graph.NodeID
@@ -245,6 +251,7 @@ func (e *Engine) newContext() *evalContext {
 	}
 	ec.g, ec.h, ec.opt = e.G, e.H, e.Opt
 	ec.ch, _ = e.H.(*reach.ThreeHop)
+	ec.multiway = !e.Opt.NoPlan && !e.Opt.NoContours && !e.closure
 	ec.stat = Stats{}
 	ec.rst = reach.Stats{}
 	ec.ctx, ec.err, ec.ops = nil, nil, 0

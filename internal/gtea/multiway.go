@@ -16,10 +16,11 @@ import (
 // — and materializing each right-hand set once (a graph BFS bounded by
 // nodes+edges, or a one-hop neighbor sweep) and AND-ing bitsets bounds
 // the per-node work by the sets' total size instead of candidates ×
-// edges. The planner (plan.go) picks between the two kernels per node
-// from the cost model; the BFS runs on the evaluation graph itself, so
-// it computes the exact same strict-reachability relation every index
-// backend answers, on flat, sharded, and delta-extended bases alike.
+// edges. The planner's kernel rule (plan.go) runs it at every
+// conjunctive-only node unless the index is the transitive closure; the
+// BFS runs on the evaluation graph itself, so it computes the exact
+// same strict-reachability relation every index backend answers, on
+// flat, sharded, and delta-extended bases alike.
 //
 // All scratch (two bitsets, one BFS stack) lives in the pooled
 // evalContext, so the kernel allocates nothing in steady state.

@@ -6,15 +6,23 @@ import (
 
 	"gtpq/internal/card"
 	"gtpq/internal/core"
+	"gtpq/internal/delta"
+	"gtpq/internal/reach"
 )
 
-// Cost-based planning. Downward pruning (Procedure 6) visits the query
-// nodes in the paper's post-order with the planner on or off: pruning a
-// node reads only its own initial candidates and its children's final
-// sets, so every children-before-parents order yields the same sets,
-// kernel choices and counts. What the planner chooses is the kernel: per node it compares the estimated cost of the paper's
-// per-candidate contour kernel against a multiway bitset intersection
-// (see prune.go) and picks the cheaper one.
+// The planner. Downward pruning (Procedure 6) visits the query nodes
+// in the paper's post-order with the planner on or off: pruning a node
+// reads only its own initial candidates and its children's final sets,
+// so every children-before-parents order yields the same sets, kernel
+// choices and counts. What the planner chooses is the kernel, by one
+// fixed rule: every node whose fext is conjunctive-only prunes with the
+// multiway bitset intersection (multiway.go), down and up, because a
+// set intersection bounds the work by the sets' sizes where the paper's
+// per-candidate contour probes (prune.go) cost candidates × edges. The
+// one exception is an index that is the transitive closure, flat or
+// under a delta overlay (closureIndex): there a probe is a
+// word-parallel row intersection with no graph walk, cheaper than the
+// multiway kernel's BFS, and the paper kernel stays.
 //
 // Estimates are card.Candidates over the reachability backend's exact
 // label counts (reach.ContourIndex.LabelCount); non-label predicates
@@ -88,47 +96,8 @@ func (ec *evalContext) finishPlan(q *core.Query) {
 	ec.stat.Plan = ec.plan
 }
 
-// Kernel cost model, in rough "sequential edge visit" units (one BFS
-// edge traversal = 1). The paper kernel pays one contour probe per
-// (candidate, AD child), an adjacency scan per (candidate, PC child),
-// and a contour merge per child. The multiway kernel pays a graph BFS
-// per AD child (bounded by nodes+edges, touched sequentially), a
-// neighbor sweep per PC child, and a word-wise AND per child. A probe
-// is far more than one unit: over the 3-hop index it is an own-position
-// check plus a shared chain-suffix walk with per-chain contour matches
-// (measured ~2 orders of magnitude above an edge visit), over generic
-// contours a closure-row scan (~the bitset row width). The constants
-// only need to be right about which side of the crossover a node sits
-// on.
-const (
-	chainProbeCost   = 48 // per (candidate, AD child) against a chain contour
-	genericProbeCost = 8  // per (candidate, AD child) against a generic contour
-	wordBits         = 64
-)
-
-// probeCostUnits prices one paper-kernel contour probe for the active
-// reachability backend.
-func (ec *evalContext) probeCostUnits() int {
-	if ec.ch != nil {
-		return chainProbeCost
-	}
-	return genericProbeCost
-}
-
-// multiwayDownBeatsPaper decides the downward kernel for a node with
-// cand candidates, the given AD/PC child candidate totals, and kAD/kPC
-// constrained children.
-func (ec *evalContext) multiwayDownBeatsPaper(cand, adCands, pcCands, kAD, kPC, nodes, edges int) bool {
-	paper := cand*(1+ec.probeCostUnits()*kAD) + adCands + pcCands
-	multi := kAD*(nodes+edges) + pcCands + (kAD+kPC+1)*(nodes/wordBits+1) + cand
-	return multi < paper
-}
-
-// multiwayUpBeatsPaper decides the upward kernel for a parent with
-// parentCands candidates and adCands total candidates across its AD
-// children (PC children are adjacency sweeps either way).
-func (ec *evalContext) multiwayUpBeatsPaper(parentCands, adCands, kAD, nodes, edges int) bool {
-	paper := ec.probeCostUnits()*adCands + parentCands
-	multi := nodes + edges + (kAD+1)*(nodes/wordBits+1) + adCands
-	return multi < paper
+// closureIndex reports whether h is the transitive closure, directly or
+// through a delta overlay.
+func closureIndex(h reach.ContourIndex) bool {
+	return strings.TrimPrefix(h.Kind(), delta.KindPrefix) == "tc"
 }

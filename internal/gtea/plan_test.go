@@ -2,9 +2,11 @@ package gtea
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gtpq/internal/core"
+	"gtpq/internal/delta"
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/logic"
@@ -33,31 +35,58 @@ func starQuery() *core.Query {
 }
 
 // TestPlanRecordsEstimatesAndKernels pins what the plan reports on the
-// skewed star: estimates equal the label frequencies, and the
-// calibrated cost model picks the multiway kernel for the hot root.
+// skewed star over every backend, flat and under a delta overlay:
+// estimates equal the label frequencies, and the kernel rule runs the
+// multiway kernel at the hot root except over the transitive closure.
 func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
-	g := planTestGraph()
-	e := New(g)
+	base := planTestGraph()
+	batches := []delta.Batch{overlayBatch(base)}
+	ext, err := delta.Extend(base, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := starQuery()
-	ans, st := e.EvalStats(q)
-	if st.Plan == nil {
-		t.Fatal("no plan recorded")
-	}
-	for u, pn := range st.Plan.Nodes {
-		l, _ := q.Nodes[u].Attr.LabelOnly()
-		if want := len(g.ByLabel(l)); pn.EstCands != want || pn.InitCands != want {
-			t.Fatalf("node %d (%s): est=%d init=%d, label count %d", u, l, pn.EstCands, pn.InitCands, want)
-		}
-		if pn.FinalCands > pn.InitCands {
-			t.Fatalf("node %d: final %d > init %d", u, pn.FinalCands, pn.InitCands)
-		}
-	}
-	if st.Plan.Nodes[q.Root].Kernel != KernelMultiway {
-		t.Fatalf("root kernel = %q, want multiway on the skewed star", st.Plan.Nodes[q.Root].Kernel)
-	}
-	// And the multiway answer is the oracle's.
-	if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
-		t.Fatalf("multiway root changed the answer: want %v got %v", want, ans)
+	for _, c := range []struct {
+		kind, root string
+	}{
+		{"threehop", KernelMultiway},
+		{"tc", KernelPaper},
+		{delta.KindPrefix + "threehop", KernelMultiway},
+		{delta.KindPrefix + "tc", KernelPaper},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			baseKind, overlay := strings.CutPrefix(c.kind, delta.KindPrefix)
+			h, err := reach.Build(baseKind, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := base
+			if overlay {
+				g, h = ext, delta.NewOverlay(h, base.N(), ext.N(), batches)
+			}
+			if h.Kind() != c.kind {
+				t.Fatalf("index kind %q, want %q", h.Kind(), c.kind)
+			}
+			ans, st := NewWithIndex(g, h, Options{}).EvalStats(q)
+			if st.Plan == nil {
+				t.Fatal("no plan recorded")
+			}
+			for u, pn := range st.Plan.Nodes {
+				l, _ := q.Nodes[u].Attr.LabelOnly()
+				if want := len(g.ByLabel(l)); pn.EstCands != want || pn.InitCands != want {
+					t.Fatalf("node %d (%s): est=%d init=%d, label count %d", u, l, pn.EstCands, pn.InitCands, want)
+				}
+				if pn.FinalCands > pn.InitCands {
+					t.Fatalf("node %d: final %d > init %d", u, pn.FinalCands, pn.InitCands)
+				}
+			}
+			if k := st.Plan.Nodes[q.Root].Kernel; k != c.root {
+				t.Fatalf("root kernel = %q, want %q", k, c.root)
+			}
+			if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
+				t.Fatalf("answer differs from the oracle's: want %v got %v", want, ans)
+			}
+		})
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // positions either way (reachability is monotone along a chain).
 // PC-child valuations are computed exactly from adjacency — §4.4's
 // first strategy, required anyway under negation.
-// With the planner on (plan.go) conjunctive nodes may run the multiway
-// intersection kernel (multiway.go) when the cost model prefers it;
-// both kernels are exact.
+// With the planner on (plan.go), a node whose fext is conjunctive-only
+// runs the multiway intersection kernel (multiway.go) instead, except
+// over the transitive closure; both kernels are exact.
 func (ec *evalContext) pruneDownward(q *core.Query) {
 	for _, u := range q.PostOrder() {
 		if ec.cancelled() {
@@ -32,31 +32,21 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			ec.setMatSet(u, ec.mat[u])
 			continue
 		}
-		if ec.multiway() {
+		if ec.multiway {
 			if ad, pc, ok := ec.multiwayEligible(q, u); ok {
+				ec.plan.Nodes[u].Kernel = KernelMultiway
 				if !q.Fext(u).Eval(func(int) bool { return true }) {
 					// Unsatisfiable extension formula (contains False):
 					// no candidate can survive.
 					ec.mat[u] = ec.mat[u][:0]
 					ec.setMatSet(u, ec.mat[u])
-					ec.plan.Nodes[u].Kernel = KernelMultiway
 					continue
 				}
-				adCands, pcCands := 0, 0
-				for _, c := range ad {
-					adCands += len(ec.mat[c])
+				ec.pruneDownMultiway(u, ad, pc)
+				if ec.cancelled() {
+					return
 				}
-				for _, c := range pc {
-					pcCands += len(ec.mat[c])
-				}
-				if ec.multiwayDownBeatsPaper(len(ec.mat[u]), adCands, pcCands, len(ad), len(pc), ec.g.N(), ec.g.M()) {
-					ec.plan.Nodes[u].Kernel = KernelMultiway
-					ec.pruneDownMultiway(u, ad, pc)
-					if ec.cancelled() {
-						return
-					}
-					continue
-				}
+				continue
 			}
 		}
 		adKids, pcKids := ec.adKids[:0], ec.pcKids[:0]
@@ -181,22 +171,20 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 		if !prime[u] || len(ec.mat[u]) == 0 {
 			continue
 		}
-		// With the planner on, AD prime children may all be filtered
+		// Under the kernel rule, AD prime children are all filtered
 		// against one shared successor BFS of mat[u] instead of
 		// per-candidate contour probes (multiway.go); upward semantics
 		// carry no negation, so the swap is always exact.
 		multiAD := false
-		if ec.multiway() {
+		if ec.multiway {
 			adKids := ec.adKids[:0]
-			adCands := 0
 			for _, c := range q.Nodes[u].Children {
 				if prime[c] && q.Nodes[c].PEdge != core.PC {
 					adKids = append(adKids, c)
-					adCands += len(ec.mat[c])
 				}
 			}
 			ec.adKids = adKids
-			if len(adKids) > 0 && ec.multiwayUpBeatsPaper(len(ec.mat[u]), adCands, len(adKids), ec.g.N(), ec.g.M()) {
+			if len(adKids) > 0 {
 				multiAD = true
 				ec.pruneUpMultiway(u, adKids)
 				if ec.cancelled() {
@@ -297,11 +285,6 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 // chain kernel: over the 3-hop index, unless the NoContours ablation
 // forgoes merged contours.
 func (ec *evalContext) chainKernel() bool { return ec.ch != nil && !ec.opt.NoContours }
-
-// multiway reports whether the planner may swap in the multiway kernel.
-// It merges whole candidate sets as contours do, so the NoContours
-// ablation never runs it.
-func (ec *evalContext) multiway() bool { return ec.plan != nil && !ec.opt.NoContours }
 
 // contour summarizes S for SetContour probes in direction down (see
 // ContourIndex.SuccContour and PredContour): the backend's merged

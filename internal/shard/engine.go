@@ -23,8 +23,8 @@ type Options struct {
 	// Workers bounds the scatter-gather fan-out per evaluation
 	// (default GOMAXPROCS, clamped to the shard count).
 	Workers int
-	// NoPlan disables the cost-based planner in every per-shard engine
-	// (gtea.Options.NoPlan).
+	// NoPlan disables the planner's kernel rule in every per-shard
+	// engine (gtea.Options.NoPlan).
 	NoPlan bool
 }
 
