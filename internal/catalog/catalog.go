@@ -271,9 +271,6 @@ func Open(dir string, opt Options) (*Catalog, error) {
 	return &Catalog{dir: dir, opt: opt, entries: map[string]*entry{}, dlogs: map[string]*dlog{}, changed: make(chan struct{})}, nil
 }
 
-// Dir returns the catalog's directory.
-func (c *Catalog) Dir() string { return c.dir }
-
 // ErrUnknownDataset reports a dataset name with no source on disk;
 // servers map it to 404 (errors.Is through Acquire's error).
 var ErrUnknownDataset = errors.New("unknown dataset")
@@ -329,13 +326,19 @@ func (c *Catalog) Names() ([]string, error) {
 	return names, nil
 }
 
+// plainName reports whether s names an entry of a directory: no path
+// separator, not hidden, not empty.
+func plainName(s string) bool {
+	return s == filepath.Base(s) && !strings.HasPrefix(s, ".")
+}
+
 // resolve picks the source to load name from: a sharded directory's
 // manifest when one exists (sharding wins — the directory supersedes
 // any flat file left behind), otherwise the snapshot when it is at
 // least as new as the raw graph (or the only candidate), the raw graph
 // otherwise.
 func (c *Catalog) resolve(name string) (path string, mod time.Time, kind loadKind, err error) {
-	if name != filepath.Base(name) || strings.HasPrefix(name, ".") {
+	if !plainName(name) {
 		return "", time.Time{}, loadRaw, fmt.Errorf("catalog: invalid dataset name %q", name)
 	}
 	if mpath := filepath.Join(c.dir, name, shard.ManifestName); true {
@@ -347,7 +350,7 @@ func (c *Catalog) resolve(name string) (path string, mod time.Time, kind loadKin
 		// in" leaves only the aside copy. Restore it — idempotent and
 		// race-tolerant (a concurrent restorer winning the rename just
 		// makes ours fail; the re-stat below settles it).
-		aside := filepath.Join(c.dir, "."+name+".precompact")
+		aside := c.asidePath(name)
 		if _, err := os.Stat(filepath.Join(aside, shard.ManifestName)); err == nil {
 			os.Rename(aside, filepath.Join(c.dir, name))
 			if st, err := os.Stat(mpath); err == nil {

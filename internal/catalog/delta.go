@@ -59,6 +59,22 @@ func (c *Catalog) foldMarkerPath(name string) string {
 	return filepath.Join(c.dir, name+delta.FoldMarkerSuffix)
 }
 
+// dropLog closes the dataset's delta log writer and removes the log
+// and its fold marker; the caller holds dl.mu. An open writer must not
+// keep appending into an unlinked inode.
+func (c *Catalog) dropLog(name string, dl *dlog) error {
+	if dl.w != nil {
+		dl.w.Close()
+		dl.w = nil
+	}
+	for _, p := range []string{c.logPath(name), c.foldMarkerPath(name)} {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
+
 // deltaBaseOf materializes the entry's delta base on first need: the
 // base engine's logical graph and its reachability routed through the
 // composite index (internal/shard). At one shard both are the shard's
@@ -370,15 +386,8 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 
 	// Steps (3) and (4): the folded base is published, drop the log
 	// and then the marker.
-	if dl.w != nil {
-		dl.w.Close()
-		dl.w = nil
-	}
-	if err := os.Remove(c.logPath(name)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("catalog: %s: removing folded delta log: %w", name, err)
-	}
-	if err := os.Remove(c.foldMarkerPath(name)); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("catalog: %s: removing fold marker: %w", name, err)
+	if err := c.dropLog(name, dl); err != nil {
+		return nil, fmt.Errorf("catalog: %s: dropping folded delta log: %w", name, err)
 	}
 	dl.compactions.Add(1)
 	next.ds.LoadTime = time.Since(start)
@@ -394,14 +403,12 @@ func (c *Catalog) Compact(name string) (*Dataset, error) {
 // saveBase persists a compacted base where the dataset lives and
 // returns the path the next load resolves to: `<name>.snap` for a
 // dataset stored as a file, and for a shard directory a fresh
-// directory written next to the live one and swapped in (resolve
-// restores the aside copy if a crash splits the two renames).
+// directory written next to the live one and swapped in.
 func (c *Catalog) saveBase(name string, se *shard.ShardedEngine, dir bool) (string, error) {
 	if !dir {
 		snapPath := filepath.Join(c.dir, name+".snap")
 		return snapPath, snapshot.SaveFile(snapPath, se.Union(), se.CompositeIndex())
 	}
-	live := filepath.Join(c.dir, name)
 	tmp := filepath.Join(c.dir, "."+name+".compact")
 	if err := os.RemoveAll(tmp); err != nil {
 		return "", err
@@ -409,20 +416,36 @@ func (c *Catalog) saveBase(name string, se *shard.ShardedEngine, dir bool) (stri
 	if _, err := se.Save(tmp, name); err != nil {
 		return "", err
 	}
-	old := filepath.Join(c.dir, "."+name+".precompact")
-	if err := os.RemoveAll(old); err != nil {
+	if err := c.swapDir(name, tmp); err != nil {
 		return "", err
 	}
-	if err := os.Rename(live, old); err != nil {
-		return "", fmt.Errorf("swap: %w", err)
+	return filepath.Join(c.dir, name, shard.ManifestName), nil
+}
+
+// swapDir publishes the shard directory staged at tmp as name's: the
+// live directory, if any, is renamed aside, tmp renamed in, and the
+// aside copy removed. resolve restores the aside copy if a crash
+// splits the two renames.
+func (c *Catalog) swapDir(name, tmp string) error {
+	live, old := filepath.Join(c.dir, name), c.asidePath(name)
+	if err := os.RemoveAll(old); err != nil {
+		return err
+	}
+	if err := os.Rename(live, old); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("swap: %w", err)
 	}
 	if err := os.Rename(tmp, live); err != nil {
 		// Try to restore the previous directory before failing.
 		os.Rename(old, live)
-		return "", fmt.Errorf("swap: %w", err)
+		return fmt.Errorf("swap: %w", err)
 	}
-	os.RemoveAll(old)
-	return filepath.Join(live, shard.ManifestName), nil
+	return os.RemoveAll(old)
+}
+
+// asidePath is where swapDir keeps the live shard directory between
+// its two renames.
+func (c *Catalog) asidePath(name string) string {
+	return filepath.Join(c.dir, "."+name+".precompact")
 }
 
 // Compactions reports how many times the named dataset's delta log was

@@ -3,26 +3,32 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
+	"gtpq/internal/atomicfile"
 	"gtpq/internal/delta"
-	"gtpq/internal/graph"
-	"gtpq/internal/reach"
+	"gtpq/internal/shard"
 )
 
 // Replication support: a primary exposes each dataset's delta log as a
-// byte stream (ReadLogChunk) and its frozen base for shipping
-// (BaseSnapshot); a replica mirrors the log by re-applying the decoded
-// batches through ApplyDelta — the log encoding is deterministic, so
-// the replica's local log is byte-identical to the primary's and its
-// size doubles as the durable replication offset across restarts.
+// byte stream (ReadLogChunk) and its frozen base as the files it
+// stores (ReadBase); a replica installs those files (InstallBase) and
+// mirrors the log by re-applying the decoded batches through
+// ApplyDelta — the log encoding is deterministic, so the replica's
+// local log is byte-identical to the primary's and its size doubles as
+// the durable replication offset across restarts. The catalog is the
+// one owner of a dataset's files: both ends read and write them here.
 //
 // Lock ordering is the crux. Compaction commits through the fold
 // marker protocol while holding the dataset's dlog mutex; ReadLogChunk
-// takes the SAME mutex before snapshotting the base fingerprint and
-// the log offset, and reads the chunk bytes without releasing it. A
-// tailer can therefore never be handed bytes of a log whose fold
+// and ReadBase take the SAME mutex before snapshotting the base
+// fingerprint and the log offset, and read the bytes without releasing
+// it. A tailer can therefore never be handed bytes of a log whose fold
 // marker is already written but whose base has not published yet: it
 // sees the old base with the old log, or the new base with the log
 // gone — nothing in between.
@@ -30,11 +36,6 @@ import (
 // ErrClosed reports an operation against a catalog whose Close already
 // ran; servers map it to 503 during shutdown.
 var ErrClosed = errors.New("catalog closed")
-
-// ErrShardedBase marks a BaseSnapshot call on a sharded dataset: the
-// base of a sharded dataset ships per manifest file (the SHA-256
-// hashes in manifest.json verify each one), not as a single snapshot.
-var ErrShardedBase = errors.New("sharded dataset: base ships per manifest file")
 
 // LogState is the replication-visible state of one dataset, captured
 // atomically with any chunk read.
@@ -49,10 +50,6 @@ type LogState struct {
 	Batches int
 	// Generation is the serving entry's catalog generation.
 	Generation uint64
-	// Sharded reports a base of K > 1 shards (ships via manifest
-	// files); a one-shard directory ships as a snapshot, like a flat
-	// file.
-	Sharded bool
 }
 
 // replBaseID memoizes the delta.BaseOf fingerprint of the entry's
@@ -83,29 +80,23 @@ func (c *Catalog) signalLocked() {
 	c.changed = make(chan struct{})
 }
 
-// ReadLogChunk returns up to max bytes of the named dataset's delta
-// log starting at byte offset from, plus the log state observed
-// atomically with the read (under the dataset's compaction lock — see
-// the package comment above for why that ordering is load-bearing).
-// A from at or past the end returns an empty chunk with the current
-// state; callers long-poll by re-calling once Changed fires. max <= 0
-// reads state only.
-func (c *Catalog) ReadLogChunk(name string, from int64, max int) ([]byte, LogState, error) {
-	var lastErr error
+// underLog runs f on the named dataset's current entry while holding
+// the dataset's dlog mutex — the lock Compact and ApplyDelta commit
+// under — retrying when a hot reload supersedes the entry in between.
+func (c *Catalog) underLog(name string, f func(e *entry) error) error {
+	var err error
 	for attempt := 0; attempt < 3; attempt++ {
-		chunk, st, err := c.readLogChunkOnce(name, from, max)
-		if err == nil || !isEntryRaced(err) {
-			return chunk, st, err
+		if err = c.underLogOnce(name, f); err == nil || !isEntryRaced(err) {
+			return err
 		}
-		lastErr = err
 	}
-	return nil, LogState{}, lastErr
+	return err
 }
 
-func (c *Catalog) readLogChunkOnce(name string, from int64, max int) ([]byte, LogState, error) {
+func (c *Catalog) underLogOnce(name string, f func(e *entry) error) error {
 	ds, err := c.Acquire(name)
 	if err != nil {
-		return nil, LogState{}, err
+		return err
 	}
 	defer ds.Release()
 
@@ -117,99 +108,184 @@ func (c *Catalog) readLogChunkOnce(name string, from int64, max int) ([]byte, Lo
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return nil, LogState{}, ErrClosed
+		return ErrClosed
 	}
 	e, err := c.currentEntry(name, ds)
 	if err != nil {
-		return nil, LogState{}, err
+		return err
 	}
-	state := LogState{
-		Base:       e.replBaseID(),
-		Batches:    len(e.batches),
-		Generation: e.gen,
-		Sharded:    e.ds.Sharded,
-	}
-	st, err := os.Stat(c.logPath(name))
+	return f(e)
+}
+
+// logState reads e's replication state; the caller holds the
+// dataset's dlog mutex.
+func (c *Catalog) logState(e *entry) (LogState, error) {
+	state := LogState{Base: e.replBaseID(), Batches: len(e.batches), Generation: e.gen}
+	st, err := os.Stat(c.logPath(e.name))
 	if os.IsNotExist(err) {
-		return nil, state, nil
+		return state, nil
 	}
 	if err != nil {
-		return nil, LogState{}, err
+		return LogState{}, err
 	}
 	state.Size = st.Size()
-	if max <= 0 || from < 0 || from >= state.Size {
-		return nil, state, nil
-	}
-	want := state.Size - from
-	if int64(max) < want {
-		want = int64(max)
-	}
-	f, err := os.Open(c.logPath(name))
+	return state, nil
+}
+
+// ReadLogChunk returns up to max bytes of the named dataset's delta
+// log starting at byte offset from, plus the log state observed
+// atomically with the read (under the dataset's compaction lock — see
+// the package comment above for why that ordering is load-bearing).
+// A from at or past the end returns an empty chunk with the current
+// state; callers long-poll by re-calling once Changed fires. max <= 0
+// reads state only.
+func (c *Catalog) ReadLogChunk(name string, from int64, max int) (chunk []byte, state LogState, err error) {
+	err = c.underLog(name, func(e *entry) error {
+		if state, err = c.logState(e); err != nil || max <= 0 || from < 0 || from >= state.Size {
+			return err
+		}
+		f, err := os.Open(c.logPath(name))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		chunk = make([]byte, min(int64(max), state.Size-from))
+		n, err := f.ReadAt(chunk, from)
+		if err != nil && n == 0 {
+			return fmt.Errorf("catalog: %s: reading log chunk: %w", name, err)
+		}
+		chunk = chunk[:n]
+		return nil
+	})
 	if err != nil {
 		return nil, LogState{}, err
 	}
-	defer f.Close()
-	buf := make([]byte, want)
-	n, err := f.ReadAt(buf, from)
-	if err != nil && n == 0 {
-		return nil, LogState{}, fmt.Errorf("catalog: %s: reading log chunk: %w", name, err)
-	}
-	return buf[:n], state, nil
+	return chunk, state, nil
 }
 
-// BaseSnapshot returns the named dataset's frozen base graph and
-// reachability index for shipping to a replica, plus the log state at
-// capture time. The pair is immutable — callers serialize it outside
-// any catalog lock. Sharded datasets return ErrShardedBase; their base
-// ships per manifest file instead.
-func (c *Catalog) BaseSnapshot(name string) (*graph.Graph, reach.ContourIndex, LogState, error) {
-	ds, err := c.Acquire(name)
+// ReadBase returns the named dataset's base as the catalog stores it,
+// for a replica to install with InstallBase, plus the log state
+// captured under the same lock. With file empty it reads the file the
+// serving base was loaded from or compacted to — `<name>.snap`,
+// `<name>.json[.gz]` or a shard directory's manifest.json — and
+// returns that file's name; otherwise it reads the named file of the
+// shard directory. A base file that does not exist is reported as
+// fs.ErrNotExist.
+func (c *Catalog) ReadBase(name, file string) (data []byte, root string, state LogState, err error) {
+	err = c.underLog(name, func(e *entry) error {
+		path := e.srcPath
+		if file != "" {
+			if !e.dir || !plainName(file) {
+				return fmt.Errorf("catalog: %s: no base file %q: %w", name, file, fs.ErrNotExist)
+			}
+			path = filepath.Join(filepath.Dir(e.srcPath), file)
+		}
+		if data, err = os.ReadFile(path); err != nil {
+			return err
+		}
+		root = filepath.Base(path)
+		state, err = c.logState(e)
+		return err
+	})
 	if err != nil {
-		return nil, nil, LogState{}, err
+		return nil, "", LogState{}, err
 	}
-	defer ds.Release()
+	return data, root, state, nil
+}
+
+// InstallBase replaces the named dataset's stored base with one that
+// ReadBase returned on another catalog: root is the file name data
+// holds, and fetch returns any other file a shard manifest lists. Root
+// is network input, so anything but `<name>.snap`, `<name>.json`,
+// `<name>.json.gz` or manifest.json is refused before a byte is
+// written. A manifest's files are fetched into a staging directory
+// and checked against its SHA-256 hashes first. Then, under the
+// dataset's dlog mutex, the local delta log and fold marker are
+// dropped, every other stored form of the dataset is removed, the base
+// is published — a file atomically, a directory by the same swap a
+// compaction uses — and the dataset is marked for reload.
+func (c *Catalog) InstallBase(name, root string, data []byte, fetch func(file string) ([]byte, error)) error {
+	if !plainName(name) {
+		return fmt.Errorf("catalog: invalid dataset name %q", name)
+	}
+	live, stage := filepath.Join(c.dir, root), filepath.Join(c.dir, "."+name+".ship")
+	switch {
+	case root == shard.ManifestName:
+		live = filepath.Join(c.dir, name)
+		defer os.RemoveAll(stage)
+		if err := stageShards(name, stage, data, fetch); err != nil {
+			return fmt.Errorf("catalog: %s: shipped base: %w", name, err)
+		}
+	case !slices.Contains(suffixes, strings.TrimPrefix(root, name)): // not <name><suffix>
+		return fmt.Errorf("catalog: %s: refusing shipped base file %q", name, root)
+	}
 
 	dl := c.dlogFor(name)
 	dl.mu.Lock()
 	defer dl.mu.Unlock()
-
-	e, err := c.currentEntry(name, ds)
+	// The log belongs to the base being replaced: it goes before any
+	// file of the new base is visible, so it can never replay over it.
+	if err := c.dropLog(name, dl); err != nil {
+		return err
+	}
+	others := []string{filepath.Join(c.dir, name), c.asidePath(name)}
+	for _, suf := range suffixes {
+		others = append(others, filepath.Join(c.dir, name+suf))
+	}
+	for _, p := range others {
+		if p != live {
+			if err := os.RemoveAll(p); err != nil {
+				return err
+			}
+		}
+	}
+	var err error
+	if root == shard.ManifestName {
+		err = c.swapDir(name, stage)
+	} else {
+		err = atomicfile.WriteFile(live, data)
+	}
 	if err != nil {
-		return nil, nil, LogState{}, err
+		return fmt.Errorf("catalog: %s: installing base: %w", name, err)
 	}
-	if e.ds.Sharded {
-		return nil, nil, LogState{}, fmt.Errorf("catalog: %s: %w", name, ErrShardedBase)
-	}
-	base := e.deltaBaseOf()
-	state := LogState{
-		Base:       e.replBaseID(),
-		Batches:    len(e.batches),
-		Generation: e.gen,
-	}
-	if st, serr := os.Stat(c.logPath(name)); serr == nil {
-		state.Size = st.Size()
-	}
-	return base.g, base.h, state, nil
+	c.Reload(name)
+	return nil
 }
 
-// DropLog closes the named dataset's delta log writer and removes the
-// log and fold marker files. Replica re-sync calls it before
-// installing a shipped base: the old log belongs to the old base and
-// must never replay over the new one, and the open writer must not
-// keep appending into an unlinked inode.
-func (c *Catalog) DropLog(name string) error {
-	dl := c.dlogFor(name)
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	if dl.w != nil {
-		dl.w.Close()
-		dl.w = nil
-	}
-	if err := os.Remove(c.logPath(name)); err != nil && !os.IsNotExist(err) {
+// stageShards writes a shipped shard directory into stage: the
+// manifest, then each file it lists once its bytes match the
+// manifest's SHA-256 — the integrity root shard.LoadDir enforces.
+func stageShards(name, stage string, manifest []byte, fetch func(string) ([]byte, error)) error {
+	if err := os.RemoveAll(stage); err != nil {
 		return err
 	}
-	if err := os.Remove(c.foldMarkerPath(name)); err != nil && !os.IsNotExist(err) {
+	if err := os.Mkdir(stage, 0o755); err != nil {
 		return err
+	}
+	manPath := filepath.Join(stage, shard.ManifestName)
+	if err := atomicfile.WriteFile(manPath, manifest); err != nil {
+		return err
+	}
+	man, err := shard.ReadManifest(manPath)
+	if err != nil {
+		return err
+	}
+	if man.Name != name {
+		return fmt.Errorf("manifest names dataset %q", man.Name)
+	}
+	for i, sf := range man.Shards {
+		for _, f := range [][2]string{{sf.Snap, sf.SnapSHA256}, {sf.IDs, sf.IDsSHA256}} {
+			blob, err := fetch(f[0])
+			if err == nil {
+				err = shard.VerifySHA256(blob, f[1])
+			}
+			if err == nil {
+				err = atomicfile.WriteFile(filepath.Join(stage, f[0]), blob)
+			}
+			if err != nil {
+				return fmt.Errorf("shard %d: %s: %w", i, f[0], err)
+			}
+		}
 	}
 	return nil
 }

@@ -119,9 +119,6 @@ func (q *Query) SetStruct(u int, f *logic.Formula) { q.Nodes[u].Struct = f }
 // SetOutput marks u as an output node.
 func (q *Query) SetOutput(u int) { q.Nodes[u].Output = true }
 
-// Node returns the node with the given id.
-func (q *Query) Node(u int) *QNode { return q.Nodes[u] }
-
 // Outputs returns the ids of the output nodes in ascending order.
 func (q *Query) Outputs() []int {
 	var out []int

@@ -67,17 +67,6 @@ func Ops(batches []Batch) int {
 	return total
 }
 
-// Edges totals the edge additions across batches — the size measure the
-// overlay's per-query frontier search is bounded by, and the number
-// compaction policies watch.
-func Edges(batches []Batch) int {
-	total := 0
-	for i := range batches {
-		total += len(batches[i].Edges)
-	}
-	return total
-}
-
 // Extend materializes the logical graph: base's vertices and edges
 // (ids preserved) followed by every batch's additions in append order.
 // The result is a fresh frozen graph; base is not modified. Cost is

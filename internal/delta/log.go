@@ -72,11 +72,6 @@ const HeaderLen = headerLen
 // corruption by definition (an /update body is capped far below this).
 const maxRecordBytes = 64 << 20
 
-// ErrTornTail is wrapped by Replay's non-nil tail report; exported so
-// callers can distinguish "crashed append, prefix kept" from hard
-// corruption if they need to.
-var ErrTornTail = errors.New("delta: torn final record")
-
 // BaseID identifies the base graph a log belongs to.
 type BaseID struct {
 	Nodes, Edges int
@@ -356,8 +351,7 @@ func Replay(raw []byte, base BaseID) (batches []Batch, goodLen int, torn bool, e
 // Append. Not safe for concurrent use — the catalog serializes all
 // mutation of one dataset's log.
 type Writer struct {
-	f    *os.File
-	path string
+	f *os.File
 }
 
 // Create writes a fresh log for base at path (truncating any previous
@@ -375,7 +369,7 @@ func Create(path string, base BaseID) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Writer{f: f, path: path}, nil
+	return &Writer{f: f}, nil
 }
 
 // Open replays an existing log against base and returns a writer
@@ -412,7 +406,7 @@ func Open(path string, base BaseID) (*Writer, []Batch, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &Writer{f: f, path: path}, batches, nil
+	return &Writer{f: f}, batches, nil
 }
 
 // ReplayFile reads a log file without opening it for append.
@@ -446,9 +440,6 @@ func encodeFrame(payload []byte) []byte {
 	frame = append(frame, payload...)
 	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 }
-
-// Path returns the log file path.
-func (w *Writer) Path() string { return w.path }
 
 // FoldMarkerSuffix names the compaction commit marker: written (with
 // the post-fold base's fingerprint) before the folded base is

@@ -165,9 +165,11 @@ func (c *cell) close() {
 	c.cat.Close()
 }
 
-// follow starts a replica catalog tailing the primary over HTTP.
+// follow starts a replica catalog tailing the primary over HTTP. It
+// builds with the cell's backend, as the primary does: a base shipped
+// as a raw JSON graph is indexed by the replica itself.
 func (c *cell) follow(t *testing.T) {
-	rcat, err := catalog.Open(t.TempDir(), catalog.Options{NoPlan: c.noPlan})
+	rcat, err := catalog.Open(t.TempDir(), catalog.Options{Index: c.kind, NoPlan: c.noPlan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func (c *cell) checkAnswers(t *testing.T, si int, ds *catalog.Dataset) {
 	}
 	if c.replica {
 		c.meet("replica")
-		c.checkReplica(t, si)
+		c.checkReplica(t, si, ds.Engine.IndexKind())
 	}
 	if c.standing {
 		c.meet("standing")
@@ -311,8 +313,8 @@ func (c *cell) compare(t *testing.T, where string, q query, want *core.Answer, r
 }
 
 // checkReplica waits for the replica to catch up and checks its
-// answers.
-func (c *cell) checkReplica(t *testing.T, si int) {
+// backend against the primary's and its answers.
+func (c *cell) checkReplica(t *testing.T, si int, kind string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -324,6 +326,9 @@ func (c *cell) checkReplica(t *testing.T, si int) {
 		t.Fatal(err)
 	}
 	defer ds.Release()
+	if got := ds.Engine.IndexKind(); got != kind {
+		t.Fatalf("%s: the replica serves a %s index, the primary %s", stages[si].name, got, kind)
+	}
 	for qi, q := range c.w.queries {
 		where := fmt.Sprintf("%s, replica, query %d", stages[si].name, qi)
 		c.compare(t, where, q, c.w.want[si][qi], evalTuples(t, where, ds.Engine, q.q))

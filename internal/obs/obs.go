@@ -53,9 +53,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
@@ -193,19 +190,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 // CounterVec returns the labeled counter family with the given name.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.lookup(name, help, TypeCounter, labels, nil)}
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVec returns the labeled gauge family with the given name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.lookup(name, help, TypeGauge, labels, nil)}
 }
 
 // HistogramVec is a histogram family with labels.

@@ -126,9 +126,6 @@ func New(maxBytes int64) *Cache {
 	return c
 }
 
-// MaxBytes returns the configured byte budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 func (c *Cache) shard(k Key) *cshard {
 	var h maphash.Hash
 	h.SetSeed(c.seed)

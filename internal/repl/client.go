@@ -20,11 +20,11 @@ type Client interface {
 	// FetchLog returns raw log bytes from offset from (at most max),
 	// long-polling up to wait when the primary has nothing new.
 	FetchLog(ctx context.Context, dataset string, from int64, max int, wait time.Duration) (Chunk, error)
-	// FetchBase returns the frozen base: a snapshot stream for a flat
-	// dataset, the manifest (State.Sharded set) for a sharded one.
-	FetchBase(ctx context.Context, dataset string) (Chunk, error)
-	// FetchBaseFile returns one file of a sharded base.
-	FetchBaseFile(ctx context.Context, dataset, file string) (Chunk, error)
+	// FetchBase returns one file of the frozen base, as the primary
+	// stores it: with file empty the root Chunk.File names (a
+	// snapshot, a JSON graph or a shard manifest), otherwise the named
+	// file of the shard directory.
+	FetchBase(ctx context.Context, dataset, file string) (Chunk, error)
 	// ListDatasets names the datasets the primary serves.
 	ListDatasets(ctx context.Context) ([]string, error)
 }
@@ -110,7 +110,7 @@ func readChunk(resp *http.Response) (Chunk, error) {
 	}
 	ch.CRC = uint32(crc)
 	ch.State.Size, ch.State.Batches, ch.State.Generation = int64(size), int(batches), gen
-	ch.State.Sharded = resp.Header.Get(HeaderSharded) == "1"
+	ch.File = resp.Header.Get(HeaderFile)
 	return ch, nil
 }
 
@@ -144,13 +144,12 @@ func (c *HTTPClient) FetchLog(ctx context.Context, dataset string, from int64, m
 }
 
 // FetchBase implements Client.
-func (c *HTTPClient) FetchBase(ctx context.Context, dataset string) (Chunk, error) {
-	return c.fetchChunk(ctx, "/repl/base", url.Values{"dataset": {dataset}})
-}
-
-// FetchBaseFile implements Client.
-func (c *HTTPClient) FetchBaseFile(ctx context.Context, dataset, file string) (Chunk, error) {
-	return c.fetchChunk(ctx, "/repl/base", url.Values{"dataset": {dataset}, "file": {file}})
+func (c *HTTPClient) FetchBase(ctx context.Context, dataset, file string) (Chunk, error) {
+	q := url.Values{"dataset": {dataset}}
+	if file != "" {
+		q.Set("file", file)
+	}
+	return c.fetchChunk(ctx, "/repl/base", q)
 }
 
 // ListDatasets implements Client via the primary's GET /datasets.

@@ -18,7 +18,7 @@ import (
 
 // stateHeaders lists the headers readChunk parses, in the order the
 // fuzz target takes their values.
-var stateHeaders = []string{HeaderCRC, HeaderBase, HeaderSize, HeaderBatches, HeaderGeneration, HeaderSharded}
+var stateHeaders = []string{HeaderCRC, HeaderBase, HeaderSize, HeaderBatches, HeaderGeneration, HeaderFile}
 
 // response builds a repl answer carrying the given header values (an
 // empty value leaves the header out) and body.
@@ -37,14 +37,14 @@ func response(values []string, body []byte) *http.Response {
 // that state, so reading it as zero would let a replayed chunk through
 // or report a lagging replica as caught up.
 func TestReadChunkRefusesMalformedState(t *testing.T) {
-	good := []string{"0", "8:8:00000000000000ff", "120", "3", "7", "0"}
+	good := []string{"0", "8:8:00000000000000ff", "120", "3", "7", "d.snap"}
 	ch, err := readChunk(response(good, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := State{Base: delta.BaseID{Nodes: 8, Edges: 8, Hash: 0xff}, Size: 120, Batches: 3, Generation: 7}
-	if ch.State != want {
-		t.Fatalf("state = %+v, want %+v", ch.State, want)
+	if ch.State != want || ch.File != "d.snap" {
+		t.Fatalf("state = %+v, file %q; want %+v, d.snap", ch.State, ch.File, want)
 	}
 	for _, bad := range []struct {
 		header int
@@ -118,8 +118,8 @@ func FuzzReadChunk(f *testing.F) {
 	f.Add(seed[0], seed[1], seed[2], "two", seed[4], seed[5], body)
 	f.Add(seed[0], "3:2", seed[2], seed[3], seed[4], seed[5], body)
 	f.Add("", "", "", "", "", "", []byte(nil))
-	f.Fuzz(func(t *testing.T, crc, base, size, batches, gen, sharded string, body []byte) {
-		ch, err := readChunk(response([]string{crc, base, size, batches, gen, sharded}, body))
+	f.Fuzz(func(t *testing.T, crc, base, size, batches, gen, file string, body []byte) {
+		ch, err := readChunk(response([]string{crc, base, size, batches, gen, file}, body))
 		if err != nil {
 			return
 		}
@@ -128,13 +128,14 @@ func FuzzReadChunk(f *testing.F) {
 		}
 		rec := httptest.NewRecorder()
 		writeState(rec, catalog.LogState(ch.State))
+		rec.Header().Set(HeaderFile, ch.File)
 		writeBody(rec, ch.Data)
 		back, err := readChunk(rec.Result())
 		if err != nil {
 			t.Fatalf("state %+v does not read back: %v", ch.State, err)
 		}
-		if back.State != ch.State {
-			t.Fatalf("state %+v reads back as %+v", ch.State, back.State)
+		if back.State != ch.State || back.File != ch.File {
+			t.Fatalf("state %+v, file %q reads back as %+v, %q", ch.State, ch.File, back.State, back.File)
 		}
 		if back.CRC != crc32.ChecksumIEEE(body) {
 			t.Fatalf("CRC %d reads back as %d", crc32.ChecksumIEEE(body), back.CRC)

@@ -1,9 +1,10 @@
 // Package repl replicates datasets between gtpq-serve processes by
 // tailing delta logs. The design splits frozen state from live
 // mutation the way the catalog already does on disk: the base (a
-// `.snap` snapshot or a SHA-256-manifested shard directory) is the
-// immutable object a replica ships once, and the base-fingerprinted
-// delta log is the journal it follows afterwards. Because the log
+// `.snap` snapshot, a JSON graph or a SHA-256-manifested shard
+// directory) is the immutable object a replica ships once, as stored,
+// and the base-fingerprinted delta log is the journal it follows
+// afterwards. Because the log
 // encoding is deterministic, a replica that re-applies the decoded
 // batches through its own catalog grows a byte-identical local log —
 // so the local log size IS the durable replication offset, restart
@@ -21,9 +22,11 @@
 //	    otherwise changes the log state (a compaction fold changes
 //	    the base), up to W ms; wait_ms absent or 0 answers at once.
 //	GET /repl/base?dataset=X[&file=F]
-//	    the frozen base: a snapshot stream for one-shard datasets
-//	    (flat files and one-shard directories), the manifest (then
-//	    per-file fetches, each SHA-256-verified) for K > 1 shards.
+//	    the frozen base as the primary's catalog stores it: the root
+//	    file (X.snap, X.json[.gz] or a shard directory's
+//	    manifest.json), named in X-GTPQ-Repl-File; for a manifest,
+//	    then each file it lists via file=F, SHA-256-verified. The
+//	    replica installs the same files through its own catalog.
 //
 // Faults are detected in layers: transport damage (drop, truncation,
 // duplication) by the chunk CRC; in-band frame corruption by the

@@ -18,12 +18,12 @@
 //   - kill: every call fails until Revive — a dead or partitioned
 //     primary; replicas back off and re-attach when it returns.
 //
-// Base fetches get the stale-CRC faults only (never a recomputed CRC):
-// a flipped byte inside a flat snapshot has no deeper integrity layer,
-// so the injector must not manufacture a fault class real transports
-// plus our CRC discipline cannot produce undetected. Sharded base
-// files do get recomputed-CRC flips — the manifest's SHA-256 is the
-// deeper layer that catches them.
+// A base root fetch gets the stale-CRC faults only (never a recomputed
+// CRC): a flipped byte inside a snapshot or JSON graph has no deeper
+// integrity layer, so the injector must not manufacture a fault class
+// real transports plus our CRC discipline cannot produce undetected.
+// The files a shard manifest lists do get recomputed-CRC flips — the
+// manifest's SHA-256 is the deeper layer that catches them.
 package fault
 
 import (
@@ -159,8 +159,8 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 }
 
 // damage applies a post-fetch fault to ch. recomputeFlipCRC selects
-// whether a flip re-frames the chunk CRC (log chunks and sharded base
-// files, where a deeper integrity layer exists) or leaves it stale.
+// whether a flip re-frames the chunk CRC (log chunks and manifest-listed
+// base files, where a deeper integrity layer exists) or leaves it stale.
 func (in *Injector) damage(class string, ch repl.Chunk, recomputeFlipCRC bool) repl.Chunk {
 	switch class {
 	case "truncate":
@@ -218,18 +218,12 @@ func (in *Injector) FetchLog(ctx context.Context, dataset string, from int64, ma
 	})
 }
 
-// FetchBase implements repl.Client (flips keep a stale CRC — see the
-// package comment).
-func (in *Injector) FetchBase(ctx context.Context, dataset string) (repl.Chunk, error) {
-	return in.fetch(ctx, false, func() (repl.Chunk, error) {
-		return in.inner.FetchBase(ctx, dataset)
-	})
-}
-
-// FetchBaseFile implements repl.Client (SHA-256 backs the flip).
-func (in *Injector) FetchBaseFile(ctx context.Context, dataset, file string) (repl.Chunk, error) {
-	return in.fetch(ctx, true, func() (repl.Chunk, error) {
-		return in.inner.FetchBaseFile(ctx, dataset, file)
+// FetchBase implements repl.Client. A root's flips keep a stale CRC;
+// a manifest-listed file's recompute it, since SHA-256 backs them (see
+// the package comment).
+func (in *Injector) FetchBase(ctx context.Context, dataset, file string) (repl.Chunk, error) {
+	return in.fetch(ctx, file != "", func() (repl.Chunk, error) {
+		return in.inner.FetchBase(ctx, dataset, file)
 	})
 }
 

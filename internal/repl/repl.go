@@ -19,8 +19,8 @@ const (
 	HeaderBatches = "X-GTPQ-Repl-Batches"
 	// HeaderGeneration is the serving catalog generation.
 	HeaderGeneration = "X-GTPQ-Repl-Generation"
-	// HeaderSharded marks a sharded dataset ("1"/"0").
-	HeaderSharded = "X-GTPQ-Repl-Sharded"
+	// HeaderFile names the base file a /repl/base answer holds.
+	HeaderFile = "X-GTPQ-Repl-File"
 	// HeaderCRC is the CRC32 (IEEE) of the response body.
 	HeaderCRC = "X-GTPQ-Repl-CRC"
 	// HeaderStale marks a router response served from a backend that
@@ -49,17 +49,18 @@ type State struct {
 	Size       int64
 	Batches    int
 	Generation uint64
-	Sharded    bool
 }
 
 // Chunk is one fetched response body plus its integrity and state
 // metadata. CRC is the header value as sent; the tailer verifies it
 // against Data so that an injected transport (internal/repl/fault)
-// sits between the two.
+// sits between the two. File names the base file a base fetch
+// returned (HeaderFile); it is empty for log chunks.
 type Chunk struct {
 	Data  []byte
 	CRC   uint32
 	State State
+	File  string
 }
 
 // FormatBase renders a base fingerprint for HeaderBase.

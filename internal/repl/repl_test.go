@@ -72,6 +72,12 @@ func newPrimary(t *testing.T, shards int) (*httptest.Server, *catalog.Catalog) {
 			t.Fatal(err)
 		}
 	}
+	return servePrimary(t, dir)
+}
+
+// servePrimary spins a primary server over the catalog directory dir.
+func servePrimary(t *testing.T, dir string) (*httptest.Server, *catalog.Catalog) {
+	t.Helper()
 	cat, err := catalog.Open(dir, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +223,14 @@ func canonicalRows(t *testing.T, url, query string) string {
 // equivalence query byte-identically.
 func assertEquivalent(t *testing.T, primaryURL, replicaURL string) {
 	t.Helper()
-	for _, q := range equivQueries {
+	assertSameAnswers(t, primaryURL, replicaURL, equivQueries)
+}
+
+// assertSameAnswers fails unless primary and replica answer every
+// query byte-identically.
+func assertSameAnswers(t *testing.T, primaryURL, replicaURL string, queries []string) {
+	t.Helper()
+	for _, q := range queries {
 		p := canonicalRows(t, primaryURL, q)
 		r := canonicalRows(t, replicaURL, q)
 		if p != r {

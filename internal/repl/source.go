@@ -1,19 +1,14 @@
 package repl
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"gtpq/internal/catalog"
-	"gtpq/internal/snapshot"
 )
 
 // Source serves a catalog's delta logs and bases to tailing replicas.
@@ -34,7 +29,7 @@ const maxWait = 25 * time.Second
 // sourceStatus maps catalog errors onto HTTP statuses.
 func sourceStatus(err error) int {
 	switch {
-	case errors.Is(err, catalog.ErrUnknownDataset):
+	case errors.Is(err, catalog.ErrUnknownDataset), errors.Is(err, fs.ErrNotExist):
 		return http.StatusNotFound
 	case errors.Is(err, catalog.ErrClosed):
 		return http.StatusServiceUnavailable
@@ -50,11 +45,6 @@ func writeState(w http.ResponseWriter, st catalog.LogState) {
 	h.Set(HeaderSize, strconv.FormatInt(st.Size, 10))
 	h.Set(HeaderBatches, strconv.Itoa(st.Batches))
 	h.Set(HeaderGeneration, strconv.FormatUint(st.Generation, 10))
-	if st.Sharded {
-		h.Set(HeaderSharded, "1")
-	} else {
-		h.Set(HeaderSharded, "0")
-	}
 }
 
 // writeBody sends body with its CRC header (the CRC covers exactly the
@@ -140,11 +130,14 @@ func (s *Source) ServeLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeBase answers GET /repl/base?dataset=X[&file=F]: the frozen base
-// a replica installs before tailing. Flat datasets stream their
-// snapshot encoding; sharded datasets answer the manifest (Sharded
-// header set) and serve each listed file via file= — the manifest's
-// SHA-256 hashes are the per-file integrity check, the chunk CRC just
-// fails transport damage fast.
+// a replica installs before tailing, as the bytes the catalog stores
+// (catalog.ReadBase). Without file= it is the root file — `X.snap`,
+// `X.json[.gz]` or a shard directory's manifest.json — and with it one
+// file of the shard directory; HeaderFile names the file either way.
+// The manifest's SHA-256 hashes are the per-file integrity check, the
+// chunk CRC just fails transport damage fast. A compaction can swap the
+// directory between the manifest fetch and a file fetch; the SHA-256
+// check catches the mix and the replica re-ships the whole base.
 func (s *Source) ServeBase(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("dataset")
@@ -152,53 +145,12 @@ func (s *Source) ServeBase(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing dataset", http.StatusBadRequest)
 		return
 	}
-	file := q.Get("file")
-
-	_, st, err := s.Cat.ReadLogChunk(name, 0, 0)
+	data, file, st, err := s.Cat.ReadBase(name, q.Get("file"))
 	if err != nil {
 		http.Error(w, err.Error(), sourceStatus(err))
 		return
 	}
-	if !st.Sharded {
-		if file != "" {
-			http.Error(w, "flat dataset has no base files; fetch the snapshot", http.StatusBadRequest)
-			return
-		}
-		g, h, st, err := s.Cat.BaseSnapshot(name)
-		if err != nil {
-			http.Error(w, err.Error(), sourceStatus(err))
-			return
-		}
-		var buf bytes.Buffer
-		if err := snapshot.Save(&buf, g, h); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeState(w, st)
-		writeBody(w, buf.Bytes())
-		return
-	}
-
-	// Sharded: the base lives in <dir>/<name>/. A compaction can swap
-	// the directory between the manifest fetch and a file fetch; the
-	// replica's SHA-256 check catches the mix and re-syncs from scratch.
-	dir := filepath.Join(s.Cat.Dir(), name)
-	if file == "" {
-		file = "manifest.json"
-	}
-	if file != filepath.Base(file) || strings.HasPrefix(file, ".") {
-		http.Error(w, fmt.Sprintf("invalid base file name %q", file), http.StatusBadRequest)
-		return
-	}
-	blob, err := os.ReadFile(filepath.Join(dir, file))
-	if err != nil {
-		if os.IsNotExist(err) {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	writeState(w, st)
-	writeBody(w, blob)
+	w.Header().Set(HeaderFile, file)
+	writeBody(w, data)
 }

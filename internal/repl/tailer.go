@@ -6,17 +6,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"gtpq/internal/atomicfile"
 	"gtpq/internal/catalog"
 	"gtpq/internal/delta"
 	"gtpq/internal/obs"
-	"gtpq/internal/shard"
 )
 
 // Backoff tunes the tailer's retry delays: exponential from Min to
@@ -520,13 +516,12 @@ func (t *Tailer) updateLag(name string, local catalog.LogState, remote State, ap
 // resync ships the primary's base and restarts tailing from it:
 // bootstrap (no local dataset), a base-fingerprint mismatch, or a
 // primary-side compaction fold (the handoff case — the old log is
-// gone, the batches live inside the new base). The local delta log is
-// dropped FIRST: the moment the new base lands, a leftover log of the
-// old base must already be impossible to replay over it.
+// gone, the batches live inside the new base). The base arrives as
+// the files the primary stores and is installed through the catalog.
 func (t *Tailer) resync(name, reason string) error {
 	t.resyncs.Inc()
 	t.logf("repl: %s: re-syncing base (%s)", name, reason)
-	base, err := t.client.FetchBase(t.ctx, name)
+	base, err := t.client.FetchBase(t.ctx, name, "")
 	if err != nil {
 		t.errs.With("base_fetch").Inc()
 		return fmt.Errorf("fetching base (%s): %w", reason, err)
@@ -535,16 +530,20 @@ func (t *Tailer) resync(name, reason string) error {
 		t.errs.With("chunk_corrupt").Inc()
 		return fmt.Errorf("%w (base ship)", ErrChunkCorrupt)
 	}
-	if base.State.Sharded {
-		err = t.installSharded(name, base)
-	} else {
-		err = t.installFlat(name, base)
-	}
+	// InstallBase drops the local delta log before any file of the new
+	// base becomes visible: a leftover log of the old base must never
+	// replay over it.
+	err = t.cat.InstallBase(name, base.File, base.Data, func(file string) ([]byte, error) {
+		ch, err := t.client.FetchBase(t.ctx, name, file)
+		if err == nil && crc32.ChecksumIEEE(ch.Data) != ch.CRC {
+			err = ErrChunkCorrupt
+		}
+		return ch.Data, err
+	})
 	if err != nil {
 		t.errs.With("base_install").Inc()
 		return fmt.Errorf("installing base (%s): %w", reason, err)
 	}
-	t.cat.Reload(name)
 	_, local, err := t.cat.ReadLogChunk(name, 0, 0)
 	if err != nil {
 		t.errs.With("base_install").Inc()
@@ -560,76 +559,6 @@ func (t *Tailer) resync(name, reason string) error {
 		s.lagBytes = base.State.Size
 		s.synced = int64(base.State.Batches) <= int64(t.cfg.MaxLag)
 	})
-	t.logf("repl: %s: base installed (%s), tailing from offset 0", name, base.State.Base)
+	t.logf("repl: %s: base installed from %s (%s), tailing from offset 0", name, base.File, base.State.Base)
 	return nil
-}
-
-// installFlat installs a snapshot base: drop the local log (it belongs
-// to the old base), clear a stale sharded directory that would win
-// resolution, then publish the snapshot atomically.
-func (t *Tailer) installFlat(name string, base Chunk) error {
-	if err := t.cat.DropLog(name); err != nil {
-		return err
-	}
-	dir := t.cat.Dir()
-	if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(filepath.Join(dir, name+".snap"), base.Data)
-}
-
-// installSharded installs a sharded base: fetch every manifest-listed
-// file into a staging directory, verify each against the manifest's
-// SHA-256 (the same integrity root shard.LoadDir enforces), then swap
-// the directory in atomically. Any verification failure aborts with
-// the staging directory removed — the live dataset is untouched.
-func (t *Tailer) installSharded(name string, base Chunk) error {
-	dir := t.cat.Dir()
-	staging := filepath.Join(dir, "."+name+".replship")
-	if err := os.RemoveAll(staging); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(staging)
-	manPath := filepath.Join(staging, shard.ManifestName)
-	if err := os.WriteFile(manPath, base.Data, 0o644); err != nil {
-		return err
-	}
-	man, err := shard.ReadManifest(manPath)
-	if err != nil {
-		return fmt.Errorf("shipped manifest: %w", err)
-	}
-	if man.Name != name {
-		return fmt.Errorf("shipped manifest names dataset %q, want %q", man.Name, name)
-	}
-	for i, sf := range man.Shards {
-		for _, want := range []struct{ file, sha string }{
-			{sf.Snap, sf.SnapSHA256},
-			{sf.IDs, sf.IDsSHA256},
-		} {
-			ch, err := t.client.FetchBaseFile(t.ctx, name, want.file)
-			if err != nil {
-				return fmt.Errorf("shard %d: fetching %s: %w", i, want.file, err)
-			}
-			if crc32.ChecksumIEEE(ch.Data) != ch.CRC {
-				return fmt.Errorf("shard %d: %s: %w", i, want.file, ErrChunkCorrupt)
-			}
-			if err := shard.VerifySHA256(ch.Data, want.sha); err != nil {
-				return fmt.Errorf("shard %d: %s: %w", i, want.file, err)
-			}
-			if err := os.WriteFile(filepath.Join(staging, want.file), ch.Data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	if err := t.cat.DropLog(name); err != nil {
-		return err
-	}
-	live := filepath.Join(dir, name)
-	if err := os.RemoveAll(live); err != nil {
-		return err
-	}
-	return os.Rename(staging, live)
 }

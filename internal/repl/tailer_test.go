@@ -289,9 +289,9 @@ func TestTailerCompactionHandoff(t *testing.T) {
 	}
 }
 
-// Bases of K > 1 shards ship via the manifest with per-file SHA-256
-// verification; a one-shard directory ships as a snapshot, like a flat
-// file. Tailing afterwards works exactly as for flat bases.
+// Shard directories ship via the manifest with per-file SHA-256
+// verification, a one-shard directory too: a base ships as stored.
+// Tailing afterwards works exactly as for flat bases.
 func TestTailerShardedBootstrapAndTail(t *testing.T) {
 	for _, k := range []int{2, 1} {
 		primary, _ := newPrimary(t, k)
@@ -305,7 +305,7 @@ func TestTailerShardedBootstrapAndTail(t *testing.T) {
 		}
 		_, dirErr := os.Stat(filepath.Join(rep.dir, "d", "manifest.json"))
 		_, snapErr := os.Stat(filepath.Join(rep.dir, "d.snap"))
-		if (k > 1) != (dirErr == nil) || (k > 1) != (snapErr != nil) {
+		if dirErr != nil || snapErr == nil {
 			t.Errorf("k=%d: replica installed a directory %v, a snapshot %v", k, dirErr == nil, snapErr == nil)
 		}
 	}

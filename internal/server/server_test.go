@@ -70,6 +70,18 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Server) {
 	return ts, s
 }
 
+// catalogDir returns the directory s's catalog serves: where the
+// "small" dataset of newTestServer is stored.
+func catalogDir(t *testing.T, s *Server) string {
+	t.Helper()
+	ds, err := s.cat.Acquire("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Release()
+	return filepath.Dir(ds.Source)
+}
+
 func postQuery(t *testing.T, url string, body interface{}) (int, map[string]interface{}) {
 	t.Helper()
 	b, err := json.Marshal(body)

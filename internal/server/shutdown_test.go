@@ -141,7 +141,7 @@ func newShutdownStack(t *testing.T) (string, *Server, *http.Server) {
 // simulating the next process.
 func reopenCatalog(t *testing.T, s *Server) *catalog.Catalog {
 	t.Helper()
-	cat2, err := catalog.Open(s.cat.Dir(), catalog.Options{})
+	cat2, err := catalog.Open(catalogDir(t, s), catalog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

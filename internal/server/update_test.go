@@ -106,7 +106,7 @@ func TestUpdateServedImmediately(t *testing.T) {
 		t.Fatalf("generation %v did not advance past %v", genAfter, genBefore)
 	}
 	// And the update survives on disk for the next process.
-	logPath := filepath.Join(s.cat.Dir(), "small"+delta.LogSuffix)
+	logPath := filepath.Join(catalogDir(t, s), "small"+delta.LogSuffix)
 	if _, err := os.Stat(logPath); err != nil {
 		t.Fatalf("delta log not persisted: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestUpdateAutoCompaction(t *testing.T) {
 	if got := out["pending_ops"].(float64); got != 0 {
 		t.Fatalf("pending_ops after compaction = %v", got)
 	}
-	logPath := filepath.Join(s.cat.Dir(), "small"+delta.LogSuffix)
+	logPath := filepath.Join(catalogDir(t, s), "small"+delta.LogSuffix)
 	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
 		t.Fatalf("delta log survived compaction: %v", err)
 	}
