@@ -62,7 +62,7 @@ func Forest(r *rand.Rand, blocks, nPerBlock, mPerBlock int, labels []string) *gr
 // roughly half the vertices), the tail labels are rare: the skew under
 // which a hot-label node constrained by rare-label children is pruned
 // far faster by a set intersection than by per-candidate probes (the
-// planner's multiway kernel). The graph is frozen.
+// planner's bitset contours). The graph is frozen.
 func ZipfForest(r *rand.Rand, blocks, nPerBlock, mPerBlock int, labels []string) *graph.Graph {
 	z := rand.NewZipf(r, 1.3, 1, uint64(len(labels)-1))
 	g := graph.New(blocks*nPerBlock, blocks*mPerBlock)

@@ -44,10 +44,11 @@ func benchGraph() *graph.Graph {
 }
 
 // skewedWorkload anchors queries on rare labels hanging off hot ones,
-// over planTestGraph — the shape where multiway intersection pays, and
-// the only fixture on which the multiway kernel is known to fire: the
+// over planTestGraph — the shape where bitset contours pay most: the
 // paper kernel probes every candidate of the huge hot sets, while the
-// planner intersects the hot root against all children at once.
+// planner ANDs the hot root with each child's bitset contour. (Every
+// threehop fixture with an AD edge reads bitset contours under the
+// planner, "pair" too.)
 func skewedWorkload() map[string]*core.Query {
 	chain := core.NewQuery()
 	cx := chain.AddRoot("x", core.Label("a"))

@@ -36,8 +36,8 @@ type Stats struct {
 	// matching-graph passes); it is always PruneInput + EnumInput.
 	Input int64
 	// PruneInput is the pruning share of Input: candidate scans and the
-	// two pruning rounds (including multiway-kernel BFS visits). Planner
-	// wins show up here.
+	// two pruning rounds (including the set and the search pops behind
+	// each bitset contour). Planner wins show up here.
 	PruneInput int64
 	// EnumInput is the enumeration share of Input: matching-graph
 	// construction and result collection passes.
@@ -55,9 +55,10 @@ type Stats struct {
 	PruneTime time.Duration
 	TotalTime time.Duration
 	// Plan is the planner's record of this evaluation (nil with
-	// Options.NoPlan, and in aggregated sharded stats): the per-node
-	// kernel the rule chose, with estimated vs. actual candidate
-	// counts, so misestimates are observable.
+	// Options.NoPlan): the per-node kernel the rule chose, with
+	// estimated vs. actual candidate counts, so misestimates are
+	// observable. A sharded evaluation sums its shards' plans node by
+	// node.
 	Plan *PlanInfo
 }
 
@@ -66,18 +67,19 @@ type Stats struct {
 type Options struct {
 	// NoContours disables contour merging: every pruning probe is a
 	// pairwise SetContour, which asks ReachesSt once per member of the
-	// set, and the multiway kernel never runs. Over the 3-hop index,
+	// set, and no bitset contour is built. Over the 3-hop index,
 	// positive valuations are still inherited along a chain. The
 	// matching graph keeps the backend's contours.
 	NoContours bool
 	// NoShrink disables the shrunk prime subtree: enumeration walks the
 	// full prime subtree.
 	NoShrink bool
-	// NoPlan disables the planner: pruning always uses the paper's
-	// pairwise/contour kernels (no multiway bitset intersection, which
-	// the planner's rule otherwise runs at every conjunctive-only node
-	// unless the index is the transitive closure), and no plan is
-	// recorded. The escape hatch behind the -plan=off flags.
+	// NoPlan disables the planner: pruning always probes the index's
+	// contours (no bitset contours, which the planner's rule otherwise
+	// reads on every AD edge of the upward round and at every
+	// conjunctive-only node downward, unless the index is the transitive
+	// closure), and no plan is recorded. The escape hatch behind the
+	// -plan=off flags.
 	NoPlan bool
 	// Index names the reachability backend (reach.Kinds lists them;
 	// empty selects reach.DefaultKind, the 3-hop index).
@@ -175,14 +177,15 @@ type evalContext struct {
 	bucketOut [][]graph.NodeID
 
 	// Planner state (see plan.go): the plan record, the kernel rule,
-	// and the multiway kernel's bitset/stack scratch. plan is freshly
-	// allocated per call (it escapes through Stats); the rest is pooled
-	// like every other buffer.
-	plan     *PlanInfo
-	multiway bool
-	accSet   core.Bitset
-	childSet core.Bitset
-	bfsStack []graph.NodeID
+	// and the bitset contours' scratch (prune.go): the downward
+	// intersection, the one live contour's set, and the search stack
+	// that fills it. plan is freshly allocated per call (it escapes
+	// through Stats); the rest is pooled like every other buffer.
+	plan       *PlanInfo
+	multiway   bool
+	accSet     core.Bitset
+	contourSet core.Bitset
+	bfsStack   []graph.NodeID
 
 	// Seeded evaluation (see seed.go): with seeded set, the root's
 	// initial candidates are intersected with seedSet before the arena

@@ -15,14 +15,19 @@ import (
 // reads only its own initial candidates and its children's final sets,
 // so every children-before-parents order yields the same sets, kernel
 // choices and counts. What the planner chooses is the kernel, by one
-// fixed rule: every node whose fext is conjunctive-only prunes with the
-// multiway bitset intersection (multiway.go), down and up, because a
-// set intersection bounds the work by the sets' sizes where the paper's
-// per-candidate contour probes (prune.go) cost candidates × edges. The
-// one exception is an index that is the transitive closure, flat or
-// under a delta overlay (closureIndex): there a probe is a
+// fixed rule: pruning reads bitset contours (prune.go's connected: every
+// node strictly connected to a candidate set, found by one search of
+// the graph) in place of the index's merged contours. Downward, a node
+// whose fext is conjunctive-only ANDs its candidates with each
+// variable's bitset contour, word-wise, and records KernelMultiway;
+// any other node keeps the paper's per-candidate valuation. Upward,
+// every AD edge of the prime subtree probes the parent's bitset
+// contour. A set intersection bounds the work by the sets' sizes where
+// the paper's per-candidate contour probes cost candidates × edges.
+// The one exception is an index that is the transitive closure, flat
+// or under a delta overlay (closureIndex): there a probe is a
 // word-parallel row intersection with no graph walk, cheaper than the
-// multiway kernel's BFS, and the paper kernel stays.
+// search, and the paper kernel stays.
 //
 // Estimates are card.Candidates over the reachability backend's exact
 // label counts (reach.ContourIndex.LabelCount); non-label predicates

@@ -11,6 +11,7 @@ import (
 	"gtpq/internal/graph"
 	"gtpq/internal/logic"
 	"gtpq/internal/reach"
+	"gtpq/internal/xmark"
 )
 
 var planTestLabels = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -141,6 +142,35 @@ func TestPlanNegationFallsBackToPaper(t *testing.T) {
 	}
 	if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
 		t.Fatalf("negation fallback changed the answer: want %v got %v", want, ans)
+	}
+}
+
+// TestPlanFalsePredicateIsEmpty pins the unsatisfiable-fext guard of
+// the kernel rule: a conjunctive node whose structural predicate is
+// false keeps no candidate, whatever its children's contours hold.
+// Dropping the guard leaves mat(x) unfiltered, because False has no
+// variables to intersect with.
+func TestPlanFalsePredicateIsEmpty(t *testing.T) {
+	g, _ := xmark.Generate(xmark.Config{Scale: 0.5, PersonsPerUnit: 200, Seed: 7})
+	q := core.NewQuery()
+	x := q.AddRoot("x", core.Label("open_auction"))
+	q.AddNode("y", core.Predicate, x, core.PC, core.Label("bidder"))
+	q.SetStruct(x, logic.False())
+	q.SetOutput(x)
+	want := core.EvalNaive(g, reach.NewTC(g), q)
+	if want.Len() != 0 {
+		t.Fatalf("oracle answered %d rows for a false predicate", want.Len())
+	}
+	for _, kind := range reach.Kinds() {
+		for _, noPlan := range []bool{false, true} {
+			e, err := NewWithOptions(g, Options{Index: kind, NoPlan: noPlan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Eval(q); !want.Equal(got) {
+				t.Fatalf("%s noPlan=%v: %d rows, want none", kind, noPlan, got.Len())
+			}
+		}
 	}
 }
 

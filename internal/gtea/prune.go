@@ -5,6 +5,7 @@ import (
 
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
+	"gtpq/internal/logic"
 	"gtpq/internal/reach"
 )
 
@@ -19,9 +20,9 @@ import (
 // positions either way (reachability is monotone along a chain).
 // PC-child valuations are computed exactly from adjacency — §4.4's
 // first strategy, required anyway under negation.
-// With the planner on (plan.go), a node whose fext is conjunctive-only
-// runs the multiway intersection kernel (multiway.go) instead, except
-// over the transitive closure; both kernels are exact.
+// Under the planner's kernel rule (plan.go), a node whose fext is
+// conjunctive-only intersects bitset contours instead (pruneDownSets);
+// both are exact.
 func (ec *evalContext) pruneDownward(q *core.Query) {
 	for _, u := range q.PostOrder() {
 		if ec.cancelled() {
@@ -32,33 +33,16 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			ec.setMatSet(u, ec.mat[u])
 			continue
 		}
-		if ec.multiway {
-			if ad, pc, ok := ec.multiwayEligible(q, u); ok {
-				ec.plan.Nodes[u].Kernel = KernelMultiway
-				if !q.Fext(u).Eval(func(int) bool { return true }) {
-					// Unsatisfiable extension formula (contains False):
-					// no candidate can survive.
-					ec.mat[u] = ec.mat[u][:0]
-					ec.setMatSet(u, ec.mat[u])
-					continue
-				}
-				ec.pruneDownMultiway(u, ad, pc)
-				if ec.cancelled() {
-					return
-				}
-				continue
-			}
-		}
-		adKids, pcKids := ec.adKids[:0], ec.pcKids[:0]
-		for _, c := range n.Children {
-			if q.Nodes[c].PEdge == core.PC {
-				pcKids = append(pcKids, c)
-			} else {
-				adKids = append(adKids, c)
-			}
-		}
-		ec.adKids, ec.pcKids = adKids, pcKids
 		fext := q.Fext(u)
+		if ec.multiway && fext.ConjunctiveOnly() {
+			ec.plan.Nodes[u].Kernel = KernelMultiway
+			ec.pruneDownSets(q, u, fext)
+			if ec.cancelled() {
+				return
+			}
+			continue
+		}
+		adKids, pcKids := ec.splitKids(q, n.Children)
 
 		// Predecessor summaries of the (already pruned) AD children:
 		// chain contours for the chain kernel, SetContours otherwise.
@@ -163,6 +147,8 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 // the parent's surviving candidates. Unlike the pseudocode we do not
 // skip parents with a single candidate — the shrunk-subtree
 // decomposition requires children of singletons to be upward-clean too.
+// Under the kernel rule, every AD child probes the parent's bitset
+// contour.
 func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 	for _, u := range q.PreOrder() {
 		if ec.cancelled() {
@@ -171,34 +157,10 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 		if !prime[u] || len(ec.mat[u]) == 0 {
 			continue
 		}
-		// Under the kernel rule, AD prime children are all filtered
-		// against one shared successor BFS of mat[u] instead of
-		// per-candidate contour probes (multiway.go); upward semantics
-		// carry no negation, so the swap is always exact.
-		multiAD := false
-		if ec.multiway {
-			adKids := ec.adKids[:0]
-			for _, c := range q.Nodes[u].Children {
-				if prime[c] && q.Nodes[c].PEdge != core.PC {
-					adKids = append(adKids, c)
-				}
-			}
-			ec.adKids = adKids
-			if len(adKids) > 0 {
-				multiAD = true
-				ec.pruneUpMultiway(u, adKids)
-				if ec.cancelled() {
-					return
-				}
-			}
-		}
 		var cs *reach.Contour    // chain successor contour of mat[u], lazy
 		var gcs reach.SetContour // its SetContour off the chain kernel, lazy
 		for _, c := range q.Nodes[u].Children {
 			if !prime[c] {
-				continue
-			}
-			if multiAD && q.Nodes[c].PEdge != core.PC {
 				continue
 			}
 			if q.Nodes[c].PEdge == core.PC {
@@ -219,11 +181,17 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 				ec.setMatSet(c, keep)
 				continue
 			}
-			if !ec.chainKernel() {
+			if ec.multiway || !ec.chainKernel() {
 				// Holistic probe of every child candidate against the
-				// parent's successor contour.
+				// parent's successor contour. The kernel rule takes the
+				// bitset of everything mat[u] strictly reaches, on every
+				// AD edge: the upward round carries no negation.
 				if gcs == nil {
-					gcs = ec.contour(ec.mat[u], true)
+					if ec.multiway {
+						gcs = ec.connected(ec.mat[u], true, false, &ec.contourSet)
+					} else {
+						gcs = ec.contour(ec.mat[u], true)
+					}
 				}
 				keep := ec.mat[c][:0]
 				for _, v := range ec.mat[c] {
@@ -316,6 +284,113 @@ func (p pairwiseContour) Probe(v graph.NodeID, st *reach.Stats) bool {
 		}
 	}
 	return false
+}
+
+// bitsetContour is the kernel rule's SetContour: the set of nodes
+// strictly connected to S in one direction, materialized once by
+// connected, so a probe is a bit test and costs no index lookup.
+type bitsetContour struct{ *core.Bitset }
+
+func (b bitsetContour) Probe(v graph.NodeID, _ *reach.Stats) bool { return b.Has(v) }
+
+// connected fills dst with every node strictly connected to S: the nodes
+// S reaches (down) or that reach S (!down) by a path of length ≥ 1, so
+// a member is included only through such a path (a cycle, or another
+// member). With oneHop only S's direct neighbors are kept (a PC edge). The search
+// runs on the evaluation graph itself, so it answers the same relation
+// as every index backend, flat, sharded or under a delta overlay. It
+// charges len(S) plus its search pops to PruneInput.
+func (ec *evalContext) connected(S []graph.NodeID, down, oneHop bool, dst *core.Bitset) bitsetContour {
+	nbrs := ec.g.In
+	if down {
+		nbrs = ec.g.Out
+	}
+	dst.Reset(ec.g.N())
+	stack := ec.bfsStack[:0]
+	for _, m := range S {
+		for _, w := range nbrs(m) {
+			if !dst.Has(w) {
+				dst.Add(w)
+				if !oneHop {
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	pops := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		pops++
+		if ec.tick() {
+			break
+		}
+		for _, w := range nbrs(v) {
+			if !dst.Has(w) {
+				dst.Add(w)
+				stack = append(stack, w)
+			}
+		}
+	}
+	ec.bfsStack = stack[:0]
+	ec.stat.PruneInput += int64(len(S) + pops)
+	return bitsetContour{dst}
+}
+
+// pruneDownSets is the kernel rule's Procedure 6 step at a node whose
+// fext is conjunctive-only: mat(u) is ANDed, word-wise, with the bitset
+// contour of each variable of fext (its in-neighbors for a PC child,
+// its strict predecessors for an AD child). PC variables go first, and
+// an empty intersection ends each group early.
+func (ec *evalContext) pruneDownSets(q *core.Query, u int, fext *logic.Formula) {
+	if !fext.Eval(func(int) bool { return true }) {
+		// Unsatisfiable (fext is False): no candidate can survive, and
+		// there is no variable to intersect with.
+		ec.mat[u] = ec.mat[u][:0]
+		ec.setMatSet(u, ec.mat[u])
+		return
+	}
+	ad, pc := ec.splitKids(q, fext.Vars())
+	acc := &ec.accSet
+	acc.Fill(ec.g.N(), ec.mat[u])
+	for _, kids := range [...][]int{pc, ad} {
+		for _, c := range kids {
+			if ec.cancelled() {
+				return
+			}
+			acc.And(ec.connected(ec.mat[c], false, q.Nodes[c].PEdge == core.PC, &ec.contourSet).Bitset)
+			if !acc.Any() {
+				break
+			}
+		}
+	}
+	if ec.cancelled() {
+		return
+	}
+	keep := ec.mat[u][:0]
+	for _, v := range ec.mat[u] {
+		if acc.Has(v) {
+			keep = append(keep, v)
+		}
+	}
+	ec.stat.PruneInput += int64(len(ec.mat[u]))
+	ec.mat[u] = keep
+	ec.setMatSet(u, keep)
+}
+
+// splitKids splits the child ids cs by their parent edge into ec.adKids
+// and ec.pcKids, in order.
+func (ec *evalContext) splitKids(q *core.Query, cs []int) (ad, pc []int) {
+	ad, pc = ec.adKids[:0], ec.pcKids[:0]
+	for _, c := range cs {
+		if q.Nodes[c].PEdge == core.PC {
+			pc = append(pc, c)
+		} else {
+			ad = append(ad, c)
+		}
+	}
+	ec.adKids, ec.pcKids = ad, pc
+	return ad, pc
 }
 
 // primeSubtree returns the node set of the minimum subtree containing

@@ -32,7 +32,8 @@
 // duplication) by the chunk CRC; in-band frame corruption by the
 // delta log's own frame CRCs (delta.ErrFrameCorrupt); a wrong or
 // changed base — including a primary-side compaction fold — by the
-// base fingerprint, which triggers a re-sync from the new base. Every
+// base fingerprint, which triggers a re-sync from the new base; a
+// local copy that fails to load is re-synced the same way. Every
 // failure class either heals by refetching from the durable offset or
 // surfaces as a typed error plus a gtpq_repl_* counter; none can
 // silently double-apply or skip a batch.

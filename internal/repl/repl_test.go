@@ -105,7 +105,13 @@ type replica struct {
 // HTTP path as the primary's answers).
 func newReplica(t *testing.T, client repl.Client, cfg repl.TailerConfig) *replica {
 	t.Helper()
-	dir := t.TempDir()
+	return newReplicaIn(t, t.TempDir(), client, cfg)
+}
+
+// newReplicaIn is newReplica over the replica catalog directory dir,
+// which may already hold files.
+func newReplicaIn(t *testing.T, dir string, client repl.Client, cfg repl.TailerConfig) *replica {
+	t.Helper()
 	cat, err := catalog.Open(dir, catalog.Options{})
 	if err != nil {
 		t.Fatal(err)

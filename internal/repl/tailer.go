@@ -411,7 +411,12 @@ func (t *Tailer) step(ctx context.Context, name string, wait time.Duration) erro
 	}
 	if err != nil {
 		t.errs.With("local").Inc()
-		return fmt.Errorf("reading local log state: %w", err)
+		if errors.Is(err, catalog.ErrClosed) || catalog.IsReloadRace(err) {
+			return fmt.Errorf("reading local log state: %w", err)
+		}
+		// The local copy does not load (a damaged base or log): the
+		// primary's base replaces it.
+		return t.resync(name, "local damage")
 	}
 
 	remote, err := t.client.FetchLog(ctx, name, local.Size, chunkBytes, wait)
@@ -514,8 +519,9 @@ func (t *Tailer) updateLag(name string, local catalog.LogState, remote State, ap
 }
 
 // resync ships the primary's base and restarts tailing from it:
-// bootstrap (no local dataset), a base-fingerprint mismatch, or a
-// primary-side compaction fold (the handoff case — the old log is
+// bootstrap (no local dataset), local damage (a local copy that does
+// not load), a base-fingerprint mismatch, or a primary-side compaction
+// fold (the handoff case — the old log is
 // gone, the batches live inside the new base). The base arrives as
 // the files the primary stores and is installed through the catalog.
 func (t *Tailer) resync(name, reason string) error {

@@ -251,6 +251,28 @@ func TestTailerResumesFromDurableOffset(t *testing.T) {
 	assertEquivalent(t, primary.URL, rep.srv.URL)
 }
 
+// Local damage: a replica directory whose base does not load heals by
+// one re-ship of the primary's base instead of retrying the broken
+// local copy forever.
+func TestTailerHealsLocalDamage(t *testing.T) {
+	primary, _ := newPrimary(t, 0)
+	postUpdate(t, primary.URL, 8, 4)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "d.snap"), []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep := newReplicaIn(t, dir, &repl.HTTPClient{BaseURL: primary.URL},
+		repl.TailerConfig{Datasets: []string{"d"}})
+	rep.waitSync(t)
+	assertEquivalent(t, primary.URL, rep.srv.URL)
+	if n := rep.counter("gtpq_repl_resyncs_total"); n != 1 {
+		t.Fatalf("%d re-syncs, want 1", n)
+	}
+	if n := rep.errCount("local"); n < 1 {
+		t.Fatalf("local errors = %d, want the damage counted", n)
+	}
+}
+
 // Compaction handoff: the primary folds its log into a new base; the
 // replica must detect the changed fingerprint, re-ship the base, and
 // then resume incremental tailing (replaying exactly from the

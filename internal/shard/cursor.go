@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -147,9 +148,9 @@ func (m *mergeCursor) finish() {
 // order is returned. Closing the returned cursor — at any point of the
 // drain — closes every shard cursor and cancels the scatter context;
 // callers must Close it even after a clean drain. Stats sum the
-// per-shard counters; Results stays 0 (use Cursor.Rows after the
-// drain). A one-shard engine returns its shard's own cursor and stats,
-// Plan included. Safe for concurrent use.
+// per-shard counters and plans (mergePlans); Results stays 0 (use
+// Cursor.Rows after the drain). A one-shard engine returns its shard's
+// own cursor and stats. Safe for concurrent use.
 func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cursor, gtea.Stats, error) {
 	if eng := se.Flat(); eng != nil {
 		return eng.EvalCursor(ctx, q)
@@ -207,11 +208,11 @@ func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cu
 		agg.Index += st.Index
 		agg.Intermediate += st.Intermediate
 		agg.PruneTime += st.PruneTime
-		// agg.Plan stays nil: per-shard plans differ and don't aggregate.
 		if firstErr == nil {
 			firstErr = errs[si]
 		}
 	}
+	agg.Plan = mergePlans(stats)
 	agg.TotalTime = time.Since(start)
 	if firstErr != nil {
 		for _, c := range children {
@@ -226,4 +227,23 @@ func (se *ShardedEngine) EvalCursor(ctx context.Context, q *core.Query) (gtea.Cu
 	// The merge cursor owns the scatter context now: Close (or a full
 	// drain) cancels it, releasing any deadline timers up the chain.
 	return newMergeCursor(out, children, remaps, cancel), agg, nil
+}
+
+// mergePlans sums the shards' plans node by node: every shard runs the
+// same kernel rule over the same index kind, so the kernels agree, and
+// the estimated, initial and surviving candidate counts add up over
+// the shards' disjoint node sets. Nil with the planner off.
+func mergePlans(stats []gtea.Stats) *gtea.PlanInfo {
+	if stats[0].Plan == nil {
+		return nil
+	}
+	agg := &gtea.PlanInfo{Nodes: slices.Clone(stats[0].Plan.Nodes)}
+	for _, st := range stats[1:] {
+		for i, n := range st.Plan.Nodes {
+			agg.Nodes[i].EstCands += n.EstCands
+			agg.Nodes[i].InitCands += n.InitCands
+			agg.Nodes[i].FinalCands += n.FinalCands
+		}
+	}
+	return agg
 }

@@ -7,6 +7,7 @@ import (
 
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
+	"gtpq/internal/gtea"
 )
 
 // testLabels is the label alphabet of the random workloads.
@@ -90,5 +91,59 @@ func TestShardedStats(t *testing.T) {
 	}
 	if fmt.Sprint(se.IndexKind()) == "" {
 		t.Fatal("empty index kind")
+	}
+}
+
+// TestShardedStatsCarryPlan checks the merged plan of a K=3 engine
+// against the flat engine's over random queries: per node the kernels
+// agree and the summed initial candidate counts equal the flat ones.
+// With the planner off neither records a plan.
+func TestShardedStatsCarryPlan(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	g := gen.Forest(r, 9, 40, 90, testLabels)
+	plan, err := Partition(g, 3, ModeWCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noPlan := range []bool{false, true} {
+		se, err := NewEngine(g, plan, Options{NoPlan: noPlan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := gtea.NewWithOptions(g, gtea.Options{NoPlan: noPlan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		multiway := 0
+		for trial := 0; trial < 30; trial++ {
+			q := gen.Query(r, 2+r.Intn(4), testLabels, true, true)
+			_, st, err := se.EvalStatsCtx(nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := flat.EvalStats(q)
+			if noPlan {
+				if st.Plan != nil {
+					t.Fatalf("trial %d: planner off, sharded plan %v", trial, st.Plan)
+				}
+				continue
+			}
+			if st.Plan == nil || len(st.Plan.Nodes) != len(want.Plan.Nodes) {
+				t.Fatalf("trial %d: sharded plan %v, flat %v", trial, st.Plan, want.Plan)
+			}
+			for u, n := range st.Plan.Nodes {
+				w := want.Plan.Nodes[u]
+				if n.Kernel != w.Kernel || n.InitCands != w.InitCands {
+					t.Fatalf("trial %d node %d: sharded %s init=%d, flat %s init=%d\n%s",
+						trial, u, n.Kernel, n.InitCands, w.Kernel, w.InitCands, q)
+				}
+				if n.Kernel == gtea.KernelMultiway {
+					multiway++
+				}
+			}
+		}
+		if !noPlan && multiway == 0 {
+			t.Fatal("no node ran the multiway kernel")
+		}
 	}
 }
