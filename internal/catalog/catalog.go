@@ -93,9 +93,11 @@ type Dataset struct {
 	// across shard engines until the first delta, and a flat overlay
 	// engine over the union graph serves while deltas are pending.
 	Sharded bool
-	// FromSnapshot reports whether the engine was revived from a
-	// snapshot (no index construction) rather than built. Shard
-	// directories always revive from their per-shard snapshots.
+	// FromSnapshot reports whether the engine was loaded from a
+	// snapshot rather than from a graph file. A version-2 snapshot
+	// revives its index with no construction; a version-1 one is
+	// loaded from the snapshot but builds its index from its graph.
+	// Shard directories always load from their per-shard snapshots.
 	FromSnapshot bool
 	// Generation identifies this load of the dataset: it is unique per
 	// catalog entry and strictly increases every time any dataset is

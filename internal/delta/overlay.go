@@ -172,7 +172,6 @@ func (o *Overlay) LabelCount(label string) int {
 
 // ReachesSt reports whether u strictly reaches v in base ∪ delta.
 func (o *Overlay) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {
-	st.Queries++
 	if u < o.baseN && v < o.baseN && o.base.ReachesSt(u, v, st) {
 		return true
 	}

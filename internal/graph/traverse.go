@@ -2,28 +2,6 @@ package graph
 
 // Traversal helpers shared by generators, baselines and tests.
 
-// BFS visits nodes reachable from start (inclusive) in breadth-first
-// order, calling visit for each; visit returning false stops the
-// traversal early.
-func BFS(g *Graph, start NodeID, visit func(NodeID) bool) {
-	seen := make(map[NodeID]bool)
-	queue := []NodeID{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if !visit(v) {
-			return
-		}
-		for _, w := range g.Out(v) {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-}
-
 // ReachableFrom returns the set of nodes strictly reachable from v
 // (excluding v unless v lies on a cycle). Used only by tests and the
 // naive oracle on small graphs.
@@ -120,10 +98,4 @@ func NewDocOrder(g *Graph) *DocOrder {
 		}
 	}
 	return d
-}
-
-// IsAncestor reports whether u is a proper ancestor of v in the document
-// forest.
-func (d *DocOrder) IsAncestor(u, v NodeID) bool {
-	return d.Start[u] < d.Start[v] && d.End[v] < d.End[u]
 }

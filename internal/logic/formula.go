@@ -157,11 +157,6 @@ func (f *Formula) Eval(val func(v int) bool) bool {
 	panic("logic: bad formula kind")
 }
 
-// EvalMap evaluates f under a map assignment; missing variables are false.
-func (f *Formula) EvalMap(val map[int]bool) bool {
-	return f.Eval(func(v int) bool { return val[v] })
-}
-
 // CollectVars adds every variable occurring in f to set.
 func (f *Formula) CollectVars(set map[int]bool) {
 	switch f.kind {

@@ -57,7 +57,7 @@ func TestEval(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := map[int]bool{1: c.a1, 2: c.a2, 3: c.a3}
-		if got := f.EvalMap(m); got != c.want {
+		if got := f.Eval(func(v int) bool { return m[v] }); got != c.want {
 			t.Errorf("Eval(%v) = %v, want %v", m, got, c.want)
 		}
 	}
@@ -184,7 +184,7 @@ func TestDPLLAgreesWithBruteForce(t *testing.T) {
 			t.Fatalf("formula %s: brute=%v dpll=%v", f, brute, viaDPLL)
 		}
 		if viaDPLL {
-			if !f.EvalMap(m) {
+			if !f.Eval(func(v int) bool { return m[v] }) {
 				t.Fatalf("formula %s: DPLL model %v does not satisfy", f, m)
 			}
 		}

@@ -16,8 +16,9 @@ var buildCount atomic.Int64
 // BuildCount returns the number of index constructions performed by
 // this process (every NewThreeHop or NewTC run, directly or through
 // Build, counts one).
-// Snapshot loading bypasses construction entirely, which tests assert
-// by reading this counter around a load.
+// Loading a version-2 snapshot bypasses construction entirely, and a
+// version-1 one builds once, which tests assert by reading this
+// counter around a load.
 func BuildCount() int64 { return buildCount.Load() }
 
 // Kinds lists the backend names Build accepts, sorted.

@@ -142,11 +142,6 @@ func TestGenericContoursMatchBruteForce(t *testing.T) {
 						trial, kind, v, S, got, want)
 				}
 			}
-			// Lookups can legitimately be zero on tiny graphs (empty
-			// lists), but probes must always be counted.
-			if st.Queries == 0 {
-				t.Fatalf("trial %d %s: contour probes charged no queries", trial, kind)
-			}
 		}
 	}
 }

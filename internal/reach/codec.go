@@ -3,7 +3,6 @@ package reach
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"gtpq/internal/graph"
@@ -34,20 +33,6 @@ func DecodeIndex(kind string, g *graph.Graph, d *graph.Decoder) (ContourIndex, e
 		return decodeThreeHop(g, d)
 	case "tc":
 		return decodeTC(g, d)
-	}
-	return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
-}
-
-// DecodeIndexV1 revives a kind index over g from the payload a snapshot
-// of version 1 stores, which names SCCs by their Tarjan ids: nothing
-// writes that payload any more, but files written before version 2
-// still load through it.
-func DecodeIndexV1(kind string, g *graph.Graph, data []byte) (ContourIndex, error) {
-	switch kind {
-	case "threehop":
-		return unmarshalThreeHop(g, data)
-	case "tc":
-		return unmarshalTC(g, data)
 	}
 	return nil, fmt.Errorf("reach: index kind %q has no snapshot codec", kind)
 }
@@ -170,131 +155,14 @@ func checkRow(b []byte, k int) (int, error) {
 	return n, nil
 }
 
-// --- ThreeHop, version 1 ---
-//
-// Payload (all integers unsigned varints):
-//
-//	numSCC
-//	numChains, then per chain: length, scc ids
-//	per scc: |Lout|, entries as (cid, sid) pairs
-//	per scc: |Lin|,  entries as (cid, sid) pairs
-//
-// An SCC is its Tarjan id, as graph.Condense numbers it, and a list
-// entry its (chain id, sequence id) pair; the decoder translates both
-// to positions through the condensation recomputed from the graph. A
-// list's entries may come in any order: indexes written before the flat
-// layout listed them in map order, and every later one in ascending
-// position order. Each list is sorted on load, and a position named
-// twice is refused, as is an empty chain. Every varint must be minimally
-// encoded and nothing may follow the lists.
-
-// unmarshalThreeHop revives a 3-hop index over g. The chain cover and
-// entry lists are decoded straight into their flat arrays and reordered
-// by position; only the condensation (cheap and deterministic) is
-// recomputed.
-func unmarshalThreeHop(g *graph.Graph, data []byte) (ContourIndex, error) {
-	cond := graph.Condense(g)
-	d := varintReader{buf: data}
-	n := int(d.next())
-	if n != cond.NumSCC() {
-		return nil, fmt.Errorf("reach: snapshot has %d SCCs, graph condenses to %d", n, cond.NumSCC())
-	}
-	numChains := int(d.next())
-	if numChains < 0 || numChains > n {
-		return nil, fmt.Errorf("reach: snapshot has %d chains for %d SCCs", numChains, n)
-	}
-	h := &ThreeHop{g: g, chainOff: make([]int32, 1, numChains+1), chainAt: make([]int32, 0, n)}
-	posOf := make([]int32, n) // per Tarjan id: its position
-	for s := range posOf {
-		posOf[s] = -1 // not on a chain yet
-	}
-	sccAt := make([]int32, 0, n) // per position: its Tarjan id
-	for c := 0; c < numChains; c++ {
-		// Chains are disjoint, so no chain is longer than what is left.
-		ln, err := d.length(n - len(sccAt))
-		if err != nil {
-			return nil, err
-		}
-		if ln == 0 {
-			// No build writes one, and a version-2 image cannot hold one.
-			return nil, fmt.Errorf("reach: snapshot chain %d is empty", c)
-		}
-		for i := 0; i < ln; i++ {
-			s := d.next()
-			if s >= uint64(n) {
-				return nil, fmt.Errorf("reach: snapshot chain references SCC %d of %d", s, n)
-			}
-			if posOf[s] != -1 {
-				return nil, fmt.Errorf("reach: snapshot chains name SCC %d twice", s)
-			}
-			posOf[s] = int32(len(sccAt))
-			sccAt = append(sccAt, int32(s))
-			h.chainAt = append(h.chainAt, int32(c))
-		}
-		h.chainOff = append(h.chainOff, int32(len(sccAt)))
-	}
-	if covered := len(sccAt); covered != n {
-		return nil, fmt.Errorf("reach: snapshot chains cover %d of %d SCCs", covered, n)
-	}
-	h.scc = cond.Renumber(posOf)
-	var row []int32
-	readLists := func() (gapRows, error) {
-		lists := gapRows{off: make([]int32, n+1)} // per Tarjan id
-		for s := 0; s < n; s++ {
-			// Every entry takes at least two varint bytes, bounding any
-			// declared length by the remaining payload.
-			ln, err := d.length((len(d.buf) - d.off) / 2)
-			if err != nil {
-				return lists, err
-			}
-			row = row[:0]
-			for i := 0; i < ln; i++ {
-				cid, sid := d.next(), d.next()
-				if cid >= uint64(numChains) {
-					return lists, fmt.Errorf("reach: snapshot list entry references chain %d of %d", cid, numChains)
-				}
-				if chainLen := h.chainOff[cid+1] - h.chainOff[cid]; sid >= uint64(chainLen) {
-					return lists, fmt.Errorf("reach: snapshot list entry references position %d on chain %d of length %d",
-						sid, cid, chainLen)
-				}
-				row = append(row, h.chainOff[cid]+int32(sid))
-			}
-			slices.Sort(row)
-			for i := 1; i < len(row); i++ {
-				if row[i] == row[i-1] {
-					return lists, fmt.Errorf("reach: snapshot list of SCC %d names position %d twice", s, row[i])
-				}
-			}
-			lists.buf = appendGaps(lists.buf, row)
-			lists.off[s+1] = int32(len(lists.buf))
-			lists.n += ln
-		}
-		return lists.reorder(sccAt), nil
-	}
-	var err error
-	if h.lout, err = readLists(); err != nil {
-		return nil, err
-	}
-	if h.lin, err = readLists(); err != nil {
-		return nil, err
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("reach: truncated threehop snapshot")
-	}
-	if rest := len(d.buf) - d.off; rest != 0 {
-		return nil, fmt.Errorf("reach: %d trailing bytes after threehop snapshot", rest)
-	}
-	return h, nil
-}
-
 // --- TC image ---
 //
 //	uvarint K                 SCCs
 //	scc                       graph.SCCMap image: Comp, the cycle bits
 //	rows                      K*ceil(K/64) uint64
 //
-// As in version 1, a row's bits past K are not checked: no query reads
-// them, and they can only inflate IndexSize.
+// A row's bits past K are not checked: no query reads them, and they
+// can only inflate IndexSize.
 
 func (t *TC) appendImage(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(t.numSCC()))
@@ -315,68 +183,4 @@ func decodeTC(g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
 		return nil, fmt.Errorf("reach: tc image: %w", d.Err())
 	}
 	return t, nil
-}
-
-// --- TC, version 1 ---
-//
-// Payload: uvarint numSCC, then numSCC*words closure words (little
-// endian), words = ceil(numSCC/64).
-
-// unmarshalTC revives a transitive-closure index over g.
-func unmarshalTC(g *graph.Graph, data []byte) (ContourIndex, error) {
-	cond := graph.Condense(g)
-	d := varintReader{buf: data}
-	n := int(d.next())
-	if d.err != nil || n != cond.NumSCC() {
-		return nil, fmt.Errorf("reach: snapshot has %d SCCs, graph condenses to %d", n, cond.NumSCC())
-	}
-	words := (n + 63) / 64
-	rest := d.buf[d.off:]
-	if len(rest) != n*words*8 {
-		return nil, fmt.Errorf("reach: tc snapshot has %d row bytes, want %d", len(rest), n*words*8)
-	}
-	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
-	for i := range t.rows {
-		t.rows[i] = binary.LittleEndian.Uint64(rest[i*8:])
-	}
-	return t, nil
-}
-
-// varintReader decodes a sequence of unsigned varints, remembering the
-// first error so call sites can batch their checks.
-type varintReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *varintReader) next() uint64 {
-	if d.err != nil {
-		return math.MaxUint64
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("reach: truncated varint at offset %d", d.off)
-		return math.MaxUint64
-	}
-	if n > 1 && d.buf[d.off+n-1] == 0 {
-		// A zero final group is padding binary.AppendUvarint never writes.
-		d.err = fmt.Errorf("reach: overlong varint at offset %d", d.off)
-		return math.MaxUint64
-	}
-	d.off += n
-	return v
-}
-
-// length decodes a count that must fit in [0, max]; unlike next it
-// fails eagerly so the value is safe to allocate from.
-func (d *varintReader) length(max int) (int, error) {
-	v := d.next()
-	if d.err != nil {
-		return 0, d.err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("reach: snapshot declares length %d, at most %d possible", v, max)
-	}
-	return int(v), nil
 }

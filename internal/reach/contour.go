@@ -106,7 +106,6 @@ func (h *ThreeHop) SuccContour(S []graph.NodeID, st *Stats) SetContour {
 // SCC is trivial, and the only inclusive witness is v's own position —
 // falls back to v's DAG neighbors (ResolveAmbiguous).
 func (h *ThreeHop) Probe(v graph.NodeID, c *Contour, st *Stats) bool {
-	st.Queries++
 	hit, ambiguous := h.CheckOwn(v, c)
 	if hit || h.matches(h.scc.Comp[v], c, st) {
 		return true

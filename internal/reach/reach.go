@@ -74,8 +74,6 @@ type SetContour interface {
 type Stats struct {
 	// Lookups is the number of index elements examined.
 	Lookups int64
-	// Queries is the number of reachability questions asked.
-	Queries int64
 }
 
 // Reset zeroes the counters.
@@ -84,5 +82,4 @@ func (s *Stats) Reset() { *s = Stats{} }
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
 	s.Lookups += other.Lookups
-	s.Queries += other.Queries
 }

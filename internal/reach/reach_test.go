@@ -436,16 +436,21 @@ func TestStatsCounting(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	g := randDAG(r, 30, 90)
 	h := NewThreeHop(g)
-	st := Stats{Lookups: 7, Queries: 5}
+	st := Stats{Lookups: 7}
 	st.Reset()
-	h.ReachesSt(0, graph.NodeID(g.N()-1), &st)
-	if st.Queries != 1 {
-		t.Errorf("Queries = %d, want 1", st.Queries)
+	if st.Lookups != 0 {
+		t.Errorf("Lookups = %d after Reset, want 0", st.Lookups)
 	}
-	var s Stats
+	for u := graph.NodeID(0); int(u) < g.N(); u++ {
+		h.ReachesSt(u, graph.NodeID(g.N()-1), &st)
+	}
+	if st.Lookups == 0 {
+		t.Fatal("probes to every node charged no lookups")
+	}
+	s := Stats{Lookups: 1}
 	s.Add(st)
-	if s.Queries != 1 {
-		t.Error("Stats.Add failed")
+	if s.Lookups != st.Lookups+1 {
+		t.Errorf("Stats.Add gave %d lookups, want %d", s.Lookups, st.Lookups+1)
 	}
 }
 

@@ -96,7 +96,6 @@ func (t *TC) IndexSize() int {
 // ReachesSt reports whether there is a non-empty path from u to v,
 // charging st.
 func (t *TC) ReachesSt(u, v graph.NodeID, st *Stats) bool {
-	st.Queries++
 	su, sv := t.scc.Comp[u], t.scc.Comp[v]
 	if su == sv {
 		return t.scc.Nontrivial(su)
@@ -114,7 +113,6 @@ type tcPred struct {
 }
 
 func (p tcPred) Probe(v graph.NodeID, st *Stats) bool {
-	st.Queries++
 	s := p.t.scc.Comp[v]
 	if p.mask[s/64]&(1<<uint(s%64)) != 0 && p.t.scc.Nontrivial(s) {
 		return true
@@ -137,7 +135,6 @@ type tcSucc struct {
 }
 
 func (s tcSucc) Probe(v graph.NodeID, st *Stats) bool {
-	st.Queries++
 	st.Lookups++
 	sv := s.t.scc.Comp[v]
 	bit := uint64(1) << uint(sv%64)
@@ -170,7 +167,6 @@ type tcSuccOne struct {
 }
 
 func (c tcSuccOne) Probe(v graph.NodeID, st *Stats) bool {
-	st.Queries++
 	st.Lookups++
 	sv := c.t.scc.Comp[v]
 	if sv == c.s {

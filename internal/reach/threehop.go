@@ -118,17 +118,6 @@ func packRows(rows [][]byte) gapRows {
 	return r
 }
 
-// reorder returns the rows of r in the order named by rows: row i of
-// the result is row rows[i] of r.
-func (r gapRows) reorder(rows []int32) gapRows {
-	out := gapRows{off: make([]int32, len(rows)+1), buf: make([]byte, 0, len(r.buf)), n: r.n}
-	for i, s := range rows {
-		out.buf = append(out.buf, r.row(s)...)
-		out.off[i+1] = int32(len(out.buf))
-	}
-	return out
-}
-
 // transpose returns the rows of r read by column: row p of the result
 // lists, ascending, the rows of r that hold position p, and counts[p]
 // must be their number. The columns are split into one contiguous range
@@ -492,7 +481,6 @@ func (h *ThreeHop) IndexSize() int { return h.lout.n + h.lin.n }
 // of u is matched against the complete predecessor list of v. Work is
 // charged to st.
 func (h *ThreeHop) ReachesSt(u, v graph.NodeID, st *Stats) bool {
-	st.Queries++
 	pu, pv := h.scc.Comp[u], h.scc.Comp[v]
 	if pu == pv {
 		return h.scc.Nontrivial(pu)

@@ -1,6 +1,7 @@
 package repl_test
 
 import (
+	"bytes"
 	"context"
 	"hash/crc32"
 	"os"
@@ -11,7 +12,9 @@ import (
 
 	"gtpq/internal/delta"
 	"gtpq/internal/obs"
+	"gtpq/internal/reach"
 	"gtpq/internal/repl"
+	"gtpq/internal/snapshot"
 )
 
 // scriptedClient passes through to a real HTTPClient but lets a test
@@ -253,23 +256,42 @@ func TestTailerResumesFromDurableOffset(t *testing.T) {
 
 // Local damage: a replica directory whose base does not load heals by
 // one re-ship of the primary's base instead of retrying the broken
-// local copy forever.
+// local copy forever, whether its d.snap is garbage, a real version-2
+// image cut in half, or one whose version field reads 3.
 func TestTailerHealsLocalDamage(t *testing.T) {
-	primary, _ := newPrimary(t, 0)
-	postUpdate(t, primary.URL, 8, 4)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "d.snap"), []byte("not a snapshot"), 0o644); err != nil {
+	g := buildGraph()
+	var img bytes.Buffer
+	if err := snapshot.Save(&img, g, reach.NewThreeHop(g)); err != nil {
 		t.Fatal(err)
 	}
-	rep := newReplicaIn(t, dir, &repl.HTTPClient{BaseURL: primary.URL},
-		repl.TailerConfig{Datasets: []string{"d"}})
-	rep.waitSync(t)
-	assertEquivalent(t, primary.URL, rep.srv.URL)
-	if n := rep.counter("gtpq_repl_resyncs_total"); n != 1 {
-		t.Fatalf("%d re-syncs, want 1", n)
-	}
-	if n := rep.errCount("local"); n < 1 {
-		t.Fatalf("local errors = %d, want the damage counted", n)
+	v3 := bytes.Clone(img.Bytes())
+	v3[len(snapshot.Magic)] = 3
+	for _, c := range []struct {
+		name string
+		snap []byte
+	}{
+		{"garbage", []byte("not a snapshot")},
+		{"cut in half", img.Bytes()[:img.Len()/2]},
+		{"version 3", v3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			primary, _ := newPrimary(t, 0)
+			postUpdate(t, primary.URL, 8, 4)
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "d.snap"), c.snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep := newReplicaIn(t, dir, &repl.HTTPClient{BaseURL: primary.URL},
+				repl.TailerConfig{Datasets: []string{"d"}})
+			rep.waitSync(t)
+			assertEquivalent(t, primary.URL, rep.srv.URL)
+			if n := rep.counter("gtpq_repl_resyncs_total"); n != 1 {
+				t.Fatalf("%d re-syncs, want 1", n)
+			}
+			if n := rep.errCount("local"); n < 1 {
+				t.Fatalf("local errors = %d, want the damage counted", n)
+			}
+		})
 	}
 }
 

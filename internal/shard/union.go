@@ -111,7 +111,6 @@ func (ci *compositeIndex) LabelCount(label string) int { return ci.se.LabelCount
 func (ci *compositeIndex) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {
 	hu, hv := ci.home[u], ci.home[v]
 	if hu.shard != hv.shard {
-		st.Queries++
 		return false
 	}
 	return ci.se.shards[hu.shard].eng.H.ReachesSt(hu.local, hv.local, st)

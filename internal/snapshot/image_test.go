@@ -148,10 +148,10 @@ func (im *image) encode() []byte {
 }
 
 // saveV1 returns the version-1 file of g and h, written as Save wrote it
-// before version 2 replaced it: the oracle the version-1 decoder is
-// checked against. The index payload is translated from h's image, so
-// it names each SCC by its Tarjan id and each list entry by its
-// (chain id, sequence id) pair.
+// before version 2 replaced it: the input the version-1 loader is
+// checked on. The index payload is translated from h's image, so it
+// names each SCC by its Tarjan id and each list entry by its
+// (chain id, sequence id) pair, though the loader only skips it.
 func saveV1(tb testing.TB, g *graph.Graph, h reach.ContourIndex) []byte {
 	tb.Helper()
 	var v2 bytes.Buffer

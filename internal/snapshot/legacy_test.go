@@ -231,3 +231,55 @@ func TestLegacyShardDir(t *testing.T) {
 	}
 	sameAnswers(t, dir+" re-saved", fresh, se2, qs)
 }
+
+// TestVersion1IndexIsRebuilt checks that a version-1 file's index is
+// built from its graph, not decoded from its payload: the 3-hop fixture
+// with the last 200 bytes of its payload flipped still loads, through
+// one index build, and answers six queries as core.EvalNaive does. A
+// cut inside the payload, and a kind Build does not list (the empty
+// one, which Build would take for its default, among them), are still
+// refused.
+func TestVersion1IndexIsRebuilt(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v1-xmark50-threehop.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(raw)
+	for i := len(flipped) - 200; i < len(flipped); i++ {
+		flipped[i] ^= 0xff
+	}
+	before := reach.BuildCount()
+	g, h, err := snapshot.Decode(flipped)
+	if err != nil {
+		t.Fatalf("a flipped index payload is refused: %v", err)
+	}
+	if built := reach.BuildCount() - before; built != 1 {
+		t.Errorf("load performed %d index builds, want 1", built)
+	}
+	if g.N() != 1216 || h.Kind() != "threehop" || h.IndexSize() != 9018 {
+		t.Errorf("loaded %d nodes, a %s index of %d entries; want 1216, threehop, 9018", g.N(), h.Kind(), h.IndexSize())
+	}
+	want := xmark50()
+	oracle := reach.NewTC(want)
+	e := gtea.NewWithIndex(g, h, gtea.Options{})
+	for i, q := range xmarkQueries(t) {
+		if w, got := core.EvalNaive(want, oracle, q), e.Eval(q); !w.Equal(got) {
+			t.Errorf("query %d differs from core.EvalNaive:\nwant %v\ngot  %v", i, w, got)
+		}
+	}
+
+	if _, _, err := snapshot.Decode(raw[:len(raw)-100]); err == nil {
+		t.Error("a file cut inside its index payload loads")
+	}
+	header := len(snapshot.Magic) + 2
+	if raw[header] != byte(len("threehop")) || string(raw[header+1:header+1+len("threehop")]) != "threehop" {
+		t.Fatalf("fixture kind is not stored as threehop at offset %d", header)
+	}
+	rest := raw[header+1+len("threehop"):]
+	for _, kind := range []string{"", "nope"} {
+		data := append(append(append(bytes.Clone(raw[:header]), byte(len(kind))), kind...), rest...)
+		if _, _, err := snapshot.Decode(data); err == nil {
+			t.Errorf("kind %q loads", kind)
+		}
+	}
+}

@@ -40,7 +40,8 @@
 //
 // Version 1, which stored nodes, attributes and edges one by one and
 // named 3-hop SCCs by their Tarjan ids, is read-only: Load still
-// accepts it through the decoder below (loadV1), and Save writes
+// accepts it (loadV1), decoding its graph and rebuilding its index from
+// that graph instead of decoding the stored one, and Save writes
 // version 2 only. A build older than version 2 refuses a version-2
 // file by its version number.
 package snapshot
@@ -54,6 +55,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"gtpq/internal/atomicfile"
 	"gtpq/internal/graph"
@@ -88,9 +90,10 @@ func Save(w io.Writer, g *graph.Graph, h reach.ContourIndex) error {
 	return err
 }
 
-// Decode reads a snapshot held in data, of either version: the graph
-// and index are revived without any index construction. data is only
-// read; nothing returned refers to it.
+// Decode reads a snapshot held in data, of either version. A version-2
+// image revives the graph and index without any index construction; a
+// version-1 file costs one index build (loadV1). data is only read;
+// nothing returned refers to it.
 func Decode(data []byte) (*graph.Graph, reach.ContourIndex, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, nil, ErrNotSnapshot
@@ -153,7 +156,8 @@ func Load(r io.Reader) (*graph.Graph, reach.ContourIndex, error) {
 
 // loadV1 decodes a version-1 file from br, which starts after the
 // version: the nodes, attributes and edges are added one by one and
-// frozen, and the index payload goes to its codec's version-1 decoder.
+// frozen, and the index of the stored kind is built over the graph. The
+// index payload is only checked to be all there.
 func loadV1(br *bytes.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
 	readString := func() (string, error) {
@@ -174,6 +178,10 @@ func loadV1(br *bytes.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	kind, err := readString()
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: reading index kind: %v", err)
+	}
+	// reach.Build would take an empty kind for its default.
+	if !slices.Contains(reach.Kinds(), kind) {
+		return nil, nil, fmt.Errorf("snapshot: unknown index kind %q (available: %v)", kind, reach.Kinds())
 	}
 
 	n64, err := readUvarint()
@@ -261,25 +269,18 @@ func loadV1(br *bytes.Reader) (*graph.Graph, reach.ContourIndex, error) {
 	}
 	g.Freeze()
 
+	// The index is a function of the graph, so a build gives the index
+	// the payload holds, and the payload is skipped.
 	blobLen, err := readUvarint()
 	if err != nil {
 		return nil, nil, fmt.Errorf("snapshot: reading index blob length: %v", err)
 	}
-	if blobLen > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("snapshot: implausible index blob length %d", blobLen)
+	if blobLen > uint64(br.Len()) {
+		return nil, nil, fmt.Errorf("snapshot: truncated index blob: %d of %d bytes", br.Len(), blobLen)
 	}
-	// ReadAll grows incrementally, so a lying length on a truncated
-	// file errors out below without a giant up-front allocation.
-	blob, err := io.ReadAll(io.LimitReader(br, int64(blobLen)))
+	h, err := reach.Build(kind, g)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot: reading index blob: %v", err)
-	}
-	if uint64(len(blob)) != blobLen {
-		return nil, nil, fmt.Errorf("snapshot: truncated index blob: %d of %d bytes", len(blob), blobLen)
-	}
-	h, err := reach.DecodeIndexV1(kind, g, blob)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return g, h, nil
 }

@@ -96,7 +96,6 @@ func NewSSPI(g *graph.Graph) *SSPI {
 
 // Reaches reports whether there is a non-empty path from u to v.
 func (x *SSPI) Reaches(u, v graph.NodeID) bool {
-	x.stats.Queries++
 	su, sv := x.cond.Comp[u], x.cond.Comp[v]
 	if su == sv {
 		return x.cond.Nontrivial(su)
