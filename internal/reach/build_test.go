@@ -53,14 +53,19 @@ func TestBuildDefaultKindIsThreeHop(t *testing.T) {
 // goroutines (GOMAXPROCS 2, 3 and 4, on graphs large enough for the
 // level sweep and the transpose to really shard, odd worker counts
 // included) encodes to the same image as a build run inline on one
-// goroutine (GOMAXPROCS 1), for both backends.
+// goroutine (GOMAXPROCS 1), for both backends. Two of the graphs are
+// dense: most of their SCCs reach a large share of the chains (the
+// small arXiv graph, and a random DAG of out-degree 10).
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	r := rand.New(rand.NewSource(501))
+	arxivTiny, _ := goldenGraphs()
 	for name, g := range map[string]*graph.Graph{
-		"dag":    randDAG(r, 3000, 9000),
-		"cyclic": randDigraph(r, 3000, 4000),
+		"dag":        randDAG(r, 3000, 9000),
+		"cyclic":     randDigraph(r, 3000, 4000),
+		"dense":      randDAG(r, 1500, 15000),
+		"arxiv tiny": arxivTiny,
 	} {
 		for _, kind := range []string{"threehop", "tc"} {
 			build := func(procs int) []byte {

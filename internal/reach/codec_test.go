@@ -23,12 +23,16 @@ func goldenGraphs() (arxivTiny, xmark50 *graph.Graph) {
 }
 
 // TestThreeHopSnapshotGolden pins the version-1 3-hop payload: the
-// SHA-256 of marshalV1 for two fixed graphs, computed before list
-// entries became in-memory chain positions, and unchanged since those
-// became varint gaps and since version 2 replaced the writer. The
-// oracle therefore writes what every version-1 .snap holds.
+// SHA-256 of marshalV1 for fixed graphs. The two small ones were
+// computed before list entries became in-memory chain positions, and
+// are unchanged since those became varint gaps and since version 2
+// replaced the writer. The oracle therefore writes what every version-1
+// .snap holds. The default arXiv graph, where most contours span a
+// large share of the chains, was pinned while every contour of the
+// build was still a position list.
 func TestThreeHopSnapshotGolden(t *testing.T) {
 	ax, xm := goldenGraphs()
+	axDefault, _ := arxiv.Generate(arxiv.DefaultConfig())
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -36,6 +40,7 @@ func TestThreeHopSnapshotGolden(t *testing.T) {
 	}{
 		{"arxiv tiny", ax, "7b6aa930f46696cc9019963febfdf6429dc725da2dc0af2ffc08533a53aca5b7"},
 		{"xmark 50", xm, "3454fbb6d75ce85dc25f0fab88caaf401ef20223a4e2e63a2b23796f8222324e"},
+		{"arxiv default", axDefault, "f7ea281004de6908fec079e703e9ab22b1846e9c72bc8129faa6c39281c2fde2"},
 	} {
 		data := marshalV1(NewThreeHop(c.g))
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != c.want {
