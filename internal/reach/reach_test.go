@@ -1,6 +1,7 @@
 package reach
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -201,10 +202,13 @@ func TestThreeHopMatchesTCOnCyclicGraphs(t *testing.T) {
 }
 
 // TestListsMatchDefinition checks every position's decoded Lout and
-// Lin rows against the definitions in the ThreeHop doc comment,
-// computed by BFS over the condensation, on random DAGs and cyclic
-// digraphs; and that Lin is the transpose of Lout: s is in Lin(p)
-// exactly when p is in Lout(s).
+// Lin rows against the definitions in the ThreeHop doc comment on
+// random DAGs and cyclic digraphs, and on graphs of a dense core and a
+// sparse tail (coreTail). Those mix the build's two forms of a contour,
+// so that each of these occurs: an SCC whose contour is a reach set and
+// whose chain successor's is one too, or is a list; an SCC whose
+// contour is a reach set folded from successors whose contours are all
+// lists; and an SCC whose contour is a list.
 func TestListsMatchDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(505))
 	entries := 0
@@ -216,94 +220,203 @@ func TestListsMatchDefinition(t *testing.T) {
 		} else {
 			g = randDigraph(r, n, n+r.Intn(2*n))
 		}
-		h := NewThreeHop(g)
-		cond := graph.Condense(g)
-		posOf, sccAt := tarjanIDs(h)
-		k := int32(len(sccAt))
-		// reaches[p][q]: the SCC at position p reaches the one at q, or p == q.
-		reaches := make([][]bool, k)
-		for p := range reaches {
-			seen := make([]bool, k)
-			seen[p] = true
-			for queue := []int32{int32(p)}; len(queue) > 0; queue = queue[1:] {
-				for _, w := range cond.Out(sccAt[queue[0]]) {
-					if q := posOf[w]; !seen[q] {
-						seen[q] = true
-						queue = append(queue, q)
-					}
-				}
-			}
-			reaches[p] = seen
-		}
-		// onChain returns p's neighbor at offset d on its own chain, or -1.
-		onChain := func(p, d int32) int32 {
-			c := h.chainAt[p]
-			if q := p + d; q >= h.chainOff[c] && q < h.chainOff[c+1] {
-				return q
-			}
-			return -1
-		}
-		decode := func(b []byte) []int32 {
-			var ps []int32
-			for i, p := 0, int32(-1); i < len(b); {
-				p, i = nextGap(b, i, p)
-				ps = append(ps, p)
-			}
-			return ps
-		}
-		transposed := make([][]int32, k) // per position p: the s with p in Lout(s)
-		for s := int32(0); s < k; s++ {
-			var lout, lin []int32
-			for c := int32(0); c < int32(h.NumChains()); c++ {
-				if c == h.chainAt[s] {
-					continue
-				}
-				lo, hi := h.chainOff[c], h.chainOff[c+1]
-				// Lout: the smallest position on c that s reaches, unless
-				// s's successor on its own chain reaches it too.
-				for p := lo; p < hi; p++ {
-					if reaches[s][p] {
-						if next := onChain(s, 1); next == -1 || !reaches[next][p] {
-							lout = append(lout, p)
-						}
-						break
-					}
-				}
-				// Lin: the largest position on c reaching s, unless it
-				// reaches s's predecessor on its own chain too.
-				for p := hi - 1; p >= lo; p-- {
-					if reaches[p][s] {
-						if prev := onChain(s, -1); prev == -1 || !reaches[p][prev] {
-							lin = append(lin, p)
-						}
-						break
-					}
-				}
-			}
-			gotOut, gotIn := decode(h.lout.row(s)), decode(h.lin.row(s))
-			if !slices.Equal(gotOut, lout) {
-				t.Fatalf("trial %d (%d nodes): Lout(%d) = %v, want %v", trial, n, s, gotOut, lout)
-			}
-			if !slices.Equal(gotIn, lin) {
-				t.Fatalf("trial %d (%d nodes): Lin(%d) = %v, want %v", trial, n, s, gotIn, lin)
-			}
-			for _, p := range gotOut {
-				transposed[p] = append(transposed[p], s)
-			}
-		}
-		for p := int32(0); p < k; p++ {
-			if got := decode(h.lin.row(p)); !slices.Equal(got, transposed[p]) {
-				t.Fatalf("trial %d (%d nodes): Lin(%d) = %v, but the transpose of Lout gives %v", trial, n, p, got, transposed[p])
-			}
-		}
-		if h.lout.n != h.lin.n {
-			t.Fatalf("trial %d (%d nodes): %d Lout entries, %d Lin entries", trial, n, h.lout.n, h.lin.n)
-		}
-		entries += h.lout.n
+		entries += checkListsMatchDefinition(t, g, fmt.Sprintf("trial %d (%d nodes)", trial, n))
+	}
+	for trial := 0; trial < 24; trial++ {
+		coreFirst, cyclic := trial%2 == 0, trial%4 >= 2
+		core, tail := 20+r.Intn(60), 60+r.Intn(200)
+		g := coreTail(r, core, tail, coreFirst, cyclic)
+		what := fmt.Sprintf("core/tail trial %d (core %d, tail %d, core first %v, cyclic %v)", trial, core, tail, coreFirst, cyclic)
+		entries += checkListsMatchDefinition(t, g, what)
 	}
 	if entries < 1000 {
 		t.Fatalf("%d Lout entries over all trials: the graphs are too sparse to test the lists", entries)
 	}
+}
+
+// coreTail builds a graph of two blocks, a dense core and a sparse
+// tail, the first block pointing into the second: the core into the
+// tail when coreFirst, else the tail into the core. Each core node
+// points at up to 8 later core nodes; each tail node at most at one of
+// the next few tail nodes, so the tail is a forest of short paths. A
+// core node feeding the tail points at up to 8 tail nodes, and one tail
+// node in three feeding the core points at one core node. When cyclic,
+// short back edges inside each block fold some nodes into SCCs.
+func coreTail(r *rand.Rand, core, tail int, coreFirst, cyclic bool) *graph.Graph {
+	n := core + tail
+	g := graph.New(n, 10*n)
+	for i := 0; i < n; i++ {
+		g.AddNode("n", nil)
+	}
+	coreLo, tailLo := 0, core
+	if !coreFirst {
+		coreLo, tailLo = tail, 0
+	}
+	add := func(u, v int) { g.AddEdge(graph.NodeID(u), graph.NodeID(v)) }
+	for i := 0; i < core-1; i++ {
+		for d := r.Intn(9); d > 0; d-- {
+			add(coreLo+i, coreLo+i+1+r.Intn(core-i-1))
+		}
+	}
+	for i := 0; i < tail-1; i++ {
+		if r.Intn(3) > 0 {
+			add(tailLo+i, tailLo+i+1+r.Intn(min(4, tail-i-1)))
+		}
+	}
+	if coreFirst {
+		for i := 0; i < core; i++ {
+			for d := r.Intn(9); d > 0; d-- {
+				add(coreLo+i, tailLo+r.Intn(tail))
+			}
+		}
+	} else {
+		for i := 0; i < tail; i++ {
+			if r.Intn(3) == 0 {
+				add(tailLo+i, coreLo+r.Intn(core))
+			}
+		}
+	}
+	if cyclic {
+		for _, b := range []struct{ lo, size int }{{coreLo, core}, {tailLo, tail}} {
+			for k := b.size / 8; k > 0; k-- {
+				i := 1 + r.Intn(b.size-1)
+				add(b.lo+i, b.lo+max(0, i-1-r.Intn(3)))
+			}
+		}
+	}
+	g.Freeze()
+	return g
+}
+
+// checkListsMatchDefinition checks every position's decoded Lout and
+// Lin rows of the 3-hop index of g against the definitions in the
+// ThreeHop doc comment, computed by BFS over the condensation, and that
+// Lin is the transpose of Lout: s is in Lin(p) exactly when p is in
+// Lout(s). It returns the number of Lout entries.
+func checkListsMatchDefinition(t testing.TB, g *graph.Graph, what string) int {
+	t.Helper()
+	h := NewThreeHop(g)
+	cond := graph.Condense(g)
+	posOf, sccAt := tarjanIDs(h)
+	k := int32(len(sccAt))
+	// reaches[p][q]: the SCC at position p reaches the one at q, or p == q.
+	reaches := make([][]bool, k)
+	for p := range reaches {
+		seen := make([]bool, k)
+		seen[p] = true
+		for queue := []int32{int32(p)}; len(queue) > 0; queue = queue[1:] {
+			for _, w := range cond.Out(sccAt[queue[0]]) {
+				if q := posOf[w]; !seen[q] {
+					seen[q] = true
+					queue = append(queue, q)
+				}
+			}
+		}
+		reaches[p] = seen
+	}
+	// onChain returns p's neighbor at offset d on its own chain, or -1.
+	onChain := func(p, d int32) int32 {
+		c := h.chainAt[p]
+		if q := p + d; q >= h.chainOff[c] && q < h.chainOff[c+1] {
+			return q
+		}
+		return -1
+	}
+	decode := func(b []byte) []int32 {
+		var ps []int32
+		for i, p := 0, int32(-1); i < len(b); {
+			p, i = nextGap(b, i, p)
+			ps = append(ps, p)
+		}
+		return ps
+	}
+	transposed := make([][]int32, k) // per position p: the s with p in Lout(s)
+	for s := int32(0); s < k; s++ {
+		var lout, lin []int32
+		for c := int32(0); c < int32(h.NumChains()); c++ {
+			if c == h.chainAt[s] {
+				continue
+			}
+			lo, hi := h.chainOff[c], h.chainOff[c+1]
+			// Lout: the smallest position on c that s reaches, unless
+			// s's successor on its own chain reaches it too.
+			for p := lo; p < hi; p++ {
+				if reaches[s][p] {
+					if next := onChain(s, 1); next == -1 || !reaches[next][p] {
+						lout = append(lout, p)
+					}
+					break
+				}
+			}
+			// Lin: the largest position on c reaching s, unless it
+			// reaches s's predecessor on its own chain too.
+			for p := hi - 1; p >= lo; p-- {
+				if reaches[p][s] {
+					if prev := onChain(s, -1); prev == -1 || !reaches[p][prev] {
+						lin = append(lin, p)
+					}
+					break
+				}
+			}
+		}
+		gotOut, gotIn := decode(h.lout.row(s)), decode(h.lin.row(s))
+		if !slices.Equal(gotOut, lout) {
+			t.Fatalf("%s: Lout(%d) = %v, want %v", what, s, gotOut, lout)
+		}
+		if !slices.Equal(gotIn, lin) {
+			t.Fatalf("%s: Lin(%d) = %v, want %v", what, s, gotIn, lin)
+		}
+		for _, p := range gotOut {
+			transposed[p] = append(transposed[p], s)
+		}
+	}
+	for p := int32(0); p < k; p++ {
+		if got := decode(h.lin.row(p)); !slices.Equal(got, transposed[p]) {
+			t.Fatalf("%s: Lin(%d) = %v, but the transpose of Lout gives %v", what, p, got, transposed[p])
+		}
+	}
+	if h.lout.n != h.lin.n {
+		t.Fatalf("%s: %d Lout entries, %d Lin entries", what, h.lout.n, h.lin.n)
+	}
+	return h.lout.n
+}
+
+// FuzzBuildMatchesDefinition builds the 3-hop index of a digraph of at
+// most 64 nodes decoded from the input and checks its Lout and Lin rows
+// against their definitions. The first byte sets the node count, 1 +
+// b%64, and each later pair of bytes adds the edge (u%n, v%n), so
+// self-loops, cycles and repeated edges all occur. Over at most 64
+// positions a reach set is at most two words long, so most contours of
+// a graph with a few edges per node take that form.
+func FuzzBuildMatchesDefinition(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 1, 1, 2, 2, 3})       // a path
+	f.Add([]byte{4, 0, 1, 1, 2, 2, 0, 2, 3}) // a cycle feeding a sink
+	f.Add([]byte{5, 0, 0, 3, 4, 4, 3, 1, 2}) // a self-loop and a 2-cycle
+	r := rand.New(rand.NewSource(506))
+	for _, n := range []int{16, 40, 64} {
+		b := []byte{byte(n - 1)}
+		for e := 0; e < 4*n; e++ {
+			u := r.Intn(n - 1)
+			b = append(b, byte(u), byte(u+1+r.Intn(n-u-1))) // a DAG edge
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%64
+		g := graph.New(n, len(data)/2)
+		for i := 0; i < n; i++ {
+			g.AddNode("n", nil)
+		}
+		for i := 1; i+1 < len(data); i += 2 {
+			g.AddEdge(graph.NodeID(int(data[i])%n), graph.NodeID(int(data[i+1])%n))
+		}
+		g.Freeze()
+		checkListsMatchDefinition(t, g, fmt.Sprintf("%d nodes", n))
+	})
 }
 
 // contourWant computes the brute-force truth for the contour questions.

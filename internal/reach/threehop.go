@@ -259,11 +259,14 @@ func (h *ThreeHop) locate(p int32) (cid, pos int32) { return h.chainAt[p], p }
 // chainScratch is a dense chain id -> position table for folding lists
 // into a per-chain minimum. pos[c] is absent while chain c is absent;
 // touched names the chains present, so emptying the table costs its
-// content, not the chain count.
+// content, not the chain count. The sweep keeps one per worker, with
+// the buffers of the SCC it is on.
 type chainScratch struct {
 	pos     []int32
 	touched []int32
-	out     []int32 // sweep's list under construction
+	m       []int32 // sweep's contour, as the positions drain returns
+	set     []int32 // sweep's reach set of an SCC no other SCC reads
+	row     []byte  // sweep's row under construction, gap-coded
 	hits    []int32 // sweep's per-position count of the rows it emitted holding that position
 }
 
@@ -290,16 +293,14 @@ func (sc *chainScratch) fold(c, p int32) {
 	}
 }
 
-// drain returns the positions present in ascending chain order, nil
-// for none, and empties the table. A sparse table sorts touched; once
-// the table is more than sparsely filled, it is read front to back and
-// cleared as it is read, without a branch per slot (half the arXiv
+// drain returns the positions present in ascending chain order, in
+// sc.m's storage, and empties the table. A sparse table sorts touched;
+// once the table is more than sparsely filled, it is read front to back
+// and cleared as it is read, without a branch per slot (half the arXiv
 // build time otherwise goes to sorting).
 func (sc *chainScratch) drain() []int32 {
-	if len(sc.touched) == 0 {
-		return nil
-	}
-	m := make([]int32, len(sc.touched)+1) // a spare slot for the dense read's last store
+	m := slices.Grow(sc.m[:0], len(sc.touched)+1) // a spare slot for the dense read's last store
+	m = m[:len(sc.touched)+1]
 	if len(sc.touched)*32 < len(sc.pos) {
 		slices.Sort(sc.touched)
 		for i, c := range sc.touched {
@@ -314,9 +315,9 @@ func (sc *chainScratch) drain() []int32 {
 			sc.pos[c] = absent
 		}
 	}
-	m = m[:len(sc.touched)]
+	sc.m = m[:len(sc.touched)]
 	sc.touched = sc.touched[:0]
-	return m
+	return sc.m
 }
 
 func (sc *chainScratch) reset() {
@@ -326,13 +327,50 @@ func (sc *chainScratch) reset() {
 	sc.touched = sc.touched[:0]
 }
 
+// A reach set is the strict reach set of an SCC as a bitset over
+// positions: bit p of a set r is r[p>>5]>>(p&31)&1. Its 32-bit words
+// are held as int32, so that it shares the sweep's contour slices with
+// the list form (see sweep).
+
+// has reports whether position p is in the reach set r.
+func has(r []int32, p int32) bool { return r[p>>5]>>(p&31)&1 != 0 }
+
+// fillSuffix adds to the reach set r the suffix of p's chain that
+// starts at p. Every set the sweep builds is a union of chain suffixes,
+// so when p is in r the whole suffix already is.
+func (h *ThreeHop) fillSuffix(r []int32, p int32) {
+	if has(r, p) {
+		return
+	}
+	e := h.chainOff[h.chainAt[p]+1] - 1 // the chain's last position
+	i, j := p>>5, e>>5
+	lo, hi := ^uint32(0)<<(p&31), ^uint32(0)>>(31-e&31)
+	if i == j {
+		r[i] |= int32(lo & hi)
+		return
+	}
+	r[i] |= int32(lo)
+	for k := i + 1; k < j; k++ {
+		r[k] = -1
+	}
+	r[j] |= int32(hi)
+}
+
+// putGap appends to row the gap from prev to p, a position above prev,
+// and counts p in hits.
+func putGap(row []byte, prev, p int32, hits []int32) []byte {
+	hits[p]++
+	return binary.AppendUvarint(row, uint64(p-prev-1))
+}
+
 // NewThreeHop builds the index for g. Construction is O(total reachable
-// chain entries) via sparse per-SCC contours that are freed as soon as
-// every dependent has consumed them. One list sweep computes Lout, each
-// SCC level sharded over GOMAXPROCS goroutines, and Lin is its
-// transpose: both families list the same pairs (s, p), Lout by s and
-// Lin by p. Every row comes out in ascending position order whatever
-// the scheduling, so the bytes depend only on the graph.
+// chain entries) via per-SCC contours, each a position list or a reach
+// set, whichever is smaller, that are freed as soon as every dependent
+// has consumed them. One list sweep computes Lout, each SCC level
+// sharded over GOMAXPROCS goroutines, and Lin is its transpose: both
+// families list the same pairs (s, p), Lout by s and Lin by p. Every row
+// comes out in ascending position order whatever the scheduling, so the
+// bytes depend only on the graph.
 func NewThreeHop(g *graph.Graph) *ThreeHop {
 	buildCount.Add(1)
 	procs := runtime.GOMAXPROCS(0)
@@ -350,13 +388,30 @@ func NewThreeHop(g *graph.Graph) *ThreeHop {
 // holds, per chain, the smallest position s reaches by a non-empty
 // path: the positions of s's DAG successors folded with their
 // contours. Lout(s) is the contour less s's own chain and less the
-// entries of the contour of s's successor on its chain. Contours live as
-// ascending position slices (one position per chain; none for an SCC
-// without successors) and are dropped once every SCC that folds them
-// has done so. SCCs are processed one level at a time, the level's SCCs
-// handed out to procs goroutines (SCCs of one level depend only on
-// strictly earlier levels). It also returns, per position p, the number
-// of rows that hold p: the row lengths of Lin.
+// entries of the contour of s's successor on its chain. Contours are
+// dropped once every SCC that folds them has done so. SCCs are
+// processed one level at a time, the level's SCCs handed out to procs
+// goroutines (SCCs of one level depend only on strictly earlier
+// levels). It also returns, per position p, the number of rows that
+// hold p: the row lengths of Lin.
+//
+// A contour is kept in whichever of two forms is smaller. Over n
+// positions, a reach set takes words = ceil(n/32) 32-bit words, so a
+// contour of fewer entries stays an ascending position list (one
+// position per chain; none for an SCC without successors), and a longer
+// one is stored as s's reach set: the length of the slice tells the
+// forms apart. Chain edges are DAG edges, so s's reach set is, on every
+// chain it meets, the suffix from its contour entry on, and its contour
+// is the set's positions whose chain predecessor it lacks. A contour
+// holds one entry per chain s reaches, so it is at least as long as
+// each successor's: an SCC with a successor in set form is in set form
+// too, and ORs the successors' sets and adds the suffixes their lists
+// and positions start. Otherwise the lists are folded per chain, as a
+// point query does, and the result is converted when it is long. The
+// reach set of s's chain successor lies in s's, so an entry of s is
+// derivable from that successor exactly when the successor reaches it:
+// a bit test against a set, or, along a list, the same position on that
+// chain (a merge walk).
 //
 // Lin needs no sweep of its own. Say p ∈ Lout(s): p is the smallest
 // position on its chain that s reaches, and s's chain successor does
@@ -366,6 +421,11 @@ func NewThreeHop(g *graph.Graph) *ThreeHop {
 // mirror image.
 func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (gapRows, []int32) {
 	n := cond.NumSCC()
+	words := (n + 31) / 32 // the length of a reach set
+	starts := make([]int32, words)
+	for _, p := range h.chainOff[:h.NumChains()] {
+		starts[p>>5] |= 1 << (p & 31)
+	}
 	levels := levelize(cond)
 	lastUse := make([]int32, n) // per SCC: the level of its last DAG predecessor
 	for l, bucket := range levels {
@@ -375,46 +435,125 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (ga
 			}
 		}
 	}
-	contour := make([][]int32, n) // per position
+	contour := make([][]int32, n) // per position: a list, or a reach set of length words
 	lists := make([][]byte, n)    // per position: the encoded row
+	// newSet returns an empty reach set: a new one when others will read
+	// it, else the worker's own.
+	newSet := func(sc *chainScratch, read bool) []int32 {
+		if read {
+			return make([]int32, words)
+		}
+		clear(sc.set)
+		return sc.set
+	}
 	step := func(s int32, sc *chainScratch) {
 		own, pos := h.locate(posOf[s])
+		read := len(cond.In(s)) > 0 // else nothing reads the contour of s
+		// s's chain successor, or -1.
+		next := int32(-1)
+		if pos+1 < h.chainOff[own+1] {
+			next = pos + 1
+		}
+		var set, m []int32
 		for _, w := range cond.Out(s) {
-			pw := posOf[w]
-			sc.fold(h.chainAt[pw], pw)
-			for _, p := range contour[pw] {
-				sc.fold(h.chainAt[p], p)
+			if len(contour[posOf[w]]) == words {
+				set = newSet(sc, read)
+				break
 			}
 		}
-		m := sc.drain()
-		if len(cond.In(s)) > 0 {
-			contour[pos] = m // else nothing reads it
+		if set != nil {
+			for _, w := range cond.Out(s) {
+				if pw := posOf[w]; len(contour[pw]) == words {
+					for i, x := range contour[pw] {
+						set[i] |= x
+					}
+				}
+			}
+			for _, w := range cond.Out(s) {
+				pw := posOf[w]
+				if c := contour[pw]; len(c) < words {
+					for _, p := range c {
+						h.fillSuffix(set, p)
+					}
+				}
+				h.fillSuffix(set, pw)
+			}
+		} else {
+			for _, w := range cond.Out(s) {
+				pw := posOf[w]
+				sc.fold(h.chainAt[pw], pw)
+				for _, p := range contour[pw] {
+					sc.fold(h.chainAt[p], p)
+				}
+			}
+			m = sc.drain()
+			if len(m) >= words {
+				set = newSet(sc, read)
+				for _, p := range m {
+					h.fillSuffix(set, p)
+				}
+			}
 		}
 		// The list of s: entries on foreign chains not derivable from the
 		// chain successor. The successor (if any) is one of s's DAG
-		// successors, so its contour is still alive here, and it names no
-		// chain m does not.
-		next, via := int32(-1), []int32(nil) // s's chain successor and its contour
-		if pos+1 < h.chainOff[own+1] {
-			next, via = pos+1, contour[pos+1]
+		// successors, so its contour is still alive here. Its reach set
+		// lies in s's, so on each chain its entry is at or past the
+		// entry of s, and the entry of s is derivable exactly when the
+		// two are the same position.
+		var via []int32 // the contour of next
+		if next >= 0 {
+			via = contour[next]
 		}
-		sc.out = sc.out[:0]
-		k := 0
-		for _, p := range m {
-			if p == next {
-				continue // m's one entry on s's own chain
+		row, prev, k := sc.row[:0], int32(-1), 0
+		if set == nil {
+			for _, p := range m {
+				if p == next {
+					continue // m's one entry on s's own chain
+				}
+				for k < len(via) && via[k] < p {
+					k++
+				}
+				if k < len(via) && via[k] == p {
+					continue // derivable via the chain successor
+				}
+				row, prev = putGap(row, prev, p, sc.hits), p
 			}
-			for k < len(via) && via[k] < p {
-				k++
+		} else {
+			// The contour of s word by word, less next and less what next
+			// derives: next's reach set masks it, or the entries of its
+			// list are cleared one by one.
+			viaSet := len(via) == words
+			carry := uint32(0) // the last bit of the previous word
+			for i, x := range set {
+				u := uint32(x)
+				c := u&^(u<<1|carry) | u&uint32(starts[i])
+				carry = u >> 31
+				if viaSet {
+					c &^= uint32(via[i])
+				} else {
+					for ; k < len(via) && via[k]>>5 == int32(i); k++ {
+						c &^= 1 << (via[k] & 31)
+					}
+				}
+				if next>>5 == int32(i) {
+					c &^= 1 << (next & 31)
+				}
+				for ; c != 0; c &= c - 1 {
+					p := int32(i<<5 + bits.TrailingZeros32(c))
+					row, prev = putGap(row, prev, p, sc.hits), p
+				}
 			}
-			if k < len(via) && via[k] == p {
-				continue // derivable via the chain successor, whose contour m folded in
-			}
-			sc.out = append(sc.out, p)
-			sc.hits[p]++
 		}
-		if len(sc.out) > 0 {
-			lists[pos] = appendGaps(make([]byte, 0, gapsLen(sc.out)), sc.out)
+		if len(row) > 0 {
+			lists[pos] = slices.Clone(row)
+		}
+		sc.row = row
+		if read {
+			if set != nil {
+				contour[pos] = set
+			} else if len(m) > 0 {
+				contour[pos] = slices.Clone(m)
+			}
 		}
 	}
 	scratch := make([]*chainScratch, procs) // per worker, made on first use
@@ -423,6 +562,7 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (ga
 			sc := scratch[w]
 			if sc == nil {
 				sc = h.newScratch()
+				sc.set = make([]int32, words)
 				sc.hits = make([]int32, n)
 				scratch[w] = sc
 			}
