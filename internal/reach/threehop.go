@@ -327,19 +327,14 @@ func (sc *chainScratch) reset() {
 	sc.touched = sc.touched[:0]
 }
 
-// A reach set is the strict reach set of an SCC as a bitset over
-// positions: bit p of a set r is r[p>>5]>>(p&31)&1. Its 32-bit words
-// are held as int32, so that it shares the sweep's contour slices with
-// the list form (see sweep).
-
-// has reports whether position p is in the reach set r.
-func has(r []int32, p int32) bool { return r[p>>5]>>(p&31)&1 != 0 }
-
 // fillSuffix adds to the reach set r the suffix of p's chain that
-// starts at p. Every set the sweep builds is a union of chain suffixes,
-// so when p is in r the whole suffix already is.
+// starts at p. A reach set is the strict reach set of an SCC as a
+// bitset over positions: bit p of r is r[p>>5]>>(p&31)&1, its 32-bit
+// words held as int32 so that it shares the sweep's contour slices with
+// the list form (see sweep). Every set the sweep builds is a union of
+// chain suffixes, so when p is in r the whole suffix already is.
 func (h *ThreeHop) fillSuffix(r []int32, p int32) {
-	if has(r, p) {
+	if r[p>>5]>>(p&31)&1 != 0 {
 		return
 	}
 	e := h.chainOff[h.chainAt[p]+1] - 1 // the chain's last position
