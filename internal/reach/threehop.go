@@ -457,6 +457,7 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (ga
 			}
 		}
 		if set != nil {
+			// The sets first, so that the fills skip the suffixes they hold.
 			for _, w := range cond.Out(s) {
 				if pw := posOf[w]; len(contour[pw]) == words {
 					for i, x := range contour[pw] {
