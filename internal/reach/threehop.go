@@ -358,6 +358,64 @@ func putGap(row []byte, prev, p int32, hits []int32) []byte {
 	return binary.AppendUvarint(row, uint64(p-prev-1))
 }
 
+// The reach set of an SCC's chain successor next lies in the SCC's own,
+// so on each chain next's contour entry is at or past the SCC's, and
+// the SCC's entry is derivable from next exactly when the two are the
+// same position. listRow and setRow return the Lout row of an SCC from
+// its contour and next's (via; next is -1 and via nil for none), in
+// sc.row's storage, and count its entries in sc.hits.
+
+// listRow returns the row of an SCC whose contour is the list m, so
+// that via is a list too: m less next and less via's entries.
+func (sc *chainScratch) listRow(m []int32, next int32, via []int32) []byte {
+	row, prev, k := sc.row[:0], int32(-1), 0
+	for _, p := range m {
+		if p == next {
+			continue // m's one entry on the SCC's own chain
+		}
+		for k < len(via) && via[k] < p {
+			k++
+		}
+		if k < len(via) && via[k] == p {
+			continue // derivable via the chain successor
+		}
+		row, prev = putGap(row, prev, p, sc.hits), p
+	}
+	sc.row = row
+	return row
+}
+
+// setRow returns the row of an SCC whose reach set is r, starts being
+// the bitset of the chains' first positions. It reads the contour off r
+// word by word, less next and less what next derives: next's reach set
+// masks it, or the entries of its list are cleared one by one.
+func (sc *chainScratch) setRow(r, starts []int32, next int32, via []int32) []byte {
+	row, prev, k := sc.row[:0], int32(-1), 0
+	viaSet := len(via) == len(r)
+	carry := uint32(0) // the last bit of the previous word
+	for i, x := range r {
+		u := uint32(x)
+		c := u&^(u<<1|carry) | u&uint32(starts[i])
+		carry = u >> 31
+		if viaSet {
+			c &^= uint32(via[i])
+		} else {
+			for ; k < len(via) && via[k]>>5 == int32(i); k++ {
+				c &^= 1 << (via[k] & 31)
+			}
+		}
+		if next>>5 == int32(i) {
+			c &^= 1 << (next & 31)
+		}
+		for ; c != 0; c &= c - 1 {
+			p := int32(i<<5 + bits.TrailingZeros32(c))
+			row, prev = putGap(row, prev, p, sc.hits), p
+		}
+	}
+	sc.row = row
+	return row
+}
+
 // NewThreeHop builds the index for g. Construction is O(total reachable
 // chain entries) via per-SCC contours, each a position list or a reach
 // set, whichever is smaller, that are freed as soon as every dependent
@@ -444,11 +502,6 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (ga
 	step := func(s int32, sc *chainScratch) {
 		own, pos := h.locate(posOf[s])
 		read := len(cond.In(s)) > 0 // else nothing reads the contour of s
-		// s's chain successor, or -1.
-		next := int32(-1)
-		if pos+1 < h.chainOff[own+1] {
-			next = pos + 1
-		}
 		var set, m []int32
 		for _, w := range cond.Out(s) {
 			if len(contour[posOf[w]]) == words {
@@ -492,58 +545,20 @@ func (h *ThreeHop) sweep(cond *graph.Condensation, posOf []int32, procs int) (ga
 		}
 		// The list of s: entries on foreign chains not derivable from the
 		// chain successor. The successor (if any) is one of s's DAG
-		// successors, so its contour is still alive here. Its reach set
-		// lies in s's, so on each chain its entry is at or past the
-		// entry of s, and the entry of s is derivable exactly when the
-		// two are the same position.
-		var via []int32 // the contour of next
-		if next >= 0 {
-			via = contour[next]
+		// successors, so its contour is still alive here.
+		next, via := int32(-1), []int32(nil) // s's chain successor and its contour
+		if pos+1 < h.chainOff[own+1] {
+			next, via = pos+1, contour[pos+1]
 		}
-		row, prev, k := sc.row[:0], int32(-1), 0
+		var row []byte
 		if set == nil {
-			for _, p := range m {
-				if p == next {
-					continue // m's one entry on s's own chain
-				}
-				for k < len(via) && via[k] < p {
-					k++
-				}
-				if k < len(via) && via[k] == p {
-					continue // derivable via the chain successor
-				}
-				row, prev = putGap(row, prev, p, sc.hits), p
-			}
+			row = sc.listRow(m, next, via)
 		} else {
-			// The contour of s word by word, less next and less what next
-			// derives: next's reach set masks it, or the entries of its
-			// list are cleared one by one.
-			viaSet := len(via) == words
-			carry := uint32(0) // the last bit of the previous word
-			for i, x := range set {
-				u := uint32(x)
-				c := u&^(u<<1|carry) | u&uint32(starts[i])
-				carry = u >> 31
-				if viaSet {
-					c &^= uint32(via[i])
-				} else {
-					for ; k < len(via) && via[k]>>5 == int32(i); k++ {
-						c &^= 1 << (via[k] & 31)
-					}
-				}
-				if next>>5 == int32(i) {
-					c &^= 1 << (next & 31)
-				}
-				for ; c != 0; c &= c - 1 {
-					p := int32(i<<5 + bits.TrailingZeros32(c))
-					row, prev = putGap(row, prev, p, sc.hits), p
-				}
-			}
+			row = sc.setRow(set, starts, next, via)
 		}
 		if len(row) > 0 {
 			lists[pos] = slices.Clone(row)
 		}
-		sc.row = row
 		if read {
 			if set != nil {
 				contour[pos] = set
