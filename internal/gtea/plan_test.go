@@ -91,6 +91,63 @@ func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
 	}
 }
 
+// TestPlanPruningReadsNoIndex pins the single downward kernel of the
+// planner: over random cyclic and acyclic graphs and random queries
+// with PC edges, negation and disjunction, every internal node prunes
+// by bitset contours on the 3-hop index, flat and under a delta
+// overlay, whatever the shape of its fext. With the root as the only
+// output the prime subtree is the root alone, so neither the upward
+// round nor the matching graph has an edge to probe, and the whole
+// evaluation reads no index entry. Over the transitive closure every
+// node keeps the paper kernel. Every answer is the oracle's.
+func TestPlanPruningReadsNoIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	labels := planTestLabels[:4]
+	for trial := 0; trial < 24; trial++ {
+		base := gen.Graph(r, 30+r.Intn(40), 40+r.Intn(120), labels, trial%2 == 0)
+		batches := []delta.Batch{overlayBatch(base)}
+		ext, err := delta.Extend(base, batches)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := gen.Query(r, 2+r.Intn(6), labels, true, true)
+		for _, n := range q.Nodes {
+			n.Output = false
+		}
+		q.SetOutput(q.Root)
+		for _, c := range []struct {
+			kind, kernel string
+			noIndex      bool
+		}{
+			{"threehop", KernelMultiway, true},
+			{delta.KindPrefix + "threehop", KernelMultiway, true},
+			{"tc", KernelPaper, false},
+		} {
+			baseKind, overlay := strings.CutPrefix(c.kind, delta.KindPrefix)
+			h, err := reach.Build(baseKind, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := base
+			if overlay {
+				g, h = ext, delta.NewOverlay(h, base.N(), ext.N(), batches)
+			}
+			ans, st := NewWithIndex(g, h, Options{}).EvalStats(q)
+			if c.noIndex && st.Index != 0 {
+				t.Errorf("trial %d %s: %d index lookups, want none\n%s", trial, c.kind, st.Index, q)
+			}
+			for u, n := range q.Nodes {
+				if k := st.Plan.Nodes[u].Kernel; len(n.Children) > 0 && k != c.kernel {
+					t.Errorf("trial %d %s: node %d kernel %q, want %q\n%s", trial, c.kind, u, k, c.kernel, q)
+				}
+			}
+			if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
+				t.Fatalf("trial %d %s: answer differs from the oracle's\n%s\nwant %v\ngot  %v", trial, c.kind, q, want, ans)
+			}
+		}
+	}
+}
+
 // TestNoPlanRestoresPaperBehavior checks the escape hatch: with NoPlan
 // no plan is recorded, and answers are byte-identical either way, and
 // the oracle's.
