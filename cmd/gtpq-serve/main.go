@@ -79,7 +79,7 @@ func main() {
 		maxRows   = flag.Int("max-rows", 10000, "max result rows returned per query; doubles as the default page size for paged and NDJSON responses (0: unlimited)")
 		cacheB    = flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (0: disable caching)")
 		compactN  = flag.Int("compact-after", 0, "fold a dataset's delta log into a fresh snapshot once this many mutations are pending (0: never auto-compact)")
-		plan      = flag.String("plan", "on", "kernel rule: on runs the multiway intersection at conjunctive nodes unless the index is the transitive closure; off restores the paper's per-candidate kernel")
+		plan      = flag.String("plan", "on", "kernel rule: on prunes every internal node with bitset contours unless the index is the transitive closure; off restores the paper's per-candidate kernel")
 		costQuota = flag.Int64("cost-quota", 0, "reject queries whose estimated candidate cost exceeds this before admission (0: no limit)")
 		maxSubs   = flag.Int("max-subs", 1024, "max concurrently attached standing-query streams (POST /subscribe)")
 		slowMS    = flag.Int64("slowlog-ms", 250, "record queries at least this slow (with per-stage trace timings) in GET /debug/slowlog (0: disable)")

@@ -55,7 +55,7 @@ func main() {
 		minimize = flag.Bool("minimize", false, "minimize the query first (Algorithm 1)")
 		index    = flag.String("index", "", "reachability index backend: "+strings.Join(reach.Kinds(), ", ")+" (default threehop)")
 		saveSnap = flag.String("save-snapshot", "", "write the graph and built index to this file (load it later with -data file)")
-		plan     = flag.String("plan", "on", "kernel rule: on runs the multiway intersection at conjunctive nodes unless the index is the transitive closure; off restores the paper's per-candidate kernel")
+		plan     = flag.String("plan", "on", "kernel rule: on prunes every internal node with bitset contours unless the index is the transitive closure; off restores the paper's per-candidate kernel")
 	)
 	flag.Parse()
 	if *queryArg == "" {

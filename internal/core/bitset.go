@@ -77,31 +77,3 @@ func (b *Bitset) Count() int {
 	}
 	return c
 }
-
-// And intersects b with o in place, word-wise — the multiway-pruning
-// kernel's primitive. Bits of b beyond o's sized range are cleared
-// (absent ids are not members of o). The dirty bookkeeping stays a
-// superset of the live members: intersection only clears bits, so the
-// between-Resets invariant (words beyond dirty are zero) is preserved.
-func (b *Bitset) And(o *Bitset) {
-	n := len(b.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		b.words[i] &= o.words[i]
-	}
-	for i := n; i < len(b.words); i++ {
-		b.words[i] = 0
-	}
-}
-
-// Any reports whether the set is non-empty.
-func (b *Bitset) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}

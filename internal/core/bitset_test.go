@@ -76,50 +76,3 @@ func TestBitsetMatchesMap(t *testing.T) {
 		}
 	}
 }
-
-// TestBitsetAndAny cross-checks And/Any against set intersection,
-// including the differing-capacity case (And must clear bits beyond
-// the other set's range) and reuse after And (dirty tracking stays a
-// valid superset so Reset still clears everything).
-func TestBitsetAndAny(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	var a, b Bitset
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(300)
-		fill := func(dst *Bitset, size int) map[graph.NodeID]bool {
-			xs := make([]graph.NodeID, r.Intn(size+1))
-			m := map[graph.NodeID]bool{}
-			for i := range xs {
-				xs[i] = graph.NodeID(r.Intn(size))
-				m[xs[i]] = true
-			}
-			dst.Fill(size, xs)
-			return m
-		}
-		am := fill(&a, n)
-		bn := n
-		if trial%2 == 0 {
-			bn = 1 + r.Intn(n) // smaller other set: And must drop a's tail
-		}
-		bm := fill(&b, bn)
-		a.And(&b)
-		want := map[graph.NodeID]bool{}
-		for v := range am {
-			if bm[v] {
-				want[v] = true
-			}
-		}
-		for v := 0; v < n; v++ {
-			if a.Has(graph.NodeID(v)) != want[graph.NodeID(v)] {
-				t.Fatalf("trial %d: after And, Has(%d) = %v, want %v", trial, v, a.Has(graph.NodeID(v)), want[graph.NodeID(v)])
-			}
-		}
-		if a.Any() != (len(want) > 0) {
-			t.Fatalf("trial %d: Any = %v with %d members", trial, a.Any(), len(want))
-		}
-		a.Reset(n)
-		if a.Any() || a.Count() != 0 {
-			t.Fatalf("trial %d: Reset after And left bits behind", trial)
-		}
-	}
-}

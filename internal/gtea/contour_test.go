@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gtpq/internal/core"
 	"gtpq/internal/gen"
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
@@ -30,6 +31,7 @@ func TestBitsetContourMatchesIndex(t *testing.T) {
 			}
 		}
 		ec := &evalContext{g: g}
+		var set core.Bitset
 		for _, down := range []bool{false, true} {
 			var st reach.Stats
 			want := tc.PredContour(S, &st)
@@ -37,14 +39,14 @@ func TestBitsetContourMatchesIndex(t *testing.T) {
 			if down {
 				want, nbrs = tc.SuccContour(S, &st), g.Out
 			}
-			got := ec.connected(S, down, false, &ec.contourSet)
+			got := ec.connected(S, down, false, &set)
 			for v := range graph.NodeID(n) {
 				if got.Probe(v, nil) != want.Probe(v, &st) {
 					t.Fatalf("trial %d (dag=%v) down=%v S=%v: node %d: bitset %v, closure %v",
 						trial, dag, down, S, v, got.Probe(v, nil), want.Probe(v, &st))
 				}
 			}
-			hop := ec.connected(S, down, true, &ec.contourSet)
+			hop := ec.connected(S, down, true, &set)
 			for v := range graph.NodeID(n) {
 				adj := slices.ContainsFunc(S, func(s graph.NodeID) bool {
 					_, ok := slices.BinarySearch(nbrs(s), v)

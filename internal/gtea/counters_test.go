@@ -45,7 +45,7 @@ var evalCountersGolden = []struct {
 	{"uniform", "tc", "scan", "noplan", counters{880, 880, 0, 0, 1760, 880}},
 	{"uniform", "tc", "scan", "plan", counters{880, 880, 0, 0, 1760, 880}},
 	{"uniform", "threehop", "neg", "noplan", counters{2566, 2566, 0, 4871, 290, 145}},
-	{"uniform", "threehop", "neg", "plan", counters{2566, 2566, 0, 4871, 290, 145}},
+	{"uniform", "threehop", "neg", "plan", counters{5570, 5570, 0, 0, 290, 145}},
 	{"uniform", "threehop", "pair", "noplan", counters{4172, 3434, 738, 4505761, 11030, 4333}},
 	{"uniform", "threehop", "pair", "plan", counters{9281, 8543, 738, 4494280, 11030, 4333}},
 	{"uniform", "threehop", "scan", "noplan", counters{880, 880, 0, 0, 1760, 880}},
@@ -91,7 +91,7 @@ var evalCountersGolden = []struct {
 	{"small-uniform+delta", "tc", "scan", "plan", counters{231, 231, 0, 0, 462, 231}},
 	{"small-uniform+delta", "threehop", "neg", "nocontours", counters{619, 619, 0, 1081173, 76, 38}},
 	{"small-uniform+delta", "threehop", "neg", "noplan", counters{619, 619, 0, 1132, 76, 38}},
-	{"small-uniform+delta", "threehop", "neg", "plan", counters{619, 619, 0, 1132, 76, 38}},
+	{"small-uniform+delta", "threehop", "neg", "plan", counters{1367, 1367, 0, 0, 76, 38}},
 	{"small-uniform+delta", "threehop", "pair", "nocontours", counters{1091, 896, 195, 2865822, 2346, 865}},
 	{"small-uniform+delta", "threehop", "pair", "noplan", counters{1091, 896, 195, 214871, 2346, 865}},
 	{"small-uniform+delta", "threehop", "pair", "plan", counters{2394, 2199, 195, 211214, 2346, 865}},

@@ -11,7 +11,9 @@
 // (reach.Build selects one by name). Over the paper's 3-hop index
 // (*reach.ThreeHop) pruning also gets the Procedure 6/7 shared-walk
 // and chain-inheritance optimizations; every other backend is pruned
-// with one reach.SetContour probe per candidate.
+// with one reach.SetContour probe per candidate. With the planner on
+// (plan.go), both rounds read bitset contours found by graph search
+// instead, on every backend but the transitive closure.
 //
 // An Engine is immutable after construction and safe for concurrent
 // use: all per-evaluation state lives in a per-call context, and every
@@ -76,10 +78,9 @@ type Options struct {
 	NoShrink bool
 	// NoPlan disables the planner: pruning always probes the index's
 	// contours (no bitset contours, which the planner's rule otherwise
-	// reads on every AD edge of the upward round and at every
-	// conjunctive-only node downward, unless the index is the transitive
-	// closure), and no plan is recorded. The escape hatch behind the
-	// -plan=off flags.
+	// reads on every AD edge of the upward round and at every internal
+	// node downward, unless the index is the transitive closure), and
+	// no plan is recorded. The escape hatch behind the -plan=off flags.
 	NoPlan bool
 	// Index names the reachability backend (reach.Kinds lists them;
 	// empty selects reach.DefaultKind, the 3-hop index).
@@ -177,15 +178,15 @@ type evalContext struct {
 	bucketOut [][]graph.NodeID
 
 	// Planner state (see plan.go): the plan record, the kernel rule,
-	// and the bitset contours' scratch (prune.go): the downward
-	// intersection, the one live contour's set, and the search stack
-	// that fills it. plan is freshly allocated per call (it escapes
-	// through Stats); the rest is pooled like every other buffer.
-	plan       *PlanInfo
-	multiway   bool
-	accSet     core.Bitset
-	contourSet core.Bitset
-	bfsStack   []graph.NodeID
+	// and the bitset contours' scratch (prune.go): contours[u] holds
+	// the last contour built from mat[u], and bfsStack is the search
+	// stack that fills it. plan is freshly allocated per call (it
+	// escapes through Stats); the rest is pooled like every other
+	// buffer.
+	plan     *PlanInfo
+	multiway bool
+	contours []core.Bitset
+	bfsStack []graph.NodeID
 
 	// Seeded evaluation (see seed.go): with seeded set, the root's
 	// initial candidates are intersected with seedSet before the arena
@@ -416,6 +417,7 @@ func (ec *evalContext) initCandidates(q *core.Query) {
 	ec.valBuf = growSlice(ec.valBuf, n)
 	ec.cps = growSlice(ec.cps, n)
 	ec.gps = growSlice(ec.gps, n)
+	ec.contours = growSlice(ec.contours, n)
 
 	// First pass borrows the (read-only) candidate sources to size the
 	// arena; the second copies, so arena growth cannot move slices that

@@ -17,13 +17,14 @@ import (
 // choices and counts. What the planner chooses is the kernel, by one
 // fixed rule: pruning reads bitset contours (prune.go's connected: every
 // node strictly connected to a candidate set, found by one search of
-// the graph) in place of the index's merged contours. Downward, a node
-// whose fext is conjunctive-only ANDs its candidates with each
-// variable's bitset contour, word-wise, and records KernelMultiway;
-// any other node keeps the paper's per-candidate valuation. Upward,
+// the graph) in place of the index's merged contours. Downward, every
+// internal node fills one bitset contour per variable of its fext,
+// keeps the candidates whose membership in those sets satisfies fext
+// (∧, ∨ and ¬ alike: a Boolean combination of one-attribute semijoins
+// is set algebra over one domain), and records KernelMultiway. Upward,
 // every AD edge of the prime subtree probes the parent's bitset
-// contour. A set intersection bounds the work by the sets' sizes where
-// the paper's per-candidate contour probes cost candidates × edges.
+// contour. A set test bounds the work by the sets' sizes where the
+// paper's per-candidate contour probes cost candidates × edges.
 // The one exception is an index that is the transitive closure, flat
 // or under a delta overlay (closureIndex): there a probe is a
 // word-parallel row intersection with no graph walk, cheaper than the

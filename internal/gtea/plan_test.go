@@ -36,9 +36,11 @@ func starQuery() *core.Query {
 }
 
 // TestPlanRecordsEstimatesAndKernels pins what the plan reports on the
-// skewed star over every backend, flat and under a delta overlay:
-// estimates equal the label frequencies, and the kernel rule runs the
-// multiway kernel at the hot root except over the transitive closure.
+// skewed star, and on the star with its root's predicate negated, over
+// every backend, flat and under a delta overlay: estimates equal the
+// label frequencies, and the kernel rule runs the multiway kernel at
+// the hot root except over the transitive closure, whatever the shape
+// of the root's fext.
 func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
 	base := planTestGraph()
 	batches := []delta.Batch{overlayBatch(base)}
@@ -46,7 +48,8 @@ func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := starQuery()
+	neg := starQuery()
+	neg.SetStruct(neg.Root, logic.Not(neg.Nodes[neg.Root].Struct))
 	for _, c := range []struct {
 		kind, root string
 	}{
@@ -68,24 +71,32 @@ func TestPlanRecordsEstimatesAndKernels(t *testing.T) {
 			if h.Kind() != c.kind {
 				t.Fatalf("index kind %q, want %q", h.Kind(), c.kind)
 			}
-			ans, st := NewWithIndex(g, h, Options{}).EvalStats(q)
-			if st.Plan == nil {
-				t.Fatal("no plan recorded")
-			}
-			for u, pn := range st.Plan.Nodes {
-				l, _ := q.Nodes[u].Attr.LabelOnly()
-				if want := len(g.ByLabel(l)); pn.EstCands != want || pn.InitCands != want {
-					t.Fatalf("node %d (%s): est=%d init=%d, label count %d", u, l, pn.EstCands, pn.InitCands, want)
-				}
-				if pn.FinalCands > pn.InitCands {
-					t.Fatalf("node %d: final %d > init %d", u, pn.FinalCands, pn.InitCands)
-				}
-			}
-			if k := st.Plan.Nodes[q.Root].Kernel; k != c.root {
-				t.Fatalf("root kernel = %q, want %q", k, c.root)
-			}
-			if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
-				t.Fatalf("answer differs from the oracle's: want %v got %v", want, ans)
+			for _, tq := range []struct {
+				name string
+				q    *core.Query
+			}{{"star", starQuery()}, {"neg", neg}} {
+				q := tq.q
+				t.Run(tq.name, func(t *testing.T) {
+					ans, st := NewWithIndex(g, h, Options{}).EvalStats(q)
+					if st.Plan == nil {
+						t.Fatal("no plan recorded")
+					}
+					for u, pn := range st.Plan.Nodes {
+						l, _ := q.Nodes[u].Attr.LabelOnly()
+						if want := len(g.ByLabel(l)); pn.EstCands != want || pn.InitCands != want {
+							t.Fatalf("node %d (%s): est=%d init=%d, label count %d", u, l, pn.EstCands, pn.InitCands, want)
+						}
+						if pn.FinalCands > pn.InitCands {
+							t.Fatalf("node %d: final %d > init %d", u, pn.FinalCands, pn.InitCands)
+						}
+					}
+					if k := st.Plan.Nodes[q.Root].Kernel; k != c.root {
+						t.Fatalf("root kernel = %q, want %q", k, c.root)
+					}
+					if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
+						t.Fatalf("answer differs from the oracle's: want %v got %v", want, ans)
+					}
+				})
 			}
 		})
 	}
@@ -179,10 +190,10 @@ func TestNoPlanRestoresPaperBehavior(t *testing.T) {
 	}
 }
 
-// TestPlanNegationFallsBackToPaper pins the safety gate: a node whose
-// extension formula negates an AD child is not multiway-eligible, so
-// its kernel stays "paper" and the answer is the oracle's.
-func TestPlanNegationFallsBackToPaper(t *testing.T) {
+// TestPlanNegationRunsMultiway pins the one downward kernel: a node
+// whose extension formula negates an AD child runs the multiway kernel
+// like any other, reads no index entry, and answers as the oracle does.
+func TestPlanNegationRunsMultiway(t *testing.T) {
 	g := planTestGraph()
 	q := core.NewQuery()
 	x := q.AddRoot("x", core.Label("a"))
@@ -194,19 +205,21 @@ func TestPlanNegationFallsBackToPaper(t *testing.T) {
 	if st.Plan == nil {
 		t.Fatal("no plan recorded")
 	}
-	if k := st.Plan.Nodes[x].Kernel; k != KernelPaper {
-		t.Fatalf("negated node kernel = %q, want paper", k)
+	if k := st.Plan.Nodes[x].Kernel; k != KernelMultiway {
+		t.Fatalf("negated node kernel = %q, want multiway", k)
+	}
+	if st.Index != 0 {
+		t.Fatalf("negated node read %d index entries, want none", st.Index)
 	}
 	if want := core.EvalNaive(g, reach.NewTC(g), q); !want.Equal(ans) {
-		t.Fatalf("negation fallback changed the answer: want %v got %v", want, ans)
+		t.Fatalf("multiway negation changed the answer: want %v got %v", want, ans)
 	}
 }
 
-// TestPlanFalsePredicateIsEmpty pins the unsatisfiable-fext guard of
-// the kernel rule: a conjunctive node whose structural predicate is
-// false keeps no candidate, whatever its children's contours hold.
-// Dropping the guard leaves mat(x) unfiltered, because False has no
-// variables to intersect with.
+// TestPlanFalsePredicateIsEmpty pins an unsatisfiable fext under the
+// kernel rule: a node whose structural predicate is false keeps no
+// candidate, whatever its children's contours hold, although False has
+// no variable to fill a contour for.
 func TestPlanFalsePredicateIsEmpty(t *testing.T) {
 	g, _ := xmark.Generate(xmark.Config{Scale: 0.5, PersonsPerUnit: 200, Seed: 7})
 	q := core.NewQuery()

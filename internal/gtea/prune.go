@@ -20,9 +20,8 @@ import (
 // positions either way (reachability is monotone along a chain).
 // PC-child valuations are computed exactly from adjacency — §4.4's
 // first strategy, required anyway under negation.
-// Under the planner's kernel rule (plan.go), a node whose fext is
-// conjunctive-only intersects bitset contours instead (pruneDownSets);
-// both are exact.
+// Under the planner's kernel rule (plan.go), every internal node reads
+// bitset contours instead (pruneDownSets); both are exact.
 func (ec *evalContext) pruneDownward(q *core.Query) {
 	for _, u := range q.PostOrder() {
 		if ec.cancelled() {
@@ -34,7 +33,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 			continue
 		}
 		fext := q.Fext(u)
-		if ec.multiway && fext.ConjunctiveOnly() {
+		if ec.multiway {
 			ec.plan.Nodes[u].Kernel = KernelMultiway
 			ec.pruneDownSets(q, u, fext)
 			if ec.cancelled() {
@@ -188,7 +187,7 @@ func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
 				// AD edge: the upward round carries no negation.
 				if gcs == nil {
 					if ec.multiway {
-						gcs = ec.connected(ec.mat[u], true, false, &ec.contourSet)
+						gcs = ec.connected(ec.mat[u], true, false, &ec.contours[u])
 					} else {
 						gcs = ec.contour(ec.mat[u], true)
 					}
@@ -337,39 +336,25 @@ func (ec *evalContext) connected(S []graph.NodeID, down, oneHop bool, dst *core.
 	return bitsetContour{dst}
 }
 
-// pruneDownSets is the kernel rule's Procedure 6 step at a node whose
-// fext is conjunctive-only: mat(u) is ANDed, word-wise, with the bitset
-// contour of each variable of fext (its in-neighbors for a PC child,
-// its strict predecessors for an AD child). PC variables go first, and
-// an empty intersection ends each group early.
+// pruneDownSets is the kernel rule's Procedure 6 step at an internal
+// node: each variable of fext gets the bitset contour of its child's
+// candidates (their in-neighbors for a PC child, their strict
+// predecessors for an AD child), and a candidate survives iff fext
+// holds under the valuation its membership in those sets induces. A
+// variable-free False keeps none.
 func (ec *evalContext) pruneDownSets(q *core.Query, u int, fext *logic.Formula) {
-	if !fext.Eval(func(int) bool { return true }) {
-		// Unsatisfiable (fext is False): no candidate can survive, and
-		// there is no variable to intersect with.
-		ec.mat[u] = ec.mat[u][:0]
-		ec.setMatSet(u, ec.mat[u])
-		return
-	}
-	ad, pc := ec.splitKids(q, fext.Vars())
-	acc := &ec.accSet
-	acc.Fill(ec.g.N(), ec.mat[u])
-	for _, kids := range [...][]int{pc, ad} {
-		for _, c := range kids {
-			if ec.cancelled() {
-				return
-			}
-			acc.And(ec.connected(ec.mat[c], false, q.Nodes[c].PEdge == core.PC, &ec.contourSet).Bitset)
-			if !acc.Any() {
-				break
-			}
+	for _, c := range fext.Vars() {
+		if ec.cancelled() {
+			return
 		}
+		ec.connected(ec.mat[c], false, q.Nodes[c].PEdge == core.PC, &ec.contours[c])
 	}
 	if ec.cancelled() {
 		return
 	}
 	keep := ec.mat[u][:0]
 	for _, v := range ec.mat[u] {
-		if acc.Has(v) {
+		if fext.Eval(func(c int) bool { return ec.contours[c].Has(v) }) {
 			keep = append(keep, v)
 		}
 	}
