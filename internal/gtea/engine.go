@@ -351,10 +351,10 @@ func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed 
 	prime, alive := ec.pruneAll(q, outs, parent)
 	if alive && ec.err == nil {
 		sp = parent.Start("enumerate")
-		comps, singles := ec.shrink(q, prime, outs)
-		mg := ec.buildMatchingGraph(q, comps)
+		f, singles := ec.shrink(q, prime, outs)
+		mg := ec.buildMatchingGraph(q, f)
 		if ec.err == nil {
-			pt = ec.collectPartials(q, comps, singles, mg)
+			pt = ec.collectPartials(q, f, singles, mg)
 		}
 	}
 	if ec.err == nil {
@@ -380,7 +380,7 @@ func (e *Engine) evaluate(ctx context.Context, q *core.Query, seeded bool, seed 
 // rounds, with their trace spans and PruneTime accounting. It returns
 // the prime subtree and whether the root kept at least one candidate
 // (alive == false means the answer is empty — or ec.err is set).
-func (ec *evalContext) pruneAll(q *core.Query, outs []int, parent *obs.Span) (map[int]bool, bool) {
+func (ec *evalContext) pruneAll(q *core.Query, outs []int, parent *obs.Span) ([]bool, bool) {
 	sp := parent.Start("plan")
 	ec.planQuery(q)
 	sp.End()

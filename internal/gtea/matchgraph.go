@@ -1,46 +1,47 @@
 package gtea
 
 import (
+	"slices"
+
 	"gtpq/internal/core"
 	"gtpq/internal/graph"
 	"gtpq/internal/reach"
 )
 
-// component is one tree of the shrunk prime subtree forest. Removing the
-// ancestors of the output LCA and every node with a single candidate can
-// disconnect the prime subtree; the pieces are independent because a
-// singleton separator is fixed in every match, so per-component results
-// combine by Cartesian product (§4.3).
-type component struct {
-	root  int
-	nodes []int // preorder within the component
+// forest is the shrunk prime subtree (§4.3), indexed by query node.
+// Removing the ancestors of the output LCA and every node with a single
+// candidate can disconnect the prime subtree; the pieces (components)
+// are independent because a singleton separator is fixed in every
+// match, so per-component results combine by Cartesian product.
+type forest struct {
+	// roots lists the component roots in preorder.
+	roots []int
+	// kids[u] lists kept node u's children inside its component, in
+	// query order.
+	kids [][]int
+	// outs[r] lists the output nodes of the component rooted at r, in
+	// preorder; it is nil at every node that roots no component.
+	outs [][]int
 }
 
-// shrink computes the shrunk prime subtree: the components of the prime
-// subtree after removing proper ancestors of the output LCA and every
-// node with |mat| = 1, plus the fixed images of the singleton output
-// nodes (appended to every tuple).
-func (ec *evalContext) shrink(q *core.Query, prime map[int]bool, outs []int) ([]component, map[int]graph.NodeID) {
+// shrink computes the shrunk prime subtree: the forest left of prime
+// after removing proper ancestors of the output LCA and every node with
+// |mat| = 1, plus the fixed images of the singleton output nodes
+// (appended to every tuple). It narrows prime in place to the kept
+// nodes.
+func (ec *evalContext) shrink(q *core.Query, prime []bool, outs []int) (forest, map[int]graph.NodeID) {
 	singles := make(map[int]graph.NodeID)
-	kept := make(map[int]bool)
-	if ec.opt.NoShrink {
-		for u := range prime {
-			kept[u] = true
-		}
-	} else {
+	kept := prime
+	if !ec.opt.NoShrink {
 		// LCA of all output nodes.
 		lca := outs[0]
 		for _, o := range outs[1:] {
 			lca = q.LCA(lca, o)
 		}
-		for u := range prime {
-			if u != lca && q.IsAncestorOf(u, lca) {
-				continue // strict ancestor of the LCA
+		for u := range kept {
+			if q.IsAncestorOf(u, lca) || len(ec.mat[u]) == 1 {
+				kept[u] = false
 			}
-			if len(ec.mat[u]) == 1 {
-				continue
-			}
-			kept[u] = true
 		}
 		for _, o := range outs {
 			if !kept[o] {
@@ -55,112 +56,107 @@ func (ec *evalContext) shrink(q *core.Query, prime map[int]bool, outs []int) ([]
 			}
 		}
 	}
-	// Components: a kept node roots a component when its query parent is
-	// not kept.
-	var comps []component
-	var build func(u int, c *component)
-	build = func(u int, c *component) {
-		c.nodes = append(c.nodes, u)
-		for _, ch := range q.Nodes[u].Children {
-			if kept[ch] {
-				build(ch, c)
-			}
-		}
-	}
+	// A kept node roots a component when its query parent is not kept.
+	f := forest{kids: make([][]int, len(q.Nodes)), outs: make([][]int, len(q.Nodes))}
+	root := make([]int, len(q.Nodes))
 	for _, u := range q.PreOrder() {
 		if !kept[u] {
 			continue
 		}
-		p := q.Nodes[u].Parent
-		if p != -1 && kept[p] {
-			continue
+		if p := q.Nodes[u].Parent; p != -1 && kept[p] {
+			f.kids[p] = append(f.kids[p], u)
+			root[u] = root[p]
+		} else {
+			f.roots = append(f.roots, u)
+			root[u] = u
 		}
-		c := component{root: u}
-		build(u, &c)
-		comps = append(comps, c)
+		if q.Nodes[u].Output {
+			f.outs[root[u]] = append(f.outs[root[u]], u)
+		}
 	}
-	return comps, singles
+	return f, singles
 }
 
-// matchingGraph is the paper's maximal matching graph restricted to the
-// shrunk prime subtree: candidates grouped by query node, with branch
-// lists per query edge (branches[u][v][i] lists the matches of the i-th
-// kept child of u linked below v).
-type matchingGraph struct {
-	// keptChildren[u] lists u's children inside the same component.
-	keptChildren map[int][]int
-	// branches[u][v] is parallel to keptChildren[u].
-	branches map[int]map[graph.NodeID][][]graph.NodeID
-}
+// matchingGraph is the paper's maximal matching graph over the shrunk
+// prime subtree: one row set per kept edge (u, c), indexed by the child
+// c. Row i, at[c][off[c][i]:off[c][i+1]], lists ascending the positions
+// in mat[c] of the matches of c linked below mat[u][i]. A PC row names a
+// position once per data edge, as the graph keeps parallel edges.
+type matchingGraph struct{ off, at [][]int32 }
 
-// buildMatchingGraph materializes matches for every query edge of the
-// shrunk prime subtree. AD edges use per-source successor contours (the
-// PruneUpward technique with a single-node set), which every backend
-// provides; PC edges check adjacency directly. Nodes left without
-// support on some edge simply end up with empty branch lists and
-// contribute no results.
-func (ec *evalContext) buildMatchingGraph(q *core.Query, comps []component) *matchingGraph {
-	mg := &matchingGraph{
-		keptChildren: make(map[int][]int),
-		branches:     make(map[int]map[graph.NodeID][][]graph.NodeID),
-	}
-	var nodes, edges int64
-	for _, comp := range comps {
-		inComp := make(map[int]bool, len(comp.nodes))
-		for _, u := range comp.nodes {
-			inComp[u] = true
+// row returns the positions in mat[c] linked below the i-th candidate
+// of c's parent.
+func (mg *matchingGraph) row(c, i int) []int32 { return mg.at[c][mg.off[c][i]:mg.off[c][i+1]] }
+
+// buildMatchingGraph materializes matches for every kept edge of the
+// shrunk prime subtree, component by component in preorder. AD edges
+// use per-source successor contours (the PruneUpward technique with a
+// single-node set), which every backend provides; PC edges check
+// adjacency directly. Candidates left without support on some edge
+// simply end up with empty rows and contribute no results.
+func (ec *evalContext) buildMatchingGraph(q *core.Query, f forest) *matchingGraph {
+	mg := &matchingGraph{off: make([][]int32, len(q.Nodes)), at: make([][]int32, len(q.Nodes))}
+	var nodes int64
+	var build func(u int)
+	build = func(u int) {
+		nodes += int64(len(ec.mat[u]))
+		kids := f.kids[u]
+		if len(kids) == 0 {
+			return
 		}
-		for _, u := range comp.nodes {
-			var kids []int
-			for _, c := range q.Nodes[u].Children {
-				if inComp[c] {
-					kids = append(kids, c)
-				}
+		hasAD := false
+		for _, c := range kids {
+			mg.off[c] = make([]int32, 1, len(ec.mat[u])+1)
+			hasAD = hasAD || q.Nodes[c].PEdge != core.PC
+		}
+		for _, v := range ec.mat[u] {
+			if ec.tick() {
+				return
 			}
-			mg.keptChildren[u] = kids
-			perV := make(map[graph.NodeID][][]graph.NodeID, len(ec.mat[u]))
-			mg.branches[u] = perV
-			nodes += int64(len(ec.mat[u]))
-			if len(kids) == 0 {
-				continue
+			ec.stat.EnumInput++
+			var cs reach.SetContour
+			if hasAD {
+				// One successor-list merge per source node serves all
+				// AD children (the PruneUpward technique of §4.3).
+				cs = ec.h.SuccContour([]graph.NodeID{v}, &ec.rst)
 			}
-			hasAD := false
 			for _, c := range kids {
-				if q.Nodes[c].PEdge != core.PC {
-					hasAD = true
-				}
-			}
-			for _, v := range ec.mat[u] {
-				if ec.tick() {
-					return mg
-				}
-				ec.stat.EnumInput++
-				lists := make([][]graph.NodeID, len(kids))
-				var cs reach.SetContour
-				if hasAD {
-					// One successor-list merge per source node serves all
-					// AD children (the PruneUpward technique of §4.3).
-					cs = ec.h.SuccContour([]graph.NodeID{v}, &ec.rst)
-				}
-				for i, c := range kids {
-					if q.Nodes[c].PEdge == core.PC {
-						for _, w := range ec.g.Out(v) {
-							if ec.matSet[c].Has(w) {
-								lists[i] = append(lists[i], w)
-							}
-						}
-					} else {
-						for _, w := range ec.mat[c] {
-							if cs.Probe(w, &ec.rst) {
-								lists[i] = append(lists[i], w)
-							}
+				at := mg.at[c]
+				if q.Nodes[c].PEdge == core.PC {
+					for _, w := range ec.g.Out(v) {
+						if ec.matSet[c].Has(w) {
+							j, _ := slices.BinarySearch(ec.mat[c], w)
+							at = append(at, int32(j))
 						}
 					}
-					edges += int64(len(lists[i]))
+				} else {
+					for j, w := range ec.mat[c] {
+						if cs.Probe(w, &ec.rst) {
+							at = append(at, int32(j))
+						}
+					}
 				}
-				perV[v] = lists
+				mg.at[c] = at
+				mg.off[c] = append(mg.off[c], int32(len(at)))
 			}
 		}
+		for _, c := range kids {
+			if ec.err == nil {
+				build(c)
+			}
+		}
+	}
+	for _, r := range f.roots {
+		if ec.err == nil {
+			build(r)
+		}
+	}
+	if ec.err != nil {
+		return mg
+	}
+	var edges int64
+	for _, at := range mg.at {
+		edges += int64(len(at))
 	}
 	ec.stat.Intermediate = 2 * (nodes + edges)
 	return mg
@@ -186,7 +182,7 @@ type partials struct {
 // collectPartials runs per-component result collection (Procedure 5
 // with advance merging) and returns the partials; the cross-component
 // product is left to newCursor.
-func (ec *evalContext) collectPartials(q *core.Query, comps []component, singles map[int]graph.NodeID, mg *matchingGraph) partials {
+func (ec *evalContext) collectPartials(q *core.Query, f forest, singles map[int]graph.NodeID, mg *matchingGraph) partials {
 	pt := partials{singles: singles}
 	for _, v := range singles {
 		if v == -1 {
@@ -195,98 +191,75 @@ func (ec *evalContext) collectPartials(q *core.Query, comps []component, singles
 		}
 	}
 
-	// outsUnder[u]: output nodes inside u's component subtree, preorder.
-	outsUnder := make(map[int][]int)
-	var order func(u int) []int
-	order = func(u int) []int {
-		if got, ok := outsUnder[u]; ok {
-			return got
-		}
-		var res []int
-		if q.Nodes[u].Output {
-			res = append(res, u)
-		}
-		for _, c := range mg.keptChildren[u] {
-			res = append(res, order(c)...)
-		}
-		outsUnder[u] = res
-		return res
-	}
-
-	type memoKey struct {
-		u int
-		v graph.NodeID
-	}
-	memo := make(map[memoKey][][]graph.NodeID)
-	var collect func(u int, v graph.NodeID) [][]graph.NodeID
-	collect = func(u int, v graph.NodeID) [][]graph.NodeID {
+	// memo[u][i] holds collect(u, i) once computed; a result with no
+	// tuples is stored non-nil.
+	memo := make([][][][]graph.NodeID, len(q.Nodes))
+	var collect func(u, i int) [][]graph.NodeID
+	collect = func(u, i int) [][]graph.NodeID {
 		if ec.tick() {
 			return nil
 		}
-		key := memoKey{u, v}
-		if r, ok := memo[key]; ok {
+		if memo[u] == nil {
+			memo[u] = make([][][]graph.NodeID, len(ec.mat[u]))
+		}
+		if r := memo[u][i]; r != nil {
 			return r
 		}
-		kids := mg.keptChildren[u]
 		results := [][]graph.NodeID{nil}
-		if len(kids) > 0 {
-			lists := mg.branches[u][v]
-			for i := range kids {
-				// Union of the results below each linked child match,
-				// deduplicated before the product (the paper's advance
-				// merging of partial results, line 7 of Procedure 5).
-				var branch [][]graph.NodeID
-				var seen tupleSet
-				for _, w := range lists[i] {
-					for _, t := range collect(kids[i], w) {
-						if ec.tick() {
-							return nil
-						}
-						if seen.add(t) {
-							branch = append(branch, t)
-						}
+		for _, c := range f.kids[u] {
+			// Union of the results below each linked child match,
+			// deduplicated before the product (the paper's advance
+			// merging of partial results, line 7 of Procedure 5).
+			var branch [][]graph.NodeID
+			var seen tupleSet
+			for _, j := range mg.row(c, i) {
+				for _, t := range collect(c, int(j)) {
+					if ec.tick() {
+						return nil
+					}
+					if seen.add(t) {
+						branch = append(branch, t)
 					}
 				}
-				if len(branch) == 0 {
-					results = nil
-					break
+			}
+			if len(branch) == 0 {
+				results = [][]graph.NodeID{}
+				break
+			}
+			next := make([][]graph.NodeID, 0, len(results)*len(branch))
+			for _, a := range results {
+				for _, b := range branch {
+					merged := make([]graph.NodeID, 0, len(a)+len(b))
+					merged = append(merged, a...)
+					merged = append(merged, b...)
+					next = append(next, merged)
 				}
-				next := make([][]graph.NodeID, 0, len(results)*len(branch))
-				for _, a := range results {
-					for _, b := range branch {
-						merged := make([]graph.NodeID, 0, len(a)+len(b))
-						merged = append(merged, a...)
-						merged = append(merged, b...)
-						next = append(next, merged)
-					}
-				}
-				results = next
+			}
+			results = next
+		}
+		if q.Nodes[u].Output {
+			for k, t := range results {
+				results[k] = append([]graph.NodeID{ec.mat[u][i]}, t...)
 			}
 		}
-		if q.Nodes[u].Output && results != nil {
-			for i, t := range results {
-				results[i] = append([]graph.NodeID{v}, t...)
-			}
-		}
-		memo[key] = results
+		memo[u][i] = results
 		return results
 	}
 
 	// Per-component result sets (deduplicated across root candidates).
-	for _, comp := range comps {
-		os := order(comp.root)
-		if len(os) == 0 {
+	for _, r := range f.roots {
+		if len(f.outs[r]) == 0 {
 			// A component with no outputs only constrains existence — and
 			// existence is already guaranteed by pruning; skip it.
 			continue
 		}
 		var seen tupleSet
 		var all [][]graph.NodeID
-		for _, v := range ec.mat[comp.root] {
+		for i := range ec.mat[r] {
 			if ec.err != nil {
 				return pt
 			}
-			for _, t := range collect(comp.root, v) {
+			for _, t := range collect(r, i) {
 				if seen.add(t) {
 					all = append(all, t)
 				}
@@ -297,7 +270,7 @@ func (ec *evalContext) collectPartials(q *core.Query, comps []component, singles
 			return pt
 		}
 		pt.perComp = append(pt.perComp, all)
-		pt.compOuts = append(pt.compOuts, os)
+		pt.compOuts = append(pt.compOuts, f.outs[r])
 	}
 	return pt
 }

@@ -148,7 +148,7 @@ func (ec *evalContext) pruneDownward(q *core.Query) {
 // decomposition requires children of singletons to be upward-clean too.
 // Under the kernel rule, every AD child probes the parent's bitset
 // contour.
-func (ec *evalContext) pruneUpward(q *core.Query, prime map[int]bool) {
+func (ec *evalContext) pruneUpward(q *core.Query, prime []bool) {
 	for _, u := range q.PreOrder() {
 		if ec.cancelled() {
 			return
@@ -378,10 +378,12 @@ func (ec *evalContext) splitKids(q *core.Query, cs []int) (ad, pc []int) {
 	return ad, pc
 }
 
-// primeSubtree returns the node set of the minimum subtree containing
-// the root and every output node with more than one candidate.
-func (ec *evalContext) primeSubtree(q *core.Query, outs []int) map[int]bool {
-	prime := map[int]bool{q.Root: true}
+// primeSubtree returns, indexed by query node, the minimum subtree
+// containing the root and every output node with more than one
+// candidate.
+func (ec *evalContext) primeSubtree(q *core.Query, outs []int) []bool {
+	prime := make([]bool, len(q.Nodes))
+	prime[q.Root] = true
 	for _, o := range outs {
 		if len(ec.mat[o]) <= 1 && !ec.opt.NoShrink {
 			continue
