@@ -1,7 +1,7 @@
 // Package card is the one cardinality estimator. A query node's
 // candidate set is a lookup in the data graph's label index, so its
 // size for a pure label predicate is known exactly to every served
-// engine (LabelCount: flat index, delta overlay, sharded or composite);
+// engine, flat, sharded or under a delta overlay, from that index;
 // any other predicate is priced at the node count. Candidates is that
 // rule, and every consumer calls it: the planner's per-node estimates,
 // the server's admission pricing (Stats.EstimateQuery, surfaced as

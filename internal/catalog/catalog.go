@@ -76,7 +76,7 @@ type Engine interface {
 	// path (NDJSON responses, pagination) drains it row by row.
 	EvalCursor(ctx context.Context, q *core.Query) (gtea.Cursor, gtea.Stats, error)
 	// LabelCount answers how many logical vertices carry a label —
-	// exactly, from the served index or shard histograms; Dataset.Card
+	// exactly, from the evaluation graphs' label indexes; Dataset.Card
 	// prices queries with it.
 	LabelCount(label string) int
 	IndexKind() string

@@ -37,11 +37,6 @@ type Overlay struct {
 	baseN graph.NodeID // ids < baseN are base vertices
 	extN  int          // total vertices including delta additions
 
-	// deltaLabels counts the labels of delta-added vertices, so
-	// LabelCount stays exact across generations without the base index
-	// rescanning anything. Nil when no batch added vertices.
-	deltaLabels map[string]int
-
 	// Delta edge i goes tails[i] -> heads[i].
 	tails, heads []graph.NodeID
 	// closure[i] is the memoized delta-reachable edge set: bit j is set
@@ -68,12 +63,6 @@ const KindPrefix = "delta+"
 func NewOverlay(base reach.ContourIndex, baseN, extN int, batches []Batch) *Overlay {
 	o := &Overlay{base: base, baseN: graph.NodeID(baseN), extN: extN}
 	for i := range batches {
-		for _, nd := range batches[i].Nodes {
-			if o.deltaLabels == nil {
-				o.deltaLabels = make(map[string]int)
-			}
-			o.deltaLabels[nd.Label]++
-		}
 		for _, e := range batches[i].Edges {
 			o.tails = append(o.tails, e.From)
 			o.heads = append(o.heads, e.To)
@@ -163,12 +152,6 @@ func (o *Overlay) Kind() string { return KindPrefix + o.base.Kind() }
 
 // IndexSize is the base index size plus one element per delta edge.
 func (o *Overlay) IndexSize() int { return o.base.IndexSize() + len(o.tails) }
-
-// LabelCount is the base count plus the delta-added vertices carrying
-// the label, so estimates stay exact across delta generations.
-func (o *Overlay) LabelCount(label string) int {
-	return o.base.LabelCount(label) + o.deltaLabels[label]
-}
 
 // ReachesSt reports whether u strictly reaches v in base ∪ delta.
 func (o *Overlay) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {

@@ -132,11 +132,11 @@ func NewWithIndex(g *graph.Graph, h reach.ContourIndex, opt Options) *Engine {
 	return &Engine{G: g, H: h, Opt: opt, closure: closureIndex(h)}
 }
 
-// LabelCount reports how many data nodes carry the label, answered
-// exactly by the reachability backend (part of the catalog.Engine
+// LabelCount reports how many data nodes carry the label, read from
+// the evaluation graph's label index (part of the catalog.Engine
 // interface; the planner and cost-based admission both estimate
-// candidate-set sizes through it, via card.Candidates).
-func (e *Engine) LabelCount(label string) int { return e.H.LabelCount(label) }
+// candidate-set sizes this way, via card.Candidates).
+func (e *Engine) LabelCount(label string) int { return len(e.G.ByLabel(label)) }
 
 // IndexKind reports the reachability backend this engine evaluates
 // over (part of the catalog.Engine interface shared with sharded

@@ -30,10 +30,11 @@ import (
 // word-parallel row intersection with no graph walk, cheaper than the
 // search, and the paper kernel stays.
 //
-// Estimates are card.Candidates over the reachability backend's exact
-// label counts (reach.ContourIndex.LabelCount); non-label predicates
-// fall back to the node count. The estimated vs. actual cardinalities
-// are recorded in Stats.Plan so misestimates are observable.
+// Estimates are card.Candidates over the evaluation graph's exact
+// label counts (its label index; for a delta overlay that graph holds
+// the delta vertices too); non-label predicates fall back to the node
+// count. The estimated vs. actual cardinalities are recorded in
+// Stats.Plan so misestimates are observable.
 // Options.NoPlan restores the paper's behavior exactly.
 
 // Kernel names recorded in PlanNode.
@@ -86,7 +87,7 @@ func (ec *evalContext) planQuery(q *core.Query) {
 	}
 	ec.plan = &PlanInfo{Nodes: make([]PlanNode, len(q.Nodes))}
 	for u, n := range q.Nodes {
-		est := card.Candidates(n.Attr, ec.h.LabelCount, ec.g.N())
+		est := card.Candidates(n.Attr, func(l string) int { return len(ec.g.ByLabel(l)) }, ec.g.N())
 		ec.plan.Nodes[u] = PlanNode{Node: u, Name: n.Name, Kernel: KernelPaper, EstCands: est}
 	}
 }

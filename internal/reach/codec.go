@@ -178,7 +178,7 @@ func decodeTC(g *graph.Graph, d *graph.Decoder) (ContourIndex, error) {
 		return nil, fmt.Errorf("reach: tc image: %w", err)
 	}
 	words := (k + 63) / 64
-	t := &TC{g: g, scc: scc, words: words, rows: d.Uint64s(k * words)}
+	t := &TC{scc: scc, words: words, rows: d.Uint64s(k * words)}
 	if d.Err() != nil {
 		return nil, fmt.Errorf("reach: tc image: %w", d.Err())
 	}

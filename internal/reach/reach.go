@@ -50,12 +50,6 @@ type ContourIndex interface {
 	// SuccContour summarizes S for "does some element of S strictly
 	// reach v?" probes (the merged complete successor list of S).
 	SuccContour(S []graph.NodeID, st *Stats) SetContour
-	// LabelCount returns the number of graph nodes carrying the primary
-	// label — the exact count card.Candidates prices label-only query
-	// nodes with (planner estimates, cost-based admission). Zero for labels
-	// absent from the graph; no lookup is charged (it reads a
-	// precomputed histogram, not the index).
-	LabelCount(label string) int
 }
 
 // SetContour is the backend-opaque summary of a node set S, merged in

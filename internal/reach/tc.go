@@ -18,7 +18,6 @@ import (
 // Like ThreeHop, a built TC is immutable; the *Stats-sink methods are
 // safe for concurrent use.
 type TC struct {
-	g     *graph.Graph
 	scc   graph.SCCMap // all the closure keeps of the condensation
 	words int
 	rows  []uint64 // NumSCC() rows of `words` words; bit w set in row s iff s reaches w (s != w)
@@ -51,7 +50,7 @@ func newTC(g *graph.Graph) (*TC, error) {
 		return nil, fmt.Errorf("reach: TC limited to %d SCCs, graph has %d", tcLimit, n)
 	}
 	words := (n + 63) / 64
-	t := &TC{g: g, scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
+	t := &TC{scc: cond.SCCMap, words: words, rows: make([]uint64, n*words)}
 	for _, bucket := range levelize(cond) {
 		parallelFor(runtime.GOMAXPROCS(0), len(bucket), func(_, lo, hi int) {
 			for _, s := range bucket[lo:hi] {
@@ -78,9 +77,6 @@ func (t *TC) numSCC() int { return len(t.rows) / max(t.words, 1) }
 
 // Kind returns this backend's kind name.
 func (t *TC) Kind() string { return "tc" }
-
-// LabelCount implements ContourIndex via the graph's label index.
-func (t *TC) LabelCount(label string) int { return len(t.g.ByLabel(label)) }
 
 // IndexSize returns the number of set closure bits (computed once,
 // lazily).

@@ -619,9 +619,6 @@ func (h *ThreeHop) NumChains() int { return len(h.chainOff) - 1 }
 // Kind returns this backend's kind name.
 func (h *ThreeHop) Kind() string { return "threehop" }
 
-// LabelCount implements ContourIndex via the graph's label index.
-func (h *ThreeHop) LabelCount(label string) int { return len(h.g.ByLabel(label)) }
-
 // IndexSize returns the total number of Lin/Lout entries — the paper's
 // |Lin| + |Lout| measure.
 func (h *ThreeHop) IndexSize() int { return h.lout.n + h.lin.n }

@@ -104,8 +104,6 @@ func (ci *compositeIndex) Kind() string { return ci.kind }
 
 func (ci *compositeIndex) IndexSize() int { return ci.se.IndexSize() }
 
-func (ci *compositeIndex) LabelCount(label string) int { return ci.se.LabelCount(label) }
-
 // ReachesSt answers through u's shard: if v lives in another shard it
 // is in another component, outside u's cone.
 func (ci *compositeIndex) ReachesSt(u, v graph.NodeID, st *reach.Stats) bool {

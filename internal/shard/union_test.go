@@ -76,7 +76,7 @@ func TestCompositeIndexMatchesFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, l := range testLabels {
-					if got, want := ci.LabelCount(l), flat.LabelCount(l); got != want {
+					if got, want := se.LabelCount(l), len(g.ByLabel(l)); got != want {
 						t.Fatalf("%s: LabelCount(%q) = %d, flat %d", kind, l, got, want)
 					}
 				}
