@@ -51,7 +51,7 @@ func writeStreamDir(b *testing.B) (string, *Plan, int64) {
 
 // BenchmarkWriteDir times WriteDir of the stream_rows forest at K=4:
 // cutting the shards, building their 3-hop indexes and writing the
-// directory, Options.Workers (GOMAXPROCS, so -cpu sets it) at a time.
+// directory, GOMAXPROCS shards (so -cpu sets it) at a time.
 func BenchmarkWriteDir(b *testing.B) {
 	dir, plan, size := writeStreamDir(b)
 	b.SetBytes(size)

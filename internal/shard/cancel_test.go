@@ -71,7 +71,8 @@ func TestShardedCancellationPropagatesAndLeaksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewEngine(g, plan, Options{Workers: blocks})
+	setProcs(t, blocks)
+	se, err := NewEngine(g, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,8 @@ func TestShardedConcurrentEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewEngine(g, plan, Options{Workers: 2})
+	setProcs(t, 2)
+	se, err := NewEngine(g, plan, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

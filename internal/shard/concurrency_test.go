@@ -69,6 +69,13 @@ func TestForEachShard(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, the width of every shard loop, to n until
+// t ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // settles fails unless the goroutine count is back at baseline
 // shortly: a shard loop joins its goroutines before returning, and
 // only their exit after the join may still be under way.
@@ -120,8 +127,9 @@ func TestLoadDirNamesLowestCorruptShard(t *testing.T) {
 	want := fmt.Sprintf("shard: %s: shard 1: %s: content hash %s does not match manifest %s",
 		dir, man.Shards[1].Snap, hex.EncodeToString(sum[:]), man.Shards[1].SnapSHA256)
 	for workers := 1; workers <= 4; workers++ {
+		setProcs(t, workers)
 		baseline := runtime.NumGoroutine()
-		_, _, err := LoadDir(dir, Options{Workers: workers})
+		_, _, err := LoadDir(dir, Options{})
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: err = %v\nwant %s", workers, err, want)
 		}
@@ -151,8 +159,9 @@ func TestNewEngineBuildFailureNamesLowestShard(t *testing.T) {
 		t.Fatalf("plan put the long paths on shards of %d and %d nodes", len(plan.Parts[0]), len(plan.Parts[1]))
 	}
 	for workers := 1; workers <= 4; workers++ {
+		setProcs(t, workers)
 		baseline := runtime.NumGoroutine()
-		_, err := NewEngine(g, plan, Options{Index: "tc", Workers: workers})
+		_, err := NewEngine(g, plan, Options{Index: "tc"})
 		if err == nil || !strings.HasPrefix(err.Error(), "shard 0: ") || errors.Unwrap(err) == nil {
 			t.Fatalf("workers=%d: err = %v, want shard 0's wrapped build error", workers, err)
 		}

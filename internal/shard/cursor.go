@@ -137,7 +137,7 @@ func (m *mergeCursor) finish() {
 }
 
 // EvalCursor scatter-opens a per-shard cursor on the worker pool (at
-// most Workers shard evaluations run at once) and returns their
+// most GOMAXPROCS shard evaluations run at once) and returns their
 // streaming k-way merge. Pruning and per-component collection run
 // eagerly per shard during this call (as in the flat engine); only the
 // cross-component products and the global merge stream. Each shard's

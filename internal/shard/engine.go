@@ -20,9 +20,6 @@ type Options struct {
 	// (empty: the default 3-hop index). Ignored by LoadDir and Single —
 	// their indexes are already built.
 	Index string
-	// Workers bounds the scatter-gather fan-out per evaluation
-	// (default GOMAXPROCS, clamped to the shard count).
-	Workers int
 	// NoPlan disables the planner's kernel rule in every per-shard
 	// engine (gtea.Options.NoPlan).
 	NoPlan bool
@@ -56,15 +53,15 @@ type ShardedEngine struct {
 
 // NewEngine builds a sharded engine in memory from a graph and a plan:
 // one subgraph (graph.Induced), reachability index, and GTEA engine per
-// shard. Shards are cut and built Options.Workers at a time (the
-// scatter width, normalizeWorkers), each from g and its own part alone,
+// shard. Shards are cut and built GOMAXPROCS at a time (the scatter
+// width, normalizeWorkers), each from g and its own part alone,
 // so what a shard holds does not depend on which shards build beside
 // it; an error names the lowest failing shard. For the on-disk path see
 // WriteDir/LoadDir.
 func NewEngine(g *graph.Graph, plan *Plan, opt Options) (*ShardedEngine, error) {
 	g.Freeze()
 	se := &ShardedEngine{
-		workers:    normalizeWorkers(opt.Workers, len(plan.Parts)),
+		workers:    normalizeWorkers(len(plan.Parts)),
 		totalNodes: g.N(),
 		totalEdges: g.M(),
 		shards:     make([]*shardUnit, len(plan.Parts)),
@@ -109,13 +106,10 @@ func (se *ShardedEngine) Flat() *gtea.Engine {
 	return se.shards[0].eng
 }
 
-// normalizeWorkers is the scatter width: w, or GOMAXPROCS when unset,
-// clamped to [1, shards].
-func normalizeWorkers(w, shards int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(w, shards))
+// normalizeWorkers is the scatter width of every per-shard loop
+// (build, save, load, evaluation): GOMAXPROCS, clamped to [1, shards].
+func normalizeWorkers(shards int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), shards))
 }
 
 // forEachShard runs f(0), ..., f(k-1) on at most workers goroutines,

@@ -88,9 +88,9 @@ func WriteDir(dir, name string, g *graph.Graph, plan *Plan, opt Options) (*Manif
 // snapshots of the graphs and indexes it already holds, id sidecars,
 // and finally the manifest, written atomically last so a crashed run
 // never leaves a directory that passes verification. Shards are written
-// Options.Workers at a time, each file hashed as it is written; a
-// shard's bytes depend only on that shard, so the directory is the same
-// whatever the worker count. An error names the lowest failing shard.
+// GOMAXPROCS at a time (normalizeWorkers), each file hashed as it is
+// written; a shard's bytes depend only on that shard, so the directory
+// is the same whatever the worker count. An error names the lowest failing shard.
 func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -171,7 +171,7 @@ func (se *ShardedEngine) Save(dir, name string) (*Manifest, error) {
 // mismatch, shard sizes disagreeing with the manifest, or an id
 // mapping that is not an exact partition of the global id range — is
 // an error; a damaged directory never yields a partially-working
-// engine. Shards are read, verified and decoded Options.Workers at a
+// engine. Shards are read, verified and decoded GOMAXPROCS at a
 // time, each with the checks in the same order (its bytes hashed before
 // they are decoded), and an error names the lowest failing shard, as a
 // shard-by-shard load would. Nothing is allocated from the manifest's
@@ -200,7 +200,7 @@ func LoadDir(dir string, opt Options) (*ShardedEngine, *Manifest, error) {
 
 	se := &ShardedEngine{
 		kind:       man.Index,
-		workers:    normalizeWorkers(opt.Workers, len(man.Shards)),
+		workers:    normalizeWorkers(len(man.Shards)),
 		totalNodes: man.TotalNodes,
 		totalEdges: man.TotalEdges,
 		shards:     make([]*shardUnit, len(man.Shards)),

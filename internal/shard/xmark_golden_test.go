@@ -93,9 +93,8 @@ var xmarkGolden = map[int]map[string]string{
 // TestWriteDirGoldenXMark pins the bytes of a shard directory over a
 // multi-site XMark forest (the stream_rows data at tiny scale), at K=3
 // (one shard holds two sites) and K=4 (one site per shard), and checks
-// that they do not depend on how many processors or shard workers
-// write it: every file is the same at GOMAXPROCS 1 to 4 and at
-// Options.Workers 1 to K.
+// that they do not depend on how many shard workers write it: every
+// file is the same at GOMAXPROCS 1 to 4, so at every width from 1 to K.
 func TestWriteDirGoldenXMark(t *testing.T) {
 	g := xmarkForest(4, 40)
 	prev := runtime.GOMAXPROCS(0)
@@ -108,19 +107,17 @@ func TestWriteDirGoldenXMark(t *testing.T) {
 		want := xmarkGolden[k]
 		for procs := 1; procs <= 4; procs++ {
 			runtime.GOMAXPROCS(procs)
-			for workers := 1; workers <= k; workers++ {
-				dir := t.TempDir()
-				if _, err := WriteDir(dir, "forest", g, plan, Options{Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
-				got := dirSums(t, dir)
-				if len(got) != len(want) {
-					t.Errorf("K=%d procs=%d workers=%d: wrote %d files, want %d", k, procs, workers, len(got), len(want))
-				}
-				for n, sum := range got {
-					if sum != want[n] {
-						t.Errorf("K=%d procs=%d workers=%d: %s: sha256 %s, want %q", k, procs, workers, n, sum, want[n])
-					}
+			dir := t.TempDir()
+			if _, err := WriteDir(dir, "forest", g, plan, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			got := dirSums(t, dir)
+			if len(got) != len(want) {
+				t.Errorf("K=%d procs=%d: wrote %d files, want %d", k, procs, len(got), len(want))
+			}
+			for n, sum := range got {
+				if sum != want[n] {
+					t.Errorf("K=%d procs=%d: %s: sha256 %s, want %q", k, procs, n, sum, want[n])
 				}
 			}
 		}
