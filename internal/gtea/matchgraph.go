@@ -101,7 +101,7 @@ func (ec *evalContext) buildMatchingGraph(q *core.Query, f forest) *matchingGrap
 	build = func(u int) {
 		nodes += int64(len(ec.mat[u]))
 		kids := f.kids[u]
-		if len(kids) == 0 {
+		if len(kids) == 0 || ec.err != nil {
 			return
 		}
 		hasAD := false
@@ -141,15 +141,11 @@ func (ec *evalContext) buildMatchingGraph(q *core.Query, f forest) *matchingGrap
 			}
 		}
 		for _, c := range kids {
-			if ec.err == nil {
-				build(c)
-			}
+			build(c)
 		}
 	}
 	for _, r := range f.roots {
-		if ec.err == nil {
-			build(r)
-		}
+		build(r)
 	}
 	if ec.err != nil {
 		return mg
